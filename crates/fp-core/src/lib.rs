@@ -2,8 +2,9 @@
 //!
 //! Shared vocabulary for the fingerprint-interoperability study: geometry in
 //! physical units, angular arithmetic, minutiae and templates, identifier
-//! newtypes, deterministic random-number utilities, and the [`Matcher`]
-//! abstraction implemented by the matching crates.
+//! newtypes, deterministic random-number utilities, the [`Matcher`]
+//! abstraction implemented by the matching crates, and the byte [`codec`]
+//! (little-endian cursors + CRC32) under every wire and on-disk format.
 //!
 //! Everything downstream (synthesis, sensing, matching, statistics, the study
 //! harness) is built on the types defined here, so this crate is deliberately
@@ -42,6 +43,7 @@
 //! # }
 //! ```
 
+pub mod codec;
 pub mod dist;
 pub mod error;
 pub mod geometry;

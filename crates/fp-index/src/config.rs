@@ -1,5 +1,6 @@
 //! Tuning parameters for the candidate index.
 
+use fp_core::codec::{Dec, DecodeError, Enc};
 use fp_telemetry::{FingerprintChain, Fingerprinted};
 use serde::{Deserialize, Serialize};
 
@@ -49,10 +50,11 @@ impl Default for IndexConfig {
 /// built from it.
 ///
 /// Validation happens at index construction
-/// ([`CandidateIndex::try_with_config`](crate::CandidateIndex::try_with_config))
-/// and when `fp-serve` adopts a wire config at enroll time, so an invalid
-/// config surfaces as a typed error at the boundary instead of silently
-/// changing scoring semantics deep in the kernel.
+/// ([`CandidateIndex::try_with_config`](crate::CandidateIndex::try_with_config)),
+/// when `fp-serve` adopts a wire config at enroll time, and when
+/// `fp-store` decodes a segment's META section, so an invalid config
+/// surfaces as a typed error at the boundary instead of silently changing
+/// scoring semantics — or tripping an assertion — deep in the kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexConfigError {
     /// `lss_depth == 0`. The local-similarity-sort average is over the
@@ -61,7 +63,21 @@ pub enum IndexConfigError {
     /// outright rather than let a config mean something other than what
     /// it says.
     ZeroLssDepth,
+    /// `distance_bin` is zero, negative, NaN or infinite: the geometric
+    /// hash divides every pair distance by it.
+    BadDistanceBin,
+    /// `angle_bins` outside `[2, MAX_ANGLE_BINS]`: one bin cannot separate
+    /// directions at all, and the bucket key packs each angular bin into
+    /// 21 bits.
+    BadAngleBins {
+        /// The rejected bin count.
+        angle_bins: usize,
+    },
 }
+
+/// Largest angular bin count the geometric-hash key packing supports
+/// (21 bits per dimension).
+const MAX_ANGLE_BINS: usize = 1 << 21;
 
 impl std::fmt::Display for IndexConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -70,6 +86,12 @@ impl std::fmt::Display for IndexConfigError {
                 f,
                 "lss_depth must be >= 1 (depth 0 would be silently clamped to 1)"
             ),
+            IndexConfigError::BadDistanceBin => {
+                write!(f, "distance_bin must be finite and positive")
+            }
+            IndexConfigError::BadAngleBins { angle_bins } => {
+                write!(f, "angle_bins {angle_bins} outside [2, {MAX_ANGLE_BINS}]")
+            }
         }
     }
 }
@@ -82,7 +104,40 @@ impl IndexConfig {
         if self.lss_depth == 0 {
             return Err(IndexConfigError::ZeroLssDepth);
         }
+        if !(self.distance_bin.is_finite() && self.distance_bin > 0.0) {
+            return Err(IndexConfigError::BadDistanceBin);
+        }
+        if !(2..=MAX_ANGLE_BINS).contains(&self.angle_bins) {
+            return Err(IndexConfigError::BadAngleBins {
+                angle_bins: self.angle_bins,
+            });
+        }
         Ok(())
+    }
+
+    /// Appends the five fields in declaration order (40 bytes; `usize`s
+    /// as `u64`, `distance_bin` as raw `f64` bits). This is the one place
+    /// the field order is written down: ENROLL wire frames and the
+    /// segment META section both call it.
+    pub fn encode(&self, enc: &mut Enc) {
+        enc.u64(self.shortlist as u64);
+        enc.u64(self.max_cylinders as u64);
+        enc.u64(self.lss_depth as u64);
+        enc.f64_bits(self.distance_bin);
+        enc.u64(self.angle_bins as u64);
+    }
+
+    /// The inverse of [`encode`](Self::encode). Structure only — the
+    /// result is untrusted until [`validate`](Self::validate) (or
+    /// `CandidateIndex::try_with_config`) has accepted it.
+    pub fn decode(dec: &mut Dec<'_>) -> Result<IndexConfig, DecodeError> {
+        Ok(IndexConfig {
+            shortlist: dec.usize()?,
+            max_cylinders: dec.usize()?,
+            lss_depth: dec.usize()?,
+            distance_bin: dec.f64_bits()?,
+            angle_bins: dec.usize()?,
+        })
     }
 
     /// A config whose shortlist is scaled to the gallery: a fixed small
@@ -155,5 +210,47 @@ mod tests {
             .to_string()
             .contains("lss_depth"));
         assert_eq!(IndexConfig::default().validate(), Ok(()));
+    }
+
+    #[test]
+    fn unhashable_geometry_is_a_typed_error() {
+        let with_bin = |distance_bin| IndexConfig {
+            distance_bin,
+            ..IndexConfig::default()
+        };
+        let with_angles = |angle_bins| IndexConfig {
+            angle_bins,
+            ..IndexConfig::default()
+        };
+        for distance_bin in [0.0, -0.5, f64::NAN, f64::INFINITY] {
+            let err = with_bin(distance_bin).validate();
+            assert_eq!(err, Err(IndexConfigError::BadDistanceBin));
+        }
+        for angle_bins in [0, 1, MAX_ANGLE_BINS + 1] {
+            let err = with_angles(angle_bins).validate();
+            assert_eq!(err, Err(IndexConfigError::BadAngleBins { angle_bins }));
+        }
+        assert_eq!(with_angles(2).validate(), Ok(()));
+        assert_eq!(with_angles(MAX_ANGLE_BINS).validate(), Ok(()));
+    }
+
+    #[test]
+    fn encode_decode_round_trips_without_validating() {
+        let config = IndexConfig {
+            lss_depth: 0, // invalid on purpose: decode is structure-only
+            distance_bin: -0.0,
+            ..IndexConfig::default()
+        };
+        let mut enc = Enc::new();
+        config.encode(&mut enc);
+        let bytes = enc.into_bytes();
+        assert_eq!(bytes.len(), 40);
+        let decoded = IndexConfig::decode(&mut Dec::new(&bytes, "frame", "config")).unwrap();
+        assert_eq!(
+            decoded.distance_bin.to_bits(),
+            config.distance_bin.to_bits()
+        );
+        assert_eq!(decoded, config);
+        assert!(IndexConfig::decode(&mut Dec::new(&bytes[..39], "frame", "config")).is_err());
     }
 }

@@ -496,8 +496,8 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
             .collect();
 
         // The cache-blocked arena kernel. Byte-identical to scoring each
-        // entry with `CylinderCodes::similarity_counted` (the scalar
-        // reference) — `tests/kernel.rs` and `study check-kernel` pin the
+        // entry with `CylinderCodes::reference_similarity` (the scalar
+        // oracle) — `tests/kernel.rs` and `study check-kernel` pin the
         // equivalence — including the exact `hamming_word_ops` count.
         let mut scratch = Stage1Scratch::new();
         let mut cyl_scores = vec![0.0f64; n];
@@ -645,7 +645,7 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
     }
 
     /// Same scores via the **scalar reference kernel**
-    /// (entry-at-a-time [`CylinderCodes::similarity_counted`] semantics).
+    /// (entry-at-a-time [`CylinderCodes::reference_similarity`] semantics).
     /// The parity gate holds this bitwise equal to
     /// [`stage1_cylinder_scores`](Self::stage1_cylinder_scores).
     pub fn stage1_cylinder_scores_reference(&self, probe: &Template) -> (Vec<f64>, u64) {

@@ -183,41 +183,26 @@ impl CylinderCodes {
         }
     }
 
-    /// Local-similarity-sort score of this (probe) code set against a
-    /// gallery code set: each probe cylinder takes its best Dice-style
-    /// similarity `1 - hamming / (ones_p + ones_g)` over all gallery
-    /// cylinders, and the strongest `max(1, min(len_p, len_g, lss_depth))`
-    /// of those local bests are averaged — note the clamp: `lss_depth == 0`
-    /// is treated as depth 1, so a caller that wants "no code channel"
-    /// must not enroll codes rather than pass a zero depth
-    /// ([`crate::IndexConfig`] rejects `lss_depth == 0` outright). In
-    /// `[0, 1]`; 0 when either side is empty.
-    pub fn similarity(&self, gallery: &CylinderCodes, lss_depth: usize) -> f64 {
-        self.similarity_counted(gallery, lss_depth).0
-    }
-
-    /// [`similarity`](Self::similarity) plus the number of packed-`u64`
-    /// Hamming word comparisons it performed — `max(words_p, words_g)` per
-    /// cylinder pair actually XOR+popcounted (pairs whose combined set-bit
-    /// mass is zero are skipped before touching any word). This is the
-    /// true work measure the `index.search.hamming_ops` counter meters; the
-    /// old per-gallery-entry tally undercounted by the whole
-    /// cylinders² x words fan-out.
+    /// **The scalar stage-1 oracle**: local-similarity-sort score of this
+    /// (probe) code set against a gallery code set, plus the number of
+    /// packed-`u64` Hamming word comparisons performed. Each probe cylinder
+    /// takes its best Dice-style similarity `1 - hamming / (ones_p +
+    /// ones_g)` over all gallery cylinders, and the strongest `max(1,
+    /// min(len_p, len_g, lss_depth))` of those local bests are averaged —
+    /// note the clamp: `lss_depth == 0` is treated as depth 1
+    /// ([`crate::IndexConfig`] rejects `lss_depth == 0` outright). The
+    /// score is in `[0, 1]`; 0 when either side is empty.
     ///
-    /// Allocates a fresh [`Stage1Scratch`] per call; batch callers scoring
-    /// many gallery entries should hold one scratch and use
-    /// [`similarity_counted_scratch`](Self::similarity_counted_scratch).
-    pub fn similarity_counted(&self, gallery: &CylinderCodes, lss_depth: usize) -> (f64, u64) {
-        let mut scratch = Stage1Scratch::new();
-        self.similarity_counted_scratch(gallery, lss_depth, &mut scratch)
-    }
-
-    /// [`similarity_counted`](Self::similarity_counted) with a
-    /// caller-provided scratch, so scoring a whole gallery performs zero
-    /// per-entry allocations. This is **the scalar reference path**: the
-    /// blocked [`crate::CodeArena`] kernel is required (and property-
-    /// tested) to be byte-identical to it.
-    pub fn similarity_counted_scratch(
+    /// The word count is `max(words_p, words_g)` per cylinder pair
+    /// actually XOR+popcounted (pairs whose combined set-bit mass is zero
+    /// are skipped before touching any word) — the true work measure the
+    /// `index.search.hamming_ops` counter meters.
+    ///
+    /// The blocked [`crate::CodeArena`] kernel is required (and property-
+    /// tested) to be byte-identical to this function; nothing on the
+    /// search path calls it. `scratch` is reused across calls so scoring a
+    /// whole gallery performs zero per-entry allocations.
+    pub fn reference_similarity(
         &self,
         gallery: &CylinderCodes,
         lss_depth: usize,
@@ -228,11 +213,9 @@ impl CylinderCodes {
 }
 
 /// The scalar reference scorer over borrowed code views — one probe code
-/// set against one gallery code set, exactly the loop `similarity_counted`
-/// has always run (per probe cylinder, the best Dice-style similarity over
-/// every gallery cylinder; the strongest `max(1, min(len_p, len_g,
-/// lss_depth))` bests averaged). Every optimized kernel is validated
-/// against this function bit for bit.
+/// set against one gallery code set (see
+/// [`CylinderCodes::reference_similarity`] for the definition). Every
+/// optimized kernel is validated against this function bit for bit.
 pub(crate) fn reference_similarity(
     probe: &CodeView<'_>,
     gallery: &CodeView<'_>,
@@ -338,19 +321,24 @@ mod tests {
         CylinderCodes::extract(&MccMatcher::default(), &template(seed, n), cap)
     }
 
+    /// The oracle at the default depth with a throwaway scratch.
+    fn similarity(probe: &CylinderCodes, gallery: &CylinderCodes) -> (f64, u64) {
+        probe.reference_similarity(gallery, 12, &mut Stage1Scratch::new())
+    }
+
     #[test]
     fn self_similarity_is_one() {
         let c = codes(1, 30, 24);
         assert!(!c.is_empty());
         assert!(c.ones.iter().all(|&o| o > 0));
-        assert_eq!(c.similarity(&c, 12), 1.0);
+        assert_eq!(similarity(&c, &c).0, 1.0);
     }
 
     #[test]
     fn distinct_templates_score_below_one() {
         let a = codes(2, 30, 24);
         let b = codes(3, 30, 24);
-        assert!(a.similarity(&b, 12) < 1.0);
+        assert!(similarity(&a, &b).0 < 1.0);
     }
 
     #[test]
@@ -366,7 +354,7 @@ mod tests {
         let a = CylinderCodes::extract(&mcc, &base, 24);
         let b = CylinderCodes::extract(&mcc, &moved, 24);
         let imp = codes(5, 30, 24);
-        assert!(a.similarity(&b, 12) > a.similarity(&imp, 12));
+        assert!(similarity(&a, &b).0 > similarity(&a, &imp).0);
     }
 
     #[test]
@@ -383,17 +371,16 @@ mod tests {
         let empty = Template::builder(500.0).build().unwrap();
         let zero = CylinderCodes::extract(&mcc, &empty, 24);
         assert!(zero.is_empty());
-        assert_eq!(zero.similarity(&zero, 12), 0.0);
-        assert_eq!(zero.similarity(&codes(7, 25, 24), 12), 0.0);
-        assert_eq!(codes(7, 25, 24).similarity(&zero, 12), 0.0);
+        assert_eq!(similarity(&zero, &zero).0, 0.0);
+        assert_eq!(similarity(&zero, &codes(7, 25, 24)).0, 0.0);
+        assert_eq!(similarity(&codes(7, 25, 24), &zero).0, 0.0);
     }
 
     #[test]
-    fn counted_similarity_matches_and_meters_word_ops() {
+    fn similarity_meters_word_ops() {
         let a = codes(2, 30, 24);
         let b = codes(3, 30, 24);
-        let (sim, ops) = a.similarity_counted(&b, 12);
-        assert_eq!(sim, a.similarity(&b, 12));
+        let (_, ops) = similarity(&a, &b);
         // Every cylinder pair with nonzero combined mass compares
         // `words_per` packed words (both sides share a width here).
         assert!(a.ones.iter().all(|&o| o > 0) && b.ones.iter().all(|&o| o > 0));
@@ -408,8 +395,8 @@ mod tests {
             &Template::builder(500.0).build().unwrap(),
             24,
         );
-        assert_eq!(a.similarity_counted(&empty, 12), (0.0, 0));
-        assert_eq!(empty.similarity_counted(&a, 12), (0.0, 0));
+        assert_eq!(similarity(&a, &empty), (0.0, 0));
+        assert_eq!(similarity(&empty, &a), (0.0, 0));
     }
 
     #[test]
@@ -439,25 +426,12 @@ mod tests {
         let c = codes(11, 30, 24);
         let rebuilt = CylinderCodes::from_raw(c.words.to_vec(), c.ones.to_vec(), c.words_per);
         assert_eq!(rebuilt, c);
-        assert_eq!(rebuilt.similarity(&c, 12), 1.0);
+        assert_eq!(similarity(&rebuilt, &c).0, 1.0);
     }
 
     #[test]
     #[should_panic(expected = "popcount")]
     fn from_raw_rejects_inconsistent_ones() {
         let _ = CylinderCodes::from_raw(vec![0b111], vec![2], 1);
-    }
-
-    #[test]
-    fn scratch_path_matches_the_allocating_path() {
-        let a = codes(2, 30, 24);
-        let b = codes(3, 30, 24);
-        let mut scratch = Stage1Scratch::new();
-        for depth in [1usize, 4, 12, 100] {
-            assert_eq!(
-                a.similarity_counted_scratch(&b, depth, &mut scratch),
-                a.similarity_counted(&b, depth),
-            );
-        }
     }
 }

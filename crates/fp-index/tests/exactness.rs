@@ -231,18 +231,21 @@ fn telemetry_does_not_change_results_and_counts_work() {
     assert_eq!(snap.counters["index.enrolled"], 60);
     assert_eq!(snap.counters["index.searches"], 1);
 
-    // hamming_ops meters the true packed-u64 word comparisons inside
-    // CylinderCodes::similarity — recompute the expectation through the
-    // public counted API (one similarity per gallery entry).
+    // hamming_ops meters the true packed-u64 word comparisons —
+    // recompute the expectation through the public scalar oracle (one
+    // similarity per gallery entry).
     let mcc = fp_match::MccMatcher::default();
     let cap = plain.config().max_cylinders;
     let depth = plain.config().lss_depth;
     let probe_codes = fp_index::CylinderCodes::extract(&mcc, &probe, cap);
+    let mut scratch = fp_index::Stage1Scratch::new();
     let expected_word_ops: u64 = templates
         .iter()
         .map(|t| {
             let codes = fp_index::CylinderCodes::extract(&mcc, t, cap);
-            probe_codes.similarity_counted(&codes, depth).1
+            probe_codes
+                .reference_similarity(&codes, depth, &mut scratch)
+                .1
         })
         .sum();
     assert!(expected_word_ops > 60, "word ops must exceed one-per-entry");

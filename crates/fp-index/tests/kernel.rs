@@ -4,8 +4,7 @@
 //! * Over random packed code sets (random widths, cylinder counts,
 //!   sparsity, `lss_depth`), `CodeArena::score_into` must produce bitwise
 //!   the same per-entry scores and exactly the same `hamming_ops` count as
-//!   the entry-at-a-time scalar reference (`similarity_counted`), which in
-//!   turn must equal its scratch-reusing variant.
+//!   the entry-at-a-time scalar oracle (`reference_similarity`).
 //! * Mixed-width code sets (templates prepared under different MCC grids)
 //!   must follow `hamming`'s excess-word tail rule in both kernels.
 //! * On real extracted templates, the enrolled index's blocked scores must
@@ -137,20 +136,15 @@ proptest! {
 
         assert_kernels_agree(&arena, &probe, lss_depth)?;
 
-        // The reference driver itself must equal the historical per-entry
-        // API (allocating and scratch-reusing variants both).
+        // The reference driver itself must equal the per-entry oracle.
         let mut scratch = Stage1Scratch::new();
         let mut via_arena = vec![0.0f64; arena.len()];
         let mut total_ops = 0u64;
         let ops = arena.score_into(&probe, lss_depth, &mut scratch, &mut via_arena);
         for (entry, &score) in entries.iter().zip(&via_arena) {
-            let (s_alloc, ops_alloc) = probe.similarity_counted(entry, lss_depth);
-            let (s_scratch, ops_scratch) =
-                probe.similarity_counted_scratch(entry, lss_depth, &mut scratch);
-            prop_assert_eq!(s_alloc.to_bits(), score.to_bits());
-            prop_assert_eq!(s_scratch.to_bits(), score.to_bits());
-            prop_assert_eq!(ops_alloc, ops_scratch);
-            total_ops += ops_alloc;
+            let (expected, entry_ops) = probe.reference_similarity(entry, lss_depth, &mut scratch);
+            prop_assert_eq!(expected.to_bits(), score.to_bits());
+            total_ops += entry_ops;
         }
         prop_assert_eq!(ops, total_ops, "hamming_ops metering must agree exactly");
     }
@@ -226,9 +220,11 @@ proptest! {
         let mcc = MccMatcher::default();
         let probe_codes = CylinderCodes::extract(&mcc, &probe, config.max_cylinders);
         let mut expected_ops = 0u64;
+        let mut scratch = Stage1Scratch::new();
         for (i, template) in templates.iter().enumerate() {
             let entry_codes = CylinderCodes::extract(&mcc, template, config.max_cylinders);
-            let (expected, ops) = probe_codes.similarity_counted(&entry_codes, config.lss_depth);
+            let (expected, ops) =
+                probe_codes.reference_similarity(&entry_codes, config.lss_depth, &mut scratch);
             prop_assert_eq!(blocked[i].to_bits(), expected.to_bits());
             prop_assert_eq!(reference[i].to_bits(), expected.to_bits());
             expected_ops += ops;

@@ -12,7 +12,7 @@
 //!
 //! # Pipelining, not fan-out/join
 //!
-//! Each shard connection is a [`MuxConn`]: requests carry wire-v3 ids, so
+//! Each shard connection is a [`MuxConn`]: requests carry wire request ids, so
 //! the coordinator writes stage-1 requests to **every** shard before
 //! awaiting the first response — the shards compute concurrently without
 //! the coordinator spawning a thread per shard per search. Because the

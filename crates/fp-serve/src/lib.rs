@@ -12,8 +12,8 @@
 //!   little-endian encode/decode for templates, stage-1 score arrays and
 //!   re-ranked candidates. Every `f64` travels as its IEEE-754 bit pattern,
 //!   so remote scores are **bit-exact** copies of what the shard computed.
-//!   No serde. Wire v3's `request_id` header field lets many requests ride
-//!   one connection concurrently.
+//!   No serde. The `request_id` header field lets many requests ride one
+//!   connection concurrently.
 //! * [`mux`] — [`mux::MuxConn`]: the client half of multiplexing. Callers
 //!   `begin` requests (fresh id, frame written) and `finish` them later;
 //!   any number of begin/finish pairs from any number of threads overlap
@@ -66,7 +66,4 @@ pub use metrics::ServeMetrics;
 pub use mux::{MuxConn, MuxError, Ticket};
 pub use server::ShardServer;
 pub use slowlog::{ShardBreakdown, SlowLog, SlowLogEntry};
-pub use wire::{
-    decode_frame, encode_frame, read_frame, write_frame, Frame, ServerTiming, TraceContext,
-    WireError,
-};
+pub use wire::{decode_frame, encode_frame, Frame, ServerTiming, TraceContext, WireError};

@@ -1,6 +1,6 @@
 //! Multiplexed connections: many requests in flight on one TCP stream.
 //!
-//! [`MuxConn`] is the client half of wire v3's `request_id` field. Callers
+//! [`MuxConn`] is the client half of the wire's `request_id` field. Callers
 //! [`begin`](MuxConn::begin) a request (allocating a fresh id and writing
 //! the frame) and later [`finish`](MuxConn::finish) it (blocking until the
 //! response carrying that id arrives); any number of begin/finish pairs

@@ -1,6 +1,6 @@
 //! The shard server: one process, one [`CandidateIndex`], one TCP listener.
 //!
-//! Concurrency model (wire v3/v4): each connection gets a **reader thread**
+//! Concurrency model: each connection gets a **reader thread**
 //! that decodes frames and dispatches them — tagged with their request id
 //! — into a bounded, server-wide **worker pool**. Workers execute requests
 //! against the `RwLock`-guarded index (stage-1/stage-2 under the read
@@ -25,7 +25,7 @@
 //!
 //! # Distributed tracing
 //!
-//! A v4 request may carry a sampled [`TraceContext`]. The worker that
+//! A request may carry a sampled [`TraceContext`]. The worker that
 //! dispatches it opens a `server.request` span back-dated to the admission
 //! timestamp (recording the coordinator's issuing span id as the
 //! `remote_parent` attribute), records a retroactive `server.queue_wait`
@@ -33,9 +33,7 @@
 //! [`fp_telemetry::TraceCtx::adopted`] so every span the index opens nests
 //! under it. Stage responses to sampled requests echo the
 //! queue-wait/work split as [`ServerTiming`]; a [`Frame::Trace`] drain
-//! hands the retained spans to the coordinator for merging. Each response
-//! is encoded at the version its request arrived in, so v3 peers never see
-//! any of this.
+//! hands the retained spans to the coordinator for merging.
 //!
 //! # Config adoption
 //!
@@ -47,7 +45,6 @@
 //! byte-identical guarantee in the quietest possible way.
 
 use std::collections::HashSet;
-use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -60,8 +57,7 @@ use fp_match::PreparableMatcher;
 use fp_telemetry::{Counter, Telemetry, TraceCtx, ValueHistogram, REMOTE_PARENT_ATTR};
 
 use crate::wire::{
-    code, read_frame_versioned, write_frame_at, Frame, ServerTiming, TraceContext, WireError,
-    MIN_VERSION,
+    code, read_frame_with, write_frame_with, Frame, ServerTiming, TraceContext, WireError,
 };
 
 /// How long the accept loop and idle connections sleep between stop-flag
@@ -132,10 +128,7 @@ struct State<M: PreparableMatcher> {
 struct Job<M: PreparableMatcher> {
     request_id: u32,
     request: Frame,
-    /// Protocol version the request arrived in; the response is encoded at
-    /// the same version (per-frame version echo = negotiation).
-    version: u16,
-    /// Trace context the request carried, if any (v4, sampled sender).
+    /// Trace context the request carried, if any.
     trace: Option<TraceContext>,
     /// Admission timestamp on the telemetry trace clock (0 when disabled);
     /// the worker back-dates the request span to it and derives the
@@ -405,8 +398,7 @@ where
         if let Some(span) = span {
             span.finish();
         }
-        // Echo the queue-wait/work split on sampled stage responses; the
-        // version-aware encoder drops the section for v3 peers.
+        // Echo the queue-wait/work split on sampled stage responses.
         let timing = Some(ServerTiming {
             queue_wait_ns,
             work_ns,
@@ -423,9 +415,8 @@ where
             .expect("in-flight set poisoned")
             .remove(&job.request_id);
         let mut writer = job.writer.lock().expect("connection writer poisoned");
-        if write_frame_at(&mut *writer, job.version, job.request_id, &response).is_ok() {
-            let _ = writer.flush();
-        }
+        // A failed write means the client is gone; its reader thread notices.
+        let _ = write_frame_with(&mut *writer, job.request_id, &response);
     }
 }
 
@@ -449,11 +440,10 @@ fn serve_connection<M>(
         Err(_) => return,
     };
     let in_flight: Arc<Mutex<HashSet<u32>>> = Arc::new(Mutex::new(HashSet::new()));
-    let answer = |version: u16, id: u32, frame: &Frame| -> bool {
+    // Best effort: a peer that cannot be answered is about to be dropped.
+    let answer = |id: u32, frame: &Frame| {
         let mut w = writer.lock().expect("connection writer poisoned");
-        let ok = write_frame_at(&mut *w, version, id, frame).is_ok();
-        let _ = w.flush();
-        ok
+        let _ = write_frame_with(&mut *w, id, frame);
     };
     let mut stream = stream;
     let mut peek = [0u8; 1];
@@ -476,17 +466,14 @@ fn serve_connection<M>(
             Err(_) => return,
         }
         let _ = stream.set_read_timeout(Some(FRAME_DEADLINE));
-        let (request_id, request, version) = match read_frame_versioned(&mut stream) {
-            Ok((id, frame, _bytes, version)) => (id, frame, version),
+        let (request_id, request) = match read_frame_with(&mut stream) {
+            Ok((id, frame, _bytes)) => (id, frame),
             Err(WireError::Io(_)) | Err(WireError::Truncated { .. }) => return,
             Err(e) => {
-                // Decodable-but-invalid bytes: answer with a typed error,
-                // at the lowest supported version (the peer's version may
-                // never have been read, and error frames carry no
-                // version-gated sections). Framing may be out of sync
-                // afterwards, so close.
-                let _ = answer(
-                    MIN_VERSION,
+                // Decodable-but-invalid bytes (a version mismatch
+                // included): answer with a typed error. Framing may be out
+                // of sync afterwards, so close.
+                answer(
                     0,
                     &Frame::Error {
                         code: code::BAD_REQUEST,
@@ -499,7 +486,7 @@ fn serve_connection<M>(
         // Shutdown is handled inline: it must work even when the pool is
         // saturated, and it ends this connection anyway.
         if matches!(request, Frame::Shutdown) {
-            let _ = answer(version, request_id, &Frame::ShutdownOk);
+            answer(request_id, &Frame::ShutdownOk);
             state.stop.store(true, Ordering::Relaxed);
             return;
         }
@@ -511,8 +498,7 @@ fn serve_connection<M>(
             .expect("in-flight set poisoned")
             .insert(request_id)
         {
-            let _ = answer(
-                version,
+            answer(
                 request_id,
                 &Frame::Error {
                     code: code::BAD_REQUEST,
@@ -534,8 +520,7 @@ fn serve_connection<M>(
                 .lock()
                 .expect("in-flight set poisoned")
                 .remove(&request_id);
-            let _ = answer(
-                version,
+            answer(
                 request_id,
                 &Frame::Error {
                     code: code::OVERLOADED,
@@ -551,7 +536,6 @@ fn serve_connection<M>(
         state.admission.accepted.incr();
         let job = Job {
             request_id,
-            version,
             trace: request_trace(&request),
             admitted_ns: state.telemetry.trace_now_ns(),
             request,

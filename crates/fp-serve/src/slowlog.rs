@@ -39,7 +39,7 @@ pub struct ShardBreakdown {
     /// Re-rank round trip (ns); 0 when the shard's slice was empty.
     pub rerank_ns: u64,
     /// Admission-to-dispatch wait in the shard's worker pool (ns), summed
-    /// over the search's RPCs. Only present on traced (v4, sampled) runs.
+    /// over the search's RPCs. Only present on traced (sampled) runs.
     pub queue_wait_ns: u64,
     /// Shard-side compute time (ns), summed over the search's RPCs.
     pub work_ns: u64,

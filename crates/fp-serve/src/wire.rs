@@ -18,19 +18,20 @@
 //! caller, so it must be under the checksum; magic and version corruption
 //! is caught by their own checks before the length prefix is trusted.
 //!
-//! # Multiplexing (v3)
+//! # Multiplexing
 //!
 //! The `request_id` field lets a client keep many requests in flight on
 //! one connection: the server answers each request with a frame carrying
 //! the *same* id, in whatever order the work completes, and the client
 //! rejoins responses to callers by id (see `crate::mux`). Id 0 is the
 //! conventional id of un-multiplexed traffic — [`encode_frame`] /
-//! [`read_frame`] use it so single-request-at-a-time peers never have to
+//! [`decode_frame`] use it so single-request-at-a-time peers never have to
 //! think about ids.
 //!
 //! There is no serde and no schema compiler: encode and decode are written
-//! out by hand against a tiny cursor ([`Dec`]), mirroring the vendored-deps
-//! philosophy of the rest of the workspace. Decoding is total — every
+//! out by hand against the workspace's one byte codec
+//! ([`fp_core::codec`]: little-endian [`Enc`]/[`Dec`] cursors and the
+//! streaming CRC32 the on-disk store also uses). Decoding is total — every
 //! malformed input maps to a typed [`WireError`], never a panic and never a
 //! partially decoded frame.
 //!
@@ -43,15 +44,16 @@
 //! response; any request can instead be answered by [`Frame::Error`] with
 //! a typed error code.
 //!
-//! Protocol v2 added the introspection plane: [`Frame::Fingerprint`]
-//! scrapes the shard's cumulative RUNFP chain (the coordinator verifies it
-//! against its own mirror — O(1) behavioral parity per scrape) and
-//! [`Frame::Stats`] scrapes a remote snapshot of the shard's counters and
-//! histograms.
+//! The introspection plane: [`Frame::Fingerprint`] scrapes the shard's
+//! cumulative RUNFP chain (the coordinator verifies it against its own
+//! mirror — O(1) behavioral parity per scrape), [`Frame::Stats`] scrapes a
+//! remote snapshot of the shard's counters and histograms, and
+//! [`Frame::Trace`] drains its flight recorder.
 
 use std::fmt;
 use std::io::{Read, Write};
 
+use fp_core::codec::{Crc32, Dec, DecodeError, DecodeErrorKind, Enc};
 use fp_core::geometry::{Direction, Point, Rect};
 use fp_core::minutia::{Minutia, MinutiaKind};
 use fp_core::template::Template;
@@ -62,24 +64,12 @@ use fp_telemetry::{HistogramSnapshot, SpanRecord};
 /// Frame magic: "FPSH" (FingerPrint SHard).
 pub const MAGIC: [u8; 4] = *b"FPSH";
 
-/// Protocol version. Bump on any layout change; versions outside
-/// [`MIN_VERSION`]`..=VERSION` are rejected with
+/// The one protocol version this build speaks. Bump on any layout change;
+/// a frame at any other version is rejected with
 /// [`WireError::VersionMismatch`] before a single payload byte is
-/// interpreted. v2: added the `Fingerprint`/`Stats` introspection frames
-/// (types 12–15). v3: added the `request_id` header field (multiplexing)
-/// and extended the CRC to cover it. v4: optional trailing
-/// [`TraceContext`] on request frames, optional [`ServerTiming`] on
-/// stage-1/re-rank responses, and the `Trace`/`TraceOk` span-drain frames
-/// (types 16–17).
+/// interpreted — every process of a deployment is built from this
+/// workspace, so there is no negotiation window.
 pub const VERSION: u16 = 4;
-
-/// Oldest protocol version this build still decodes. A v3 peer simply
-/// never sees the v4 trailing sections: each frame carries its version in
-/// the header, decode parses the optional sections only at v4, and the
-/// server answers every request at the version the request arrived in —
-/// that per-frame echo *is* the negotiation, so tracing is off whenever
-/// either side predates it.
-pub const MIN_VERSION: u16 = 3;
 
 /// Upper bound on a frame payload (64 MiB): large enough for a 100k-entry
 /// enroll batch, small enough that a corrupted length prefix cannot ask the
@@ -89,9 +79,8 @@ pub const MAX_PAYLOAD: u32 = 64 << 20;
 /// Frame header size: magic + version + type + request id + payload length.
 pub const HEADER_LEN: usize = 4 + 2 + 1 + 4 + 4;
 
-/// Byte offset of the request id within the header — also where the
-/// CRC-covered region starts (request id + payload length + payload).
-const CRC_START: usize = 4 + 2 + 1;
+/// The artifact label every wire [`Dec`] carries.
+const WHAT: &str = "frame";
 
 /// Typed error codes carried by [`Frame::Error`].
 pub mod code {
@@ -183,6 +172,21 @@ impl From<std::io::Error> for WireError {
     }
 }
 
+impl From<DecodeError> for WireError {
+    fn from(e: DecodeError) -> WireError {
+        let context = e.context;
+        match e.kind {
+            DecodeErrorKind::Truncated => WireError::Truncated { context },
+            DecodeErrorKind::Overflow(v) => {
+                WireError::Malformed(format!("{context} value {v} does not fit usize"))
+            }
+            DecodeErrorKind::Trailing(n) => {
+                WireError::Malformed(format!("{n} trailing payload bytes after {context}"))
+            }
+        }
+    }
+}
+
 impl WireError {
     /// Whether the error came from a blocking-read deadline expiring (the
     /// per-request timeout the coordinator sets on its sockets).
@@ -197,12 +201,12 @@ impl WireError {
     }
 }
 
-/// Distributed-tracing context carried by v4 request frames (CRC-covered
+/// Distributed-tracing context carried by request frames (CRC-covered
 /// like everything after the type byte). The coordinator stamps each RPC
 /// with the id of the span that issued it; the shard opens its own spans
 /// recording that id, so the two process-local trees can be stitched into
 /// one connected tree after a `Trace` drain. Absent (`None`) whenever the
-/// sender's telemetry is disabled or the peer speaks v3.
+/// sender's telemetry is disabled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceContext {
     /// Id of the root span of the originating operation (the coordinator's
@@ -218,7 +222,7 @@ pub struct TraceContext {
     pub sampled: bool,
 }
 
-/// Server-side timing echoed on v4 stage-1/re-rank responses whose request
+/// Server-side timing echoed on stage-1/re-rank responses whose request
 /// carried a sampled [`TraceContext`] — the per-shard queue-wait/work split
 /// the slow log needs without a second RPC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -241,7 +245,7 @@ pub enum Frame {
         config: IndexConfig,
         /// Templates to enroll, dealt by the coordinator.
         templates: Vec<Template>,
-        /// Optional tracing context (v4; never encoded at v3).
+        /// Optional tracing context.
         trace: Option<TraceContext>,
     },
     /// Enrollment succeeded.
@@ -257,14 +261,14 @@ pub enum Frame {
         /// The probe template (features are recomputed shard-side —
         /// bit-identical, they are pure functions of probe and config).
         probe: Template,
-        /// Optional tracing context (v4; never encoded at v3).
+        /// Optional tracing context.
         trace: Option<TraceContext>,
     },
     /// Stage-1 scores (the shard-invariant seam).
     StageOneOk {
         /// Per-entry channel scores plus work tallies.
         scores: StageOneScores,
-        /// Server-side timing, echoed when the request was sampled (v4).
+        /// Server-side timing, echoed when the request was sampled.
         timing: Option<ServerTiming>,
     },
     /// Exactly score the selected local ids against `probe`.
@@ -273,14 +277,14 @@ pub enum Frame {
         probe: Template,
         /// Shard-local candidate ids, in global selection order.
         selected: Vec<u32>,
-        /// Optional tracing context (v4; never encoded at v3).
+        /// Optional tracing context.
         trace: Option<TraceContext>,
     },
     /// Exact stage-2 scores, in request order (ids still shard-local).
     RerankOk {
         /// One candidate per requested id.
         candidates: Vec<Candidate>,
-        /// Server-side timing, echoed when the request was sampled (v4).
+        /// Server-side timing, echoed when the request was sampled.
         timing: Option<ServerTiming>,
     },
     /// Liveness / state probe.
@@ -320,7 +324,7 @@ pub enum Frame {
         values: Vec<(String, HistogramSnapshot)>,
     },
     /// Drain the shard's flight recorder: every retained span whose id is
-    /// at least `since_span_id` (v4 only — a v3 peer rejects the type byte).
+    /// at least `since_span_id`.
     Trace {
         /// High-water mark from the previous drain; 0 fetches everything.
         since_span_id: u64,
@@ -391,757 +395,446 @@ impl Frame {
             Frame::TraceOk { .. } => 17,
         }
     }
-
-    /// The oldest protocol version able to carry this frame type. The
-    /// trace-drain frames are v4-only; everything else decodes at v3 (the
-    /// v4 trailing sections are simply absent there).
-    fn min_version(&self) -> u16 {
-        match self {
-            Frame::Trace { .. } | Frame::TraceOk { .. } => 4,
-            _ => MIN_VERSION,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3, reflected) — table generated at compile time.
-// ---------------------------------------------------------------------------
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = crc32_table();
-
-fn crc32_feed(mut crc: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    crc
-}
-
-/// CRC32 (IEEE) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    !crc32_feed(0xFFFF_FFFF, bytes)
 }
 
 /// The frame checksum: CRC32 over request id + payload length + payload
 /// (the two header fields are fed as their little-endian bytes, exactly as
-/// they appear on the wire).
+/// they appear on the wire), streamed so the stream reader never has to
+/// splice its header and body buffers together.
 fn frame_crc(request_id: u32, payload_len: u32, payload: &[u8]) -> u32 {
-    let mut crc = crc32_feed(0xFFFF_FFFF, &request_id.to_le_bytes());
-    crc = crc32_feed(crc, &payload_len.to_le_bytes());
-    !crc32_feed(crc, payload)
+    let mut crc = Crc32::default();
+    crc.update(&request_id.to_le_bytes());
+    crc.update(&payload_len.to_le_bytes());
+    crc.update(payload);
+    crc.value()
 }
 
 // ---------------------------------------------------------------------------
-// Little-endian encode helpers.
+// Payload pieces: one `put_*` writer and one `get_*` reader per compound
+// type, over the shared `Enc` / `Dec` cursors. Readers refuse element
+// counts that cannot possibly fit in the remaining bytes, so a corrupted
+// count cannot trigger a huge allocation.
 // ---------------------------------------------------------------------------
 
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
+fn put_str(enc: &mut Enc, s: &str) {
+    enc.u32(s.len() as u32);
+    enc.raw(s.as_bytes());
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
+fn get_string(dec: &mut Dec<'_>) -> Result<String, WireError> {
+    let len = dec.u32()? as usize;
+    String::from_utf8(dec.bytes(len)?.to_vec())
+        .map_err(|_| WireError::Malformed("string is not UTF-8".to_string()))
 }
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    put_u64(buf, v.to_bits());
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn put_template(buf: &mut Vec<u8>, t: &Template) {
-    put_f64(buf, t.resolution_dpi());
-    let w = t.capture_window();
-    put_f64(buf, w.min().x);
-    put_f64(buf, w.min().y);
-    put_f64(buf, w.max().x);
-    put_f64(buf, w.max().y);
-    put_u32(buf, t.len() as u32);
-    for m in t.minutiae() {
-        put_f64(buf, m.pos.x);
-        put_f64(buf, m.pos.y);
-        put_f64(buf, m.direction.radians());
-        buf.push(match m.kind {
-            MinutiaKind::RidgeEnding => 0,
-            MinutiaKind::Bifurcation => 1,
-        });
-        put_f64(buf, m.reliability);
+/// An optional-section presence flag (or any other wire boolean): exactly
+/// 0 or 1 — a corrupted flag must never be half-adopted.
+fn get_flag(dec: &mut Dec<'_>, what: &str) -> Result<bool, WireError> {
+    match dec.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        other => Err(WireError::Malformed(format!(
+            "{what} flag must be 0 or 1, got {other}"
+        ))),
     }
 }
 
-fn put_config(buf: &mut Vec<u8>, c: &IndexConfig) {
-    put_u64(buf, c.shortlist as u64);
-    put_u64(buf, c.max_cylinders as u64);
-    put_u64(buf, c.lss_depth as u64);
-    put_f64(buf, c.distance_bin);
-    put_u64(buf, c.angle_bins as u64);
+/// A `u32`-counted sequence of items of at least `min_bytes` each; the
+/// count is checked against the bytes that remain before anything is
+/// allocated for it.
+fn get_vec<T>(
+    dec: &mut Dec<'_>,
+    min_bytes: usize,
+    mut item: impl FnMut(&mut Dec<'_>) -> Result<T, WireError>,
+) -> Result<Vec<T>, WireError> {
+    let raw_count = dec.u32()? as u64;
+    let count = dec.checked_count(raw_count, min_bytes)?;
+    let mut items = Vec::with_capacity(count);
+    for _ in 0..count {
+        items.push(item(dec)?);
+    }
+    Ok(items)
 }
 
-fn put_histogram(buf: &mut Vec<u8>, h: &HistogramSnapshot) {
-    put_u64(buf, h.count);
-    put_u64(buf, h.sum);
-    put_u64(buf, h.min);
-    put_u64(buf, h.max);
-    put_u64(buf, h.p50);
-    put_u64(buf, h.p95);
-    put_u64(buf, h.p99);
-    put_u64(buf, h.p999);
+/// Minimum encoded size of a template (no minutiae).
+const TEMPLATE_MIN: usize = 8 + 4 * 8 + 4;
+/// Encoded size of one minutia.
+const MINUTIA_BYTES: usize = 3 * 8 + 1 + 8;
+
+fn put_template(enc: &mut Enc, t: &Template) {
+    enc.f64_bits(t.resolution_dpi());
+    let w = t.capture_window();
+    enc.f64_bits(w.min().x);
+    enc.f64_bits(w.min().y);
+    enc.f64_bits(w.max().x);
+    enc.f64_bits(w.max().y);
+    enc.u32(t.len() as u32);
+    for m in t.minutiae() {
+        enc.f64_bits(m.pos.x);
+        enc.f64_bits(m.pos.y);
+        enc.f64_bits(m.direction.radians());
+        enc.u8(match m.kind {
+            MinutiaKind::RidgeEnding => 0,
+            MinutiaKind::Bifurcation => 1,
+        });
+        enc.f64_bits(m.reliability);
+    }
+}
+
+fn get_template(dec: &mut Dec<'_>) -> Result<Template, WireError> {
+    let dpi = dec.f64_bits()?;
+    let min = Point::new(dec.f64_bits()?, dec.f64_bits()?);
+    let max = Point::new(dec.f64_bits()?, dec.f64_bits()?);
+    let minutiae = get_vec(dec, MINUTIA_BYTES, |dec| {
+        let pos = Point::new(dec.f64_bits()?, dec.f64_bits()?);
+        let direction = Direction::from_radians(dec.f64_bits()?);
+        let kind = match dec.u8()? {
+            0 => MinutiaKind::RidgeEnding,
+            1 => MinutiaKind::Bifurcation,
+            other => {
+                return Err(WireError::Malformed(format!(
+                    "unknown minutia kind {other}"
+                )))
+            }
+        };
+        Ok(Minutia::new(pos, direction, kind, dec.f64_bits()?))
+    })?;
+    Template::from_minutiae(minutiae, dpi, Rect::from_corners(min, max))
+        .map_err(|e| WireError::Malformed(format!("invalid template: {e}")))
 }
 
 /// Minimum encoded size of a named histogram entry (empty name).
 const HISTOGRAM_ENTRY_MIN: usize = 4 + 8 * 8;
 
-fn put_histograms(buf: &mut Vec<u8>, entries: &[(String, HistogramSnapshot)]) {
-    put_u32(buf, entries.len() as u32);
+fn put_histograms(enc: &mut Enc, entries: &[(String, HistogramSnapshot)]) {
+    enc.u32(entries.len() as u32);
     for (name, h) in entries {
-        put_str(buf, name);
-        put_histogram(buf, h);
-    }
-}
-
-/// Optional trace context: a presence flag, then the triple. Only encoded
-/// at v4 — the caller gates on version.
-fn put_trace(buf: &mut Vec<u8>, trace: &Option<TraceContext>) {
-    match trace {
-        None => buf.push(0),
-        Some(t) => {
-            buf.push(1);
-            put_u64(buf, t.trace_id);
-            put_u64(buf, t.parent_span_id);
-            buf.push(t.sampled as u8);
+        put_str(enc, name);
+        for v in [h.count, h.sum, h.min, h.max, h.p50, h.p95, h.p99, h.p999] {
+            enc.u64(v);
         }
     }
 }
 
-/// Optional server timing: a presence flag, then the two durations. Only
-/// encoded at v4.
-fn put_timing(buf: &mut Vec<u8>, timing: &Option<ServerTiming>) {
-    match timing {
-        None => buf.push(0),
-        Some(t) => {
-            buf.push(1);
-            put_u64(buf, t.queue_wait_ns);
-            put_u64(buf, t.work_ns);
-        }
+fn get_histograms(dec: &mut Dec<'_>) -> Result<Vec<(String, HistogramSnapshot)>, WireError> {
+    get_vec(dec, HISTOGRAM_ENTRY_MIN, |dec| {
+        let name = get_string(dec)?;
+        let h = HistogramSnapshot {
+            count: dec.u64()?,
+            sum: dec.u64()?,
+            min: dec.u64()?,
+            max: dec.u64()?,
+            p50: dec.u64()?,
+            p95: dec.u64()?,
+            p99: dec.u64()?,
+            p999: dec.u64()?,
+        };
+        Ok((name, h))
+    })
+}
+
+/// Optional trace context: a presence flag, then the triple.
+fn put_trace(enc: &mut Enc, trace: &Option<TraceContext>) {
+    enc.u8(trace.is_some() as u8);
+    if let Some(t) = trace {
+        enc.u64(t.trace_id);
+        enc.u64(t.parent_span_id);
+        enc.u8(t.sampled as u8);
     }
+}
+
+fn get_trace(dec: &mut Dec<'_>) -> Result<Option<TraceContext>, WireError> {
+    if !get_flag(dec, "trace-context presence")? {
+        return Ok(None);
+    }
+    Ok(Some(TraceContext {
+        trace_id: dec.u64()?,
+        parent_span_id: dec.u64()?,
+        sampled: get_flag(dec, "trace-context sampled")?,
+    }))
+}
+
+/// Optional server timing: a presence flag, then the two durations.
+fn put_timing(enc: &mut Enc, timing: &Option<ServerTiming>) {
+    enc.u8(timing.is_some() as u8);
+    if let Some(t) = timing {
+        enc.u64(t.queue_wait_ns);
+        enc.u64(t.work_ns);
+    }
+}
+
+fn get_timing(dec: &mut Dec<'_>) -> Result<Option<ServerTiming>, WireError> {
+    if !get_flag(dec, "server-timing presence")? {
+        return Ok(None);
+    }
+    Ok(Some(ServerTiming {
+        queue_wait_ns: dec.u64()?,
+        work_ns: dec.u64()?,
+    }))
 }
 
 /// Minimum encoded size of a span record (empty name, no parent, no attrs).
 const SPAN_RECORD_MIN: usize = 8 + 1 + 4 + 8 + 8 + 8 + 4;
 
-fn put_span(buf: &mut Vec<u8>, s: &SpanRecord) {
-    put_u64(buf, s.id);
-    match s.parent {
-        None => buf.push(0),
-        Some(p) => {
-            buf.push(1);
-            put_u64(buf, p);
-        }
+fn put_span(enc: &mut Enc, s: &SpanRecord) {
+    enc.u64(s.id);
+    enc.u8(s.parent.is_some() as u8);
+    if let Some(p) = s.parent {
+        enc.u64(p);
     }
-    put_str(buf, &s.name);
-    put_u64(buf, s.thread);
-    put_u64(buf, s.start_ns);
-    put_u64(buf, s.dur_ns);
-    put_u32(buf, s.attrs.len() as u32);
+    put_str(enc, &s.name);
+    enc.u64(s.thread);
+    enc.u64(s.start_ns);
+    enc.u64(s.dur_ns);
+    enc.u32(s.attrs.len() as u32);
     for (k, v) in &s.attrs {
-        put_str(buf, k);
-        put_str(buf, v);
+        put_str(enc, k);
+        put_str(enc, v);
     }
 }
 
-// ---------------------------------------------------------------------------
-// Bounds-checked decode cursor.
-// ---------------------------------------------------------------------------
-
-/// A fallible little-endian cursor over a payload slice. Every getter
-/// returns [`WireError::Truncated`] instead of panicking when the bytes run
-/// out, and collection getters refuse element counts that cannot possibly
-/// fit in the remaining bytes (so a corrupted count cannot trigger a huge
-/// allocation).
-struct Dec<'a> {
-    buf: &'a [u8],
-    context: &'static str,
-}
-
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8], context: &'static str) -> Dec<'a> {
-        Dec { buf, context }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.buf.len() < n {
-            return Err(WireError::Truncated {
-                context: self.context,
-            });
-        }
-        let (head, tail) = self.buf.split_at(n);
-        self.buf = tail;
-        Ok(head)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Validates that `count` elements of at least `min_bytes` each can
-    /// still fit in the remaining payload, returning a safe capacity.
-    fn checked_count(&self, count: u64, min_bytes: usize) -> Result<usize, WireError> {
-        let fits = count
-            .checked_mul(min_bytes as u64)
-            .is_some_and(|need| need <= self.buf.len() as u64);
-        if fits {
-            Ok(count as usize)
-        } else {
-            Err(WireError::Truncated {
-                context: self.context,
-            })
-        }
-    }
-
-    fn string(&mut self) -> Result<String, WireError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| WireError::Malformed("string is not UTF-8".to_string()))
-    }
-
-    fn template(&mut self) -> Result<Template, WireError> {
-        let dpi = self.f64()?;
-        let min = Point::new(self.f64()?, self.f64()?);
-        let max = Point::new(self.f64()?, self.f64()?);
-        let raw_count = self.u32()? as u64;
-        let count = self.checked_count(raw_count, 33)?;
-        let mut minutiae = Vec::with_capacity(count);
-        for _ in 0..count {
-            let pos = Point::new(self.f64()?, self.f64()?);
-            let direction = Direction::from_radians(self.f64()?);
-            let kind = match self.u8()? {
-                0 => MinutiaKind::RidgeEnding,
-                1 => MinutiaKind::Bifurcation,
-                other => {
-                    return Err(WireError::Malformed(format!(
-                        "unknown minutia kind {other}"
-                    )))
-                }
-            };
-            let reliability = self.f64()?;
-            minutiae.push(Minutia::new(pos, direction, kind, reliability));
-        }
-        Template::from_minutiae(minutiae, dpi, Rect::from_corners(min, max))
-            .map_err(|e| WireError::Malformed(format!("invalid template: {e}")))
-    }
-
-    fn histogram(&mut self) -> Result<HistogramSnapshot, WireError> {
-        Ok(HistogramSnapshot {
-            count: self.u64()?,
-            sum: self.u64()?,
-            min: self.u64()?,
-            max: self.u64()?,
-            p50: self.u64()?,
-            p95: self.u64()?,
-            p99: self.u64()?,
-            p999: self.u64()?,
-        })
-    }
-
-    fn histograms(&mut self) -> Result<Vec<(String, HistogramSnapshot)>, WireError> {
-        let raw_count = self.u32()? as u64;
-        let count = self.checked_count(raw_count, HISTOGRAM_ENTRY_MIN)?;
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            let name = self.string()?;
-            entries.push((name, self.histogram()?));
-        }
-        Ok(entries)
-    }
-
-    /// Optional [`TraceContext`] (v4 trailing section). Any flag byte other
-    /// than 0/1 — and any sampled byte other than 0/1 — is `Malformed`: a
-    /// corrupted context must never be half-adopted.
-    fn trace_opt(&mut self) -> Result<Option<TraceContext>, WireError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => {
-                let trace_id = self.u64()?;
-                let parent_span_id = self.u64()?;
-                let sampled = match self.u8()? {
-                    0 => false,
-                    1 => true,
-                    other => {
-                        return Err(WireError::Malformed(format!(
-                            "trace-context sampled flag must be 0 or 1, got {other}"
-                        )))
-                    }
-                };
-                Ok(Some(TraceContext {
-                    trace_id,
-                    parent_span_id,
-                    sampled,
-                }))
-            }
-            other => Err(WireError::Malformed(format!(
-                "trace-context presence flag must be 0 or 1, got {other}"
-            ))),
-        }
-    }
-
-    /// Optional [`ServerTiming`] (v4 trailing section).
-    fn timing_opt(&mut self) -> Result<Option<ServerTiming>, WireError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(ServerTiming {
-                queue_wait_ns: self.u64()?,
-                work_ns: self.u64()?,
-            })),
-            other => Err(WireError::Malformed(format!(
-                "server-timing presence flag must be 0 or 1, got {other}"
-            ))),
-        }
-    }
-
-    fn span_record(&mut self) -> Result<SpanRecord, WireError> {
-        let id = self.u64()?;
-        let parent = match self.u8()? {
-            0 => None,
-            1 => Some(self.u64()?),
-            other => {
-                return Err(WireError::Malformed(format!(
-                    "span parent flag must be 0 or 1, got {other}"
-                )))
-            }
-        };
-        let name = self.string()?;
-        let thread = self.u64()?;
-        let start_ns = self.u64()?;
-        let dur_ns = self.u64()?;
-        let raw_attrs = self.u32()? as u64;
-        let attr_count = self.checked_count(raw_attrs, 8)?;
-        let mut attrs = Vec::with_capacity(attr_count);
-        for _ in 0..attr_count {
-            let k = self.string()?;
-            attrs.push((k, self.string()?));
-        }
-        Ok(SpanRecord {
-            id,
-            parent,
-            name,
-            // Spans cross the wire process-local; the coordinator assigns
-            // process lanes when it merges.
-            pid: 0,
-            thread,
-            start_ns,
-            dur_ns,
-            attrs,
-        })
-    }
-
-    fn config(&mut self) -> Result<IndexConfig, WireError> {
-        Ok(IndexConfig {
-            shortlist: self.u64()? as usize,
-            max_cylinders: self.u64()? as usize,
-            lss_depth: self.u64()? as usize,
-            distance_bin: self.f64()?,
-            angle_bins: self.u64()? as usize,
-        })
-    }
-
-    fn finish(self) -> Result<(), WireError> {
-        if self.buf.is_empty() {
-            Ok(())
-        } else {
-            Err(WireError::Malformed(format!(
-                "{} trailing payload bytes after {}",
-                self.buf.len(),
-                self.context
-            )))
-        }
-    }
+fn get_span(dec: &mut Dec<'_>) -> Result<SpanRecord, WireError> {
+    let id = dec.u64()?;
+    let parent = if get_flag(dec, "span parent")? {
+        Some(dec.u64()?)
+    } else {
+        None
+    };
+    let name = get_string(dec)?;
+    let thread = dec.u64()?;
+    let start_ns = dec.u64()?;
+    let dur_ns = dec.u64()?;
+    let attrs = get_vec(dec, 8, |dec| Ok((get_string(dec)?, get_string(dec)?)))?;
+    Ok(SpanRecord {
+        id,
+        parent,
+        name,
+        // Spans cross the wire process-local; the coordinator assigns
+        // process lanes when it merges.
+        pid: 0,
+        thread,
+        start_ns,
+        dur_ns,
+        attrs,
+    })
 }
 
 // ---------------------------------------------------------------------------
 // Frame encode / decode.
 // ---------------------------------------------------------------------------
 
-fn encode_payload(version: u16, frame: &Frame) -> Vec<u8> {
-    let v4 = version >= 4;
-    let mut buf = Vec::new();
+fn encode_payload(enc: &mut Enc, frame: &Frame) {
     match frame {
         Frame::EnrollBatch {
             config,
             templates,
             trace,
         } => {
-            put_config(&mut buf, config);
-            put_u32(&mut buf, templates.len() as u32);
+            config.encode(enc);
+            enc.u32(templates.len() as u32);
             for t in templates {
-                put_template(&mut buf, t);
+                put_template(enc, t);
             }
-            if v4 {
-                put_trace(&mut buf, trace);
-            }
+            put_trace(enc, trace);
         }
         Frame::EnrollOk {
             enrolled,
             shard_len,
         } => {
-            put_u32(&mut buf, *enrolled);
-            put_u32(&mut buf, *shard_len);
+            enc.u32(*enrolled);
+            enc.u32(*shard_len);
         }
         Frame::StageOne { probe, trace } => {
-            put_template(&mut buf, probe);
-            if v4 {
-                put_trace(&mut buf, trace);
-            }
+            put_template(enc, probe);
+            put_trace(enc, trace);
         }
         Frame::StageOneOk { scores, timing } => {
-            put_u32(&mut buf, scores.vote_scores.len() as u32);
+            enc.u32(scores.vote_scores.len() as u32);
             for &v in &scores.vote_scores {
-                put_f64(&mut buf, v);
+                enc.f64_bits(v);
             }
             for &c in &scores.cyl_scores {
-                put_f64(&mut buf, c);
+                enc.f64_bits(c);
             }
-            put_u64(&mut buf, scores.bucket_hits);
-            put_u64(&mut buf, scores.hamming_word_ops);
-            if v4 {
-                put_timing(&mut buf, timing);
-            }
+            enc.u64(scores.bucket_hits);
+            enc.u64(scores.hamming_word_ops);
+            put_timing(enc, timing);
         }
         Frame::Rerank {
             probe,
             selected,
             trace,
         } => {
-            put_template(&mut buf, probe);
-            put_u32(&mut buf, selected.len() as u32);
+            put_template(enc, probe);
+            enc.u32(selected.len() as u32);
             for &id in selected {
-                put_u32(&mut buf, id);
+                enc.u32(id);
             }
-            if v4 {
-                put_trace(&mut buf, trace);
-            }
+            put_trace(enc, trace);
         }
         Frame::RerankOk { candidates, timing } => {
-            put_u32(&mut buf, candidates.len() as u32);
+            enc.u32(candidates.len() as u32);
             for c in candidates {
-                put_u32(&mut buf, c.id);
-                put_f64(&mut buf, c.score.value());
+                enc.u32(c.id);
+                enc.f64_bits(c.score.value());
             }
-            if v4 {
-                put_timing(&mut buf, timing);
-            }
+            put_timing(enc, timing);
         }
-        Frame::Trace { since_span_id } => {
-            put_u64(&mut buf, *since_span_id);
-        }
+        Frame::Trace { since_span_id } => enc.u64(*since_span_id),
         Frame::TraceOk {
             now_ns,
             dropped_spans,
             spans,
         } => {
-            put_u64(&mut buf, *now_ns);
-            put_u64(&mut buf, *dropped_spans);
-            put_u32(&mut buf, spans.len() as u32);
+            enc.u64(*now_ns);
+            enc.u64(*dropped_spans);
+            enc.u32(spans.len() as u32);
             for s in spans {
-                put_span(&mut buf, s);
+                put_span(enc, s);
             }
         }
         Frame::Health | Frame::Shutdown | Frame::ShutdownOk | Frame::Fingerprint | Frame::Stats => {
         }
-        Frame::HealthOk { shard_len } => put_u32(&mut buf, *shard_len),
+        Frame::HealthOk { shard_len } => enc.u32(*shard_len),
         Frame::FingerprintOk { value, searches } => {
-            put_u64(&mut buf, *value);
-            put_u64(&mut buf, *searches);
+            enc.u64(*value);
+            enc.u64(*searches);
         }
         Frame::StatsOk {
             counters,
             durations,
             values,
         } => {
-            put_u32(&mut buf, counters.len() as u32);
+            enc.u32(counters.len() as u32);
             for (name, value) in counters {
-                put_str(&mut buf, name);
-                put_u64(&mut buf, *value);
+                put_str(enc, name);
+                enc.u64(*value);
             }
-            put_histograms(&mut buf, durations);
-            put_histograms(&mut buf, values);
+            put_histograms(enc, durations);
+            put_histograms(enc, values);
         }
         Frame::Error { code, detail } => {
-            buf.push(*code);
-            put_str(&mut buf, detail);
+            enc.u8(*code);
+            put_str(enc, detail);
         }
     }
-    buf
 }
 
-fn decode_payload(version: u16, frame_type: u8, payload: &[u8]) -> Result<Frame, WireError> {
-    let v4 = version >= 4;
+fn decode_payload(frame_type: u8, payload: &[u8]) -> Result<Frame, WireError> {
+    // Each arm names its structure on its first read; the frames that read
+    // nothing keep the label they start with.
+    let dec = &mut Dec::new(payload, WHAT, "payload-less frame");
     let frame = match frame_type {
-        1 => {
-            let mut dec = Dec::new(payload, "enroll batch");
-            let config = dec.config()?;
-            let raw_count = dec.u32()? as u64;
-            let count = dec.checked_count(raw_count, 44)?;
-            let mut templates = Vec::with_capacity(count);
-            for _ in 0..count {
-                templates.push(dec.template()?);
-            }
-            let trace = if v4 { dec.trace_opt()? } else { None };
-            dec.finish()?;
-            Frame::EnrollBatch {
-                config,
-                templates,
-                trace,
-            }
-        }
-        2 => {
-            let mut dec = Dec::new(payload, "enroll ack");
-            let enrolled = dec.u32()?;
-            let shard_len = dec.u32()?;
-            dec.finish()?;
-            Frame::EnrollOk {
-                enrolled,
-                shard_len,
-            }
-        }
-        3 => {
-            let mut dec = Dec::new(payload, "stage-1 request");
-            let probe = dec.template()?;
-            let trace = if v4 { dec.trace_opt()? } else { None };
-            dec.finish()?;
-            Frame::StageOne { probe, trace }
-        }
+        1 => Frame::EnrollBatch {
+            config: IndexConfig::decode(dec.at("enroll batch"))?,
+            templates: get_vec(dec, TEMPLATE_MIN, get_template)?,
+            trace: get_trace(dec)?,
+        },
+        2 => Frame::EnrollOk {
+            enrolled: dec.at("enroll ack").u32()?,
+            shard_len: dec.u32()?,
+        },
+        3 => Frame::StageOne {
+            probe: get_template(dec.at("stage-1 request"))?,
+            trace: get_trace(dec)?,
+        },
         4 => {
-            let mut dec = Dec::new(payload, "stage-1 scores");
-            let raw_count = dec.u32()? as u64;
-            let n = dec.checked_count(raw_count, 16)?;
-            let mut vote_scores = Vec::with_capacity(n);
-            for _ in 0..n {
-                vote_scores.push(dec.f64()?);
-            }
-            let mut cyl_scores = Vec::with_capacity(n);
-            for _ in 0..n {
-                cyl_scores.push(dec.f64()?);
-            }
-            let bucket_hits = dec.u64()?;
-            let hamming_word_ops = dec.u64()?;
-            let timing = if v4 { dec.timing_opt()? } else { None };
-            dec.finish()?;
+            // One vote score and one cylinder score per gallery entry.
+            let count = dec.at("stage-1 scores").u32()? as u64;
             Frame::StageOneOk {
                 scores: StageOneScores {
-                    vote_scores,
-                    cyl_scores,
-                    bucket_hits,
-                    hamming_word_ops,
+                    vote_scores: dec.f64_slice(count)?,
+                    cyl_scores: dec.f64_slice(count)?,
+                    bucket_hits: dec.u64()?,
+                    hamming_word_ops: dec.u64()?,
                 },
-                timing,
+                timing: get_timing(dec)?,
             }
         }
         5 => {
-            let mut dec = Dec::new(payload, "re-rank request");
-            let probe = dec.template()?;
-            let raw_count = dec.u32()? as u64;
-            let count = dec.checked_count(raw_count, 4)?;
-            let mut selected = Vec::with_capacity(count);
-            for _ in 0..count {
-                selected.push(dec.u32()?);
-            }
-            let trace = if v4 { dec.trace_opt()? } else { None };
-            dec.finish()?;
+            let probe = get_template(dec.at("re-rank request"))?;
+            let count = dec.u32()? as u64;
             Frame::Rerank {
                 probe,
-                selected,
-                trace,
+                selected: dec.u32_slice(count)?,
+                trace: get_trace(dec)?,
             }
         }
         6 => {
-            let mut dec = Dec::new(payload, "re-rank candidates");
-            let raw_count = dec.u32()? as u64;
-            let count = dec.checked_count(raw_count, 12)?;
-            let mut candidates = Vec::with_capacity(count);
-            for _ in 0..count {
+            let candidates = get_vec(dec.at("re-rank candidates"), 12, |dec| {
                 let id = dec.u32()?;
-                let score = dec.f64()?;
+                let score = dec.f64_bits()?;
                 if score.is_nan() || score < 0.0 {
                     return Err(WireError::Malformed(format!(
                         "candidate score {score} is not a valid MatchScore"
                     )));
                 }
-                candidates.push(Candidate {
-                    id,
-                    score: MatchScore::new(score),
-                });
-            }
-            let timing = if v4 { dec.timing_opt()? } else { None };
-            dec.finish()?;
-            Frame::RerankOk { candidates, timing }
-        }
-        7 => {
-            Dec::new(payload, "health request").finish()?;
-            Frame::Health
-        }
-        8 => {
-            let mut dec = Dec::new(payload, "health ack");
-            let shard_len = dec.u32()?;
-            dec.finish()?;
-            Frame::HealthOk { shard_len }
-        }
-        9 => {
-            Dec::new(payload, "shutdown request").finish()?;
-            Frame::Shutdown
-        }
-        10 => {
-            Dec::new(payload, "shutdown ack").finish()?;
-            Frame::ShutdownOk
-        }
-        11 => {
-            let mut dec = Dec::new(payload, "error frame");
-            let code = dec.u8()?;
-            let detail = dec.string()?;
-            dec.finish()?;
-            Frame::Error { code, detail }
-        }
-        12 => {
-            Dec::new(payload, "fingerprint request").finish()?;
-            Frame::Fingerprint
-        }
-        13 => {
-            let mut dec = Dec::new(payload, "fingerprint chain");
-            let value = dec.u64()?;
-            let searches = dec.u64()?;
-            dec.finish()?;
-            Frame::FingerprintOk { value, searches }
-        }
-        14 => {
-            Dec::new(payload, "stats request").finish()?;
-            Frame::Stats
-        }
-        15 => {
-            let mut dec = Dec::new(payload, "stats snapshot");
-            let raw_count = dec.u32()? as u64;
-            let count = dec.checked_count(raw_count, 12)?;
-            let mut counters = Vec::with_capacity(count);
-            for _ in 0..count {
-                let name = dec.string()?;
-                counters.push((name, dec.u64()?));
-            }
-            let durations = dec.histograms()?;
-            let values = dec.histograms()?;
-            dec.finish()?;
-            Frame::StatsOk {
-                counters,
-                durations,
-                values,
+                let score = MatchScore::new(score);
+                Ok(Candidate { id, score })
+            })?;
+            Frame::RerankOk {
+                candidates,
+                timing: get_timing(dec)?,
             }
         }
-        16 if v4 => {
-            let mut dec = Dec::new(payload, "trace drain request");
-            let since_span_id = dec.u64()?;
-            dec.finish()?;
-            Frame::Trace { since_span_id }
-        }
-        17 if v4 => {
-            let mut dec = Dec::new(payload, "trace drain response");
-            let now_ns = dec.u64()?;
-            let dropped_spans = dec.u64()?;
-            let raw_count = dec.u32()? as u64;
-            let count = dec.checked_count(raw_count, SPAN_RECORD_MIN)?;
-            let mut spans = Vec::with_capacity(count);
-            for _ in 0..count {
-                spans.push(dec.span_record()?);
-            }
-            dec.finish()?;
-            Frame::TraceOk {
-                now_ns,
-                dropped_spans,
-                spans,
-            }
-        }
+        7 => Frame::Health,
+        8 => Frame::HealthOk {
+            shard_len: dec.at("health ack").u32()?,
+        },
+        9 => Frame::Shutdown,
+        10 => Frame::ShutdownOk,
+        11 => Frame::Error {
+            code: dec.at("error frame").u8()?,
+            detail: get_string(dec)?,
+        },
+        12 => Frame::Fingerprint,
+        13 => Frame::FingerprintOk {
+            value: dec.at("fingerprint chain").u64()?,
+            searches: dec.u64()?,
+        },
+        14 => Frame::Stats,
+        15 => Frame::StatsOk {
+            counters: get_vec(dec.at("stats snapshot"), 12, |dec| {
+                Ok((get_string(dec)?, dec.u64()?))
+            })?,
+            durations: get_histograms(dec)?,
+            values: get_histograms(dec)?,
+        },
+        16 => Frame::Trace {
+            since_span_id: dec.at("trace drain request").u64()?,
+        },
+        17 => Frame::TraceOk {
+            now_ns: dec.at("trace drain response").u64()?,
+            dropped_spans: dec.u64()?,
+            spans: get_vec(dec, SPAN_RECORD_MIN, get_span)?,
+        },
         other => return Err(WireError::BadFrameType(other)),
     };
+    // Every frame type consumes its payload exactly.
+    dec.finish()?;
     Ok(frame)
 }
 
-/// Encodes `frame` under `request_id` at an explicit protocol `version` —
-/// how the server answers a v3 peer in v3. Panics (programmer error) on a
-/// version outside [`MIN_VERSION`]`..=`[`VERSION`] or a frame type the
-/// requested version cannot carry; both are unreachable from the network
-/// because decode rejects those frames first.
-pub fn encode_frame_at(version: u16, request_id: u32, frame: &Frame) -> Vec<u8> {
+/// Encodes `frame` under `request_id`. Panics (programmer error) when the
+/// payload exceeds [`MAX_PAYLOAD`] — chunk the request instead.
+pub fn encode_frame_with(request_id: u32, frame: &Frame) -> Vec<u8> {
+    let mut enc = Enc::new();
+    enc.raw(&MAGIC);
+    enc.u16(VERSION);
+    enc.u8(frame.type_byte());
+    enc.u32(request_id);
+    enc.u32(0); // payload length, patched below
+    encode_payload(&mut enc, frame);
+    let mut buf = enc.into_bytes();
+    let payload_len = buf.len() - HEADER_LEN;
     assert!(
-        (MIN_VERSION..=VERSION).contains(&version),
-        "cannot encode at unsupported protocol version {version}"
-    );
-    assert!(
-        version >= frame.min_version(),
-        "frame `{}` requires protocol v{}, cannot encode at v{version}",
-        frame.kind(),
-        frame.min_version()
-    );
-    let payload = encode_payload(version, frame);
-    assert!(
-        payload.len() as u64 <= MAX_PAYLOAD as u64,
+        payload_len as u64 <= MAX_PAYLOAD as u64,
         "frame payload exceeds MAX_PAYLOAD; chunk the request"
     );
-    let mut buf = Vec::with_capacity(HEADER_LEN + payload.len() + 4);
-    buf.extend_from_slice(&MAGIC);
-    put_u16(&mut buf, version);
-    buf.push(frame.type_byte());
-    put_u32(&mut buf, request_id);
-    put_u32(&mut buf, payload.len() as u32);
-    buf.extend_from_slice(&payload);
-    put_u32(
-        &mut buf,
-        frame_crc(request_id, payload.len() as u32, &payload),
-    );
+    buf[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&(payload_len as u32).to_le_bytes());
+    let crc = frame_crc(request_id, payload_len as u32, &buf[HEADER_LEN..]);
+    buf.extend_from_slice(&crc.to_le_bytes());
     buf
-}
-
-/// Encodes `frame` under `request_id` at the current [`VERSION`].
-pub fn encode_frame_with(request_id: u32, frame: &Frame) -> Vec<u8> {
-    encode_frame_at(VERSION, request_id, frame)
 }
 
 /// Encodes `frame` under request id 0 (un-multiplexed traffic).
@@ -1149,41 +842,64 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     encode_frame_with(0, frame)
 }
 
-/// Decodes one complete wire frame from `buf` (header through CRC),
-/// returning the request id with the frame. The inverse of
-/// [`encode_frame_with`]; rejects trailing bytes.
-pub fn decode_frame_with(buf: &[u8]) -> Result<(u32, Frame), WireError> {
-    let mut header = Dec::new(buf, "frame header");
-    let magic: [u8; 4] = header.take(4)?.try_into().expect("4 bytes");
+/// The validated fixed-size part of a frame.
+struct Header {
+    frame_type: u8,
+    request_id: u32,
+    payload_len: u32,
+}
+
+/// Parses and validates the 15 header bytes at the cursor: magic and
+/// version are checked before the length prefix is trusted, and the length
+/// is capped at [`MAX_PAYLOAD`] before anyone allocates for it.
+fn parse_header(dec: &mut Dec<'_>) -> Result<Header, WireError> {
+    let magic: [u8; 4] = dec.bytes(4)?.try_into().expect("4 bytes");
     if magic != MAGIC {
         return Err(WireError::BadMagic(magic));
     }
-    let version = u16::from_le_bytes(header.take(2)?.try_into().expect("2 bytes"));
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    let version = dec.u16()?;
+    if version != VERSION {
         return Err(WireError::VersionMismatch {
             got: version,
             want: VERSION,
         });
     }
-    let frame_type = header.u8()?;
-    let request_id = header.u32()?;
-    let len = header.u32()?;
-    if len > MAX_PAYLOAD {
-        return Err(WireError::Oversize(len));
+    let header = Header {
+        frame_type: dec.u8()?,
+        request_id: dec.u32()?,
+        payload_len: dec.u32()?,
+    };
+    if header.payload_len > MAX_PAYLOAD {
+        return Err(WireError::Oversize(header.payload_len));
     }
-    let rest = header.buf;
-    if rest.len() != len as usize + 4 {
+    Ok(header)
+}
+
+/// Checks the CRC (which covers the request id) over `body` = payload +
+/// checksum, before decoding a single payload byte.
+fn decode_body(header: &Header, body: &[u8]) -> Result<Frame, WireError> {
+    let (payload, crc_bytes) = body.split_at(header.payload_len as usize);
+    let got = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
+    let want = frame_crc(header.request_id, header.payload_len, payload);
+    if got != want {
+        return Err(WireError::BadCrc { got, want });
+    }
+    decode_payload(header.frame_type, payload)
+}
+
+/// Decodes one complete wire frame from `buf` (header through CRC),
+/// returning the request id with the frame. The inverse of
+/// [`encode_frame_with`]; rejects trailing bytes.
+pub fn decode_frame_with(buf: &[u8]) -> Result<(u32, Frame), WireError> {
+    let mut dec = Dec::new(buf, WHAT, "frame header");
+    let header = parse_header(&mut dec)?;
+    if dec.remaining() != header.payload_len as usize + 4 {
         return Err(WireError::Truncated {
             context: "frame payload",
         });
     }
-    let (payload, crc_bytes) = rest.split_at(len as usize);
-    let got = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-    let want = frame_crc(request_id, len, payload);
-    if got != want {
-        return Err(WireError::BadCrc { got, want });
-    }
-    Ok((request_id, decode_payload(version, frame_type, payload)?))
+    let body = dec.bytes(dec.remaining())?;
+    Ok((header.request_id, decode_body(&header, body)?))
 }
 
 /// Decodes one complete wire frame, discarding the request id.
@@ -1204,88 +920,29 @@ pub fn write_frame_with(
     Ok(bytes.len())
 }
 
-/// Writes one frame under request id 0.
-pub fn write_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<usize> {
-    write_frame_with(w, 0, frame)
-}
-
-/// Writes one frame under `request_id` at an explicit protocol `version` —
-/// how the server answers each peer at the version its request arrived in
-/// (see [`read_frame_versioned`]). Panics on the same programmer errors as
-/// [`encode_frame_at`].
-pub fn write_frame_at(
-    w: &mut impl Write,
-    version: u16,
-    request_id: u32,
-    frame: &Frame,
-) -> std::io::Result<usize> {
-    let bytes = encode_frame_at(version, request_id, frame);
-    w.write_all(&bytes)?;
-    w.flush()?;
-    Ok(bytes.len())
-}
-
-/// Reads one complete frame from `r`, returning its request id, the frame,
-/// the number of bytes consumed, and the protocol version the frame was
-/// encoded at. Validates magic and version before trusting the length
-/// prefix, caps the payload at [`MAX_PAYLOAD`], and checks the CRC (which
-/// covers the request id) before decoding a single payload byte.
-///
-/// The returned version is what lets the server answer each peer at the
-/// version it spoke — responses to a v3 frame are encoded at v3, so the
-/// v4 trailing sections are negotiated off per connection for free.
-pub fn read_frame_versioned(r: &mut impl Read) -> Result<(u32, Frame, usize, u16), WireError> {
-    let mut header = [0u8; HEADER_LEN];
-    r.read_exact(&mut header)?;
-    let magic: [u8; 4] = header[..4].try_into().expect("4 bytes");
-    if magic != MAGIC {
-        return Err(WireError::BadMagic(magic));
-    }
-    let version = u16::from_le_bytes(header[4..6].try_into().expect("2 bytes"));
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(WireError::VersionMismatch {
-            got: version,
-            want: VERSION,
-        });
-    }
-    let frame_type = header[6];
-    let request_id = u32::from_le_bytes(header[CRC_START..CRC_START + 4].try_into().expect("4"));
-    let len = u32::from_le_bytes(header[CRC_START + 4..HEADER_LEN].try_into().expect("4"));
-    if len > MAX_PAYLOAD {
-        return Err(WireError::Oversize(len));
-    }
-    let mut body = vec![0u8; len as usize + 4];
-    r.read_exact(&mut body)?;
-    let (payload, crc_bytes) = body.split_at(len as usize);
-    let got = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-    let want = frame_crc(request_id, len, payload);
-    if got != want {
-        return Err(WireError::BadCrc { got, want });
-    }
-    let frame = decode_payload(version, frame_type, payload)?;
-    Ok((request_id, frame, HEADER_LEN + body.len(), version))
-}
-
-/// Reads one complete frame, discarding the peer's protocol version.
+/// Reads one complete frame from `r`, returning its request id, the frame
+/// and the number of bytes consumed. Validates magic and version before
+/// trusting the length prefix, caps the payload at [`MAX_PAYLOAD`], and
+/// checks the CRC (which covers the request id) before decoding a single
+/// payload byte.
 pub fn read_frame_with(r: &mut impl Read) -> Result<(u32, Frame, usize), WireError> {
-    read_frame_versioned(r).map(|(id, frame, n, _)| (id, frame, n))
-}
-
-/// Reads one complete frame, discarding the request id.
-pub fn read_frame(r: &mut impl Read) -> Result<(Frame, usize), WireError> {
-    read_frame_with(r).map(|(_, frame, n)| (frame, n))
+    let mut head = [0u8; HEADER_LEN];
+    r.read_exact(&mut head)?;
+    let header = parse_header(&mut Dec::new(&head, WHAT, "frame header"))?;
+    let mut body = vec![0u8; header.payload_len as usize + 4];
+    r.read_exact(&mut body)?;
+    let frame = decode_body(&header, &body)?;
+    Ok((header.request_id, frame, HEADER_LEN + body.len()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fp_core::codec::crc32;
 
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // IEEE CRC32 of "123456789" is the classic check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
+    /// Byte offset of the request id within the header — also where the
+    /// CRC-covered region starts (request id + payload length + payload).
+    const CRC_START: usize = 4 + 2 + 1;
 
     #[test]
     fn empty_frames_round_trip() {
@@ -1298,8 +955,8 @@ mod tests {
         ] {
             let bytes = encode_frame(&frame);
             assert_eq!(decode_frame(&bytes).unwrap(), frame);
-            let (via_reader, n) = read_frame(&mut &bytes[..]).unwrap();
-            assert_eq!(via_reader, frame);
+            let (id, via_reader, n) = read_frame_with(&mut &bytes[..]).unwrap();
+            assert_eq!((id, via_reader), (0, frame));
             assert_eq!(n, bytes.len());
         }
     }
@@ -1378,49 +1035,25 @@ mod tests {
         ));
     }
 
-    fn tiny_config() -> IndexConfig {
-        IndexConfig {
-            shortlist: 8,
-            max_cylinders: 4,
-            lss_depth: 2,
-            distance_bin: 1.0,
-            angle_bins: 4,
-        }
-    }
-
     #[test]
-    fn trace_context_rides_enroll_at_v4_and_is_dropped_at_v3() {
-        let ctx = TraceContext {
-            trace_id: 0xAAAA_BBBB_CCCC_DDDD,
-            parent_span_id: 42,
-            sampled: true,
-        };
+    fn trace_context_rides_enroll() {
         let frame = Frame::EnrollBatch {
-            config: tiny_config(),
+            config: IndexConfig::default(),
             templates: Vec::new(),
-            trace: Some(ctx),
+            trace: Some(TraceContext {
+                trace_id: 0xAAAA_BBBB_CCCC_DDDD,
+                parent_span_id: 42,
+                sampled: true,
+            }),
         };
-        let v4 = encode_frame_with(7, &frame);
-        assert_eq!(decode_frame_with(&v4).unwrap(), (7, frame.clone()));
-        // A v3 peer negotiates the context off: the section is simply not
-        // encoded, and the frame still decodes on the other side.
-        let v3 = encode_frame_at(3, 7, &frame);
-        assert!(v3.len() < v4.len());
-        let (_, got) = decode_frame_with(&v3).unwrap();
-        assert_eq!(
-            got,
-            Frame::EnrollBatch {
-                config: tiny_config(),
-                templates: Vec::new(),
-                trace: None,
-            }
-        );
+        let bytes = encode_frame_with(7, &frame);
+        assert_eq!(decode_frame_with(&bytes).unwrap(), (7, frame));
     }
 
     #[test]
     fn malformed_trace_context_is_rejected_without_panicking() {
         let frame = Frame::EnrollBatch {
-            config: tiny_config(),
+            config: IndexConfig::default(),
             templates: Vec::new(),
             trace: Some(TraceContext {
                 trace_id: 1,
@@ -1497,46 +1130,25 @@ mod tests {
     }
 
     #[test]
-    fn trace_frames_are_v4_only() {
-        // Re-stamp a Trace frame's header as v3: the type byte must be
-        // rejected (the version bytes sit outside the CRC, so no reseal).
-        let mut bytes = encode_frame(&Frame::Trace { since_span_id: 0 });
-        bytes[4..6].copy_from_slice(&3u16.to_le_bytes());
-        assert!(matches!(
-            decode_frame(&bytes),
-            Err(WireError::BadFrameType(16))
-        ));
-    }
-
-    #[test]
-    fn versions_outside_the_window_are_rejected() {
+    fn versions_3_and_5_are_both_rejected() {
         let bytes = encode_frame(&Frame::Health);
-        for bad in [MIN_VERSION - 1, VERSION + 1] {
+        assert_eq!(VERSION, 4);
+        for bad in [3u16, 5] {
             let mut corrupt = bytes.clone();
             corrupt[4..6].copy_from_slice(&bad.to_le_bytes());
-            assert!(
-                matches!(
-                    decode_frame(&corrupt),
-                    Err(WireError::VersionMismatch { got, want }) if got == bad && want == VERSION
-                ),
-                "version {bad} must be rejected"
-            );
+            for result in [
+                decode_frame(&corrupt),
+                read_frame_with(&mut &corrupt[..]).map(|(_, frame, _)| frame),
+            ] {
+                assert!(
+                    matches!(
+                        result,
+                        Err(WireError::VersionMismatch { got, want }) if got == bad && want == VERSION
+                    ),
+                    "version {bad} must be rejected"
+                );
+            }
         }
-        // Both window endpoints decode.
-        for ok in [MIN_VERSION, VERSION] {
-            let bytes = encode_frame_at(ok, 0, &Frame::Health);
-            assert_eq!(decode_frame(&bytes).unwrap(), Frame::Health);
-        }
-    }
-
-    #[test]
-    fn read_frame_versioned_reports_the_peer_version() {
-        let bytes = encode_frame_at(3, 5, &Frame::HealthOk { shard_len: 9 });
-        let (id, frame, n, version) = read_frame_versioned(&mut &bytes[..]).unwrap();
-        assert_eq!(
-            (id, frame, n, version),
-            (5, Frame::HealthOk { shard_len: 9 }, bytes.len(), 3)
-        );
     }
 
     #[test]

@@ -18,7 +18,7 @@ use fp_core::template::Template;
 use fp_index::{CandidateIndex, IndexConfig, ShardError, ShardedIndex};
 use fp_match::PairTableMatcher;
 use fp_serve::server::ServerHandle;
-use fp_serve::{Coordinator, RetryPolicy, ShardServer};
+use fp_serve::{wire, Coordinator, Frame, MuxConn, RetryPolicy, ShardServer};
 use fp_telemetry::Telemetry;
 use rand::Rng;
 
@@ -252,6 +252,49 @@ fn config_drift_is_rejected() {
     }
 
     remote_a.shutdown_all().unwrap();
+    for handle in handles {
+        handle.join();
+    }
+}
+
+/// A hostile peer cannot kill a shard with a config the geometric hash
+/// would assert on: every unhashable ENROLL config is answered with a
+/// typed `CONFIG_MISMATCH` frame, and the same shard (same connection,
+/// un-poisoned index lock) still answers `Health` afterwards.
+#[test]
+fn hostile_enroll_config_is_a_typed_error_and_the_shard_survives() {
+    let (handles, addrs) = spawn_servers(1);
+    let conn = MuxConn::new(addrs[0], Duration::from_secs(10));
+    let with_bin = |distance_bin| IndexConfig {
+        distance_bin,
+        ..IndexConfig::default()
+    };
+    let one_angle_bin = IndexConfig {
+        angle_bins: 1,
+        ..IndexConfig::default()
+    };
+    for config in [
+        with_bin(0.0),
+        with_bin(f64::NAN),
+        with_bin(f64::INFINITY),
+        one_angle_bin,
+    ] {
+        let request = Frame::EnrollBatch {
+            config,
+            templates: gallery(6, 2),
+            trace: None,
+        };
+        match conn
+            .call(&request)
+            .expect("shard answers the hostile enroll")
+        {
+            (Frame::Error { code, .. }, ..) => assert_eq!(code, wire::code::CONFIG_MISMATCH),
+            (other, ..) => panic!("expected CONFIG_MISMATCH, got '{}'", other.kind()),
+        }
+        let (health, ..) = conn.call(&Frame::Health).expect("shard still answers");
+        assert_eq!(health, Frame::HealthOk { shard_len: 0 });
+    }
+    drop(conn);
     for handle in handles {
         handle.join();
     }

@@ -10,6 +10,7 @@
 //!    bytes produce a typed [`WireError`], never a panic and never a
 //!    silently wrong frame.
 
+use fp_core::codec::crc32;
 use fp_core::geometry::{Direction, Point};
 use fp_core::minutia::{Minutia, MinutiaKind};
 use fp_core::rng::SeedTree;
@@ -17,10 +18,11 @@ use fp_core::template::Template;
 use fp_core::MatchScore;
 use fp_index::{Candidate, IndexConfig, StageOneScores};
 use fp_serve::wire::{
-    code, crc32, decode_frame, decode_frame_with, encode_frame, encode_frame_at, encode_frame_with,
-    read_frame, read_frame_with, write_frame, Frame, ServerTiming, TraceContext, WireError,
-    HEADER_LEN, MAGIC, MAX_PAYLOAD, MIN_VERSION, VERSION,
+    code, decode_frame, decode_frame_with, encode_frame, encode_frame_with, read_frame_with,
+    write_frame_with, Frame, ServerTiming, TraceContext, WireError, HEADER_LEN, MAGIC, MAX_PAYLOAD,
+    VERSION,
 };
+use fp_telemetry::{HistogramSnapshot, SpanRecord};
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -141,8 +143,9 @@ proptest! {
             let bytes = encode_frame(&frame);
             let decoded = decode_frame(&bytes).expect("round trip decodes");
             prop_assert_eq!(&decoded, &frame);
-            let (streamed, consumed) = read_frame(&mut &bytes[..]).expect("stream decodes");
-            prop_assert_eq!(&streamed, &frame);
+            let (id, streamed, consumed) =
+                read_frame_with(&mut &bytes[..]).expect("stream decodes");
+            prop_assert_eq!((id, &streamed), (0, &frame));
             prop_assert_eq!(consumed, bytes.len());
         }
     }
@@ -208,10 +211,10 @@ proptest! {
         let bytes = encode_frame(&frame);
         let cut = cut % bytes.len(); // strict prefix
         prop_assert!(decode_frame(&bytes[..cut]).is_err());
-        prop_assert!(read_frame(&mut &bytes[..cut]).is_err());
+        prop_assert!(read_frame_with(&mut &bytes[..cut]).is_err());
     }
 
-    /// Wire v3: any request id rides the header round trip unharmed, and
+    /// Any request id rides the header round trip unharmed, and
     /// the frame body decodes identically regardless of the id — through
     /// both the slice codec and the stream codec.
     #[test]
@@ -230,7 +233,7 @@ proptest! {
         prop_assert_eq!(&bytes[..7], &encode_frame(&frame)[..7]);
     }
 
-    /// Wire v3: corrupting any bit of the request-id header field is caught
+    /// Corrupting any bit of the request-id header field is caught
     /// by the frame CRC — a response can never rejoin the wrong caller via
     /// an undetected id flip.
     #[test]
@@ -250,10 +253,10 @@ proptest! {
         let mut rng = SeedTree::new(seed).child(&[0x41]).rng();
         let bytes: Vec<u8> = (0..len).map(|_| (rng.gen::<u64>() & 0xFF) as u8).collect();
         let _ = decode_frame(&bytes);
-        let _ = read_frame(&mut &bytes[..]);
+        let _ = read_frame_with(&mut &bytes[..]);
     }
 
-    /// Wire v4: corrupting any byte of the trailing trace-context section
+    /// Corrupting any byte of the trailing trace-context section
     /// — even under a valid (resealed) CRC — is either rejected with a
     /// typed error or decodes to a frame whose *non-trace* payload is
     /// untouched. The template can never be perturbed by context bytes,
@@ -287,36 +290,6 @@ proptest! {
             Ok(other) => prop_assert!(false, "decoded as different frame {}", other.kind()),
         }
     }
-
-    /// Negotiation window: the same request encodes at v3 and v4, both
-    /// decode, the carried template is bit-identical — and the v3 body
-    /// simply has no trace section (a v3 peer never sees v4 state).
-    #[test]
-    fn v3_and_v4_agree_on_the_carried_payload(seed in 0u64..5_000, n in 0usize..10, id in 0u32..=u32::MAX) {
-        let probe = synthetic_template(seed, n);
-        let frame = Frame::StageOne {
-            probe: probe.clone(),
-            trace: Some(TraceContext { trace_id: seed, parent_span_id: seed ^ 7, sampled: true }),
-        };
-        let v4 = encode_frame_at(VERSION, id, &frame);
-        let v3 = encode_frame_at(MIN_VERSION, id, &frame);
-        prop_assert_eq!(v3.len() + 18, v4.len());
-        match decode_frame_with(&v3).expect("v3 decodes") {
-            (got_id, Frame::StageOne { probe: decoded, trace }) => {
-                prop_assert_eq!(got_id, id);
-                prop_assert_eq!(trace, None);
-                assert_template_bits(&probe, &decoded);
-            }
-            (_, other) => prop_assert!(false, "wrong frame {}", other.kind()),
-        }
-        match decode_frame_with(&v4).expect("v4 decodes") {
-            (_, Frame::StageOne { probe: decoded, trace }) => {
-                prop_assert_eq!(trace, Some(TraceContext { trace_id: seed, parent_span_id: seed ^ 7, sampled: true }));
-                assert_template_bits(&probe, &decoded);
-            }
-            (_, other) => prop_assert!(false, "wrong frame {}", other.kind()),
-        }
-    }
 }
 
 #[test]
@@ -327,7 +300,7 @@ fn bad_magic_is_typed() {
         Err(WireError::BadMagic(m)) => assert_eq!(m[0], b'X'),
         other => panic!("expected BadMagic, got {other:?}"),
     }
-    match read_frame(&mut &bytes[..]) {
+    match read_frame_with(&mut &bytes[..]) {
         Err(WireError::BadMagic(_)) => {}
         other => panic!("expected BadMagic, got {other:?}"),
     }
@@ -380,7 +353,7 @@ fn oversize_length_prefix_is_typed() {
         other => panic!("expected Oversize, got {other:?}"),
     }
     // The stream reader must reject it BEFORE allocating the payload.
-    match read_frame(&mut &bytes[..]) {
+    match read_frame_with(&mut &bytes[..]) {
         Err(WireError::Oversize(_)) => {}
         other => panic!("expected Oversize, got {other:?}"),
     }
@@ -450,7 +423,91 @@ fn unknown_minutia_kind_is_rejected() {
 fn write_frame_reports_wire_bytes() {
     let frame = Frame::HealthOk { shard_len: 3 };
     let mut sink = Vec::new();
-    let n = write_frame(&mut sink, &frame).unwrap();
+    let n = write_frame_with(&mut sink, 9, &frame).unwrap();
     assert_eq!(n, sink.len());
-    assert_eq!(n, encode_frame(&frame).len());
+    assert_eq!(sink, encode_frame_with(9, &frame));
+}
+
+/// Fowler–Noll–Vo 1a — a digest independent of the codec under test.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// **Golden bytes pin.** One fixed instance of every payload-carrying
+/// frame kind, encoded under request id 7; the `(length, FNV-1a)` pairs
+/// were taken from the encoder as it stood before the codec was hoisted
+/// into `fp_core::codec`. If this fails the v4 frame layout changed: bump
+/// `VERSION` first, then re-pin.
+#[test]
+fn v4_frame_bytes_are_pinned() {
+    let probe = synthetic_template(7, 2);
+    let trace = Some(TraceContext {
+        trace_id: 0x0102_0304_0506_0708,
+        parent_span_id: 42,
+        sampled: true,
+    });
+    let timing = Some(ServerTiming {
+        queue_wait_ns: 12_345,
+        work_ns: 678_900,
+    });
+    let h = HistogramSnapshot {
+        count: 3,
+        sum: 300,
+        min: 50,
+        max: 150,
+        p50: 100,
+        p95: 150,
+        p99: 150,
+        p999: 150,
+    };
+    let span = SpanRecord {
+        id: 11,
+        parent: Some(10),
+        name: "server.request".to_string(),
+        pid: 0,
+        thread: 2,
+        start_ns: 100,
+        dur_ns: 500,
+        attrs: vec![("remote_parent".to_string(), "42".to_string())],
+    };
+    let config = IndexConfig::default();
+    let templates = vec![probe.clone()];
+    let candidates = (0..2)
+        .map(|id| Candidate {
+            id,
+            score: MatchScore::new(41.5 * f64::from(id)),
+        })
+        .collect();
+    let stats = |name: &str| vec![(name.to_string(), h)];
+    #[rustfmt::skip]
+    let frames = [
+        Frame::EnrollBatch { config, templates, trace },
+        Frame::StageOne { probe: probe.clone(), trace },
+        Frame::StageOneOk { scores: synthetic_scores(7, 2), timing },
+        Frame::Rerank { probe, selected: vec![0, 5, 9], trace: None },
+        Frame::RerankOk { candidates, timing: None },
+        Frame::StatsOk { counters: vec![("index.searches".to_string(), 96)], durations: stats("index.search.seconds"), values: stats("index.shortlist") },
+        Frame::TraceOk { now_ns: 99_000, dropped_spans: 3, spans: vec![span] },
+        Frame::Error { code: code::CONFIG_MISMATCH, detail: "détail".to_string() },
+    ];
+    let pinned = frames.map(|frame| {
+        let bytes = encode_frame_with(7, &frame);
+        let pin = (frame.kind(), bytes.len(), fnv1a(&bytes));
+        assert_eq!(decode_frame_with(&bytes).unwrap(), (7, frame));
+        pin
+    });
+    #[rustfmt::skip]
+    let golden = [
+        ("enroll", 191, 0x8da9_201b_c48a_f5b4),
+        ("stage1", 147, 0x25c8_d7c2_bb00_6a48),
+        ("stage1_ok", 88, 0x91a7_aad6_1e40_b3d9),
+        ("rerank", 146, 0xadb2_7190_1bf1_fb22),
+        ("rerank_ok", 48, 0xb409_80c8_b13a_b4dd),
+        ("stats_ok", 228, 0xb611_10b2_0cf2_8c03),
+        ("trace_ok", 125, 0x81cb_138e_a08b_d444),
+        ("error", 31, 0x581a_f7c3_52c0_d5ae),
+    ];
+    assert_eq!(pinned, golden, "v4 frame bytes changed");
 }

@@ -8,6 +8,8 @@
 
 use std::fmt;
 
+use fp_core::codec::{DecodeError, DecodeErrorKind};
+
 /// Everything that can go wrong opening, validating, or writing a store.
 #[derive(Debug)]
 pub enum StoreError {
@@ -84,5 +86,21 @@ impl std::error::Error for StoreError {
 impl From<std::io::Error> for StoreError {
     fn from(err: std::io::Error) -> StoreError {
         StoreError::Io(err)
+    }
+}
+
+impl From<DecodeError> for StoreError {
+    fn from(err: DecodeError) -> StoreError {
+        let DecodeError {
+            what,
+            context,
+            kind,
+        } = err;
+        let detail = match kind {
+            DecodeErrorKind::Truncated => return StoreError::Truncated { what, context },
+            DecodeErrorKind::Overflow(v) => format!("{context} value {v} does not fit usize"),
+            DecodeErrorKind::Trailing(n) => format!("{context}: {n} trailing bytes"),
+        };
+        StoreError::Corrupt { what, detail }
     }
 }

@@ -43,13 +43,13 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
+use fp_core::codec::crc32;
 use fp_index::{CandidateIndex, CodeArena, IndexConfig, ShardedIndex, TableLoader};
 use fp_match::{PairTableMatcher, PreparedPairTable};
 use fp_telemetry::{Counter, DurationHistogram, Telemetry};
 use serde::Serialize;
 
 use crate::error::StoreError;
-use crate::fmt::crc32;
 use crate::manifest::{Manifest, SegmentMeta, MANIFEST_NAME};
 use crate::segment::{
     decode_arena, decode_buckets_flat, decode_meta, decode_segment, decode_spans,

@@ -29,7 +29,6 @@
 //! order.
 
 pub mod error;
-mod fmt;
 pub mod gallery;
 pub mod manifest;
 pub mod segment;

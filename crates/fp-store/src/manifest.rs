@@ -23,8 +23,9 @@ use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use fp_core::codec::{crc32, Dec, Enc};
+
 use crate::error::StoreError;
-use crate::fmt::{crc32, Dec, Enc};
 
 /// Manifest file magic.
 pub const MANIFEST_MAGIC: &[u8; 8] = b"FPSTMAN\0";
@@ -88,9 +89,7 @@ impl Manifest {
 
     pub(crate) fn encode(&self) -> Vec<u8> {
         let mut enc = Enc::new();
-        for b in MANIFEST_MAGIC {
-            enc.u8(*b);
-        }
+        enc.raw(MANIFEST_MAGIC);
         enc.u16(MANIFEST_VERSION);
         enc.u16(0); // reserved
         enc.u32(self.next_seq);
@@ -104,57 +103,46 @@ impl Manifest {
             enc.u32(seq);
             enc.u32(index);
         }
-        let mut out = enc.into_bytes();
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        enc.u32(crc32(enc.as_bytes()));
+        enc.into_bytes()
     }
 
     pub(crate) fn decode(bytes: &[u8]) -> Result<Manifest, StoreError> {
-        if bytes.len() < 8 {
-            return Err(StoreError::Truncated {
-                what: WHAT,
-                context: "header",
-            });
-        }
-        if &bytes[..8] != MANIFEST_MAGIC {
+        let mut dec = Dec::new(bytes, WHAT, "header");
+        if dec.bytes(8)? != MANIFEST_MAGIC {
             return Err(StoreError::BadMagic { what: WHAT });
         }
-        if bytes.len() < 8 + 2 + 2 + 4 + 4 + 4 + 4 {
-            return Err(StoreError::Truncated {
-                what: WHAT,
-                context: "header",
-            });
-        }
-        let body = &bytes[..bytes.len() - 4];
-        let stored = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().unwrap());
         // Version before CRC: an unsupported version should say so even
         // though its checksum (computed by a future layout) may differ.
-        let version = u16::from_le_bytes(bytes[8..10].try_into().unwrap());
+        let version = dec.u16()?;
         if version != MANIFEST_VERSION {
             return Err(StoreError::UnsupportedVersion {
                 what: WHAT,
                 version,
             });
         }
-        if crc32(body) != stored {
+        let _reserved = dec.u16()?;
+        let next_seq = dec.u32()?;
+        let segment_count = dec.u32()? as u64;
+        let tombstone_count = dec.u32()? as u64;
+        // Everything up to the trailing checksum is covered by it; nothing
+        // read above is trusted until it matches.
+        let records = dec.bytes(dec.remaining().saturating_sub(4))?;
+        let stored = dec.u32()?;
+        if crc32(&bytes[..bytes.len() - 4]) != stored {
             return Err(StoreError::CrcMismatch {
                 what: WHAT,
                 section: "body",
             });
         }
 
-        let mut dec = Dec::new(&body[10..], WHAT);
-        let _reserved = dec.u16("header")?;
-        let next_seq = dec.u32("header")?;
-        let segment_count = dec.u32("header")? as u64;
-        let tombstone_count = dec.u32("header")? as u64;
-        let segment_count = dec.checked_count(segment_count, 8, "segments")?;
+        let mut dec = Dec::new(records, WHAT, "segments");
+        let segment_count = dec.checked_count(segment_count, 8)?;
         let mut segments = Vec::with_capacity(segment_count);
         let mut prev_seq: Option<u32> = None;
         for _ in 0..segment_count {
-            let seq = dec.u32("segments")?;
-            let entry_count = dec.u32("segments")?;
+            let seq = dec.u32()?;
+            let entry_count = dec.u32()?;
             if let Some(prev) = prev_seq {
                 if seq <= prev {
                     return Err(corrupt(format!(
@@ -168,12 +156,13 @@ impl Manifest {
             prev_seq = Some(seq);
             segments.push(SegmentMeta { seq, entry_count });
         }
-        let tombstone_count = dec.checked_count(tombstone_count, 8, "tombstones")?;
+        dec.at("tombstones");
+        let tombstone_count = dec.checked_count(tombstone_count, 8)?;
         let mut tombstones = BTreeSet::new();
         let mut prev: Option<(u32, u32)> = None;
         for _ in 0..tombstone_count {
-            let seq = dec.u32("tombstones")?;
-            let index = dec.u32("tombstones")?;
+            let seq = dec.u32()?;
+            let index = dec.u32()?;
             let stone = (seq, index);
             if let Some(p) = prev {
                 if stone <= p {
@@ -196,7 +185,7 @@ impl Manifest {
             prev = Some(stone);
             tombstones.insert(stone);
         }
-        dec.finish("tombstones")?;
+        dec.finish()?;
 
         Ok(Manifest {
             next_seq,

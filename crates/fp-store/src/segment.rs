@@ -42,13 +42,13 @@
 //! bucket ids dense, bucket keys strictly ascending — each the exact
 //! precondition some downstream kernel relies on without re-checking.
 
+use fp_core::codec::{crc32, Dec, Enc};
 use fp_core::minutia::MinutiaKind;
 use fp_index::IndexConfig;
 use fp_match::PreparedPairTable;
 use serde::Serialize;
 
 use crate::error::StoreError;
-use crate::fmt::{crc32, Dec, Enc};
 
 /// Segment file magic.
 pub const SEGMENT_MAGIC: &[u8; 8] = b"FPSTSEG\0";
@@ -62,10 +62,6 @@ const SECTION_IDS: [u32; SECTION_COUNT] = [1, 2, 3, 4, 5];
 const SECTION_NAMES: [&str; SECTION_COUNT] = ["meta", "spans", "tables", "arena", "buckets"];
 const HEADER_BYTES: usize = 16 + SECTION_COUNT * 24;
 pub(crate) const SECTIONS_START: usize = HEADER_BYTES + 4;
-/// Largest angular bin count the geometric-hash key packing supports
-/// (21 bits per dimension).
-const MAX_ANGLE_BINS: u64 = 1 << 21;
-
 const WHAT: &str = "segment";
 
 fn corrupt(detail: impl Into<String>) -> StoreError {
@@ -164,16 +160,6 @@ pub struct SegmentInspect {
     pub sections: Vec<SectionInspect>,
 }
 
-fn encode_meta(config: &IndexConfig) -> Vec<u8> {
-    let mut enc = Enc::new();
-    enc.u64(config.shortlist as u64);
-    enc.u64(config.max_cylinders as u64);
-    enc.u64(config.lss_depth as u64);
-    enc.f64_bits(config.distance_bin);
-    enc.u64(config.angle_bins as u64);
-    enc.into_bytes()
-}
-
 fn encode_table(entry: &EntrySource<'_>) -> Vec<u8> {
     let table = entry.table;
     let mut enc = Enc::new();
@@ -200,7 +186,8 @@ fn encode_table(entry: &EntrySource<'_>) -> Vec<u8> {
 
 /// Serializes `source` into a complete segment file image.
 pub(crate) fn encode_segment(source: &SegmentSource<'_>) -> Vec<u8> {
-    let meta = encode_meta(&source.config);
+    let mut meta = Enc::new();
+    source.config.encode(&mut meta);
 
     let mut spans = Enc::new();
     let mut tables = Enc::new();
@@ -249,7 +236,7 @@ pub(crate) fn encode_segment(source: &SegmentSource<'_>) -> Vec<u8> {
     }
 
     let payloads = [
-        meta,
+        meta.into_bytes(),
         spans.into_bytes(),
         tables.into_bytes(),
         arena.into_bytes(),
@@ -257,9 +244,7 @@ pub(crate) fn encode_segment(source: &SegmentSource<'_>) -> Vec<u8> {
     ];
 
     let mut header = Enc::new();
-    for b in SEGMENT_MAGIC {
-        header.u8(*b);
-    }
+    header.raw(SEGMENT_MAGIC);
     header.u16(SEGMENT_VERSION);
     header.u16(SECTION_COUNT as u16);
     header.u32(source.entries.len() as u32);
@@ -271,11 +256,10 @@ pub(crate) fn encode_segment(source: &SegmentSource<'_>) -> Vec<u8> {
         header.u32(crc32(payload));
         offset += payload.len() as u64;
     }
-    debug_assert_eq!(header.len(), HEADER_BYTES);
+    debug_assert_eq!(header.as_bytes().len(), HEADER_BYTES);
 
+    header.u32(crc32(header.as_bytes()));
     let mut out = header.into_bytes();
-    let header_crc = crc32(&out);
-    out.extend_from_slice(&header_crc.to_le_bytes());
     for payload in &payloads {
         out.extend_from_slice(payload);
     }
@@ -293,6 +277,13 @@ pub(crate) struct Frame {
     pub(crate) crcs: [u32; SECTION_COUNT],
 }
 
+/// Whether the CRC stored after the section table matches the header
+/// bytes. `head` must hold at least [`SECTIONS_START`] bytes.
+fn header_crc_ok(head: &[u8]) -> bool {
+    let stored = Dec::new(&head[HEADER_BYTES..SECTIONS_START], WHAT, "header").u32();
+    stored == Ok(crc32(&head[..HEADER_BYTES]))
+}
+
 /// Parses the header from a *prefix* of the file — `head` must hold the
 /// first `min(file_len, SECTIONS_START)` bytes. This is the entry point
 /// of the fast open path, which never maps the whole file into memory:
@@ -304,54 +295,46 @@ pub(crate) fn parse_header(
     file_len: u64,
     check_crc: bool,
 ) -> Result<Frame, StoreError> {
-    if head.len() < 16 {
-        return Err(StoreError::Truncated {
-            what: WHAT,
-            context: "header",
-        });
-    }
-    if &head[..8] != SEGMENT_MAGIC {
+    let mut dec = Dec::new(head, WHAT, "header");
+    if dec.bytes(8)? != SEGMENT_MAGIC {
         return Err(StoreError::BadMagic { what: WHAT });
     }
-    let mut dec = Dec::new(&head[8..], WHAT);
-    let version = dec.u16("header").unwrap();
+    let version = dec.u16()?;
     if version != SEGMENT_VERSION {
         return Err(StoreError::UnsupportedVersion {
             what: WHAT,
             version,
         });
     }
-    let section_count = dec.u16("header").unwrap();
+    let section_count = dec.u16()?;
     if section_count as usize != SECTION_COUNT {
         return Err(corrupt(format!(
             "expected {SECTION_COUNT} sections, header declares {section_count}"
         )));
     }
+    let entry_count = dec.u32()?;
     if head.len() < SECTIONS_START {
         return Err(StoreError::Truncated {
             what: WHAT,
             context: "section table",
         });
     }
-    if check_crc {
-        let stored = u32::from_le_bytes(head[HEADER_BYTES..SECTIONS_START].try_into().unwrap());
-        if crc32(&head[..HEADER_BYTES]) != stored {
-            return Err(StoreError::CrcMismatch {
-                what: WHAT,
-                section: "header",
-            });
-        }
+    if check_crc && !header_crc_ok(head) {
+        return Err(StoreError::CrcMismatch {
+            what: WHAT,
+            section: "header",
+        });
     }
 
-    let mut table = Dec::new(&head[16..HEADER_BYTES], WHAT);
+    dec.at("section table");
     let mut sections = [(0u64, 0u64); SECTION_COUNT];
     let mut crcs = [0u32; SECTION_COUNT];
     let mut expected = SECTIONS_START as u64;
     for (k, &want_id) in SECTION_IDS.iter().enumerate() {
-        let id = table.u32("section table").unwrap();
-        let offset = table.u64("section table").unwrap();
-        let len = table.u64("section table").unwrap();
-        crcs[k] = table.u32("section table").unwrap();
+        let id = dec.u32()?;
+        let offset = dec.u64()?;
+        let len = dec.u64()?;
+        crcs[k] = dec.u32()?;
         if id != want_id {
             return Err(corrupt(format!(
                 "section {k} has id {id}, expected {want_id}"
@@ -382,7 +365,6 @@ pub(crate) fn parse_header(
         )));
     }
 
-    let entry_count = u32::from_le_bytes(head[12..16].try_into().unwrap());
     Ok(Frame {
         entry_count,
         sections,
@@ -414,34 +396,9 @@ fn parse_frame(bytes: &[u8], check_crcs: bool) -> Result<ParsedFrame, StoreError
 }
 
 pub(crate) fn decode_meta(payload: &[u8]) -> Result<IndexConfig, StoreError> {
-    let mut dec = Dec::new(payload, WHAT);
-    let shortlist = dec.u64("meta")?;
-    let max_cylinders = dec.u64("meta")?;
-    let lss_depth = dec.u64("meta")?;
-    let distance_bin = dec.f64_bits("meta")?;
-    let angle_bins = dec.u64("meta")?;
-    dec.finish("meta")?;
-
-    let as_usize = |v: u64, name: &str| -> Result<usize, StoreError> {
-        usize::try_from(v).map_err(|_| corrupt(format!("meta {name} {v} does not fit usize")))
-    };
-    if !(distance_bin.is_finite() && distance_bin > 0.0) {
-        return Err(corrupt(format!(
-            "meta distance_bin {distance_bin} must be finite and positive"
-        )));
-    }
-    if !(2..=MAX_ANGLE_BINS).contains(&angle_bins) {
-        return Err(corrupt(format!(
-            "meta angle_bins {angle_bins} outside [2, {MAX_ANGLE_BINS}]"
-        )));
-    }
-    let config = IndexConfig {
-        shortlist: as_usize(shortlist, "shortlist")?,
-        max_cylinders: as_usize(max_cylinders, "max_cylinders")?,
-        lss_depth: as_usize(lss_depth, "lss_depth")?,
-        distance_bin,
-        angle_bins: as_usize(angle_bins, "angle_bins")?,
-    };
+    let mut dec = Dec::new(payload, WHAT, "meta");
+    let config = IndexConfig::decode(&mut dec)?;
+    dec.finish()?;
     config
         .validate()
         .map_err(|err| corrupt(format!("meta config invalid: {err}")))?;
@@ -451,17 +408,17 @@ pub(crate) fn decode_meta(payload: &[u8]) -> Result<IndexConfig, StoreError> {
 /// Decodes and validates the SPANS section: `entry_count` fixed-size
 /// records, word/popcount totals overflow-checked.
 pub(crate) fn decode_spans(payload: &[u8], entry_count: usize) -> Result<Vec<SpanRec>, StoreError> {
-    let mut dec = Dec::new(payload, WHAT);
-    dec.checked_count(entry_count as u64, SPAN_RECORD_BYTES, "spans")?;
+    let mut dec = Dec::new(payload, WHAT, "spans");
+    dec.checked_count(entry_count as u64, SPAN_RECORD_BYTES)?;
     let mut spans = Vec::with_capacity(entry_count);
     let mut words_total = 0u64;
     let mut ones_total = 0u64;
     for _ in 0..entry_count {
-        let cylinders = dec.u32("spans")?;
-        let words_per = dec.u32("spans")?;
-        let table_bytes = dec.u64("spans")?;
-        let table_crc = dec.u32("spans")?;
-        let pair_count = dec.u32("spans")?;
+        let cylinders = dec.u32()?;
+        let words_per = dec.u32()?;
+        let table_bytes = dec.u64()?;
+        let table_crc = dec.u32()?;
+        let pair_count = dec.u32()?;
         words_total = (cylinders as u64)
             .checked_mul(words_per as u64)
             .and_then(|w| words_total.checked_add(w))
@@ -477,7 +434,7 @@ pub(crate) fn decode_spans(payload: &[u8], entry_count: usize) -> Result<Vec<Spa
             pair_count,
         });
     }
-    dec.finish("spans")?;
+    dec.finish()?;
     Ok(spans)
 }
 
@@ -489,31 +446,27 @@ pub(crate) fn decode_table_record(
     record: &[u8],
     at: usize,
 ) -> Result<PreparedPairTable, StoreError> {
-    let mut dec = Dec::new(record, WHAT);
-    let minutia_count = dec.u32("tables")? as usize;
-    let table_len = dec.u32("tables")? as u64;
-    let table_len = dec.checked_count(table_len, 28, "pair entries")?;
-    let raw = dec.bytes(table_len * 28, "pair entries")?;
-    let raw_entries: Vec<(f64, f64, f64, u16, u16)> = raw
-        .chunks_exact(28)
+    let mut dec = Dec::new(record, WHAT, "tables");
+    let minutia_count = dec.u32()? as usize;
+    let table_len = dec.u32()? as u64;
+    let f64_at = |c: &[u8; 28], off: usize| {
+        f64::from_bits(u64::from_le_bytes(
+            c[off..off + 8].try_into().expect("8 bytes"),
+        ))
+    };
+    let raw_entries = dec
+        .at("pair entries")
+        .records::<28>(table_len)?
         .map(|c| {
-            (
-                f64::from_bits(u64::from_le_bytes(c[0..8].try_into().unwrap())),
-                f64::from_bits(u64::from_le_bytes(c[8..16].try_into().unwrap())),
-                f64::from_bits(u64::from_le_bytes(c[16..24].try_into().unwrap())),
-                u16::from_le_bytes(c[24..26].try_into().unwrap()),
-                u16::from_le_bytes(c[26..28].try_into().unwrap()),
-            )
+            let i = u16::from_le_bytes([c[24], c[25]]);
+            let j = u16::from_le_bytes([c[26], c[27]]);
+            (f64_at(&c, 0), f64_at(&c, 8), f64_at(&c, 16), i, j)
         })
         .collect();
-    let dir_count = dec.checked_count(minutia_count as u64, 8, "directions")?;
-    let directions = dec
-        .bytes(dir_count * 8, "directions")?
-        .chunks_exact(8)
-        .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().unwrap())))
-        .collect();
+    let directions = dec.at("directions").f64_slice(minutia_count as u64)?;
     let kinds = dec
-        .bytes(minutia_count, "kinds")?
+        .at("kinds")
+        .bytes(minutia_count)?
         .iter()
         .map(|&b| match b {
             0 => Ok(MinutiaKind::RidgeEnding),
@@ -521,7 +474,7 @@ pub(crate) fn decode_table_record(
             other => Err(corrupt(format!("entry {at}: unknown minutia kind {other}"))),
         })
         .collect::<Result<Vec<_>, _>>()?;
-    dec.finish("tables")?;
+    dec.at("tables").finish()?;
     PreparedPairTable::from_raw_parts(raw_entries, directions, kinds, minutia_count)
         .map_err(|detail| corrupt(format!("entry {at}: {detail}")))
 }
@@ -538,19 +491,17 @@ pub(crate) fn decode_arena(
         .map(|s| s.cylinders as u64 * s.words_per as u64)
         .sum();
     let ones_total: u64 = spans.iter().map(|s| s.cylinders as u64).sum();
-    let mut dec = Dec::new(payload, WHAT);
-    let words_len = dec.u64("arena")?;
-    let ones_len = dec.u64("arena")?;
+    let mut dec = Dec::new(payload, WHAT, "arena");
+    let words_len = dec.u64()?;
+    let ones_len = dec.u64()?;
     if words_len != words_total || ones_len != ones_total {
         return Err(corrupt(format!(
             "arena declares {words_len} words / {ones_len} popcounts, spans sum to {words_total} / {ones_total}"
         )));
     }
-    let words_len = dec.checked_count(words_len, 8, "arena words")?;
-    let words = dec.u64_slice(words_len, "arena words")?;
-    let ones_len = dec.checked_count(ones_len, 4, "arena popcounts")?;
-    let ones = dec.u32_slice(ones_len, "arena popcounts")?;
-    dec.finish("arena")?;
+    let words = dec.at("arena words").u64_slice(words_len)?;
+    let ones = dec.at("arena popcounts").u32_slice(ones_len)?;
+    dec.at("arena").finish()?;
     Ok((words, ones))
 }
 
@@ -561,11 +512,10 @@ pub(crate) fn decode_buckets_flat(
     payload: &[u8],
     entry_count: usize,
 ) -> Result<fp_index::FlatBuckets, StoreError> {
-    let mut dec = Dec::new(payload, WHAT);
-    let key_count = dec.u64("buckets")?;
-    let id_count = dec.u64("buckets")?;
-    let key_count = dec.checked_count(key_count, 8 + 4, "bucket keys")?;
-    let keys = dec.u64_slice(key_count, "bucket keys")?;
+    let mut dec = Dec::new(payload, WHAT, "buckets");
+    let key_count = dec.u64()?;
+    let id_count = dec.u64()?;
+    let keys = dec.at("bucket keys").u64_slice(key_count)?;
     for pair in keys.windows(2) {
         if pair[1] <= pair[0] {
             return Err(corrupt(format!(
@@ -574,8 +524,8 @@ pub(crate) fn decode_buckets_flat(
             )));
         }
     }
-    let lens = dec.u32_slice(key_count, "bucket lengths")?;
-    let mut offsets = Vec::with_capacity(key_count + 1);
+    let lens = dec.at("bucket lengths").u32_slice(key_count)?;
+    let mut offsets = Vec::with_capacity(lens.len() + 1);
     offsets.push(0usize);
     let mut total = 0usize;
     for &len in &lens {
@@ -587,9 +537,8 @@ pub(crate) fn decode_buckets_flat(
             "bucket lengths sum to {total}, header declares {id_count} ids"
         )));
     }
-    let id_count = dec.checked_count(id_count, 4, "bucket ids")?;
-    let ids = dec.u32_slice(id_count, "bucket ids")?;
-    dec.finish("buckets")?;
+    let ids = dec.at("bucket ids").u32_slice(id_count)?;
+    dec.at("buckets").finish()?;
     if let Some(&bad) = ids.iter().find(|&&id| id as usize >= entry_count) {
         return Err(corrupt(format!(
             "bucket id {bad} out of range for {entry_count} entries"
@@ -614,21 +563,12 @@ pub(crate) fn decode_segment(bytes: &[u8]) -> Result<DecodedSegment, StoreError>
 
     // TABLES: one variable-length record per entry, sliced by the span
     // declaration and cross-checked against the per-record CRC.
-    let tables = payload(2);
+    let mut tables = Dec::new(payload(2), WHAT, "tables");
     let mut entries = Vec::with_capacity(entry_count);
     let mut word_off = 0usize;
     let mut ones_off = 0usize;
-    let mut cursor = 0usize;
     for (at, span) in spans.iter().enumerate() {
-        let len = usize::try_from(span.table_bytes)
-            .ok()
-            .filter(|&len| len <= tables.len() - cursor)
-            .ok_or(StoreError::Truncated {
-                what: WHAT,
-                context: "tables",
-            })?;
-        let record = &tables[cursor..cursor + len];
-        cursor += len;
+        let record = tables.bytes(usize::try_from(span.table_bytes).unwrap_or(usize::MAX))?;
         if crc32(record) != span.table_crc {
             return Err(StoreError::CrcMismatch {
                 what: WHAT,
@@ -647,12 +587,7 @@ pub(crate) fn decode_segment(bytes: &[u8]) -> Result<DecodedSegment, StoreError>
         word_off += span.cylinders as usize * span.words_per as usize;
         ones_off += span.cylinders as usize;
     }
-    if cursor != tables.len() {
-        return Err(corrupt(format!(
-            "tables: {} trailing bytes",
-            tables.len() - cursor
-        )));
-    }
+    tables.finish()?;
 
     let (words, ones) = decode_arena(payload(3), &spans)?;
 
@@ -691,15 +626,11 @@ pub fn check_segment(bytes: &[u8]) -> Result<u32, StoreError> {
 /// show which section of a damaged file rotted.
 pub fn inspect_segment(bytes: &[u8]) -> Result<SegmentInspect, StoreError> {
     let (entry_count, sections, crc_ok) = parse_frame(bytes, false)?;
-    let header_crc_ok = {
-        let stored = u32::from_le_bytes(bytes[HEADER_BYTES..SECTIONS_START].try_into().unwrap());
-        crc32(&bytes[..HEADER_BYTES]) == stored
-    };
     Ok(SegmentInspect {
         version: SEGMENT_VERSION,
         entry_count,
         file_bytes: bytes.len() as u64,
-        header_crc_ok,
+        header_crc_ok: header_crc_ok(bytes),
         sections: sections
             .iter()
             .zip(SECTION_NAMES)

@@ -76,11 +76,30 @@ fn artifacts() -> &'static (Vec<u8>, Vec<u8>) {
     })
 }
 
+/// The pristine artifacts validate — and their bytes are **pinned**: the
+/// `(length, FNV-1a)` pairs were taken from the segment and manifest
+/// encoders as they stood before the codec was hoisted into
+/// `fp_core::codec`. If a pin fails the on-disk layout changed: bump
+/// `SEGMENT_VERSION` / `MANIFEST_VERSION` first, then re-pin.
 #[test]
-fn pristine_artifacts_check_clean() {
+fn pristine_artifacts_check_clean_and_match_their_golden_bytes() {
     let (segment, manifest) = artifacts();
     assert_eq!(check_segment(segment).unwrap(), 6);
     check_manifest(manifest).unwrap();
+    // Fowler–Noll–Vo 1a — a digest independent of the codec under test.
+    let fnv1a = |bytes: &[u8]| {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    };
+    assert_eq!(
+        (segment.len(), fnv1a(segment)),
+        (56_124, 0xc746_7412_8bfc_ed1e)
+    );
+    assert_eq!(
+        (manifest.len(), fnv1a(manifest)),
+        (52, 0x9b2b_e442_e433_446a)
+    );
 }
 
 proptest! {

@@ -17,6 +17,11 @@ run cargo build --release --offline
 # Workspace tests include the fp-index exactness/recall property suite and
 # the fp-study golden-regression + determinism suite.
 run cargo test -q --release --offline --workspace
+# The benchmark is a package of its own (outside the workspace); its unit
+# tests plus the TINY-size smoke drive all five workloads through the
+# crates' public API, so an API drift fails here, not at the next
+# benchmark run.
+run cargo test -q --offline --manifest-path benchmark/Cargo.toml
 # Benches must at least compile; the budgeted telemetry subset runs below.
 run cargo bench --offline --no-run
 # 1:N scaling smoke: a 200-subject ladder (200/1000/2000 galleries) plus a
