@@ -27,7 +27,7 @@
 //!
 //! Inside a block, the common case — probe and entry packed at the same
 //! width — dispatches to a width-specialized kernel
-//! ([`best_rows_fixed`]): the XOR+popcount reduction runs over a fixed
+//! (`best_rows_fixed`): the XOR+popcount reduction runs over a fixed
 //! `[u64; W]` lane array, fully unrolled by the compiler. That lane loop
 //! is the single seam where `std::simd` (or a `target_feature` AVX-512
 //! `VPOPCNTQ` path) drops in later without touching any surrounding
@@ -297,7 +297,7 @@ impl CodeArena {
     }
 
     /// The scalar reference over the same arena: entry-at-a-time
-    /// [`reference_similarity`], sharing one scratch (so reference and
+    /// [`CylinderCodes::reference_similarity`], sharing one scratch (so reference and
     /// blocked kernels are benchmarked on equal allocator footing).
     /// `study check-kernel` and the proptest equivalence suite hold
     /// [`score_into`](Self::score_into) byte-identical to this.

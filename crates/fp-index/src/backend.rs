@@ -5,8 +5,8 @@
 //! byte of the result is **per-entry stage-1 channel scores** plus
 //! **per-entry exact stage-2 scores** — both pure functions of (probe,
 //! entry), bit-identical whatever gallery the entry shares. This module
-//! names that seam as a trait so the fusion/merge driver can be written
-//! once and run over *any* shard transport:
+//! names that seam as a trait, so anything that can answer the two calls
+//! for its slice of the gallery is a shard:
 //!
 //! * [`CandidateIndex`] implements it directly — the in-process shard;
 //! * `fp-serve`'s `RemoteShard` implements it over a length-prefixed
@@ -14,9 +14,9 @@
 //!
 //! Everything above the seam (stitching shard score arrays into global
 //! ones, the single global best-rank fusion, dealing the selected ids back
-//! to their owning shards, and the final total-order merge) lives in
-//! [`crate::shard`] as pure functions shared by `ShardedIndex`, the
-//! reference driver [`search_backends`], and the remote coordinator.
+//! to their owning shards, and the final total-order merge) is
+//! [`crate::shard::search_spine`]; the reference driver
+//! [`search_backends`] is that spine over sequential trait calls.
 //!
 //! In-process backends cannot fail, so their impl is infallible in
 //! practice; remote backends surface [`ShardError`] — a search over a dead
@@ -143,12 +143,7 @@ impl<M: PreparableMatcher> ShardBackend for CandidateIndex<M> {
         probe: &Template,
         selected_local: &[u32],
     ) -> Result<Vec<Candidate>, ShardError> {
-        let prepared = self.prepare_probe(probe);
-        let part = self.rerank(selected_local, &prepared);
-        // Fold the part exactly as served (local ids, selection order) so
-        // a coordinator mirroring the response can verify the chain.
-        self.fold_part(&part);
-        Ok(part)
+        Ok(self.serve_part(selected_local, &self.prepare_probe(probe)))
     }
 }
 
@@ -156,44 +151,26 @@ impl<M: PreparableMatcher> ShardBackend for CandidateIndex<M> {
 /// backends, byte-identical to [`CandidateIndex::search_with_budget`] on
 /// the round-robin-concatenated gallery.
 ///
-/// This is the exact sequence `ShardedIndex` and the remote coordinator
-/// run — stage 1 on every shard, one global fusion, per-shard exact
-/// re-rank, total-order merge — without their telemetry and threading
-/// machinery, so tests can pin transport-independent correctness and new
-/// transports have a model to diff against. Shards are visited
-/// sequentially; parallel fan-out is the callers' concern.
+/// This is [`search_spine`](crate::shard::search_spine) with the plainest
+/// possible fan-out — one trait call after another, no threads, no
+/// telemetry, no run fingerprint — so tests can pin transport-independent
+/// correctness and new transports have a model to diff against.
 pub fn search_backends<B: ShardBackend>(
     backends: &[B],
     probe: &Template,
     shortlist: usize,
 ) -> Result<crate::SearchResult, ShardError> {
-    use crate::shard::{
-        globalize_and_sort, merge_sorted_parts, select_per_shard, stitch_stage_one,
-    };
-
-    let s = backends.len();
-    assert!(s >= 1, "need at least one shard backend");
-    let total: usize = backends.iter().map(|b| b.shard_len()).sum();
-
-    let mut per_shard = Vec::with_capacity(s);
-    for backend in backends {
-        per_shard.push(backend.stage_one(probe)?);
-    }
-    let (vote_scores, cyl_scores) = stitch_stage_one(&per_shard, total);
-    let selected_local = select_per_shard(&vote_scores, &cyl_scores, shortlist, s);
-
-    let mut parts = Vec::with_capacity(s);
-    for (k, backend) in backends.iter().enumerate() {
-        let mut part = if selected_local[k].is_empty() {
-            Vec::new()
-        } else {
-            backend.stage_two(probe, &selected_local[k])?
-        };
-        globalize_and_sort(&mut part, k, s);
-        parts.push(part);
-    }
-    Ok(crate::SearchResult::from_parts(
-        merge_sorted_parts(&parts),
-        total,
-    ))
+    assert!(!backends.is_empty(), "need at least one shard backend");
+    crate::shard::search_spine(
+        backends.len(),
+        backends.iter().map(|b| b.shard_len()).sum(),
+        shortlist,
+        None,
+        || backends.iter().map(|b| b.stage_one(probe)).collect(),
+        |jobs| {
+            jobs.iter()
+                .map(|(k, selected)| backends[*k].stage_two(probe, selected))
+                .collect()
+        },
+    )
 }

@@ -17,7 +17,7 @@
 //! it is three bulk array moves instead of a million hash inserts, which is
 //! what keeps segment open time in milliseconds. Lookups are key-exact in
 //! both forms (hash probe vs. binary search), so votes accumulate
-//! bit-identically; the first post-open [`insert`](BucketIndex::insert)
+//! bit-identically; the first post-open `BucketIndex::insert`
 //! thaws a flat table back into a map.
 
 use std::collections::HashMap;
@@ -36,6 +36,30 @@ pub struct FlatBuckets {
     pub offsets: Vec<usize>,
     /// Every bucket's gallery ids, concatenated in key order.
     pub ids: Vec<u32>,
+}
+
+impl FlatBuckets {
+    /// Flattens `(key, ids)` buckets that are already sorted by key
+    /// ascending — the order [`iter`](Self::iter) yields and
+    /// `CandidateIndex::store_buckets` dumps.
+    pub fn from_sorted_parts(parts: impl IntoIterator<Item = (u64, Vec<u32>)>) -> FlatBuckets {
+        let mut flat = FlatBuckets::default();
+        flat.offsets.push(0);
+        for (key, ids) in parts {
+            flat.keys.push(key);
+            flat.ids.extend_from_slice(&ids);
+            flat.offsets.push(flat.ids.len());
+        }
+        flat
+    }
+
+    /// Every bucket as `(key, ids)`, key ascending.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &[u32])> + '_ {
+        self.keys
+            .iter()
+            .zip(self.offsets.windows(2))
+            .map(|(&key, span)| (key, &self.ids[span[0]..span[1]]))
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -122,8 +146,8 @@ impl BucketIndex {
     /// Dumps every bucket as `(key, ids)` sorted by key ascending, ids in
     /// insertion order (ascending gallery id, duplicates adjacent when one
     /// entry registered the same key twice). The canonical persistence
-    /// order: dumping, re-loading via [`from_sorted_parts`]
-    /// (Self::from_sorted_parts) and dumping again yields identical bytes.
+    /// order: dumping, re-loading via [`FlatBuckets::from_sorted_parts`]
+    /// and dumping again yields identical bytes.
     pub(crate) fn dump_sorted(&self) -> Vec<(u64, Vec<u32>)> {
         match &self.repr {
             Repr::Map(map) => {
@@ -132,39 +156,18 @@ impl BucketIndex {
                 out.sort_unstable_by_key(|(key, _)| *key);
                 out
             }
-            Repr::Flat(flat) => flat
-                .keys
-                .iter()
-                .enumerate()
-                .map(|(k, &key)| (key, flat.ids[flat.offsets[k]..flat.offsets[k + 1]].to_vec()))
-                .collect(),
+            Repr::Flat(flat) => flat.iter().map(|(key, ids)| (key, ids.to_vec())).collect(),
         }
-    }
-
-    /// Rebuilds a bucket index from dumped parts, flattened. The caller
-    /// (the single boundary is `CandidateIndex::from_store_parts`) has
-    /// already validated ids against the gallery length, keys as strictly
-    /// ascending, and the `(distance_bin, angle_bins)` pair against
-    /// [`new`](Self::new)'s requirements.
-    pub(crate) fn from_sorted_parts(
-        distance_bin: f64,
-        angle_bins: usize,
-        parts: impl IntoIterator<Item = (u64, Vec<u32>)>,
-    ) -> BucketIndex {
-        let mut flat = FlatBuckets::default();
-        flat.offsets.push(0);
-        for (key, ids) in parts {
-            flat.keys.push(key);
-            flat.ids.extend_from_slice(&ids);
-            flat.offsets.push(flat.ids.len());
-        }
-        BucketIndex::from_flat_parts(distance_bin, angle_bins, flat)
     }
 
     /// Adopts an already-flat bucket table (the zero-shuffle open path:
     /// `fp-store` decodes a segment's BUCKETS section straight into this
-    /// shape). Lookup behavior is key-exact and per-bucket id order is
-    /// preserved, so the rebuilt index accumulates votes bit-identically
+    /// shape). The caller (the single boundary is
+    /// `CandidateIndex::from_store_parts`) has already validated ids
+    /// against the gallery length, keys as strictly ascending, and the
+    /// `(distance_bin, angle_bins)` pair against [`new`](Self::new)'s
+    /// requirements. Lookup behavior is key-exact and per-bucket id order
+    /// is preserved, so the rebuilt index accumulates votes bit-identically
     /// to one grown by [`insert`](Self::insert) calls.
     pub(crate) fn from_flat_parts(
         distance_bin: f64,
@@ -185,13 +188,7 @@ impl BucketIndex {
     /// the whole gallery had been enrolled incrementally.
     pub(crate) fn insert(&mut self, id: u32, features: impl Iterator<Item = PairFeature>) {
         if let Repr::Flat(flat) = &self.repr {
-            let thawed: HashMap<u64, Vec<u32>> = flat
-                .keys
-                .iter()
-                .enumerate()
-                .map(|(k, &key)| (key, flat.ids[flat.offsets[k]..flat.offsets[k + 1]].to_vec()))
-                .collect();
-            self.repr = Repr::Map(thawed);
+            self.repr = Repr::Map(flat.iter().map(|(key, ids)| (key, ids.to_vec())).collect());
         }
         for f in features {
             let key = self.key(
@@ -355,7 +352,11 @@ mod tests {
                 .collect();
             grown.insert(id, fs.into_iter());
         }
-        let flat = BucketIndex::from_sorted_parts(0.5, 16, grown.dump_sorted());
+        let flat = BucketIndex::from_flat_parts(
+            0.5,
+            16,
+            FlatBuckets::from_sorted_parts(grown.dump_sorted()),
+        );
         assert!(matches!(flat.repr, Repr::Flat(_)));
         assert_eq!(grown.dump_sorted(), flat.dump_sorted());
 

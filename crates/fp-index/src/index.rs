@@ -1,5 +1,7 @@
 //! The two-stage candidate index.
 
+use std::convert::Infallible;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use fp_core::template::Template;
@@ -11,8 +13,9 @@ use fp_telemetry::{
 
 use crate::arena::CodeArena;
 use crate::config::{IndexConfig, IndexConfigError};
-use crate::geohash::BucketIndex;
+use crate::geohash::{BucketIndex, FlatBuckets};
 use crate::metrics::IndexMetrics;
+use crate::shard::search_spine;
 use crate::signature::{CylinderCodes, Stage1Scratch};
 
 /// One enrolled gallery template. The entry's binarized cylinder codes do
@@ -21,20 +24,15 @@ use crate::signature::{CylinderCodes, Stage1Scratch};
 /// chasing per-entry allocations.
 #[derive(Debug, Clone)]
 struct GalleryEntry<P> {
-    prepared: TableSlot<P>,
+    /// The entry's prepared stage-2 structure. Enrollment and eager store
+    /// opens fill the slot at construction; a lazy store open leaves it
+    /// empty for the index's [`TableLoader`] to fill on first stage-2
+    /// touch. Only shortlisted entries are ever re-ranked, so a lazily
+    /// opened gallery decodes a handful of tables per search instead of
+    /// all of them at open — the decoded value is bit-identical either
+    /// way, so searches are too.
+    prepared: OnceLock<P>,
     pair_count: u32,
-}
-
-/// An entry's prepared stage-2 structure: either materialized (enrollment
-/// and eager store opens) or a slot the index's [`TableLoader`] fills on
-/// first stage-2 touch (lazy store opens). Only shortlisted entries are
-/// ever re-ranked, so a lazily opened gallery decodes a handful of tables
-/// per search instead of all of them at open — the decoded value is
-/// bit-identical either way, so searches are too.
-#[derive(Debug, Clone)]
-enum TableSlot<P> {
-    Ready(P),
-    Lazy(std::sync::OnceLock<P>),
 }
 
 /// Demand-loader for lazy entries: maps a dense gallery id to its prepared
@@ -61,6 +59,17 @@ impl<P> std::fmt::Debug for TableLoader<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("TableLoader")
     }
+}
+
+/// Where a persisted gallery's prepared stage-2 structures come from when
+/// [`CandidateIndex::from_store_parts`] reassembles it. A lazily filled
+/// slot without a loader cannot be spelled.
+#[derive(Debug)]
+pub enum StoredTables<P> {
+    /// Already decoded, one per entry in dense-id order.
+    Ready(Vec<P>),
+    /// Decoded per entry on its first stage-2 touch.
+    Lazy(TableLoader<P>),
 }
 
 /// Everything one template contributes at enrollment, prepared off the
@@ -225,8 +234,8 @@ pub struct CandidateIndex<M: PreparableMatcher> {
     mcc: MccMatcher,
     config: IndexConfig,
     entries: Vec<GalleryEntry<M::Prepared>>,
-    /// Fills lazy entry slots on first stage-2 touch; `None` on indexes
-    /// whose entries are all materialized.
+    /// Fills empty entry slots on first stage-2 touch; `None` on indexes
+    /// whose slots were all filled at construction.
     loader: Option<TableLoader<M::Prepared>>,
     /// Every enrolled entry's packed cylinder codes, structure-of-arrays,
     /// indexed by the same dense ids as `entries`.
@@ -309,14 +318,19 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
         self.part_fp.snapshot()
     }
 
-    /// Folds one served stage-2 part (shard-local ids, selection order)
-    /// into the part chain. Called by the `ShardBackend` impl and by
-    /// `ShardedIndex`'s per-shard re-rank lane, so in-process and remote
-    /// shards fold bit-identical sequences.
-    pub(crate) fn fold_part(&self, part: &[Candidate]) {
-        let mut chain = self.part_fp.begin();
-        chain.fold(part);
-        self.part_fp.record(&chain);
+    /// Stage 2 as a *shard* serves it: [`rerank`](Self::rerank), with the
+    /// part folded into the part chain exactly as served (shard-local ids,
+    /// selection order). The `ShardBackend` impl and `ShardedIndex`'s
+    /// re-rank lanes both come through here, so in-process and remote
+    /// shards fold bit-identical sequences a coordinator can mirror.
+    pub(crate) fn serve_part(
+        &self,
+        selected: &[u32],
+        probe_prepared: &M::Prepared,
+    ) -> Vec<Candidate> {
+        let part = self.rerank(selected, probe_prepared);
+        self.part_fp.record_item(&part[..]);
+        part
     }
 
     /// Registers the index's work counters and timing histograms on
@@ -364,7 +378,7 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
         let codes = CylinderCodes::extract(&self.mcc, template, self.config.max_cylinders);
         PreparedEnrollment {
             entry: GalleryEntry {
-                prepared: TableSlot::Ready(self.matcher.prepare(template)),
+                prepared: OnceLock::from(self.matcher.prepare(template)),
                 pair_count: features.len() as u32,
             },
             features,
@@ -373,25 +387,15 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
     }
 
     /// The prepared stage-2 structure of gallery entry `id`, demand-loading
-    /// (and caching) it through the table loader if the entry is lazy.
-    ///
-    /// # Panics
-    ///
-    /// If a lazy entry exists without a loader — impossible through the
-    /// public constructors ([`from_store_parts_lazy`]
-    /// (Self::from_store_parts_lazy) is the only source of lazy slots and
-    /// always installs one).
+    /// (and caching) it through the table loader if its slot is still
+    /// empty.
     fn prepared(&self, id: u32) -> &M::Prepared {
-        match &self.entries[id as usize].prepared {
-            TableSlot::Ready(p) => p,
-            TableSlot::Lazy(slot) => slot.get_or_init(|| {
-                let loader = self
-                    .loader
-                    .as_ref()
-                    .expect("lazy gallery entry without a table loader");
-                (loader.0)(id)
-            }),
-        }
+        self.entries[id as usize].prepared.get_or_init(|| {
+            // Only `StoredTables::Lazy` leaves slots empty, and it carries
+            // the loader.
+            let loader = self.loader.as_ref().expect("empty table slot has a loader");
+            (loader.0)(id)
+        })
     }
 
     fn insert(&mut self, prepared: PreparedEnrollment<M::Prepared>) -> u32 {
@@ -480,6 +484,9 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
     /// **Codes:** per-minutia cylinder codes scored by local similarity
     /// sort — robust to the same spurious-minutiae asymmetry because only
     /// the strongest local agreements count.
+    ///
+    /// Every search route reaches this pass, so this is where the index
+    /// meters its stage-1 work.
     pub(crate) fn stage1(&self, probe: &ProbeFeatures) -> StageOneScores {
         let n = self.entries.len();
         let mut votes = vec![0u32; n];
@@ -508,6 +515,8 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
             &mut cyl_scores,
         );
 
+        self.metrics
+            .record_stage_one(n, bucket_hits, hamming_word_ops);
         StageOneScores {
             vote_scores,
             cyl_scores,
@@ -545,69 +554,35 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
     }
 
     /// Reassembles an index from persisted parts — the open path of
-    /// `fp-store`'s segment format. `entries` pairs each prepared matcher
-    /// structure with its pair-feature count in dense-id order; `arena`
-    /// and `buckets` must describe the same entries (the arena packs one
-    /// span per entry, bucket ids are dense gallery ids). The result is
-    /// indistinguishable from an index grown by [`enroll`](Self::enroll)
-    /// calls in the same order: same candidate lists, same RUNFP chain.
+    /// `fp-store`'s segment format. `pair_counts` holds every entry's
+    /// pair-feature count in dense-id order (stage 1 needs them all on
+    /// every search); `tables` either brings the prepared matcher
+    /// structures along or a loader that decodes one the first time
+    /// stage 2 touches its entry — since only shortlisted entries are ever
+    /// re-ranked, the lazy form skips decoding the dominant share of a
+    /// persisted gallery's bytes. `arena` and `buckets` must describe the
+    /// same entries (the arena packs one span per entry, bucket ids are
+    /// dense gallery ids); buckets arrive in the flat persisted shape and
+    /// are adopted without reshuffling. The result is indistinguishable
+    /// from an index grown by [`enroll`](Self::enroll) calls in the same
+    /// order — same candidate lists, same RUNFP chain — provided a loader
+    /// returns exactly what eager enrollment produced.
     ///
     /// # Panics
     ///
-    /// If `arena.len() != entries.len()`. Callers are responsible for
-    /// validating untrusted inputs *before* this point (`fp-store` rejects
-    /// hostile segments with typed errors during decode); this assert is a
-    /// last-line programming-error check, not an input-validation surface
-    /// — bucket ids out of range are likewise the caller's contract.
+    /// If `arena` or ready `tables` do not hold exactly one item per pair
+    /// count. Callers are responsible for validating untrusted inputs
+    /// *before* this point (`fp-store` rejects hostile segments with typed
+    /// errors during decode); this assert is a last-line programming-error
+    /// check, not an input-validation surface — bucket ids out of range
+    /// are likewise the caller's contract.
     pub fn from_store_parts(
         matcher: M,
         config: IndexConfig,
-        entries: Vec<(M::Prepared, u32)>,
-        arena: CodeArena,
-        buckets: impl IntoIterator<Item = (u64, Vec<u32>)>,
-    ) -> Result<CandidateIndex<M>, IndexConfigError> {
-        let mut index = CandidateIndex::try_with_config(matcher, config)?;
-        assert_eq!(
-            arena.len(),
-            entries.len(),
-            "arena must pack exactly one span per entry"
-        );
-        index.entries = entries
-            .into_iter()
-            .map(|(prepared, pair_count)| GalleryEntry {
-                prepared: TableSlot::Ready(prepared),
-                pair_count,
-            })
-            .collect();
-        index.arena = arena;
-        index.buckets =
-            BucketIndex::from_sorted_parts(config.distance_bin, config.angle_bins, buckets);
-        index.metrics.enrolled.add(index.entries.len() as u64);
-        Ok(index)
-    }
-
-    /// [`from_store_parts`](Self::from_store_parts) with **lazy** stage-2
-    /// tables: instead of materialized prepared structures, each entry
-    /// gets an empty slot plus its pair-feature count (stage-1 needs the
-    /// counts for every entry on every search), and `loader` fills a slot
-    /// the first time stage-2 touches that entry. Since only shortlisted
-    /// entries are ever re-ranked, opening a persisted gallery this way
-    /// skips decoding the dominant share of its bytes — while searches
-    /// stay bit-identical, because the loader must return exactly what
-    /// eager enrollment produced. Buckets arrive in the flat persisted
-    /// shape and are adopted without reshuffling.
-    ///
-    /// # Panics
-    ///
-    /// If `arena.len() != pair_counts.len()` — same last-line check as
-    /// [`from_store_parts`](Self::from_store_parts).
-    pub fn from_store_parts_lazy(
-        matcher: M,
-        config: IndexConfig,
         pair_counts: Vec<u32>,
-        loader: TableLoader<M::Prepared>,
+        tables: StoredTables<M::Prepared>,
         arena: CodeArena,
-        buckets: crate::geohash::FlatBuckets,
+        buckets: FlatBuckets,
     ) -> Result<CandidateIndex<M>, IndexConfigError> {
         let mut index = CandidateIndex::try_with_config(matcher, config)?;
         assert_eq!(
@@ -615,14 +590,28 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
             pair_counts.len(),
             "arena must pack exactly one span per entry"
         );
-        index.entries = pair_counts
+        let slots: Vec<OnceLock<M::Prepared>> = match tables {
+            StoredTables::Ready(tables) => {
+                assert_eq!(
+                    tables.len(),
+                    pair_counts.len(),
+                    "need exactly one prepared table per entry"
+                );
+                tables.into_iter().map(OnceLock::from).collect()
+            }
+            StoredTables::Lazy(loader) => {
+                index.loader = Some(loader);
+                pair_counts.iter().map(|_| OnceLock::new()).collect()
+            }
+        };
+        index.entries = slots
             .into_iter()
-            .map(|pair_count| GalleryEntry {
-                prepared: TableSlot::Lazy(std::sync::OnceLock::new()),
+            .zip(pair_counts)
+            .map(|(prepared, pair_count)| GalleryEntry {
+                prepared,
                 pair_count,
             })
             .collect();
-        index.loader = Some(loader);
         index.arena = arena;
         index.buckets =
             BucketIndex::from_flat_parts(config.distance_bin, config.angle_bins, buckets);
@@ -662,8 +651,11 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
     }
 
     /// Stage 2: exact scores for the selected entry ids (local ids of this
-    /// index), in selection order — callers sort.
+    /// index), in selection order — the spine sorts. Every search route
+    /// reaches this pass, so this is where the index meters its stage-2
+    /// work.
     pub(crate) fn rerank(&self, selected: &[u32], probe_prepared: &M::Prepared) -> Vec<Candidate> {
+        self.metrics.record_stage_two(selected.len());
         selected
             .iter()
             .map(|&id| Candidate {
@@ -686,7 +678,8 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
     }
 
     /// Searches with an explicit shortlist budget; `shortlist >= len()`
-    /// degenerates to an exact brute-force ranking.
+    /// degenerates to an exact brute-force ranking. This is
+    /// [`search_spine`] with one shard: no lanes, no part chain.
     pub fn search_with_budget(&self, probe: &Template, shortlist: usize) -> SearchResult {
         let start = Instant::now();
         let n = self.entries.len();
@@ -694,35 +687,20 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
             .metrics
             .telemetry
             .trace_span("index.search", &[("gallery", n.to_string())]);
-        self.metrics.searches.incr();
-
-        let probe_features = self.probe_features(probe);
-        let stage1 = self.stage1(&probe_features);
-        self.metrics.bucket_hits.add(stage1.bucket_hits);
-        self.metrics
-            .bucket_hits_per_search
-            .record(stage1.bucket_hits);
-        self.metrics.hamming_ops.add(stage1.hamming_word_ops);
-        self.metrics
-            .hamming_per_search
-            .record(stage1.hamming_word_ops);
-
-        let selected = fuse_select(&stage1.vote_scores, &stage1.cyl_scores, shortlist);
-        let probe_prepared = self.matcher.prepare(probe);
-        let mut candidates = self.rerank(&selected, &probe_prepared);
-        candidates.sort_unstable_by(|a, b| b.score.cmp(&a.score).then(a.id.cmp(&b.id)));
-
-        self.metrics.rerank_comparisons.add(candidates.len() as u64);
-        self.metrics
-            .candidates_pruned
-            .add((n - candidates.len()) as u64);
-        self.metrics.shortlist.record(candidates.len() as u64);
+        let Ok(result) = search_spine(
+            1,
+            n,
+            shortlist,
+            Some(&self.runfp),
+            || Ok::<_, Infallible>(vec![self.stage1(&self.probe_features(probe))]),
+            |jobs| {
+                Ok(jobs
+                    .iter()
+                    .map(|(_, selected)| self.rerank(selected, &self.matcher.prepare(probe)))
+                    .collect())
+            },
+        );
         self.metrics.search_time.record(start.elapsed());
-        let result = SearchResult {
-            candidates,
-            gallery_len: n,
-        };
-        self.runfp.record_item(&result);
         result
     }
 

@@ -44,7 +44,10 @@
 //! [`ShardBackend`] trait (`backend.rs`): anything that can answer stage-1
 //! scores and stage-2 exact scores for its slice of the gallery — an
 //! in-process [`CandidateIndex`] or `fp-serve`'s remote shard connection —
-//! plugs into the same fusion/merge code and produces the same bytes.
+//! is a shard. The sequence above the seam is written once, in
+//! [`search_spine`]: the unsharded index, the sharded index, the reference
+//! driver and `fp-serve`'s coordinator all run it and differ only in how
+//! they fan the two stages out, so they produce the same bytes.
 //!
 //! ```
 //! use fp_index::{CandidateIndex, IndexConfig};
@@ -74,7 +77,9 @@ pub use arena::CodeArena;
 pub use backend::{search_backends, ShardBackend, ShardError};
 pub use config::{IndexConfig, IndexConfigError};
 pub use geohash::FlatBuckets;
-pub use index::{Candidate, CandidateIndex, SearchResult, StageOneScores, TableLoader};
+pub use index::{
+    Candidate, CandidateIndex, SearchResult, StageOneScores, StoredTables, TableLoader,
+};
 pub use metrics::IndexMetrics;
-pub use shard::ShardedIndex;
+pub use shard::{search_spine, ShardedIndex};
 pub use signature::{CodeView, CylinderCodes, Stage1Scratch};

@@ -7,6 +7,12 @@
 //! templates and probes, identical across same-seed runs); the duration
 //! histograms measure wall time and vary with the machine.
 //!
+//! Work is metered where it is done: the [`crate::CandidateIndex`] that
+//! runs a stage-1 or stage-2 pass records it, whichever route reached the
+//! pass — a top-level search, a [`crate::ShardedIndex`] lane, or the
+//! [`crate::ShardBackend`] calls a shard process serves — so a shard
+//! process's `index.search.*` counters show its share of every search.
+//!
 //! A [`crate::ShardedIndex`] registers one bundle per shard under an
 //! `index.shard<k>` prefix plus an unprefixed `index` roll-up bundle, so
 //! per-shard work is attributable while the roll-up stays comparable with
@@ -22,8 +28,8 @@ pub struct IndexMetrics {
     /// `index.searches` — 1:N searches served.
     pub(crate) searches: Counter,
     /// `index.search.hamming_ops` — packed-`u64` Hamming word comparisons
-    /// performed inside [`crate::CylinderCodes::similarity`] (the full
-    /// cylinder-pair x word fan-out, not one op per gallery entry).
+    /// performed by the stage-1 kernel (the full cylinder-pair x word
+    /// fan-out, not one op per gallery entry).
     pub(crate) hamming_ops: Counter,
     /// `index.search.bucket_hits` — geometric-hash vote increments.
     pub(crate) bucket_hits: Counter,
@@ -31,9 +37,13 @@ pub struct IndexMetrics {
     /// re-ranking shortlists.
     pub(crate) rerank_comparisons: Counter,
     /// `index.search.candidates_pruned` — gallery entries excluded from
-    /// exact re-ranking by the prefilter stages.
+    /// exact re-ranking by the prefilter stages. Provisional between an
+    /// index's two passes of one search: stage 1 counts every entry it
+    /// scored, stage 2 takes the re-ranked ones back out — so an index
+    /// whose slice of the selection came back empty, and which therefore
+    /// never hears about stage 2, is already right.
     pub(crate) candidates_pruned: Counter,
-    /// `index.search.shortlist` — shortlist length per search.
+    /// `index.search.shortlist` — entries re-ranked per stage-2 pass.
     pub(crate) shortlist: ValueHistogram,
     /// `index.search.hamming_ops_per_search` — stage-1 Hamming word
     /// comparisons per probe. The global counter hides outliers; this
@@ -84,5 +94,25 @@ impl IndexMetrics {
             search_time: telemetry.duration(&format!("{prefix}.search.seconds")),
             telemetry: telemetry.clone(),
         }
+    }
+
+    /// One stage-1 pass: a search served, `scored` entries scored (all
+    /// provisionally pruned), and the two channels' work.
+    pub(crate) fn record_stage_one(&self, scored: usize, bucket_hits: u64, hamming_word_ops: u64) {
+        self.searches.incr();
+        self.bucket_hits.add(bucket_hits);
+        self.bucket_hits_per_search.record(bucket_hits);
+        self.hamming_ops.add(hamming_word_ops);
+        self.hamming_per_search.record(hamming_word_ops);
+        self.candidates_pruned.add(scored as u64);
+    }
+
+    /// One stage-2 pass: `reranked` of the entries the matching stage-1
+    /// pass scored were compared exactly, so they were not pruned after
+    /// all.
+    pub(crate) fn record_stage_two(&self, reranked: usize) {
+        self.rerank_comparisons.add(reranked as u64);
+        self.candidates_pruned.sub(reranked as u64);
+        self.shortlist.record(reranked as u64);
     }
 }

@@ -23,23 +23,24 @@
 //! shard-invariant: **per-entry channel scores**. An entry's vote score
 //! (its own bucket votes over min pair support) and its cylinder-code score
 //! are pure functions of (probe, entry) — bit-identical whether the entry
-//! shares a gallery with 10 or 10 million others. Each shard computes its
-//! entries' scores in parallel (stage 1), the scores are stitched into
-//! global arrays via the id mapping, and **one** global rank fusion selects
-//! the shortlist — the exact same `fuse_select` the unsharded index runs on
-//! the exact same score arrays. The selected ids are handed back to their
-//! owning shards for exact stage-2 re-ranking in parallel (per-entry exact
-//! scores are trivially shard-invariant too), each shard sorts its part by
-//! `(score desc, global id asc)`, and the per-shard lists are merged by the
-//! same comparator. Since global ids are unique the comparator is a strict
-//! total order, so the S-way merge of sorted parts equals sorting the
-//! concatenation — byte-identical to the unsharded [`SearchResult`].
+//! shares a gallery with 10 or 10 million others — and so, trivially, is
+//! its exact stage-2 score. Shards return scores; **one** global rank
+//! fusion runs over the same score arrays the unsharded index would see;
+//! and because global ids are unique, `(score desc, global id asc)` is a
+//! strict total order, so merging the shards' sorted parts equals sorting
+//! their concatenation — byte-identical to the unsharded [`SearchResult`].
+//!
+//! The sequence itself is written once, in [`search_spine`]; the unsharded
+//! index runs it too, with one shard.
 
+use std::convert::Infallible;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use fp_core::template::Template;
 use fp_telemetry::{FingerprintSnapshot, RunFingerprint, Telemetry};
 
+use crate::backend::ShardError;
 use crate::config::IndexConfig;
 use crate::index::{fuse_select, Candidate, CandidateIndex, SearchResult, StageOneScores};
 use crate::metrics::IndexMetrics;
@@ -97,21 +98,15 @@ impl<M: fp_match::PreparableMatcher> ShardedIndex<M> {
     /// # Panics
     ///
     /// If `shards` is empty, the shards disagree on config, or the shard
-    /// lengths violate the round-robin deal (shard `k` of `S` over `n`
-    /// total entries must hold exactly `(n + S - 1 - k) / S`).
+    /// lengths violate the round-robin deal ([`check_deal`]).
     pub fn from_shards(shards: Vec<CandidateIndex<M>>) -> ShardedIndex<M> {
         assert!(!shards.is_empty(), "need at least one shard");
         let config = *shards[0].config();
-        let s = shards.len();
-        let total: usize = shards.iter().map(|shard| shard.len()).sum();
         for (k, shard) in shards.iter().enumerate() {
             assert_eq!(shard.config(), &config, "shard {k} config differs");
-            assert_eq!(
-                shard.len(),
-                (total + s - 1 - k) / s,
-                "shard {k} length violates the round-robin deal"
-            );
         }
+        let lens: Vec<usize> = shards.iter().map(|shard| shard.len()).collect();
+        let total = check_deal(&lens).unwrap_or_else(|err| panic!("{err}"));
         ShardedIndex {
             shards,
             rollup: IndexMetrics::default(),
@@ -258,7 +253,8 @@ impl<M: fp_match::PreparableMatcher> ShardedIndex<M> {
     /// Searches with an explicit **total** shortlist budget (the budget is
     /// global, applied at the single global fusion — not per shard).
     /// Returns a result byte-identical to
-    /// [`CandidateIndex::search_with_budget`] on the same gallery.
+    /// [`CandidateIndex::search_with_budget`] on the same gallery: this is
+    /// [`search_spine`] fanned out on one thread per shard.
     pub fn search_with_budget(&self, probe: &Template, shortlist: usize) -> SearchResult
     where
         M: Sync,
@@ -266,137 +262,94 @@ impl<M: fp_match::PreparableMatcher> ShardedIndex<M> {
         let start = Instant::now();
         let n = self.enrolled;
         let s = self.shards.len();
-        let telemetry = &self.rollup.telemetry;
-        let _span = telemetry.trace_span(
+        let _span = self.rollup.telemetry.trace_span(
             "index.search",
             &[("gallery", n.to_string()), ("shards", s.to_string())],
         );
-        self.rollup.searches.incr();
 
         // Probe-side features are pure functions of (probe, config); every
         // shard shares one read-only copy computed on shard 0's extractors.
         let probe_features = self.shards[0].probe_features(probe);
         let probe_prepared = self.shards[0].prepare_probe(probe);
+        // Lane wall time (ns) per shard, summed over both stages: every
+        // shard owes one `search.seconds` sample per search, re-ranked or
+        // not.
+        let busy: Vec<AtomicU64> = (0..s).map(|_| AtomicU64::new(0)).collect();
 
-        // Stage 1, one thread per shard: shard-local per-entry channel
-        // scores (shard-invariant — see the module docs).
-        let (stage1, stage1_times): (Vec<StageOneScores>, Vec<Duration>) = self
-            .per_shard("index.shard.search", |shard| {
-                let t0 = Instant::now();
-                let scores = shard.stage1(&probe_features);
-                (scores, t0.elapsed())
-            })
-            .into_iter()
-            .unzip();
+        let Ok(result) = search_spine(
+            s,
+            n,
+            shortlist,
+            Some(&self.runfp),
+            || {
+                let stage1 = self.lanes(
+                    "index.shard.search",
+                    (0..s).map(|k| (k, ())),
+                    &busy,
+                    |shard, ()| shard.stage1(&probe_features),
+                );
+                self.rollup.record_stage_one(
+                    n,
+                    stage1.iter().map(|scores| scores.bucket_hits).sum(),
+                    stage1.iter().map(|scores| scores.hamming_word_ops).sum(),
+                );
+                Ok::<_, Infallible>(stage1)
+            },
+            |jobs| {
+                Ok(self.lanes(
+                    "index.shard.rerank",
+                    jobs.iter().map(|(k, selected)| (*k, selected)),
+                    &busy,
+                    |shard, selected| shard.serve_part(selected, &probe_prepared),
+                ))
+            },
+        );
 
-        // Stitch the shard score arrays into global arrays and run ONE
-        // global fusion — the same `fuse_select` over the same scores the
-        // unsharded index would see.
-        let mut bucket_hits = 0u64;
-        let mut hamming_word_ops = 0u64;
-        for scores in &stage1 {
-            bucket_hits += scores.bucket_hits;
-            hamming_word_ops += scores.hamming_word_ops;
+        // The shards metered their own passes; only the roll-up is left.
+        self.rollup.record_stage_two(result.candidates().len());
+        for (shard, busy) in self.shards.iter().zip(busy) {
+            let busy = Duration::from_nanos(busy.into_inner());
+            shard.metrics().search_time.record(busy);
         }
-        self.rollup.bucket_hits.add(bucket_hits);
-        self.rollup.bucket_hits_per_search.record(bucket_hits);
-        self.rollup.hamming_ops.add(hamming_word_ops);
-        self.rollup.hamming_per_search.record(hamming_word_ops);
-
-        let (vote_scores, cyl_scores) = stitch_stage_one(&stage1, n);
-        let selected_local = select_per_shard(&vote_scores, &cyl_scores, shortlist, s);
-
-        // Stage 2, one thread per shard: exact scores for the selected
-        // entries, mapped back to global ids and sorted by the final
-        // comparator within each shard.
-        let parts: Vec<(Vec<Candidate>, Duration)> = {
-            let selected_local = &selected_local;
-            self.per_shard_indexed("index.shard.rerank", |k, shard| {
-                let t0 = Instant::now();
-                let mut part = shard.rerank(&selected_local[k], &probe_prepared);
-                // Fold the part chain before globalizing — local ids in
-                // selection order, the same sequence a remote shard folds
-                // when serving the equivalent stage-2 request. Empty
-                // selections fold nothing: remote drivers skip the round
-                // trip entirely, and the chains must match.
-                if !selected_local[k].is_empty() {
-                    shard.fold_part(&part);
-                }
-                globalize_and_sort(&mut part, k, s);
-                (part, t0.elapsed())
-            })
-        };
-
-        // Per-shard metering: each shard served one (partial) search.
-        for (k, shard) in self.shards.iter().enumerate() {
-            let metrics = shard.metrics();
-            let scores = &stage1[k];
-            let (part, rerank_time) = &parts[k];
-            metrics.searches.incr();
-            metrics.bucket_hits.add(scores.bucket_hits);
-            metrics.bucket_hits_per_search.record(scores.bucket_hits);
-            metrics.hamming_ops.add(scores.hamming_word_ops);
-            metrics.hamming_per_search.record(scores.hamming_word_ops);
-            metrics.rerank_comparisons.add(part.len() as u64);
-            metrics
-                .candidates_pruned
-                .add((shard.len() - part.len()) as u64);
-            metrics.shortlist.record(part.len() as u64);
-            metrics.search_time.record(stage1_times[k] + *rerank_time);
-        }
-
-        let sorted_parts: Vec<Vec<Candidate>> = parts.into_iter().map(|(p, _)| p).collect();
-        let candidates = merge_sorted_parts(&sorted_parts);
-
-        self.rollup.rerank_comparisons.add(candidates.len() as u64);
-        self.rollup
-            .candidates_pruned
-            .add((n - candidates.len()) as u64);
-        self.rollup.shortlist.record(candidates.len() as u64);
         self.rollup.search_time.record(start.elapsed());
-        let result = SearchResult::from_parts(candidates, n);
-        self.runfp.record_item(&result);
         result
     }
 
-    /// Runs `f` once per shard, one thread per shard (inline when there is
-    /// only one shard), collecting results in shard order. Worker threads
-    /// adopt the calling span so `name` spans nest under it.
-    fn per_shard<T: Send>(&self, name: &str, f: impl Fn(&CandidateIndex<M>) -> T + Sync) -> Vec<T>
-    where
-        M: Sync,
-    {
-        self.per_shard_indexed(name, |_, shard| f(shard))
-    }
-
-    fn per_shard_indexed<T: Send>(
+    /// Runs `f` once per `(shard, job)`, one thread per job (inline when
+    /// there is at most one), collecting results in job order. Worker
+    /// threads adopt the calling span so `name` spans nest under it; each
+    /// lane's wall time is added to its shard's `busy` slot.
+    fn lanes<J: Send, T: Send>(
         &self,
         name: &str,
-        f: impl Fn(usize, &CandidateIndex<M>) -> T + Sync,
+        jobs: impl Iterator<Item = (usize, J)>,
+        busy: &[AtomicU64],
+        f: impl Fn(&CandidateIndex<M>, J) -> T + Sync,
     ) -> Vec<T>
     where
         M: Sync,
     {
         let telemetry = &self.rollup.telemetry;
-        if self.shards.len() == 1 {
-            let _lane = telemetry.trace_span(name, &[("shard", "0".to_string())]);
-            return vec![f(0, &self.shards[0])];
+        let lane = |(k, job): (usize, J)| {
+            let _lane = telemetry.trace_span(name, &[("shard", k.to_string())]);
+            let t0 = Instant::now();
+            let out = f(&self.shards[k], job);
+            busy[k].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            out
+        };
+        let jobs: Vec<(usize, J)> = jobs.collect();
+        if jobs.len() <= 1 {
+            return jobs.into_iter().map(lane).collect();
         }
-        let ctx = telemetry.trace_ctx();
+        let (ctx, lane) = (&telemetry.trace_ctx(), &lane);
         std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(k, shard)| {
-                    let (ctx, f) = (&ctx, &f);
-                    scope.spawn(move || {
-                        let _adopt = telemetry.in_ctx(ctx);
-                        let _lane = telemetry.trace_span(name, &[("shard", k.to_string())]);
-                        f(k, shard)
-                    })
+            let spawn = |job| {
+                scope.spawn(move || {
+                    let _adopt = telemetry.in_ctx(ctx);
+                    lane(job)
                 })
-                .collect();
+            };
+            let handles: Vec<_> = jobs.into_iter().map(spawn).collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("shard worker panicked"))
@@ -406,14 +359,83 @@ impl<M: fp_match::PreparableMatcher> ShardedIndex<M> {
 }
 
 // ---------------------------------------------------------------------------
-// The shared seam: pure functions between stage 1 and stage 2.
-//
-// These four helpers are the *entire* shard-count-dependent logic of a
-// sharded search. [`ShardedIndex`] runs them over in-process shards and
-// `fp-serve`'s coordinator runs the very same functions over remote shard
-// connections, which is how cross-process results stay byte-identical to
-// in-process ones: the only code that differs between the two is transport.
+// The search spine, and under it its steps: four pure functions, public so
+// a transport or a benchmark can time them one by one.
 // ---------------------------------------------------------------------------
+
+/// The two-stage 1:N search over `shards` round-robin shards holding
+/// `gallery_len` entries in total — the one place the sequence is written:
+/// stage 1 on every shard → stitch → ONE global best-rank fusion at the
+/// `shortlist` budget → deal the selection back to its owning shards →
+/// stage 2 on the shards that got any → globalize + sort each part →
+/// total-order merge → fold the result into `runfp`. [`CandidateIndex`],
+/// [`ShardedIndex`], [`crate::search_backends`] and `fp-serve`'s coordinator
+/// all run it and differ only in the two closures they hand it, which is
+/// how their results stay byte-identical.
+///
+/// Callers supply only *how* to fan out. `stage_one` returns every shard's
+/// [`StageOneScores`] in shard order. `stage_two` receives one `(shard,
+/// local ids)` job per shard with a **non-empty** slice of the selection
+/// and returns one part per job, in job order, ids and order as given.
+/// That is the empty-selection rule, and this function alone owns it: an
+/// empty selection costs no stage-2 call (for a remote shard, no round
+/// trip) and folds nothing into a part chain — every driver's per-shard
+/// chains agree because none of them decides this for itself.
+///
+/// The shards' sizes must be a round-robin deal of `gallery_len`
+/// ([`check_deal`]); boundaries that adopt shard sizes they did not deal
+/// themselves check that first, for a typed error instead of a panic here.
+pub fn search_spine<E>(
+    shards: usize,
+    gallery_len: usize,
+    shortlist: usize,
+    runfp: Option<&RunFingerprint>,
+    stage_one: impl FnOnce() -> Result<Vec<StageOneScores>, E>,
+    stage_two: impl FnOnce(&[(usize, Vec<u32>)]) -> Result<Vec<Vec<Candidate>>, E>,
+) -> Result<SearchResult, E> {
+    let (vote_scores, cyl_scores) = stitch_stage_one(&stage_one()?, gallery_len);
+    let jobs: Vec<(usize, Vec<u32>)> =
+        select_per_shard(&vote_scores, &cyl_scores, shortlist, shards)
+            .into_iter()
+            .enumerate()
+            .filter(|(_, selected)| !selected.is_empty())
+            .collect();
+
+    let mut parts = stage_two(&jobs)?;
+    assert_eq!(parts.len(), jobs.len(), "one stage-2 part per job");
+    for (part, (k, _)) in parts.iter_mut().zip(&jobs) {
+        globalize_and_sort(part, *k, shards);
+    }
+    let result = SearchResult::from_parts(merge_sorted_parts(&parts), gallery_len);
+    if let Some(runfp) = runfp {
+        runfp.record_item(&result);
+    }
+    Ok(result)
+}
+
+/// Checks that `lens` — per-shard gallery sizes, in shard order — are what
+/// dealing their total round-robin produces: shard `k` of `S` over `n`
+/// entries holds exactly `(n + S - 1 - k) / S`. The id mapping
+/// `global = local * S + k` (and with it [`stitch_stage_one`]) is only
+/// defined over such a deal. Returns the total, or a
+/// [`ShardError::Protocol`] naming the first shard that holds the wrong
+/// number.
+pub fn check_deal(lens: &[usize]) -> Result<usize, ShardError> {
+    let s = lens.len();
+    let total: usize = lens.iter().sum();
+    for (shard, &holds) in lens.iter().enumerate() {
+        let dealt = (total + s - 1 - shard) / s;
+        if holds != dealt {
+            return Err(ShardError::Protocol {
+                shard,
+                detail: format!(
+                    "holds {holds} entries, the round-robin deal of {total} over {s} shards gives it {dealt}"
+                ),
+            });
+        }
+    }
+    Ok(total)
+}
 
 /// Stitches per-shard stage-1 score arrays into global score arrays via the
 /// round-robin id mapping `global = local * shards + shard`. `total` is the

@@ -88,7 +88,7 @@ impl CylinderCodes {
     /// `template` (ties broken by minutia order) that produced a valid
     /// cylinder. Every valid cylinder is binarized at its own mean cell
     /// activation. Empty and very sparse templates yield no codes; their
-    /// [`similarity`](Self::similarity) against anything is zero, so the
+    /// [`reference_similarity`](Self::reference_similarity) against anything is zero, so the
     /// shortlist falls back to the bucket-vote channel alone.
     pub fn extract(mcc: &MccMatcher, template: &Template, max_cylinders: usize) -> CylinderCodes {
         let minutiae = template.minutiae();
@@ -135,8 +135,8 @@ impl CylinderCodes {
 
     /// Reassembles codes from their raw packed parts: `ones.len()`
     /// cylinders of `words_per` little-endian words each, cylinder-major.
-    /// Intended for tests, benches and (de)serialization — [`extract`]
-    /// (Self::extract) is the production constructor.
+    /// Intended for tests, benches and (de)serialization —
+    /// [`extract`](Self::extract) is the production constructor.
     ///
     /// Panics unless `words.len() == ones.len() * words_per` and every
     /// `ones[i]` equals the popcount of its cylinder's words — the

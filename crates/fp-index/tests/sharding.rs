@@ -339,3 +339,116 @@ fn backend_driver_matches_sharded_and_unsharded() {
         }
     }
 }
+
+/// The empty-selection rule — a shard whose slice of the selection is empty
+/// gets no stage-2 call and folds nothing into its part chain — is the one
+/// place search drivers could drift apart, so pin it where it bites: three
+/// entries over seven shards (four shards hold nothing) at budgets that
+/// select none, one and all of them. Candidates, the canonical RUNFP chain
+/// and every per-shard part chain must agree between `ShardedIndex` and
+/// standalone backends driven by `search_backends`.
+#[test]
+fn empty_selections_fold_nothing_in_any_driver() {
+    use fp_index::search_backends;
+    use fp_telemetry::RunFingerprint;
+
+    const N: usize = 3;
+    const S: usize = 7;
+    let templates = gallery(313, N);
+    let config = IndexConfig::default();
+
+    let mut unsharded = CandidateIndex::with_config(PairTableMatcher::default(), config);
+    unsharded.enroll_all(&templates);
+    let mut sharded = ShardedIndex::with_config(PairTableMatcher::default(), config, S);
+    sharded.enroll_all(&templates);
+    let mut backends: Vec<CandidateIndex<PairTableMatcher>> = (0..S)
+        .map(|_| CandidateIndex::with_config(PairTableMatcher::default(), config))
+        .collect();
+    for (g, t) in templates.iter().enumerate() {
+        backends[g % S].enroll(t);
+    }
+    // `search_backends` keeps no chain of its own; fold its results here.
+    let via_trait_chain = RunFingerprint::new(config.fingerprint_base(0));
+
+    let mut served = 0;
+    for budget in [0usize, 1, N] {
+        let probe = second_capture(&templates[budget % N], 5_150 + budget as u64);
+        let via_trait = search_backends(&backends, &probe, budget).expect("in-process");
+        let via_sharded = sharded.search_with_budget(&probe, budget);
+        let via_plain = unsharded.search_with_budget(&probe, budget);
+        assert_eq!(via_trait.candidates().len(), budget);
+        assert_eq!(via_trait.candidates(), via_plain.candidates());
+        assert_eq!(via_trait.candidates(), via_sharded.candidates());
+        via_trait_chain.record_item(&via_trait);
+        served += budget as u64;
+    }
+
+    assert_eq!(unsharded.run_fingerprint(), sharded.run_fingerprint());
+    assert_eq!(unsharded.run_fingerprint(), via_trait_chain.snapshot());
+    let standalone: Vec<_> = backends.iter().map(|b| b.part_fingerprint()).collect();
+    assert_eq!(sharded.shard_fingerprints(), standalone);
+    // Only non-empty parts were folded: one per selected entry here (each
+    // occupied shard holds a single entry), none on the four empty shards.
+    assert_eq!(standalone.iter().map(|fp| fp.searches).sum::<u64>(), served);
+    for fp in &standalone[N..] {
+        assert_eq!(fp.searches, 0);
+    }
+}
+
+/// Work is metered by the index that does it, on every route — and an
+/// index whose slice of the selection came back empty (so it never hears
+/// about stage 2) still accounts for its pruned entries and its one
+/// `search.seconds` sample.
+#[test]
+fn every_route_meters_its_work_and_empty_selections_still_settle() {
+    use fp_index::ShardBackend;
+
+    const N: usize = 3;
+    const S: usize = 7;
+    let templates = gallery(414, N);
+    let probe = second_capture(&templates[1], 6_001);
+
+    // The `ShardBackend` route — what a shard process serves.
+    let telemetry = fp_telemetry::Telemetry::enabled();
+    let mut served = CandidateIndex::new(PairTableMatcher::default()).with_telemetry(&telemetry);
+    served.enroll_all(&templates);
+    served.stage_one(&probe).unwrap();
+    served.stage_two(&probe, &[2]).unwrap();
+    // The top-level route, selecting nothing.
+    served.search_with_budget(&probe, 0);
+    let snap = telemetry.snapshot();
+    assert_eq!(snap.counters["index.searches"], 2);
+    assert_eq!(snap.counters["index.search.rerank_comparisons"], 1);
+    assert_eq!(
+        snap.counters["index.search.candidates_pruned"],
+        (N - 1 + N) as u64
+    );
+    assert!(snap.counters["index.search.hamming_ops"] > 0);
+    assert_eq!(snap.durations["index.search.seconds"].count, 1);
+
+    // Sharded lanes: one entry selected, so six of seven shards sit stage
+    // 2 out — four of them hold nothing at all.
+    let telemetry = fp_telemetry::Telemetry::enabled();
+    let mut sharded = ShardedIndex::new(PairTableMatcher::default(), S).with_telemetry(&telemetry);
+    sharded.enroll_all(&templates);
+    assert_eq!(sharded.search_with_budget(&probe, 1).candidates().len(), 1);
+    let snap = telemetry.snapshot();
+    let per_shard = |key: &str| -> u64 {
+        (0..S)
+            .map(|k| snap.counters[&format!("index.shard{k}.search.{key}")])
+            .sum()
+    };
+    assert_eq!(
+        snap.counters["index.search.candidates_pruned"],
+        (N - 1) as u64
+    );
+    assert_eq!(per_shard("candidates_pruned"), (N - 1) as u64);
+    assert_eq!(per_shard("rerank_comparisons"), 1);
+    for k in 0..S {
+        assert_eq!(snap.counters[&format!("index.shard{k}.searches")], 1);
+        assert_eq!(
+            snap.durations[&format!("index.shard{k}.search.seconds")].count,
+            1
+        );
+    }
+}

@@ -1,11 +1,10 @@
 //! The coordinator: `ShardedIndex` semantics over TCP shards.
 //!
 //! [`Coordinator`] mirrors [`fp_index::ShardedIndex`] exactly — round-robin
-//! enrollment, pipelined stage-1 across shards, **one** global best-rank
-//! fusion, pipelined per-shard exact re-rank, total-order merge — but each
-//! shard is a [`RemoteShard`] connection instead of an in-process
-//! [`fp_index::CandidateIndex`]. The fusion and merge steps call the very
-//! same pure helpers in `fp_index::shard`, so a remote search is
+//! enrollment and the same [`fp_index::search_spine`] — but each shard is a
+//! [`RemoteShard`] connection instead of an in-process
+//! [`fp_index::CandidateIndex`], and the spine's two fan-outs are pipelined
+//! RPC rounds instead of thread lanes. A remote search is therefore
 //! byte-identical to the in-process sharded search, which is itself
 //! byte-identical to the unsharded index (`study check-serve` audits the
 //! whole chain).
@@ -33,14 +32,15 @@
 //! candidate list would silently shift rank-1 / FNIR numbers, which is
 //! strictly worse than a loud error.
 
+use std::cell::RefCell;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use fp_core::template::Template;
-use fp_index::shard::{globalize_and_sort, merge_sorted_parts, select_per_shard, stitch_stage_one};
-use fp_index::{IndexConfig, SearchResult, ShardBackend, ShardError, StageOneScores};
+use fp_index::shard::check_deal;
+use fp_index::{search_spine, IndexConfig, SearchResult, ShardBackend, ShardError, StageOneScores};
 use fp_telemetry::{
     DetachedSpan, FingerprintChain, FingerprintSnapshot, HistogramSnapshot, RunFingerprint,
     SpanRecord, Telemetry, TraceSnapshot,
@@ -223,6 +223,7 @@ impl RemoteShard {
                     }
                     last_io = detail;
                 }
+                Err(CallError::Shed(detail)) => last_io = format!("shed by shard: {detail}"),
                 Err(CallError::Fatal(e)) => return Err(e),
             }
         }
@@ -312,10 +313,7 @@ impl RemoteShard {
         if let Frame::Error { code: c, detail } = response {
             if c == code::OVERLOADED {
                 self.metrics.shed.incr();
-                return Err(CallError::Transport(
-                    format!("shed by shard: {detail}"),
-                    false,
-                ));
+                return Err(CallError::Shed(detail));
             }
             let name = match c {
                 code::CONFIG_MISMATCH => "config mismatch",
@@ -575,9 +573,11 @@ pub(crate) struct PendingRpc {
 }
 
 pub(crate) enum CallError {
-    /// Retryable failure (detail, was-a-timeout): transport trouble or a
-    /// typed `OVERLOADED` shed.
+    /// Retryable transport trouble (detail, was-a-timeout).
     Transport(String, bool),
+    /// Retryable: the shard shed the request with a typed `OVERLOADED`
+    /// frame (its detail).
+    Shed(String),
     /// Non-retryable: protocol violation or any other typed error frame.
     Fatal(ShardError),
 }
@@ -607,6 +607,15 @@ impl ShardBackend for RemoteShard {
         })?;
         self.validate_stage_two(selected_local, response)
     }
+}
+
+/// The total gallery size behind `shards`' cached lengths, which must be a
+/// round-robin deal — the id mapping every search stitches by is undefined
+/// otherwise (two `serve-shard --gallery-dir` processes opened on unrelated
+/// stores, say).
+fn dealt_len(shards: &[RemoteShard]) -> Result<usize, ShardError> {
+    let lens: Vec<usize> = shards.iter().map(|shard| shard.shard_len()).collect();
+    check_deal(&lens)
 }
 
 /// Nanoseconds elapsed since `start`, saturating.
@@ -659,10 +668,10 @@ impl Coordinator {
                     .with_fingerprint_base(config.fingerprint_base(0))
             })
             .collect();
-        let mut enrolled = 0;
         for shard in &shards {
-            enrolled += shard.health()?;
+            shard.health()?;
         }
+        let enrolled = dealt_len(&shards)?;
         Ok(Coordinator {
             shards,
             runfp: RunFingerprint::new(config.fingerprint_base(0)),
@@ -793,7 +802,8 @@ impl Coordinator {
         for result in results {
             result?;
         }
-        self.enrolled += templates.len();
+        // The enroll acks refreshed every shard's cached length.
+        self.enrolled = dealt_len(&self.shards)?;
         Ok(())
     }
 
@@ -802,12 +812,10 @@ impl Coordinator {
         self.search_with_budget(probe, self.config.shortlist)
     }
 
-    /// Searches with an explicit **total** shortlist budget. Structurally
-    /// the same sequence as [`fp_index::ShardedIndex::search_with_budget`]:
-    /// stage-1 on every shard, one global fusion (local), stage-2 on every
-    /// shard, total-order merge — only the transport differs, and the
-    /// per-shard RPCs are pipelined (all requests written before any
-    /// response is awaited) rather than fanned out on threads.
+    /// Searches with an explicit **total** shortlist budget:
+    /// [`search_spine`] with each fan-out one pipelined RPC round — only
+    /// the transport differs from
+    /// [`fp_index::ShardedIndex::search_with_budget`].
     pub fn search_with_budget(
         &self,
         probe: &Template,
@@ -826,117 +834,115 @@ impl Coordinator {
         );
         // Per-shard observations of this one search — becomes a slow-log
         // exemplar iff the search ends up over the threshold.
-        let mut breakdown: Vec<ShardBreakdown> = (0..s)
-            .map(|k| ShardBreakdown {
-                shard: k,
-                ..ShardBreakdown::default()
-            })
-            .collect();
-        let absorb = |b: &mut ShardBreakdown, o: &RpcObservation| {
-            b.bytes_tx += o.bytes_tx;
-            b.bytes_rx += o.bytes_rx;
-            if let Some(t) = o.timing {
-                b.queue_wait_ns += t.queue_wait_ns;
-                b.work_ns += t.work_ns;
-            }
-        };
-
-        // Stage 1, pipelined: every shard has the request on the wire
-        // before the first response is awaited, so shards compute
-        // concurrently. A shard whose pipelined exchange hits a retryable
-        // failure falls back to the full retrying `call` path.
-        let pending: Vec<Result<PendingRpc, CallError>> = self
-            .shards
-            .iter()
-            .map(|shard| {
-                shard.begin_rpc(&Frame::StageOne {
-                    probe: probe.clone(),
-                    trace: None,
+        let breakdown = RefCell::new(
+            (0..s)
+                .map(|k| ShardBreakdown {
+                    shard: k,
+                    ..ShardBreakdown::default()
                 })
-            })
-            .collect();
-        let mut stage1 = Vec::with_capacity(s);
-        for (shard, begun) in self.shards.iter().zip(pending) {
-            let k = shard.shard_index();
-            let scores = match begun.and_then(|p| shard.finish_rpc(p, "stage1")) {
-                Ok((response, observation)) => {
-                    breakdown[k].stage1_ns = observation.elapsed_ns;
-                    absorb(&mut breakdown[k], &observation);
-                    shard.validate_stage_one(response)?
-                }
-                Err(CallError::Fatal(e)) => return Err(e),
-                Err(CallError::Transport(detail, _)) => {
-                    breakdown[k].retried = true;
-                    breakdown[k].shed |= detail.starts_with("shed by shard");
-                    let retry_start = Instant::now();
-                    let scores = shard.stage_one(probe)?;
-                    breakdown[k].stage1_ns = elapsed_ns(retry_start);
-                    scores
-                }
-            };
-            stage1.push(scores);
-        }
+                .collect::<Vec<_>>(),
+        );
 
-        // ONE global fusion over the stitched score arrays — same helpers,
-        // same bytes as the in-process sharded index.
-        let (vote_scores, cyl_scores) = stitch_stage_one(&stage1, n);
-        let selected_local = select_per_shard(&vote_scores, &cyl_scores, shortlist, s);
+        let result = search_spine(
+            s,
+            n,
+            shortlist,
+            Some(&self.runfp),
+            || {
+                let requests = (0..s).map(|k| {
+                    let request = Frame::StageOne {
+                        probe: probe.clone(),
+                        trace: None,
+                    };
+                    (k, request)
+                });
+                self.pipelined_round(
+                    requests.collect(),
+                    &breakdown,
+                    |b| &mut b.stage1_ns,
+                    |job, response| self.shards[job].validate_stage_one(response),
+                )
+            },
+            |jobs| {
+                let requests = jobs.iter().map(|(k, selected)| {
+                    let request = Frame::Rerank {
+                        probe: probe.clone(),
+                        selected: selected.clone(),
+                        trace: None,
+                    };
+                    (*k, request)
+                });
+                self.pipelined_round(
+                    requests.collect(),
+                    &breakdown,
+                    |b| &mut b.rerank_ns,
+                    |job, response| {
+                        let (k, selected) = &jobs[job];
+                        self.shards[*k].validate_stage_two(selected, response)
+                    },
+                )
+            },
+        )?;
 
-        // Stage 2, pipelined the same way: exact re-rank of each shard's
-        // slice. Empty slices skip the round trip entirely.
-        let pending: Vec<Option<Result<PendingRpc, CallError>>> = self
-            .shards
-            .iter()
-            .map(|shard| {
-                let k = shard.shard_index();
-                if selected_local[k].is_empty() {
-                    return None;
-                }
-                Some(shard.begin_rpc(&Frame::Rerank {
-                    probe: probe.clone(),
-                    selected: selected_local[k].clone(),
-                    trace: None,
-                }))
-            })
-            .collect();
-        let mut parts = Vec::with_capacity(s);
-        for (shard, begun) in self.shards.iter().zip(pending) {
-            let k = shard.shard_index();
-            let mut part = match begun {
-                None => Vec::new(),
-                Some(begun) => match begun.and_then(|p| shard.finish_rpc(p, "rerank")) {
-                    Ok((response, observation)) => {
-                        breakdown[k].rerank_ns = observation.elapsed_ns;
-                        absorb(&mut breakdown[k], &observation);
-                        shard.validate_stage_two(&selected_local[k], response)?
-                    }
-                    Err(CallError::Fatal(e)) => return Err(e),
-                    Err(CallError::Transport(detail, _)) => {
-                        breakdown[k].retried = true;
-                        breakdown[k].shed |= detail.starts_with("shed by shard");
-                        let retry_start = Instant::now();
-                        let part = shard.stage_two(probe, &selected_local[k])?;
-                        breakdown[k].rerank_ns = elapsed_ns(retry_start);
-                        part
-                    }
-                },
-            };
-            globalize_and_sort(&mut part, k, s);
-            parts.push(part);
-        }
-
-        let result = SearchResult::from_parts(merge_sorted_parts(&parts), n);
-        self.runfp.record_item(&result);
         let done = self.searches.fetch_add(1, Ordering::Relaxed) + 1;
         // Offer the slow log before any periodic fingerprint round trips
         // so those RPCs never pollute the end-to-end latency.
         if let Some(slowlog) = &self.slowlog {
-            slowlog.observe(done, elapsed_ns(search_start), breakdown);
+            slowlog.observe(done, elapsed_ns(search_start), breakdown.into_inner());
         }
         if self.fingerprint_every > 0 && done.is_multiple_of(self.fingerprint_every) {
             self.verify_fingerprints()?;
         }
         Ok(result)
+    }
+
+    /// One pipelined round of a search: `requests[job]` goes on the wire to
+    /// its shard for **every** job before the first response is awaited, so
+    /// the shards compute concurrently. Each response is checked by
+    /// `validate(job, response)` as it arrives; results come back in job
+    /// order. A shard whose pipelined exchange hits a retryable failure
+    /// falls back to the full retrying [`RemoteShard::call`] path. What
+    /// each exchange observed is absorbed into the shard's `breakdown`
+    /// entry, its round-trip time into the field `stage_ns` picks.
+    fn pipelined_round<T>(
+        &self,
+        requests: Vec<(usize, Frame)>,
+        breakdown: &RefCell<Vec<ShardBreakdown>>,
+        stage_ns: impl Fn(&mut ShardBreakdown) -> &mut u64,
+        validate: impl Fn(usize, Frame) -> Result<T, ShardError>,
+    ) -> Result<Vec<T>, ShardError> {
+        let pending: Vec<Result<PendingRpc, CallError>> = requests
+            .iter()
+            .map(|(k, request)| self.shards[*k].begin_rpc(request))
+            .collect();
+        let mut breakdown = breakdown.borrow_mut();
+        let mut results = Vec::with_capacity(requests.len());
+        for (job, ((k, request), begun)) in requests.iter().zip(pending).enumerate() {
+            let (shard, b) = (&self.shards[*k], &mut breakdown[*k]);
+            let response = match begun.and_then(|p| shard.finish_rpc(p, request.kind())) {
+                Ok((response, observation)) => {
+                    *stage_ns(b) = observation.elapsed_ns;
+                    b.bytes_tx += observation.bytes_tx;
+                    b.bytes_rx += observation.bytes_rx;
+                    if let Some(t) = observation.timing {
+                        b.queue_wait_ns += t.queue_wait_ns;
+                        b.work_ns += t.work_ns;
+                    }
+                    response
+                }
+                Err(CallError::Fatal(e)) => return Err(e),
+                Err(retryable) => {
+                    b.retried = true;
+                    b.shed |= matches!(retryable, CallError::Shed(_));
+                    let retry_start = Instant::now();
+                    let response = shard.call(request)?;
+                    *stage_ns(b) = elapsed_ns(retry_start);
+                    response
+                }
+            };
+            results.push(validate(job, response)?);
+        }
+        Ok(results)
     }
 
     /// The canonical run fingerprint over every search served so far —

@@ -20,7 +20,7 @@
 //! # Failure semantics
 //!
 //! A transport or framing error poisons the connection: every in-flight
-//! caller fails loudly, and the next [`begin`] reconnects under a bumped
+//! caller fails loudly, and the next [`MuxConn::begin`] reconnects under a bumped
 //! *generation* so stale reads from the dead socket can never be delivered
 //! as fresh responses. A response whose id matches no in-flight request is
 //! a protocol violation (the peer invented or duplicated an id) and also

@@ -11,7 +11,7 @@
 //!
 //! An explicit nanosecond threshold can be configured; the default is the
 //! **running p99** of the end-to-end latencies observed so far, read from
-//! the same [`HistogramSnapshot`] machinery the rest of the harness uses.
+//! the same [`fp_telemetry::HistogramSnapshot`] machinery the rest of the harness uses.
 //! The first [`SlowLog::WARMUP`] searches never emit (a p99 estimated from
 //! a handful of samples is the sample max — see `fp_telemetry::hist` — so
 //! every early search would "exceed" it); after warm-up a search is an

@@ -18,7 +18,7 @@ use fp_core::template::Template;
 use fp_index::{CandidateIndex, IndexConfig, ShardError, ShardedIndex};
 use fp_match::PairTableMatcher;
 use fp_serve::server::ServerHandle;
-use fp_serve::{wire, Coordinator, Frame, MuxConn, RetryPolicy, ShardServer};
+use fp_serve::{wire, Coordinator, Frame, MuxConn, RemoteShard, RetryPolicy, ShardServer};
 use fp_telemetry::Telemetry;
 use rand::Rng;
 
@@ -302,6 +302,53 @@ fn hostile_enroll_config_is_a_typed_error_and_the_shard_survives() {
 
 /// A connection refused outright (no listener) exhausts the retry budget
 /// and reports Unavailable; the whole dance stays bounded in time.
+/// Two shards whose galleries are not a round-robin deal of one gallery —
+/// two `serve-shard --gallery-dir` processes opened on unrelated stores,
+/// say — have no global id mapping to stitch by. The coordinator must say
+/// so with a typed error naming the first offending shard, not index out
+/// of bounds on the first search; the shards themselves are fine and keep
+/// answering.
+#[test]
+fn mis_dealt_shards_are_a_typed_error() {
+    let templates = gallery(31, 8);
+    let mut handles = Vec::new();
+    let mut addrs = Vec::new();
+    for slice in [&templates[..3], &templates[3..]] {
+        let mut index = CandidateIndex::new(PairTableMatcher::default());
+        index.enroll_all(slice);
+        let server = ShardServer::bind(PairTableMatcher::default(), "127.0.0.1:0")
+            .unwrap()
+            .with_index(index);
+        addrs.push(server.local_addr().unwrap());
+        handles.push(server.spawn());
+    }
+
+    let probe = second_capture(&templates[0], 5);
+    let outcome = Coordinator::connect(
+        &addrs,
+        IndexConfig::default(),
+        Duration::from_secs(5),
+        fast_retry(),
+    )
+    .and_then(|remote| remote.search(&probe));
+    match outcome {
+        Err(ShardError::Protocol { shard, detail }) => {
+            assert_eq!(shard, 0, "3 + 5 over two shards: shard 0 is one short");
+            assert!(detail.contains("round-robin"), "detail: {detail}");
+        }
+        Err(other) => panic!("expected a protocol error, got {other}"),
+        Ok(_) => panic!("a mis-dealt topology must not serve searches"),
+    }
+
+    for (k, (&addr, len)) in addrs.iter().zip([3, 5]).enumerate() {
+        let shard = RemoteShard::new(addr, k, Duration::from_secs(5), fast_retry());
+        assert_eq!(shard.health().unwrap(), len);
+    }
+    for handle in handles {
+        handle.join();
+    }
+}
+
 #[test]
 fn unreachable_shard_reports_unavailable() {
     // Bind-then-drop to get a port with no listener.
@@ -545,6 +592,15 @@ fn stats_scrape_merges_remote_instruments() {
             .copied(),
         Some(1.0)
     );
+    // The shard metered the search it served: a scrape can answer "is
+    // this shard doing its share".
+    assert_eq!(snapshot.gauges["shard0.remote.index.searches"], 1.0);
+    for work in ["hamming_ops", "bucket_hits", "rerank_comparisons"] {
+        assert!(
+            snapshot.gauges[&format!("shard0.remote.index.search.{work}")] > 0.0,
+            "shard reported no {work}"
+        );
+    }
     // Re-scraping is idempotent: gauges overwrite, never accumulate.
     remote.scrape_stats().unwrap();
     let again = telemetry.snapshot();
@@ -555,6 +611,79 @@ fn stats_scrape_merges_remote_instruments() {
 
     remote.shutdown_all().unwrap();
     handle.join();
+}
+
+/// Each shard process meters exactly its share: over two shards the
+/// scraped per-shard work counters sum to the roll-up of an in-process
+/// `ShardedIndex` serving the same probes, and every shard saw every
+/// search.
+#[test]
+fn remote_shard_work_sums_to_the_in_process_rollup() {
+    const S: usize = 2;
+    let templates = gallery(56, 12);
+    let mut handles = Vec::new();
+    let mut addrs = Vec::new();
+    for _ in 0..S {
+        let server = ShardServer::bind(PairTableMatcher::default(), "127.0.0.1:0")
+            .unwrap()
+            .with_telemetry(&Telemetry::enabled());
+        addrs.push(server.local_addr().unwrap());
+        handles.push(server.spawn());
+    }
+    let telemetry = Telemetry::enabled();
+    let mut remote = Coordinator::connect(
+        &addrs,
+        IndexConfig::default(),
+        Duration::from_secs(5),
+        fast_retry(),
+    )
+    .unwrap()
+    .with_telemetry(&telemetry);
+    remote.enroll_all(&templates).unwrap();
+
+    let local_telemetry = Telemetry::enabled();
+    let mut sharded =
+        ShardedIndex::new(PairTableMatcher::default(), S).with_telemetry(&local_telemetry);
+    sharded.enroll_all(&templates);
+
+    // Budget 1 leaves one shard without a re-rank request per search.
+    let probes = [(0usize, 1usize), (5, 4), (7, 12)];
+    for (pick, budget) in probes {
+        let probe = second_capture(&templates[pick], 560 + pick as u64);
+        let over_wire = remote.search_with_budget(&probe, budget).unwrap();
+        let local = sharded.search_with_budget(&probe, budget);
+        assert_eq!(over_wire.candidates(), local.candidates());
+    }
+
+    remote.scrape_stats().unwrap();
+    let scraped = telemetry.snapshot().gauges;
+    let rollup = local_telemetry.snapshot().counters;
+    for work in [
+        "hamming_ops",
+        "bucket_hits",
+        "rerank_comparisons",
+        "candidates_pruned",
+    ] {
+        let remote_sum: f64 = (0..S)
+            .map(|k| scraped[&format!("shard{k}.remote.index.search.{work}")])
+            .sum();
+        assert_eq!(
+            remote_sum,
+            rollup[&format!("index.search.{work}")] as f64,
+            "{work}"
+        );
+    }
+    for k in 0..S {
+        assert_eq!(
+            scraped[&format!("shard{k}.remote.index.searches")],
+            probes.len() as f64
+        );
+    }
+
+    remote.shutdown_all().unwrap();
+    for handle in handles {
+        handle.join();
+    }
 }
 
 /// Wire-level shutdown stops the server's accept loop (run() returns), so

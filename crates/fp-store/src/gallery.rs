@@ -28,7 +28,7 @@
 //! defers the TABLES section — by far the largest — entirely. Stage 1
 //! never touches prepared tables; stage 2 demand-loads each shortlisted
 //! entry's table record by offset (from SPANS) with a per-record CRC
-//! check. The shared [`decode_table_record`] guarantees a demand-loaded
+//! check. The shared `decode_table_record` guarantees a demand-loaded
 //! table is bit-identical to the eagerly decoded one, so search results
 //! (and the RUNFP chain) are unchanged; `check_segment` validates every
 //! per-record CRC up front, so a segment that passes fsck can only fail a
@@ -44,7 +44,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use fp_core::codec::crc32;
-use fp_index::{CandidateIndex, CodeArena, IndexConfig, ShardedIndex, TableLoader};
+use fp_index::{
+    CandidateIndex, CodeArena, FlatBuckets, IndexConfig, ShardedIndex, StoredTables, TableLoader,
+};
 use fp_match::{PairTableMatcher, PreparedPairTable};
 use fp_telemetry::{Counter, DurationHistogram, Telemetry};
 use serde::Serialize;
@@ -157,6 +159,31 @@ impl GalleryInspect {
     }
 }
 
+/// The one seam every open path crosses into `fp-index`: validates the raw
+/// arena parts and the stored config, then hands everything to
+/// [`CandidateIndex::from_store_parts`].
+fn assemble_index(
+    config: IndexConfig,
+    pair_counts: Vec<u32>,
+    tables: StoredTables<PreparedPairTable>,
+    words: Vec<u64>,
+    ones: Vec<u32>,
+    spans: &[(u32, u32)],
+    buckets: FlatBuckets,
+) -> Result<CandidateIndex<PairTableMatcher>, StoreError> {
+    let arena = CodeArena::from_raw_parts(words, ones, spans)
+        .map_err(|detail| corrupt("segment", detail))?;
+    CandidateIndex::from_store_parts(
+        PairTableMatcher::default(),
+        config,
+        pair_counts,
+        tables,
+        arena,
+        buckets,
+    )
+    .map_err(|err| corrupt("segment", format!("stored config invalid: {err}")))
+}
+
 /// A persistent on-disk gallery: immutable segments + tombstone manifest.
 #[derive(Debug)]
 pub struct GalleryStore {
@@ -170,7 +197,8 @@ pub struct GalleryStore {
 /// survivors would have produced.
 struct LoadedGallery {
     config: IndexConfig,
-    entries: Vec<(PreparedPairTable, u32)>,
+    tables: Vec<PreparedPairTable>,
+    pair_counts: Vec<u32>,
     words: Vec<u64>,
     ones: Vec<u32>,
     spans: Vec<(u32, u32)>,
@@ -349,7 +377,8 @@ impl GalleryStore {
     /// order with dense ids.
     fn load(&self) -> Result<LoadedGallery, StoreError> {
         let mut config: Option<IndexConfig> = None;
-        let mut entries = Vec::new();
+        let mut tables = Vec::new();
+        let mut pair_counts = Vec::new();
         let mut words = Vec::new();
         let mut ones = Vec::new();
         let mut spans = Vec::new();
@@ -396,7 +425,8 @@ impl GalleryStore {
                     &decoded.ones[entry.ones_off..entry.ones_off + entry.cylinders as usize],
                 );
                 spans.push((entry.cylinders, entry.words_per));
-                entries.push((entry.table.clone(), entry.pair_count));
+                tables.push(entry.table.clone());
+                pair_counts.push(entry.pair_count);
             }
             // Segments are processed in live order and ids assigned in the
             // same order, so appending each bucket's surviving remapped
@@ -412,7 +442,8 @@ impl GalleryStore {
 
         Ok(LoadedGallery {
             config: config.unwrap_or_default(),
-            entries,
+            tables,
+            pair_counts,
             words,
             ones,
             spans,
@@ -454,18 +485,16 @@ impl GalleryStore {
             }
         }
         let loaded = self.load()?;
-        let (segments_read, bytes_read) = (loaded.segments_read, loaded.bytes_read);
-        let arena = CodeArena::from_raw_parts(loaded.words, loaded.ones, &loaded.spans)
-            .map_err(|detail| corrupt("segment", detail))?;
-        let index = CandidateIndex::from_store_parts(
-            PairTableMatcher::default(),
+        let index = assemble_index(
             loaded.config,
-            loaded.entries,
-            arena,
-            loaded.buckets,
-        )
-        .map_err(|err| corrupt("segment", format!("stored config invalid: {err}")))?;
-        self.record_load(segments_read, bytes_read, start);
+            loaded.pair_counts,
+            StoredTables::Ready(loaded.tables),
+            loaded.words,
+            loaded.ones,
+            &loaded.spans,
+            FlatBuckets::from_sorted_parts(loaded.buckets),
+        )?;
+        self.record_load(loaded.segments_read, loaded.bytes_read, start);
         Ok(index)
     }
 
@@ -541,8 +570,6 @@ impl GalleryStore {
 
         let code_spans: Vec<(u32, u32)> =
             spans.iter().map(|s| (s.cylinders, s.words_per)).collect();
-        let arena = CodeArena::from_raw_parts(words, ones, &code_spans)
-            .map_err(|detail| corrupt("segment", detail))?;
         let pair_counts: Vec<u32> = spans.iter().map(|s| s.pair_count).collect();
 
         // (record offset, record length, stored CRC) per entry, offsets
@@ -597,15 +624,15 @@ impl GalleryStore {
             })
         });
 
-        let index = CandidateIndex::from_store_parts_lazy(
-            PairTableMatcher::default(),
+        let index = assemble_index(
             config,
             pair_counts,
-            loader,
-            arena,
+            StoredTables::Lazy(loader),
+            words,
+            ones,
+            &code_spans,
             buckets,
-        )
-        .map_err(|err| corrupt("segment", format!("stored config invalid: {err}")))?;
+        )?;
         Ok((index, bytes_read))
     }
 
@@ -629,26 +656,21 @@ impl GalleryStore {
         let loaded = self.load()?;
         let (segments_read, bytes_read) = (loaded.segments_read, loaded.bytes_read);
 
+        #[derive(Default)]
         struct ShardParts {
-            entries: Vec<(PreparedPairTable, u32)>,
+            tables: Vec<PreparedPairTable>,
+            pair_counts: Vec<u32>,
             words: Vec<u64>,
             ones: Vec<u32>,
             spans: Vec<(u32, u32)>,
             buckets: Vec<(u64, Vec<u32>)>,
         }
-        let mut parts: Vec<ShardParts> = (0..shard_count)
-            .map(|_| ShardParts {
-                entries: Vec::new(),
-                words: Vec::new(),
-                ones: Vec::new(),
-                spans: Vec::new(),
-                buckets: Vec::new(),
-            })
-            .collect();
+        let mut parts: Vec<ShardParts> = (0..shard_count).map(|_| ShardParts::default()).collect();
 
         let mut word_off = 0usize;
         let mut ones_off = 0usize;
-        for (global, (entry, span)) in loaded.entries.into_iter().zip(&loaded.spans).enumerate() {
+        let entries = loaded.tables.into_iter().zip(loaded.pair_counts);
+        for (global, ((table, pair_count), span)) in entries.zip(&loaded.spans).enumerate() {
             let shard = &mut parts[global % shard_count];
             let (cylinders, words_per) = *span;
             let word_len = cylinders as usize * words_per as usize;
@@ -659,7 +681,8 @@ impl GalleryStore {
                 .ones
                 .extend_from_slice(&loaded.ones[ones_off..ones_off + cylinders as usize]);
             shard.spans.push(*span);
-            shard.entries.push(entry);
+            shard.tables.push(table);
+            shard.pair_counts.push(pair_count);
             word_off += word_len;
             ones_off += cylinders as usize;
         }
@@ -679,16 +702,15 @@ impl GalleryStore {
         let shards = parts
             .into_iter()
             .map(|p| {
-                let arena = CodeArena::from_raw_parts(p.words, p.ones, &p.spans)
-                    .map_err(|detail| corrupt("segment", detail))?;
-                CandidateIndex::from_store_parts(
-                    PairTableMatcher::default(),
+                assemble_index(
                     loaded.config,
-                    p.entries,
-                    arena,
-                    p.buckets,
+                    p.pair_counts,
+                    StoredTables::Ready(p.tables),
+                    p.words,
+                    p.ones,
+                    &p.spans,
+                    FlatBuckets::from_sorted_parts(p.buckets),
                 )
-                .map_err(|err| corrupt("segment", format!("stored config invalid: {err}")))
             })
             .collect::<Result<Vec<_>, StoreError>>()?;
         self.record_load(segments_read, bytes_read, start);
@@ -725,7 +747,7 @@ impl GalleryStore {
         // remapped bucket ids — no template re-preparation anywhere.
         let loaded = self.load()?;
         let old_seqs: Vec<u32> = self.manifest.segments.iter().map(|s| s.seq).collect();
-        let survivors = loaded.entries.len();
+        let survivors = loaded.tables.len();
         let new_seq = self.manifest.next_seq;
         let mut bytes_after = 0u64;
 
@@ -733,8 +755,11 @@ impl GalleryStore {
             let mut entries = Vec::with_capacity(survivors);
             let mut word_off = 0usize;
             let mut ones_off = 0usize;
-            for ((table, pair_count), (cylinders, words_per)) in
-                loaded.entries.iter().zip(&loaded.spans)
+            for ((table, pair_count), (cylinders, words_per)) in loaded
+                .tables
+                .iter()
+                .zip(&loaded.pair_counts)
+                .zip(&loaded.spans)
             {
                 let word_len = *cylinders as usize * *words_per as usize;
                 entries.push(EntrySource {

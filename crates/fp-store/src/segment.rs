@@ -592,12 +592,7 @@ pub(crate) fn decode_segment(bytes: &[u8]) -> Result<DecodedSegment, StoreError>
     let (words, ones) = decode_arena(payload(3), &spans)?;
 
     let flat = decode_buckets_flat(payload(4), entry_count)?;
-    let buckets = flat
-        .keys
-        .iter()
-        .enumerate()
-        .map(|(k, &key)| (key, flat.ids[flat.offsets[k]..flat.offsets[k + 1]].to_vec()))
-        .collect();
+    let buckets = flat.iter().map(|(key, ids)| (key, ids.to_vec())).collect();
 
     Ok(DecodedSegment {
         config,

@@ -228,7 +228,10 @@ fn print_metrics_help() {
     println!("    index.enrolled/searches/hamming_ops/bucket_hits  1:N index work");
     println!("      (hamming_ops counts packed-u64 word comparisons, not entries;");
     println!("       sharded runs add per-shard index.shard<k>.* labels whose work");
-    println!("       counters sum to the index.* roll-up)");
+    println!("       counters sum to the index.* roll-up; a serve-shard process");
+    println!("       meters the index.search.* work of the stage-1/stage-2 calls");
+    println!("       it serves, and a coordinator's STATS scrape merges them in");
+    println!("       as shard<k>.remote.index.* gauges)");
     println!();
     println!("  work-size histograms (deterministic)");
     println!("    synth.minutiae_per_master         master template sizes");
@@ -397,8 +400,9 @@ fn check_scaling(telemetry: &Telemetry, path: &str) -> ExitCode {
 /// Gates an `ext-scaling --remote-shards --json` results file: the
 /// cross-process rung must have run, every audited probe must show full
 /// candidate-list parity with BOTH the unsharded index and the in-process
-/// sharded index, recall must equal the top unsharded rung exactly, and the
-/// `serve.*` transport counters must show real wire traffic.
+/// sharded index, recall must equal the top unsharded rung exactly, the
+/// `serve.*` transport counters must show real wire traffic, and every
+/// shard's scraped `shard<k>.remote.index.searches` gauge must be non-zero.
 fn check_serve(telemetry: &Telemetry, path: &str) -> ExitCode {
     let payload: serde_json::Value = match std::fs::read_to_string(path)
         .map_err(|e| e.to_string())
@@ -482,6 +486,22 @@ fn check_serve(telemetry: &Telemetry, path: &str) -> ExitCode {
                 &[("counter", key.to_string())],
             );
             ok = false;
+        }
+    }
+    // Every shard must report the searches it served: a shard whose own
+    // `index.searches` reads zero is either idle or not metering its work.
+    let gauges = &payload["telemetry"]["gauges"];
+    for row in remote_rows {
+        for k in 0..row["shards"].as_u64().unwrap_or(0) {
+            let key = format!("shard{k}.remote.index.searches");
+            if gauges[key.as_str()].as_f64().unwrap_or(0.0) <= 0.0 {
+                telemetry.event_with(
+                    Level::Error,
+                    "shard reports no served searches",
+                    &[("gauge", key)],
+                );
+                ok = false;
+            }
         }
     }
     if ok {

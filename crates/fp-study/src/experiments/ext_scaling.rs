@@ -661,6 +661,11 @@ fn remote_rung(
     remote
         .verify_fingerprints()
         .map_err(|e| format!("fingerprint verification: {e}"))?;
+    // Each shard's own `index.*` instruments, as `shard<k>.remote.*`
+    // gauges: `check-serve` reads them to see every shard did its share.
+    remote
+        .scrape_stats()
+        .map_err(|e| format!("stats scrape: {e}"))?;
 
     let audits = probes.min(MAX_AUDITS);
     let audit_stride = probes / audits;

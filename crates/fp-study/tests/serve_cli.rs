@@ -250,6 +250,22 @@ fn ext_scaling_remote_rung_passes_check_serve_gate() {
     );
     assert!(String::from_utf8_lossy(&out.stderr).contains("--remote-shards"));
 
+    // ...and fails when a shard's own search counter reads zero: a shard
+    // that served the rung must have metered it.
+    let mut idle: serde_json::Value = serde_json::from_str(&raw).expect("valid json");
+    *field_mut(
+        field_mut(field_mut(&mut idle, "telemetry"), "gauges"),
+        "shard1.remote.index.searches",
+    ) = serde_json::json!(0.0);
+    let idle_path = dir.join("idle.json");
+    std::fs::write(&idle_path, idle.to_string()).expect("fixture written");
+    let out = Command::new(study_exe())
+        .args(["check-serve", idle_path.to_str().expect("utf-8 path")])
+        .output()
+        .expect("binary runs");
+    assert!(!out.status.success(), "an idle shard must fail the gate");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("shard1.remote.index.searches"));
+
     // The remote rung reports the same run fingerprint as the unsharded
     // top rung, so the fingerprint gate passes (deep: remote evidence is
     // present)...

@@ -2,7 +2,7 @@
 //!
 //! The `Default` bundle is disabled (every record is a no-op); construct
 //! with [`SynthMetrics::new`] to record into a live
-//! [`Telemetry`](fp_telemetry::Telemetry) registry. Everything counted
+//! [`fp_telemetry::Telemetry`] registry. Everything counted
 //! here is a pure function of the seed, so same-seed runs report identical
 //! values.
 

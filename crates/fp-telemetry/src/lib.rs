@@ -203,8 +203,9 @@ impl Telemetry {
     }
 }
 
-/// A monotonic counter. Increments are relaxed atomic adds; a disabled
-/// counter is a no-op.
+/// A counter, monotonic unless its owner settles provisional adds with
+/// [`sub`](Self::sub). Updates are relaxed atomic ops; a disabled counter
+/// is a no-op.
 #[derive(Debug, Clone, Default)]
 pub struct Counter {
     cell: Option<Arc<AtomicU64>>,
@@ -223,6 +224,19 @@ impl Counter {
     #[inline]
     pub fn incr(&self) {
         self.add(1);
+    }
+
+    /// Takes back `n` of an earlier provisional [`add`](Self::add) — for a
+    /// total that is only settled by a later step the adder may never hear
+    /// about. Saturates at zero, so an unmatched call cannot wrap the
+    /// counter.
+    #[inline]
+    pub fn sub(&self, n: u64) {
+        if let Some(cell) = &self.cell {
+            let _ = cell.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+                Some(v.saturating_sub(n))
+            });
+        }
     }
 
     /// The current value (0 when disabled).

@@ -43,9 +43,9 @@ impl StageStats {
     }
 }
 
-/// Collects one stage's statistics; workers record through
-/// [`StageRecorder::worker`], and [`StageRecorder::finish`] files the stage
-/// into the telemetry registry.
+/// Collects one stage's statistics; workers record into their own
+/// [`WorkerStats`], and [`StageRecorder::finish`] files the stage into the
+/// telemetry registry.
 #[derive(Debug)]
 pub struct StageRecorder {
     telemetry: Telemetry,
