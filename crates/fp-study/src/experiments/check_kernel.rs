@@ -19,18 +19,14 @@
 //! Any divergence fails the gate loudly with the first offending probe and
 //! entry.
 
-use std::time::Duration;
-
 use fp_core::rng::SeedTree;
 use fp_core::template::Template;
 use fp_index::{CandidateIndex, IndexConfig, ShardedIndex};
 use fp_match::PairTableMatcher;
-use fp_serve::proc::spawn_shard;
-use fp_serve::{Coordinator, RetryPolicy};
 use serde_json::json;
 
 use crate::config::StudyConfig;
-use crate::experiments::ext_scaling::{recapture, synthetic_template, CROSS_DEVICE, SAME_DEVICE};
+use crate::experiments::harness::{Cohort, ShardFleet};
 use crate::report::Report;
 
 /// Probes checked (each one scores the whole gallery twice, once per
@@ -53,28 +49,21 @@ struct KernelStats {
 
 /// Runs the gate: `Ok` with the stats, or the first divergence found.
 fn check(config: &StudyConfig) -> Result<KernelStats, String> {
-    let seeds = SeedTree::new(config.seed).child(&[0xEC]);
     let gallery = config.subjects * 10;
-    let pool: Vec<Template> = (0..gallery)
-        .map(|i| synthetic_template(&seeds, i as u64, 22 + i % 14))
-        .collect();
+    let cohort = Cohort::new(
+        SeedTree::new(config.seed).child(&[0xEC]),
+        gallery,
+        MAX_PROBES,
+    );
+    let pool = cohort.pool();
     let index_config = IndexConfig::scaled(gallery);
 
     let mut index = CandidateIndex::with_config(PairTableMatcher::default(), index_config)
         .with_run_seed(config.seed);
-    index.enroll_all(&pool);
+    index.enroll_all(pool);
 
-    let probes = gallery.min(MAX_PROBES);
-    let stride = gallery / probes;
-    let probe_of = |p: usize| -> Template {
-        let subject = p * stride;
-        let profile = if p.is_multiple_of(2) {
-            SAME_DEVICE
-        } else {
-            CROSS_DEVICE
-        };
-        recapture(&pool[subject], &seeds, (gallery + subject) as u64, profile)
-    };
+    let probes = cohort.probes();
+    let probe_of = |p: usize| cohort.probe(p).1;
 
     // 1. Score parity: blocked kernel vs scalar reference, bitwise, plus
     // exact hamming_ops agreement, for every probe over the whole gallery.
@@ -112,7 +101,7 @@ fn check(config: &StudyConfig) -> Result<KernelStats, String> {
     let shards = config.shards.max(2);
     let mut sharded = ShardedIndex::with_config(PairTableMatcher::default(), index_config, shards)
         .with_run_seed(config.seed);
-    sharded.enroll_all(&pool);
+    sharded.enroll_all(pool);
     for (p, unsharded_result) in unsharded_results.iter().enumerate() {
         let result = sharded.search(&probe_of(p));
         if result.candidates() != unsharded_result.candidates() {
@@ -130,7 +119,7 @@ fn check(config: &StudyConfig) -> Result<KernelStats, String> {
 
     let mut runfp_remote = None;
     if config.remote_shards >= 1 {
-        let hex = remote_runfp(config, &pool, index_config, &unsharded_results, &probe_of)?;
+        let hex = remote_runfp(config, pool, index_config, &unsharded_results, &probe_of)?;
         if hex != runfp {
             return Err(format!(
                 "RUNFP diverged: unsharded {runfp}, remote {hex} \
@@ -165,26 +154,8 @@ fn remote_runfp(
     unsharded_results: &[fp_index::SearchResult],
     probe_of: &dyn Fn(usize) -> Template,
 ) -> Result<String, String> {
-    let exe = match std::env::var_os("FP_SERVE_SHARD_EXE") {
-        Some(path) => std::path::PathBuf::from(path),
-        None => std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?,
-    };
-    let mut children = Vec::with_capacity(config.remote_shards);
-    for _ in 0..config.remote_shards {
-        children.push(
-            spawn_shard(&exe, &["serve-shard"])
-                .map_err(|e| format!("spawn {exe:?} serve-shard: {e}"))?,
-        );
-    }
-    let addrs: Vec<std::net::SocketAddr> = children.iter().map(|c| c.addr).collect();
-    let mut remote = Coordinator::connect(
-        &addrs,
-        index_config,
-        Duration::from_secs(60),
-        RetryPolicy::default(),
-    )
-    .map_err(|e| e.to_string())?
-    .with_run_seed(config.seed);
+    let fleet = ShardFleet::spawn(config.remote_shards, |_| Vec::new())?;
+    let mut remote = fleet.connect(index_config)?.with_run_seed(config.seed);
     remote.enroll_all(pool).map_err(|e| e.to_string())?;
 
     for (p, unsharded_result) in unsharded_results.iter().enumerate() {
@@ -200,10 +171,7 @@ fn remote_runfp(
         .verify_fingerprints()
         .map_err(|e| format!("fingerprint verification: {e}"))?;
 
-    let _ = remote.shutdown_all();
-    for child in &mut children {
-        child.wait_exit(Duration::from_secs(5));
-    }
+    fleet.retire(&remote);
     Ok(hex)
 }
 

@@ -26,19 +26,17 @@
 //! Any divergence fails the gate loudly with the first offending probe.
 
 use std::path::Path;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use fp_core::rng::SeedTree;
 use fp_core::template::Template;
 use fp_index::{CandidateIndex, IndexConfig};
 use fp_match::PairTableMatcher;
-use fp_serve::proc::spawn_shard;
-use fp_serve::{Coordinator, RetryPolicy};
 use fp_store::{CompactStats, GalleryStore};
 use serde_json::json;
 
 use crate::config::StudyConfig;
-use crate::experiments::ext_scaling::{recapture, synthetic_template, CROSS_DEVICE, SAME_DEVICE};
+use crate::experiments::harness::{synthetic_template, Cohort, ShardFleet};
 use crate::report::Report;
 
 /// Probes checked on every rung (each searches the whole gallery).
@@ -94,6 +92,16 @@ fn assert_parity(
     Ok(())
 }
 
+/// The gate's cohort: `subjects * 10` entries on the scaling study's seed
+/// child, so a built gallery holds the `ext-scaling` top rung.
+fn cohort(config: &StudyConfig) -> Cohort {
+    Cohort::new(
+        SeedTree::new(config.seed).child(&[0xE5]),
+        config.subjects * 10,
+        MAX_PROBES,
+    )
+}
+
 /// Builds the gate's synthetic gallery at `dir` as two segments — the
 /// `study gallery build` entry point. Returns `(live entries, segments)`.
 /// The cohort is identical to `study check-store`'s at the same
@@ -101,11 +109,9 @@ fn assert_parity(
 /// compacted by the other subcommands.
 pub fn build_gallery(config: &StudyConfig, dir: &Path) -> Result<(usize, usize), String> {
     prepare_dir(dir)?;
-    let seeds = SeedTree::new(config.seed).child(&[0xE5]);
-    let gallery = config.subjects * 10;
-    let pool: Vec<Template> = (0..gallery)
-        .map(|i| synthetic_template(&seeds, i as u64, 22 + i % 14))
-        .collect();
+    let cohort = cohort(config);
+    let pool = cohort.pool();
+    let gallery = pool.len();
     let index_config = IndexConfig::scaled(gallery);
     let enroll = |templates: &[Template]| -> CandidateIndex<PairTableMatcher> {
         let mut index = CandidateIndex::with_config(PairTableMatcher::default(), index_config);
@@ -128,11 +134,9 @@ pub fn build_gallery(config: &StudyConfig, dir: &Path) -> Result<(usize, usize),
 fn check(config: &StudyConfig, dir: &Path) -> Result<StoreStats, String> {
     prepare_dir(dir)?;
 
-    let seeds = SeedTree::new(config.seed).child(&[0xE5]);
-    let gallery = config.subjects * 10;
-    let pool: Vec<Template> = (0..gallery)
-        .map(|i| synthetic_template(&seeds, i as u64, 22 + i % 14))
-        .collect();
+    let cohort = cohort(config);
+    let pool = cohort.pool();
+    let gallery = pool.len();
     let index_config = IndexConfig::scaled(gallery);
     let enroll = |templates: &[Template]| -> CandidateIndex<PairTableMatcher> {
         let mut index = CandidateIndex::with_config(PairTableMatcher::default(), index_config);
@@ -140,24 +144,15 @@ fn check(config: &StudyConfig, dir: &Path) -> Result<StoreStats, String> {
         index
     };
 
-    let probes = gallery.min(MAX_PROBES);
-    let stride = gallery / probes;
-    let probe_of = |p: usize| -> Template {
-        let subject = p * stride;
-        let profile = if p.is_multiple_of(2) {
-            SAME_DEVICE
-        } else {
-            CROSS_DEVICE
-        };
-        recapture(&pool[subject], &seeds, (gallery + subject) as u64, profile)
-    };
+    let probes = cohort.probes();
+    let probe_of = |p: usize| cohort.probe(p).1;
 
     // The fresh-enrollment baseline every rung is compared against — and
     // the enroll-from-scratch cost the store exists to avoid paying twice.
     let start = Instant::now();
     let mut baseline = CandidateIndex::with_config(PairTableMatcher::default(), index_config)
         .with_run_seed(config.seed);
-    baseline.enroll_all(&pool);
+    baseline.enroll_all(pool);
     let enroll_ms = start.elapsed().as_secs_f64() * 1e3;
     let baseline_results: Vec<_> = (0..probes).map(|p| baseline.search(&probe_of(p))).collect();
     let runfp = baseline.run_fingerprint().hex();
@@ -238,7 +233,7 @@ fn check(config: &StudyConfig, dir: &Path) -> Result<StoreStats, String> {
     }
     let churn_tombstoned = split.div_ceil(7);
     let replacements: Vec<Template> = (0..3)
-        .map(|j| synthetic_template(&seeds, (gallery * 10 + j) as u64, 26))
+        .map(|j| synthetic_template(cohort.seeds(), (gallery * 10 + j) as u64, 26))
         .collect();
     store
         .append_index(&enroll(&replacements))
@@ -344,23 +339,15 @@ fn remote_rung(
     probe_of: &dyn Fn(usize) -> Template,
     runfp: &str,
 ) -> Result<(), String> {
-    let exe = match std::env::var_os("FP_SERVE_SHARD_EXE") {
-        Some(path) => std::path::PathBuf::from(path),
-        None => std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?,
-    };
     let dir_arg = dir.to_str().ok_or("gallery dir is not valid UTF-8")?;
-    let args = ["serve-shard", "--gallery-dir", dir_arg];
     let probe_loop = |label: &str| -> Result<(), String> {
-        let mut child = spawn_shard(&exe, &args)
-            .map_err(|e| format!("spawn {exe:?} serve-shard --gallery-dir: {e}"))?;
-        let remote = Coordinator::connect(
-            &[child.addr],
-            index_config,
-            Duration::from_secs(60),
-            RetryPolicy::default(),
-        )
-        .map_err(|e| format!("{label}: connect: {e}"))?
-        .with_run_seed(config.seed);
+        let fleet = ShardFleet::spawn(1, |_| {
+            vec!["--gallery-dir".to_string(), dir_arg.to_string()]
+        })?;
+        let remote = fleet
+            .connect(index_config)
+            .map_err(|e| format!("{label}: connect: {e}"))?
+            .with_run_seed(config.seed);
         for (p, want) in baseline_results.iter().enumerate() {
             let result = remote
                 .search(&probe_of(p))
@@ -379,12 +366,12 @@ fn remote_rung(
             .verify_fingerprints()
             .map_err(|e| format!("{label}: fingerprint verification: {e}"))?;
         if label.starts_with("serve-from-store") {
-            // First pass: crash the child instead of shutting it down —
-            // the restart pass below must recover from the same directory.
-            child.kill();
+            // First pass: crash the child (dropping a fleet SIGKILLs it)
+            // instead of shutting it down — the restart pass below must
+            // recover from the same directory.
+            drop(fleet);
         } else {
-            let _ = remote.shutdown_all();
-            child.wait_exit(Duration::from_secs(5));
+            fleet.retire(&remote);
         }
         Ok(())
     };

@@ -14,6 +14,8 @@
 //!    exactly one root: every remote `server.request` span is re-parented
 //!    under the coordinator `serve.rpc` span that issued it, and every
 //!    `server.queue_wait` span sits under its request.
+//!    A truncated trace can still be connected, so the merged snapshot
+//!    must also report zero dropped spans and events.
 //! 3. **One lane per process** — the merged trace carries one Chrome
 //!    `pid` lane per shard process plus the coordinator's own.
 //! 4. **The exemplar names the culprit** — every slow-log exemplar's
@@ -24,19 +26,17 @@
 //! [`Coordinator::collect_traces`]: fp_serve::Coordinator::collect_traces
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use fp_core::rng::SeedTree;
 use fp_core::template::Template;
 use fp_index::{CandidateIndex, IndexConfig, SearchResult};
 use fp_match::PairTableMatcher;
-use fp_serve::proc::spawn_shard;
-use fp_serve::{Coordinator, RetryPolicy, SlowLog, SlowLogEntry};
+use fp_serve::{SlowLog, SlowLogEntry};
 use fp_telemetry::{Telemetry, TraceSnapshot, LOCAL_PID};
 use serde_json::json;
 
 use crate::config::StudyConfig;
-use crate::experiments::ext_scaling::{recapture, synthetic_template, CROSS_DEVICE, SAME_DEVICE};
+use crate::experiments::harness::{Cohort, ShardFleet};
 use crate::report::Report;
 
 /// Probes per pass: small — the delayed shard pays `2 * delay_ms` per
@@ -142,34 +142,26 @@ fn run_passes(
     delayed: usize,
     delay_ms: u64,
 ) -> Result<(Checks, TraceSnapshot, String), String> {
-    let seeds = SeedTree::new(config.seed).child(&[0xD7]);
     let gallery = config.subjects;
-    let pool: Vec<Template> = (0..gallery)
-        .map(|i| synthetic_template(&seeds, i as u64, 22 + i % 14))
-        .collect();
-    let probes: Vec<Template> = (0..gallery.min(MAX_PROBES))
-        .map(|p| {
-            let subject = p * (gallery / gallery.min(MAX_PROBES));
-            let profile = if p.is_multiple_of(2) {
-                SAME_DEVICE
-            } else {
-                CROSS_DEVICE
-            };
-            recapture(&pool[subject], &seeds, (gallery + subject) as u64, profile)
-        })
-        .collect();
+    let cohort = Cohort::new(
+        SeedTree::new(config.seed).child(&[0xD7]),
+        gallery,
+        MAX_PROBES,
+    );
+    let pool = cohort.pool();
+    let probes: Vec<Template> = (0..cohort.probes()).map(|p| cohort.probe(p).1).collect();
 
     // Sequential in-process baseline: the untraced and traced passes must
     // both be byte-identical to it (and hence to each other).
     let mut baseline_index =
         CandidateIndex::with_config(PairTableMatcher::default(), IndexConfig::scaled(gallery))
             .with_run_seed(config.seed);
-    baseline_index.enroll_all(&pool);
+    baseline_index.enroll_all(pool);
     let baseline: Vec<SearchResult> = probes.iter().map(|p| baseline_index.search(p)).collect();
     let runfp_baseline = baseline_index.run_fingerprint().hex();
 
-    let untraced = run_pass(config, &pool, &probes, shards, delayed, delay_ms, false)?;
-    let traced = run_pass(config, &pool, &probes, shards, delayed, delay_ms, true)?;
+    let untraced = run_pass(config, pool, &probes, shards, delayed, delay_ms, false)?;
+    let traced = run_pass(config, pool, &probes, shards, delayed, delay_ms, true)?;
 
     let mut checks: Checks = Vec::new();
     let mut check =
@@ -220,6 +212,8 @@ fn run_passes(
             Err(e) => format!("validate_tree failed: {e}"),
         },
     );
+    let (complete, dropped) = no_dropped_spans(&merged);
+    check("no dropped spans", complete, dropped);
     let name_of: std::collections::BTreeMap<u64, &str> = merged
         .spans
         .iter()
@@ -302,6 +296,18 @@ fn run_passes(
     Ok((checks, merged, traced.slowlog_jsonl))
 }
 
+/// The `no dropped spans` check row: a flight-recorder overflow (here or on
+/// a shard) means the merged trace is a truncation of what happened.
+fn no_dropped_spans(merged: &TraceSnapshot) -> (bool, String) {
+    (
+        merged.dropped_spans == 0 && merged.dropped_events == 0,
+        format!(
+            "{} dropped spans, {} dropped events",
+            merged.dropped_spans, merged.dropped_events
+        ),
+    )
+}
+
 /// One full pass over a fresh topology: spawn, enroll, search every probe,
 /// (optionally) drain + merge traces, tear down.
 fn run_pass(
@@ -313,25 +319,16 @@ fn run_pass(
     delay_ms: u64,
     traced: bool,
 ) -> Result<Pass, String> {
-    let exe = match std::env::var_os("FP_SERVE_SHARD_EXE") {
-        Some(path) => std::path::PathBuf::from(path),
-        None => std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?,
-    };
-    let delay = delay_ms.to_string();
-    let mut children = Vec::with_capacity(shards);
-    for k in 0..shards {
-        // The injected delay rides in *both* passes so their latencies —
-        // and hence their results and fingerprints — are measured under
-        // identical conditions; only the tracing differs.
-        let args: Vec<&str> = if k == delayed {
-            vec!["serve-shard", "--delay-ms", &delay]
+    // The injected delay rides in *both* passes so their latencies — and
+    // hence their results and fingerprints — are measured under identical
+    // conditions; only the tracing differs.
+    let fleet = ShardFleet::spawn(shards, |k| {
+        if k == delayed {
+            vec!["--delay-ms".to_string(), delay_ms.to_string()]
         } else {
-            vec!["serve-shard"]
-        };
-        children
-            .push(spawn_shard(&exe, &args).map_err(|e| format!("spawn {exe:?} {args:?}: {e}"))?);
-    }
-    let addrs: Vec<std::net::SocketAddr> = children.iter().map(|c| c.addr).collect();
+            Vec::new()
+        }
+    })?;
 
     let telemetry = if traced {
         Telemetry::enabled()
@@ -344,15 +341,10 @@ fn run_pass(
         &telemetry,
         delay_ms.saturating_mul(1_000_000) / 2,
     ));
-    let mut remote = Coordinator::connect(
-        &addrs,
-        IndexConfig::scaled(pool.len()),
-        Duration::from_secs(60),
-        RetryPolicy::default(),
-    )
-    .map_err(|e| e.to_string())?
-    .with_telemetry(&telemetry)
-    .with_run_seed(config.seed);
+    let mut remote = fleet
+        .connect(IndexConfig::scaled(pool.len()))?
+        .with_telemetry(&telemetry)
+        .with_run_seed(config.seed);
     if traced {
         remote = remote.with_slowlog(Arc::clone(&slowlog));
     }
@@ -375,10 +367,7 @@ fn run_pass(
     let merged = traced.then(|| remote.merged_trace());
     let runfp = remote.run_fingerprint().hex();
 
-    let _ = remote.shutdown_all();
-    for child in &mut children {
-        child.wait_exit(Duration::from_secs(5));
-    }
+    fleet.retire(&remote);
 
     Ok(Pass {
         results,
@@ -393,6 +382,16 @@ fn run_pass(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_truncated_trace_fails_the_dropped_spans_row() {
+        let mut merged = TraceSnapshot::default();
+        assert!(no_dropped_spans(&merged).0);
+        merged.dropped_spans = 1;
+        let (ok, detail) = no_dropped_spans(&merged);
+        assert!(!ok);
+        assert_eq!(detail, "1 dropped spans, 0 dropped events");
+    }
 
     /// The gate end to end at a tiny scale. Like the load harness test,
     /// the serve-shard spawn needs the study binary (FP_SERVE_SHARD_EXE

@@ -30,20 +30,19 @@
 //! `study check-load` gates the emitted JSON on all four.
 
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use fp_core::rng::SeedTree;
 use fp_core::template::Template;
 use fp_index::{CandidateIndex, IndexConfig, SearchResult};
 use fp_match::PairTableMatcher;
-use fp_serve::proc::spawn_shard;
 use fp_serve::wire::Frame;
-use fp_serve::{Coordinator, MuxConn, RetryPolicy, SlowLog};
+use fp_serve::{MuxConn, SlowLog};
 use fp_telemetry::{Level, Telemetry};
 use serde_json::json;
 
 use crate::config::StudyConfig;
-use crate::experiments::ext_scaling::{recapture, synthetic_template, CROSS_DEVICE, SAME_DEVICE};
+use crate::experiments::harness::{Cohort, ShardFleet, RPC_DEADLINE};
 use crate::report::Report;
 
 /// Probes per pass (capped so the whole harness stays seconds-scale).
@@ -255,7 +254,6 @@ fn load_rung(
     telemetry: &Telemetry,
     slowlog: Option<Arc<SlowLog>>,
 ) -> Result<LoadData, String> {
-    let seeds = SeedTree::new(config.seed).child(&[0xEA]);
     let gallery = config.subjects;
     let shards = if config.remote_shards >= 1 {
         config.remote_shards
@@ -270,20 +268,13 @@ fn load_rung(
         ],
     );
 
-    let pool: Vec<Template> = (0..gallery)
-        .map(|i| synthetic_template(&seeds, i as u64, 22 + i % 14))
-        .collect();
-    let probes: Vec<Template> = (0..gallery.min(MAX_PROBES))
-        .map(|p| {
-            let subject = p * (gallery / gallery.min(MAX_PROBES));
-            let profile = if p.is_multiple_of(2) {
-                SAME_DEVICE
-            } else {
-                CROSS_DEVICE
-            };
-            recapture(&pool[subject], &seeds, (gallery + subject) as u64, profile)
-        })
-        .collect();
+    let cohort = Cohort::new(
+        SeedTree::new(config.seed).child(&[0xEA]),
+        gallery,
+        MAX_PROBES,
+    );
+    let pool = cohort.pool();
+    let probes: Vec<Template> = (0..cohort.probes()).map(|p| cohort.probe(p).1).collect();
     let n = probes.len();
 
     // Sequential in-process baseline: the byte-level ground truth every
@@ -291,38 +282,20 @@ fn load_rung(
     let mut baseline_index =
         CandidateIndex::with_config(PairTableMatcher::default(), IndexConfig::scaled(gallery))
             .with_run_seed(config.seed);
-    baseline_index.enroll_all(&pool);
+    baseline_index.enroll_all(pool);
     let baseline: Vec<SearchResult> = probes.iter().map(|p| baseline_index.search(p)).collect();
     let runfp_baseline = baseline_index.run_fingerprint().hex();
 
-    // The loopback topology: serve-shard children of this very binary
-    // (FP_SERVE_SHARD_EXE overrides, e.g. for tests driving a test build).
-    let exe = match std::env::var_os("FP_SERVE_SHARD_EXE") {
-        Some(path) => std::path::PathBuf::from(path),
-        None => std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?,
-    };
-    let mut children = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        children.push(
-            spawn_shard(&exe, &["serve-shard"])
-                .map_err(|e| format!("spawn {exe:?} serve-shard: {e}"))?,
-        );
-    }
-    let addrs: Vec<std::net::SocketAddr> = children.iter().map(|c| c.addr).collect();
-    let deadline = Duration::from_secs(60);
-    let mut remote = Coordinator::connect(
-        &addrs,
-        IndexConfig::scaled(gallery),
-        deadline,
-        RetryPolicy::default(),
-    )
-    .map_err(|e| e.to_string())?
-    .with_telemetry(telemetry)
-    .with_run_seed(config.seed);
+    let fleet = ShardFleet::spawn(shards, |_| Vec::new())?;
+    let addrs = fleet.addrs();
+    let mut remote = fleet
+        .connect(IndexConfig::scaled(gallery))?
+        .with_telemetry(telemetry)
+        .with_run_seed(config.seed);
     if let Some(slowlog) = slowlog {
         remote = remote.with_slowlog(slowlog);
     }
-    remote.enroll_all(&pool).map_err(|e| e.to_string())?;
+    remote.enroll_all(pool).map_err(|e| e.to_string())?;
     telemetry.event_with(
         Level::Info,
         "load topology up",
@@ -392,7 +365,7 @@ fn load_rung(
     // awaited — peak_in_flight reaching eight is guaranteed by
     // construction, not by scheduler luck — and each pipelined response
     // must equal the sequential reply to the same request.
-    let conn = MuxConn::new(addrs[0], deadline);
+    let conn = MuxConn::new(addrs[0], RPC_DEADLINE);
     let request = Frame::StageOne {
         probe: probes[0].clone(),
         trace: None,
@@ -500,7 +473,7 @@ fn load_rung(
     // on its own; the report sums them.
     let (mut offered, mut accepted, mut overloaded) = (0u64, 0u64, 0u64);
     for (k, &addr) in addrs.iter().enumerate() {
-        let stats_conn = MuxConn::new(addr, deadline);
+        let stats_conn = MuxConn::new(addr, RPC_DEADLINE);
         let (response, _, _) = stats_conn
             .call(&Frame::Stats)
             .map_err(|e| format!("stats scrape shard {k}: {e}"))?;
@@ -541,11 +514,7 @@ fn load_rung(
         ],
     );
 
-    // Clean wire-level shutdown, then reap; ShardChild kills stragglers.
-    let _ = remote.shutdown_all();
-    for child in &mut children {
-        child.wait_exit(Duration::from_secs(5));
-    }
+    fleet.retire(&remote);
 
     Ok(LoadData {
         gallery,

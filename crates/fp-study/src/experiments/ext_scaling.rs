@@ -12,25 +12,17 @@
 //! subsample, the speedup, shortlist recall, and rank-1 agreement with
 //! brute force.
 //!
-//! Gallery templates here come from a cheap direct minutiae sampler rather
-//! than the full synthesis/render/capture pipeline: the index only sees
-//! minutiae, and a 10x ladder through the image pipeline would swamp the
-//! experiment with rendering cost that has nothing to do with search.
+//! Galleries and probes are the loopback harness's synthetic cohort
+//! (`experiments::harness`, seed-tree child `0xE5`).
 
-use fp_core::dist::normal;
-use fp_core::geometry::{Direction, Point, RigidMotion, Vector};
-use fp_core::minutia::{Minutia, MinutiaKind};
 use fp_core::rng::SeedTree;
-use fp_core::template::Template;
 use fp_index::{CandidateIndex, IndexConfig, ShardedIndex};
 use fp_match::PairTableMatcher;
-use fp_serve::proc::spawn_shard;
-use fp_serve::{Coordinator, RetryPolicy};
 use fp_telemetry::Telemetry;
-use rand::Rng;
 use serde_json::json;
 
 use crate::config::StudyConfig;
+use crate::experiments::harness::{Cohort, ShardFleet};
 use crate::parallel::parallel_map_metered;
 use crate::report::Report;
 
@@ -112,108 +104,6 @@ fn shard_ladder(max: usize) -> Vec<usize> {
     ladder
 }
 
-/// A deterministic synthetic template with `n` well-spread minutiae.
-/// Shared with the load harness (`ext_load`), which enrolls the same kind
-/// of gallery.
-pub(crate) fn synthetic_template(seeds: &SeedTree, id: u64, n: usize) -> Template {
-    let mut rng = seeds.child(&[0x5C, id]).rng();
-    let mut minutiae: Vec<Minutia> = Vec::new();
-    let mut attempts = 0;
-    while minutiae.len() < n && attempts < 10_000 {
-        attempts += 1;
-        let pos = Point::new(
-            rng.gen::<f64>() * 16.0 - 8.0,
-            rng.gen::<f64>() * 20.0 - 10.0,
-        );
-        if minutiae.iter().any(|m| m.pos.distance(&pos) < 1.4) {
-            continue;
-        }
-        let kind = if rng.gen::<bool>() {
-            MinutiaKind::RidgeEnding
-        } else {
-            MinutiaKind::Bifurcation
-        };
-        minutiae.push(Minutia::new(
-            pos,
-            Direction::from_radians(rng.gen::<f64>() * std::f64::consts::TAU),
-            kind,
-            1.0,
-        ));
-    }
-    Template::builder(500.0)
-        .capture_window_mm(20.0, 24.0)
-        .extend(minutiae)
-        .build()
-        .expect("synthetic template is valid")
-}
-
-/// Perturbation profile of a probe capture.
-#[derive(Clone, Copy)]
-pub(crate) struct Profile {
-    drop: f64,
-    jitter_mm: f64,
-    jitter_rad: f64,
-    motion_mm: f64,
-    motion_rad: f64,
-}
-
-/// Roughly a second capture on the same device.
-pub(crate) const SAME_DEVICE: Profile = Profile {
-    drop: 0.06,
-    jitter_mm: 0.10,
-    jitter_rad: 0.04,
-    motion_mm: 0.8,
-    motion_rad: 0.10,
-};
-
-/// Roughly a capture on a different device (heavier loss and distortion).
-pub(crate) const CROSS_DEVICE: Profile = Profile {
-    drop: 0.14,
-    jitter_mm: 0.20,
-    jitter_rad: 0.09,
-    motion_mm: 1.4,
-    motion_rad: 0.16,
-};
-
-/// A jittered re-capture of `template` under `profile`.
-pub(crate) fn recapture(
-    template: &Template,
-    seeds: &SeedTree,
-    id: u64,
-    profile: Profile,
-) -> Template {
-    let mut rng = seeds.child(&[0x5D, id]).rng();
-    let mut minutiae: Vec<Minutia> = Vec::new();
-    for m in template.minutiae() {
-        if rng.gen::<f64>() < profile.drop {
-            continue;
-        }
-        minutiae.push(Minutia::new(
-            Point::new(
-                m.pos.x + normal(&mut rng, 0.0, profile.jitter_mm),
-                m.pos.y + normal(&mut rng, 0.0, profile.jitter_mm),
-            ),
-            m.direction
-                .rotated(normal(&mut rng, 0.0, profile.jitter_rad)),
-            m.kind,
-            m.reliability,
-        ));
-    }
-    let motion = RigidMotion::new(
-        Direction::from_radians(normal(&mut rng, 0.0, profile.motion_rad)),
-        Vector::new(
-            normal(&mut rng, 0.0, profile.motion_mm),
-            normal(&mut rng, 0.0, profile.motion_mm),
-        ),
-    );
-    Template::builder(500.0)
-        .capture_window_mm(20.0, 24.0)
-        .extend(minutiae)
-        .build()
-        .expect("recaptured template is valid")
-        .transformed(&motion)
-}
-
 /// Runs the experiment.
 pub fn run(config: &StudyConfig) -> Report {
     run_with(config, &Telemetry::disabled())
@@ -223,14 +113,17 @@ pub fn run(config: &StudyConfig) -> Report {
 /// `telemetry`. Accuracy numbers (recall, rank-1, audit agreement) are pure
 /// functions of the seed; throughput numbers vary with the machine.
 pub fn run_with(config: &StudyConfig, telemetry: &Telemetry) -> Report {
-    let seeds = SeedTree::new(config.seed).child(&[0xE5]);
     let max_gallery = config.subjects * LADDER[LADDER.len() - 1];
 
     // One template pool, shared by every rung as a prefix: rung results at
     // size N are independent of the ladder above them.
-    let pool: Vec<Template> = parallel_map_metered(max_gallery, telemetry, "scaling.pool", |i| {
-        synthetic_template(&seeds, i as u64, 22 + i % 14)
-    });
+    let cohort = Cohort::metered(
+        SeedTree::new(config.seed).child(&[0xE5]),
+        max_gallery,
+        MAX_PROBES,
+        telemetry,
+    );
+    let pool = cohort.pool();
 
     let mut rows: Vec<ScalingRow> = Vec::new();
     let mut top_index: Option<CandidateIndex<PairTableMatcher>> = None;
@@ -249,22 +142,8 @@ pub fn run_with(config: &StudyConfig, telemetry: &Telemetry) -> Report {
         let build_seconds = build_start.elapsed().as_secs_f64();
         let shortlist = index.config().shortlist.min(gallery);
 
-        // Probes spread over the whole gallery, alternating the two
-        // perturbation profiles.
-        let probes = gallery.min(MAX_PROBES);
-        let stride = gallery / probes;
-        let probe_of = |p: usize| -> (usize, Template) {
-            let subject = p * stride;
-            let profile = if p.is_multiple_of(2) {
-                SAME_DEVICE
-            } else {
-                CROSS_DEVICE
-            };
-            (
-                subject,
-                recapture(&pool[subject], &seeds, (gallery + subject) as u64, profile),
-            )
-        };
+        let probes = cohort.probes_over(gallery);
+        let probe_of = |p: usize| cohort.probe_over(gallery, p);
 
         let search_start = std::time::Instant::now();
         let outcomes: Vec<(bool, bool)> =
@@ -326,20 +205,8 @@ pub fn run_with(config: &StudyConfig, telemetry: &Telemetry) -> Report {
     if config.shards >= 1 {
         let gallery = max_gallery;
         let unsharded = top_index.as_ref().expect("ladder is non-empty");
-        let probes = gallery.min(MAX_PROBES);
-        let stride = gallery / probes;
-        let probe_of = |p: usize| -> (usize, Template) {
-            let subject = p * stride;
-            let profile = if p.is_multiple_of(2) {
-                SAME_DEVICE
-            } else {
-                CROSS_DEVICE
-            };
-            (
-                subject,
-                recapture(&pool[subject], &seeds, (gallery + subject) as u64, profile),
-            )
-        };
+        let probes = cohort.probes();
+        let probe_of = |p: usize| cohort.probe(p);
         for s in shard_ladder(config.shards) {
             let _span = telemetry.span_with(
                 &format!("scaling.shards{s}"),
@@ -411,9 +278,8 @@ pub fn run_with(config: &StudyConfig, telemetry: &Telemetry) -> Report {
     let mut remote_rows: Vec<RemoteRow> = Vec::new();
     let mut remote_error: Option<String> = None;
     if config.remote_shards >= 1 {
-        let gallery = max_gallery;
         let unsharded = top_index.as_ref().expect("ladder is non-empty");
-        match remote_rung(config, telemetry, &pool, unsharded, &seeds, gallery) {
+        match remote_rung(config, telemetry, &cohort, unsharded) {
             Ok(row) => remote_rows.push(row),
             Err(e) => remote_error = Some(e),
         }
@@ -569,85 +435,50 @@ pub fn run_with(config: &StudyConfig, telemetry: &Telemetry) -> Report {
 }
 
 /// Runs the cross-process rung: spawns `config.remote_shards` `serve-shard`
-/// children of this very binary (`FP_SERVE_SHARD_EXE` overrides the
-/// executable, e.g. for tests driving a library build), enrolls the top
-/// gallery rung through an `fp-serve` [`Coordinator`], and audits full
-/// candidate-list parity against both the unsharded index and an
-/// in-process [`ShardedIndex`] with the same shard count.
+/// children, enrolls the top gallery rung through an `fp-serve`
+/// coordinator, and audits full candidate-list parity against both the
+/// unsharded index and an in-process [`ShardedIndex`] with the same shard
+/// count.
 ///
-/// Children are killed on every exit path ([`fp_serve::proc::ShardChild`]
-/// kills on drop); errors are returned as strings so a failed rung shows up
-/// loudly in the report (and fails `check-serve`) without aborting the
-/// in-process ladder results.
+/// Errors are returned as strings so a failed rung shows up loudly in the
+/// report (and fails `check-serve`) without aborting the in-process ladder
+/// results.
 fn remote_rung(
     config: &StudyConfig,
     telemetry: &Telemetry,
-    pool: &[Template],
+    cohort: &Cohort,
     unsharded: &CandidateIndex<PairTableMatcher>,
-    seeds: &SeedTree,
-    gallery: usize,
 ) -> Result<RemoteRow, String> {
-    use std::time::{Duration, Instant};
+    use std::time::Instant;
 
     let s = config.remote_shards;
+    let pool = cohort.pool();
+    let gallery = pool.len();
     let _span = telemetry.span_with(
         &format!("scaling.remote{s}"),
         &[("gallery", gallery.to_string()), ("shards", s.to_string())],
     );
-    let exe = match std::env::var_os("FP_SERVE_SHARD_EXE") {
-        Some(path) => std::path::PathBuf::from(path),
-        None => std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?,
-    };
-    let mut children = Vec::with_capacity(s);
-    for _ in 0..s {
-        children.push(
-            spawn_shard(&exe, &["serve-shard"])
-                .map_err(|e| format!("spawn {exe:?} serve-shard: {e}"))?,
-        );
-    }
-    let addrs: Vec<std::net::SocketAddr> = children.iter().map(|c| c.addr).collect();
-
+    let fleet = ShardFleet::spawn(s, |_| Vec::new())?;
     let index_config = IndexConfig::scaled(gallery);
-    let mut remote = Coordinator::connect(
-        &addrs,
-        index_config,
-        Duration::from_secs(60),
-        RetryPolicy::default(),
-    )
-    .map_err(|e| e.to_string())?
-    .with_telemetry(telemetry)
-    .with_run_seed(config.seed);
+    let mut remote = fleet
+        .connect(index_config)?
+        .with_telemetry(telemetry)
+        .with_run_seed(config.seed);
 
     let build_start = Instant::now();
-    remote
-        .enroll_all(&pool[..gallery])
-        .map_err(|e| e.to_string())?;
+    remote.enroll_all(pool).map_err(|e| e.to_string())?;
     let build_seconds = build_start.elapsed().as_secs_f64();
 
     // The in-process sharded reference at the same shard count: the audit
     // pins remote == in-process sharded == unsharded, full lists.
     let mut sharded = ShardedIndex::with_config(PairTableMatcher::default(), index_config, s);
-    sharded.enroll_all(&pool[..gallery]);
+    sharded.enroll_all(pool);
 
-    let probes = gallery.min(MAX_PROBES);
-    let stride = gallery / probes;
-    let probe_of = |p: usize| -> (usize, Template) {
-        let subject = p * stride;
-        let profile = if p.is_multiple_of(2) {
-            SAME_DEVICE
-        } else {
-            CROSS_DEVICE
-        };
-        (
-            subject,
-            recapture(&pool[subject], seeds, (gallery + subject) as u64, profile),
-        )
-    };
-
+    let probes = cohort.probes();
     let search_start = Instant::now();
     let mut in_shortlist = 0usize;
     for p in 0..probes {
-        let (subject, probe) = probe_of(p);
+        let (subject, probe) = cohort.probe(p);
         let result = remote.search(&probe).map_err(|e| e.to_string())?;
         if result.genuine_rank(subject as u32).is_some() {
             in_shortlist += 1;
@@ -672,7 +503,7 @@ fn remote_rung(
     let mut parity_agreed = 0usize;
     let mut parity_sharded_agreed = 0usize;
     for a in 0..audits {
-        let (_, probe) = probe_of(a * audit_stride);
+        let (_, probe) = cohort.probe(a * audit_stride);
         let remote_result = remote.search(&probe).map_err(|e| e.to_string())?;
         if remote_result.candidates() == unsharded.search(&probe).candidates() {
             parity_agreed += 1;
@@ -681,12 +512,7 @@ fn remote_rung(
             parity_sharded_agreed += 1;
         }
     }
-
-    // Clean wire-level shutdown, then reap; ShardChild kills stragglers.
-    let _ = remote.shutdown_all();
-    for child in &mut children {
-        child.wait_exit(Duration::from_secs(5));
-    }
+    fleet.retire(&remote);
 
     Ok(RemoteRow {
         shards: s,

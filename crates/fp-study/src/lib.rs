@@ -16,6 +16,8 @@
 //! * [`experiments`] — one module per paper artifact (Figures 1–5, Tables
 //!   3–6) plus the future-work extensions (matcher diversity, habituation,
 //!   FNM prediction, multi-finger fusion). Each returns a [`report::Report`].
+//! * [`gates`] — the smoke gates as a table: producer, artifacts, budget and
+//!   checker per row; `study gate` runs it.
 //!
 //! The `study` binary drives everything:
 //!
@@ -28,6 +30,7 @@ pub mod config;
 pub mod dataset;
 pub mod experiments;
 pub mod findings;
+pub mod gates;
 pub mod parallel;
 pub mod report;
 pub mod scores;

@@ -70,12 +70,62 @@ fn unknown_experiment_fails_with_hint() {
 
 #[test]
 fn unknown_flag_fails_with_usage() {
+    // A flag nobody knows, and a real flag the subcommand would ignore:
+    // both are usage errors, and the second names the subcommand.
+    for (args, hint) in [
+        (&["all", "--bogus"][..], "unknown flag: --bogus"),
+        (
+            &["devices", "--deep", "--port", "9"][..],
+            "--deep is not a flag of 'devices'",
+        ),
+    ] {
+        let out = study().args(args).output().expect("binary runs");
+        assert!(!out.status.success(), "{args:?} must fail");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(hint), "{args:?}: {err}");
+        assert!(err.contains("usage"), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn gate_runs_the_telemetry_row_end_to_end() {
+    let dir = std::env::temp_dir().join(format!("fp-study-gaterun-{}", std::process::id()));
     let out = study()
-        .args(["all", "--bogus"])
+        .args([
+            "gate",
+            "telemetry",
+            "--out",
+            dir.to_str().expect("utf-8 path"),
+        ])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("telemetry section ok"), "{text}");
+    assert!(text.contains("gate telemetry ok in"), "{text}");
+    let gate = fp_study::gates::find("telemetry").expect("row exists");
+    for artifact in gate.artifacts {
+        assert!(dir.join(artifact).exists(), "missing artifact {artifact}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn gate_rejects_an_unknown_row_by_naming_the_known_ones() {
+    let out = study()
+        .args(["gate", "nope"])
         .output()
         .expect("binary runs");
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown gate 'nope'"), "{err}");
+    for gate in fp_study::gates::GATES {
+        assert!(err.contains(gate.name), "{} not listed: {err}", gate.name);
+    }
 }
 
 #[test]
@@ -261,6 +311,25 @@ fn check_scaling_gates_on_recall_and_audits() {
         .output()
         .expect("binary runs");
     assert!(!out.status.success(), "audit mismatch must fail the gate");
+
+    // A row with no audit fields at all: absent == absent is not agreement.
+    let no_audit = dir.join("no-audit.json");
+    let payload = serde_json::json!({
+        "reports": [{
+            "id": "ext-scaling",
+            "values": {"rows": [{"gallery": 200, "recall": 1.0}]}
+        }]
+    });
+    std::fs::write(&no_audit, payload.to_string()).expect("fixture written");
+    let out = study()
+        .args(["check-scaling", no_audit.to_str().expect("utf-8 path")])
+        .output()
+        .expect("binary runs");
+    assert!(
+        !out.status.success(),
+        "an unaudited rung must fail the gate"
+    );
+    assert!(String::from_utf8_lossy(&out.stderr).contains("audit"));
 
     let out = study()
         .args(["check-scaling", dir.join("missing.json").to_str().unwrap()])

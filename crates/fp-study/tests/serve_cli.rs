@@ -269,20 +269,25 @@ fn ext_scaling_remote_rung_passes_check_serve_gate() {
     // The remote rung reports the same run fingerprint as the unsharded
     // top rung, so the fingerprint gate passes (deep: remote evidence is
     // present)...
-    let out = Command::new(study_exe())
-        .args([
-            "check-fingerprint",
-            json_path.to_str().expect("utf-8 path"),
-            "--deep",
-        ])
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("fingerprint parity ok"));
+    // ...with the results path on either side of the flag...
+    let path = json_path.to_str().expect("utf-8 path");
+    for args in [
+        ["check-fingerprint", path, "--deep"],
+        ["check-fingerprint", "--deep", path],
+    ] {
+        let out = Command::new(study_exe())
+            .args(args)
+            .output()
+            .expect("binary runs");
+        assert!(
+            out.status.success(),
+            "{args:?} stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains("fingerprint parity ok"), "{args:?}: {text}");
+        assert!(text.contains("deep audit passed"), "{args:?}: {text}");
+    }
 
     // ...the manifest subcommand prints every rung's chain and saves it...
     let manifest_path = dir.join("manifest.json");
