@@ -1,14 +1,38 @@
 //! Matcher comparison latency: genuine vs impostor pairs, direct vs
-//! prepared paths, pair-table vs Hough.
+//! prepared paths, pair-table vs Hough — one table per matcher, as
+//! Kayaoglu et al. (PAPERS.md) report them. The benchmark's `match.*`
+//! metrics time the pair-table matcher only, inside `study_matrix`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::Criterion;
 use std::hint::black_box;
 
-use fp_bench::matcher_fixtures;
+use fp_core::ids::{DeviceId, Finger, SessionId};
+use fp_core::template::Template;
 use fp_core::Matcher;
 use fp_match::{HoughMatcher, PairTableMatcher, PreparableMatcher, ScoreCalibration};
+use fp_sensor::CaptureProtocol;
+use fp_synth::population::{Population, PopulationConfig};
 
-fn matcher_benches(c: &mut Criterion) {
+/// Real D0 captures: a subject's session-0 and session-1 impressions (the
+/// genuine pair) and another subject's session-1 impression (the impostor).
+fn matcher_fixtures() -> (Template, Template, Template) {
+    let population = Population::generate(&PopulationConfig::new(0xBE7C, 2));
+    let protocol = CaptureProtocol::new();
+    let capture = |subject: usize, session: u8| {
+        protocol
+            .capture(
+                &population.subjects()[subject],
+                Finger::RIGHT_INDEX,
+                DeviceId(0),
+                SessionId(session),
+            )
+            .template()
+            .clone()
+    };
+    (capture(0, 0), capture(0, 1), capture(1, 1))
+}
+
+pub fn benches(c: &mut Criterion) {
     let (gallery, probe, impostor) = matcher_fixtures();
 
     let mut group = c.benchmark_group("pair_table");
@@ -50,6 +74,3 @@ fn matcher_benches(c: &mut Criterion) {
     });
     group.finish();
 }
-
-criterion_group!(benches, matcher_benches);
-criterion_main!(benches);

@@ -2,14 +2,14 @@
 //! (no clock reads, no allocation), and the enabled ones only a relaxed
 //! atomic or a clock read — cheap against a ~1 ms template comparison.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::Criterion;
 use std::hint::black_box;
 
 use fp_core::MatchScore;
 use fp_index::{Candidate, IndexConfig, SearchResult};
 use fp_telemetry::{RunFingerprint, Telemetry};
 
-fn telemetry_benches(c: &mut Criterion) {
+pub fn benches(c: &mut Criterion) {
     let disabled = Telemetry::disabled();
     let enabled = Telemetry::enabled();
 
@@ -90,6 +90,3 @@ fn telemetry_benches(c: &mut Criterion) {
     });
     group.finish();
 }
-
-criterion_group!(benches, telemetry_benches);
-criterion_main!(benches);

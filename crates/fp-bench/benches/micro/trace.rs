@@ -5,18 +5,16 @@
 //! hot path and the trace-collection epilogue — so they live in the
 //! committed baseline next to the `wire_*` groups they tax.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::Criterion;
 use std::hint::black_box;
 
-use fp_bench::synthetic_gallery;
 use fp_serve::{decode_frame, encode_frame, Frame, TraceContext};
 use fp_telemetry::{SpanRecord, TraceSnapshot, LOCAL_PID, REMOTE_PARENT_ATTR};
 
 /// A traced stage-1 request: what every sampled RPC pays on the wire.
 fn traced_stage1() -> Frame {
-    let (_, probe) = synthetic_gallery(1);
     Frame::StageOne {
-        probe,
+        probe: crate::cohort(1).probe(0).1,
         trace: Some(TraceContext {
             trace_id: 0x5EED_1234_ABCD_0042,
             parent_span_id: 0x0000_7777_0000_0001,
@@ -80,7 +78,7 @@ fn local_snapshot(requests: u64) -> TraceSnapshot {
     }
 }
 
-fn trace_benches(c: &mut Criterion) {
+pub fn benches(c: &mut Criterion) {
     let frame = traced_stage1();
     let bytes = encode_frame(&frame);
     let mut group = c.benchmark_group("serve");
@@ -106,6 +104,3 @@ fn trace_benches(c: &mut Criterion) {
     });
     group.finish();
 }
-
-criterion_group!(benches, trace_benches);
-criterion_main!(benches);

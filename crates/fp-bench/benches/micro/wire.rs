@@ -3,13 +3,13 @@
 //! pair per gallery entry (the per-probe hot path), `EnrollBatch` carries
 //! whole templates (the build path), `RerankOk` a shortlist of candidates.
 //! These costs bound how much of the in-process shard speedup survives the
-//! hop onto a socket, so they sit in the committed baseline next to the
-//! `shard_search_*` groups they tax.
+//! hop onto a socket. The benchmark's `serve_10k` reports the codec cost of
+//! one shard's `StageOneOk` from its traced pass and bounds none of it;
+//! these rows are the gate, one pair per frame kind.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::Criterion;
 use std::hint::black_box;
 
-use fp_bench::synthetic_gallery;
 use fp_index::{IndexConfig, StageOneScores};
 use fp_serve::{decode_frame, encode_frame, Frame};
 
@@ -28,10 +28,9 @@ fn stage1_frame(entries: usize) -> Frame {
 }
 
 fn enroll_frame(templates: usize) -> Frame {
-    let (gallery, _) = synthetic_gallery(templates);
     Frame::EnrollBatch {
         config: IndexConfig::default(),
-        templates: gallery,
+        templates: crate::cohort(templates).pool().to_vec(),
         trace: None,
     }
 }
@@ -48,7 +47,7 @@ fn rerank_ok_frame(entries: usize) -> Frame {
     }
 }
 
-fn wire_benches(c: &mut Criterion) {
+pub fn benches(c: &mut Criterion) {
     for (name, frame) in [
         ("stage1_ok_2000", stage1_frame(2_000)),
         ("enroll_64", enroll_frame(64)),
@@ -66,6 +65,3 @@ fn wire_benches(c: &mut Criterion) {
         group.finish();
     }
 }
-
-criterion_group!(benches, wire_benches);
-criterion_main!(benches);

@@ -1,72 +1,18 @@
 //! Compares two `BENCH_*.json` snapshots and gates on regressions.
 //!
 //! ```text
-//! bench-diff BASELINE.json NEW.json [--fail-pct 15] [--warn-pct 5]
+//! bench-diff BASELINE.json NEW.json
 //! ```
 //!
-//! Exits non-zero when any bench present in both snapshots is slower than
-//! the fail threshold (widened per bench to the baseline's own p95 noise),
-//! or when a required baseline bench is missing from the new snapshot. By
-//! default every baseline bench is required; a filtered bench run passes
-//! repeatable `--require PREFIX` flags naming the slice of the baseline it
-//! is answerable for.
+//! Exits non-zero when a baseline bench is missing from the new snapshot
+//! or, the two snapshots having been measured on the same host, when a
+//! bench is slower than the fail threshold (see [`fp_bench::diff`]).
 
 use std::process::ExitCode;
 
 use fp_bench::diff::{diff, render, BenchSnapshot};
 
-const USAGE: &str =
-    "usage: bench-diff BASELINE.json NEW.json [--fail-pct N] [--warn-pct N] [--require PREFIX]...";
-
-struct Args {
-    baseline: String,
-    new: String,
-    fail_pct: f64,
-    warn_pct: f64,
-    require: Vec<String>,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut positional = Vec::new();
-    let mut fail_pct = 15.0;
-    let mut warn_pct = 5.0;
-    let mut require = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--fail-pct" => {
-                fail_pct = args
-                    .next()
-                    .ok_or("--fail-pct needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--fail-pct: {e}"))?;
-            }
-            "--warn-pct" => {
-                warn_pct = args
-                    .next()
-                    .ok_or("--warn-pct needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--warn-pct: {e}"))?;
-            }
-            "--require" => {
-                require.push(args.next().ok_or("--require needs a bench-name prefix")?);
-            }
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other if other.starts_with('-') => {
-                return Err(format!("unknown flag {other}\n{USAGE}"))
-            }
-            other => positional.push(other.to_string()),
-        }
-    }
-    let [baseline, new] = positional.try_into().map_err(|_| USAGE.to_string())?;
-    Ok(Args {
-        baseline,
-        new,
-        fail_pct: fail_pct / 100.0,
-        warn_pct: warn_pct / 100.0,
-        require,
-    })
-}
+const USAGE: &str = "usage: bench-diff BASELINE.json NEW.json";
 
 fn load(path: &str) -> Result<BenchSnapshot, String> {
     let raw = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -74,50 +20,32 @@ fn load(path: &str) -> Result<BenchSnapshot, String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
+    let paths: Vec<String> = std::env::args().skip(1).collect();
+    let [baseline_path, new_path] = paths.as_slice() else {
+        eprintln!("{USAGE}");
+        return ExitCode::FAILURE;
     };
-    let (old, new) = match (load(&args.baseline), load(&args.new)) {
-        (Ok(old), Ok(new)) => (old, new),
+    let (baseline, new) = match (load(baseline_path), load(new_path)) {
+        (Ok(baseline), Ok(new)) => (baseline, new),
         (Err(msg), _) | (_, Err(msg)) => {
             eprintln!("{msg}");
             return ExitCode::FAILURE;
         }
     };
-    if old.host != new.host {
-        eprintln!(
-            "note: snapshots measured on different hosts ({} vs {}) — timings may not be comparable",
-            old.host, new.host
-        );
-    }
-    let report = diff(&old, &new, args.fail_pct, args.warn_pct);
+    let report = diff(&baseline, &new);
     print!("{}", render(&report));
-    let missing = report.missing_required(&args.require);
-    let mut failed = false;
-    if !missing.is_empty() {
-        for name in &missing {
-            eprintln!(
-                "bench gate failed: required bench `{name}` is missing from {}",
-                args.new
-            );
-        }
-        failed = true;
+    for name in &report.removed {
+        eprintln!("bench gate failed: baseline bench `{name}` is missing from {new_path}");
     }
-    if !report.passed() {
+    if report.regressions() > 0 {
         eprintln!(
-            "bench gate failed: {} regression(s) beyond the {:.0}% threshold",
-            report.regressions(),
-            args.fail_pct * 100.0
+            "bench gate failed: {} regression(s) beyond the fail threshold",
+            report.regressions()
         );
-        failed = true;
     }
-    if failed {
-        ExitCode::FAILURE
-    } else {
+    if report.passed() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

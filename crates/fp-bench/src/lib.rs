@@ -1,225 +1,13 @@
 //! # fp-bench
 //!
-//! Criterion benchmarks for the fingerprint-interoperability workspace.
+//! One of the repo's two perf instruments. The end-to-end benchmark
+//! (`BENCHMARK.json`, `benchmark/`) answers "is the system slower?" on five
+//! workloads; this crate holds what that benchmark cannot see:
 //!
-//! The benches are organized by what they regenerate or measure:
-//!
-//! * `benches/experiments.rs` — **one benchmark per paper table and
-//!   figure** (Figures 1–5, Tables 3–6) over a shared small-scale study, so
-//!   `cargo bench -p fp-bench --bench experiments` regenerates every
-//!   artifact and reports how long each takes;
-//! * `benches/pipeline.rs` — throughput of the synthesis/acquisition
-//!   pipeline stages (master prints, captures, quality, rendering,
-//!   extraction);
-//! * `benches/matchers.rs` — matcher comparison latency on genuine and
-//!   impostor pairs, direct vs prepared paths;
-//! * `benches/ablations.rs` — the design choices called out in DESIGN.md
-//!   (kind matching, rotation clustering, size normalization), measured for
-//!   both speed and discriminative effect;
-//! * `benches/index.rs` — 1:N candidate-index build and search latency vs
-//!   an exhaustive brute-force scan, at several gallery sizes.
-//!
-//! Shared fixtures live here so every bench sees identical inputs.
+//! * `benches/micro` — the one micro suite (instrument overhead, RUNFP
+//!   folds, wire codec, trace merge, the 2k stage-1 kernel pair and the
+//!   per-matcher comparison rows), run by `cargo bench -p fp-bench`;
+//! * [`diff`] and the `bench-diff` binary — the gate that compares the
+//!   suite's `--save` snapshot with the committed `BENCH_baseline.json`.
 
 pub mod diff;
-
-use fp_core::ids::{DeviceId, Finger, SessionId};
-use fp_core::rng::SeedTree;
-use fp_core::template::Template;
-use fp_sensor::{CaptureProtocol, Impression};
-use fp_study::config::StudyConfig;
-use fp_study::scores::StudyData;
-use fp_synth::population::{Population, PopulationConfig, Subject};
-
-/// Cohort size used by the experiment benches — small enough for quick
-/// iterations, large enough that every experiment has meaningful input.
-pub const BENCH_SUBJECTS: usize = 24;
-
-/// Impostor pairs per cell for the bench study.
-pub const BENCH_IMPOSTORS: usize = 120;
-
-/// The shared bench study configuration.
-pub fn bench_config() -> StudyConfig {
-    StudyConfig::builder()
-        .subjects(BENCH_SUBJECTS)
-        .seed(0xBE7C)
-        .impostors_per_cell(BENCH_IMPOSTORS)
-        .build()
-}
-
-/// Generates the shared study data (dataset + score matrices).
-pub fn bench_study() -> StudyData {
-    StudyData::generate(&bench_config())
-}
-
-/// A small deterministic population for pipeline benches.
-pub fn bench_population(n: usize) -> Population {
-    Population::generate(&PopulationConfig::new(0xBE7C, n))
-}
-
-/// A pair of same-finger impressions on the given devices (genuine pair).
-pub fn genuine_pair(
-    subject: &Subject,
-    gallery: DeviceId,
-    probe: DeviceId,
-) -> (Impression, Impression) {
-    let protocol = CaptureProtocol::new();
-    (
-        protocol.capture(subject, Finger::RIGHT_INDEX, gallery, SessionId(0)),
-        protocol.capture(subject, Finger::RIGHT_INDEX, probe, SessionId(1)),
-    )
-}
-
-/// Templates of a genuine same-device pair and an impostor pair, for the
-/// matcher benches.
-pub fn matcher_fixtures() -> (Template, Template, Template) {
-    let pop = bench_population(2);
-    let (gallery, probe) = genuine_pair(&pop.subjects()[0], DeviceId(0), DeviceId(0));
-    let protocol = CaptureProtocol::new();
-    let impostor = protocol.capture(
-        &pop.subjects()[1],
-        Finger::RIGHT_INDEX,
-        DeviceId(0),
-        SessionId(1),
-    );
-    (
-        gallery.template().clone(),
-        probe.template().clone(),
-        impostor.template().clone(),
-    )
-}
-
-/// Seed tree root shared by rendering benches.
-pub fn bench_seed() -> SeedTree {
-    SeedTree::new(0xBE7C)
-}
-
-/// A 1:N gallery of `n` D0 session-0 templates plus one genuine probe
-/// (subject 0, session 1) for the index benches.
-pub fn gallery_fixtures(n: usize) -> (Vec<Template>, Template) {
-    let pop = bench_population(n);
-    let protocol = CaptureProtocol::new();
-    let gallery: Vec<Template> = pop
-        .subjects()
-        .iter()
-        .map(|s| {
-            protocol
-                .capture(s, Finger::RIGHT_INDEX, DeviceId(0), SessionId(0))
-                .template()
-                .clone()
-        })
-        .collect();
-    let probe = protocol
-        .capture(
-            &pop.subjects()[0],
-            Finger::RIGHT_INDEX,
-            DeviceId(0),
-            SessionId(1),
-        )
-        .template()
-        .clone();
-    (gallery, probe)
-}
-
-/// A 1:N gallery of `n` cheap synthetic minutiae templates plus a jittered
-/// genuine probe of subject 0, for the shard benches. Unlike
-/// [`gallery_fixtures`] this skips the full synthesis/render/capture
-/// pipeline (the same direct sampler `ext-scaling` uses), so thousands of
-/// templates are generated in milliseconds — the index only sees minutiae.
-pub fn synthetic_gallery(n: usize) -> (Vec<Template>, Template) {
-    use fp_core::geometry::{Direction, Point, RigidMotion, Vector};
-    use fp_core::minutia::{Minutia, MinutiaKind};
-    use rand::Rng;
-
-    let seeds = SeedTree::new(0xBE7C).child(&[0x5A]);
-    let template_of = |id: u64, count: usize| -> Template {
-        let mut rng = seeds.child(&[0x01, id]).rng();
-        let mut minutiae: Vec<Minutia> = Vec::new();
-        let mut attempts = 0;
-        while minutiae.len() < count && attempts < 10_000 {
-            attempts += 1;
-            let pos = Point::new(
-                rng.gen::<f64>() * 16.0 - 8.0,
-                rng.gen::<f64>() * 20.0 - 10.0,
-            );
-            if minutiae.iter().any(|m| m.pos.distance(&pos) < 1.4) {
-                continue;
-            }
-            let kind = if rng.gen::<bool>() {
-                MinutiaKind::RidgeEnding
-            } else {
-                MinutiaKind::Bifurcation
-            };
-            minutiae.push(Minutia::new(
-                pos,
-                Direction::from_radians(rng.gen::<f64>() * std::f64::consts::TAU),
-                kind,
-                1.0,
-            ));
-        }
-        Template::builder(500.0)
-            .capture_window_mm(20.0, 24.0)
-            .extend(minutiae)
-            .build()
-            .expect("synthetic template is valid")
-    };
-
-    let gallery: Vec<Template> = (0..n).map(|i| template_of(i as u64, 22 + i % 14)).collect();
-
-    // A jittered second capture of subject 0.
-    let mut rng = seeds.child(&[0x02]).rng();
-    let mut minutiae: Vec<Minutia> = Vec::new();
-    for m in gallery[0].minutiae() {
-        if rng.gen::<f64>() < 0.06 {
-            continue;
-        }
-        minutiae.push(Minutia::new(
-            Point::new(
-                m.pos.x + fp_core::dist::normal(&mut rng, 0.0, 0.10),
-                m.pos.y + fp_core::dist::normal(&mut rng, 0.0, 0.10),
-            ),
-            m.direction
-                .rotated(fp_core::dist::normal(&mut rng, 0.0, 0.04)),
-            m.kind,
-            m.reliability,
-        ));
-    }
-    let probe = Template::builder(500.0)
-        .capture_window_mm(20.0, 24.0)
-        .extend(minutiae)
-        .build()
-        .expect("probe template is valid")
-        .transformed(&RigidMotion::new(
-            Direction::from_radians(0.08),
-            Vector::new(0.6, -0.4),
-        ));
-    (gallery, probe)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fixtures_are_generatable() {
-        let (g, p, i) = matcher_fixtures();
-        assert!(g.len() > 5 && p.len() > 5 && i.len() > 5);
-    }
-
-    #[test]
-    fn bench_config_is_small() {
-        let c = bench_config();
-        assert_eq!(c.subjects, BENCH_SUBJECTS);
-        assert_eq!(c.impostors_per_cell, BENCH_IMPOSTORS);
-    }
-
-    #[test]
-    fn synthetic_gallery_is_fast_and_deterministic() {
-        let (gallery, probe) = synthetic_gallery(64);
-        assert_eq!(gallery.len(), 64);
-        assert!(probe.len() > 10);
-        let (again, probe_again) = synthetic_gallery(64);
-        assert_eq!(gallery[17].minutiae(), again[17].minutiae());
-        assert_eq!(probe.minutiae(), probe_again.minutiae());
-    }
-}

@@ -110,8 +110,7 @@ const SUBCOMMANDS: &[Subcommand] = &[
     Subcommand {
         name: "load",
         operands: "",
-        flags:
-            "--subjects --seed --remote-shards --json --metrics --out --slowlog --trace --events",
+        flags: "--subjects --seed --remote-shards --json --metrics --slowlog --trace --events",
         run: load,
     },
     Subcommand {
@@ -1030,31 +1029,6 @@ fn load(args: &Args, telemetry: &Telemetry) -> ExitCode {
     if let (Some(path), Some(slowlog)) = (&args.slowlog, &slowlog) {
         let what = format!("{} slow-query exemplars", slowlog.entries().len());
         if let Err(code) = write_text(path, &slowlog.to_jsonl(), &what) {
-            return code;
-        }
-    }
-    // `--out` writes the latency rungs as a BENCH snapshot so bench-diff
-    // can gate them like any other perf number.
-    if let Some(path) = &args.out {
-        let benches: Vec<serde_json::Value> = report.values["rungs"]
-            .as_array()
-            .into_iter()
-            .flatten()
-            .map(|r| {
-                serde_json::json!({
-                    "bench": format!("load/search_c{}", r["clients"]),
-                    "median_ns": r["p50_ns"],
-                    "p95_ns": r["p95_ns"],
-                    "iters": r["answered"],
-                })
-            })
-            .collect();
-        let payload = serde_json::json!({
-            "version": 1,
-            "host": std::env::var("HOSTNAME").unwrap_or_else(|_| "unknown".to_string()),
-            "benches": benches,
-        });
-        if let Err(code) = write_json(telemetry, path, &payload) {
             return code;
         }
     }

@@ -18,9 +18,9 @@
 //!    response must equal the sequential reply to the same request. This
 //!    is deterministic, not a race the scheduler has to win.
 //! 3. **Latency ladder** — 1/2/4/8 client threads replay the probe set,
-//!    each search timed into a histogram; every rung reports throughput
-//!    and p50/p95/p99/p999, which is where overload and head-of-line
-//!    blocking actually show up.
+//!    each search timed to the nanosecond; every rung reports throughput
+//!    and nearest-rank p50/p95/p99/p999 of those raw timings, which is
+//!    where overload and head-of-line blocking actually show up.
 //! 4. **Admission ledger** — the shards' `serve.offered` /
 //!    `serve.accepted` / `serve.overloaded` counters are scraped over the
 //!    wire; offered must equal accepted + overloaded exactly. A request
@@ -56,6 +56,17 @@ const PIPELINE_DEPTH: usize = 8;
 
 /// Client-thread counts of the latency ladder.
 const LADDER: [usize; 4] = [1, 2, 4, 8];
+
+/// Nearest-rank percentile `q` of ascending `sorted`: the sample at rank
+/// `ceil(q * n)`, so every reported latency is one a request really had
+/// (0 for no samples).
+fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
+    let Some(last) = sorted.len().checked_sub(1) else {
+        return 0;
+    };
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    sorted[rank.saturating_sub(1).min(last)]
+}
 
 /// One rung of the latency ladder.
 struct LoadRung {
@@ -402,66 +413,64 @@ fn load_rung(
     );
 
     // Phase 3: the latency ladder. Each rung replays every probe across
-    // `clients` threads; per-search wall time lands in a histogram whose
-    // snapshot provides the percentiles. Correctness was already pinned in
-    // phase 1 — here only the distribution changes with concurrency.
-    let hist_registry = Telemetry::enabled();
+    // `clients` threads and keeps every search's own wall time: the
+    // percentiles are read off those raw values (a histogram would round
+    // each to a bucket edge). Correctness was already pinned in phase 1 —
+    // here only the distribution changes with concurrency.
     let mut rungs = Vec::with_capacity(LADDER.len());
     for clients in LADDER {
         let _rung_span = telemetry.span_with("load.rung", &[("clients", clients.to_string())]);
-        let hist = hist_registry.value(&format!("load.search_ns.c{clients}"));
         let mirror = telemetry.value(&format!("load.search_ns.c{clients}"));
-        let answered = std::sync::atomic::AtomicUsize::new(0);
         let wall = Instant::now();
-        std::thread::scope(|scope| -> Result<(), String> {
+        let mut latencies_ns = std::thread::scope(|scope| -> Result<Vec<u64>, String> {
             let handles: Vec<_> = (0..clients)
                 .map(|t| {
                     let remote = &remote;
                     let probes = &probes;
-                    let hist = &hist;
                     let mirror = &mirror;
-                    let answered = &answered;
-                    scope.spawn(move || -> Result<(), String> {
+                    scope.spawn(move || -> Result<Vec<u64>, String> {
+                        let mut mine = Vec::with_capacity(probes.len() / clients + 1);
                         for i in (t..probes.len()).step_by(clients) {
                             let start = Instant::now();
                             remote.search(&probes[i]).map_err(|e| e.to_string())?;
                             let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                            hist.record(ns);
                             mirror.record(ns);
-                            answered.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                            mine.push(ns);
                         }
-                        Ok(())
+                        Ok(mine)
                     })
                 })
                 .collect();
+            let mut all = Vec::with_capacity(probes.len());
             for handle in handles {
-                handle.join().expect("client thread panicked")?;
+                all.extend(handle.join().expect("client thread panicked")?);
             }
-            Ok(())
+            Ok(all)
         })
         .map_err(|e| format!("ladder rung ({clients} clients): {e}"))?;
         let wall_seconds = wall.elapsed().as_secs_f64();
-        let snap = hist.snapshot();
+        latencies_ns.sort_unstable();
+        let rung = LoadRung {
+            clients,
+            searches: n,
+            answered: latencies_ns.len(),
+            wall_seconds,
+            throughput_per_s: n as f64 / wall_seconds.max(1e-9),
+            p50_ns: nearest_rank(&latencies_ns, 0.50),
+            p95_ns: nearest_rank(&latencies_ns, 0.95),
+            p99_ns: nearest_rank(&latencies_ns, 0.99),
+            p999_ns: nearest_rank(&latencies_ns, 0.999),
+        };
         telemetry.event_with(
             Level::Info,
             "ladder rung complete",
             &[
                 ("clients", clients.to_string()),
-                ("p50_ns", snap.p50.to_string()),
-                ("p99_ns", snap.p99.to_string()),
+                ("p50_ns", rung.p50_ns.to_string()),
+                ("p99_ns", rung.p99_ns.to_string()),
             ],
         );
-        rungs.push(LoadRung {
-            clients,
-            searches: n,
-            answered: answered.into_inner(),
-            wall_seconds,
-            throughput_per_s: n as f64 / wall_seconds.max(1e-9),
-            p50_ns: snap.p50,
-            p95_ns: snap.p95,
-            p99_ns: snap.p99,
-            p999_ns: snap.p999,
-        });
+        rungs.push(rung);
     }
     let coordinator_peak = remote.peak_in_flight();
     remote
@@ -537,6 +546,22 @@ fn load_rung(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// 5_800_000 and 5_900_000 ns share one bucket of the telemetry
+    /// histogram (5_767_168..6_029_312), whose snapshot the rungs used to
+    /// be read from: both came out as the bucket edge 5_767_168.
+    #[test]
+    fn percentiles_are_raw_latencies_not_bucket_edges() {
+        let sorted = [5_800_000, 5_900_000];
+        assert_eq!(nearest_rank(&sorted, 0.50), 5_800_000);
+        assert_eq!(nearest_rank(&sorted, 0.95), 5_900_000);
+
+        let ladder: Vec<u64> = (1..=48).collect();
+        assert_eq!(nearest_rank(&ladder, 0.50), 24);
+        assert_eq!(nearest_rank(&ladder, 0.95), 46);
+        assert_eq!(nearest_rank(&ladder, 0.999), 48);
+        assert_eq!(nearest_rank(&[], 0.50), 0);
+    }
 
     /// The whole harness end to end at a tiny scale, driving real
     /// serve-shard children (the test binary is not the study binary, so

@@ -1,5 +1,5 @@
 //! The loopback harness the cross-process gates share: one synthetic
-//! [`Cohort`] (gallery pool + jittered probes) and one [`ShardFleet`]
+//! [`Cohort`] (gallery pool + jittered probes) and one `ShardFleet`
 //! (`serve-shard` children behind a coordinator).
 //!
 //! Gallery templates come from a cheap direct minutiae sampler rather than
@@ -10,6 +10,8 @@
 //! Every harness keeps its own seed-tree child and probe cap, so the
 //! templates, candidate lists and RUNFP chains of each are pure functions
 //! of `(seed, child, size, cap)` — sharing the code shares no state.
+//! `fp-bench` draws its gallery from [`Cohort`] as well, so the workspace
+//! has one such sampler.
 
 use std::net::SocketAddr;
 use std::time::Duration;
@@ -134,7 +136,7 @@ fn recapture(template: &Template, seeds: &SeedTree, id: u64, profile: Profile) -
 /// Entry `i` has `22 + i % 14` minutiae. Probes are spread evenly over the
 /// gallery and alternate the two perturbation profiles (same-device-like
 /// on even `p`, cross-device-like on odd `p`).
-pub(crate) struct Cohort {
+pub struct Cohort {
     seeds: SeedTree,
     pool: Vec<Template>,
     max_probes: usize,
@@ -143,7 +145,7 @@ pub(crate) struct Cohort {
 impl Cohort {
     /// Builds `size` gallery entries under `seeds`; at most `max_probes`
     /// probes are drawn per gallery.
-    pub(crate) fn new(seeds: SeedTree, size: usize, max_probes: usize) -> Cohort {
+    pub fn new(seeds: SeedTree, size: usize, max_probes: usize) -> Cohort {
         Cohort::metered(seeds, size, max_probes, &Telemetry::disabled())
     }
 
@@ -171,7 +173,7 @@ impl Cohort {
     }
 
     /// The gallery entries, in enrollment order.
-    pub(crate) fn pool(&self) -> &[Template] {
+    pub fn pool(&self) -> &[Template] {
         &self.pool
     }
 
@@ -181,7 +183,7 @@ impl Cohort {
     }
 
     /// Probe `p` over the whole pool: `(mated gallery id, capture)`.
-    pub(crate) fn probe(&self, p: usize) -> (usize, Template) {
+    pub fn probe(&self, p: usize) -> (usize, Template) {
         self.probe_over(self.pool.len(), p)
     }
 

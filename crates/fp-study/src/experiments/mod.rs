@@ -23,7 +23,7 @@ pub mod fig2;
 pub mod fig3;
 pub mod fig4;
 pub mod fig5;
-mod harness;
+pub mod harness;
 pub mod table3;
 pub mod table4;
 pub mod table5;

@@ -97,8 +97,8 @@ pub static GATES: &[Gate] = &[
         name: "load",
         proves: "concurrent clients byte-identical to a sequential baseline (lists and RUNFP), an \
                  8-deep pipeline, an exact admission ledger and monotone latency percentiles",
-        steps: &["load --subjects 200 --json {out}/load.json --out {out}/BENCH_load_current.json"],
-        artifacts: &["load.json", "BENCH_load_current.json"],
+        steps: &["load --subjects 200 --json {out}/load.json"],
+        artifacts: &["load.json"],
         budget_secs: 600,
         check: check_load,
         summary: load_summary,

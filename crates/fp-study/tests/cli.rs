@@ -78,6 +78,10 @@ fn unknown_flag_fails_with_usage() {
             &["devices", "--deep", "--port", "9"][..],
             "--deep is not a flag of 'devices'",
         ),
+        (
+            &["load", "--out", "x.json"][..],
+            "--out is not a flag of 'load'",
+        ),
     ] {
         let out = study().args(args).output().expect("binary runs");
         assert!(!out.status.success(), "{args:?} must fail");
