@@ -4,7 +4,7 @@
 //!
 //! * `telemetry` — `counter/ value_histogram/ span/ fingerprint/ study/`:
 //!   the cost of an instrument, disabled and enabled, and of a RUNFP fold;
-//! * `stage1` — `stage1/*_2k`: the blocked kernel against the scalar
+//! * `stage1` — `stage1/*_2k`: the arena kernel against the scalar
 //!   reference on an arena that fits in cache, as the kernel's quick check;
 //! * `wire` — `wire_*`: encode and decode of the frames a cross-process
 //!   search sends;

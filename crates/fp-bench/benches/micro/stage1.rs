@@ -1,8 +1,9 @@
-//! Stage-1 cylinder-scoring kernel: the cache-blocked SoA arena kernel vs
-//! the scalar reference path over a 2,000-entry gallery whose arena fits in
-//! cache. Both paths produce bitwise-identical scores (pinned by fp-index's
-//! kernel proptest suite and `study check-kernel`); this pair is the
-//! kernel's quick check. The 10k rung, where the arena outgrows L2, is the
+//! Stage-1 cylinder scoring over a 2,000-entry gallery whose arena fits in
+//! cache: `CodeArena::score_into` (`arena_2k`: the lane body under
+//! runtime-detected `popcnt`, the integer ratio filter) beside the scalar
+//! oracle it is held bitwise equal to (`reference_2k`; pinned by fp-index's
+//! kernel proptest suite and `study check-kernel`). The pair is the
+//! kernel's quick check; the 10k rung, where the arena outgrows L2, is the
 //! benchmark's `identify_10k` (`index.stage1_codes_ms`).
 
 use criterion::Criterion;
@@ -20,10 +21,10 @@ pub fn benches(c: &mut Criterion) {
     );
     index.enroll_all(cohort.pool());
     let mut group = c.benchmark_group("stage1");
-    group.bench_function("blocked_2k", |b| {
+    group.bench_function("arena_2k", |b| {
         b.iter(|| black_box(index.stage1_cylinder_scores(black_box(&probe))))
     });
-    group.bench_function("scalar_2k", |b| {
+    group.bench_function("reference_2k", |b| {
         b.iter(|| black_box(index.stage1_cylinder_scores_reference(black_box(&probe))))
     });
     group.finish();

@@ -1,14 +1,8 @@
-//! Structure-of-arrays code arena: the cache-blocked stage-1 kernel.
+//! Structure-of-arrays code arena: the stage-1 slab and its kernel.
 //!
-//! The scalar stage-1 path scored one gallery entry at a time through a
-//! per-entry [`CylinderCodes`] box — every entry a separate heap
-//! allocation, every cylinder fetched through slice dispatch, and a fresh
-//! `Vec` of local bests allocated per entry per probe. At 10k-gallery
-//! scale the search spends its time in allocator traffic and cache misses
-//! instead of popcounts.
-//!
-//! [`CodeArena`] restructures the gallery side as one structure of arrays,
-//! packed at enroll time:
+//! [`CodeArena`] holds every enrolled entry's packed cylinder codes as one
+//! structure of arrays, and this module is the only code that knows how
+//! that slab is laid out or how it is scored:
 //!
 //! * `words`  — every entry's cylinder words, entry-major then
 //!   cylinder-major, one contiguous little-endian `u64` slab;
@@ -16,27 +10,31 @@
 //! * `spans`  — per-entry `(word_off, ones_off, cylinders, words_per)`,
 //!   so entries extracted under different MCC widths coexist.
 //!
-//! Scoring a probe against the whole gallery walks the slab once, in
-//! blocks of entries sized to fit [`BLOCK_BYTES`] of packed words
-//! (≈ half an L1d), so the probe's own codes and the current gallery block
-//! stay cache-resident while the hardware prefetcher streams the slab.
-//! The block boundary is a pure scheduling boundary: per-entry scores are
-//! pure functions of (probe, entry), so blocking cannot change a byte of
-//! the result — the same invariant that makes sharded search exact
-//! (shard.rs).
+//! Entries go in through [`CodeArena::push`] / [`CodeArena::push_view`]
+//! or, from persisted bytes, through the validating
+//! [`CodeArena::from_raw_parts`], and come out as [`CodeView`]s
+//! ([`CodeArena::entry`]). `fp-store` saves, reopens, compacts and deals
+//! arenas through those alone; it never computes an offset into the slab.
 //!
-//! Inside a block, the common case — probe and entry packed at the same
-//! width — dispatches to a width-specialized kernel
-//! (`best_rows_fixed`): the XOR+popcount reduction runs over a fixed
-//! `[u64; W]` lane array, fully unrolled by the compiler. That lane loop
-//! is the single seam where `std::simd` (or a `target_feature` AVX-512
-//! `VPOPCNTQ` path) drops in later without touching any surrounding
-//! logic. Mismatched widths fall back to the same excess-word-tail
-//! semantics as [`crate::signature::hamming`].
+//! [`CodeArena::score_into`] is one pass over the entries in order. Per
+//! entry it runs one of two bodies:
 //!
-//! **Byte identity, argued once:** for one (probe, entry) pair both
-//! kernels visit probe cylinders in index order, reduce over gallery
-//! cylinders in index order with the identical skip rule (combined
+//! * the **lane body** when probe and entry are both [`LANE_WORDS`] wide —
+//!   the width of the default MCC grid (8 x 8 x 5 = 320 cells), so of
+//!   every entry a shipping index holds (the `kernel` gate fails if one is
+//!   not): XOR+popcount over `[u64; LANE_WORDS]` arrays, fully unrolled,
+//!   compiled under the `popcnt` target feature when the CPU has it. It
+//!   is the seam where a `std::simd` or `VPOPCNTQ` body drops in;
+//! * the **general body** for any other pair of widths, through
+//!   [`hamming`], whose excess-word tail is empty when the widths agree.
+//!
+//! Both keep a probe cylinder's running best through `RowBest`'s exact
+//! integer ratio filter. [`CodeArena::score_into_reference`] is the
+//! oracle: entry-at-a-time `reference_similarity`, no filter, no lanes.
+//!
+//! **Byte identity, argued once:** for one (probe, entry) pair the kernel
+//! and the oracle visit probe cylinders in index order, reduce over
+//! gallery cylinders in index order with the identical skip rule (combined
 //! set-bit mass zero ⇒ no ops, no compare), compute the identical
 //! `1 - hamming/mass` expression (u32 adds are associative, so lane
 //! order cannot change `hamming`), clamp the identical depth, sort the
@@ -50,6 +48,10 @@
 use crate::signature::{
     hamming, reference_similarity, sort_bests_desc, CodeView, CylinderCodes, Stage1Scratch,
 };
+
+/// Packed words per cylinder the lane body is compiled for: 320 cells
+/// (`MccMatcher::default()`'s 8 x 8 x 5 grid) in 64-bit words.
+pub const LANE_WORDS: usize = 5;
 
 /// Running max of `1 - distance/mass` over one probe cylinder's row,
 /// updated with almost no float ops: alongside the f64 `best` it tracks
@@ -95,11 +97,6 @@ impl RowBest {
     }
 }
 
-/// Packed-word budget per scoring block: 32 KiB of gallery words, so a
-/// block plus the probe's own codes (≤ `max_cylinders * words_per * 8`
-/// bytes, ~1 KiB at the defaults) fits comfortably in L1d.
-pub const BLOCK_BYTES: usize = 32 * 1024;
-
 /// Where one entry's codes live inside the arena.
 #[derive(Debug, Clone, Copy)]
 struct EntrySpan {
@@ -110,7 +107,7 @@ struct EntrySpan {
 }
 
 /// One contiguous structure-of-arrays slab of every enrolled entry's
-/// packed cylinder codes, plus the blocked stage-1 scoring kernel over it.
+/// packed cylinder codes, plus the stage-1 scoring kernel over it.
 #[derive(Debug, Clone, Default)]
 pub struct CodeArena {
     words: Vec<u64>,
@@ -139,30 +136,11 @@ impl CodeArena {
         self.words.len() * std::mem::size_of::<u64>()
     }
 
-    /// The packed word slab, entry-major then cylinder-major — the raw
-    /// persistence view `fp-store` serializes as little-endian `u64`s.
-    pub fn raw_words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// The per-cylinder set-bit counts, in slab order.
-    pub fn raw_ones(&self) -> &[u32] {
-        &self.ones
-    }
-
-    /// Per-entry `(cylinders, words_per)` in entry order. The word and
-    /// ones offsets are *not* part of the persistence surface: entries are
-    /// packed back-to-back, so offsets are the running sums of these two
-    /// quantities and [`from_raw_parts`](Self::from_raw_parts) recomputes
-    /// them — a segment cannot claim overlapping or out-of-order spans.
-    pub fn raw_spans(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.spans
-            .iter()
-            .map(|s| (s.cylinders as u32, s.words_per as u32))
-    }
-
-    /// Rebuilds an arena from its raw parts (the inverse of the `raw_*`
-    /// accessors), recomputing cumulative offsets and validating the
+    /// Rebuilds an arena from persisted parts: the word slab, the
+    /// per-cylinder set-bit counts, and per-entry `(cylinders, words_per)`
+    /// in entry order. Offsets are not persisted — entries are packed
+    /// back-to-back, so they are the running sums of the spans and a
+    /// segment cannot claim overlapping or out-of-order ones. Validates the
     /// invariants both scoring kernels rely on before constructing
     /// anything: the spans must tile `words` and `ones` exactly (no gap,
     /// no overhang, no overflow), and every `ones` count must equal its
@@ -171,12 +149,13 @@ impl CodeArena {
     pub fn from_raw_parts(
         words: Vec<u64>,
         ones: Vec<u32>,
-        spans: &[(u32, u32)],
+        spans: impl IntoIterator<Item = (u32, u32)>,
     ) -> Result<CodeArena, String> {
         let mut word_off = 0usize;
         let mut ones_off = 0usize;
-        let mut built = Vec::with_capacity(spans.len());
-        for (at, &(cylinders, words_per)) in spans.iter().enumerate() {
+        let spans = spans.into_iter();
+        let mut built = Vec::with_capacity(spans.size_hint().0);
+        for (at, (cylinders, words_per)) in spans.enumerate() {
             let (cylinders, words_per) = (cylinders as usize, words_per as usize);
             let entry_words = cylinders
                 .checked_mul(words_per)
@@ -232,7 +211,12 @@ impl CodeArena {
     /// Appends one entry's codes to the slab. Entries keep their append
     /// order: entry `i` here is gallery entry `i` of the owning index.
     pub fn push(&mut self, codes: &CylinderCodes) {
-        let view = codes.view();
+        self.push_view(codes.view());
+    }
+
+    /// Appends one entry through its view — how `fp-store` moves survivors
+    /// and shard deals from one arena ([`entry`](Self::entry)) to another.
+    pub fn push_view(&mut self, view: CodeView<'_>) {
         self.spans.push(EntrySpan {
             word_off: self.words.len(),
             ones_off: self.ones.len(),
@@ -253,12 +237,16 @@ impl CodeArena {
         }
     }
 
-    /// The blocked kernel: local-similarity-sort scores of `probe` against
+    /// The kernel: local-similarity-sort scores of `probe` against
     /// **every** packed entry, written to `out[i]` (which must hold
     /// exactly [`len`](Self::len) slots). Returns the packed-`u64` Hamming
     /// word comparisons performed — the exact quantity
     /// `index.search.hamming_ops` meters, byte-identical to summing the
     /// scalar reference over every entry.
+    ///
+    /// One pass over the entries in order: per entry, the lane body when
+    /// both sides are [`LANE_WORDS`] wide and the general body otherwise,
+    /// then the depth clamp, sort and prefix mean the oracle shares.
     pub fn score_into(
         &self,
         probe: &CylinderCodes,
@@ -267,38 +255,35 @@ impl CodeArena {
         out: &mut [f64],
     ) -> u64 {
         assert_eq!(out.len(), self.spans.len(), "out must cover every entry");
-        let pv = probe.view();
-        if pv.is_empty() {
+        let probe = probe.view();
+        if probe.is_empty() {
             out.fill(0.0);
             return 0;
         }
+        let bests = &mut scratch.bests;
         let mut word_ops = 0u64;
-        let mut begin = 0usize;
-        while begin < self.spans.len() {
-            // Grow the block until the next entry's words would overflow
-            // the cache budget (always at least one entry per block).
-            let mut end = begin;
-            let mut block_bytes = 0usize;
-            while end < self.spans.len() {
-                let span = &self.spans[end];
-                let entry_bytes = span.cylinders * span.words_per * std::mem::size_of::<u64>();
-                if end > begin && block_bytes + entry_bytes > BLOCK_BYTES {
-                    break;
-                }
-                block_bytes += entry_bytes;
-                end += 1;
+        for (i, slot) in out.iter_mut().enumerate() {
+            let entry = self.entry(i);
+            if entry.is_empty() {
+                *slot = 0.0;
+                continue;
             }
-            for (i, slot) in out.iter_mut().enumerate().take(end).skip(begin) {
-                *slot = self.score_entry(&pv, i, lss_depth, scratch, &mut word_ops);
+            bests.clear();
+            if probe.words_per == LANE_WORDS && entry.words_per == LANE_WORDS {
+                best_rows_lanes(&probe, &entry, bests, &mut word_ops);
+            } else {
+                best_rows_general(&probe, &entry, bests, &mut word_ops);
             }
-            begin = end;
+            let depth = probe.len().min(entry.len()).min(lss_depth).max(1);
+            sort_bests_desc(bests);
+            *slot = bests[..depth].iter().sum::<f64>() / depth as f64;
         }
         word_ops
     }
 
     /// The scalar reference over the same arena: entry-at-a-time
-    /// [`CylinderCodes::reference_similarity`], sharing one scratch (so reference and
-    /// blocked kernels are benchmarked on equal allocator footing).
+    /// [`CylinderCodes::reference_similarity`], sharing one scratch (so
+    /// oracle and kernel are benchmarked on equal allocator footing).
     /// `study check-kernel` and the proptest equivalence suite hold
     /// [`score_into`](Self::score_into) byte-identical to this.
     pub fn score_into_reference(
@@ -318,75 +303,31 @@ impl CodeArena {
         }
         word_ops
     }
-
-    /// Scores one entry: dispatch to the width-specialized lane kernel
-    /// when probe and entry share a width, otherwise the mixed-width tail
-    /// path.
-    fn score_entry(
-        &self,
-        probe: &CodeView<'_>,
-        i: usize,
-        lss_depth: usize,
-        scratch: &mut Stage1Scratch,
-        word_ops: &mut u64,
-    ) -> f64 {
-        let span = self.spans[i];
-        if span.cylinders == 0 {
-            return 0.0;
-        }
-        let gw = &self.words[span.word_off..span.word_off + span.cylinders * span.words_per];
-        let go = &self.ones[span.ones_off..span.ones_off + span.cylinders];
-        let bests = &mut scratch.bests;
-        bests.clear();
-        if span.words_per == probe.words_per && span.words_per > 0 {
-            // Width-specialized lanes for every width the default MCC
-            // grids produce (8x8x5 cells => 5 words); rare widths take the
-            // runtime-width equal path, still tail-free.
-            match span.words_per {
-                1 => best_rows_fixed::<1>(probe, gw, go, bests, word_ops),
-                2 => best_rows_fixed::<2>(probe, gw, go, bests, word_ops),
-                3 => best_rows_fixed::<3>(probe, gw, go, bests, word_ops),
-                4 => best_rows_fixed::<4>(probe, gw, go, bests, word_ops),
-                5 => best_rows_fixed::<5>(probe, gw, go, bests, word_ops),
-                6 => best_rows_fixed::<6>(probe, gw, go, bests, word_ops),
-                7 => best_rows_fixed::<7>(probe, gw, go, bests, word_ops),
-                8 => best_rows_fixed::<8>(probe, gw, go, bests, word_ops),
-                w => best_rows_equal(probe, gw, go, w, bests, word_ops),
-            }
-        } else {
-            best_rows_mixed(probe, gw, go, span.words_per, bests, word_ops);
-        }
-        let depth = probe.len().min(span.cylinders).min(lss_depth).max(1);
-        sort_bests_desc(bests);
-        bests[..depth].iter().sum::<f64>() / depth as f64
-    }
 }
 
-/// Equal-width rows with the width a compile-time constant: dispatches
-/// the unrolled lane body to a hardware-`popcnt` compilation when the CPU
-/// has the instruction (the build baseline is plain x86-64, where
-/// `count_ones()` otherwise lowers to a ~12-op bit-twiddling sequence per
-/// word — the single largest cost in the whole kernel). Population count
-/// is an exact integer op, so both compilations are bit-identical; other
-/// architectures take the portable body, where `count_ones()` already
-/// lowers well (e.g. AArch64 `CNT`).
-fn best_rows_fixed<const W: usize>(
+/// The lane body, both sides [`LANE_WORDS`] wide: dispatches to a
+/// hardware-`popcnt` compilation when the CPU has the instruction (the
+/// build baseline is plain x86-64, where `count_ones()` otherwise lowers
+/// to a ~12-op bit-twiddling sequence per word — the single largest cost
+/// in the whole kernel). Population count is an exact integer op, so both
+/// compilations are bit-identical; other architectures take the portable
+/// body, where `count_ones()` already lowers well (e.g. AArch64 `CNT`).
+fn best_rows_lanes(
     probe: &CodeView<'_>,
-    gallery_words: &[u64],
-    gallery_ones: &[u32],
+    entry: &CodeView<'_>,
     bests: &mut Vec<f64>,
     word_ops: &mut u64,
 ) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("popcnt") {
         // SAFETY: the `popcnt` target feature was just runtime-verified.
-        unsafe { best_rows_fixed_popcnt::<W>(probe, gallery_words, gallery_ones, bests, word_ops) }
+        unsafe { best_rows_lanes_popcnt(probe, entry, bests, word_ops) }
         return;
     }
-    best_rows_fixed_body::<W>(probe, gallery_words, gallery_ones, bests, word_ops)
+    best_rows_lanes_body(probe, entry, bests, word_ops)
 }
 
-/// [`best_rows_fixed_body`] compiled with the `popcnt` instruction
+/// [`best_rows_lanes_body`] compiled with the `popcnt` instruction
 /// available, so every `count_ones()` in the inlined lane loop lowers to
 /// one `POPCNT`.
 ///
@@ -395,41 +336,39 @@ fn best_rows_fixed<const W: usize>(
 /// Callers must have verified the CPU supports `popcnt`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "popcnt")]
-unsafe fn best_rows_fixed_popcnt<const W: usize>(
+unsafe fn best_rows_lanes_popcnt(
     probe: &CodeView<'_>,
-    gallery_words: &[u64],
-    gallery_ones: &[u32],
+    entry: &CodeView<'_>,
     bests: &mut Vec<f64>,
     word_ops: &mut u64,
 ) {
-    best_rows_fixed_body::<W>(probe, gallery_words, gallery_ones, bests, word_ops)
+    best_rows_lanes_body(probe, entry, bests, word_ops)
 }
 
-/// The XOR + popcount reduction over `[u64; W]` lane arrays, fully
-/// unrolled. **This loop is the `std::simd` seam** — swap the
-/// `for k in 0..W` body for a `Simd<u64, W>` XOR and a vectorized
-/// popcount and nothing outside this function changes (u32 lane adds are
-/// associative, so the reduction order is free).
+/// The XOR + popcount reduction over `[u64; LANE_WORDS]` arrays, fully
+/// unrolled. **This loop is the `std::simd` seam** — swap the `for k`
+/// body for a `Simd<u64, _>` XOR and a vectorized popcount and nothing
+/// outside this function changes (u32 lane adds are associative, so the
+/// reduction order is free).
 #[inline(always)]
-fn best_rows_fixed_body<const W: usize>(
+fn best_rows_lanes_body(
     probe: &CodeView<'_>,
-    gallery_words: &[u64],
-    gallery_ones: &[u32],
+    entry: &CodeView<'_>,
     bests: &mut Vec<f64>,
     word_ops: &mut u64,
 ) {
-    for (pw, &po) in probe.words.chunks_exact(W).zip(probe.ones) {
-        let pw: &[u64; W] = pw.try_into().expect("probe chunk is W words");
+    for (pw, &po) in probe.words.chunks_exact(LANE_WORDS).zip(probe.ones) {
+        let pw: &[u64; LANE_WORDS] = pw.try_into().expect("probe chunk is LANE_WORDS words");
         let mut row = RowBest::new();
-        for (gw, &go) in gallery_words.chunks_exact(W).zip(gallery_ones) {
+        for (gw, &go) in entry.words.chunks_exact(LANE_WORDS).zip(entry.ones) {
             let mass = po + go;
             if mass == 0 {
                 continue;
             }
-            *word_ops += W as u64;
-            let gw: &[u64; W] = gw.try_into().expect("gallery chunk is W words");
+            *word_ops += LANE_WORDS as u64;
+            let gw: &[u64; LANE_WORDS] = gw.try_into().expect("entry chunk is LANE_WORDS words");
             let mut distance = 0u32;
-            for k in 0..W {
+            for k in 0..LANE_WORDS {
                 distance += (pw[k] ^ gw[k]).count_ones();
             }
             row.offer(distance, mass);
@@ -438,53 +377,27 @@ fn best_rows_fixed_body<const W: usize>(
     }
 }
 
-/// Equal-width rows with a runtime width (widths > 8, which no shipping
-/// MCC grid produces but `from_raw` permits).
-fn best_rows_equal(
+/// The general body: any pair of widths. Per cylinder pair, the excess
+/// words of the wider side count every set bit ([`hamming`]'s tail rule,
+/// empty when the widths agree) and the op meter charges the wider width
+/// — exactly the scalar reference semantics.
+fn best_rows_general(
     probe: &CodeView<'_>,
-    gallery_words: &[u64],
-    gallery_ones: &[u32],
-    width: usize,
+    entry: &CodeView<'_>,
     bests: &mut Vec<f64>,
     word_ops: &mut u64,
 ) {
-    for (pw, &po) in probe.words.chunks_exact(width).zip(probe.ones) {
-        let mut row = RowBest::new();
-        for (gw, &go) in gallery_words.chunks_exact(width).zip(gallery_ones) {
-            let mass = po + go;
-            if mass == 0 {
-                continue;
-            }
-            *word_ops += width as u64;
-            row.offer(hamming(pw, gw), mass);
-        }
-        bests.push(row.best);
-    }
-}
-
-/// Mixed-width rows: probe and entry were packed under different MCC
-/// grids. Per pair, the excess words of the wider side count every set
-/// bit ([`hamming`]'s tail rule) and the op meter charges the wider
-/// width — exactly the scalar reference semantics.
-fn best_rows_mixed(
-    probe: &CodeView<'_>,
-    gallery_words: &[u64],
-    gallery_ones: &[u32],
-    gallery_width: usize,
-    bests: &mut Vec<f64>,
-    word_ops: &mut u64,
-) {
-    let charged = probe.words_per.max(gallery_width) as u64;
+    let charged = probe.words_per.max(entry.words_per) as u64;
     for i in 0..probe.len() {
         let (pw, po) = probe.cylinder(i);
         let mut row = RowBest::new();
-        for (j, &go) in gallery_ones.iter().enumerate() {
+        for j in 0..entry.len() {
+            let (gw, go) = entry.cylinder(j);
             let mass = po + go;
             if mass == 0 {
                 continue;
             }
             *word_ops += charged;
-            let gw = &gallery_words[j * gallery_width..(j + 1) * gallery_width];
             row.offer(hamming(pw, gw), mass);
         }
         bests.push(row.best);
@@ -519,11 +432,11 @@ mod tests {
         assert_eq!(arena.packed_bytes(), 2 * 2 * 2 * 8);
 
         let mut scratch = Stage1Scratch::new();
-        let mut blocked = vec![0.0; 2];
+        let mut scores = vec![0.0; 2];
         let mut reference = vec![0.0; 2];
-        let ops_b = arena.score_into(&probe, 2, &mut scratch, &mut blocked);
+        let ops_b = arena.score_into(&probe, 2, &mut scratch, &mut scores);
         let ops_r = arena.score_into_reference(&probe, 2, &mut scratch, &mut reference);
-        assert_eq!(blocked, reference);
+        assert_eq!(scores, reference);
         assert_eq!(ops_b, ops_r);
         // Entry b's second cylinder and the probe's second cylinder are
         // both all-zero: that one pair has mass 0 and must be skipped
@@ -580,41 +493,43 @@ mod tests {
         arena.push(&a);
         arena.push(&b);
 
-        let spans: Vec<(u32, u32)> = arena.raw_spans().collect();
-        assert_eq!(spans, vec![(2, 2), (3, 1)]);
-        let rebuilt = CodeArena::from_raw_parts(
-            arena.raw_words().to_vec(),
-            arena.raw_ones().to_vec(),
-            &spans,
-        )
-        .unwrap();
-        assert_eq!(rebuilt.raw_words(), arena.raw_words());
-        assert_eq!(rebuilt.raw_ones(), arena.raw_ones());
+        // The persisted parts are the slab, the popcounts and each entry's
+        // shape; moving entries view by view rebuilds the same arena.
+        let spans = [(2, 2), (3, 1)];
+        let rebuilt =
+            CodeArena::from_raw_parts(arena.words.clone(), arena.ones.clone(), spans).unwrap();
+        let mut moved = CodeArena::new();
+        for i in 0..arena.len() {
+            moved.push_view(arena.entry(i));
+        }
         let probe = raw_codes(&[&[0b1111, 0xAA]], 2);
         let mut scratch = Stage1Scratch::new();
-        let (mut out_a, mut out_b) = (vec![0.0; 2], vec![0.0; 2]);
-        let ops_a = arena.score_into(&probe, 2, &mut scratch, &mut out_a);
-        let ops_b = rebuilt.score_into(&probe, 2, &mut scratch, &mut out_b);
-        assert_eq!(out_a, out_b);
-        assert_eq!(ops_a, ops_b);
+        let mut expected = vec![0.0; 2];
+        let ops = arena.score_into(&probe, 2, &mut scratch, &mut expected);
+        for other in [&rebuilt, &moved] {
+            assert_eq!(other.words, arena.words);
+            assert_eq!(other.ones, arena.ones);
+            let mut out = vec![0.0; 2];
+            assert_eq!(other.score_into(&probe, 2, &mut scratch, &mut out), ops);
+            assert_eq!(out, expected);
+        }
 
         // Hostile shapes: spans that under- or over-cover the slab, wrong
         // popcounts, and multiplications that overflow all come back as
         // errors, never panics.
-        let words = arena.raw_words().to_vec();
-        let ones = arena.raw_ones().to_vec();
-        assert!(CodeArena::from_raw_parts(words.clone(), ones.clone(), &[(2, 2)]).is_err());
+        let (words, ones) = (arena.words.clone(), arena.ones.clone());
+        assert!(CodeArena::from_raw_parts(words.clone(), ones.clone(), [(2, 2)]).is_err());
         assert!(
-            CodeArena::from_raw_parts(words.clone(), ones.clone(), &[(2, 2), (3, 1), (1, 1)])
+            CodeArena::from_raw_parts(words.clone(), ones.clone(), [(2, 2), (3, 1), (1, 1)])
                 .is_err()
         );
         let mut bad_ones = ones.clone();
         bad_ones[0] ^= 1;
-        assert!(CodeArena::from_raw_parts(words.clone(), bad_ones, &spans).is_err());
+        assert!(CodeArena::from_raw_parts(words.clone(), bad_ones, spans).is_err());
         assert!(
-            CodeArena::from_raw_parts(words, ones, &[(u32::MAX, u32::MAX), (u32::MAX, 2)]).is_err()
+            CodeArena::from_raw_parts(words, ones, [(u32::MAX, u32::MAX), (u32::MAX, 2)]).is_err()
         );
-        assert!(CodeArena::from_raw_parts(Vec::new(), Vec::new(), &[]).is_ok());
+        assert!(CodeArena::from_raw_parts(Vec::new(), Vec::new(), []).is_ok());
     }
 
     /// Fowler–Noll–Vo 1a over a byte stream — a stable digest for the
@@ -629,7 +544,7 @@ mod tests {
         h
     }
 
-    /// **Golden layout pin.** `fp-store` serializes the arena's raw parts
+    /// **Golden layout pin.** `fp-store` serializes every entry's view
     /// verbatim (words as little-endian `u64`s), so any change to how
     /// [`CylinderCodes::extract`] binarizes or how [`CodeArena::push`]
     /// packs — bit order within a word, cylinder order, words-per-cylinder,
@@ -682,19 +597,22 @@ mod tests {
         let mut arena = CodeArena::new();
         arena.push(&codes);
 
-        let spans: Vec<(u32, u32)> = arena.raw_spans().collect();
-        assert_eq!(spans, vec![(GOLDEN_CYLINDERS, GOLDEN_WORDS_PER)]);
+        let entry = arena.entry(0);
         assert_eq!(
-            fnv1a(arena.raw_words().iter().flat_map(|w| w.to_le_bytes())),
+            (entry.len() as u32, entry.words_per() as u32),
+            (GOLDEN_CYLINDERS, GOLDEN_WORDS_PER)
+        );
+        assert_eq!(
+            fnv1a(entry.words().iter().flat_map(|w| w.to_le_bytes())),
             GOLDEN_WORDS_FNV,
             "packed word bytes changed — bump the fp-store segment version"
         );
         assert_eq!(
-            fnv1a(arena.raw_ones().iter().flat_map(|o| o.to_le_bytes())),
+            fnv1a(entry.ones().iter().flat_map(|o| o.to_le_bytes())),
             GOLDEN_ONES_FNV,
             "popcount bytes changed — bump the fp-store segment version"
         );
-        assert_eq!(&arena.raw_words()[..4], GOLDEN_FIRST_WORDS);
+        assert_eq!(&entry.words()[..4], GOLDEN_FIRST_WORDS);
     }
 
     const GOLDEN_CYLINDERS: u32 = 22;
@@ -709,36 +627,35 @@ mod tests {
     ];
 
     #[test]
-    fn blocks_split_large_arenas_without_changing_scores() {
-        // Enough width-3 entries that the 32 KiB block budget forces
-        // several blocks: 8 cylinders x 3 words x 8 B = 192 B per entry,
-        // so 600 entries span > 3 blocks.
+    fn large_arenas_score_like_the_reference() {
+        // 600 lane-width entries: the body every shipping index runs, on
+        // a slab long enough that a slip in the running offsets would
+        // land on another entry's words.
         let mut arena = CodeArena::new();
         let mut entries = Vec::new();
         for e in 0..600u64 {
             let rows: Vec<Vec<u64>> = (0..8)
                 .map(|c| {
-                    (0..3)
+                    (0..LANE_WORDS as u64)
                         .map(|w| (e + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15 ^ (c * 31 + w)))
                         .collect()
                 })
                 .collect();
             let refs: Vec<&[u64]> = rows.iter().map(|r| r.as_slice()).collect();
-            entries.push(raw_codes(&refs, 3));
+            entries.push(raw_codes(&refs, LANE_WORDS));
         }
         for codes in &entries {
             arena.push(codes);
         }
-        assert!(arena.packed_bytes() > 3 * BLOCK_BYTES);
 
         let probe = entries[17].clone();
         let mut scratch = Stage1Scratch::new();
-        let mut blocked = vec![0.0; arena.len()];
+        let mut scores = vec![0.0; arena.len()];
         let mut reference = vec![0.0; arena.len()];
-        let ops_b = arena.score_into(&probe, 5, &mut scratch, &mut blocked);
+        let ops = arena.score_into(&probe, 5, &mut scratch, &mut scores);
         let ops_r = arena.score_into_reference(&probe, 5, &mut scratch, &mut reference);
-        assert_eq!(ops_b, ops_r);
-        assert_eq!(blocked, reference);
-        assert_eq!(blocked[17], 1.0);
+        assert_eq!(ops, ops_r);
+        assert_eq!(scores, reference);
+        assert_eq!(scores[17], 1.0);
     }
 }

@@ -502,10 +502,10 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
             })
             .collect();
 
-        // The cache-blocked arena kernel. Byte-identical to scoring each
-        // entry with `CylinderCodes::reference_similarity` (the scalar
-        // oracle) — `tests/kernel.rs` and `study check-kernel` pin the
-        // equivalence — including the exact `hamming_word_ops` count.
+        // The arena kernel. Byte-identical to scoring each entry with
+        // `CylinderCodes::reference_similarity` (the scalar oracle) —
+        // `tests/kernel.rs` and `study check-kernel` pin the equivalence —
+        // including the exact `hamming_word_ops` count.
         let mut scratch = Stage1Scratch::new();
         let mut cyl_scores = vec![0.0f64; n];
         let hamming_word_ops = self.arena.score_into(
@@ -534,7 +534,7 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
     /// structure plus its pair-feature count (the vote-normalization
     /// denominator, counted from the index's own feature extractor — not
     /// derivable from `M::Prepared` in general), in dense-id order.
-    /// Together with [`arena`](Self::arena)'s raw parts and
+    /// Together with [`arena`](Self::arena)'s entry views and
     /// [`store_buckets`](Self::store_buckets) this is the complete state
     /// `fp-store` writes into a segment — per-entry scores are pure
     /// functions of (probe, entry, config), so an index rebuilt from these
@@ -620,7 +620,7 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
     }
 
     /// Stage-1 cylinder-code scores of `probe` against every enrolled
-    /// entry via the **blocked arena kernel** — `(per-entry scores,
+    /// entry via the **arena kernel** — `(per-entry scores,
     /// hamming word ops)`. Public for the kernel parity gate
     /// (`study check-kernel`) and the stage-1 benches; not metered.
     pub fn stage1_cylinder_scores(&self, probe: &Template) -> (Vec<f64>, u64) {

@@ -73,7 +73,7 @@ pub mod metrics;
 pub mod shard;
 pub mod signature;
 
-pub use arena::CodeArena;
+pub use arena::{CodeArena, LANE_WORDS};
 pub use backend::{search_backends, ShardBackend, ShardError};
 pub use config::{IndexConfig, IndexConfigError};
 pub use geohash::FlatBuckets;

@@ -32,8 +32,9 @@ pub struct CylinderCodes {
 /// codes: `len * words_per` little-endian `u64` words (cylinder-major)
 /// plus the per-cylinder set-bit counts. Both [`CylinderCodes`] and the
 /// structure-of-arrays [`crate::CodeArena`] expose their codes through
-/// this view, so the scalar reference scorer and the blocked kernel are
-/// provably reading the same bytes.
+/// this view, so the scalar reference scorer and the arena kernel are
+/// provably reading the same bytes — and it is the unit `fp-store`
+/// persists and moves between arenas.
 #[derive(Debug, Clone, Copy)]
 pub struct CodeView<'a> {
     pub(crate) words: &'a [u64],
@@ -57,6 +58,16 @@ impl<'a> CodeView<'a> {
         self.words_per
     }
 
+    /// Every cylinder's packed words, cylinder-major.
+    pub fn words(&self) -> &'a [u64] {
+        self.words
+    }
+
+    /// The per-cylinder set-bit counts.
+    pub fn ones(&self) -> &'a [u32] {
+        self.ones
+    }
+
     /// The `i`-th cylinder's packed words and set-bit count.
     pub fn cylinder(&self, i: usize) -> (&'a [u64], u32) {
         (
@@ -69,7 +80,7 @@ impl<'a> CodeView<'a> {
 /// Reusable scratch for one stage-1 scoring pass: the per-probe-cylinder
 /// local bests that local similarity sort selects from. Callers allocate
 /// one per search and reuse it across every gallery entry, so neither the
-/// scalar reference path nor the blocked kernel allocates per entry.
+/// scalar reference path nor the arena kernel allocates per entry.
 #[derive(Debug, Default)]
 pub struct Stage1Scratch {
     pub(crate) bests: Vec<f64>,
@@ -93,11 +104,12 @@ impl CylinderCodes {
     pub fn extract(mcc: &MccMatcher, template: &Template, max_cylinders: usize) -> CylinderCodes {
         let minutiae = template.minutiae();
         let mut order: Vec<usize> = (0..minutiae.len()).collect();
+        // `total_cmp`: `reliability` is a `pub` field no constructor of
+        // `Template` checks, so a NaN can arrive; it must rank, not panic.
         order.sort_unstable_by(|&a, &b| {
             minutiae[b]
                 .reliability
-                .partial_cmp(&minutiae[a].reliability)
-                .expect("reliability is finite")
+                .total_cmp(&minutiae[a].reliability)
                 .then(a.cmp(&b))
         });
         let mut keep = vec![false; minutiae.len()];
@@ -173,8 +185,7 @@ impl CylinderCodes {
     }
 
     /// A borrowed view of the packed codes (the common currency of the
-    /// scalar reference scorer and the blocked [`crate::CodeArena`]
-    /// kernel).
+    /// scalar reference scorer and the [`crate::CodeArena`] kernel).
     pub fn view(&self) -> CodeView<'_> {
         CodeView {
             words: &self.words,
@@ -198,7 +209,7 @@ impl CylinderCodes {
     /// are skipped before touching any word) — the true work measure the
     /// `index.search.hamming_ops` counter meters.
     ///
-    /// The blocked [`crate::CodeArena`] kernel is required (and property-
+    /// The [`crate::CodeArena`] kernel is required (and property-
     /// tested) to be byte-identical to this function; nothing on the
     /// search path calls it. `scratch` is reused across calls so scoring a
     /// whole gallery performs zero per-entry allocations.
@@ -397,6 +408,30 @@ mod tests {
         );
         assert_eq!(similarity(&a, &empty), (0.0, 0));
         assert_eq!(similarity(&empty, &a), (0.0, 0));
+    }
+
+    #[test]
+    fn nan_reliability_ranks_instead_of_panicking() {
+        // `Minutia::new` clamps, but the field is `pub` and no `Template`
+        // constructor checks it: a struct-literal NaN reaches `extract`.
+        let mut minutiae = template(12, 30).minutiae().to_vec();
+        minutiae[3].reliability = f64::NAN;
+        let poisoned = Template::builder(500.0)
+            .capture_window_mm(20.0, 24.0)
+            .extend(minutiae)
+            .build()
+            .unwrap();
+
+        let mut index = crate::CandidateIndex::new(fp_match::PairTableMatcher::default());
+        index.enroll(&poisoned);
+        index.enroll(&template(13, 30));
+        assert_eq!(index.search(&poisoned).candidates()[0].id, 0);
+        let (scores, ops) = index.stage1_cylinder_scores(&poisoned);
+        let (reference, ops_reference) = index.stage1_cylinder_scores_reference(&poisoned);
+        assert_eq!(ops, ops_reference);
+        let bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&scores), bits(&reference));
+        assert_eq!(scores[0], 1.0);
     }
 
     #[test]

@@ -38,6 +38,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use fp_core::rng::splitmix64;
 use fp_core::template::Template;
 use fp_index::shard::check_deal;
 use fp_index::{search_spine, IndexConfig, SearchResult, ShardBackend, ShardError, StageOneScores};
@@ -96,15 +97,6 @@ impl RetryPolicy {
             (splitmix64(self.seed ^ (shard as u64) << 32 ^ attempt as u64) % 1000) as f64 / 1000.0;
         exp + exp.mul_f64(0.25 * jitter_frac)
     }
-}
-
-/// SplitMix64 — tiny, seedable, std-only; only used to decorrelate backoff
-/// across shards, never for statistics.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// One multiplexed TCP connection to a shard server, with reconnection,
@@ -1060,5 +1052,21 @@ impl Coordinator {
             None => Ok(()),
             Some(e) => Err(e),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Values taken with the private `splitmix64` this file used to carry:
+    /// the jitter stream, hence every retry schedule, is unchanged.
+    #[test]
+    fn default_backoff_is_pinned() {
+        let policy = RetryPolicy::default();
+        assert_eq!(policy.backoff(0, 1), Duration::from_nanos(53_837_500));
+        assert_eq!(policy.backoff(3, 2), Duration::from_nanos(118_175_000));
+        // Past the cap: 1 s plus jitter.
+        assert_eq!(policy.backoff(1, 6), Duration::from_nanos(1_185_750_000));
     }
 }

@@ -159,20 +159,16 @@ impl GalleryInspect {
     }
 }
 
-/// The one seam every open path crosses into `fp-index`: validates the raw
-/// arena parts and the stored config, then hands everything to
-/// [`CandidateIndex::from_store_parts`].
+/// The one seam every open path crosses into `fp-index`: hands the decoded
+/// parts to [`CandidateIndex::from_store_parts`], which validates the
+/// stored config (`decode_arena` validated the arena).
 fn assemble_index(
     config: IndexConfig,
     pair_counts: Vec<u32>,
     tables: StoredTables<PreparedPairTable>,
-    words: Vec<u64>,
-    ones: Vec<u32>,
-    spans: &[(u32, u32)],
+    arena: CodeArena,
     buckets: FlatBuckets,
 ) -> Result<CandidateIndex<PairTableMatcher>, StoreError> {
-    let arena = CodeArena::from_raw_parts(words, ones, spans)
-        .map_err(|detail| corrupt("segment", detail))?;
     CandidateIndex::from_store_parts(
         PairTableMatcher::default(),
         config,
@@ -199,9 +195,7 @@ struct LoadedGallery {
     config: IndexConfig,
     tables: Vec<PreparedPairTable>,
     pair_counts: Vec<u32>,
-    words: Vec<u64>,
-    ones: Vec<u32>,
-    spans: Vec<(u32, u32)>,
+    arena: CodeArena,
     buckets: Vec<(u64, Vec<u32>)>,
     bytes_read: u64,
     segments_read: u64,
@@ -293,30 +287,10 @@ impl GalleryStore {
             ],
         );
 
-        let arena = index.arena();
-        let words = arena.raw_words();
-        let ones = arena.raw_ones();
         let buckets = index.store_buckets();
-        let mut entries = Vec::with_capacity(index.len());
-        let mut word_off = 0usize;
-        let mut ones_off = 0usize;
-        for ((table, pair_count), (cylinders, words_per)) in
-            index.store_entries().zip(arena.raw_spans())
-        {
-            let word_len = cylinders as usize * words_per as usize;
-            entries.push(EntrySource {
-                table,
-                pair_count,
-                words: &words[word_off..word_off + word_len],
-                ones: &ones[ones_off..ones_off + cylinders as usize],
-                words_per,
-            });
-            word_off += word_len;
-            ones_off += cylinders as usize;
-        }
         let image = encode_segment(&SegmentSource {
             config: *index.config(),
-            entries,
+            entries: EntrySource::zip_arena(index.store_entries(), index.arena()),
             buckets: &buckets,
         });
 
@@ -379,9 +353,7 @@ impl GalleryStore {
         let mut config: Option<IndexConfig> = None;
         let mut tables = Vec::new();
         let mut pair_counts = Vec::new();
-        let mut words = Vec::new();
-        let mut ones = Vec::new();
-        let mut spans = Vec::new();
+        let mut arena = CodeArena::new();
         let mut merged: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
         let mut bytes_read = 0u64;
         let mut next_id = 0u32;
@@ -419,12 +391,7 @@ impl GalleryStore {
                 }
                 remap[at] = Some(next_id);
                 next_id += 1;
-                let word_len = entry.cylinders as usize * entry.words_per as usize;
-                words.extend_from_slice(&decoded.words[entry.word_off..entry.word_off + word_len]);
-                ones.extend_from_slice(
-                    &decoded.ones[entry.ones_off..entry.ones_off + entry.cylinders as usize],
-                );
-                spans.push((entry.cylinders, entry.words_per));
+                arena.push_view(decoded.arena.entry(at));
                 tables.push(entry.table.clone());
                 pair_counts.push(entry.pair_count);
             }
@@ -444,9 +411,7 @@ impl GalleryStore {
             config: config.unwrap_or_default(),
             tables,
             pair_counts,
-            words,
-            ones,
-            spans,
+            arena,
             buckets: merged.into_iter().collect(),
             bytes_read,
             segments_read: self.manifest.segments.len() as u64,
@@ -489,9 +454,7 @@ impl GalleryStore {
             loaded.config,
             loaded.pair_counts,
             StoredTables::Ready(loaded.tables),
-            loaded.words,
-            loaded.ones,
-            &loaded.spans,
+            loaded.arena,
             FlatBuckets::from_sorted_parts(loaded.buckets),
         )?;
         self.record_load(loaded.segments_read, loaded.bytes_read, start);
@@ -565,11 +528,8 @@ impl GalleryStore {
 
         let config = decode_meta(&meta_payload)?;
         let spans = decode_spans(&spans_payload, entry_count)?;
-        let (words, ones) = decode_arena(&arena_payload, &spans)?;
+        let arena = decode_arena(&arena_payload, &spans)?;
         let buckets = decode_buckets_flat(&buckets_payload, entry_count)?;
-
-        let code_spans: Vec<(u32, u32)> =
-            spans.iter().map(|s| (s.cylinders, s.words_per)).collect();
         let pair_counts: Vec<u32> = spans.iter().map(|s| s.pair_count).collect();
 
         // (record offset, record length, stored CRC) per entry, offsets
@@ -628,9 +588,7 @@ impl GalleryStore {
             config,
             pair_counts,
             StoredTables::Lazy(loader),
-            words,
-            ones,
-            &code_spans,
+            arena,
             buckets,
         )?;
         Ok((index, bytes_read))
@@ -660,31 +618,17 @@ impl GalleryStore {
         struct ShardParts {
             tables: Vec<PreparedPairTable>,
             pair_counts: Vec<u32>,
-            words: Vec<u64>,
-            ones: Vec<u32>,
-            spans: Vec<(u32, u32)>,
+            arena: CodeArena,
             buckets: Vec<(u64, Vec<u32>)>,
         }
         let mut parts: Vec<ShardParts> = (0..shard_count).map(|_| ShardParts::default()).collect();
 
-        let mut word_off = 0usize;
-        let mut ones_off = 0usize;
         let entries = loaded.tables.into_iter().zip(loaded.pair_counts);
-        for (global, ((table, pair_count), span)) in entries.zip(&loaded.spans).enumerate() {
+        for (global, (table, pair_count)) in entries.enumerate() {
             let shard = &mut parts[global % shard_count];
-            let (cylinders, words_per) = *span;
-            let word_len = cylinders as usize * words_per as usize;
-            shard
-                .words
-                .extend_from_slice(&loaded.words[word_off..word_off + word_len]);
-            shard
-                .ones
-                .extend_from_slice(&loaded.ones[ones_off..ones_off + cylinders as usize]);
-            shard.spans.push(*span);
+            shard.arena.push_view(loaded.arena.entry(global));
             shard.tables.push(table);
             shard.pair_counts.push(pair_count);
-            word_off += word_len;
-            ones_off += cylinders as usize;
         }
         for (key, ids) in &loaded.buckets {
             for (k, part) in parts.iter_mut().enumerate() {
@@ -706,9 +650,7 @@ impl GalleryStore {
                     loaded.config,
                     p.pair_counts,
                     StoredTables::Ready(p.tables),
-                    p.words,
-                    p.ones,
-                    &p.spans,
+                    p.arena,
                     FlatBuckets::from_sorted_parts(p.buckets),
                 )
             })
@@ -752,29 +694,10 @@ impl GalleryStore {
         let mut bytes_after = 0u64;
 
         if survivors > 0 {
-            let mut entries = Vec::with_capacity(survivors);
-            let mut word_off = 0usize;
-            let mut ones_off = 0usize;
-            for ((table, pair_count), (cylinders, words_per)) in loaded
-                .tables
-                .iter()
-                .zip(&loaded.pair_counts)
-                .zip(&loaded.spans)
-            {
-                let word_len = *cylinders as usize * *words_per as usize;
-                entries.push(EntrySource {
-                    table,
-                    pair_count: *pair_count,
-                    words: &loaded.words[word_off..word_off + word_len],
-                    ones: &loaded.ones[ones_off..ones_off + *cylinders as usize],
-                    words_per: *words_per,
-                });
-                word_off += word_len;
-                ones_off += *cylinders as usize;
-            }
+            let tables = loaded.tables.iter().zip(loaded.pair_counts.iter().copied());
             let image = encode_segment(&SegmentSource {
                 config: loaded.config,
-                entries,
+                entries: EntrySource::zip_arena(tables, &loaded.arena),
                 buckets: &loaded.buckets,
             });
             bytes_after = image.len() as u64;

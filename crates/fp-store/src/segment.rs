@@ -44,7 +44,7 @@
 
 use fp_core::codec::{crc32, Dec, Enc};
 use fp_core::minutia::MinutiaKind;
-use fp_index::IndexConfig;
+use fp_index::{CodeArena, CodeView, IndexConfig};
 use fp_match::PreparedPairTable;
 use serde::Serialize;
 
@@ -77,12 +77,26 @@ pub(crate) struct EntrySource<'a> {
     /// Vote-normalization denominator ([`fp_index`]'s feature count for
     /// this entry — not in general derivable from `table`).
     pub(crate) pair_count: u32,
-    /// This entry's packed cylinder-code words (length = cylinders x
-    /// words_per).
-    pub(crate) words: &'a [u64],
-    /// Per-cylinder popcounts (length = cylinders).
-    pub(crate) ones: &'a [u32],
-    pub(crate) words_per: u32,
+    /// This entry's packed cylinder codes, as its arena hands them out.
+    pub(crate) codes: CodeView<'a>,
+}
+
+impl<'a> EntrySource<'a> {
+    /// Pairs each `(table, pair count)` with its entry of `arena`, in
+    /// entry order.
+    pub(crate) fn zip_arena(
+        tables: impl Iterator<Item = (&'a PreparedPairTable, u32)>,
+        arena: &'a CodeArena,
+    ) -> Vec<EntrySource<'a>> {
+        tables
+            .enumerate()
+            .map(|(i, (table, pair_count))| EntrySource {
+                table,
+                pair_count,
+                codes: arena.entry(i),
+            })
+            .collect()
+    }
 }
 
 /// Everything a segment persists, borrowed from a live index (or from
@@ -93,17 +107,12 @@ pub(crate) struct SegmentSource<'a> {
     pub(crate) buckets: &'a [(u64, Vec<u32>)],
 }
 
-/// One entry decoded from a segment.
+/// One entry decoded from a segment; its codes are entry `i` of the
+/// segment's arena.
 #[derive(Debug)]
 pub(crate) struct DecodedEntry {
     pub(crate) table: PreparedPairTable,
     pub(crate) pair_count: u32,
-    pub(crate) cylinders: u32,
-    pub(crate) words_per: u32,
-    /// Offset of this entry's words in the segment's `words` vec.
-    pub(crate) word_off: usize,
-    /// Offset of this entry's popcounts in the segment's `ones` vec.
-    pub(crate) ones_off: usize,
 }
 
 /// One decoded SPANS record: the fixed-size per-entry facts.
@@ -127,8 +136,7 @@ pub(crate) const SPAN_RECORD_BYTES: usize = 24;
 pub(crate) struct DecodedSegment {
     pub(crate) config: IndexConfig,
     pub(crate) entries: Vec<DecodedEntry>,
-    pub(crate) words: Vec<u64>,
-    pub(crate) ones: Vec<u32>,
+    pub(crate) arena: CodeArena,
     pub(crate) buckets: Vec<(u64, Vec<u32>)>,
 }
 
@@ -195,26 +203,26 @@ pub(crate) fn encode_segment(source: &SegmentSource<'_>) -> Vec<u8> {
     let mut ones_len = 0usize;
     for entry in &source.entries {
         let table_bytes = encode_table(entry);
-        spans.u32(entry.ones.len() as u32);
-        spans.u32(entry.words_per);
+        spans.u32(entry.codes.len() as u32);
+        spans.u32(entry.codes.words_per() as u32);
         spans.u64(table_bytes.len() as u64);
         spans.u32(crc32(&table_bytes));
         spans.u32(entry.pair_count);
         tables.raw(&table_bytes);
-        words_len += entry.words.len();
-        ones_len += entry.ones.len();
+        words_len += entry.codes.words().len();
+        ones_len += entry.codes.len();
     }
 
     let mut arena = Enc::new();
     arena.u64(words_len as u64);
     arena.u64(ones_len as u64);
     for entry in &source.entries {
-        for &w in entry.words {
+        for &w in entry.codes.words() {
             arena.u64(w);
         }
     }
     for entry in &source.entries {
-        for &o in entry.ones {
+        for &o in entry.codes.ones() {
             arena.u32(o);
         }
     }
@@ -479,13 +487,11 @@ pub(crate) fn decode_table_record(
         .map_err(|detail| corrupt(format!("entry {at}: {detail}")))
 }
 
-/// Decodes the ARENA section against the span totals. Popcount *values*
-/// are re-validated against the words when the arena is reassembled
-/// (`CodeArena::from_raw_parts`).
-pub(crate) fn decode_arena(
-    payload: &[u8],
-    spans: &[SpanRec],
-) -> Result<(Vec<u64>, Vec<u32>), StoreError> {
+/// Decodes the ARENA section against the span totals and reassembles the
+/// arena, which re-validates the tiling and every popcount *value*
+/// against its words (`CodeArena::from_raw_parts`) — nothing past this
+/// point handles loose words.
+pub(crate) fn decode_arena(payload: &[u8], spans: &[SpanRec]) -> Result<CodeArena, StoreError> {
     let words_total: u64 = spans
         .iter()
         .map(|s| s.cylinders as u64 * s.words_per as u64)
@@ -502,7 +508,12 @@ pub(crate) fn decode_arena(
     let words = dec.at("arena words").u64_slice(words_len)?;
     let ones = dec.at("arena popcounts").u32_slice(ones_len)?;
     dec.at("arena").finish()?;
-    Ok((words, ones))
+    CodeArena::from_raw_parts(
+        words,
+        ones,
+        spans.iter().map(|s| (s.cylinders, s.words_per)),
+    )
+    .map_err(corrupt)
 }
 
 /// Decodes the BUCKETS section in its flat persisted shape — strictly
@@ -565,8 +576,6 @@ pub(crate) fn decode_segment(bytes: &[u8]) -> Result<DecodedSegment, StoreError>
     // declaration and cross-checked against the per-record CRC.
     let mut tables = Dec::new(payload(2), WHAT, "tables");
     let mut entries = Vec::with_capacity(entry_count);
-    let mut word_off = 0usize;
-    let mut ones_off = 0usize;
     for (at, span) in spans.iter().enumerate() {
         let record = tables.bytes(usize::try_from(span.table_bytes).unwrap_or(usize::MAX))?;
         if crc32(record) != span.table_crc {
@@ -579,17 +588,11 @@ pub(crate) fn decode_segment(bytes: &[u8]) -> Result<DecodedSegment, StoreError>
         entries.push(DecodedEntry {
             table,
             pair_count: span.pair_count,
-            cylinders: span.cylinders,
-            words_per: span.words_per,
-            word_off,
-            ones_off,
         });
-        word_off += span.cylinders as usize * span.words_per as usize;
-        ones_off += span.cylinders as usize;
     }
     tables.finish()?;
 
-    let (words, ones) = decode_arena(payload(3), &spans)?;
+    let arena = decode_arena(payload(3), &spans)?;
 
     let flat = decode_buckets_flat(payload(4), entry_count)?;
     let buckets = flat.iter().map(|(key, ids)| (key, ids.to_vec())).collect();
@@ -597,8 +600,7 @@ pub(crate) fn decode_segment(bytes: &[u8]) -> Result<DecodedSegment, StoreError>
     Ok(DecodedSegment {
         config,
         entries,
-        words,
-        ones,
+        arena,
         buckets,
     })
 }

@@ -222,6 +222,24 @@ fn crafted_hostile_section_tables_are_typed_errors() {
     bad[136..140].copy_from_slice(&crc.to_le_bytes());
     assert!(check_segment(&bad).is_err());
 
+    // A popcount that lies about its cylinder, section and header CRCs
+    // re-sealed: fsck itself must refuse it — the arena is validated
+    // where the ARENA bytes are decoded, not first at open. ARENA is
+    // table row 3 (at 16 + 3 * 24) and its payload ends with the last
+    // entry's last popcount.
+    let mut bad = segment.clone();
+    let u64_at = |at: usize| u64::from_le_bytes(segment[at..at + 8].try_into().unwrap()) as usize;
+    let (arena_off, arena_len) = (u64_at(92), u64_at(100));
+    bad[arena_off + arena_len - 4] ^= 1;
+    let crc = fp_store_crc32(&bad[arena_off..arena_off + arena_len]);
+    bad[108..112].copy_from_slice(&crc.to_le_bytes());
+    let crc = fp_store_crc32(&bad[..136]);
+    bad[136..140].copy_from_slice(&crc.to_le_bytes());
+    match check_segment(&bad) {
+        Err(StoreError::Corrupt { detail, .. }) => assert!(detail.contains("popcount"), "{detail}"),
+        other => panic!("lying popcount produced {other:?}"),
+    }
+
     // Wrong magic.
     let mut bad = segment.clone();
     bad[0] = b'X';

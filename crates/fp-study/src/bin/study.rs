@@ -944,10 +944,11 @@ fn verify(args: &Args, telemetry: &Telemetry) -> ExitCode {
     }
 }
 
-/// `study check-kernel`: the stage-1 kernel parity producer — bitwise
-/// blocked ≡ scalar scores plus exact hamming_ops agreement on an enrolled
-/// gallery, and identical RUNFP chains across unsharded / in-process
-/// sharded / (with --remote-shards) cross-process execution.
+/// `study check-kernel`: the stage-1 kernel parity producer — every coded
+/// entry at the lane width, bitwise kernel ≡ scalar scores plus exact
+/// hamming_ops agreement on an enrolled gallery, and identical RUNFP
+/// chains across unsharded / in-process sharded / (with --remote-shards)
+/// cross-process execution.
 fn check_kernel(args: &Args, telemetry: &Telemetry) -> ExitCode {
     let config = config_from(args, Some(20));
     let report = experiments::check_kernel::run_check(&config);

@@ -1,41 +1,50 @@
-//! **Gate: stage-1 kernel parity** — the cache-blocked SoA arena kernel
-//! must be byte-identical to the scalar reference, end to end, on a real
-//! enrolled gallery.
+//! **Gate: stage-1 kernel parity** — `CodeArena::score_into` must be
+//! byte-identical to the scalar reference, end to end, on a real enrolled
+//! gallery, and must be running the body it was tuned on.
 //!
-//! The proptest suite (`fp-index/tests/kernel.rs`) proves scalar ≡ blocked
+//! The proptest suite (`fp-index/tests/kernel.rs`) proves kernel ≡ oracle
 //! over random packed codes; this gate re-proves it on every CI run at
 //! system scale, over the same synthetic cohort the scaling study uses:
 //!
-//! 1. **Score parity** — for every probe, the enrolled index's blocked
-//!    per-entry stage-1 scores must be *bitwise* equal to the scalar
-//!    reference driver's, and the `hamming_ops` meters must agree exactly.
-//! 2. **Transport parity** — the RUNFP chain over the full probe loop must
+//! 1. **Width census** — every coded entry of the enrolled arena, and of
+//!    the same index saved to a store and opened again, must be
+//!    [`LANE_WORDS`] wide. The kernel's specialised lane body runs only on
+//!    that width; a change to `MccConfig`'s default grid would otherwise
+//!    drop every search onto the general body without a test noticing.
+//! 2. **Score parity** — for every probe, the enrolled index's per-entry
+//!    stage-1 scores must be *bitwise* equal to the scalar reference
+//!    driver's, and the `hamming_ops` meters must agree exactly.
+//! 3. **Transport parity** — the RUNFP chain over the full probe loop must
 //!    be identical across the unsharded index, an in-process
 //!    [`ShardedIndex`], and (when `--remote-shards` is given) real
 //!    `serve-shard` child processes behind an `fp-serve` coordinator —
-//!    the blocked kernel cannot perturb a single candidate byte on any
-//!    transport.
+//!    the kernel cannot perturb a single candidate byte on any transport.
 //!
 //! Any divergence fails the gate loudly with the first offending probe and
 //! entry.
 
+use std::collections::BTreeMap;
+
 use fp_core::rng::SeedTree;
 use fp_core::template::Template;
-use fp_index::{CandidateIndex, IndexConfig, ShardedIndex};
+use fp_index::{CandidateIndex, CodeArena, IndexConfig, ShardedIndex, LANE_WORDS};
 use fp_match::PairTableMatcher;
+use fp_store::GalleryStore;
 use serde_json::json;
 
 use crate::config::StudyConfig;
 use crate::experiments::harness::{Cohort, ShardFleet};
 use crate::report::Report;
 
-/// Probes checked (each one scores the whole gallery twice, once per
-/// kernel, plus one search per transport).
+/// Probes checked (each one scores the whole gallery twice, kernel and
+/// oracle, plus one search per transport).
 const MAX_PROBES: usize = 32;
 
 /// What the parity pass measured.
 struct KernelStats {
     gallery: usize,
+    /// Coded entries per packed width (words per cylinder).
+    widths: BTreeMap<usize, u64>,
     probes: usize,
     entries_checked: u64,
     hamming_ops: u64,
@@ -45,6 +54,41 @@ struct KernelStats {
     shards: usize,
     runfp_remote: Option<String>,
     remote_shards: usize,
+}
+
+/// Counts `arena`'s coded entries by packed width and refuses any width
+/// but [`LANE_WORDS`] (an entry without cylinders has no width).
+fn width_census(what: &str, arena: &CodeArena) -> Result<BTreeMap<usize, u64>, String> {
+    let mut widths = BTreeMap::new();
+    for entry in (0..arena.len()).map(|i| arena.entry(i)) {
+        if !entry.is_empty() {
+            *widths.entry(entry.words_per()).or_insert(0u64) += 1;
+        }
+    }
+    match widths.iter().find(|(&width, _)| width != LANE_WORDS) {
+        Some((width, n)) => Err(format!(
+            "{what}: {n} coded entries are {width} words wide, not LANE_WORDS = {LANE_WORDS} \
+             — the kernel's lane body no longer runs on them"
+        )),
+        None => Ok(widths),
+    }
+}
+
+/// `index` saved to a scratch gallery and opened again: the arena a
+/// store-backed shard hands the kernel.
+fn reopened(
+    index: &CandidateIndex<PairTableMatcher>,
+) -> Result<CandidateIndex<PairTableMatcher>, String> {
+    let dir = std::env::temp_dir().join(format!("fp-check-kernel-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let opened = GalleryStore::create(&dir)
+        .and_then(|mut store| {
+            store.append_index(index)?;
+            store.open_index()
+        })
+        .map_err(|e| format!("store round trip in {}: {e}", dir.display()));
+    let _ = std::fs::remove_dir_all(&dir);
+    opened
 }
 
 /// Runs the gate: `Ok` with the stats, or the first divergence found.
@@ -65,35 +109,40 @@ fn check(config: &StudyConfig) -> Result<KernelStats, String> {
     let probes = cohort.probes();
     let probe_of = |p: usize| cohort.probe(p).1;
 
-    // 1. Score parity: blocked kernel vs scalar reference, bitwise, plus
-    // exact hamming_ops agreement, for every probe over the whole gallery.
+    // 1. Width census, on the arena as enrolled and as a store reopens it.
+    let widths = width_census("enrolled arena", index.arena())?;
+    if width_census("store-opened arena", reopened(&index)?.arena())? != widths {
+        return Err("store-opened arena's width census differs from the enrolled one".to_string());
+    }
+
+    // 2. Score parity: kernel vs scalar reference, bitwise, plus exact
+    // hamming_ops agreement, for every probe over the whole gallery.
     let mut entries_checked = 0u64;
     let mut hamming_ops = 0u64;
     for p in 0..probes {
         let probe = probe_of(p);
-        let (blocked, ops_blocked) = index.stage1_cylinder_scores(&probe);
+        let (scores, ops) = index.stage1_cylinder_scores(&probe);
         let (reference, ops_reference) = index.stage1_cylinder_scores_reference(&probe);
-        if ops_blocked != ops_reference {
+        if ops != ops_reference {
             return Err(format!(
-                "probe {p}: hamming_ops diverged (blocked {ops_blocked}, \
-                 reference {ops_reference})"
+                "probe {p}: hamming_ops diverged (kernel {ops}, reference {ops_reference})"
             ));
         }
-        for (id, (b, r)) in blocked.iter().zip(&reference).enumerate() {
-            if b.to_bits() != r.to_bits() {
+        for (id, (k, r)) in scores.iter().zip(&reference).enumerate() {
+            if k.to_bits() != r.to_bits() {
                 return Err(format!(
-                    "probe {p}, gallery entry {id}: blocked kernel scored {b} \
+                    "probe {p}, gallery entry {id}: arena kernel scored {k} \
                      ({:#018x}), scalar reference scored {r} ({:#018x})",
-                    b.to_bits(),
+                    k.to_bits(),
                     r.to_bits()
                 ));
             }
         }
-        entries_checked += blocked.len() as u64;
-        hamming_ops += ops_blocked;
+        entries_checked += scores.len() as u64;
+        hamming_ops += ops;
     }
 
-    // 2. Transport parity: the same probe loop on every transport must
+    // 3. Transport parity: the same probe loop on every transport must
     // produce identical candidate lists, hence identical RUNFP chains.
     let unsharded_results: Vec<_> = (0..probes).map(|p| index.search(&probe_of(p))).collect();
     let runfp = index.run_fingerprint().hex();
@@ -132,6 +181,7 @@ fn check(config: &StudyConfig) -> Result<KernelStats, String> {
 
     Ok(KernelStats {
         gallery,
+        widths,
         probes,
         entries_checked,
         hamming_ops,
@@ -183,12 +233,14 @@ pub fn run_check(config: &StudyConfig) -> Report {
             let mut body = format!(
                 "stage-1 kernel parity over a {}-entry gallery ({} KiB packed arena):\n\
                  \n\
-                 blocked ≡ scalar: {} per-entry scores bitwise equal over {} probes\n\
+                 coded entries by words per cylinder, enrolled and store-opened: {:?}\n\
+                 kernel ≡ scalar: {} per-entry scores bitwise equal over {} probes\n\
                  hamming_ops meters agree exactly: {} word ops\n\
                  RUNFP unsharded:      {}\n\
                  RUNFP {}-shard:        {}\n",
                 stats.gallery,
                 stats.arena_kib,
+                stats.widths,
                 stats.entries_checked,
                 stats.probes,
                 stats.hamming_ops,
@@ -203,13 +255,19 @@ pub fn run_check(config: &StudyConfig) -> Report {
                 ));
             }
             body.push_str("\nkernel parity holds on every transport\n");
+            let widths: BTreeMap<String, u64> = stats
+                .widths
+                .iter()
+                .map(|(width, n)| (width.to_string(), *n))
+                .collect();
             Report::new(
                 "check-kernel",
-                "blocked stage-1 kernel ≡ scalar reference (bitwise)",
+                "stage-1 arena kernel ≡ scalar reference (bitwise)",
                 body,
                 json!({
                     "error": null,
                     "gallery": stats.gallery,
+                    "widths": widths,
                     "probes": stats.probes,
                     "entries_checked": stats.entries_checked,
                     "hamming_ops": stats.hamming_ops,
@@ -222,7 +280,7 @@ pub fn run_check(config: &StudyConfig) -> Report {
         }
         Err(error) => Report::new(
             "check-kernel",
-            "blocked stage-1 kernel ≡ scalar reference (bitwise)",
+            "stage-1 arena kernel ≡ scalar reference (bitwise)",
             format!("KERNEL PARITY FAILED: {error}\n"),
             json!({ "error": error }),
         ),
@@ -243,8 +301,29 @@ mod tests {
             "kernel parity gate failed: {}",
             report.body
         );
+        // 6 subjects x 10 entries, every one coded and lane-wide.
+        assert_eq!(report.values["widths"], json!({ "5": 60 }));
         assert!(report.values["entries_checked"].as_u64().unwrap() > 0);
         assert!(report.values["hamming_ops"].as_u64().unwrap() > 0);
         assert_eq!(report.values["runfp"], report.values["runfp_sharded"]);
+    }
+
+    #[test]
+    fn census_refuses_an_entry_the_lane_body_would_not_run() {
+        use fp_index::CylinderCodes;
+        let lane =
+            CylinderCodes::from_raw(vec![1; LANE_WORDS], vec![LANE_WORDS as u32], LANE_WORDS);
+        let narrow = CylinderCodes::from_raw(vec![1; 3], vec![3], 3);
+        let empty = CylinderCodes::from_raw(Vec::new(), Vec::new(), 0);
+        let mut arena = CodeArena::new();
+        arena.push(&lane);
+        arena.push(&empty);
+        assert_eq!(
+            width_census("test", &arena),
+            Ok(BTreeMap::from([(LANE_WORDS, 1)]))
+        );
+        arena.push(&narrow);
+        let error = width_census("test", &arena).unwrap_err();
+        assert!(error.contains("3 words wide"), "{error}");
     }
 }

@@ -147,8 +147,9 @@ pub static GATES: &[Gate] = &[
     },
     Gate {
         name: "kernel",
-        proves: "blocked stage-1 kernel bitwise equal to the scalar reference; one RUNFP chain \
-                 across unsharded, in-process sharded and two serve-shard processes",
+        proves: "every coded entry LANE_WORDS wide, enrolled and store-opened; stage-1 arena \
+                 kernel bitwise equal to the scalar reference; one RUNFP chain across unsharded, \
+                 in-process sharded and two serve-shard processes",
         steps: &["check-kernel --subjects 20 --remote-shards 2 --json {out}/kernel.json"],
         artifacts: &["kernel.json"],
         budget_secs: 600,
