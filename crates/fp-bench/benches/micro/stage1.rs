@@ -1,6 +1,6 @@
 //! Stage-1 cylinder scoring over a 2,000-entry gallery whose arena fits in
-//! cache: `CodeArena::score_into` (`arena_2k`: the lane body under
-//! runtime-detected `popcnt`, the integer ratio filter) beside the scalar
+//! cache: `CodeArena::score_into` (`arena_2k`: the lane body the host's
+//! CPU selects, `fp_index::lane_body_name()`) beside the scalar
 //! oracle it is held bitwise equal to (`reference_2k`; pinned by fp-index's
 //! kernel proptest suite and `study check-kernel`). The pair is the
 //! kernel's quick check; the 10k rung, where the arena outgrows L2, is the

@@ -17,33 +17,66 @@
 //! arenas through those alone; it never computes an offset into the slab.
 //!
 //! [`CodeArena::score_into`] is one pass over the entries in order. Per
-//! entry it runs one of two bodies:
+//! entry it runs the **lane body** when probe and entry are both
+//! [`LANE_WORDS`] wide — the width of the default MCC grid (8 x 8 x 5 = 320
+//! cells), so of every entry a shipping index holds (the `kernel` gate
+//! fails if one is not) — and the **general body** for any other pair of
+//! widths, through [`hamming`], whose excess-word tail is empty when the
+//! widths agree.
 //!
-//! * the **lane body** when probe and entry are both [`LANE_WORDS`] wide —
-//!   the width of the default MCC grid (8 x 8 x 5 = 320 cells), so of
-//!   every entry a shipping index holds (the `kernel` gate fails if one is
-//!   not): XOR+popcount over `[u64; LANE_WORDS]` arrays, fully unrolled,
-//!   compiled under the `popcnt` target feature when the CPU has it. It
-//!   is the seam where a `std::simd` or `VPOPCNTQ` body drops in;
-//! * the **general body** for any other pair of widths, through
-//!   [`hamming`], whose excess-word tail is empty when the widths agree.
+//! The lane body exists in three compilations. `LaneBody::detect` picks
+//! the first the CPU can run, once per call, by `is_x86_feature_detected!`
+//! alone (there is no option; [`lane_body_name`] says which, and the
+//! `kernel` gate proves every one the host can run):
 //!
-//! Both keep a probe cylinder's running best through `RowBest`'s exact
-//! integer ratio filter. [`CodeArena::score_into_reference`] is the
-//! oracle: entry-at-a-time `reference_similarity`, no filter, no lanes.
+//! * `avx512-vpopcntq` (`avx512f` + `avx512vpopcntdq`): the probe is
+//!   transposed once per call into groups of eight cylinders (`ProbeGroup`:
+//!   five `[u64; 8]` word planes and one of `ones`), and each gallery
+//!   cylinder's five words are broadcast against a group's planes — `XOR`,
+//!   `VPOPCNTQ`, add — giving eight distances per pass. The running best is
+//!   the integer pair `(d_b, m_b)` under `RowBest`'s cross-multiplied
+//!   filter, updated by masked move: no float and no branch inside the
+//!   loop, `1 - d_b/m_b` once per row at the end;
+//! * `popcnt`: XOR+popcount over `[u64; LANE_WORDS]` arrays, fully
+//!   unrolled, one cylinder pair at a time, compiled under the `popcnt`
+//!   target feature, `RowBest` per pair;
+//! * `portable`: the same source without the target feature — the body of
+//!   every non-x86 target.
+//!
+//! [`CodeArena::score_into_reference`] is the oracle: entry-at-a-time
+//! `reference_similarity`, no filter, no lanes.
 //!
 //! **Byte identity, argued once:** for one (probe, entry) pair the kernel
-//! and the oracle visit probe cylinders in index order, reduce over
-//! gallery cylinders in index order with the identical skip rule (combined
-//! set-bit mass zero ⇒ no ops, no compare), compute the identical
-//! `1 - hamming/mass` expression (u32 adds are associative, so lane
-//! order cannot change `hamming`), clamp the identical depth, sort the
-//! identically-ordered bests with the identical comparator, and sum the
-//! identical prefix left to right. Every float op therefore executes in
-//! the same order on the same operands. `tests/kernel.rs` pins this with
-//! a proptest equivalence suite over random code sets, widths and
-//! depths; `study check-kernel` re-proves it on every CI run against the
-//! enrolled index.
+//! and the oracle agree on three points.
+//!
+//! 1. *Which pairs count.* Both skip exactly the cylinder pairs whose
+//!    combined set-bit mass is zero — no ops, no compare — and charge
+//!    every other pair its width. The scalar bodies count as they go; the
+//!    vector body cannot branch per lane, so it computes the same number:
+//!    `LANE_WORDS · (C_p·C_g − Z_p·Z_g)`, `Z` = cylinders with `ones == 0`
+//!    per side (a pair has mass zero iff both sides do).
+//! 2. *Each probe cylinder's best.* The oracle takes `max(0, max_j fl(1 −
+//!    fl(d_j/m_j)))` by float compare in gallery order. `hamming` is a sum
+//!    of u32 popcounts, so lane order cannot change `d_j`. `fl(1 −
+//!    fl(d/m))` is antitone in the exact rational `d/m` and a function of
+//!    it alone (correctly rounded division, then correctly rounded
+//!    subtraction), so that max is attained at the pair of least rational,
+//!    which integer cross-multiplication finds exactly. `RowBest` uses the
+//!    integers as a filter and keeps the float compare on survivors; the
+//!    vector body keeps only the integers and divides once, which
+//!    `distinct_ratios_give_strictly_ordered_floats` licenses exhaustively:
+//!    on this domain distinct rationals never collide as floats, so the
+//!    integer winner *is* the float winner, not merely tied with it. A
+//!    mass-zero pair needs no branch there: `0·m_b < d_b·0` is false.
+//! 3. *The entry's score.* Both clamp the identical depth, sort the
+//!    identically-valued bests with the identical comparator, and sum the
+//!    identical prefix left to right.
+//!
+//! `tests/kernel.rs` pins this with a proptest equivalence suite over
+//! random code sets, widths and depths; `study check-kernel` re-proves it
+//! on every CI run against the enrolled index, once per available body.
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use crate::signature::{
     hamming, reference_similarity, sort_bests_desc, CodeView, CylinderCodes, Stage1Scratch,
@@ -52,6 +85,108 @@ use crate::signature::{
 /// Packed words per cylinder the lane body is compiled for: 320 cells
 /// (`MccMatcher::default()`'s 8 x 8 x 5 grid) in 64-bit words.
 pub const LANE_WORDS: usize = 5;
+
+/// Probe cylinders per [`ProbeGroup`]: the `u64` lanes of one 512-bit
+/// vector.
+const GROUP: usize = 8;
+
+/// The compilations of the lane body, fastest first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LaneBody {
+    /// Eight probe cylinders per gallery word under `VPOPCNTQ`.
+    Avx512Vpopcnt,
+    /// One cylinder pair at a time under hardware `POPCNT`.
+    Popcnt,
+    /// The same source at the build's baseline features.
+    Portable,
+}
+
+impl LaneBody {
+    const ALL: [LaneBody; 3] = [
+        LaneBody::Avx512Vpopcnt,
+        LaneBody::Popcnt,
+        LaneBody::Portable,
+    ];
+
+    /// Whether this CPU can run the body.
+    fn runs_here(self) -> bool {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            LaneBody::Avx512Vpopcnt => {
+                std::arch::is_x86_feature_detected!("avx512f")
+                    && std::arch::is_x86_feature_detected!("avx512vpopcntdq")
+            }
+            #[cfg(target_arch = "x86_64")]
+            LaneBody::Popcnt => std::arch::is_x86_feature_detected!("popcnt"),
+            LaneBody::Portable => true,
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
+        }
+    }
+
+    /// Every body this CPU can run, fastest first.
+    fn available() -> impl Iterator<Item = LaneBody> {
+        LaneBody::ALL.into_iter().filter(|body| body.runs_here())
+    }
+
+    /// The body [`CodeArena::score_into`] runs on this CPU.
+    fn detect() -> LaneBody {
+        LaneBody::available()
+            .next()
+            .expect("the portable body runs everywhere")
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            LaneBody::Avx512Vpopcnt => "avx512-vpopcntq",
+            LaneBody::Popcnt => "popcnt",
+            LaneBody::Portable => "portable",
+        }
+    }
+}
+
+/// Name of the lane body [`CodeArena::score_into`] runs on this CPU —
+/// `"avx512-vpopcntq"`, `"popcnt"` or `"portable"` — for gate reports and
+/// logs, so a host that fell back to a slower body says so.
+pub fn lane_body_name() -> &'static str {
+    LaneBody::detect().name()
+}
+
+/// [`GROUP`] consecutive probe cylinders transposed for the vector lane
+/// body: `planes[k][lane]` is word `k` of the group's `lane`-th cylinder
+/// and `ones[lane]` its set-bit count. Lanes past the probe's last
+/// cylinder are all-zero; against any gallery cylinder such a lane reads
+/// `d == m` (or mass zero), never passes the filter, and is not emitted.
+#[derive(Debug, Clone, Copy)]
+#[repr(align(64))]
+pub(crate) struct ProbeGroup {
+    planes: [[u64; GROUP]; LANE_WORDS],
+    ones: [u64; GROUP],
+}
+
+/// Transposes a [`LANE_WORDS`]-wide probe into `groups`.
+fn transpose_probe(probe: &CodeView<'_>, groups: &mut Vec<ProbeGroup>) {
+    groups.clear();
+    groups.resize(
+        probe.len().div_ceil(GROUP),
+        ProbeGroup {
+            planes: [[0; GROUP]; LANE_WORDS],
+            ones: [0; GROUP],
+        },
+    );
+    for (c, (pw, &po)) in probe
+        .words
+        .chunks_exact(LANE_WORDS)
+        .zip(probe.ones)
+        .enumerate()
+    {
+        let group = &mut groups[c / GROUP];
+        for (plane, &word) in group.planes.iter_mut().zip(pw) {
+            plane[c % GROUP] = word;
+        }
+        group.ones[c % GROUP] = u64::from(po);
+    }
+}
 
 /// Running max of `1 - distance/mass` over one probe cylinder's row,
 /// updated with almost no float ops: alongside the f64 `best` it tracks
@@ -244,11 +379,43 @@ impl CodeArena {
     /// `index.search.hamming_ops` meters, byte-identical to summing the
     /// scalar reference over every entry.
     ///
-    /// One pass over the entries in order: per entry, the lane body when
-    /// both sides are [`LANE_WORDS`] wide and the general body otherwise,
-    /// then the depth clamp, sort and prefix mean the oracle shares.
+    /// One pass over the entries in order: per entry, the lane body this
+    /// CPU runs (see the module header) when both sides are [`LANE_WORDS`]
+    /// wide and the general body otherwise, then the depth clamp, sort and
+    /// prefix mean the oracle shares.
     pub fn score_into(
         &self,
+        probe: &CylinderCodes,
+        lss_depth: usize,
+        scratch: &mut Stage1Scratch,
+        out: &mut [f64],
+    ) -> u64 {
+        self.score_with(LaneBody::detect(), probe, lss_depth, scratch, out)
+    }
+
+    /// [`score_into`](Self::score_into) once per lane body this CPU can
+    /// run, fastest first: each body's name, its scores and its op count.
+    /// The `kernel` gate proves every body through this, so the ones
+    /// `score_into` does not pick on the host stay proven on it.
+    #[doc(hidden)]
+    pub fn score_with_each_lane_body(
+        &self,
+        probe: &CylinderCodes,
+        lss_depth: usize,
+    ) -> Vec<(&'static str, Vec<f64>, u64)> {
+        let mut scratch = Stage1Scratch::new();
+        LaneBody::available()
+            .map(|body| {
+                let mut scores = vec![0.0; self.len()];
+                let ops = self.score_with(body, probe, lss_depth, &mut scratch, &mut scores);
+                (body.name(), scores, ops)
+            })
+            .collect()
+    }
+
+    fn score_with(
+        &self,
+        body: LaneBody,
         probe: &CylinderCodes,
         lss_depth: usize,
         scratch: &mut Stage1Scratch,
@@ -260,7 +427,14 @@ impl CodeArena {
             out.fill(0.0);
             return 0;
         }
-        let bests = &mut scratch.bests;
+        let Stage1Scratch { bests, groups } = scratch;
+        let probe_lanes = probe.words_per == LANE_WORDS;
+        let vector = probe_lanes && body == LaneBody::Avx512Vpopcnt;
+        let mut probe_zeros = 0;
+        if vector {
+            transpose_probe(&probe, groups);
+            probe_zeros = zero_cylinders(&probe);
+        }
         let mut word_ops = 0u64;
         for (i, slot) in out.iter_mut().enumerate() {
             let entry = self.entry(i);
@@ -269,8 +443,33 @@ impl CodeArena {
                 continue;
             }
             bests.clear();
-            if probe.words_per == LANE_WORDS && entry.words_per == LANE_WORDS {
-                best_rows_lanes(&probe, &entry, bests, &mut word_ops);
+            if probe_lanes && entry.words_per == LANE_WORDS {
+                match body {
+                    #[cfg(target_arch = "x86_64")]
+                    LaneBody::Avx512Vpopcnt => {
+                        // SAFETY: `runs_here` verified `avx512f` and
+                        // `avx512vpopcntdq` before `available` or `detect`
+                        // yielded this body.
+                        unsafe { best_rows_lanes_avx512(groups, probe.len(), &entry, bests) }
+                    }
+                    #[cfg(target_arch = "x86_64")]
+                    LaneBody::Popcnt => {
+                        // SAFETY: `runs_here` verified `popcnt` before
+                        // `available` or `detect` yielded this body.
+                        unsafe { best_rows_lanes_popcnt(&probe, &entry, bests, &mut word_ops) }
+                    }
+                    _ => best_rows_lanes_body(&probe, &entry, bests, &mut word_ops),
+                }
+                if vector {
+                    // The vector body cannot count as it goes; the same
+                    // number, computed: every pair but the mass-zero ones
+                    // (both sides `ones == 0`).
+                    let mut pairs = probe.len() * entry.len();
+                    if probe_zeros > 0 {
+                        pairs -= probe_zeros * zero_cylinders(&entry);
+                    }
+                    word_ops += (LANE_WORDS * pairs) as u64;
+                }
             } else {
                 best_rows_general(&probe, &entry, bests, &mut word_ops);
             }
@@ -305,26 +504,79 @@ impl CodeArena {
     }
 }
 
-/// The lane body, both sides [`LANE_WORDS`] wide: dispatches to a
-/// hardware-`popcnt` compilation when the CPU has the instruction (the
-/// build baseline is plain x86-64, where `count_ones()` otherwise lowers
-/// to a ~12-op bit-twiddling sequence per word — the single largest cost
-/// in the whole kernel). Population count is an exact integer op, so both
-/// compilations are bit-identical; other architectures take the portable
-/// body, where `count_ones()` already lowers well (e.g. AArch64 `CNT`).
-fn best_rows_lanes(
-    probe: &CodeView<'_>,
+/// Cylinders of `codes` with no set bit.
+fn zero_cylinders(codes: &CodeView<'_>) -> usize {
+    codes.ones.iter().filter(|&&ones| ones == 0).count()
+}
+
+/// The vector lane body: per group of eight probe cylinders, one pass per
+/// gallery cylinder. Five broadcast words against the group's planes
+/// (`XOR`, `VPOPCNTQ`, add) give eight distances; `RowBest`'s filter `d ·
+/// m_b < d_b · m` is two 32 x 32 -> 64-bit multiplies (`d <= 320`, `m <=
+/// 640`) and one unsigned compare; the running best moves under the
+/// resulting mask. A mass-zero lane has `d = m = 0`, so the compare is
+/// false without a branch. Each row's best is `1 - d_b/m_b`, divided once
+/// per group; the `(1, 1)` start is `RowBest`'s `0.0`.
+///
+/// A lane keeps its pair as one word, `m_b << 32 | d_b`: `mul_epu32` reads
+/// the low half as it stands, and the update is one masked move. (Kept as
+/// two vectors, LLVM proves `d_b`'s high half zero across the loop, drops
+/// the mask the multiply needs, and then lowers it to three multiplies on
+/// the loop's dependency chain: about a quarter more time per pass.)
+///
+/// # Safety
+///
+/// Callers must have verified the CPU supports `avx512f` and
+/// `avx512vpopcntdq`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vpopcntdq")]
+unsafe fn best_rows_lanes_avx512(
+    groups: &[ProbeGroup],
+    probe_len: usize,
     entry: &CodeView<'_>,
     bests: &mut Vec<f64>,
-    word_ops: &mut u64,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("popcnt") {
-        // SAFETY: the `popcnt` target feature was just runtime-verified.
-        unsafe { best_rows_lanes_popcnt(probe, entry, bests, word_ops) }
-        return;
+    use std::arch::x86_64::*;
+
+    for (g, group) in groups.iter().enumerate() {
+        let planes = group.planes.map(|plane| load_lanes(&plane));
+        let ones = load_lanes(&group.ones);
+        let mut best = _mm512_set1_epi64(1 << 32 | 1);
+        for (gw, &go) in entry.words.chunks_exact(LANE_WORDS).zip(entry.ones) {
+            let mut distance = _mm512_setzero_si512();
+            for (&plane, &word) in planes.iter().zip(gw) {
+                let differing = _mm512_xor_si512(plane, _mm512_set1_epi64(word as i64));
+                distance = _mm512_add_epi64(distance, _mm512_popcnt_epi64(differing));
+            }
+            let mass = _mm512_add_epi64(ones, _mm512_set1_epi64(i64::from(go)));
+            let wins = _mm512_cmplt_epu64_mask(
+                _mm512_mul_epu32(distance, _mm512_srli_epi64(best, 32)),
+                _mm512_mul_epu32(best, mass),
+            );
+            let offer = _mm512_or_si512(_mm512_slli_epi64(mass, 32), distance);
+            best = _mm512_mask_mov_epi64(best, wins, offer);
+        }
+        // Both halves are <= 640, so they survive the narrowing that lets
+        // `avx512f` alone convert them; per lane the divide and subtract
+        // round exactly as their scalar forms do.
+        let d = _mm512_cvtepi32_pd(_mm512_cvtepi64_epi32(best));
+        let m = _mm512_cvtepi32_pd(_mm512_cvtepi64_epi32(_mm512_srli_epi64(best, 32)));
+        let sims = _mm512_sub_pd(_mm512_set1_pd(1.0), _mm512_div_pd(d, m));
+        let mut row = [0.0f64; GROUP];
+        // SAFETY: `row` is 64 writable bytes; `storeu` asks no alignment.
+        unsafe { _mm512_storeu_pd(row.as_mut_ptr(), sims) };
+        // The last group's lanes past the probe's end are padding.
+        let live = (probe_len - g * GROUP).min(GROUP);
+        bests.extend_from_slice(&row[..live]);
     }
-    best_rows_lanes_body(probe, entry, bests, word_ops)
+}
+
+/// Eight `u64`s as one vector.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn load_lanes(lanes: &[u64; GROUP]) -> std::arch::x86_64::__m512i {
+    // SAFETY: `lanes` is 64 readable bytes; `loadu` asks no alignment.
+    unsafe { std::arch::x86_64::_mm512_loadu_si512(lanes.as_ptr().cast()) }
 }
 
 /// [`best_rows_lanes_body`] compiled with the `popcnt` instruction
@@ -345,11 +597,13 @@ unsafe fn best_rows_lanes_popcnt(
     best_rows_lanes_body(probe, entry, bests, word_ops)
 }
 
-/// The XOR + popcount reduction over `[u64; LANE_WORDS]` arrays, fully
-/// unrolled. **This loop is the `std::simd` seam** — swap the `for k`
-/// body for a `Simd<u64, _>` XOR and a vectorized popcount and nothing
-/// outside this function changes (u32 lane adds are associative, so the
-/// reduction order is free).
+/// The scalar lane body: the XOR + popcount reduction over `[u64;
+/// LANE_WORDS]` arrays, fully unrolled, one cylinder pair at a time. On
+/// the plain x86-64 build baseline `count_ones()` lowers to a ~12-op
+/// bit-twiddling sequence per word, which is why x86 hosts run it through
+/// [`best_rows_lanes_popcnt`]; elsewhere it already lowers well (e.g.
+/// AArch64 `CNT`). Population count is an exact integer op, so every
+/// compilation is bit-identical.
 #[inline(always)]
 fn best_rows_lanes_body(
     probe: &CodeView<'_>,
@@ -626,24 +880,53 @@ mod tests {
         137_975_824_384,
     ];
 
+    /// Lane-width codes of `cylinders` cylinders from a fixed stream;
+    /// every `zero_every`-th cylinder is all-zero (`ones == 0`).
+    fn lane_codes(seed: u64, cylinders: usize, zero_every: usize) -> CylinderCodes {
+        let rows: Vec<Vec<u64>> = (0..cylinders as u64)
+            .map(|c| {
+                (0..LANE_WORDS as u64)
+                    .map(|w| {
+                        if c as usize % zero_every == zero_every - 1 {
+                            0
+                        } else {
+                            (seed + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15 ^ (c * 31 + w))
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let refs: Vec<&[u64]> = rows.iter().map(|r| r.as_slice()).collect();
+        raw_codes(&refs, LANE_WORDS)
+    }
+
+    /// Every lane body this CPU can run against the oracle: bitwise
+    /// scores, equal op counts.
+    fn assert_every_body_matches_reference(arena: &CodeArena, probe: &CylinderCodes, depth: usize) {
+        let mut scratch = Stage1Scratch::new();
+        let mut reference = vec![0.0; arena.len()];
+        let ops_r = arena.score_into_reference(probe, depth, &mut scratch, &mut reference);
+        let bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        for body in LaneBody::available() {
+            let mut scores = vec![9.0; arena.len()];
+            let ops = arena.score_with(body, probe, depth, &mut scratch, &mut scores);
+            assert_eq!(ops, ops_r, "{body:?}, probe of {}", probe.len());
+            assert_eq!(
+                bits(&scores),
+                bits(&reference),
+                "{body:?}, probe of {}",
+                probe.len()
+            );
+        }
+    }
+
     #[test]
     fn large_arenas_score_like_the_reference() {
         // 600 lane-width entries: the body every shipping index runs, on
         // a slab long enough that a slip in the running offsets would
         // land on another entry's words.
         let mut arena = CodeArena::new();
-        let mut entries = Vec::new();
-        for e in 0..600u64 {
-            let rows: Vec<Vec<u64>> = (0..8)
-                .map(|c| {
-                    (0..LANE_WORDS as u64)
-                        .map(|w| (e + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15 ^ (c * 31 + w)))
-                        .collect()
-                })
-                .collect();
-            let refs: Vec<&[u64]> = rows.iter().map(|r| r.as_slice()).collect();
-            entries.push(raw_codes(&refs, LANE_WORDS));
-        }
+        let entries: Vec<CylinderCodes> = (0..600).map(|e| lane_codes(e, 8, usize::MAX)).collect();
         for codes in &entries {
             arena.push(codes);
         }
@@ -657,5 +940,58 @@ mod tests {
         assert_eq!(ops, ops_r);
         assert_eq!(scores, reference);
         assert_eq!(scores[17], 1.0);
+        assert_every_body_matches_reference(&arena, &probe, 5);
+    }
+
+    #[test]
+    fn every_lane_body_matches_the_reference_across_the_group_edge() {
+        assert_eq!(LaneBody::available().last(), Some(LaneBody::Portable));
+
+        // Entries of 0, 1, 23 and 64 cylinders, with and without zero
+        // cylinders, against probes that end before, on and after a
+        // `GROUP` boundary. Probe and entries carry zero cylinders at
+        // once, so the op meter's `Z_p · Z_g` term is exercised.
+        let mut arena = CodeArena::new();
+        for (e, &cylinders) in [0, 1, 23, 64, 1, 23, 64].iter().enumerate() {
+            let zero_every = if e < 4 { 3 } else { usize::MAX };
+            arena.push(&lane_codes(100 + e as u64, cylinders, zero_every));
+        }
+        for probe_cylinders in [0, 1, 7, 8, 9, 16, 24, 25, 40] {
+            for zero_every in [1, 2, 5, usize::MAX] {
+                let probe = lane_codes(7, probe_cylinders, zero_every);
+                for depth in [1, 12, 64] {
+                    assert_every_body_matches_reference(&arena, &probe, depth);
+                }
+            }
+        }
+    }
+
+    /// **The vector body's licence.** It keeps a row's best as the
+    /// integer pair of least exact rational `d/m` and divides once;
+    /// `RowBest` and the oracle compare `fl(1 - fl(d/m))`. Over every pair
+    /// a lane-width row can produce — `1 <= m <= 640` (two 320-cell
+    /// cylinders), `0 <= d <= min(320, m)` — equal rationals give equal
+    /// bits and distinct rationals strictly ordered floats, so the integer
+    /// winner is the float winner, first-seen tie-break included.
+    #[test]
+    fn distinct_ratios_give_strictly_ordered_floats() {
+        let cells = 64 * LANE_WORDS as u64;
+        let mut pairs: Vec<(u64, u64)> = (1..=2 * cells)
+            .flat_map(|m| (0..=cells.min(m)).map(move |d| (d, m)))
+            .collect();
+        // Ascending exact rational d/m.
+        pairs.sort_by(|a, b| (a.0 * b.1).cmp(&(b.0 * a.1)));
+        let sim = |(d, m): (u64, u64)| 1.0 - d as f64 / m as f64;
+        let mut distinct = 1;
+        for pair in pairs.windows(2) {
+            let (lo, hi) = (pair[0], pair[1]);
+            if lo.0 * hi.1 == hi.0 * lo.1 {
+                assert_eq!(sim(lo).to_bits(), sim(hi).to_bits(), "{lo:?} = {hi:?}");
+            } else {
+                assert!(sim(lo) > sim(hi), "{lo:?} < {hi:?} but floats do not order");
+                distinct += 1;
+            }
+        }
+        assert_eq!(distinct, 93_502);
     }
 }

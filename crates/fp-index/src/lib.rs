@@ -64,6 +64,8 @@
 //! # }
 //! ```
 
+#![deny(unsafe_op_in_unsafe_fn)]
+
 pub mod arena;
 pub mod backend;
 pub mod config;
@@ -73,7 +75,7 @@ pub mod metrics;
 pub mod shard;
 pub mod signature;
 
-pub use arena::{CodeArena, LANE_WORDS};
+pub use arena::{lane_body_name, CodeArena, LANE_WORDS};
 pub use backend::{search_backends, ShardBackend, ShardError};
 pub use config::{IndexConfig, IndexConfigError};
 pub use geohash::FlatBuckets;

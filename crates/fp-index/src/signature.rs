@@ -18,6 +18,8 @@
 use fp_core::template::Template;
 use fp_match::{MccMatcher, PreparableMatcher};
 
+use crate::arena::ProbeGroup;
+
 /// The packed per-cylinder binary codes of one template.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CylinderCodes {
@@ -78,12 +80,15 @@ impl<'a> CodeView<'a> {
 }
 
 /// Reusable scratch for one stage-1 scoring pass: the per-probe-cylinder
-/// local bests that local similarity sort selects from. Callers allocate
-/// one per search and reuse it across every gallery entry, so neither the
-/// scalar reference path nor the arena kernel allocates per entry.
+/// local bests that local similarity sort selects from, and the probe
+/// transposed into groups of eight cylinders for the arena's vector lane
+/// body (empty on every other body). Callers allocate one per search and
+/// reuse it across every gallery entry, so neither the scalar reference
+/// path nor the arena kernel allocates per entry.
 #[derive(Debug, Default)]
 pub struct Stage1Scratch {
     pub(crate) bests: Vec<f64>,
+    pub(crate) groups: Vec<ProbeGroup>,
 }
 
 impl Stage1Scratch {

@@ -1,5 +1,6 @@
-//! Stage-1 kernel equivalence: the cache-blocked SoA arena kernel must be
-//! **byte-identical** to the scalar reference path, not merely close.
+//! Stage-1 kernel equivalence: the SoA arena kernel, on whichever lane
+//! body the host runs, must be **byte-identical** to the scalar reference
+//! path, not merely close.
 //!
 //! * Over random packed code sets (random widths, cylinder counts,
 //!   sparsity, `lss_depth`), `CodeArena::score_into` must produce bitwise
@@ -7,7 +8,7 @@
 //!   the entry-at-a-time scalar oracle (`reference_similarity`).
 //! * Mixed-width code sets (templates prepared under different MCC grids)
 //!   must follow `hamming`'s excess-word tail rule in both kernels.
-//! * On real extracted templates, the enrolled index's blocked scores must
+//! * On real extracted templates, the enrolled index's kernel scores must
 //!   be bitwise reproducible from freshly extracted codes — pinning the
 //!   arena packing itself, not just the arithmetic.
 //! * `lss_depth == 0` is rejected at config validation with a typed error
@@ -19,6 +20,7 @@ use fp_core::rng::SeedTree;
 use fp_core::template::Template;
 use fp_index::{
     CandidateIndex, CodeArena, CylinderCodes, IndexConfig, IndexConfigError, Stage1Scratch,
+    LANE_WORDS,
 };
 use fp_match::{MccMatcher, PairTableMatcher};
 use proptest::prelude::*;
@@ -82,7 +84,7 @@ fn draw_codes(
     CylinderCodes::from_raw(words, ones, words_per)
 }
 
-/// Scores every arena entry twice — blocked kernel and scalar reference —
+/// Scores every arena entry twice — arena kernel and scalar reference —
 /// and asserts bitwise score identity plus exact op-count identity.
 fn assert_kernels_agree(
     arena: &CodeArena,
@@ -111,12 +113,12 @@ fn assert_kernels_agree(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Scalar ≡ blocked over random code sets, widths 1..=9 (exercising
-    /// every fixed-lane specialization plus the runtime-width fallback),
-    /// random cylinder counts (including empty entries and an empty
-    /// probe), random sparsity, and random `lss_depth`.
+    /// Scalar ≡ kernel over random code sets, widths 1..=9 (the general
+    /// body, and the lane body at width 5), random cylinder counts
+    /// (including empty entries and an empty probe), random sparsity, and
+    /// random `lss_depth`.
     #[test]
-    fn blocked_kernel_is_byte_identical_to_scalar(
+    fn arena_kernel_is_byte_identical_to_scalar(
         words_per in 1usize..=9,
         entry_cyls in prop::collection::vec(0usize..10, 1..7),
         probe_cyls in 0usize..10,
@@ -147,6 +149,27 @@ proptest! {
             total_ops += entry_ops;
         }
         prop_assert_eq!(ops, total_ops, "hamming_ops metering must agree exactly");
+    }
+
+    /// The lane body at the shapes it ships on and past them: both sides
+    /// `LANE_WORDS` wide, 0..=40 cylinders per side, so a probe fills up
+    /// to five groups of the vector body and ends before, on and after a
+    /// group edge, with zero cylinders on both sides at once.
+    #[test]
+    fn lane_body_is_byte_identical_to_scalar(
+        entry_cyls in prop::collection::vec(0usize..=40, 1..7),
+        probe_cyls in 0usize..=40,
+        lss_depth in 1usize..48,
+        pool in prop::collection::vec(0u64..u64::MAX, 64),
+        zero_every in 2usize..5,
+    ) {
+        let mut cursor = 0usize;
+        let mut arena = CodeArena::new();
+        for &cyls in &entry_cyls {
+            arena.push(&draw_codes(&pool, &mut cursor, cyls, LANE_WORDS, zero_every));
+        }
+        let probe = draw_codes(&pool, &mut cursor, probe_cyls, LANE_WORDS, zero_every);
+        assert_kernels_agree(&arena, &probe, lss_depth)?;
     }
 
     /// Mixed widths: gallery packed under one MCC width, probe under
@@ -194,7 +217,7 @@ proptest! {
         );
     }
 
-    /// Real extracted templates end to end: the enrolled index's blocked
+    /// Real extracted templates end to end: the enrolled index's kernel
     /// stage-1 scores must be bitwise reproducible from freshly extracted
     /// cylinder codes — this pins the arena *packing* (enroll-time
     /// `push` order and layout), not just the scoring arithmetic.

@@ -13,7 +13,11 @@
 //!    drop every search onto the general body without a test noticing.
 //! 2. **Score parity** — for every probe, the enrolled index's per-entry
 //!    stage-1 scores must be *bitwise* equal to the scalar reference
-//!    driver's, and the `hamming_ops` meters must agree exactly.
+//!    driver's, and the `hamming_ops` meters must agree exactly. The step
+//!    is repeated for every lane body the CPU can run, and the report
+//!    names the one searches run ([`fp_index::lane_body_name`]): a host
+//!    that fell back to a slower body says so, and the bodies it does not
+//!    pick stay proven on it.
 //! 3. **Transport parity** — the RUNFP chain over the full probe loop must
 //!    be identical across the unsharded index, an in-process
 //!    [`ShardedIndex`], and (when `--remote-shards` is given) real
@@ -27,8 +31,8 @@ use std::collections::BTreeMap;
 
 use fp_core::rng::SeedTree;
 use fp_core::template::Template;
-use fp_index::{CandidateIndex, CodeArena, IndexConfig, ShardedIndex, LANE_WORDS};
-use fp_match::PairTableMatcher;
+use fp_index::{CandidateIndex, CodeArena, CylinderCodes, IndexConfig, ShardedIndex, LANE_WORDS};
+use fp_match::{MccMatcher, PairTableMatcher};
 use fp_store::GalleryStore;
 use serde_json::json;
 
@@ -48,6 +52,8 @@ struct KernelStats {
     probes: usize,
     entries_checked: u64,
     hamming_ops: u64,
+    /// Entries proven against the reference per lane body the CPU runs.
+    body_parity: BTreeMap<String, u64>,
     arena_kib: usize,
     runfp: String,
     runfp_sharded: String,
@@ -116,30 +122,46 @@ fn check(config: &StudyConfig) -> Result<KernelStats, String> {
     }
 
     // 2. Score parity: kernel vs scalar reference, bitwise, plus exact
-    // hamming_ops agreement, for every probe over the whole gallery.
+    // hamming_ops agreement, for every probe over the whole gallery —
+    // through the search path's entry, then through each lane body.
     let mut entries_checked = 0u64;
     let mut hamming_ops = 0u64;
+    let mut body_parity = BTreeMap::new();
     for p in 0..probes {
         let probe = probe_of(p);
         let (scores, ops) = index.stage1_cylinder_scores(&probe);
         let (reference, ops_reference) = index.stage1_cylinder_scores_reference(&probe);
-        if ops != ops_reference {
-            return Err(format!(
-                "probe {p}: hamming_ops diverged (kernel {ops}, reference {ops_reference})"
-            ));
-        }
-        for (id, (k, r)) in scores.iter().zip(&reference).enumerate() {
-            if k.to_bits() != r.to_bits() {
+        let parity = |kernel: &str, scores: &[f64], ops: u64| {
+            if ops != ops_reference {
                 return Err(format!(
-                    "probe {p}, gallery entry {id}: arena kernel scored {k} \
-                     ({:#018x}), scalar reference scored {r} ({:#018x})",
-                    k.to_bits(),
-                    r.to_bits()
+                    "probe {p}: hamming_ops diverged ({kernel} {ops}, reference {ops_reference})"
                 ));
             }
-        }
+            for (id, (k, r)) in scores.iter().zip(&reference).enumerate() {
+                if k.to_bits() != r.to_bits() {
+                    return Err(format!(
+                        "probe {p}, gallery entry {id}: {kernel} scored {k} \
+                         ({:#018x}), scalar reference scored {r} ({:#018x})",
+                        k.to_bits(),
+                        r.to_bits()
+                    ));
+                }
+            }
+            Ok(())
+        };
+        parity("arena kernel", &scores, ops)?;
         entries_checked += scores.len() as u64;
         hamming_ops += ops;
+
+        let codes =
+            CylinderCodes::extract(&MccMatcher::default(), &probe, index_config.max_cylinders);
+        for (body, scores, ops) in index
+            .arena()
+            .score_with_each_lane_body(&codes, index_config.lss_depth)
+        {
+            parity(&format!("lane body {body}"), &scores, ops)?;
+            *body_parity.entry(body.to_string()).or_insert(0u64) += scores.len() as u64;
+        }
     }
 
     // 3. Transport parity: the same probe loop on every transport must
@@ -185,6 +207,7 @@ fn check(config: &StudyConfig) -> Result<KernelStats, String> {
         probes,
         entries_checked,
         hamming_ops,
+        body_parity,
         arena_kib: index.arena().packed_bytes() / 1024,
         runfp,
         runfp_sharded,
@@ -234,6 +257,7 @@ pub fn run_check(config: &StudyConfig) -> Report {
                 "stage-1 kernel parity over a {}-entry gallery ({} KiB packed arena):\n\
                  \n\
                  coded entries by words per cylinder, enrolled and store-opened: {:?}\n\
+                 searches run lane body {}; same parity per body this CPU runs: {:?}\n\
                  kernel ≡ scalar: {} per-entry scores bitwise equal over {} probes\n\
                  hamming_ops meters agree exactly: {} word ops\n\
                  RUNFP unsharded:      {}\n\
@@ -241,6 +265,8 @@ pub fn run_check(config: &StudyConfig) -> Report {
                 stats.gallery,
                 stats.arena_kib,
                 stats.widths,
+                fp_index::lane_body_name(),
+                stats.body_parity,
                 stats.entries_checked,
                 stats.probes,
                 stats.hamming_ops,
@@ -268,6 +294,8 @@ pub fn run_check(config: &StudyConfig) -> Report {
                     "error": null,
                     "gallery": stats.gallery,
                     "widths": widths,
+                    "lane_body": fp_index::lane_body_name(),
+                    "body_parity": stats.body_parity,
                     "probes": stats.probes,
                     "entries_checked": stats.entries_checked,
                     "hamming_ops": stats.hamming_ops,
@@ -303,6 +331,17 @@ mod tests {
         );
         // 6 subjects x 10 entries, every one coded and lane-wide.
         assert_eq!(report.values["widths"], json!({ "5": 60 }));
+        // The body searches run is named and is among the proven ones,
+        // each over as many entries as the search path's own pass.
+        let body = report.values["lane_body"].as_str().unwrap();
+        assert_eq!(
+            report.values["body_parity"][body],
+            report.values["entries_checked"]
+        );
+        assert_eq!(
+            report.values["body_parity"]["portable"],
+            report.values["entries_checked"]
+        );
         assert!(report.values["entries_checked"].as_u64().unwrap() > 0);
         assert!(report.values["hamming_ops"].as_u64().unwrap() > 0);
         assert_eq!(report.values["runfp"], report.values["runfp_sharded"]);
