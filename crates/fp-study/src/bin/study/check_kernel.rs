@@ -36,9 +36,11 @@ use fp_match::{MccMatcher, PairTableMatcher};
 use fp_store::GalleryStore;
 use serde_json::json;
 
-use crate::config::StudyConfig;
-use crate::experiments::harness::{Cohort, ShardFleet};
-use crate::report::Report;
+use fp_study::config::StudyConfig;
+use fp_study::experiments::harness::Cohort;
+use fp_study::report::Report;
+
+use crate::fleet::ShardFleet;
 
 /// Probes checked (each one scores the whole gallery twice, kernel and
 /// oracle, plus one search per transport).
@@ -98,7 +100,7 @@ fn reopened(
 }
 
 /// Runs the gate: `Ok` with the stats, or the first divergence found.
-fn check(config: &StudyConfig) -> Result<KernelStats, String> {
+fn check(config: &StudyConfig, shards: usize, remote_shards: usize) -> Result<KernelStats, String> {
     let gallery = config.subjects * 10;
     let cohort = Cohort::new(
         SeedTree::new(config.seed).child(&[0xEC]),
@@ -169,7 +171,7 @@ fn check(config: &StudyConfig) -> Result<KernelStats, String> {
     let unsharded_results: Vec<_> = (0..probes).map(|p| index.search(&probe_of(p))).collect();
     let runfp = index.run_fingerprint().hex();
 
-    let shards = config.shards.max(2);
+    let shards = shards.max(2);
     let mut sharded = ShardedIndex::with_config(PairTableMatcher::default(), index_config, shards)
         .with_run_seed(config.seed);
     sharded.enroll_all(pool);
@@ -189,13 +191,19 @@ fn check(config: &StudyConfig) -> Result<KernelStats, String> {
     }
 
     let mut runfp_remote = None;
-    if config.remote_shards >= 1 {
-        let hex = remote_runfp(config, pool, index_config, &unsharded_results, &probe_of)?;
+    if remote_shards >= 1 {
+        let hex = remote_runfp(
+            config,
+            remote_shards,
+            pool,
+            index_config,
+            &unsharded_results,
+            &probe_of,
+        )?;
         if hex != runfp {
             return Err(format!(
                 "RUNFP diverged: unsharded {runfp}, remote {hex} \
-                 ({} serve-shard children)",
-                config.remote_shards
+                 ({remote_shards} serve-shard children)"
             ));
         }
         runfp_remote = Some(hex);
@@ -213,7 +221,7 @@ fn check(config: &StudyConfig) -> Result<KernelStats, String> {
         runfp_sharded,
         shards,
         runfp_remote,
-        remote_shards: config.remote_shards,
+        remote_shards,
     })
 }
 
@@ -222,12 +230,13 @@ fn check(config: &StudyConfig) -> Result<KernelStats, String> {
 /// candidate-list parity per probe).
 fn remote_runfp(
     config: &StudyConfig,
+    remote_shards: usize,
     pool: &[Template],
     index_config: IndexConfig,
     unsharded_results: &[fp_index::SearchResult],
     probe_of: &dyn Fn(usize) -> Template,
 ) -> Result<String, String> {
-    let fleet = ShardFleet::spawn(config.remote_shards, |_| Vec::new())?;
+    let fleet = ShardFleet::spawn(remote_shards, |_| Vec::new())?;
     let mut remote = fleet.connect(index_config)?.with_run_seed(config.seed);
     remote.enroll_all(pool).map_err(|e| e.to_string())?;
 
@@ -250,8 +259,8 @@ fn remote_runfp(
 
 /// Runs the gate and renders the report. `values["error"]` is `null` on
 /// success; the CLI exit code keys off it.
-pub fn run_check(config: &StudyConfig) -> Report {
-    match check(config) {
+pub fn run_check(config: &StudyConfig, shards: usize, remote_shards: usize) -> Report {
+    match check(config, shards, remote_shards) {
         Ok(stats) => {
             let mut body = format!(
                 "stage-1 kernel parity over a {}-entry gallery ({} KiB packed arena):\n\
@@ -318,12 +327,11 @@ pub fn run_check(config: &StudyConfig) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::StudyConfig;
 
     #[test]
     fn gate_passes_on_the_default_cohort() {
         let config = StudyConfig::builder().subjects(6).build();
-        let report = run_check(&config);
+        let report = run_check(&config, 0, 0);
         assert!(
             report.values["error"].is_null(),
             "kernel parity gate failed: {}",

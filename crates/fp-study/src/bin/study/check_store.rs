@@ -35,9 +35,11 @@ use fp_match::PairTableMatcher;
 use fp_store::{CompactStats, GalleryStore};
 use serde_json::json;
 
-use crate::config::StudyConfig;
-use crate::experiments::harness::{synthetic_template, Cohort, ShardFleet};
-use crate::report::Report;
+use fp_study::config::StudyConfig;
+use fp_study::experiments::harness::{synthetic_template, Cohort};
+use fp_study::report::Report;
+
+use crate::fleet::ShardFleet;
 
 /// Probes checked on every rung (each searches the whole gallery).
 const MAX_PROBES: usize = 24;
@@ -131,7 +133,12 @@ pub fn build_gallery(config: &StudyConfig, dir: &Path) -> Result<(usize, usize),
 }
 
 /// Runs the gate: `Ok` with the stats, or the first divergence found.
-fn check(config: &StudyConfig, dir: &Path) -> Result<StoreStats, String> {
+fn check(
+    config: &StudyConfig,
+    shards: usize,
+    remote_shards: usize,
+    dir: &Path,
+) -> Result<StoreStats, String> {
     prepare_dir(dir)?;
 
     let cohort = cohort(config);
@@ -193,7 +200,7 @@ fn check(config: &StudyConfig, dir: &Path) -> Result<StoreStats, String> {
     }
 
     // Rung 2: the same store dealt into an in-process sharded index.
-    let shards = config.shards.max(2);
+    let shards = shards.max(2);
     let sharded = store
         .open_sharded(shards)
         .map_err(|e| format!("open sharded: {e}"))?
@@ -211,7 +218,7 @@ fn check(config: &StudyConfig, dir: &Path) -> Result<StoreStats, String> {
     // Rung 3: a real serve-shard child loads the gallery itself — zero
     // enroll RPCs — then survives a SIGKILL + restart from the same dir.
     let mut remote_checked = false;
-    if config.remote_shards >= 1 {
+    if remote_shards >= 1 {
         remote_rung(
             config,
             dir,
@@ -381,8 +388,13 @@ fn remote_rung(
 
 /// Runs the gate and renders the report. `values["error"]` is `null` on
 /// success; the CLI exit code keys off it.
-pub fn run_check(config: &StudyConfig, gallery_dir: &Path) -> Report {
-    match check(config, gallery_dir) {
+pub fn run_check(
+    config: &StudyConfig,
+    shards: usize,
+    remote_shards: usize,
+    gallery_dir: &Path,
+) -> Report {
+    match check(config, shards, remote_shards, gallery_dir) {
         Ok(stats) => {
             let speedup = stats.enroll_ms / stats.open_ms.max(1e-9);
             let mut body = format!(
@@ -447,13 +459,12 @@ pub fn run_check(config: &StudyConfig, gallery_dir: &Path) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::StudyConfig;
 
     #[test]
     fn gate_passes_on_the_default_cohort() {
         let config = StudyConfig::builder().subjects(6).build();
         let dir = std::env::temp_dir().join(format!("fp-check-store-{}", std::process::id()));
-        let report = run_check(&config, &dir);
+        let report = run_check(&config, 0, 0, &dir);
         assert!(
             report.values["error"].is_null(),
             "store parity gate failed: {}",
@@ -470,7 +481,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("precious.txt"), "not a gallery").unwrap();
         let config = StudyConfig::builder().subjects(2).build();
-        let report = run_check(&config, &dir);
+        let report = run_check(&config, 0, 0, &dir);
         assert!(!report.values["error"].is_null());
         assert!(
             dir.join("precious.txt").exists(),

@@ -41,9 +41,11 @@ use fp_serve::{MuxConn, SlowLog};
 use fp_telemetry::{Level, Telemetry};
 use serde_json::json;
 
-use crate::config::StudyConfig;
-use crate::experiments::harness::{Cohort, ShardFleet, RPC_DEADLINE};
-use crate::report::Report;
+use fp_study::config::StudyConfig;
+use fp_study::experiments::harness::Cohort;
+use fp_study::report::Report;
+
+use crate::fleet::{ShardFleet, RPC_DEADLINE};
 
 /// Probes per pass (capped so the whole harness stays seconds-scale).
 const MAX_PROBES: usize = 48;
@@ -99,28 +101,19 @@ struct LoadData {
     rungs: Vec<LoadRung>,
 }
 
-/// Runs the experiment (inert telemetry).
-pub fn run(config: &StudyConfig) -> Report {
-    run_with(config, &Telemetry::disabled())
-}
-
-/// [`run`] with telemetry. Parity counts, fingerprints and the admission
-/// ledger are pure functions of the seed; latency and throughput vary with
-/// the machine.
-pub fn run_with(config: &StudyConfig, telemetry: &Telemetry) -> Report {
-    run_with_slowlog(config, telemetry, None)
-}
-
-/// [`run_with`] plus an optional tail-latency exemplar log: every search
-/// of the harness (concurrent pass and ladder rungs alike) is offered to
-/// `slowlog`, and the caller reads the retained exemplars afterwards
-/// (`study load --slowlog PATH` writes them as JSONL).
-pub fn run_with_slowlog(
+/// Runs the harness over `remote_shards` `serve-shard` children (0: two).
+/// Parity counts, fingerprints and the admission ledger are pure functions
+/// of the seed; latency and throughput vary with the machine. Every search
+/// (concurrent pass and ladder rungs alike) is offered to `slowlog`, and the
+/// caller reads the retained exemplars afterwards (`study load --slowlog
+/// PATH` writes them as JSONL).
+pub fn run(
     config: &StudyConfig,
+    remote_shards: usize,
     telemetry: &Telemetry,
     slowlog: Option<Arc<SlowLog>>,
 ) -> Report {
-    let (data, error) = match load_rung(config, telemetry, slowlog) {
+    let (data, error) = match load_rung(config, remote_shards, telemetry, slowlog) {
         Ok(data) => (Some(data), None),
         Err(e) => {
             telemetry.event_with(Level::Error, "load rung failed", &[("error", e.clone())]);
@@ -262,15 +255,12 @@ pub fn run_with_slowlog(
 /// Spawns the topology, runs all four load phases, tears everything down.
 fn load_rung(
     config: &StudyConfig,
+    remote_shards: usize,
     telemetry: &Telemetry,
     slowlog: Option<Arc<SlowLog>>,
 ) -> Result<LoadData, String> {
     let gallery = config.subjects;
-    let shards = if config.remote_shards >= 1 {
-        config.remote_shards
-    } else {
-        2
-    };
+    let shards = if remote_shards >= 1 { remote_shards } else { 2 };
     let _span = telemetry.span_with(
         "load.harness",
         &[
@@ -561,27 +551,5 @@ mod tests {
         assert_eq!(nearest_rank(&ladder, 0.95), 46);
         assert_eq!(nearest_rank(&ladder, 0.999), 48);
         assert_eq!(nearest_rank(&[], 0.50), 0);
-    }
-
-    /// The whole harness end to end at a tiny scale, driving real
-    /// serve-shard children (the test binary is not the study binary, so
-    /// point FP_SERVE_SHARD_EXE at the study executable when set by CI;
-    /// without it the spawn fails and the report carries the error — the
-    /// run itself must not panic).
-    #[test]
-    fn tiny_run_reports_error_or_full_parity() {
-        let config = StudyConfig::builder().subjects(16).seed(11).build();
-        let report = run(&config);
-        assert_eq!(report.id, "ext-load");
-        let values = &report.values;
-        if values["error"].is_null() {
-            assert_eq!(values["parity_agreed"], values["parity_checked"]);
-            assert_eq!(values["runfp_remote"], values["runfp_baseline"]);
-            assert!(values["pipeline"]["peak_in_flight"].as_u64().unwrap() >= 4);
-        } else {
-            // Spawn failed (no serve-shard binary): rungs must be absent,
-            // not half-filled.
-            assert!(values["rungs"].as_array().unwrap().is_empty());
-        }
     }
 }

@@ -12,8 +12,8 @@
 //! subsample, the speedup, shortlist recall, and rank-1 agreement with
 //! brute force.
 //!
-//! Galleries and probes are the loopback harness's synthetic cohort
-//! (`experiments::harness`, seed-tree child `0xE5`).
+//! Galleries and probes are the library's synthetic cohort
+//! (`fp_study::experiments::harness`, seed-tree child `0xE5`).
 
 use fp_core::rng::SeedTree;
 use fp_index::{CandidateIndex, IndexConfig, ShardedIndex};
@@ -21,10 +21,12 @@ use fp_match::PairTableMatcher;
 use fp_telemetry::Telemetry;
 use serde_json::json;
 
-use crate::config::StudyConfig;
-use crate::experiments::harness::{Cohort, ShardFleet};
-use crate::parallel::parallel_map_metered;
-use crate::report::Report;
+use fp_study::config::StudyConfig;
+use fp_study::experiments::harness::Cohort;
+use fp_study::parallel::parallel_map_metered;
+use fp_study::report::Report;
+
+use crate::fleet::ShardFleet;
 
 /// Gallery ladder: multiples of `config.subjects`.
 const LADDER: [usize; 3] = [1, 5, 10];
@@ -104,15 +106,18 @@ fn shard_ladder(max: usize) -> Vec<usize> {
     ladder
 }
 
-/// Runs the experiment.
-pub fn run(config: &StudyConfig) -> Report {
-    run_with(config, &Telemetry::disabled())
-}
-
-/// [`run`] with telemetry: the index's build/search instruments land in
-/// `telemetry`. Accuracy numbers (recall, rank-1, audit agreement) are pure
-/// functions of the seed; throughput numbers vary with the machine.
-pub fn run_with(config: &StudyConfig, telemetry: &Telemetry) -> Report {
+/// Runs the ladder: the three gallery rungs, then the in-process shard
+/// ladder up to `shards` (0: none) and the cross-process rung over
+/// `remote_shards` `serve-shard` children (0: none). The index's
+/// build/search instruments land in `telemetry`. Accuracy numbers (recall,
+/// rank-1, audit agreement) are pure functions of the seed; throughput
+/// numbers vary with the machine.
+pub fn run(
+    config: &StudyConfig,
+    shards: usize,
+    remote_shards: usize,
+    telemetry: &Telemetry,
+) -> Report {
     let max_gallery = config.subjects * LADDER[LADDER.len() - 1];
 
     // One template pool, shared by every rung as a prefix: rung results at
@@ -202,12 +207,12 @@ pub fn run_with(config: &StudyConfig, telemetry: &Telemetry) -> Report {
     // index, so recall must match the top rung *exactly* and the parity
     // audit compares full candidate lists, not just rank-1.
     let mut shard_rows: Vec<ShardRow> = Vec::new();
-    if config.shards >= 1 {
+    if shards >= 1 {
         let gallery = max_gallery;
         let unsharded = top_index.as_ref().expect("ladder is non-empty");
         let probes = cohort.probes();
         let probe_of = |p: usize| cohort.probe(p);
-        for s in shard_ladder(config.shards) {
+        for s in shard_ladder(shards) {
             let _span = telemetry.span_with(
                 &format!("scaling.shards{s}"),
                 &[("gallery", gallery.to_string()), ("shards", s.to_string())],
@@ -277,9 +282,9 @@ pub fn run_with(config: &StudyConfig, telemetry: &Telemetry) -> Report {
     // unsharded index and an in-process sharded index.
     let mut remote_rows: Vec<RemoteRow> = Vec::new();
     let mut remote_error: Option<String> = None;
-    if config.remote_shards >= 1 {
+    if remote_shards >= 1 {
         let unsharded = top_index.as_ref().expect("ladder is non-empty");
-        match remote_rung(config, telemetry, &cohort, unsharded) {
+        match remote_rung(config, remote_shards, telemetry, &cohort, unsharded) {
             Ok(row) => remote_rows.push(row),
             Err(e) => remote_error = Some(e),
         }
@@ -382,8 +387,8 @@ pub fn run_with(config: &StudyConfig, telemetry: &Telemetry) -> Report {
         json!({
             "base_subjects": config.subjects,
             "ladder": LADDER,
-            "shards": config.shards,
-            "remote_shards": config.remote_shards,
+            "shards": shards,
+            "remote_shards": remote_shards,
             "seed": config.seed,
             "remote_error": remote_error,
             "remote_rows": remote_rows
@@ -434,8 +439,7 @@ pub fn run_with(config: &StudyConfig, telemetry: &Telemetry) -> Report {
     )
 }
 
-/// Runs the cross-process rung: spawns `config.remote_shards` `serve-shard`
-/// children, enrolls the top gallery rung through an `fp-serve`
+/// Runs the cross-process rung: spawns `s` `serve-shard` children, enrolls the top gallery rung through an `fp-serve`
 /// coordinator, and audits full candidate-list parity against both the
 /// unsharded index and an in-process [`ShardedIndex`] with the same shard
 /// count.
@@ -445,13 +449,13 @@ pub fn run_with(config: &StudyConfig, telemetry: &Telemetry) -> Report {
 /// results.
 fn remote_rung(
     config: &StudyConfig,
+    s: usize,
     telemetry: &Telemetry,
     cohort: &Cohort,
     unsharded: &CandidateIndex<PairTableMatcher>,
 ) -> Result<RemoteRow, String> {
     use std::time::Instant;
 
-    let s = config.remote_shards;
     let pool = cohort.pool();
     let gallery = pool.len();
     let _span = telemetry.span_with(
@@ -531,12 +535,16 @@ fn remote_rung(
 mod tests {
     use super::*;
 
-    fn tiny() -> Report {
-        run(&StudyConfig::builder()
+    fn tiny_config() -> StudyConfig {
+        StudyConfig::builder()
             .subjects(12)
             .seed(9)
             .impostors_per_cell(10)
-            .build())
+            .build()
+    }
+
+    fn tiny() -> Report {
+        run(&tiny_config(), 0, 0, &Telemetry::disabled())
     }
 
     #[test]
@@ -579,12 +587,7 @@ mod tests {
 
     #[test]
     fn shard_rows_show_exact_parity_with_the_unsharded_index() {
-        let r = run(&StudyConfig::builder()
-            .subjects(12)
-            .seed(9)
-            .impostors_per_cell(10)
-            .shards(4)
-            .build());
+        let r = run(&tiny_config(), 4, 0, &Telemetry::disabled());
         let rows = r.values["rows"].as_array().unwrap();
         let top_recall = rows.last().unwrap()["recall"].as_f64().unwrap();
         let top_runfp = rows.last().unwrap()["runfp"].as_str().unwrap();

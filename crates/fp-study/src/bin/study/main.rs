@@ -14,18 +14,30 @@
 //!
 //! Nothing here lists the subcommands by hand: the usage line `study`
 //! prints on a bad invocation is assembled from [`SUBCOMMANDS`], the gate
-//! table ([`fp_study::gates`]) and the experiment ids, and those same
-//! tables decide which flags and operands each subcommand takes.
+//! table ([`gates`]) and the experiment ids, and those same tables decide
+//! which flags and operands each subcommand takes.
+//!
+//! The paper's artefacts come from the `fp_study` library. Everything that
+//! spawns shards, opens stores or gates a run — the modules below — is
+//! private to this binary, so the library (which the benchmark links) does
+//! not change when one of them does.
 
 use std::process::ExitCode;
 
 use fp_sensor::DEVICES;
 use fp_study::config::StudyConfig;
 use fp_study::experiments;
-use fp_study::gates;
 use fp_study::report::Report;
 use fp_study::scores::StudyData;
 use fp_telemetry::{Level, Telemetry};
+
+mod check_kernel;
+mod check_store;
+mod dist_trace;
+mod ext_load;
+mod ext_scaling;
+mod fleet;
+mod gates;
 
 #[derive(Default)]
 struct Args {
@@ -38,8 +50,10 @@ struct Args {
     gallery_dir: Option<String>,
     subjects: Option<usize>,
     seed: Option<u64>,
-    shards: Option<usize>,
-    remote_shards: Option<usize>,
+    /// Topology of the ladders and cross-process producers; 0 when the
+    /// flag is absent (each producer documents what it does then).
+    shards: usize,
+    remote_shards: usize,
     port: Option<u16>,
     json: Option<String>,
     out: Option<String>,
@@ -209,11 +223,7 @@ fn usage() -> String {
     for sub in SUBCOMMANDS {
         names.push(format!("{} {}", sub.name, sub.operands).trim().to_string());
     }
-    for id in experiments::ALL_IDS {
-        if SUBCOMMANDS.iter().all(|s| s.name != id) {
-            names.push(id.to_string());
-        }
-    }
+    names.extend(experiments::ALL_IDS.map(String::from));
     format!(
         "usage: study <{}> [flags]\ngates: {}",
         names.join("|"),
@@ -263,9 +273,9 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
                     return Err(format!("{word} must be at least 1, got {n}"));
                 }
                 if word == "--shards" {
-                    parsed.shards = Some(n);
+                    parsed.shards = n;
                 } else {
-                    parsed.remote_shards = Some(n);
+                    parsed.remote_shards = n;
                 }
             }
             "--port" => parsed.port = Some(number(&word, value("a value")?)?),
@@ -296,6 +306,12 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             }
         ));
     }
+    if parsed.experiment == "check-store" && parsed.gallery_dir.is_none() {
+        return Err(
+            "check-store needs --gallery-dir DIR (the gallery it rebuilds and leaves behind)"
+                .to_string(),
+        );
+    }
     if !grammar.operands.contains(&parsed.positionals.len()) {
         let (min, max) = grammar.operands.into_inner();
         let arity = if min == max { "exactly" } else { "at most" };
@@ -317,12 +333,6 @@ fn config_from(args: &Args, default_subjects: Option<usize>) -> StudyConfig {
     }
     if let Some(s) = args.seed {
         builder = builder.seed(s);
-    }
-    if let Some(s) = args.shards {
-        builder = builder.shards(s);
-    }
-    if let Some(s) = args.remote_shards {
-        builder = builder.remote_shards(s);
     }
     builder.build()
 }
@@ -674,7 +684,7 @@ fn gallery_command(args: &Args, telemetry: &Telemetry) -> ExitCode {
     match action.as_str() {
         "build" => {
             let config = config_from(args, None);
-            match experiments::check_store::build_gallery(&config, std::path::Path::new(dir)) {
+            match check_store::build_gallery(&config, std::path::Path::new(dir)) {
                 Ok((live, segments)) => {
                     println!(
                         "built {dir}: {live} entries in {segments} segment(s) \
@@ -951,7 +961,7 @@ fn verify(args: &Args, telemetry: &Telemetry) -> ExitCode {
 /// cross-process execution.
 fn check_kernel(args: &Args, telemetry: &Telemetry) -> ExitCode {
     let config = config_from(args, Some(20));
-    let report = experiments::check_kernel::run_check(&config);
+    let report = check_kernel::run_check(&config, args.shards, args.remote_shards);
     emit(args, telemetry, &config, &[report])
 }
 
@@ -962,13 +972,13 @@ fn check_kernel(args: &Args, telemetry: &Telemetry) -> ExitCode {
 /// artifact.
 fn check_store(args: &Args, telemetry: &Telemetry) -> ExitCode {
     let config = config_from(args, Some(20));
-    let dir = args.gallery_dir.clone().unwrap_or_else(|| {
-        std::env::temp_dir()
-            .join("fp-check-store")
-            .to_string_lossy()
-            .into_owned()
-    });
-    let report = experiments::check_store::run_check(&config, std::path::Path::new(&dir));
+    let dir = args.gallery_dir.as_deref().expect("required by parse_args");
+    let report = check_store::run_check(
+        &config,
+        args.shards,
+        args.remote_shards,
+        std::path::Path::new(dir),
+    );
     emit(args, telemetry, &config, &[report])
 }
 
@@ -980,7 +990,7 @@ fn check_store(args: &Args, telemetry: &Telemetry) -> ExitCode {
 /// flight recorder (which stays off).
 fn check_dist_trace(args: &Args, telemetry: &Telemetry) -> ExitCode {
     let config = config_from(args, Some(16));
-    let outcome = experiments::dist_trace::run_check(&config, args.delay_ms.unwrap_or(25));
+    let outcome = dist_trace::run_check(&config, args.remote_shards, args.delay_ms.unwrap_or(25));
     if let Some(path) = &args.trace {
         let mut pids: Vec<u64> = outcome.merged.spans.iter().map(|s| s.pid).collect();
         pids.sort_unstable();
@@ -1026,7 +1036,7 @@ fn load(args: &Args, telemetry: &Telemetry) -> ExitCode {
         .slowlog
         .as_ref()
         .map(|_| std::sync::Arc::new(fp_serve::SlowLog::running_p99(telemetry)));
-    let report = experiments::ext_load::run_with_slowlog(&config, telemetry, slowlog.clone());
+    let report = ext_load::run(&config, args.remote_shards, telemetry, slowlog.clone());
     if let (Some(path), Some(slowlog)) = (&args.slowlog, &slowlog) {
         let what = format!("{} slow-query exemplars", slowlog.entries().len());
         if let Err(code) = write_text(path, &slowlog.to_jsonl(), &what) {
@@ -1058,12 +1068,12 @@ fn scaling_ladder(args: &Args, telemetry: &Telemetry) -> ExitCode {
             ("seed", config.seed.to_string()),
         ],
     );
-    let report = experiments::ext_scaling::run_with(&config, telemetry);
+    let report = ext_scaling::run(&config, args.shards, args.remote_shards, telemetry);
     emit(args, telemetry, &config, &[report])
 }
 
 /// `study all` / `study <experiment id>`: the paper's artifacts over one
-/// generated dataset.
+/// generated dataset; `all` ends with the scaling ladder.
 fn run_experiments(args: &Args, telemetry: &Telemetry) -> ExitCode {
     let all = args.experiment == "all";
     if !all && !experiments::ALL_IDS.contains(&args.experiment.as_str()) {
@@ -1074,7 +1084,10 @@ fn run_experiments(args: &Args, telemetry: &Telemetry) -> ExitCode {
                 ("experiment", args.experiment.clone()),
                 (
                     "known",
-                    format!("all, devices, metrics, {}", experiments::ALL_IDS.join(", ")),
+                    format!(
+                        "all, devices, metrics, {}, ext-scaling",
+                        experiments::ALL_IDS.join(", ")
+                    ),
                 ),
             ],
         );
@@ -1098,7 +1111,18 @@ fn run_experiments(args: &Args, telemetry: &Telemetry) -> ExitCode {
         &[("elapsed", format!("{:.1?}", start.elapsed()))],
     );
     let reports = if all {
-        experiments::run_all_with(&data, telemetry)
+        let mut reports = experiments::run_all_with(&data, telemetry);
+        let _span = telemetry.span_with(
+            "experiment.ext-scaling",
+            &[("experiment", "ext-scaling".to_string())],
+        );
+        reports.push(ext_scaling::run(
+            &config,
+            args.shards,
+            args.remote_shards,
+            telemetry,
+        ));
+        reports
     } else {
         let report = experiments::run_with(&args.experiment, &data, telemetry);
         vec![report.expect("id checked against ALL_IDS above")]

@@ -32,17 +32,6 @@ pub struct StudyConfig {
     /// Fixed FMR for the Table 6 quality-restricted FNMR matrix (paper:
     /// 0.1%).
     pub table6_fmr: f64,
-    /// Maximum shard count of the `ext-scaling` shard ladder (powers of two
-    /// up to this value run over the top gallery rung). 0 disables the
-    /// ladder — the default, since the unsharded rungs already cover the
-    /// accuracy story.
-    pub shards: usize,
-    /// Number of `serve-shard` child processes the `ext-scaling` remote
-    /// rung spawns over loopback (cross-process sharding via `fp-serve`).
-    /// 0 disables the rung — the default; spawning children only makes
-    /// sense under the `study` binary (or an explicit
-    /// `FP_SERVE_SHARD_EXE`), not arbitrary library callers.
-    pub remote_shards: usize,
 }
 
 impl StudyConfig {
@@ -97,8 +86,6 @@ pub struct StudyConfigBuilder {
     calibration: ScoreCalibration,
     table5_fmr: f64,
     table6_fmr: f64,
-    shards: usize,
-    remote_shards: usize,
 }
 
 impl Default for StudyConfigBuilder {
@@ -110,8 +97,6 @@ impl Default for StudyConfigBuilder {
             calibration: ScoreCalibration::default(),
             table5_fmr: 1e-4,
             table6_fmr: 1e-3,
-            shards: 0,
-            remote_shards: 0,
         }
     }
 }
@@ -142,19 +127,6 @@ impl StudyConfigBuilder {
         self
     }
 
-    /// Sets the maximum shard count of the `ext-scaling` shard ladder.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// Sets the number of `serve-shard` child processes of the
-    /// `ext-scaling` remote rung.
-    pub fn remote_shards(mut self, remote_shards: usize) -> Self {
-        self.remote_shards = remote_shards;
-        self
-    }
-
     /// Finalizes the config.
     pub fn build(self) -> StudyConfig {
         let impostors_per_cell = self.impostors_per_cell.unwrap_or_else(|| {
@@ -174,8 +146,6 @@ impl StudyConfigBuilder {
             calibration: self.calibration,
             table5_fmr: self.table5_fmr,
             table6_fmr: self.table6_fmr,
-            shards: self.shards,
-            remote_shards: self.remote_shards,
         }
     }
 }
@@ -207,14 +177,10 @@ mod tests {
             .seed(9)
             .subjects(42)
             .impostors_per_cell(777)
-            .shards(8)
-            .remote_shards(2)
             .build();
         assert_eq!(c.seed, 9);
         assert_eq!(c.subjects, 42);
         assert_eq!(c.impostors_per_cell, 777);
-        assert_eq!(c.shards, 8);
-        assert_eq!(c.remote_shards, 2);
     }
 
     #[test]

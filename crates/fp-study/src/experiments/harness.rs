@@ -1,6 +1,6 @@
-//! The loopback harness the cross-process gates share: one synthetic
-//! [`Cohort`] (gallery pool + jittered probes) and one `ShardFleet`
-//! (`serve-shard` children behind a coordinator).
+//! The synthetic [`Cohort`] (gallery pool + jittered probes) every 1:N
+//! harness outside the paper's own dataset draws from: the `study` binary's
+//! scaling ladder and cross-process producers, and `fp-bench`.
 //!
 //! Gallery templates come from a cheap direct minutiae sampler rather than
 //! the full synthesis/render/capture pipeline: the index only sees
@@ -10,34 +10,19 @@
 //! Every harness keeps its own seed-tree child and probe cap, so the
 //! templates, candidate lists and RUNFP chains of each are pure functions
 //! of `(seed, child, size, cap)` — sharing the code shares no state.
-//! `fp-bench` draws its gallery from [`Cohort`] as well, so the workspace
-//! has one such sampler.
-
-use std::net::SocketAddr;
-use std::time::Duration;
 
 use fp_core::dist::normal;
 use fp_core::geometry::{Direction, Point, RigidMotion, Vector};
 use fp_core::minutia::{Minutia, MinutiaKind};
 use fp_core::rng::SeedTree;
 use fp_core::template::Template;
-use fp_index::IndexConfig;
-use fp_serve::proc::{spawn_shard, ShardChild};
-use fp_serve::{Coordinator, RetryPolicy};
 use fp_telemetry::Telemetry;
 use rand::Rng;
 
 use crate::parallel::parallel_map_metered;
 
-/// Per-rpc deadline of every harness connection (coordinator and raw
-/// [`fp_serve::MuxConn`]s alike).
-pub(crate) const RPC_DEADLINE: Duration = Duration::from_secs(60);
-
-/// How long a child gets to exit by itself after a wire-level shutdown.
-const EXIT_DEADLINE: Duration = Duration::from_secs(5);
-
 /// A deterministic synthetic template with `n` well-spread minutiae.
-pub(crate) fn synthetic_template(seeds: &SeedTree, id: u64, n: usize) -> Template {
+pub fn synthetic_template(seeds: &SeedTree, id: u64, n: usize) -> Template {
     let mut rng = seeds.child(&[0x5C, id]).rng();
     let mut minutiae: Vec<Minutia> = Vec::new();
     let mut attempts = 0;
@@ -151,7 +136,7 @@ impl Cohort {
 
     /// [`Cohort::new`] with the pool build recorded as the `scaling.pool`
     /// stage of `telemetry`.
-    pub(crate) fn metered(
+    pub fn metered(
         seeds: SeedTree,
         size: usize,
         max_probes: usize,
@@ -168,7 +153,7 @@ impl Cohort {
     }
 
     /// The seed-tree node every template of the cohort derives from.
-    pub(crate) fn seeds(&self) -> &SeedTree {
+    pub fn seeds(&self) -> &SeedTree {
         &self.seeds
     }
 
@@ -178,7 +163,7 @@ impl Cohort {
     }
 
     /// Probes drawn over the whole pool.
-    pub(crate) fn probes(&self) -> usize {
+    pub fn probes(&self) -> usize {
         self.probes_over(self.pool.len())
     }
 
@@ -189,13 +174,13 @@ impl Cohort {
 
     /// Probes drawn when only the first `gallery` entries are enrolled
     /// (a ladder rung over a pool prefix).
-    pub(crate) fn probes_over(&self, gallery: usize) -> usize {
+    pub fn probes_over(&self, gallery: usize) -> usize {
         gallery.min(self.max_probes)
     }
 
     /// Probe `p` of a `gallery`-entry prefix. The capture id folds the
     /// gallery size in, so rungs of one ladder see different captures.
-    pub(crate) fn probe_over(&self, gallery: usize, p: usize) -> (usize, Template) {
+    pub fn probe_over(&self, gallery: usize, p: usize) -> (usize, Template) {
         let subject = p * (gallery / self.probes_over(gallery));
         let profile = if p.is_multiple_of(2) {
             SAME_DEVICE
@@ -209,62 +194,6 @@ impl Cohort {
             profile,
         );
         (subject, capture)
-    }
-}
-
-/// `serve-shard` children of this very binary on loopback. Children are
-/// killed on every exit path ([`ShardChild`] kills on drop), so dropping a
-/// fleet is a crash and [`ShardFleet::retire`] is the clean way out;
-/// errors are strings so a failed rung shows up in its report instead of
-/// aborting the run.
-pub(crate) struct ShardFleet {
-    children: Vec<ShardChild>,
-}
-
-impl ShardFleet {
-    /// Spawns `count` children; child `k` runs `serve-shard` followed by
-    /// `extra_args(k)`. `FP_SERVE_SHARD_EXE` overrides the executable
-    /// (tests driving a library build have no `serve-shard` of their own).
-    pub(crate) fn spawn(
-        count: usize,
-        extra_args: impl Fn(usize) -> Vec<String>,
-    ) -> Result<ShardFleet, String> {
-        let exe = match std::env::var_os("FP_SERVE_SHARD_EXE") {
-            Some(path) => std::path::PathBuf::from(path),
-            None => {
-                std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?
-            }
-        };
-        let mut children = Vec::with_capacity(count);
-        for k in 0..count {
-            let extra = extra_args(k);
-            let mut args = vec!["serve-shard"];
-            args.extend(extra.iter().map(String::as_str));
-            children.push(
-                spawn_shard(&exe, &args).map_err(|e| format!("spawn {exe:?} {args:?}: {e}"))?,
-            );
-        }
-        Ok(ShardFleet { children })
-    }
-
-    /// The children's listener addresses; shard `k` is `addrs()[k]`.
-    pub(crate) fn addrs(&self) -> Vec<SocketAddr> {
-        self.children.iter().map(|c| c.addr).collect()
-    }
-
-    /// A coordinator over the whole fleet.
-    pub(crate) fn connect(&self, config: IndexConfig) -> Result<Coordinator, String> {
-        Coordinator::connect(&self.addrs(), config, RPC_DEADLINE, RetryPolicy::default())
-            .map_err(|e| e.to_string())
-    }
-
-    /// Clean wire-level shutdown through `remote`, then reap; stragglers
-    /// are killed.
-    pub(crate) fn retire(mut self, remote: &Coordinator) {
-        let _ = remote.shutdown_all();
-        for child in &mut self.children {
-            child.wait_exit(EXIT_DEADLINE);
-        }
     }
 }
 

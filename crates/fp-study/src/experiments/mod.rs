@@ -1,23 +1,20 @@
-//! One module per paper artifact (Figures 1–5, Tables 3–6) plus the
-//! future-work extension analyses. Every experiment consumes the shared
-//! [`StudyData`] and returns a [`Report`].
+//! One module per paper artifact (Figures 1–5, Tables 3–6) plus the six
+//! future-work extension analyses: fifteen ids, each consuming the shared
+//! [`StudyData`] and returning a [`Report`]. [`harness`] is not an
+//! experiment: it is the synthetic cohort the `study` binary's scaling
+//! ladder and `fp-bench` search.
 
 use fp_telemetry::Telemetry;
 
 use crate::report::Report;
 use crate::scores::StudyData;
 
-pub mod check_kernel;
-pub mod check_store;
-pub mod dist_trace;
 pub mod ext_diversity;
 pub mod ext_habituation;
 pub mod ext_identification;
-pub mod ext_load;
 pub mod ext_multifinger;
 pub mod ext_normalization;
 pub mod ext_prediction;
-pub mod ext_scaling;
 pub mod fig1;
 pub mod fig2;
 pub mod fig3;
@@ -30,7 +27,7 @@ pub mod table5;
 pub mod table6;
 
 /// Identifiers of all experiments in presentation order.
-pub const ALL_IDS: [&str; 16] = [
+pub const ALL_IDS: [&str; 15] = [
     "fig1",
     "table3",
     "fig2",
@@ -46,7 +43,6 @@ pub const ALL_IDS: [&str; 16] = [
     "ext-multifinger",
     "ext-normalization",
     "ext-identification",
-    "ext-scaling",
 ];
 
 /// Runs one experiment by id; `None` for an unknown id.
@@ -54,9 +50,9 @@ pub fn run(id: &str, data: &StudyData) -> Option<Report> {
     run_with(id, data, &Telemetry::disabled())
 }
 
-/// [`run`] with telemetry: experiments that do heavy 1:N search work
-/// (`ext-identification`, `ext-scaling`) route their index instruments into
-/// `telemetry`; the reports are identical either way.
+/// [`run`] with telemetry: `ext-identification`, the one experiment that
+/// searches an index, routes the index's instruments into `telemetry`; the
+/// reports are identical either way.
 pub fn run_with(id: &str, data: &StudyData, telemetry: &Telemetry) -> Option<Report> {
     match id {
         "fig1" => Some(fig1::run(data)),
@@ -74,7 +70,6 @@ pub fn run_with(id: &str, data: &StudyData, telemetry: &Telemetry) -> Option<Rep
         "ext-multifinger" => Some(ext_multifinger::run(data)),
         "ext-normalization" => Some(ext_normalization::run(data)),
         "ext-identification" => Some(ext_identification::run_with(data, telemetry)),
-        "ext-scaling" => Some(ext_scaling::run_with(data.dataset.config(), telemetry)),
         _ => None,
     }
 }

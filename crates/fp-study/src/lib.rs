@@ -1,6 +1,6 @@
 //! # fp-study
 //!
-//! The experiment harness: everything needed to regenerate every table and
+//! The paper library: everything needed to regenerate every table and
 //! figure of *"Interoperability in Fingerprint Recognition: A Large-Scale
 //! Empirical Study"* (Lugini et al., DSN 2013) on the synthetic substrate.
 //!
@@ -15,9 +15,17 @@
 //!   parallel with the pair-table matcher's prepared fast path.
 //! * [`experiments`] — one module per paper artifact (Figures 1–5, Tables
 //!   3–6) plus the future-work extensions (matcher diversity, habituation,
-//!   FNM prediction, multi-finger fusion). Each returns a [`report::Report`].
-//! * [`gates`] — the smoke gates as a table: producer, artifacts, budget and
-//!   checker per row; `study gate` runs it.
+//!   FNM prediction, multi-finger fusion, score normalization, closed-set
+//!   identification). Each returns a [`report::Report`].
+//! * [`findings`] — the paper's findings as machine checks.
+//!
+//! It is not the operations harness. The smoke gates, the scaling ladder
+//! and the cross-process producers (`load`, `check-kernel`, `check-store`,
+//! `check-dist-trace`, `serve-shard`) are private modules of the `study`
+//! binary under `src/bin/study/`, and nothing here names the serving or
+//! store crates. The benchmark links this library for `study_matrix` and
+//! `identify_cohort`, so what it contains changes only when the paper's
+//! code does (DESIGN.md "Gates").
 //!
 //! The `study` binary drives everything:
 //!
@@ -30,7 +38,6 @@ pub mod config;
 pub mod dataset;
 pub mod experiments;
 pub mod findings;
-pub mod gates;
 pub mod parallel;
 pub mod report;
 pub mod scores;

@@ -1,7 +1,8 @@
 //! Process-level tests of the cross-process 1:N stack: real `study
 //! serve-shard` child processes over loopback, coordinator parity against
-//! the in-process index, fault injection by killing a live child, and the
-//! `check-serve` gate over a real `ext-scaling --remote-shards` run.
+//! the in-process index, fault injection by killing a live child, the
+//! `check-serve` gate over a real `ext-scaling --remote-shards` run, and the
+//! `load` / `check-dist-trace` producers end to end at a tiny scale.
 
 use std::path::Path;
 use std::process::Command;
@@ -348,4 +349,62 @@ fn ext_scaling_remote_rung_passes_check_serve_gate() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("diverged"));
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs `study <args> --json <tmp>` and returns the first report's values.
+/// The producer must exit 0: only the `study` binary can spawn its own
+/// `serve-shard` children, so here a spawn failure is a test failure.
+fn first_report_values(tag: &str, args: &[&str]) -> serde_json::Value {
+    let dir = std::env::temp_dir().join(format!("fp-study-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let json_path = dir.join("report.json");
+    let out = Command::new(study_exe())
+        .args(args)
+        .args(["--json", json_path.to_str().expect("utf-8 path")])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{args:?} stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let raw = std::fs::read_to_string(&json_path).expect("json written");
+    std::fs::remove_dir_all(&dir).ok();
+    let parsed: serde_json::Value = serde_json::from_str(&raw).expect("valid json");
+    parsed["reports"][0]["values"].clone()
+}
+
+#[test]
+fn tiny_load_run_reaches_full_parity() {
+    let values = first_report_values(
+        "load",
+        &["load", "--subjects", "16", "--remote-shards", "2"],
+    );
+    assert!(values["error"].is_null(), "{}", values["error"]);
+    assert!(values["parity_checked"].as_u64().unwrap() > 0);
+    assert_eq!(values["parity_agreed"], values["parity_checked"]);
+    assert_eq!(values["runfp_remote"], values["runfp_baseline"]);
+    assert!(values["pipeline"]["peak_in_flight"].as_u64().unwrap() >= 4);
+}
+
+#[test]
+fn tiny_dist_trace_gate_holds_every_check() {
+    let values = first_report_values(
+        "dist-trace",
+        &[
+            "check-dist-trace",
+            "--subjects",
+            "8",
+            "--remote-shards",
+            "2",
+            "--delay-ms",
+            "5",
+        ],
+    );
+    assert!(values["error"].is_null(), "{}", values["error"]);
+    let checks = values["checks"].as_array().expect("checks array");
+    assert!(!checks.is_empty());
+    for check in checks {
+        assert_eq!(check["ok"], true, "{check}");
+    }
 }
