@@ -13,27 +13,35 @@ use fp_match::{HoughMatcher, PairTableMatcher, PreparableMatcher, ScoreCalibrati
 use fp_sensor::CaptureProtocol;
 use fp_synth::population::{Population, PopulationConfig};
 
-/// Real D0 captures: a subject's session-0 and session-1 impressions (the
-/// genuine pair) and another subject's session-1 impression (the impostor).
-fn matcher_fixtures() -> (Template, Template, Template) {
+/// Real captures: a subject's D0 session-0 and session-1 impressions (the
+/// genuine pair), another subject's D0 session-1 impression (the impostor),
+/// and the first subject's session-1 ink card (D4: about twice the
+/// minutiae, four times the pair table — the cell the cohort's tail is
+/// made of).
+fn matcher_fixtures() -> (Template, Template, Template, Template) {
     let population = Population::generate(&PopulationConfig::new(0xBE7C, 2));
     let protocol = CaptureProtocol::new();
-    let capture = |subject: usize, session: u8| {
+    let capture = |subject: usize, device: u8, session: u8| {
         protocol
             .capture(
                 &population.subjects()[subject],
                 Finger::RIGHT_INDEX,
-                DeviceId(0),
+                DeviceId(device),
                 SessionId(session),
             )
             .template()
             .clone()
     };
-    (capture(0, 0), capture(0, 1), capture(1, 1))
+    (
+        capture(0, 0, 0),
+        capture(0, 0, 1),
+        capture(1, 0, 1),
+        capture(0, 4, 1),
+    )
 }
 
 pub fn benches(c: &mut Criterion) {
-    let (gallery, probe, impostor) = matcher_fixtures();
+    let (gallery, probe, impostor, ink_probe) = matcher_fixtures();
 
     let mut group = c.benchmark_group("pair_table");
     let matcher = PairTableMatcher::default();
@@ -54,6 +62,10 @@ pub fn benches(c: &mut Criterion) {
     });
     group.bench_function("impostor_prepared", |b| {
         b.iter(|| black_box(matcher.compare_prepared(black_box(&pg), black_box(&pi))))
+    });
+    let pd4 = matcher.prepare(&ink_probe);
+    group.bench_function("genuine_prepared_d4", |b| {
+        b.iter(|| black_box(matcher.compare_prepared(black_box(&pg), black_box(&pd4))))
     });
     group.finish();
 

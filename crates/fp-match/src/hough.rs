@@ -145,7 +145,10 @@ impl HoughMatcher {
                 }
             }
         }
-        candidates.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("distances are finite"));
+        // Every distance kept is in `[+0.0, pairing_distance]`, so
+        // `total_cmp` orders them as `partial_cmp` did; the sort is stable,
+        // so ties keep pair order.
+        candidates.sort_by(|a, b| a.0.total_cmp(&b.0));
         let mut g_used = vec![false; gs.len()];
         let mut p_used = vec![false; ps.len()];
         let mut matched = 0usize;

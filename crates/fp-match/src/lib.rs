@@ -32,6 +32,8 @@
 //! # }
 //! ```
 
+#![deny(unsafe_op_in_unsafe_fn)]
+
 pub mod calibrate;
 pub mod fusion;
 pub mod hough;
@@ -42,7 +44,9 @@ pub mod pairtable;
 pub use calibrate::ScoreCalibration;
 pub use hough::{HoughConfig, HoughMatcher};
 pub use mcc::{MccConfig, MccMatcher, PreparedCylinders};
-pub use pairtable::{PairFeature, PairTableConfig, PairTableMatcher, PreparedPairTable};
+pub use pairtable::{
+    scan_body_name, PairFeature, PairTableConfig, PairTableMatcher, PreparedPairTable,
+};
 
 use fp_core::template::Template;
 use fp_core::MatchScore;

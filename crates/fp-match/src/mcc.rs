@@ -259,7 +259,9 @@ impl MccMatcher {
         if pairs.is_empty() {
             return MatchScore::ZERO;
         }
-        pairs.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("similarity is finite"));
+        // Every similarity kept is above 0.05, so `total_cmp` orders them as
+        // `partial_cmp` did; the sort is stable, so ties keep pair order.
+        pairs.sort_by(|a, b| b.0.total_cmp(&a.0));
         let top = ((ng.min(np) as f64 * self.config.top_pair_fraction).ceil() as usize).max(3);
         let mut g_used = vec![false; ng];
         let mut p_used = vec![false; np];

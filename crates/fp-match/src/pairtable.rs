@@ -24,8 +24,42 @@
 //! The raw score blends the number of matched minutiae with their support
 //! depth. [`crate::ScoreCalibration`] then maps raw scores onto the paper's
 //! commercial scale.
+//!
+//! ## The association scan
+//!
+//! Step 2 is where a comparison's time goes: two ~520-entry tables offer
+//! ~22,000 entry pairs within distance tolerance, each tested in both
+//! orientations, to keep ~140. It runs as a scan (`scan_body`):
+//!
+//! * the probe's angles are laid out once per call as columns of
+//!   `LANES` = 8 entries (`ProbeChunk`): `beta1`, `beta2` and the two
+//!   swapped angles `wrap(beta2 + pi)`, `wrap(beta1 + pi)`, `NaN`-padded;
+//! * both tables are sorted by distance, so the probe entries within
+//!   tolerance of a gallery entry are a window whose two ends only move
+//!   forward;
+//! * the window's chunks go through one branch-free predicate
+//!   (`ProbeChunk::close_to`) that answers for eight probe entries at
+//!   once, direct and swapped. For angles in `(-pi, pi]` a difference lies
+//!   in `[-2pi, 2pi]`, where `x % TAU` is `x`, so `wrap` is a conditional
+//!   add and a conditional subtract with the roundings of the `rem_euclid`
+//!   form it replaces — the same accept/reject decision on every pair;
+//! * only steps with a passing lane reach the scalar tail (kinds test,
+//!   implied rotation, vote), in the order a pair-at-a-time loop visits
+//!   them.
+//!
+//! The predicate is plain Rust, compiled three times — at the build's
+//! baseline, under `avx2` and under `avx512f` — and `ScanBody::detect`
+//! picks the widest the CPU runs by `is_x86_feature_detected!` alone
+//! (there is no option; [`scan_body_name`] says which). `f64` arithmetic
+//! is the same at every width, so all three produce the same bits; the
+//! tests hold every body the host can run bit-equal — scores, association
+//! and cluster counts — to `score_tables_reference`, the pair-at-a-time
+//! scoring function kept verbatim as the oracle.
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use std::collections::HashMap;
+use std::f64::consts::{PI, TAU};
 
 use serde::{Deserialize, Serialize};
 
@@ -185,7 +219,12 @@ impl PreparedPairTable {
     ///   value [`Direction::radians`] produces — so reconstruction is
     ///   bit-exact (re-wrapping is not);
     /// * distances must be finite and non-decreasing (the association scan
-    ///   is a two-pointer walk over distance-sorted tables).
+    ///   is a two-pointer walk over distance-sorted tables);
+    /// * every entry's `beta1` and `beta2` must be canonical too, in
+    ///   `(-pi, pi]` — all `prepare` can produce
+    ///   ([`Direction::signed_delta`]) — because the scan wraps differences
+    ///   of them without an `fmod`, which is exact only for differences
+    ///   inside `[-2pi, 2pi]`.
     ///
     /// Violations come back as a typed description, never a panic — this
     /// is the boundary that makes hostile serialized tables safe to load.
@@ -229,6 +268,11 @@ impl PreparedPairTable {
                     return Err(format!("entry {at} breaks the distance sort ({d})"));
                 }
                 prev = d;
+                for (name, beta) in [("beta1", beta1), ("beta2", beta2)] {
+                    if Direction::try_from_canonical_radians(beta).is_none() {
+                        return Err(format!("entry {at} {name} ({beta}) is not canonical"));
+                    }
+                }
                 Ok(PairEntry {
                     d,
                     beta1,
@@ -297,7 +341,11 @@ impl PairTableMatcher {
                 });
             }
         }
-        entries.sort_by(|a, b| a.d.partial_cmp(&b.d).expect("distances are finite"));
+        // A total order, so no input can make the sort panic; on the
+        // distances of finite positions (`+0.0` and up) it is the order
+        // `partial_cmp` gave, and the sort is stable, so ties keep `(i, j)`
+        // order.
+        entries.sort_by(|a, b| a.d.total_cmp(&b.d));
         self.metrics.table_entries.record(entries.len() as u64);
         PreparedPairTable {
             entries,
@@ -307,9 +355,521 @@ impl PairTableMatcher {
         }
     }
 
+    fn score_tables(&self, gallery: &PreparedPairTable, probe: &PreparedPairTable) -> MatchScore {
+        self.score_with(ScanBody::detect(), gallery, probe)
+    }
+
+    fn score_with(
+        &self,
+        body: ScanBody,
+        gallery: &PreparedPairTable,
+        probe: &PreparedPairTable,
+    ) -> MatchScore {
+        self.metrics.comparisons.incr();
+        if gallery.is_empty() || probe.is_empty() {
+            return MatchScore::ZERO;
+        }
+        SCRATCH.with_borrow_mut(|scratch| self.score_in(scratch, body, gallery, probe))
+    }
+
+    fn score_in(
+        &self,
+        scratch: &mut Scratch,
+        body: ScanBody,
+        gallery: &PreparedPairTable,
+        probe: &PreparedPairTable,
+    ) -> MatchScore {
+        let cfg = &self.config;
+        let Scratch {
+            scan,
+            assocs,
+            rotation_votes,
+            g_used,
+            p_used,
+        } = scratch;
+
+        // Pass 1a, the scan: which (gallery entry, probe entry) pairs agree
+        // in distance and in both relative angles, either way round.
+        scan.load_probe(&probe.entries);
+        body.run(cfg, &gallery.entries, &probe.entries, scan);
+
+        // Pass 1b, the tail: the hits' kinds test, implied rotation and
+        // vote, in gallery-then-probe order, direct before swapped.
+        //
+        // An association is (gallery entry, probe entry, orientation flag):
+        // direct maps (i->k, j->l), swapped maps (i->l, j->k) — the probe
+        // pair traversed the other way flips the connecting line by pi, so
+        // the relative angles swap roles and rotate by pi.
+        assocs.clear();
+        rotation_votes.clear();
+        rotation_votes.resize(cfg.rotation_bins, 0);
+        let bin_of = |rot: f64| -> usize {
+            let frac = (rot + PI) / TAU;
+            ((frac * cfg.rotation_bins as f64) as usize).min(cfg.rotation_bins - 1)
+        };
+        let mut associate = |g: &PairEntry, p_i: u16, p_j: u16| {
+            let kinds_agree = !cfg.require_kind_match
+                || (gallery.kinds[g.i as usize] == probe.kinds[p_i as usize]
+                    && gallery.kinds[g.j as usize] == probe.kinds[p_j as usize]);
+            if !kinds_agree {
+                return;
+            }
+            let rotation = wrap(
+                probe.directions[p_i as usize].radians()
+                    - gallery.directions[g.i as usize].radians(),
+            );
+            rotation_votes[bin_of(rotation)] += 1;
+            assocs.push(Assoc {
+                g_i: g.i,
+                g_j: g.j,
+                p_i,
+                p_j,
+                rotation,
+            });
+        };
+        for hit in &scan.hits {
+            let g = &gallery.entries[hit.gallery];
+            let mut flags = hit.flags;
+            while flags != 0 {
+                let lane = flags.trailing_zeros() as usize / 8;
+                let lane_flags = (flags >> (8 * lane)) as u8;
+                flags &= !(0xFF << (8 * lane));
+                let p = &probe.entries[hit.chunk * LANES + lane];
+                if lane_flags & DIRECT != 0 {
+                    associate(g, p.i, p.j);
+                }
+                if lane_flags & SWAPPED != 0 {
+                    associate(g, p.j, p.i);
+                }
+            }
+        }
+        self.metrics.associations.record(assocs.len() as u64);
+        if assocs.is_empty() {
+            return MatchScore::ZERO;
+        }
+
+        // Modal rotation via the vote histogram (wrap-aware pairwise sum of
+        // adjacent bins smooths bin-edge splits).
+        let mut best_bin = 0usize;
+        let mut best_votes = 0u32;
+        for b in 0..cfg.rotation_bins {
+            let v = rotation_votes[b] + rotation_votes[(b + 1) % cfg.rotation_bins];
+            if v > best_votes {
+                best_votes = v;
+                best_bin = b;
+            }
+        }
+        let bin_width = TAU / cfg.rotation_bins as f64;
+        let modal_rotation = -PI + bin_width * (best_bin as f64 + 1.0); // boundary of the smoothed pair
+
+        // Pass 2: correspondences supported by rotation-consistent
+        // associations. (`modal_rotation` is a bin boundary, at most an ulp
+        // of `TAU` past `pi`, so the difference stays in `wrap`'s domain.)
+        let mut support: HashMap<(u16, u16), u32> = HashMap::new();
+        let mut cluster_size = 0u64;
+        for a in assocs.iter() {
+            if wrap(a.rotation - modal_rotation).abs() > cfg.rotation_window + bin_width / 2.0 {
+                continue;
+            }
+            cluster_size += 1;
+            *support.entry((a.g_i, a.p_i)).or_insert(0) += 1;
+            *support.entry((a.g_j, a.p_j)).or_insert(0) += 1;
+        }
+        self.metrics.cluster_size.record(cluster_size);
+        if support.is_empty() {
+            return MatchScore::ZERO;
+        }
+
+        // Greedy one-to-one extraction by support depth.
+        let mut ranked: Vec<((u16, u16), u32)> = support.into_iter().collect();
+        ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        g_used.clear();
+        g_used.resize(gallery.minutia_count, false);
+        p_used.clear();
+        p_used.resize(probe.minutia_count, false);
+        let mut raw = 0.0;
+        for ((gi, pi), s) in ranked {
+            if g_used[gi as usize] || p_used[pi as usize] {
+                continue;
+            }
+            if s < cfg.min_support {
+                continue;
+            }
+            g_used[gi as usize] = true;
+            p_used[pi as usize] = true;
+            let depth = (s.min(cfg.full_support) as f64) / cfg.full_support as f64;
+            raw += 0.4 + 0.6 * depth;
+        }
+        // Size normalization (see `PairTableConfig::size_cap`).
+        let smaller = gallery.minutia_count.min(probe.minutia_count);
+        if smaller > cfg.size_cap {
+            raw *= cfg.size_cap as f64 / smaller as f64;
+        }
+        MatchScore::new(raw)
+    }
+}
+
+/// Wraps `x` into `(-pi, pi]`, for `x` in `[-TAU, TAU]`: every difference
+/// `a - b` and every sum `a + PI` of angles in `(-pi, pi]`, rounding
+/// included (`PI - (-PI + ulp)` ties to `TAU` itself).
+///
+/// On that domain `x % TAU == x` exactly, so `rem_euclid` — `x % TAU`, plus
+/// `TAU` when negative — is the first line, and the result has the same
+/// roundings as the `rem_euclid` form ([`Direction::signed_delta`] uses):
+/// bit-equal everywhere but at `x == -TAU`, where this gives `+0.0` for
+/// `-0.0`, which no caller can tell apart (each takes `abs` or adds to it).
+/// `NaN` stays `NaN`. No `fmod` call and no branch once inlined: two
+/// compares, two selects.
+#[inline(always)]
+fn wrap(x: f64) -> f64 {
+    let r = if x < 0.0 { x + TAU } else { x };
+    if r > PI {
+        r - TAU
+    } else {
+        r
+    }
+}
+
+/// An association: gallery pair `(g_i, g_j)` onto probe minutiae
+/// `(p_i, p_j)` in that order, and the rotation it implies.
+struct Assoc {
+    g_i: u16,
+    g_j: u16,
+    p_i: u16,
+    p_j: u16,
+    rotation: f64,
+}
+
+/// Probe entries per step of the association scan: the `f64` lanes of one
+/// 512-bit vector. Fixed, not the slice length: a loop over a ~42-entry
+/// window leaves the compiler a scalar remainder nearly as long as the
+/// window.
+const LANES: usize = 8;
+
+/// [`LANES`] consecutive probe entries' angles as columns: `beta1` and
+/// `beta2` for the direct orientation, `swap1 = wrap(beta2 + pi)` and
+/// `swap2 = wrap(beta1 + pi)` for the swapped one — computed once per call
+/// here, not once per entry pair. Lanes past the probe's last entry hold
+/// `NaN`, which fails every comparison.
+#[derive(Clone, Copy)]
+#[repr(align(64))]
+struct ProbeChunk {
+    beta1: [f64; LANES],
+    beta2: [f64; LANES],
+    swap1: [f64; LANES],
+    swap2: [f64; LANES],
+}
+
+impl ProbeChunk {
+    /// Which lanes agree with a gallery entry's `(beta1, beta2)` within
+    /// `tol` on both angles: `flags[lane]` gets [`DIRECT`] and/or
+    /// [`SWAPPED`]. This is the oracle's `angles_close(g.beta, p.beta)`
+    /// four times over, eight probe entries at a time with no branch.
+    ///
+    /// The result goes to memory, a byte per lane, because that is the
+    /// form the compiler vectorises whole: eight adjacent byte stores seed
+    /// one eight-wide tree. Folded into a bitmask in registers instead
+    /// (`mask |= hit << lane`), the same source compiles to two-, four-
+    /// and one-lane fragments and runs no faster than scalar code.
+    #[inline(always)]
+    fn close_to(&self, beta1: f64, beta2: f64, tol: f64, flags: &mut [u8; LANES]) {
+        #[inline(always)]
+        fn off(g: f64, p: &[f64; LANES]) -> [f64; LANES] {
+            p.map(|p| wrap(g - p).abs())
+        }
+        let (direct1, direct2) = (off(beta1, &self.beta1), off(beta2, &self.beta2));
+        let (swapped1, swapped2) = (off(beta1, &self.swap1), off(beta2, &self.swap2));
+        for lane in 0..LANES {
+            let direct = (direct1[lane] <= tol) & (direct2[lane] <= tol);
+            let swapped = (swapped1[lane] <= tol) & (swapped2[lane] <= tol);
+            flags[lane] = (u8::from(direct) * DIRECT) | (u8::from(swapped) * SWAPPED);
+        }
+    }
+}
+
+/// Flag of a lane whose probe entry agrees as `(i->k, j->l)`.
+const DIRECT: u8 = 1;
+/// Flag of a lane whose probe entry agrees as `(i->l, j->k)`.
+const SWAPPED: u8 = 2;
+
+/// A step of the scan in which some lane passed: gallery entry `gallery`
+/// against probe entries `chunk * LANES + lane`, for each lane whose byte
+/// of `flags` (little-endian) is non-zero.
+struct ChunkHit {
+    gallery: usize,
+    chunk: usize,
+    flags: u64,
+}
+
+/// The bytes of a chunk's flag word for lanes `first..end`.
+#[inline(always)]
+fn lane_bytes(first: usize, end: usize) -> u64 {
+    let below = |lane: usize| match lane {
+        LANES.. => u64::MAX,
+        _ => (1 << (8 * lane)) - 1,
+    };
+    below(end) & !below(first)
+}
+
+/// The association scan's working set.
+#[derive(Default)]
+struct Scan {
+    /// The probe table's angles, rebuilt per call by
+    /// [`load_probe`](Self::load_probe).
+    chunks: Vec<ProbeChunk>,
+    /// Where [`ProbeChunk::close_to`] leaves one step's flags.
+    flags: [u8; LANES],
+    /// The steps in which some lane passed, in scan order.
+    hits: Vec<ChunkHit>,
+}
+
+impl Scan {
+    /// Sets `chunks` to the probe table's angle columns, `NaN`-padding
+    /// the last chunk, and empties `hits`.
+    fn load_probe(&mut self, probe: &[PairEntry]) {
+        self.hits.clear();
+        self.chunks.clear();
+        self.chunks.extend(probe.chunks(LANES).map(|entries| {
+            let (mut beta1, mut beta2) = ([f64::NAN; LANES], [f64::NAN; LANES]);
+            for (lane, p) in entries.iter().enumerate() {
+                beta1[lane] = p.beta1;
+                beta2[lane] = p.beta2;
+            }
+            ProbeChunk {
+                beta1,
+                beta2,
+                swap1: beta2.map(|beta| wrap(beta + PI)),
+                swap2: beta1.map(|beta| wrap(beta + PI)),
+            }
+        }));
+    }
+}
+
+/// What one comparison would otherwise allocate, kept per thread: every
+/// caller (`ScoreMatrix::compute_with`'s workers, `CandidateIndex::rerank`,
+/// the shard pool) scores from long-lived threads. Tens of KB.
+#[derive(Default)]
+struct Scratch {
+    scan: Scan,
+    assocs: Vec<Assoc>,
+    rotation_votes: Vec<u32>,
+    g_used: Vec<bool>,
+    p_used: Vec<bool>,
+}
+
+thread_local! {
+    static SCRATCH: std::cell::RefCell<Scratch> = std::cell::RefCell::default();
+}
+
+/// The compilations of the association scan, widest first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ScanBody {
+    /// Eight probe entries per instruction.
+    Avx512,
+    /// Four.
+    Avx2,
+    /// The build's baseline features (two on x86-64: SSE2).
+    Baseline,
+}
+
+impl ScanBody {
+    const ALL: [ScanBody; 3] = [ScanBody::Avx512, ScanBody::Avx2, ScanBody::Baseline];
+
+    /// Whether this CPU can run the body.
+    fn runs_here(self) -> bool {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            ScanBody::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            #[cfg(target_arch = "x86_64")]
+            ScanBody::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            ScanBody::Baseline => true,
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
+        }
+    }
+
+    /// Every body this CPU can run, widest first.
+    fn available() -> impl Iterator<Item = ScanBody> {
+        ScanBody::ALL.into_iter().filter(|body| body.runs_here())
+    }
+
+    /// The body `score_tables` runs on this CPU.
+    fn detect() -> ScanBody {
+        ScanBody::available()
+            .next()
+            .expect("the baseline body runs everywhere")
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            ScanBody::Avx512 => "avx512f",
+            ScanBody::Avx2 => "avx2",
+            ScanBody::Baseline => "baseline",
+        }
+    }
+
+    /// Runs the scan of `gallery` against `probe`, which `scan` has
+    /// loaded, leaving the hits in `scan.hits`.
+    fn run(
+        self,
+        cfg: &PairTableConfig,
+        gallery: &[PairEntry],
+        probe: &[PairEntry],
+        scan: &mut Scan,
+    ) {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            ScanBody::Avx512 => {
+                // SAFETY: `runs_here` verified `avx512f` before `available`
+                // or `detect` yielded this body.
+                unsafe { scan_avx512(cfg, gallery, probe, scan) }
+            }
+            #[cfg(target_arch = "x86_64")]
+            ScanBody::Avx2 => {
+                // SAFETY: `runs_here` verified `avx2` before `available` or
+                // `detect` yielded this body.
+                unsafe { scan_avx2(cfg, gallery, probe, scan) }
+            }
+            _ => scan_body(cfg, gallery, probe, scan),
+        }
+    }
+}
+
+/// Name of the association-scan compilation [`PairTableMatcher`] runs on
+/// this CPU — `"avx512f"`, `"avx2"` or `"baseline"` — for gate reports and
+/// logs, so a host that fell back to a narrower body says so.
+pub fn scan_body_name() -> &'static str {
+    ScanBody::detect().name()
+}
+
+/// [`scan_body`] compiled with 512-bit vectors: a chunk column is one
+/// register, a predicate one mask.
+///
+/// # Safety
+///
+/// Callers must have verified the CPU supports `avx512f`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn scan_avx512(
+    cfg: &PairTableConfig,
+    gallery: &[PairEntry],
+    probe: &[PairEntry],
+    scan: &mut Scan,
+) {
+    scan_body(cfg, gallery, probe, scan)
+}
+
+/// [`scan_body`] compiled with 256-bit vectors.
+///
+/// # Safety
+///
+/// Callers must have verified the CPU supports `avx2`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn scan_avx2(
+    cfg: &PairTableConfig,
+    gallery: &[PairEntry],
+    probe: &[PairEntry],
+    scan: &mut Scan,
+) {
+    scan_body(cfg, gallery, probe, scan)
+}
+
+/// The association scan. Both tables are sorted by distance, so the probe
+/// entries within tolerance of a gallery entry's distance are a window
+/// `[lo, hi)` whose ends only move forward as the gallery entry advances;
+/// the window's chunks go through [`ProbeChunk::close_to`], lanes outside
+/// the window are masked off, and a step with a surviving lane is pushed
+/// onto `hits` — in gallery order, then probe order, the oracle's order.
+/// Plain arithmetic on `f64`s, so every compilation computes the same
+/// bits.
+#[inline(always)]
+fn scan_body(cfg: &PairTableConfig, gallery: &[PairEntry], probe: &[PairEntry], scan: &mut Scan) {
+    let Scan {
+        chunks,
+        flags,
+        hits,
+    } = scan;
+    let n = probe.len();
+    let (mut lo, mut hi) = (0usize, 0usize);
+    for (at_gallery, g) in gallery.iter().enumerate() {
+        let tol = cfg.distance_tolerance + cfg.relative_distance_tolerance * g.d;
+        let too_short = |d: f64| d < g.d - tol;
+        let in_reach = |d: f64| d <= g.d + tol;
+        while lo < n && too_short(probe[lo].d) {
+            lo += 1;
+        }
+        // `hi` is the first index at or after `lo` not `in_reach`. The last
+        // loop runs only under a configuration whose upper bound is not
+        // monotone in `g.d` (a negative relative tolerance, a NaN), where
+        // the oracle's rescan from `lo` stops early too.
+        hi = hi.max(lo);
+        while hi < n && in_reach(probe[hi].d) {
+            hi += 1;
+        }
+        while hi > lo && !in_reach(probe[hi - 1].d) {
+            hi -= 1;
+        }
+        if lo == hi {
+            continue;
+        }
+        let first = lo / LANES;
+        for (chunk, columns) in (first..).zip(&chunks[first..=(hi - 1) / LANES]) {
+            columns.close_to(g.beta1, g.beta2, cfg.angle_tolerance, flags);
+            let lanes = u64::from_le_bytes(*flags);
+            if lanes == 0 {
+                continue;
+            }
+            // Lanes of this chunk outside `[lo, hi)` are out of distance
+            // tolerance, whatever their angles say.
+            let at = chunk * LANES;
+            let lanes = lanes & lane_bytes(lo.saturating_sub(at), hi - at);
+            if lanes != 0 {
+                hits.push(ChunkHit {
+                    gallery: at_gallery,
+                    chunk,
+                    flags: lanes,
+                });
+            }
+        }
+    }
+}
+
+impl Matcher for PairTableMatcher {
+    fn compare(&self, gallery: &Template, probe: &Template) -> MatchScore {
+        self.score_tables(&self.build_table(gallery), &self.build_table(probe))
+    }
+
+    fn name(&self) -> &str {
+        "pair-table"
+    }
+}
+
+impl PreparableMatcher for PairTableMatcher {
+    type Prepared = PreparedPairTable;
+
+    fn prepare(&self, template: &Template) -> PreparedPairTable {
+        self.build_table(template)
+    }
+
+    fn compare_prepared(
+        &self,
+        gallery: &PreparedPairTable,
+        probe: &PreparedPairTable,
+    ) -> MatchScore {
+        self.score_tables(gallery, probe)
+    }
+}
+
+/// The oracle: the matcher's scoring function as it stood before the
+/// association scan was vectorised — `rem_euclid` wraps, the kinds branch
+/// first, one entry pair at a time, a fresh allocation for everything —
+/// kept verbatim so every [`ScanBody`] is proven against it bit for bit.
+#[cfg(test)]
+impl PairTableMatcher {
     /// Wraps an angle difference into `(-pi, pi]`.
     #[inline]
-    fn wrap(a: f64) -> f64 {
+    fn wrap_reference(a: f64) -> f64 {
         let r = a.rem_euclid(std::f64::consts::TAU);
         if r > std::f64::consts::PI {
             r - std::f64::consts::TAU
@@ -319,11 +879,15 @@ impl PairTableMatcher {
     }
 
     #[inline]
-    fn angles_close(a: f64, b: f64, tol: f64) -> bool {
-        Self::wrap(a - b).abs() <= tol
+    fn angles_close_reference(a: f64, b: f64, tol: f64) -> bool {
+        Self::wrap_reference(a - b).abs() <= tol
     }
 
-    fn score_tables(&self, gallery: &PreparedPairTable, probe: &PreparedPairTable) -> MatchScore {
+    fn score_tables_reference(
+        &self,
+        gallery: &PreparedPairTable,
+        probe: &PreparedPairTable,
+    ) -> MatchScore {
         self.metrics.comparisons.incr();
         if gallery.is_empty() || probe.is_empty() {
             return MatchScore::ZERO;
@@ -364,10 +928,10 @@ impl PairTableMatcher {
                     || (gallery.kinds[g.i as usize] == probe.kinds[p.i as usize]
                         && gallery.kinds[g.j as usize] == probe.kinds[p.j as usize]);
                 if kinds_direct
-                    && Self::angles_close(g.beta1, p.beta1, cfg.angle_tolerance)
-                    && Self::angles_close(g.beta2, p.beta2, cfg.angle_tolerance)
+                    && Self::angles_close_reference(g.beta1, p.beta1, cfg.angle_tolerance)
+                    && Self::angles_close_reference(g.beta2, p.beta2, cfg.angle_tolerance)
                 {
-                    let rotation = Self::wrap(
+                    let rotation = Self::wrap_reference(
                         probe.directions[p.i as usize].radians()
                             - gallery.directions[g.i as usize].radians(),
                     );
@@ -387,18 +951,18 @@ impl PairTableMatcher {
                     || (gallery.kinds[g.i as usize] == probe.kinds[p.j as usize]
                         && gallery.kinds[g.j as usize] == probe.kinds[p.i as usize]);
                 if kinds_swapped
-                    && Self::angles_close(
+                    && Self::angles_close_reference(
                         g.beta1,
-                        Self::wrap(p.beta2 + std::f64::consts::PI),
+                        Self::wrap_reference(p.beta2 + std::f64::consts::PI),
                         cfg.angle_tolerance,
                     )
-                    && Self::angles_close(
+                    && Self::angles_close_reference(
                         g.beta2,
-                        Self::wrap(p.beta1 + std::f64::consts::PI),
+                        Self::wrap_reference(p.beta1 + std::f64::consts::PI),
                         cfg.angle_tolerance,
                     )
                 {
-                    let rotation = Self::wrap(
+                    let rotation = Self::wrap_reference(
                         probe.directions[p.j as usize].radians()
                             - gallery.directions[g.i as usize].radians(),
                     );
@@ -437,7 +1001,8 @@ impl PairTableMatcher {
         let mut support: HashMap<(u16, u16), u32> = HashMap::new();
         let mut cluster_size = 0u64;
         for a in &assocs {
-            if Self::wrap(a.rotation - modal_rotation).abs() > cfg.rotation_window + bin_width / 2.0
+            if Self::wrap_reference(a.rotation - modal_rotation).abs()
+                > cfg.rotation_window + bin_width / 2.0
             {
                 continue;
             }
@@ -477,38 +1042,14 @@ impl PairTableMatcher {
     }
 }
 
-impl Matcher for PairTableMatcher {
-    fn compare(&self, gallery: &Template, probe: &Template) -> MatchScore {
-        self.score_tables(&self.build_table(gallery), &self.build_table(probe))
-    }
-
-    fn name(&self) -> &str {
-        "pair-table"
-    }
-}
-
-impl PreparableMatcher for PairTableMatcher {
-    type Prepared = PreparedPairTable;
-
-    fn prepare(&self, template: &Template) -> PreparedPairTable {
-        self.build_table(template)
-    }
-
-    fn compare_prepared(
-        &self,
-        gallery: &PreparedPairTable,
-        probe: &PreparedPairTable,
-    ) -> MatchScore {
-        self.score_tables(gallery, probe)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fp_core::geometry::{Point, RigidMotion, Vector};
     use fp_core::minutia::{Minutia, MinutiaKind};
     use fp_core::rng::SeedTree;
+    use fp_telemetry::Telemetry;
+    use proptest::prelude::*;
     use rand::Rng;
 
     /// A deterministic synthetic template with `n` well-spread minutiae.
@@ -705,6 +1246,21 @@ mod tests {
         assert!(ok(vec![(3.0, 0.0, 0.0, 0, 1), (2.0, 0.0, 0.0, 1, 0)]).is_err());
         // Non-finite distance.
         assert!(ok(vec![(f64::NAN, 0.0, 0.0, 0, 1)]).is_err());
+        // Non-canonical relative angles (the scan's `wrap` is exact only on
+        // differences of angles in `(-pi, pi]`); the ends of the interval.
+        for beta in [f64::NAN, 4.0, -4.0, 1e300, f64::INFINITY, -PI] {
+            let err = ok(vec![(2.0, beta, 0.0, 0, 1)]).unwrap_err();
+            assert!(
+                err.contains("beta1") && err.contains("not canonical"),
+                "{err}"
+            );
+            let err = ok(vec![(2.0, 0.0, beta, 0, 1)]).unwrap_err();
+            assert!(
+                err.contains("beta2") && err.contains("not canonical"),
+                "{err}"
+            );
+        }
+        assert!(ok(vec![(2.0, PI, (-PI).next_up(), 0, 1)]).is_ok());
         // Length mismatches.
         assert!(
             PreparedPairTable::from_raw_parts(Vec::new(), dirs.clone(), kinds.clone(), 3).is_err()
@@ -718,6 +1274,208 @@ mod tests {
             2
         )
         .is_err());
+    }
+
+    /// `wrap` against the `rem_euclid` form it replaced: the same bits —
+    /// except at `-TAU`, the one point of the domain where `x % TAU` is not
+    /// `x` (it is `-0.0`, which `rem_euclid` passes through and `wrap`
+    /// returns as `+0.0`).
+    fn assert_wraps_alike(x: f64) {
+        let (new, old) = (wrap(x), PairTableMatcher::wrap_reference(x));
+        if x == -TAU {
+            assert_eq!((new, old.to_bits()), (0.0, (-0.0f64).to_bits()));
+        } else {
+            assert_eq!(
+                new.to_bits(),
+                old.to_bits(),
+                "wrap({x:e}) = {new:e}, was {old:e}"
+            );
+        }
+        assert!(new > -PI && new <= PI, "wrap({x:e}) = {new:e}");
+    }
+
+    #[test]
+    fn wrap_equals_the_rem_euclid_form_on_its_domain() {
+        let least = (-PI).next_up(); // the least canonical angle
+        for x in [
+            0.0,
+            -0.0,
+            PI,
+            -PI,
+            PI.next_up(),
+            PI.next_down(),
+            least,
+            TAU.next_down(),
+            -TAU.next_down(),
+            TAU,
+            -TAU,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            // Differences and `beta + PI` sums at both ends of `(-pi, pi]`.
+            PI - least,
+            least - PI,
+            PI - PI,
+            least - least,
+            PI + PI,
+            least + PI,
+            -0.0 + PI,
+        ] {
+            assert_wraps_alike(x);
+        }
+        assert_eq!(
+            PI - least,
+            TAU,
+            "the difference that rounds up to TAU itself"
+        );
+        assert!(wrap(f64::NAN).is_nan());
+    }
+
+    /// A canonical angle, the two ends of `(-pi, pi]` over-represented.
+    fn canonical_angle() -> impl Strategy<Value = f64> {
+        (0u8..8, -4.0..4.0f64).prop_map(|(pick, radians)| match pick {
+            0 => PI,
+            1 => (-PI).next_up(),
+            _ => Direction::from_radians(radians).radians(),
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn wrap_equals_the_rem_euclid_form_on_canonical_differences(
+            a in canonical_angle(),
+            b in canonical_angle(),
+        ) {
+            assert_wraps_alike(a - b);
+            assert_wraps_alike(a + PI);
+            // What the scan compares: a gallery angle against a swapped
+            // probe angle, itself a wrap.
+            assert_wraps_alike(a - wrap(b + PI));
+        }
+    }
+
+    /// `t` reflected in the y axis: positions and directions mirrored.
+    fn mirrored(t: &Template) -> Template {
+        let minutiae = t.minutiae().iter().map(|m| {
+            Minutia::new(
+                Point::new(-m.pos.x, m.pos.y),
+                Direction::from_radians(PI - m.direction.radians()),
+                m.kind,
+                m.reliability,
+            )
+        });
+        Template::builder(500.0).extend(minutiae).build().unwrap()
+    }
+
+    /// `t` with its first `extra` minutiae listed twice.
+    fn with_duplicates(t: &Template, extra: usize) -> Template {
+        let again = t.minutiae().iter().take(extra).copied();
+        Template::builder(500.0)
+            .extend(t.minutiae().iter().copied().chain(again))
+            .build()
+            .unwrap()
+    }
+
+    /// Template pairs covering what the scan's chunking can get wrong:
+    /// every table size from empty to 60 minutiae (windows shorter than a
+    /// chunk, one-entry tables, windows ending inside the NaN pad), ink-card
+    /// sized 54 x 54, self-matches moved rigidly (windows full of hits),
+    /// mirrored and duplicated minutiae (swapped hits, tied distances).
+    fn oracle_pairs() -> Vec<(Template, Template)> {
+        let mut rng = SeedTree::new(0x5CA9).rng();
+        let mut pairs = Vec::new();
+        for n in 0..=60 {
+            let m = rng.gen_range(0..=60);
+            pairs.push((
+                synthetic_template(100 + n, n as usize),
+                synthetic_template(200 + n, m),
+            ));
+        }
+        for seed in 0..6 {
+            pairs.push((
+                synthetic_template(300 + seed, 54),
+                synthetic_template(400 + seed, 54),
+            ));
+        }
+        for (seed, n) in [(500, 2), (501, 3), (502, 5), (503, 9), (504, 30), (505, 54)] {
+            let t = synthetic_template(seed, n);
+            let moved = t.transformed(&RigidMotion::new(
+                Direction::from_radians(rng.gen::<f64>() * TAU),
+                Vector::new(3.0, -1.5),
+            ));
+            pairs.push((t.clone(), t.clone()));
+            pairs.push((t.clone(), moved));
+            pairs.push((t.clone(), mirrored(&t)));
+            pairs.push((with_duplicates(&t, n / 2), t.clone()));
+            pairs.push((t.clone(), with_duplicates(&t, n)));
+        }
+        pairs
+    }
+
+    #[test]
+    fn every_scan_body_equals_the_oracle_bit_for_bit() {
+        let configs = [
+            PairTableConfig::default(),
+            PairTableConfig {
+                require_kind_match: false,
+                ..PairTableConfig::default()
+            },
+            PairTableConfig {
+                angle_tolerance: 0.45,
+                distance_tolerance: 0.9,
+                ..PairTableConfig::default()
+            },
+            // An upper distance bound that falls as the gallery distance
+            // rises: the scan's window end has to move backwards.
+            PairTableConfig {
+                relative_distance_tolerance: -1.5,
+                distance_tolerance: 14.0,
+                ..PairTableConfig::default()
+            },
+        ];
+        let pairs = oracle_pairs();
+        assert_eq!(ScanBody::available().last(), Some(ScanBody::Baseline));
+        let mut associations = 0;
+        for config in configs {
+            let oracle = PairTableMatcher::new(config).with_telemetry(&Telemetry::enabled());
+            let tables: Vec<_> = pairs
+                .iter()
+                .map(|(g, p)| (oracle.prepare(g), oracle.prepare(p)))
+                .collect();
+            let expected: Vec<u64> = tables
+                .iter()
+                .map(|(g, p)| oracle.score_tables_reference(g, p).value().to_bits())
+                .collect();
+            associations += oracle.metrics.associations.snapshot().sum;
+            for body in ScanBody::available() {
+                let matcher = PairTableMatcher::new(config).with_telemetry(&Telemetry::enabled());
+                for (at, (g, p)) in tables.iter().enumerate() {
+                    assert_eq!(
+                        matcher.score_with(body, g, p).value().to_bits(),
+                        expected[at],
+                        "{} body, pair {at} ({} x {} entries)",
+                        body.name(),
+                        g.len(),
+                        p.len()
+                    );
+                }
+                // Histograms of exact values: equal sums, counts and
+                // extremes over the same calls.
+                for (new, old) in [
+                    (&matcher.metrics.associations, &oracle.metrics.associations),
+                    (&matcher.metrics.cluster_size, &oracle.metrics.cluster_size),
+                ] {
+                    assert_eq!(new.snapshot(), old.snapshot(), "{} body", body.name());
+                }
+                assert_eq!(
+                    matcher.metrics.comparisons.get(),
+                    oracle.metrics.comparisons.get()
+                );
+            }
+        }
+        assert!(
+            associations > 10_000,
+            "the pairs exercise the tail: {associations}"
+        );
     }
 
     #[test]

@@ -38,9 +38,10 @@
 //! demand.
 //!
 //! Decoding validates semantics, not just framing: pair distances must be
-//! finite and sorted, directions canonical, minutia references in range,
-//! bucket ids dense, bucket keys strictly ascending — each the exact
-//! precondition some downstream kernel relies on without re-checking.
+//! finite and sorted, directions and pair angles canonical, minutia
+//! references in range, bucket ids dense, bucket keys strictly ascending —
+//! each the exact precondition some downstream kernel relies on without
+//! re-checking.
 
 use fp_core::codec::{crc32, Dec, Enc};
 use fp_core::minutia::MinutiaKind;
@@ -606,9 +607,9 @@ pub(crate) fn decode_segment(bytes: &[u8]) -> Result<DecodedSegment, StoreError>
 }
 
 /// Validates a segment image end to end — framing, every checksum, and
-/// all semantic invariants (sorted pair distances, canonical directions,
-/// in-range minutia references and bucket ids, ascending bucket keys) —
-/// without assembling an index. Returns the entry count. This is the
+/// all semantic invariants (sorted pair distances, canonical directions
+/// and pair angles, in-range minutia references and bucket ids, ascending
+/// bucket keys) — without assembling an index. Returns the entry count. This is the
 /// public fsck surface the corruption test-suite drives: **no** byte
 /// flip, truncation, or hostile header may get past it, and none may
 /// panic.

@@ -240,6 +240,34 @@ fn crafted_hostile_section_tables_are_typed_errors() {
         other => panic!("lying popcount produced {other:?}"),
     }
 
+    // A relative angle outside `(-pi, pi]` in the first TABLES record,
+    // with the record CRC (in SPANS), both section CRCs and the header CRC
+    // re-sealed: the matcher's scan wraps angle differences without an
+    // `fmod`, so a table it would mis-score must not load. SPANS is table
+    // row 1 (at 16 + 24), TABLES row 2; a SPANS record is `cylinders u32 |
+    // words_per u32 | table_bytes u64 | table_crc u32 | pair_count u32`; a
+    // TABLES record is `minutia_count u32 | entries u32`, then `d f64 |
+    // beta1 f64 | beta2 f64 | i u16 | j u16` per entry.
+    let mut bad = segment.clone();
+    let (spans_off, spans_len) = (u64_at(44), u64_at(52));
+    let (tables_off, tables_len) = (u64_at(68), u64_at(76));
+    let record_len = u64_at(spans_off + 8);
+    bad[tables_off + 16..tables_off + 24].copy_from_slice(&4.0f64.to_le_bytes());
+    let crc = fp_store_crc32(&bad[tables_off..tables_off + record_len]);
+    bad[spans_off + 16..spans_off + 20].copy_from_slice(&crc.to_le_bytes());
+    let crc = fp_store_crc32(&bad[spans_off..spans_off + spans_len]);
+    bad[60..64].copy_from_slice(&crc.to_le_bytes());
+    let crc = fp_store_crc32(&bad[tables_off..tables_off + tables_len]);
+    bad[84..88].copy_from_slice(&crc.to_le_bytes());
+    let crc = fp_store_crc32(&bad[..136]);
+    bad[136..140].copy_from_slice(&crc.to_le_bytes());
+    match check_segment(&bad) {
+        Err(StoreError::Corrupt { detail, .. }) => {
+            assert!(detail.contains("beta1 (4) is not canonical"), "{detail}")
+        }
+        other => panic!("non-canonical beta1 produced {other:?}"),
+    }
+
     // Wrong magic.
     let mut bad = segment.clone();
     bad[0] = b'X';

@@ -17,7 +17,11 @@
 //!    is repeated for every lane body the CPU can run, and the report
 //!    names the one searches run ([`fp_index::lane_body_name`]): a host
 //!    that fell back to a slower body says so, and the bodies it does not
-//!    pick stay proven on it.
+//!    pick stay proven on it. The report also names the compilation of
+//!    the pair-table matcher's association scan that exact re-rank runs
+//!    ([`fp_match::scan_body_name`]), so a committed record names both
+//!    bodies its host ran; that one's parity is `fp-match`'s own test
+//!    (every body against the retained scalar oracle).
 //! 3. **Transport parity** — the RUNFP chain over the full probe loop must
 //!    be identical across the unsharded index, an in-process
 //!    [`ShardedIndex`], and (when `--remote-shards` is given) real
@@ -267,6 +271,7 @@ pub fn run_check(config: &StudyConfig, shards: usize, remote_shards: usize) -> R
                  \n\
                  coded entries by words per cylinder, enrolled and store-opened: {:?}\n\
                  searches run lane body {}; same parity per body this CPU runs: {:?}\n\
+                 re-rank runs scan body {} (proven against its oracle in fp-match's tests)\n\
                  kernel ≡ scalar: {} per-entry scores bitwise equal over {} probes\n\
                  hamming_ops meters agree exactly: {} word ops\n\
                  RUNFP unsharded:      {}\n\
@@ -276,6 +281,7 @@ pub fn run_check(config: &StudyConfig, shards: usize, remote_shards: usize) -> R
                 stats.widths,
                 fp_index::lane_body_name(),
                 stats.body_parity,
+                fp_match::scan_body_name(),
                 stats.entries_checked,
                 stats.probes,
                 stats.hamming_ops,
@@ -304,6 +310,7 @@ pub fn run_check(config: &StudyConfig, shards: usize, remote_shards: usize) -> R
                     "gallery": stats.gallery,
                     "widths": widths,
                     "lane_body": fp_index::lane_body_name(),
+                    "scan_body": fp_match::scan_body_name(),
                     "body_parity": stats.body_parity,
                     "probes": stats.probes,
                     "entries_checked": stats.entries_checked,
@@ -350,6 +357,7 @@ mod tests {
             report.values["body_parity"]["portable"],
             report.values["entries_checked"]
         );
+        assert_eq!(report.values["scan_body"], fp_match::scan_body_name());
         assert!(report.values["entries_checked"].as_u64().unwrap() > 0);
         assert!(report.values["hamming_ops"].as_u64().unwrap() > 0);
         assert_eq!(report.values["runfp"], report.values["runfp_sharded"]);
