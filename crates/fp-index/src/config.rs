@@ -63,8 +63,10 @@ pub enum IndexConfigError {
     /// outright rather than let a config mean something other than what
     /// it says.
     ZeroLssDepth,
-    /// `distance_bin` is zero, negative, NaN or infinite: the geometric
-    /// hash divides every pair distance by it.
+    /// `distance_bin` is zero, negative, NaN or infinite (the geometric
+    /// hash divides every pair distance by it), or so fine that the bin of
+    /// the longest pair the index extracts, plus one, overflows the bucket
+    /// key's 21-bit distance field.
     BadDistanceBin,
     /// `angle_bins` outside `[2, MAX_ANGLE_BINS]`: one bin cannot separate
     /// directions at all, and the bucket key packs each angular bin into
@@ -87,7 +89,7 @@ impl std::fmt::Display for IndexConfigError {
                 "lss_depth must be >= 1 (depth 0 would be silently clamped to 1)"
             ),
             IndexConfigError::BadDistanceBin => {
-                write!(f, "distance_bin must be finite and positive")
+                write!(f, "distance_bin must be finite, positive and not too fine")
             }
             IndexConfigError::BadAngleBins { angle_bins } => {
                 write!(f, "angle_bins {angle_bins} outside [2, {MAX_ANGLE_BINS}]")
@@ -104,7 +106,9 @@ impl IndexConfig {
         if self.lss_depth == 0 {
             return Err(IndexConfigError::ZeroLssDepth);
         }
-        if !(self.distance_bin.is_finite() && self.distance_bin > 0.0) {
+        let longest = fp_match::PairTableConfig::default().max_pair_distance;
+        let bin = self.distance_bin;
+        if !(bin.is_finite() && bin > 0.0 && longest / bin < ((1 << 21) - 1) as f64) {
             return Err(IndexConfigError::BadDistanceBin);
         }
         if !(2..=MAX_ANGLE_BINS).contains(&self.angle_bins) {
@@ -222,10 +226,15 @@ mod tests {
             angle_bins,
             ..IndexConfig::default()
         };
-        for distance_bin in [0.0, -0.5, f64::NAN, f64::INFINITY] {
+        // 12 mm / 2^21 puts the longest pair in bin 2^21 - 1, whose +1
+        // neighbour no longer fits; a hair wider and it does.
+        let wide_enough = 12.0 / f64::from((1u32 << 21) - 2);
+        let just_under = 12.0 / f64::from(1u32 << 21);
+        for distance_bin in [0.0, -0.5, f64::NAN, f64::INFINITY, 1e-300, just_under] {
             let err = with_bin(distance_bin).validate();
-            assert_eq!(err, Err(IndexConfigError::BadDistanceBin));
+            assert_eq!(err, Err(IndexConfigError::BadDistanceBin), "{distance_bin}");
         }
+        assert_eq!(with_bin(wide_enough).validate(), Ok(()));
         for angle_bins in [0, 1, MAX_ANGLE_BINS + 1] {
             let err = with_angles(angle_bins).validate();
             assert_eq!(err, Err(IndexConfigError::BadAngleBins { angle_bins }));

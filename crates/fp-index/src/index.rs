@@ -74,11 +74,11 @@ pub enum StoredTables<P> {
 
 /// Everything one template contributes at enrollment, prepared off the
 /// index (possibly on a worker thread) and committed by `insert` in id
-/// order: the entry itself, its geometric-hash pair features, and the
-/// cylinder codes destined for the arena.
+/// order: the entry itself, the geometric-hash bucket key of each of its
+/// pair features, and the cylinder codes destined for the arena.
 struct PreparedEnrollment<P> {
     entry: GalleryEntry<P>,
-    features: Vec<fp_match::PairFeature>,
+    keys: Vec<u64>,
     codes: CylinderCodes,
 }
 
@@ -374,14 +374,14 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
 
     fn make_entry(&self, template: &Template) -> PreparedEnrollment<M::Prepared> {
         let table = self.features.prepare(template);
-        let features: Vec<_> = table.pair_features().collect();
+        let keys = self.buckets.keys(table.pair_features());
         let codes = CylinderCodes::extract(&self.mcc, template, self.config.max_cylinders);
         PreparedEnrollment {
             entry: GalleryEntry {
                 prepared: OnceLock::from(self.matcher.prepare(template)),
-                pair_count: features.len() as u32,
+                pair_count: keys.len() as u32,
             },
-            features,
+            keys,
             codes,
         }
     }
@@ -398,21 +398,28 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
         })
     }
 
-    fn insert(&mut self, prepared: PreparedEnrollment<M::Prepared>) -> u32 {
-        let id = self.entries.len() as u32;
-        self.buckets.insert(id, prepared.features.into_iter());
-        self.arena.push(&prepared.codes);
-        self.entries.push(prepared.entry);
-        self.metrics.enrolled.incr();
-        id
+    /// Commits a prepared batch in slice order, returning its first id.
+    fn insert(&mut self, batch: Vec<PreparedEnrollment<M::Prepared>>) -> u32 {
+        let first = self.entries.len() as u32;
+        self.buckets
+            .append(first, batch.iter().map(|p| p.keys.as_slice()));
+        self.metrics.enrolled.add(batch.len() as u64);
+        for prepared in batch {
+            self.arena.push(&prepared.codes);
+            self.entries.push(prepared.entry);
+        }
+        first
     }
 
     /// Enrolls one gallery template, returning its dense id (enrollment
     /// order, starting at 0).
+    ///
+    /// Each call moves the whole bucket table, O(gallery): enroll more than
+    /// a few dozen templates with [`enroll_all`](Self::enroll_all).
     pub fn enroll(&mut self, template: &Template) -> u32 {
         let start = Instant::now();
         let prepared = self.make_entry(template);
-        let id = self.insert(prepared);
+        let id = self.insert(vec![prepared]);
         self.metrics.build_time.record(start.elapsed());
         id
     }
@@ -447,11 +454,8 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
         M::Prepared: Send,
     {
         let start = Instant::now();
-        let first = self.entries.len() as u32;
         let prepared = parallel_make(self, templates, threads);
-        for enrollment in prepared {
-            self.insert(enrollment);
-        }
+        let first = self.insert(prepared);
         // Per-template preparation timings were recorded inside
         // `parallel_make`; the whole-batch wall time gets its own
         // histogram so build-time percentiles are not skewed by mixing
@@ -535,10 +539,10 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
     /// denominator, counted from the index's own feature extractor — not
     /// derivable from `M::Prepared` in general), in dense-id order.
     /// Together with [`arena`](Self::arena)'s entry views and
-    /// [`store_buckets`](Self::store_buckets) this is the complete state
-    /// `fp-store` writes into a segment — per-entry scores are pure
-    /// functions of (probe, entry, config), so an index rebuilt from these
-    /// parts searches byte-identically.
+    /// [`buckets`](Self::buckets) this is the complete state `fp-store`
+    /// writes into a segment — per-entry scores are pure functions of
+    /// (probe, entry, config), so an index rebuilt from these parts
+    /// searches byte-identically.
     pub fn store_entries(&self) -> impl Iterator<Item = (&M::Prepared, u32)> + '_ {
         // `prepared(id)` so saving a lazily opened index forces the
         // remaining table loads — persistence always sees full entries.
@@ -546,11 +550,11 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
             .map(|id| (self.prepared(id), self.entries[id as usize].pair_count))
     }
 
-    /// Persistence view of the geometric-hash table: `(key, ids)` buckets
-    /// sorted by key ascending, ids in insertion (ascending gallery id)
-    /// order — a canonical order, so save → open → save is byte-stable.
-    pub fn store_buckets(&self) -> Vec<(u64, Vec<u32>)> {
-        self.buckets.dump_sorted()
+    /// The geometric-hash table, exactly as a segment's BUCKETS section
+    /// holds it: keys ascending, each bucket's ids in ascending gallery
+    /// id order — a canonical order, so save → open → save is byte-stable.
+    pub fn buckets(&self) -> &FlatBuckets {
+        &self.buckets.table
     }
 
     /// Reassembles an index from persisted parts — the open path of
@@ -562,20 +566,20 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
     /// re-ranked, the lazy form skips decoding the dominant share of a
     /// persisted gallery's bytes. `arena` and `buckets` must describe the
     /// same entries (the arena packs one span per entry, bucket ids are
-    /// dense gallery ids); buckets arrive in the flat persisted shape and
-    /// are adopted without reshuffling. The result is indistinguishable
-    /// from an index grown by [`enroll`](Self::enroll) calls in the same
-    /// order — same candidate lists, same RUNFP chain — provided a loader
-    /// returns exactly what eager enrollment produced.
+    /// dense gallery ids); the table is adopted as it is. The result is
+    /// indistinguishable from an index grown by [`enroll`](Self::enroll)
+    /// calls in the same order — same candidate lists, same RUNFP chain —
+    /// provided a loader returns exactly what eager enrollment produced.
     ///
     /// # Panics
     ///
     /// If `arena` or ready `tables` do not hold exactly one item per pair
-    /// count. Callers are responsible for validating untrusted inputs
-    /// *before* this point (`fp-store` rejects hostile segments with typed
-    /// errors during decode); this assert is a last-line programming-error
-    /// check, not an input-validation surface — bucket ids out of range
-    /// are likewise the caller's contract.
+    /// count, or a bucket id is not below `pair_counts.len()`. Untrusted
+    /// inputs are validated *before* this point, by
+    /// [`CodeArena::from_raw_parts`] and by [`FlatBuckets::from_raw_parts`]
+    /// against the decoded entry count; these asserts are last-line
+    /// programming-error checks — a table a caller remapped, appended or
+    /// dealt wrongly fails here, not at the first search's `votes[id]`.
     pub fn from_store_parts(
         matcher: M,
         config: IndexConfig,
@@ -590,6 +594,9 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
             pair_counts.len(),
             "arena must pack exactly one span per entry"
         );
+        if let Some(id) = buckets.stray_id(pair_counts.len()) {
+            panic!("bucket id {id} names no entry of {}", pair_counts.len());
+        }
         let slots: Vec<OnceLock<M::Prepared>> = match tables {
             StoredTables::Ready(tables) => {
                 assert_eq!(
@@ -613,8 +620,7 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
             })
             .collect();
         index.arena = arena;
-        index.buckets =
-            BucketIndex::from_flat_parts(config.distance_bin, config.angle_bins, buckets);
+        index.buckets.table = buckets;
         index.metrics.enrolled.add(index.entries.len() as u64);
         Ok(index)
     }

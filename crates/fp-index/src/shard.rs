@@ -181,6 +181,10 @@ impl<M: fp_match::PreparableMatcher> ShardedIndex<M> {
 
     /// Enrolls one template, returning its dense global id (enrollment
     /// order, starting at 0 — identical to the unsharded assignment).
+    ///
+    /// Each call moves its shard's whole bucket table, O(gallery / shards):
+    /// enroll more than a few dozen templates with
+    /// [`enroll_all`](Self::enroll_all).
     pub fn enroll(&mut self, template: &Template) -> u32 {
         let s = self.shards.len();
         let global = self.enrolled as u32;

@@ -13,6 +13,8 @@
 //!   arena packing itself, not just the arithmetic.
 //! * `lss_depth == 0` is rejected at config validation with a typed error
 //!   (regression: it used to be silently clamped to 1 deep in the kernel).
+//! * A bucket table whose ids name no entry is refused when an index
+//!   adopts it, not at the first search's vote.
 
 use fp_core::geometry::{Direction, Point};
 use fp_core::minutia::{Minutia, MinutiaKind};
@@ -20,7 +22,7 @@ use fp_core::rng::SeedTree;
 use fp_core::template::Template;
 use fp_index::{
     CandidateIndex, CodeArena, CylinderCodes, IndexConfig, IndexConfigError, Stage1Scratch,
-    LANE_WORDS,
+    StoredTables, LANE_WORDS,
 };
 use fp_match::{MccMatcher, PairTableMatcher};
 use proptest::prelude::*;
@@ -279,4 +281,25 @@ fn with_config_panics_on_zero_lss_depth() {
         ..IndexConfig::default()
     };
     let _ = CandidateIndex::with_config(PairTableMatcher::default(), bad);
+}
+
+#[test]
+#[should_panic(expected = "names no entry")]
+fn adopting_a_bucket_table_with_a_stray_id_panics_at_construction() {
+    let mut index = CandidateIndex::new(PairTableMatcher::default());
+    index.enroll_all(&[synthetic_template(1, 20), synthetic_template(2, 20)]);
+    let (tables, pair_counts) = index
+        .store_entries()
+        .map(|(table, pairs)| (table.clone(), pairs))
+        .unzip();
+    // Shifted past the two entries: valid shape, ids naming no entry.
+    let stray = index.buckets().remap(|id| Some(id + 2));
+    let _ = CandidateIndex::from_store_parts(
+        PairTableMatcher::default(),
+        *index.config(),
+        pair_counts,
+        StoredTables::Ready(tables),
+        index.arena().clone(),
+        stray,
+    );
 }

@@ -277,6 +277,7 @@ fn hostile_enroll_config_is_a_typed_error_and_the_shard_survives() {
         with_bin(0.0),
         with_bin(f64::NAN),
         with_bin(f64::INFINITY),
+        with_bin(1e-300),
         one_angle_bin,
     ] {
         let request = Frame::EnrollBatch {

@@ -36,7 +36,6 @@
 //! channel available mid-search). Multi-segment or tombstoned stores use
 //! the eager whole-file path.
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
@@ -54,9 +53,9 @@ use serde::Serialize;
 use crate::error::StoreError;
 use crate::manifest::{Manifest, SegmentMeta, MANIFEST_NAME};
 use crate::segment::{
-    decode_arena, decode_buckets_flat, decode_meta, decode_segment, decode_spans,
-    decode_table_record, encode_segment, inspect_segment, parse_header, DecodedSegment,
-    EntrySource, SegmentInspect, SegmentSource, SECTIONS_START,
+    decode_arena, decode_buckets, decode_meta, decode_segment, decode_spans, decode_table_record,
+    encode_segment, inspect_segment, parse_header, DecodedSegment, EntrySource, SegmentInspect,
+    SegmentSource, SECTIONS_START,
 };
 
 fn corrupt(what: &'static str, detail: impl Into<String>) -> StoreError {
@@ -196,7 +195,7 @@ struct LoadedGallery {
     tables: Vec<PreparedPairTable>,
     pair_counts: Vec<u32>,
     arena: CodeArena,
-    buckets: Vec<(u64, Vec<u32>)>,
+    buckets: FlatBuckets,
     bytes_read: u64,
     segments_read: u64,
 }
@@ -287,11 +286,10 @@ impl GalleryStore {
             ],
         );
 
-        let buckets = index.store_buckets();
         let image = encode_segment(&SegmentSource {
             config: *index.config(),
             entries: EntrySource::zip_arena(index.store_entries(), index.arena()),
-            buckets: &buckets,
+            buckets: index.buckets(),
         });
 
         self.write_segment_file(seq, &image)?;
@@ -354,7 +352,7 @@ impl GalleryStore {
         let mut tables = Vec::new();
         let mut pair_counts = Vec::new();
         let mut arena = CodeArena::new();
-        let mut merged: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+        let mut buckets = FlatBuckets::default();
         let mut bytes_read = 0u64;
         let mut next_id = 0u32;
 
@@ -396,15 +394,10 @@ impl GalleryStore {
                 pair_counts.push(entry.pair_count);
             }
             // Segments are processed in live order and ids assigned in the
-            // same order, so appending each bucket's surviving remapped
-            // ids preserves the ascending-id invariant fresh enrollment
-            // would have produced.
-            for (key, ids) in &decoded.buckets {
-                let survivors: Vec<u32> = ids.iter().filter_map(|&id| remap[id as usize]).collect();
-                if !survivors.is_empty() {
-                    merged.entry(*key).or_default().extend(survivors);
-                }
-            }
+            // same order, so this segment's survivors rank after every id
+            // merged so far: appending them keeps each bucket in the
+            // ascending-id order fresh enrollment would have produced.
+            buckets.append(decoded.buckets.remap(|id| remap[id as usize]));
         }
 
         Ok(LoadedGallery {
@@ -412,7 +405,7 @@ impl GalleryStore {
             tables,
             pair_counts,
             arena,
-            buckets: merged.into_iter().collect(),
+            buckets,
             bytes_read,
             segments_read: self.manifest.segments.len() as u64,
         })
@@ -455,7 +448,7 @@ impl GalleryStore {
             loaded.pair_counts,
             StoredTables::Ready(loaded.tables),
             loaded.arena,
-            FlatBuckets::from_sorted_parts(loaded.buckets),
+            loaded.buckets,
         )?;
         self.record_load(loaded.segments_read, loaded.bytes_read, start);
         Ok(index)
@@ -529,7 +522,7 @@ impl GalleryStore {
         let config = decode_meta(&meta_payload)?;
         let spans = decode_spans(&spans_payload, entry_count)?;
         let arena = decode_arena(&arena_payload, &spans)?;
-        let buckets = decode_buckets_flat(&buckets_payload, entry_count)?;
+        let buckets = decode_buckets(&buckets_payload, entry_count)?;
         let pair_counts: Vec<u32> = spans.iter().map(|s| s.pair_count).collect();
 
         // (record offset, record length, stored CRC) per entry, offsets
@@ -619,7 +612,6 @@ impl GalleryStore {
             tables: Vec<PreparedPairTable>,
             pair_counts: Vec<u32>,
             arena: CodeArena,
-            buckets: Vec<(u64, Vec<u32>)>,
         }
         let mut parts: Vec<ShardParts> = (0..shard_count).map(|_| ShardParts::default()).collect();
 
@@ -630,28 +622,17 @@ impl GalleryStore {
             shard.tables.push(table);
             shard.pair_counts.push(pair_count);
         }
-        for (key, ids) in &loaded.buckets {
-            for (k, part) in parts.iter_mut().enumerate() {
-                let local: Vec<u32> = ids
-                    .iter()
-                    .filter(|&&id| id as usize % shard_count == k)
-                    .map(|&id| id / shard_count as u32)
-                    .collect();
-                if !local.is_empty() {
-                    part.buckets.push((*key, local));
-                }
-            }
-        }
 
         let shards = parts
             .into_iter()
-            .map(|p| {
+            .zip(loaded.buckets.deal(shard_count))
+            .map(|(p, buckets)| {
                 assemble_index(
                     loaded.config,
                     p.pair_counts,
                     StoredTables::Ready(p.tables),
                     p.arena,
-                    FlatBuckets::from_sorted_parts(p.buckets),
+                    buckets,
                 )
             })
             .collect::<Result<Vec<_>, StoreError>>()?;

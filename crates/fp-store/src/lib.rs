@@ -180,6 +180,18 @@ mod tests {
                 "double tombstone is a no-op"
             );
         }
+        // Two segments with tombstones open through the eager merge to
+        // the bucket table a fresh enrollment of the survivors builds.
+        let survivors: Vec<Template> = pool
+            .iter()
+            .enumerate()
+            .filter(|(at, _)| *at >= 18 || at % 5 != 0)
+            .map(|(_, t)| t.clone())
+            .collect();
+        assert_eq!(
+            store.open_index().unwrap().buckets(),
+            enroll(config, &survivors).buckets()
+        );
         let replacements = gallery(&seed.child(&[3]), 2);
         store.append_index(&enroll(config, &replacements)).unwrap();
 

@@ -45,7 +45,7 @@
 
 use fp_core::codec::{crc32, Dec, Enc};
 use fp_core::minutia::MinutiaKind;
-use fp_index::{CodeArena, CodeView, IndexConfig};
+use fp_index::{CodeArena, CodeView, FlatBuckets, IndexConfig};
 use fp_match::PreparedPairTable;
 use serde::Serialize;
 
@@ -105,7 +105,7 @@ impl<'a> EntrySource<'a> {
 pub(crate) struct SegmentSource<'a> {
     pub(crate) config: IndexConfig,
     pub(crate) entries: Vec<EntrySource<'a>>,
-    pub(crate) buckets: &'a [(u64, Vec<u32>)],
+    pub(crate) buckets: &'a FlatBuckets,
 }
 
 /// One entry decoded from a segment; its codes are entry `i` of the
@@ -138,7 +138,7 @@ pub(crate) struct DecodedSegment {
     pub(crate) config: IndexConfig,
     pub(crate) entries: Vec<DecodedEntry>,
     pub(crate) arena: CodeArena,
-    pub(crate) buckets: Vec<(u64, Vec<u32>)>,
+    pub(crate) buckets: FlatBuckets,
 }
 
 /// Per-section health as reported by [`inspect_segment`].
@@ -230,15 +230,15 @@ pub(crate) fn encode_segment(source: &SegmentSource<'_>) -> Vec<u8> {
 
     let mut buckets = Enc::new();
     let id_count: usize = source.buckets.iter().map(|(_, ids)| ids.len()).sum();
-    buckets.u64(source.buckets.len() as u64);
+    buckets.u64(source.buckets.iter().count() as u64);
     buckets.u64(id_count as u64);
-    for (key, _) in source.buckets {
-        buckets.u64(*key);
+    for (key, _) in source.buckets.iter() {
+        buckets.u64(key);
     }
-    for (_, ids) in source.buckets {
+    for (_, ids) in source.buckets.iter() {
         buckets.u32(ids.len() as u32);
     }
-    for (_, ids) in source.buckets {
+    for (_, ids) in source.buckets.iter() {
         for &id in ids {
             buckets.u32(id);
         }
@@ -517,46 +517,20 @@ pub(crate) fn decode_arena(payload: &[u8], spans: &[SpanRec]) -> Result<CodeAren
     .map_err(corrupt)
 }
 
-/// Decodes the BUCKETS section in its flat persisted shape — strictly
-/// ascending keys, per-key lengths (returned as prefix offsets), dense
-/// in-range gallery ids — without building any per-bucket allocation.
-pub(crate) fn decode_buckets_flat(
+/// Decodes the BUCKETS section straight into the index's table, which
+/// validates it against `entry_count` (`FlatBuckets::from_raw_parts`).
+pub(crate) fn decode_buckets(
     payload: &[u8],
     entry_count: usize,
-) -> Result<fp_index::FlatBuckets, StoreError> {
+) -> Result<FlatBuckets, StoreError> {
     let mut dec = Dec::new(payload, WHAT, "buckets");
     let key_count = dec.u64()?;
     let id_count = dec.u64()?;
     let keys = dec.at("bucket keys").u64_slice(key_count)?;
-    for pair in keys.windows(2) {
-        if pair[1] <= pair[0] {
-            return Err(corrupt(format!(
-                "bucket keys not strictly ascending ({} then {})",
-                pair[0], pair[1]
-            )));
-        }
-    }
     let lens = dec.at("bucket lengths").u32_slice(key_count)?;
-    let mut offsets = Vec::with_capacity(lens.len() + 1);
-    offsets.push(0usize);
-    let mut total = 0usize;
-    for &len in &lens {
-        total += len as usize;
-        offsets.push(total);
-    }
-    if total as u64 != id_count {
-        return Err(corrupt(format!(
-            "bucket lengths sum to {total}, header declares {id_count} ids"
-        )));
-    }
     let ids = dec.at("bucket ids").u32_slice(id_count)?;
     dec.at("buckets").finish()?;
-    if let Some(&bad) = ids.iter().find(|&&id| id as usize >= entry_count) {
-        return Err(corrupt(format!(
-            "bucket id {bad} out of range for {entry_count} entries"
-        )));
-    }
-    Ok(fp_index::FlatBuckets { keys, offsets, ids })
+    FlatBuckets::from_raw_parts(keys, lens, ids, entry_count).map_err(corrupt)
 }
 
 /// Fully decodes and validates a segment file image, including every
@@ -593,16 +567,11 @@ pub(crate) fn decode_segment(bytes: &[u8]) -> Result<DecodedSegment, StoreError>
     }
     tables.finish()?;
 
-    let arena = decode_arena(payload(3), &spans)?;
-
-    let flat = decode_buckets_flat(payload(4), entry_count)?;
-    let buckets = flat.iter().map(|(key, ids)| (key, ids.to_vec())).collect();
-
     Ok(DecodedSegment {
         config,
         entries,
-        arena,
-        buckets,
+        arena: decode_arena(payload(3), &spans)?,
+        buckets: decode_buckets(payload(4), entry_count)?,
     })
 }
 

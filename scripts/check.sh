@@ -28,6 +28,9 @@ fi
 # Workspace tests include the fp-index exactness/recall property suite and
 # the fp-study golden-regression + determinism suite.
 run cargo test -q --release --offline --workspace
+# The index and store again under the debug profile, where their
+# `debug_assert!`s and integer-overflow checks are live.
+run cargo test -q --offline -p fp-index -p fp-store
 # The benchmark is a package of its own (outside the workspace); its unit
 # tests plus the TINY-size smoke drive all five workloads through the
 # crates' public API, so an API drift fails here, not at the next
