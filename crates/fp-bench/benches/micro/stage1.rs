@@ -1,8 +1,10 @@
 //! Stage-1 cylinder scoring over a 2,000-entry gallery whose arena fits in
 //! cache: `CodeArena::score_into` (`arena_2k`: the lane body the host's
-//! CPU selects, `fp_index::lane_body_name()`) beside the scalar
-//! oracle it is held bitwise equal to (`reference_2k`; pinned by fp-index's
-//! kernel proptest suite and `study check-kernel`). The pair is the
+//! CPU selects, `fp_index::lane_body_name()`, on one entry range per core)
+//! beside the serial scalar oracle it is held bitwise equal to
+//! (`reference_2k`; pinned by fp-index's kernel proptest suite and `study
+//! check-kernel`). `arena_2k` therefore reads slower whenever the host
+//! lends the process fewer cores than it reports. The pair is the
 //! kernel's quick check; the 10k rung, where the arena outgrows L2, is the
 //! benchmark's `identify_10k` (`index.stage1_codes_ms`).
 

@@ -16,13 +16,15 @@
 //! ([`CodeArena::entry`]). `fp-store` saves, reopens, compacts and deals
 //! arenas through those alone; it never computes an offset into the slab.
 //!
-//! [`CodeArena::score_into`] is one pass over the entries in order. Per
-//! entry it runs the **lane body** when probe and entry are both
-//! [`LANE_WORDS`] wide — the width of the default MCC grid (8 x 8 x 5 = 320
-//! cells), so of every entry a shipping index holds (the `kernel` gate
-//! fails if one is not) — and the **general body** for any other pair of
-//! widths, through [`hamming`], whose excess-word tail is empty when the
-//! widths agree.
+//! [`CodeArena::score_into`] is one pass over the entries in order, cut
+//! into runs of 64 entries that one lane per core takes as it goes
+//! (`crate::lanes`; an entry's score depends on no other entry, so the cut
+//! changes no bit). Per entry it runs the **lane body** when probe and
+//! entry are both [`LANE_WORDS`] wide — the width of the default MCC grid
+//! (8 x 8 x 5 = 320 cells), so of every entry a shipping index holds (the
+//! `kernel` gate fails if one is not) — and the **general body** for any
+//! other pair of widths, through [`hamming`], whose excess-word tail is
+//! empty when the widths agree.
 //!
 //! The lane body exists in three compilations. `LaneBody::detect` picks
 //! the first the CPU can run, once per call, by `is_x86_feature_detected!`
@@ -78,6 +80,7 @@
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 
+use crate::lanes;
 use crate::signature::{
     hamming, reference_similarity, sort_bests_desc, CodeView, CylinderCodes, Stage1Scratch,
 };
@@ -382,7 +385,11 @@ impl CodeArena {
     /// One pass over the entries in order: per entry, the lane body this
     /// CPU runs (see the module header) when both sides are [`LANE_WORDS`]
     /// wide and the general body otherwise, then the depth clamp, sort and
-    /// prefix mean the oracle shares.
+    /// prefix mean the oracle shares. The pass is cut into runs of
+    /// `JOB_ENTRIES` entries, each scored into its own slice of `out` by
+    /// whichever lane (one per core, `crate::lanes`) takes it; `scratch`
+    /// serves the lane on the calling thread and every other gets a fresh
+    /// one. The op count is the sum over runs.
     pub fn score_into(
         &self,
         probe: &CylinderCodes,
@@ -390,7 +397,20 @@ impl CodeArena {
         scratch: &mut Stage1Scratch,
         out: &mut [f64],
     ) -> u64 {
-        self.score_with(LaneBody::detect(), probe, lss_depth, scratch, out)
+        self.score_on_lanes(lanes::cores(), probe, lss_depth, scratch, out)
+    }
+
+    /// [`score_into`](Self::score_into) over at most `max_lanes` lanes.
+    pub(crate) fn score_on_lanes(
+        &self,
+        max_lanes: usize,
+        probe: &CylinderCodes,
+        lss_depth: usize,
+        scratch: &mut Stage1Scratch,
+        out: &mut [f64],
+    ) -> u64 {
+        let body = LaneBody::detect();
+        self.score_with(body, max_lanes, probe, lss_depth, scratch, out)
     }
 
     /// [`score_into`](Self::score_into) once per lane body this CPU can
@@ -407,15 +427,25 @@ impl CodeArena {
         LaneBody::available()
             .map(|body| {
                 let mut scores = vec![0.0; self.len()];
-                let ops = self.score_with(body, probe, lss_depth, &mut scratch, &mut scores);
+                let ops = self.score_with(
+                    body,
+                    lanes::cores(),
+                    probe,
+                    lss_depth,
+                    &mut scratch,
+                    &mut scores,
+                );
                 (body.name(), scores, ops)
             })
             .collect()
     }
 
+    /// [`score_into`](Self::score_into) on `body` over at most `max_lanes`
+    /// lanes.
     fn score_with(
         &self,
         body: LaneBody,
+        max_lanes: usize,
         probe: &CylinderCodes,
         lss_depth: usize,
         scratch: &mut Stage1Scratch,
@@ -427,6 +457,29 @@ impl CodeArena {
             out.fill(0.0);
             return 0;
         }
+        let lanes = lanes::count(out.len(), max_lanes);
+        let mut helpers: Vec<Stage1Scratch> = (1..lanes).map(|_| Stage1Scratch::new()).collect();
+        let scratches = helpers.iter_mut().chain(std::iter::once(scratch)).collect();
+        let jobs = out.chunks_mut(lanes::JOB_ENTRIES).enumerate().collect();
+        lanes::share(jobs, scratches, |scratch, (k, out)| {
+            let first = k * lanes::JOB_ENTRIES;
+            self.score_range(body, probe, lss_depth, scratch, first, out)
+        })
+        .into_iter()
+        .sum()
+    }
+
+    /// One job of [`score_with`](Self::score_with): entries `first..`,
+    /// one per slot of `out`.
+    fn score_range(
+        &self,
+        body: LaneBody,
+        probe: CodeView<'_>,
+        lss_depth: usize,
+        scratch: &mut Stage1Scratch,
+        first: usize,
+        out: &mut [f64],
+    ) -> u64 {
         let Stage1Scratch { bests, groups } = scratch;
         let probe_lanes = probe.words_per == LANE_WORDS;
         let vector = probe_lanes && body == LaneBody::Avx512Vpopcnt;
@@ -437,7 +490,7 @@ impl CodeArena {
         }
         let mut word_ops = 0u64;
         for (i, slot) in out.iter_mut().enumerate() {
-            let entry = self.entry(i);
+            let entry = self.entry(first + i);
             if entry.is_empty() {
                 *slot = 0.0;
                 continue;
@@ -900,8 +953,8 @@ mod tests {
         raw_codes(&refs, LANE_WORDS)
     }
 
-    /// Every lane body this CPU can run against the oracle: bitwise
-    /// scores, equal op counts.
+    /// Every lane body this CPU can run against the oracle, in one lane:
+    /// bitwise scores, equal op counts.
     fn assert_every_body_matches_reference(arena: &CodeArena, probe: &CylinderCodes, depth: usize) {
         let mut scratch = Stage1Scratch::new();
         let mut reference = vec![0.0; arena.len()];
@@ -909,7 +962,7 @@ mod tests {
         let bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
         for body in LaneBody::available() {
             let mut scores = vec![9.0; arena.len()];
-            let ops = arena.score_with(body, probe, depth, &mut scratch, &mut scores);
+            let ops = arena.score_with(body, 1, probe, depth, &mut scratch, &mut scores);
             assert_eq!(ops, ops_r, "{body:?}, probe of {}", probe.len());
             assert_eq!(
                 bits(&scores),

@@ -30,6 +30,7 @@ use fp_core::template::Template;
 use fp_match::PreparableMatcher;
 
 use crate::index::{Candidate, CandidateIndex, StageOneScores};
+use crate::lanes;
 
 /// Why a shard backend could not serve its part of a search.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -135,7 +136,7 @@ impl<M: PreparableMatcher> ShardBackend for CandidateIndex<M> {
     }
 
     fn stage_one(&self, probe: &Template) -> Result<StageOneScores, ShardError> {
-        Ok(self.stage1(&self.probe_features(probe)))
+        Ok(self.stage1(&self.probe_features(probe), lanes::cores()))
     }
 
     fn stage_two(
@@ -143,7 +144,7 @@ impl<M: PreparableMatcher> ShardBackend for CandidateIndex<M> {
         probe: &Template,
         selected_local: &[u32],
     ) -> Result<Vec<Candidate>, ShardError> {
-        Ok(self.serve_part(selected_local, &self.prepare_probe(probe)))
+        Ok(self.serve_part(selected_local, &self.prepare_probe(probe), lanes::cores()))
     }
 }
 
@@ -152,7 +153,8 @@ impl<M: PreparableMatcher> ShardBackend for CandidateIndex<M> {
 /// the round-robin-concatenated gallery.
 ///
 /// This is [`search_spine`](crate::shard::search_spine) with the plainest
-/// possible fan-out — one trait call after another, no threads, no
+/// possible fan-out — one trait call after another, no threads of its own
+/// (an in-process backend splits each call into lanes inside itself), no
 /// telemetry, no run fingerprint — so tests can pin transport-independent
 /// correctness and new transports have a model to diff against.
 pub fn search_backends<B: ShardBackend>(

@@ -25,6 +25,8 @@
 
 use fp_match::PairFeature;
 
+use crate::lanes;
+
 /// A geometric-hash bucket table: keys strictly ascending, bucket `k`
 /// owning `ids[offsets[k]..offsets[k + 1]]`, none empty. Its fields are
 /// private: a table passed [`from_raw_parts`](Self::from_raw_parts), was
@@ -282,11 +284,38 @@ impl BucketIndex {
     /// neighbourhoods are deduplicated, so tiny `angle_bins` cannot wrap a
     /// feature back onto a key it already voted through). Returns the
     /// number of bucket hits (vote increments) performed.
+    ///
+    /// The features are cut into runs of `JOB_FEATURES` that up to
+    /// `max_lanes` lanes (`crate::lanes`, sized by the gallery,
+    /// `votes.len()`) take as they go. The lane on the calling thread
+    /// counts into `votes`, every other into a private array that is then
+    /// added in: integer sums, so the counts and the hits are exactly the
+    /// one-lane pass's.
     pub(crate) fn accumulate(
         &self,
-        features: impl Iterator<Item = PairFeature>,
+        features: &[PairFeature],
         votes: &mut [u32],
+        max_lanes: usize,
     ) -> u64 {
+        let jobs: Vec<&[PairFeature]> = features.chunks(lanes::JOB_FEATURES).collect();
+        let lanes = lanes::count(votes.len(), max_lanes).min(jobs.len().max(1));
+        let mut private = vec![vec![0u32; votes.len()]; lanes - 1];
+        let counts = private
+            .iter_mut()
+            .map(Vec::as_mut_slice)
+            .chain(std::iter::once(&mut *votes))
+            .collect();
+        let hits = lanes::share(jobs, counts, |counts, features| self.vote(features, counts));
+        for counts in &private {
+            for (vote, &count) in votes.iter_mut().zip(counts) {
+                *vote += count;
+            }
+        }
+        hits.into_iter().sum()
+    }
+
+    /// One job of [`accumulate`](Self::accumulate).
+    fn vote(&self, features: &[PairFeature], votes: &mut [u32]) -> u64 {
         let mut hits = 0u64;
         for f in features {
             let d_bin = (f.d / self.distance_bin).floor() as i64;
@@ -346,7 +375,7 @@ mod tests {
             &[vec![feature(4.2, 0.3, -1.1)], vec![feature(9.0, 2.0, 2.5)]],
         );
         let mut votes = vec![0u32; 2];
-        let hits = index.accumulate([feature(4.2, 0.3, -1.1)].into_iter(), &mut votes);
+        let hits = index.accumulate(&[feature(4.2, 0.3, -1.1)], &mut votes, 1);
         assert_eq!(votes[0], 1);
         assert_eq!(votes[1], 0);
         assert_eq!(hits, 1);
@@ -358,7 +387,7 @@ mod tests {
         let mut votes = vec![0u32; 1];
         // One distance bin over and slightly rotated: the ±1 neighbourhood
         // still reaches the registered bucket.
-        index.accumulate([feature(4.51, 0.1, -0.1)].into_iter(), &mut votes);
+        index.accumulate(&[feature(4.51, 0.1, -0.1)], &mut votes, 1);
         assert_eq!(votes[0], 1);
     }
 
@@ -368,7 +397,7 @@ mod tests {
         let index = enrolled(0.5, 16, &[vec![feature(6.0, pi - 0.01, 0.0)]]);
         let mut votes = vec![0u32; 1];
         // Just across the ±pi seam: wrapping neighbourhood must find it.
-        index.accumulate([feature(6.0, -pi + 0.01, 0.0)].into_iter(), &mut votes);
+        index.accumulate(&[feature(6.0, -pi + 0.01, 0.0)], &mut votes, 1);
         assert_eq!(votes[0], 1);
     }
 
@@ -383,13 +412,13 @@ mod tests {
         // 0 on both) reaches it only through the wrapping neighbourhood.
         let index = enrolled(0.5, 2, &[vec![feature(5.0, pi / 2.0, pi / 2.0)]]);
         let mut votes = vec![0u32; 1];
-        let hits = index.accumulate([feature(5.0, -pi / 2.0, -pi / 2.0)].into_iter(), &mut votes);
+        let hits = index.accumulate(&[feature(5.0, -pi / 2.0, -pi / 2.0)], &mut votes, 1);
         assert_eq!(votes[0], 1, "wrapped neighbour must be visited once");
         assert_eq!(hits, 1, "bucket_hits must match the deduped visits");
 
         // A same-bin probe also votes exactly once.
         let mut votes = vec![0u32; 1];
-        let hits = index.accumulate([feature(5.0, pi / 2.0, pi / 2.0)].into_iter(), &mut votes);
+        let hits = index.accumulate(&[feature(5.0, pi / 2.0, pi / 2.0)], &mut votes, 1);
         assert_eq!(votes[0], 1);
         assert_eq!(hits, 1);
     }
@@ -410,10 +439,7 @@ mod tests {
         let index = enrolled(0.5, 3, &entries);
         let mut votes = vec![0u32; 3];
         let probe_beta = 0.45 * tau - std::f64::consts::PI;
-        let hits = index.accumulate(
-            [feature(5.0, probe_beta, probe_beta)].into_iter(),
-            &mut votes,
-        );
+        let hits = index.accumulate(&[feature(5.0, probe_beta, probe_beta)], &mut votes, 1);
         assert_eq!(votes, vec![1, 1, 1], "one vote per reachable entry");
         assert_eq!(hits, 3);
     }
@@ -422,7 +448,7 @@ mod tests {
     fn far_features_do_not_vote() {
         let index = enrolled(0.5, 16, &[vec![feature(3.0, 0.0, 0.0)]]);
         let mut votes = vec![0u32; 1];
-        index.accumulate([feature(8.0, 2.0, -2.0)].into_iter(), &mut votes);
+        index.accumulate(&[feature(8.0, 2.0, -2.0)], &mut votes, 1);
         assert_eq!(votes[0], 0);
         assert_eq!(index.table.keys.len(), 1);
     }
@@ -591,7 +617,7 @@ mod tests {
             }
         }
         let mut votes = vec![0u32; gallery.len()];
-        let hits = whole.accumulate(probe.iter().copied(), &mut votes);
+        let hits = whole.accumulate(&probe, &mut votes, 1);
         assert!(
             votes[5] >= 32 && votes[1500] >= 4,
             "the probe finds its sources"
@@ -684,7 +710,7 @@ mod tests {
                 }
             }
             let mut votes = vec![0u32; gallery.len()];
-            let hits = one_batch.accumulate(probe.iter().copied(), &mut votes);
+            let hits = one_batch.accumulate(&probe, &mut votes, 1);
             prop_assert_eq!(votes, oracle_votes);
             prop_assert_eq!(hits, oracle_hits);
         }

@@ -6,7 +6,7 @@ use std::time::Instant;
 
 use fp_core::template::Template;
 use fp_core::MatchScore;
-use fp_match::{MccMatcher, PairTableMatcher, PreparableMatcher};
+use fp_match::{MccMatcher, PairFeature, PairTableMatcher, PreparableMatcher};
 use fp_telemetry::{
     FingerprintChain, FingerprintSnapshot, Fingerprinted, RunFingerprint, Telemetry,
 };
@@ -14,6 +14,7 @@ use fp_telemetry::{
 use crate::arena::CodeArena;
 use crate::config::{IndexConfig, IndexConfigError};
 use crate::geohash::{BucketIndex, FlatBuckets};
+use crate::lanes;
 use crate::metrics::IndexMetrics;
 use crate::shard::search_spine;
 use crate::signature::{CylinderCodes, Stage1Scratch};
@@ -177,14 +178,13 @@ impl Fingerprinted for SearchResult {
 }
 
 /// The probe-side features of one search, computed once per probe: the
-/// prepared pair table (for geometric-hash voting) and the binarized
-/// cylinder codes. A [`crate::ShardedIndex`] computes this once and shares
-/// it read-only across every shard's stage-1 pass — the features depend
-/// only on the probe and the (shard-invariant) extraction config, so every
-/// shard sees bit-identical probe features.
+/// pair features of its prepared pair table (for geometric-hash voting)
+/// and the binarized cylinder codes. A [`crate::ShardedIndex`] computes
+/// this once and shares it read-only across every shard's stage-1 pass —
+/// the features depend only on the probe and the (shard-invariant)
+/// extraction config, so every shard sees bit-identical probe features.
 pub(crate) struct ProbeFeatures {
-    table: <PairTableMatcher as PreparableMatcher>::Prepared,
-    pairs: u32,
+    pairs: Vec<PairFeature>,
     codes: CylinderCodes,
 }
 
@@ -327,8 +327,9 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
         &self,
         selected: &[u32],
         probe_prepared: &M::Prepared,
+        max_lanes: usize,
     ) -> Vec<Candidate> {
-        let part = self.rerank(selected, probe_prepared);
+        let part = self.rerank(selected, probe_prepared, max_lanes);
         self.part_fp.record_item(&part[..]);
         part
     }
@@ -438,10 +439,7 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
             &[("batch", templates.len().to_string())],
         );
         let refs: Vec<&Template> = templates.iter().collect();
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4);
-        self.enroll_all_bounded(&refs, threads)
+        self.enroll_all_bounded(&refs, lanes::cores())
     }
 
     /// [`enroll_all`](Self::enroll_all) over template references with an
@@ -467,14 +465,9 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
     /// Computes the probe-side features (prepared pair table + cylinder
     /// codes) once for a search.
     pub(crate) fn probe_features(&self, probe: &Template) -> ProbeFeatures {
-        let table = self.features.prepare(probe);
-        let pairs = table.len() as u32;
+        let pairs = self.features.prepare(probe).pair_features().collect();
         let codes = CylinderCodes::extract(&self.mcc, probe, self.config.max_cylinders);
-        ProbeFeatures {
-            table,
-            pairs,
-            codes,
-        }
+        ProbeFeatures { pairs, codes }
     }
 
     /// Stage 1: per-entry channel scores over this index's gallery.
@@ -490,19 +483,20 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
     /// the strongest local agreements count.
     ///
     /// Every search route reaches this pass, so this is where the index
-    /// meters its stage-1 work.
-    pub(crate) fn stage1(&self, probe: &ProbeFeatures) -> StageOneScores {
+    /// meters its stage-1 work. Both channels run on up to `max_lanes`
+    /// lanes (`crate::lanes`); the scores and counts are the one-lane
+    /// pass's, bit for bit.
+    pub(crate) fn stage1(&self, probe: &ProbeFeatures, max_lanes: usize) -> StageOneScores {
         let n = self.entries.len();
         let mut votes = vec![0u32; n];
-        let bucket_hits = self
-            .buckets
-            .accumulate(probe.table.pair_features(), &mut votes);
+        let bucket_hits = self.buckets.accumulate(&probe.pairs, &mut votes, max_lanes);
+        let probe_pairs = probe.pairs.len() as u32;
         let vote_scores: Vec<f64> = self
             .entries
             .iter()
             .enumerate()
             .map(|(id, entry)| {
-                f64::from(votes[id]) / f64::from(probe.pairs.min(entry.pair_count).max(1))
+                f64::from(votes[id]) / f64::from(probe_pairs.min(entry.pair_count).max(1))
             })
             .collect();
 
@@ -512,7 +506,8 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
         // including the exact `hamming_word_ops` count.
         let mut scratch = Stage1Scratch::new();
         let mut cyl_scores = vec![0.0f64; n];
-        let hamming_word_ops = self.arena.score_into(
+        let hamming_word_ops = self.arena.score_on_lanes(
+            max_lanes,
             &probe.codes,
             self.config.lss_depth,
             &mut scratch,
@@ -659,18 +654,45 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
     /// Stage 2: exact scores for the selected entry ids (local ids of this
     /// index), in selection order — the spine sorts. Every search route
     /// reaches this pass, so this is where the index meters its stage-2
-    /// work.
-    pub(crate) fn rerank(&self, selected: &[u32], probe_prepared: &M::Prepared) -> Vec<Candidate> {
+    /// work. Up to `max_lanes` lanes (`crate::lanes`) take the comparisons
+    /// one at a time as they go, and the scores are joined in selection
+    /// order; an empty slot is demand-loaded by whichever lane reaches it
+    /// first.
+    pub(crate) fn rerank(
+        &self,
+        selected: &[u32],
+        probe_prepared: &M::Prepared,
+        max_lanes: usize,
+    ) -> Vec<Candidate> {
         self.metrics.record_stage_two(selected.len());
-        selected
-            .iter()
-            .map(|&id| Candidate {
-                id,
-                score: self
-                    .matcher
-                    .compare_prepared(self.prepared(id), probe_prepared),
-            })
-            .collect()
+        let lanes = lanes::count(selected.len() * lanes::COMPARISON_ENTRIES, max_lanes);
+        lanes::share(selected.to_vec(), vec![(); lanes], |(), id| Candidate {
+            id,
+            score: self
+                .matcher
+                .compare_prepared(self.prepared(id), probe_prepared),
+        })
+    }
+
+    /// [`ShardBackend::stage_one`](crate::ShardBackend::stage_one) on at
+    /// most `max_lanes` lanes instead of one per core — how the tests hold
+    /// every lane count to the one-lane pass. Metered like a search's.
+    #[doc(hidden)]
+    pub fn stage_one_on_lanes(&self, probe: &Template, max_lanes: usize) -> StageOneScores {
+        self.stage1(&self.probe_features(probe), max_lanes)
+    }
+
+    /// The re-rank of `selected` on at most `max_lanes` lanes, in selection
+    /// order, folded into no chain — the tests' counterpart of
+    /// [`stage_one_on_lanes`](Self::stage_one_on_lanes).
+    #[doc(hidden)]
+    pub fn stage_two_on_lanes(
+        &self,
+        probe: &Template,
+        selected: &[u32],
+        max_lanes: usize,
+    ) -> Vec<Candidate> {
+        self.rerank(selected, &self.prepare_probe(probe), max_lanes)
     }
 
     /// Prepares the probe for exact stage-2 scoring.
@@ -685,7 +707,8 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
 
     /// Searches with an explicit shortlist budget; `shortlist >= len()`
     /// degenerates to an exact brute-force ranking. This is
-    /// [`search_spine`] with one shard: no lanes, no part chain.
+    /// [`search_spine`] with one shard and no part chain; stage 1 and the
+    /// re-rank each run one lane per core.
     pub fn search_with_budget(&self, probe: &Template, shortlist: usize) -> SearchResult {
         let start = Instant::now();
         let n = self.entries.len();
@@ -698,11 +721,17 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
             n,
             shortlist,
             Some(&self.runfp),
-            || Ok::<_, Infallible>(vec![self.stage1(&self.probe_features(probe))]),
+            || {
+                Ok::<_, Infallible>(vec![
+                    self.stage1(&self.probe_features(probe), lanes::cores())
+                ])
+            },
             |jobs| {
                 Ok(jobs
                     .iter()
-                    .map(|(_, selected)| self.rerank(selected, &self.matcher.prepare(probe)))
+                    .map(|(_, selected)| {
+                        self.rerank(selected, &self.matcher.prepare(probe), lanes::cores())
+                    })
                     .collect())
             },
         );
@@ -777,10 +806,10 @@ fn channel_ranks(scores: &[f64]) -> Vec<u32> {
     ranks
 }
 
-/// Prepares gallery entries for a batch in parallel (work-stealing over an
-/// atomic counter, like `fp-study`'s `parallel_map`), preserving slice
-/// order in the result and recording each template's preparation time in
-/// the `index.build.seconds` histogram when telemetry is live.
+/// Prepares gallery entries for a batch in parallel (one template a job,
+/// shared over the lanes by `lanes::share`), preserving slice order in the
+/// result and recording each template's preparation time in the
+/// `index.build.seconds` histogram when telemetry is live.
 fn parallel_make<M>(
     index: &CandidateIndex<M>,
     templates: &[&Template],
@@ -790,9 +819,6 @@ where
     M: PreparableMatcher + Sync,
     M::Prepared: Send,
 {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    let n = templates.len();
     let timed = index.metrics.telemetry.is_enabled();
     let make_timed = |t: &Template| {
         if timed {
@@ -804,45 +830,6 @@ where
             index.make_entry(t)
         }
     };
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .min(max_threads.max(1))
-        .min(n.max(1));
-    if threads <= 1 {
-        return templates.iter().map(|t| make_timed(t)).collect();
-    }
-    let counter = AtomicUsize::new(0);
-    let chunks: Vec<Vec<(usize, _)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = counter.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, make_timed(templates[i])));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("index build worker panicked"))
-            .collect()
-    });
-    let mut slots: Vec<Option<_>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    for chunk in chunks {
-        for (i, value) in chunk {
-            slots[i] = Some(value);
-        }
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every template prepared exactly once"))
-        .collect()
+    let threads = lanes::cores().min(max_threads.max(1));
+    lanes::share(templates.to_vec(), vec![(); threads], |(), t| make_timed(t))
 }

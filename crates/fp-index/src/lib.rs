@@ -71,6 +71,7 @@ pub mod backend;
 pub mod config;
 pub mod geohash;
 pub mod index;
+mod lanes;
 pub mod metrics;
 pub mod shard;
 pub mod signature;
@@ -82,6 +83,8 @@ pub use geohash::FlatBuckets;
 pub use index::{
     Candidate, CandidateIndex, SearchResult, StageOneScores, StoredTables, TableLoader,
 };
+#[doc(hidden)]
+pub use lanes::MIN_LANE_ENTRIES;
 pub use metrics::IndexMetrics;
 pub use shard::{search_spine, ShardedIndex};
 pub use signature::{CodeView, CylinderCodes, Stage1Scratch};

@@ -43,6 +43,7 @@ use fp_telemetry::{FingerprintSnapshot, RunFingerprint, Telemetry};
 use crate::backend::ShardError;
 use crate::config::IndexConfig;
 use crate::index::{fuse_select, Candidate, CandidateIndex, SearchResult, StageOneScores};
+use crate::lanes;
 use crate::metrics::IndexMetrics;
 
 /// A gallery sharded across S thread-parallel [`CandidateIndex`] shards.
@@ -221,11 +222,7 @@ impl<M: fp_match::PreparableMatcher> ShardedIndex<M> {
         for (offset, template) in templates.iter().enumerate() {
             per_shard[(self.enrolled + offset) % s].push(template);
         }
-        let threads_per_shard = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4)
-            .div_ceil(s)
-            .max(1);
+        let threads_per_shard = lanes::cores().div_ceil(s);
         let ctx = telemetry.trace_ctx();
         std::thread::scope(|scope| {
             for (k, (shard, batch)) in self.shards.iter_mut().zip(&per_shard).enumerate() {
@@ -275,6 +272,8 @@ impl<M: fp_match::PreparableMatcher> ShardedIndex<M> {
         // shard shares one read-only copy computed on shard 0's extractors.
         let probe_features = self.shards[0].probe_features(probe);
         let probe_prepared = self.shards[0].prepare_probe(probe);
+        // The cores are divided across the shards, as at enrollment.
+        let lanes_per_shard = lanes::cores().div_ceil(s);
         // Lane wall time (ns) per shard, summed over both stages: every
         // shard owes one `search.seconds` sample per search, re-ranked or
         // not.
@@ -290,7 +289,7 @@ impl<M: fp_match::PreparableMatcher> ShardedIndex<M> {
                     "index.shard.search",
                     (0..s).map(|k| (k, ())),
                     &busy,
-                    |shard, ()| shard.stage1(&probe_features),
+                    |shard, ()| shard.stage1(&probe_features, lanes_per_shard),
                 );
                 self.rollup.record_stage_one(
                     n,
@@ -304,7 +303,7 @@ impl<M: fp_match::PreparableMatcher> ShardedIndex<M> {
                     "index.shard.rerank",
                     jobs.iter().map(|(k, selected)| (*k, selected)),
                     &busy,
-                    |shard, selected| shard.serve_part(selected, &probe_prepared),
+                    |shard, selected| shard.serve_part(selected, &probe_prepared, lanes_per_shard),
                 ))
             },
         );
@@ -319,10 +318,10 @@ impl<M: fp_match::PreparableMatcher> ShardedIndex<M> {
         result
     }
 
-    /// Runs `f` once per `(shard, job)`, one thread per job (inline when
-    /// there is at most one), collecting results in job order. Worker
-    /// threads adopt the calling span so `name` spans nest under it; each
-    /// lane's wall time is added to its shard's `busy` slot.
+    /// Runs `f` once per `(shard, job)` on [`lanes::run`] — one thread per
+    /// job but the last, which runs inline — collecting results in job
+    /// order. Lanes adopt the calling span so `name` spans nest under it;
+    /// each lane's wall time is added to its shard's `busy` slot.
     fn lanes<J: Send, T: Send>(
         &self,
         name: &str,
@@ -334,30 +333,14 @@ impl<M: fp_match::PreparableMatcher> ShardedIndex<M> {
         M: Sync,
     {
         let telemetry = &self.rollup.telemetry;
-        let lane = |(k, job): (usize, J)| {
+        let ctx = telemetry.trace_ctx();
+        lanes::run(jobs.collect(), |(k, job)| {
+            let _adopt = telemetry.in_ctx(&ctx);
             let _lane = telemetry.trace_span(name, &[("shard", k.to_string())]);
             let t0 = Instant::now();
             let out = f(&self.shards[k], job);
             busy[k].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
             out
-        };
-        let jobs: Vec<(usize, J)> = jobs.collect();
-        if jobs.len() <= 1 {
-            return jobs.into_iter().map(lane).collect();
-        }
-        let (ctx, lane) = (&telemetry.trace_ctx(), &lane);
-        std::thread::scope(|scope| {
-            let spawn = |job| {
-                scope.spawn(move || {
-                    let _adopt = telemetry.in_ctx(ctx);
-                    lane(job)
-                })
-            };
-            let handles: Vec<_> = jobs.into_iter().map(spawn).collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect()
         })
     }
 }

@@ -645,9 +645,12 @@ impl Scan {
     }
 }
 
-/// What one comparison would otherwise allocate, kept per thread: every
-/// caller (`ScoreMatrix::compute_with`'s workers, `CandidateIndex::rerank`,
-/// the shard pool) scores from long-lived threads. Tens of KB.
+/// What one comparison would otherwise allocate, kept per thread. Tens of
+/// KB. Long-lived threads (`ScoreMatrix::compute_with`'s workers, the
+/// shard pool) grow it once; `CandidateIndex::rerank` runs its helper
+/// lanes on threads spawned per search, so each helper's first comparison
+/// grows a fresh one: about 10 µs on top of a warm call's 34 µs (30
+/// against 50 minutiae, 2.1 GHz Xeon), once per lane and search.
 #[derive(Default)]
 struct Scratch {
     scan: Scan,

@@ -277,6 +277,49 @@ fn crafted_hostile_section_tables_are_typed_errors() {
     ));
 }
 
+/// A lazily opened gallery whose segment changes under it: the first
+/// table load of the damaged record panics with the loader's own message,
+/// on whichever re-rank lane takes entry 0: a full budget re-ranks all 12
+/// entries, two lanes' worth whenever the host has two cores.
+#[test]
+#[should_panic(expected = "CRC mismatch after open")]
+fn a_table_changed_after_a_lazy_open_fails_with_its_own_message() {
+    use std::io::{Seek, SeekFrom, Write};
+
+    /// Removes the scratch store on every exit, the expected panic included.
+    struct Scratch(std::path::PathBuf);
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    let dir = Scratch(std::env::temp_dir().join(format!("fp-store-lazy-{}", std::process::id())));
+    let _ = std::fs::remove_dir_all(&dir.0);
+    let seed = SeedTree::new(0x1A_27);
+    let templates: Vec<Template> = (0..12u64)
+        .map(|i| synthetic_template(&seed.child(&[i]), 24))
+        .collect();
+    let mut index = CandidateIndex::new(PairTableMatcher::default());
+    index.enroll_all(&templates);
+    let mut store = GalleryStore::create(&dir.0).unwrap();
+    let seq = store.append_index(&index).unwrap();
+    let opened = GalleryStore::open(&dir.0).unwrap().open_index().unwrap();
+
+    // TABLES is section-table row 2 (at 16 + 2 * 24): id u32 | offset u64
+    // | len u64 | crc u32. Its first record is entry 0's table.
+    let path = dir.0.join(format!("seg-{seq:08}.fpseg"));
+    let segment = std::fs::read(&path).unwrap();
+    let tables_off = u64::from_le_bytes(segment[68..76].try_into().unwrap());
+    let mut file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+    file.seek(SeekFrom::Start(tables_off + 12)).unwrap();
+    file.write_all(&[!segment[tables_off as usize + 12]])
+        .unwrap();
+    drop(file);
+
+    opened.search_with_budget(&templates[3], templates.len());
+}
+
 /// CRC32 (IEEE) — reimplemented here so hostile-header tests can re-seal
 /// their tampering exactly as the encoder would.
 fn fp_store_crc32(bytes: &[u8]) -> u32 {

@@ -31,6 +31,9 @@ run cargo test -q --release --offline --workspace
 # The index and store again under the debug profile, where their
 # `debug_assert!`s and integer-overflow checks are live.
 run cargo test -q --offline -p fp-index -p fp-store
+# And pinned to one core, where every search pass takes the inline one-lane
+# path: the multi-lane runs above must give the same bits.
+run taskset -c 0 cargo test -q --release --offline -p fp-index -p fp-store
 # The benchmark is a package of its own (outside the workspace); its unit
 # tests plus the TINY-size smoke drive all five workloads through the
 # crates' public API, so an API drift fails here, not at the next
