@@ -764,46 +764,100 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
 /// gallery independently (score desc, id asc) and an entry's fused key is
 /// `(better rank, worse rank, id)` ascending. A genuine mate only needs to
 /// surface in ONE channel; the channels fail on disjoint probe
-/// populations, so the union covers both. Returns the ids of the top
-/// `min(k, n)` fused entries (in no particular order).
+/// populations, so the union covers both. Returns the ids of the
+/// `min(k, n)` smallest fused keys, ordered by the key with every rank of
+/// k or more read as k.
+///
+/// The gallery is selected from, never ranked: O(n + k log k).
+/// - Each channel's top k holds only entries of better rank < k, the two
+///   hold at least k of them, and every other entry has better rank ≥ k:
+///   the k smallest keys all lie in their union.
+/// - In the union the better rank is exact. The worse rank is exact for an
+///   entry in both lists; for the rest it is only known to be ≥ k.
+/// - Two entries share a better rank only as the r-th of one channel and
+///   the r-th of the other, so unknown worse ranks decide the set only when
+///   two such entries straddle the cut. Those two are counted exactly, one
+///   O(n) pass each; equal worse ranks fall to the id.
+///
+/// Below the cut an unknown worse rank reads as k, so two entries tied on
+/// better rank that both lie outside the other channel's top k come in id
+/// order: ordering them exactly would cost a counting pass per pair.
 pub(crate) fn fuse_select(vote_scores: &[f64], cyl_scores: &[f64], k: usize) -> Vec<u32> {
+    debug_assert_eq!(vote_scores.len(), cyl_scores.len());
     let n = vote_scores.len();
-    debug_assert_eq!(n, cyl_scores.len());
-    let vote_ranks = channel_ranks(vote_scores);
-    let cyl_ranks = channel_ranks(cyl_scores);
-    let mut fused: Vec<(u32, u32, u32)> = (0..n as u32)
-        .map(|id| {
-            let (v, c) = (vote_ranks[id as usize], cyl_ranks[id as usize]);
+    let k = k.min(n);
+    if k == 0 {
+        return Vec::new();
+    }
+    let channels = [vote_scores, cyl_scores];
+    let [vote_top, cyl_top] = channels.map(|scores| channel_top(scores, k));
+    // Every entry's rank in each channel, `beyond` for "k or more".
+    let beyond = k as u32;
+    let mut ranks = [vec![beyond; n], vec![beyond; n]];
+    for (ranks, top) in ranks.iter_mut().zip([&vote_top, &cyl_top]) {
+        for (rank, &id) in (0u32..).zip(top) {
+            ranks[id as usize] = rank;
+        }
+    }
+    let mut fused: Vec<(u32, u32, u32)> = vote_top
+        .iter()
+        .chain(
+            cyl_top
+                .iter()
+                .filter(|&&id| ranks[0][id as usize] == beyond),
+        )
+        .map(|&id| {
+            let (v, c) = (ranks[0][id as usize], ranks[1][id as usize]);
             (v.min(c), v.max(c), id)
         })
         .collect();
-
-    let k = k.min(n);
-    if k > 0 && k < n {
-        fused.select_nth_unstable_by(k - 1, |a, b| a.cmp(b));
+    fused.sort_unstable();
+    if let (Some(&last), Some(&next)) = (fused.get(k - 1), fused.get(k)) {
+        if last.0 == next.0 && last.1 == beyond && next.1 == beyond {
+            // Each is in one channel's top k; count its rank in the other.
+            let exact = |id: u32| {
+                let other = usize::from(ranks[0][id as usize] != beyond);
+                (channel_rank(channels[other], id), id)
+            };
+            if exact(next.2) < exact(last.2) {
+                fused[k - 1] = next;
+            }
+        }
     }
     fused.truncate(k);
     fused.into_iter().map(|(_, _, id)| id).collect()
 }
 
-/// Ranks one shortlist channel: position of every gallery id when sorted by
-/// score descending, ties broken by id ascending (rank 0 is best). The
-/// deterministic tie-break makes fused shortlists identical across runs.
-/// `total_cmp` (identical to `partial_cmp` on the finite scores both
-/// channels produce) so a NaN from a future scoring kernel degrades a rank
-/// instead of aborting the search.
-fn channel_ranks(scores: &[f64]) -> Vec<u32> {
-    let mut order: Vec<u32> = (0..scores.len() as u32).collect();
-    order.sort_unstable_by(|&a, &b| {
-        scores[b as usize]
-            .total_cmp(&scores[a as usize])
-            .then(a.cmp(&b))
-    });
-    let mut ranks = vec![0u32; scores.len()];
-    for (rank, &id) in order.iter().enumerate() {
-        ranks[id as usize] = rank as u32;
+/// One channel's order: score descending, ties by id ascending (rank 0 is
+/// best). The deterministic tie-break makes fused shortlists identical
+/// across runs. `total_cmp` (identical to `partial_cmp` on the finite
+/// scores both channels produce) so a NaN from a future scoring kernel
+/// degrades a rank instead of aborting the search.
+fn channel_order((a_score, a): (f64, u32), (b_score, b): (f64, u32)) -> std::cmp::Ordering {
+    b_score.total_cmp(&a_score).then(a.cmp(&b))
+}
+
+/// The ids of one channel's `k` best entries (`1 <= k <= n`), best first:
+/// a selection, then a sort of the k.
+fn channel_top(scores: &[f64], k: usize) -> Vec<u32> {
+    let by_rank =
+        |&a: &u32, &b: &u32| channel_order((scores[a as usize], a), (scores[b as usize], b));
+    let mut ids: Vec<u32> = (0..scores.len() as u32).collect();
+    if k < ids.len() {
+        ids.select_nth_unstable_by(k - 1, by_rank);
+        ids.truncate(k);
     }
-    ranks
+    ids.sort_unstable_by(by_rank);
+    ids
+}
+
+/// The exact rank of `id` in one channel: how many entries it orders ahead.
+fn channel_rank(scores: &[f64], id: u32) -> u32 {
+    let own = (scores[id as usize], id);
+    (0u32..)
+        .zip(scores)
+        .filter(|&(entry, &score)| channel_order((score, entry), own).is_lt())
+        .count() as u32
 }
 
 /// Prepares gallery entries for a batch in parallel (one template a job,
@@ -832,4 +886,135 @@ where
     };
     let threads = lanes::cores().min(max_threads.max(1));
     lanes::share(templates.to_vec(), vec![(); threads], |(), t| make_timed(t))
+}
+
+#[cfg(test)]
+mod tests {
+    use proptest::prelude::*;
+
+    use super::*;
+
+    /// The two-sort fusion [`fuse_select`] replaced, kept verbatim as its
+    /// oracle: both channels ranked in full, the fused keys selected.
+    fn fuse_select_reference(vote_scores: &[f64], cyl_scores: &[f64], k: usize) -> Vec<u32> {
+        let n = vote_scores.len();
+        debug_assert_eq!(n, cyl_scores.len());
+        let vote_ranks = channel_ranks(vote_scores);
+        let cyl_ranks = channel_ranks(cyl_scores);
+        let mut fused: Vec<(u32, u32, u32)> = (0..n as u32)
+            .map(|id| {
+                let (v, c) = (vote_ranks[id as usize], cyl_ranks[id as usize]);
+                (v.min(c), v.max(c), id)
+            })
+            .collect();
+
+        let k = k.min(n);
+        if k > 0 && k < n {
+            fused.select_nth_unstable_by(k - 1, |a, b| a.cmp(b));
+        }
+        fused.truncate(k);
+        fused.into_iter().map(|(_, _, id)| id).collect()
+    }
+
+    /// Ranks one shortlist channel: position of every gallery id when sorted
+    /// by score descending, ties broken by id ascending (rank 0 is best).
+    fn channel_ranks(scores: &[f64]) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..scores.len() as u32).collect();
+        order.sort_unstable_by(|&a, &b| {
+            scores[b as usize]
+                .total_cmp(&scores[a as usize])
+                .then(a.cmp(&b))
+        });
+        let mut ranks = vec![0u32; scores.len()];
+        for (rank, &id) in order.iter().enumerate() {
+            ranks[id as usize] = rank as u32;
+        }
+        ranks
+    }
+
+    /// The oracle's selection ordered by the fused key with ranks of k or
+    /// more read as k: the one answer [`fuse_select`] may give, set and
+    /// order.
+    fn expected(vote_scores: &[f64], cyl_scores: &[f64], k: usize) -> Vec<u32> {
+        let (vote_ranks, cyl_ranks) = (channel_ranks(vote_scores), channel_ranks(cyl_scores));
+        let beyond = k.min(vote_scores.len()) as u32;
+        let mut selected = fuse_select_reference(vote_scores, cyl_scores, k);
+        selected.sort_unstable_by_key(|&id| {
+            let (v, c) = (vote_ranks[id as usize], cyl_ranks[id as usize]);
+            (v.min(c), v.max(c).min(beyond), id)
+        });
+        selected
+    }
+
+    /// One channel of `n` scores: a few shared levels, so the channel ties,
+    /// mixed with NaN, −NaN, ±∞, ±0.0 and arbitrary values.
+    fn channel(n: usize) -> impl Strategy<Value = Vec<f64>> {
+        (1u8..5, prop::collection::vec((0u8..16, -2.0f64..2.0), n)).prop_map(|(levels, picks)| {
+            picks
+                .into_iter()
+                .map(|(pick, any)| match pick {
+                    p if p < levels => f64::from(p) * 0.5,
+                    8 => f64::NAN,
+                    9 => -f64::NAN,
+                    10 => f64::INFINITY,
+                    11 => f64::NEG_INFINITY,
+                    12 => -0.0,
+                    13 => 0.0,
+                    _ => any,
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1_000))]
+
+        /// The selection picks the oracle's ids in its defined order, at
+        /// every budget from empty through past the gallery.
+        #[test]
+        fn selection_equals_the_two_sort_oracle(
+            (votes, codes, pick) in (0usize..=300).prop_flat_map(|n| (channel(n), channel(n), 0..=n)),
+        ) {
+            let n = votes.len();
+            for k in [0, 1, pick, n.saturating_sub(1), n, n + 5] {
+                prop_assert_eq!(
+                    fuse_select(&votes, &codes, k),
+                    expected(&votes, &codes, k),
+                    "n={} k={}",
+                    n,
+                    k
+                );
+            }
+        }
+    }
+
+    /// Entries 0 and 1 share better rank 0, each first in one channel and
+    /// outside the other's top k. At k = 1 they straddle the cut: their
+    /// worse ranks (5 and 2) have to be counted, and the lower one beats
+    /// the lower id. Below the cut (k = 2) both are in, in id order; with
+    /// every rank known (k = 6) the order is the full fused order.
+    #[test]
+    fn the_cut_counts_worse_ranks_beyond_the_top_k() {
+        let votes = [9.0, 7.0, 8.0, 5.0, 4.0, 3.0];
+        let codes = [1.0, 9.0, 8.0, 7.0, 6.0, 5.0];
+        assert_eq!(fuse_select(&votes, &codes, 1), vec![1]);
+        assert_eq!(fuse_select(&votes, &codes, 2), vec![0, 1]);
+        assert_eq!(fuse_select(&votes, &codes, 6), vec![1, 0, 2, 3, 4, 5]);
+        for k in 0..=7 {
+            assert_eq!(fuse_select(&votes, &codes, k), expected(&votes, &codes, k));
+        }
+    }
+
+    /// Entries 0 and 1 share better rank 0 and worse rank 3 — entry 1 leads
+    /// the votes, entry 0 the codes — so the id decides, not the channel.
+    #[test]
+    fn equal_worse_ranks_fall_to_the_id() {
+        let votes = [5.0, 9.0, 8.0, 7.0, 1.0];
+        let codes = [9.0, 5.0, 8.0, 7.0, 1.0];
+        assert_eq!(fuse_select(&votes, &codes, 1), vec![0]);
+        assert_eq!(fuse_select(&votes, &codes, 2), vec![0, 1]);
+        for k in 0..=6 {
+            assert_eq!(fuse_select(&votes, &codes, k), expected(&votes, &codes, k));
+        }
+    }
 }

@@ -452,8 +452,9 @@ pub fn stitch_stage_one(per_shard: &[StageOneScores], total: usize) -> (Vec<f64>
 
 /// Runs the ONE global best-rank fusion over stitched global score arrays
 /// and deals the selected global ids back to their owning shards as local
-/// ids (selection order within each shard is preserved; stage 2 does not
-/// depend on it — parts are sorted afterwards).
+/// ids. Each shard's slice is in ascending fused-key order — the order its
+/// part is re-ranked and folded into a part chain in; the merged result
+/// does not depend on it, because parts are sorted afterwards.
 pub fn select_per_shard(
     vote_scores: &[f64],
     cyl_scores: &[f64],

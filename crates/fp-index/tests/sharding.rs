@@ -340,6 +340,95 @@ fn backend_driver_matches_sharded_and_unsharded() {
     }
 }
 
+/// Every entry's fused key `(better rank, worse rank, id)`, from both
+/// channels ranked in full (score desc by `total_cmp`, id asc).
+fn fused_keys(vote_scores: &[f64], cyl_scores: &[f64]) -> Vec<(u32, u32, u32)> {
+    let ranks = |scores: &[f64]| {
+        let mut order: Vec<u32> = (0..scores.len() as u32).collect();
+        order.sort_by(|&a, &b| {
+            scores[b as usize]
+                .total_cmp(&scores[a as usize])
+                .then(a.cmp(&b))
+        });
+        let mut ranks = vec![0u32; scores.len()];
+        for (rank, &id) in (0u32..).zip(&order) {
+            ranks[id as usize] = rank;
+        }
+        ranks
+    };
+    let (votes, codes) = (ranks(vote_scores), ranks(cyl_scores));
+    (0..vote_scores.len())
+        .map(|id| {
+            let (v, c) = (votes[id], codes[id]);
+            (v.min(c), v.max(c), id as u32)
+        })
+        .collect()
+}
+
+/// The one global fusion selects one set whatever the shard count: S ∈
+/// {1, 2, 3, 7} deal out the same global ids, the k smallest fused keys.
+/// Every shard's slice arrives in ascending fused-key order with ranks of
+/// k or more read as k — the order its part is re-ranked and folded into
+/// the shard's part chain in. Scores are a real probe's stage 1, and a
+/// coarsened copy of it that ties often.
+#[test]
+fn every_shard_count_selects_one_set_in_fused_order() {
+    use fp_index::shard::select_per_shard;
+    use fp_index::ShardBackend;
+
+    const N: usize = 40;
+    let templates = gallery(515, N);
+    let mut index = CandidateIndex::new(PairTableMatcher::default());
+    index.enroll_all(&templates);
+    for p in [0usize, 13, 31] {
+        let probe = second_capture(&templates[p], 8_800 + p as u64);
+        let scores = index.stage_one(&probe).expect("in-process");
+        let coarse =
+            |scores: &[f64]| -> Vec<f64> { scores.iter().map(|x| (x * 4.0).round()).collect() };
+        for (votes, codes) in [
+            (scores.vote_scores.clone(), scores.cyl_scores.clone()),
+            (coarse(&scores.vote_scores), coarse(&scores.cyl_scores)),
+        ] {
+            let keys = fused_keys(&votes, &codes);
+            let mut by_key = keys.clone();
+            by_key.sort_unstable();
+            for budget in [0usize, 1, N / 3, N - 1, N, N + 5] {
+                let mut expected: Vec<u32> =
+                    by_key.iter().take(budget).map(|&(_, _, id)| id).collect();
+                let beyond = budget.min(N) as u32;
+                let order_key = |id: u32| {
+                    let (better, worse, _) = keys[id as usize];
+                    (better, worse.min(beyond), id)
+                };
+                let mut in_order = expected.clone();
+                in_order.sort_unstable_by_key(|&id| order_key(id));
+                expected.sort_unstable();
+                for s in [1usize, 2, 3, 7] {
+                    let slices = select_per_shard(&votes, &codes, budget, s);
+                    assert_eq!(slices.len(), s);
+                    let mut dealt = Vec::new();
+                    for (k, slice) in slices.iter().enumerate() {
+                        let global: Vec<u32> = slice
+                            .iter()
+                            .map(|&local| local * s as u32 + k as u32)
+                            .collect();
+                        assert!(
+                            global.windows(2).all(|w| order_key(w[0]) < order_key(w[1])),
+                            "shard {k} of {s}, budget {budget}: {global:?} not in fused order"
+                        );
+                        dealt.extend(global);
+                    }
+                    if s == 1 {
+                        assert_eq!(dealt, in_order, "budget={budget}");
+                    }
+                    dealt.sort_unstable();
+                    assert_eq!(dealt, expected, "s={s} budget={budget}");
+                }
+            }
+        }
+    }
+}
+
 /// The empty-selection rule — a shard whose slice of the selection is empty
 /// gets no stage-2 call and folds nothing into its part chain — is the one
 /// place search drivers could drift apart, so pin it where it bites: three

@@ -66,9 +66,8 @@ where
     let counter = AtomicUsize::new(0);
     let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
     slots.resize_with(n, || None);
-    // SAFETY-free sharing: each worker writes disjoint slots; we hand out
-    // slot ownership through a Mutex-free pattern by collecting into
-    // per-thread vectors instead.
+    // Each worker collects its `(index, value)` pairs in a vector of its
+    // own; the joined vectors are then scattered into `slots` by index.
     let results: Vec<(Vec<(usize, T)>, WorkerStats)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|w| {
@@ -102,9 +101,13 @@ where
                 })
             })
             .collect();
+        // A worker's panic re-raises its own payload, not a generic one.
         handles
             .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
             .collect()
     });
     let mut workers = Vec::with_capacity(results.len());
@@ -153,6 +156,15 @@ mod tests {
         for (i, h) in hits.iter().enumerate() {
             assert_eq!(h.load(Ordering::SeqCst), 1, "index {i}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "item 37 has no score")]
+    fn a_worker_panic_keeps_its_message() {
+        let _ = parallel_map(64, |i| {
+            assert_ne!(i, 37, "item {i} has no score");
+            i
+        });
     }
 
     #[test]
