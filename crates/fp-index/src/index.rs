@@ -204,7 +204,8 @@ pub struct StageOneScores {
     pub vote_scores: Vec<f64>,
     /// Local-similarity-sort cylinder-code score per entry.
     pub cyl_scores: Vec<f64>,
-    /// Geometric-hash vote increments performed.
+    /// Geometric-hash votes cast: a bucket reached by `w` probe features
+    /// counts `w` times its length, however often its ids were read.
     pub bucket_hits: u64,
     /// Packed-`u64` Hamming word comparisons performed.
     pub hamming_word_ops: u64,

@@ -17,9 +17,9 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 ///
 /// Measured on the reference host (2-core Xeon @ 2.1 GHz): a scoped spawn
 /// plus its join costs 15–21 µs. One entry costs 0.5 µs at the cheapest,
-/// in both channels together: 0.6 µs (codes) + 0.34 µs (votes) at
+/// in both channels together: 0.6 µs (codes) + 0.17 µs (votes) at
 /// `identify_10k`'s scaled config, 0.41 µs (codes alone) over the
-/// 2,000-entry bench arena, 3.4 µs (both) for `identify_cohort`'s real
+/// 2,000-entry bench arena, 1.9 µs (both) for `identify_cohort`'s real
 /// captures at the default config. 128 entries are then at least 64 µs,
 /// three spawns, so a lane spends at most a third of its work coming into
 /// being and still more than halves it; the break-even is near 40 entries.
@@ -39,10 +39,10 @@ pub(crate) const COMPARISON_ENTRIES: usize = 64;
 /// Gallery entries one job of the codes pass scores, and, in the same
 /// units, about the size of every job [`share`] deals: 64 entries are
 /// 32–40 µs at the cheapest per-entry cost above, one re-rank comparison is
-/// a job of its own, and a vote job of [`JOB_FEATURES`] costs the same
-/// order. A job is the most a lane can be left waiting for when the other
-/// lane's core is taken from it mid-pass; its claim costs one lock, well
-/// under 1 % of that.
+/// a job of its own, and the vote pass's jobs of [`JOB_FEATURES`] and
+/// [`JOB_IDS`] cost the same order. A job is the most a lane can be left
+/// waiting for when the other lane's core is taken from it mid-pass; its
+/// claim costs one lock, well under 1 % of that.
 ///
 /// Jobs rather than one fixed range per lane, because the host does not
 /// always lend the second core when asked: on the reference host a spawned
@@ -52,10 +52,19 @@ pub(crate) const COMPARISON_ENTRIES: usize = 64;
 /// 18 % between runs where the serial build spread 16 %; with jobs, 9 %.
 pub(crate) const JOB_ENTRIES: usize = 64;
 
-/// Probe pair features one job of the vote pass casts: each visits 27
-/// buckets, 2.2 µs at `identify_cohort`'s gallery (521 features a probe)
-/// and 12 µs at `identify_10k`'s (301), so 8 are 17–100 µs.
-pub(crate) const JOB_FEATURES: usize = 8;
+/// Probe pair features one job of the vote pass's reach phase looks up:
+/// each binary-searches its 27 neighbourhood keys in a key array of about
+/// 5,400 keys (both benchmark galleries), 0.5–0.6 µs a feature on one
+/// lane, so 32 are 16–19 µs. A benchmark probe has 200–1,050 features
+/// at the median of its class.
+pub(crate) const JOB_FEATURES: usize = 32;
+
+/// Bucket ids one job of the vote pass's stream phase adds its weights
+/// to, at least: one id costs 0.8–1.0 ns on one lane (a read from the id
+/// array, an add into a count array that stays in cache), so a job is
+/// 26–33 µs. An `identify_10k` search streams 1.7–2.7 M ids at the median
+/// of its probe classes, an `identify_cohort` search 155–190 k.
+pub(crate) const JOB_IDS: usize = 32_768;
 
 /// The host's logical cores, asked once per process: on Linux
 /// `available_parallelism` reads cgroup files (about 14 µs on the reference
@@ -78,6 +87,10 @@ pub(crate) fn count(work: usize, max: usize) -> usize {
 /// loses its core mid-pass leaves its share to the others instead of
 /// holding the pass up: a pass waits at most one job for the slowest lane,
 /// not half of its work. One state runs every job inline, in order.
+///
+/// In this crate's unit tests every lane takes a job before any lane runs
+/// one, so a test of a pass with at least as many jobs as lanes uses every
+/// lane's state, however the threads are scheduled.
 pub(crate) fn share<J: Send, S: Send, T: Send>(
     jobs: Vec<J>,
     mut states: Vec<S>,
@@ -87,12 +100,18 @@ pub(crate) fn share<J: Send, S: Send, T: Send>(
     let n = jobs.len();
     let unused = states.len().saturating_sub(n.max(1));
     states.drain(..unused);
+    #[cfg(test)]
+    let all_in = std::sync::Barrier::new(states.len());
     let queue = Mutex::new(jobs.into_iter().enumerate());
     // No lane panics while holding the lock: it is held for `next` alone.
     let take = || queue.lock().unwrap_or_else(PoisonError::into_inner).next();
     let done = run(states, |mut state| {
         let mut mine = Vec::new();
         while let Some((at, job)) = take() {
+            #[cfg(test)]
+            if mine.is_empty() {
+                all_in.wait();
+            }
             mine.push((at, work(&mut state, job)));
         }
         mine

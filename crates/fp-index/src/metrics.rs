@@ -31,7 +31,8 @@ pub struct IndexMetrics {
     /// performed by the stage-1 kernel (the full cylinder-pair x word
     /// fan-out, not one op per gallery entry).
     pub(crate) hamming_ops: Counter,
-    /// `index.search.bucket_hits` — geometric-hash vote increments.
+    /// `index.search.bucket_hits` — geometric-hash votes cast (weighted
+    /// bucket hits, not ids read).
     pub(crate) bucket_hits: Counter,
     /// `index.search.rerank_comparisons` — exact matcher comparisons spent
     /// re-ranking shortlists.
@@ -49,8 +50,8 @@ pub struct IndexMetrics {
     /// comparisons per probe. The global counter hides outliers; this
     /// distribution shows when one probe paid far more than the median.
     pub(crate) hamming_per_search: ValueHistogram,
-    /// `index.search.bucket_hits_per_search` — geometric-hash vote
-    /// increments per probe (shortlist-quality outliers per search).
+    /// `index.search.bucket_hits_per_search` — geometric-hash votes cast
+    /// per probe (shortlist-quality outliers per search).
     pub(crate) bucket_hits_per_search: ValueHistogram,
     /// `index.build.seconds` — wall time per enrolled template, in both the
     /// sequential and the batch path (the batch path records each

@@ -522,7 +522,7 @@ impl GalleryStore {
         let config = decode_meta(&meta_payload)?;
         let spans = decode_spans(&spans_payload, entry_count)?;
         let arena = decode_arena(&arena_payload, &spans)?;
-        let buckets = decode_buckets(&buckets_payload, entry_count)?;
+        let buckets = decode_buckets(&buckets_payload, &spans)?;
         let pair_counts: Vec<u32> = spans.iter().map(|s| s.pair_count).collect();
 
         // (record offset, record length, stored CRC) per entry, offsets

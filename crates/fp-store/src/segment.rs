@@ -39,7 +39,8 @@
 //!
 //! Decoding validates semantics, not just framing: pair distances must be
 //! finite and sorted, directions and pair angles canonical, minutia
-//! references in range, bucket ids dense, bucket keys strictly ascending —
+//! references in range, bucket ids dense, bucket keys strictly ascending,
+//! each entry registered in BUCKETS as often as its SPANS pair count says —
 //! each the exact precondition some downstream kernel relies on without
 //! re-checking.
 
@@ -518,11 +519,11 @@ pub(crate) fn decode_arena(payload: &[u8], spans: &[SpanRec]) -> Result<CodeAren
 }
 
 /// Decodes the BUCKETS section straight into the index's table, which
-/// validates it against `entry_count` (`FlatBuckets::from_raw_parts`).
-pub(crate) fn decode_buckets(
-    payload: &[u8],
-    entry_count: usize,
-) -> Result<FlatBuckets, StoreError> {
+/// validates it against the entry count (`FlatBuckets::from_raw_parts`),
+/// then checks that entry `i` is registered exactly `spans[i].pair_count`
+/// times: enrollment registers one key per pair feature, and the vote
+/// score divides by that count.
+pub(crate) fn decode_buckets(payload: &[u8], spans: &[SpanRec]) -> Result<FlatBuckets, StoreError> {
     let mut dec = Dec::new(payload, WHAT, "buckets");
     let key_count = dec.u64()?;
     let id_count = dec.u64()?;
@@ -530,7 +531,25 @@ pub(crate) fn decode_buckets(
     let lens = dec.at("bucket lengths").u32_slice(key_count)?;
     let ids = dec.at("bucket ids").u32_slice(id_count)?;
     dec.at("buckets").finish()?;
-    FlatBuckets::from_raw_parts(keys, lens, ids, entry_count).map_err(corrupt)
+    let buckets = FlatBuckets::from_raw_parts(keys, lens, ids, spans.len()).map_err(corrupt)?;
+    let mut registered = vec![0u64; spans.len()];
+    for (_, ids) in buckets.iter() {
+        for &id in ids {
+            registered[id as usize] += 1;
+        }
+    }
+    let lie = spans
+        .iter()
+        .zip(registered)
+        .enumerate()
+        .find(|(_, (span, n))| u64::from(span.pair_count) != *n);
+    match lie {
+        Some((at, (span, n))) => Err(corrupt(format!(
+            "entry {at}: buckets register {n} ids, spans declare {} pairs",
+            span.pair_count
+        ))),
+        None => Ok(buckets),
+    }
 }
 
 /// Fully decodes and validates a segment file image, including every
@@ -571,14 +590,15 @@ pub(crate) fn decode_segment(bytes: &[u8]) -> Result<DecodedSegment, StoreError>
         config,
         entries,
         arena: decode_arena(payload(3), &spans)?,
-        buckets: decode_buckets(payload(4), entry_count)?,
+        buckets: decode_buckets(payload(4), &spans)?,
     })
 }
 
 /// Validates a segment image end to end — framing, every checksum, and
 /// all semantic invariants (sorted pair distances, canonical directions
 /// and pair angles, in-range minutia references and bucket ids, ascending
-/// bucket keys) — without assembling an index. Returns the entry count. This is the
+/// bucket keys, bucket registrations matching the pair counts) — without
+/// assembling an index. Returns the entry count. This is the
 /// public fsck surface the corruption test-suite drives: **no** byte
 /// flip, truncation, or hostile header may get past it, and none may
 /// panic.

@@ -268,6 +268,16 @@ fn crafted_hostile_section_tables_are_typed_errors() {
         other => panic!("non-canonical beta1 produced {other:?}"),
     }
 
+    // A pair count that disagrees with BUCKETS, SPANS and header CRCs
+    // re-sealed: the vote score divides by it, so the shortlist would
+    // reorder under a segment that opens cleanly.
+    match check_segment(&with_pair_count(segment, 0, 1)) {
+        Err(StoreError::Corrupt { detail, .. }) => {
+            assert!(detail.contains("entry 0: buckets register"), "{detail}")
+        }
+        other => panic!("lying pair count produced {other:?}"),
+    }
+
     // Wrong magic.
     let mut bad = segment.clone();
     bad[0] = b'X';
@@ -318,6 +328,54 @@ fn a_table_changed_after_a_lazy_open_fails_with_its_own_message() {
     drop(file);
 
     opened.search_with_budget(&templates[3], templates.len());
+}
+
+/// `segment` with entry `at`'s SPANS pair count set to `count`, the SPANS
+/// and header CRCs re-sealed. SPANS is section-table row 1 (at 16 + 24):
+/// id u32 | offset u64 | len u64 | crc u32; a SPANS record is 24 bytes,
+/// its pair count the last four.
+fn with_pair_count(segment: &[u8], at: usize, count: u32) -> Vec<u8> {
+    let u64_at = |at: usize| u64::from_le_bytes(segment[at..at + 8].try_into().unwrap()) as usize;
+    let (spans_off, spans_len) = (u64_at(44), u64_at(52));
+    let mut bad = segment.to_vec();
+    let field = spans_off + 24 * at + 20;
+    bad[field..field + 4].copy_from_slice(&count.to_le_bytes());
+    let crc = fp_store_crc32(&bad[spans_off..spans_off + spans_len]);
+    bad[60..64].copy_from_slice(&crc.to_le_bytes());
+    let crc = fp_store_crc32(&bad[..136]);
+    bad[136..140].copy_from_slice(&crc.to_le_bytes());
+    bad
+}
+
+/// The lazy open reads BUCKETS and SPANS without TABLES, and refuses a
+/// pair count that disagrees with BUCKETS as the full decode does.
+#[test]
+fn a_lazy_open_refuses_a_pair_count_its_buckets_contradict() {
+    let dir = std::env::temp_dir().join(format!("fp-store-pairs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let seed = SeedTree::new(0x5A_1D);
+    let mut index = CandidateIndex::new(PairTableMatcher::default());
+    for i in 0..4u64 {
+        index.enroll(&synthetic_template(&seed.child(&[i]), 20));
+    }
+    let seq = GalleryStore::create(&dir)
+        .unwrap()
+        .append_index(&index)
+        .unwrap();
+    let path = dir.join(format!("seg-{seq:08}.fpseg"));
+    let segment = std::fs::read(&path).unwrap();
+    std::fs::write(&path, with_pair_count(&segment, 3, 7)).unwrap();
+    let opened = GalleryStore::open(&dir).unwrap().open_index();
+    std::fs::remove_dir_all(&dir).unwrap();
+    match opened {
+        Err(StoreError::Corrupt { detail, .. }) => {
+            assert!(detail.contains("entry 3: buckets register"), "{detail}")
+        }
+        other => panic!(
+            "lying pair count opened: {:?}",
+            other.map(|index| index.len())
+        ),
+    }
 }
 
 /// CRC32 (IEEE) — reimplemented here so hostile-header tests can re-seal
