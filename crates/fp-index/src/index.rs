@@ -25,21 +25,20 @@ use crate::signature::{CylinderCodes, Stage1Scratch};
 /// chasing per-entry allocations.
 #[derive(Debug, Clone)]
 struct GalleryEntry<P> {
-    /// The entry's prepared stage-2 structure. Enrollment and eager store
-    /// opens fill the slot at construction; a lazy store open leaves it
-    /// empty for the index's [`TableLoader`] to fill on first stage-2
-    /// touch. Only shortlisted entries are ever re-ranked, so a lazily
-    /// opened gallery decodes a handful of tables per search instead of
-    /// all of them at open — the decoded value is bit-identical either
-    /// way, so searches are too.
+    /// The entry's prepared stage-2 structure. Enrollment fills the slot
+    /// at construction; a store open leaves it empty for the index's
+    /// [`TableLoader`] to fill on first stage-2 touch. Only shortlisted
+    /// entries are ever re-ranked, so an opened gallery decodes a handful
+    /// of tables per search instead of all of them at open — the decoded
+    /// value is bit-identical to the enrolled one, so searches are too.
     prepared: OnceLock<P>,
     pair_count: u32,
 }
 
-/// Demand-loader for lazy entries: maps a dense gallery id to its prepared
-/// stage-2 structure (`fp-store` slices, checksums, and decodes the
-/// entry's table record from the open segment file). Must be pure — the
-/// value is cached in the entry's slot and must equal what eager
+/// Demand-loader for a store-opened index's entries: maps a dense gallery
+/// id to its prepared stage-2 structure (`fp-store` reads, checksums, and
+/// decodes the entry's table record from its open segment file). Must be
+/// pure — the value is cached in the entry's slot and must equal what
 /// enrollment would have produced, bit for bit.
 pub struct TableLoader<P>(std::sync::Arc<dyn Fn(u32) -> P + Send + Sync>);
 
@@ -60,17 +59,6 @@ impl<P> std::fmt::Debug for TableLoader<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("TableLoader")
     }
-}
-
-/// Where a persisted gallery's prepared stage-2 structures come from when
-/// [`CandidateIndex::from_store_parts`] reassembles it. A lazily filled
-/// slot without a loader cannot be spelled.
-#[derive(Debug)]
-pub enum StoredTables<P> {
-    /// Already decoded, one per entry in dense-id order.
-    Ready(Vec<P>),
-    /// Decoded per entry on its first stage-2 touch.
-    Lazy(TableLoader<P>),
 }
 
 /// Everything one template contributes at enrollment, prepared off the
@@ -393,7 +381,7 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
     /// empty.
     fn prepared(&self, id: u32) -> &M::Prepared {
         self.entries[id as usize].prepared.get_or_init(|| {
-            // Only `StoredTables::Lazy` leaves slots empty, and it carries
+            // Only `from_store_parts` leaves slots empty, and it installs
             // the loader.
             let loader = self.loader.as_ref().expect("empty table slot has a loader");
             (loader.0)(id)
@@ -556,21 +544,20 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
     /// Reassembles an index from persisted parts — the open path of
     /// `fp-store`'s segment format. `pair_counts` holds every entry's
     /// pair-feature count in dense-id order (stage 1 needs them all on
-    /// every search); `tables` either brings the prepared matcher
-    /// structures along or a loader that decodes one the first time
-    /// stage 2 touches its entry — since only shortlisted entries are ever
-    /// re-ranked, the lazy form skips decoding the dominant share of a
+    /// every search); `tables` loads an entry's prepared matcher structure
+    /// the first time stage 2 touches it — since only shortlisted entries
+    /// are ever re-ranked, an open skips reading the dominant share of a
     /// persisted gallery's bytes. `arena` and `buckets` must describe the
     /// same entries (the arena packs one span per entry, bucket ids are
     /// dense gallery ids); the table is adopted as it is. The result is
     /// indistinguishable from an index grown by [`enroll`](Self::enroll)
     /// calls in the same order — same candidate lists, same RUNFP chain —
-    /// provided a loader returns exactly what eager enrollment produced.
+    /// provided the loader returns exactly what enrollment produced.
     ///
     /// # Panics
     ///
-    /// If `arena` or ready `tables` do not hold exactly one item per pair
-    /// count, or a bucket id is not below `pair_counts.len()`. Untrusted
+    /// If `arena` does not hold exactly one entry per pair count, or a
+    /// bucket id is not below `pair_counts.len()`. Untrusted
     /// inputs are validated *before* this point, by
     /// [`CodeArena::from_raw_parts`] and by [`FlatBuckets::from_raw_parts`]
     /// against the decoded entry count; these asserts are last-line
@@ -580,7 +567,7 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
         matcher: M,
         config: IndexConfig,
         pair_counts: Vec<u32>,
-        tables: StoredTables<M::Prepared>,
+        tables: TableLoader<M::Prepared>,
         arena: CodeArena,
         buckets: FlatBuckets,
     ) -> Result<CandidateIndex<M>, IndexConfigError> {
@@ -593,25 +580,11 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
         if let Some(id) = buckets.stray_id(pair_counts.len()) {
             panic!("bucket id {id} names no entry of {}", pair_counts.len());
         }
-        let slots: Vec<OnceLock<M::Prepared>> = match tables {
-            StoredTables::Ready(tables) => {
-                assert_eq!(
-                    tables.len(),
-                    pair_counts.len(),
-                    "need exactly one prepared table per entry"
-                );
-                tables.into_iter().map(OnceLock::from).collect()
-            }
-            StoredTables::Lazy(loader) => {
-                index.loader = Some(loader);
-                pair_counts.iter().map(|_| OnceLock::new()).collect()
-            }
-        };
-        index.entries = slots
+        index.loader = Some(tables);
+        index.entries = pair_counts
             .into_iter()
-            .zip(pair_counts)
-            .map(|(prepared, pair_count)| GalleryEntry {
-                prepared,
+            .map(|pair_count| GalleryEntry {
+                prepared: OnceLock::new(),
                 pair_count,
             })
             .collect();

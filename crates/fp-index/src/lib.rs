@@ -80,9 +80,7 @@ pub use arena::{lane_body_name, CodeArena, LANE_WORDS};
 pub use backend::{search_backends, ShardBackend, ShardError};
 pub use config::{IndexConfig, IndexConfigError};
 pub use geohash::FlatBuckets;
-pub use index::{
-    Candidate, CandidateIndex, SearchResult, StageOneScores, StoredTables, TableLoader,
-};
+pub use index::{Candidate, CandidateIndex, SearchResult, StageOneScores, TableLoader};
 #[doc(hidden)]
 pub use lanes::MIN_LANE_ENTRIES;
 pub use metrics::IndexMetrics;

@@ -22,7 +22,7 @@ use fp_core::rng::SeedTree;
 use fp_core::template::Template;
 use fp_index::{
     CandidateIndex, CodeArena, CylinderCodes, IndexConfig, IndexConfigError, Stage1Scratch,
-    StoredTables, LANE_WORDS,
+    TableLoader, LANE_WORDS,
 };
 use fp_match::{MccMatcher, PairTableMatcher};
 use proptest::prelude::*;
@@ -288,17 +288,14 @@ fn with_config_panics_on_zero_lss_depth() {
 fn adopting_a_bucket_table_with_a_stray_id_panics_at_construction() {
     let mut index = CandidateIndex::new(PairTableMatcher::default());
     index.enroll_all(&[synthetic_template(1, 20), synthetic_template(2, 20)]);
-    let (tables, pair_counts) = index
-        .store_entries()
-        .map(|(table, pairs)| (table.clone(), pairs))
-        .unzip();
+    let pair_counts = index.store_entries().map(|(_, pairs)| pairs).collect();
     // Shifted past the two entries: valid shape, ids naming no entry.
     let stray = index.buckets().remap(|id| Some(id + 2));
     let _ = CandidateIndex::from_store_parts(
         PairTableMatcher::default(),
         *index.config(),
         pair_counts,
-        StoredTables::Ready(tables),
+        TableLoader::new(|_| unreachable!("construction loads no table")),
         index.arena().clone(),
         stray,
     );

@@ -5,7 +5,8 @@
 //! meter an integer sum, so any lane count must return what one lane
 //! returns: `vote_scores` and `cyl_scores` to the bit, `bucket_hits` and
 //! `hamming_word_ops` to the integer, re-rank parts in selection order —
-//! on an eager index and on a lazily loaded one. Gallery sizes straddle
+//! whether a pass finds its tables loaded or loads them on its lanes.
+//! Gallery sizes straddle
 //! the inline minimum (`MIN_LANE_ENTRIES` entries per lane), from the
 //! empty gallery up to seven full lanes; the gallery holds empty-code
 //! entries, and some probes have no pairs at all.
@@ -17,8 +18,8 @@ use fp_core::minutia::{Minutia, MinutiaKind};
 use fp_core::rng::SeedTree;
 use fp_core::template::Template;
 use fp_index::{
-    Candidate, CandidateIndex, CodeArena, FlatBuckets, IndexConfig, StageOneScores, StoredTables,
-    TableLoader, MIN_LANE_ENTRIES,
+    Candidate, CandidateIndex, CodeArena, FlatBuckets, IndexConfig, StageOneScores, TableLoader,
+    MIN_LANE_ENTRIES,
 };
 use fp_match::{PairTableMatcher, PreparedPairTable};
 use proptest::prelude::*;
@@ -114,26 +115,23 @@ fn parts(n: usize) -> Parts {
     }
 }
 
-/// The eager and the lazily loaded index over `parts`.
+/// Two indexes over `parts`, each loading its tables on first touch: the
+/// first serves the one-lane passes, so the second loads its tables on
+/// several lanes at once.
 fn indexes(parts: &Parts) -> [CandidateIndex<PairTableMatcher>; 2] {
-    let open = |tables| {
+    let shared = Arc::new(parts.tables.clone());
+    [(); 2].map(|()| {
+        let shared = Arc::clone(&shared);
         CandidateIndex::from_store_parts(
             PairTableMatcher::default(),
             IndexConfig::default(),
             parts.pair_counts.clone(),
-            tables,
+            TableLoader::new(move |id| shared[id as usize].clone()),
             parts.arena.clone(),
             parts.buckets.clone(),
         )
         .unwrap()
-    };
-    let shared = Arc::new(parts.tables.clone());
-    [
-        open(StoredTables::Ready(parts.tables.clone())),
-        open(StoredTables::Lazy(TableLoader::new(move |id| {
-            shared[id as usize].clone()
-        }))),
-    ]
+    })
 }
 
 fn score_bits(scores: &StageOneScores) -> (Vec<u64>, Vec<u64>, u64, u64) {
@@ -170,15 +168,15 @@ proptest! {
     ) {
         let n = sizes()[size_at];
         let parts = parts(n);
-        let [eager, lazy] = indexes(&parts);
+        let [one_lane, lanes_first] = indexes(&parts);
         // One probe in three has at most one minutia: no pairs, no codes.
         let probe_minutiae = if probe_minutiae < 13 { probe_minutiae % 2 } else { probe_minutiae };
         let probe = synthetic_template(probe_seed, probe_minutiae);
 
-        let one = eager.stage_one_on_lanes(&probe, 1);
+        let one = one_lane.stage_one_on_lanes(&probe, 1);
         prop_assert_eq!(one.vote_scores.len(), n);
         for lanes in LANES {
-            let split = eager.stage_one_on_lanes(&probe, lanes);
+            let split = one_lane.stage_one_on_lanes(&probe, lanes);
             prop_assert_eq!(score_bits(&split), score_bits(&one), "{} lanes, {} entries", lanes, n);
         }
 
@@ -193,10 +191,10 @@ proptest! {
                 }
             }
         }
-        let one = part_bits(&eager.stage_two_on_lanes(&probe, &selected, 1));
+        let one = part_bits(&one_lane.stage_two_on_lanes(&probe, &selected, 1));
         prop_assert_eq!(one.iter().map(|&(id, _)| id).collect::<Vec<_>>(), selected.clone());
         for lanes in LANES {
-            for index in [&eager, &lazy] {
+            for index in [&lanes_first, &one_lane] {
                 let split = part_bits(&index.stage_two_on_lanes(&probe, &selected, lanes));
                 prop_assert_eq!(&split, &one, "{} lanes, {} selected", lanes, selected.len());
             }
@@ -205,15 +203,15 @@ proptest! {
 }
 
 /// The search itself, on the host's lane count: at a full budget it is
-/// brute force, eager or lazy.
+/// brute force, whether its tables load during the search or before it.
 #[test]
 fn a_search_on_the_hosts_lanes_equals_brute_force() {
     let parts = parts(3 * MIN_LANE_ENTRIES + 1);
-    let [eager, lazy] = indexes(&parts);
+    let [loaded, loading] = indexes(&parts);
     for seed in 0..3 {
         let probe = synthetic_template(0x2B_00 + seed, 30);
-        let brute = eager.brute_force(&probe);
-        for index in [&eager, &lazy] {
+        let brute = loaded.brute_force(&probe);
+        for index in [&loading, &loaded] {
             let full = index.search_with_budget(&probe, index.len());
             assert_eq!(full.candidates(), brute.candidates());
         }

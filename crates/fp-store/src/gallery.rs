@@ -20,21 +20,30 @@
 //! every array the search kernels read is bitwise equal to the
 //! fresh-enrollment one. `study check-store` enforces this end to end.
 //!
-//! # Fast open
+//! # Open
 //!
-//! A compacted store (one segment, no tombstones) needs no remapping, so
-//! [`GalleryStore::open_index`] takes a lazy path: it preads only the
-//! header, META, SPANS, ARENA, and BUCKETS sections (CRC-verified), and
-//! defers the TABLES section — by far the largest — entirely. Stage 1
-//! never touches prepared tables; stage 2 demand-loads each shortlisted
-//! entry's table record by offset (from SPANS) with a per-record CRC
-//! check. The shared `decode_table_record` guarantees a demand-loaded
-//! table is bit-identical to the eagerly decoded one, so search results
-//! (and the RUNFP chain) are unchanged; `check_segment` validates every
-//! per-record CRC up front, so a segment that passes fsck can only fail a
-//! lazy load if the file rots *after* open (reported by panic, the only
-//! channel available mid-search). Multi-segment or tombstoned stores use
-//! the eager whole-file path.
+//! Every read of a live segment goes through one reader, `SegmentFile`.
+//! Opening a segment preads the header and two runs, META+SPANS and
+//! ARENA+BUCKETS, checks each section's CRC, decodes the sections and
+//! checks the entry count against the manifest. It keeps the open file
+//! and where each entry's TABLES record lies; TABLES, by far the largest
+//! section, stays on disk. [`GalleryStore::open_index`] and
+//! [`GalleryStore::open_sharded`] merge the survivors of every live
+//! segment in live order, whatever the store's shape, and install a
+//! [`TableLoader`] that reads an entry's record the first time stage 2
+//! touches it. [`GalleryStore::compact`] reads every survivor's record
+//! the same way and writes its bytes unchanged. A reader checks a record
+//! against its CRC from SPANS and decodes it before anything uses it;
+//! `decode_table_record` is the record's only decoder, so a loaded table
+//! is bit-identical to the enrolled one and searches are too.
+//!
+//! An open reads no TABLES record, so a record that rotted, before the
+//! open or after it, is found when stage 2 first touches its entry. The
+//! loader then panics, the only channel mid-search, naming the segment's
+//! file and the entry's index within that segment (the index tombstones
+//! and `inspect` use). [`GalleryStore::compact`],
+//! [`check_segment`](crate::check_segment), [`GalleryStore::inspect`] and
+//! `study check-store` find such a record up front, as typed errors.
 
 use std::fs;
 use std::os::unix::fs::FileExt;
@@ -42,10 +51,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-use fp_core::codec::crc32;
-use fp_index::{
-    CandidateIndex, CodeArena, FlatBuckets, IndexConfig, ShardedIndex, StoredTables, TableLoader,
-};
+use fp_index::{CandidateIndex, CodeArena, FlatBuckets, IndexConfig, ShardedIndex, TableLoader};
 use fp_match::{PairTableMatcher, PreparedPairTable};
 use fp_telemetry::{Counter, DurationHistogram, Telemetry};
 use serde::Serialize;
@@ -53,9 +59,8 @@ use serde::Serialize;
 use crate::error::StoreError;
 use crate::manifest::{Manifest, SegmentMeta, MANIFEST_NAME};
 use crate::segment::{
-    decode_arena, decode_buckets, decode_meta, decode_segment, decode_spans, decode_table_record,
-    encode_segment, inspect_segment, parse_header, DecodedSegment, EntrySource, SegmentInspect,
-    SegmentSource, SECTIONS_START,
+    decode_table_record, encode_segment, encode_table, inspect_segment, read_head, EntrySource,
+    SegmentHead, SegmentInspect, TableRecord,
 };
 
 fn corrupt(what: &'static str, detail: impl Into<String>) -> StoreError {
@@ -70,9 +75,10 @@ fn corrupt(what: &'static str, detail: impl Into<String>) -> StoreError {
 struct StoreMetrics {
     /// `store.segments.written` — segment files written (append + compact).
     segments_written: Counter,
-    /// `store.segments.loaded` — segment files decoded on open paths.
+    /// `store.segments.loaded` — segment files opened by index opens.
     segments_loaded: Counter,
-    /// `store.load.bytes` — segment bytes read and decoded.
+    /// `store.load.bytes` — bytes those opens read: each file less its
+    /// TABLES section.
     load_bytes: Counter,
     /// `store.tombstones` — tombstones appended.
     tombstones: Counter,
@@ -164,7 +170,7 @@ impl GalleryInspect {
 fn assemble_index(
     config: IndexConfig,
     pair_counts: Vec<u32>,
-    tables: StoredTables<PreparedPairTable>,
+    tables: TableLoader<PreparedPairTable>,
     arena: CodeArena,
     buckets: FlatBuckets,
 ) -> Result<CandidateIndex<PairTableMatcher>, StoreError> {
@@ -179,25 +185,121 @@ fn assemble_index(
     .map_err(|err| corrupt("segment", format!("stored config invalid: {err}")))
 }
 
+/// One live segment file, open: the store's one way to read a segment.
+/// [`open`](Self::open) reads and checks everything but the TABLES
+/// records; [`record`](Self::record) reads one of them.
+#[derive(Debug)]
+struct SegmentFile {
+    seq: u32,
+    path: PathBuf,
+    file: fs::File,
+    records: Vec<TableRecord>,
+}
+
+impl SegmentFile {
+    /// Opens segment `seg` of the gallery at `dir`: `read_head` over the
+    /// file, then its entry count against the manifest's. Returns the
+    /// reader and the decoded rest of the segment.
+    fn open(dir: &Path, seg: SegmentMeta) -> Result<(SegmentFile, SegmentHead), StoreError> {
+        let path = Manifest::segment_path(dir, seg.seq);
+        let file = fs::File::open(&path)?;
+        let mut head = read_head(file.metadata()?.len(), |buf, offset| {
+            file.read_exact_at(buf, offset)
+        })?;
+        if head.records.len() != seg.entry_count as usize {
+            return Err(corrupt(
+                "manifest",
+                format!(
+                    "segment {} packs {} entries, manifest declares {}",
+                    seg.seq,
+                    head.records.len(),
+                    seg.entry_count
+                ),
+            ));
+        }
+        let records = std::mem::take(&mut head.records);
+        let reader = SegmentFile {
+            seq: seg.seq,
+            path,
+            file,
+            records,
+        };
+        Ok((reader, head))
+    }
+
+    /// Entry `at`'s TABLES record, read, checked against its CRC and
+    /// decoded: the bytes and the table they hold.
+    fn record(&self, at: u32) -> Result<(Vec<u8>, PreparedPairTable), StoreError> {
+        let TableRecord { offset, len, crc } = self.records[at as usize];
+        let mut record = vec![0u8; len];
+        self.file.read_exact_at(&mut record, offset)?;
+        let table = decode_table_record(&record, crc, at as usize)?;
+        Ok((record, table))
+    }
+}
+
+/// The survivors' TABLES records, still on disk: every live segment open,
+/// and where each dense id's record lies.
+#[derive(Debug)]
+struct LiveTables {
+    files: Vec<SegmentFile>,
+    /// Dense id -> (index into `files`, entry index within that segment).
+    places: Vec<(usize, u32)>,
+}
+
+impl LiveTables {
+    /// Survivor `id`'s record and table ([`SegmentFile::record`]).
+    fn record(&self, id: usize) -> Result<(Vec<u8>, PreparedPairTable), StoreError> {
+        let (file, at) = self.places[id];
+        self.files[file].record(at)
+    }
+
+    /// The loader of shard `shard` of `shards`, whose local id `j` is
+    /// survivor `j * shards + shard` (one shard: the survivors' own ids).
+    /// A record that fails to read or check panics, naming its file and
+    /// its entry index within that segment.
+    fn loader(self: &Arc<Self>, shards: usize, shard: usize) -> TableLoader<PreparedPairTable> {
+        let tables = Arc::clone(self);
+        TableLoader::new(move |j: u32| {
+            let (file, at) = tables.places[j as usize * shards + shard];
+            let file = &tables.files[file];
+            file.record(at).map_or_else(
+                |err| {
+                    let what = match err {
+                        StoreError::Io(_) => "read failed",
+                        StoreError::CrcMismatch { .. } => "CRC mismatch",
+                        _ => "corrupt",
+                    };
+                    panic!(
+                        "segment {} ({}): entry {at} table {what} after open: {err}",
+                        file.seq,
+                        file.path.display()
+                    )
+                },
+                |(_, table)| table,
+            )
+        })
+    }
+}
+
+/// The live view, opened: the survivors of every live segment in live
+/// order with dense ids — exactly the arrays a fresh enrollment of the
+/// survivors would have produced — and their records on disk.
+struct LiveView {
+    config: IndexConfig,
+    pair_counts: Vec<u32>,
+    arena: CodeArena,
+    buckets: FlatBuckets,
+    tables: Arc<LiveTables>,
+    bytes_read: u64,
+}
+
 /// A persistent on-disk gallery: immutable segments + tombstone manifest.
 #[derive(Debug)]
 pub struct GalleryStore {
     dir: PathBuf,
     manifest: Manifest,
     metrics: StoreMetrics,
-}
-
-/// The survivors of every live segment, concatenated in live order with
-/// densely remapped ids — exactly the arrays a fresh enrollment of the
-/// survivors would have produced.
-struct LoadedGallery {
-    config: IndexConfig,
-    tables: Vec<PreparedPairTable>,
-    pair_counts: Vec<u32>,
-    arena: CodeArena,
-    buckets: FlatBuckets,
-    bytes_read: u64,
-    segments_read: u64,
 }
 
 impl GalleryStore {
@@ -224,7 +326,7 @@ impl GalleryStore {
     /// Opens an existing gallery directory.
     pub fn open(dir: impl Into<PathBuf>) -> Result<GalleryStore, StoreError> {
         let dir = dir.into();
-        let manifest = Manifest::load(&dir)?;
+        let manifest = Manifest::read(&dir)?;
         Ok(GalleryStore {
             dir,
             manifest,
@@ -269,6 +371,14 @@ impl GalleryStore {
         self.manifest.tombstones.len()
     }
 
+    /// Makes `next` the store's manifest: on disk first, then in memory,
+    /// so a failed save leaves the store as it was.
+    fn commit(&mut self, next: Manifest) -> Result<(), StoreError> {
+        next.save(&self.dir)?;
+        self.manifest = next;
+        Ok(())
+    }
+
     /// Persists the full state of `index` as one new immutable segment
     /// and registers it in the manifest. Returns the segment's sequence
     /// number.
@@ -286,19 +396,27 @@ impl GalleryStore {
             ],
         );
 
-        let image = encode_segment(&SegmentSource {
-            config: *index.config(),
-            entries: EntrySource::zip_arena(index.store_entries(), index.arena()),
-            buckets: index.buckets(),
-        });
+        let arena = index.arena();
+        let entries = index
+            .store_entries()
+            .enumerate()
+            .map(|(id, (table, pair_count))| {
+                Ok(EntrySource {
+                    record: encode_table(table),
+                    pair_count,
+                    codes: arena.entry(id),
+                })
+            });
+        let image = encode_segment(*index.config(), entries, index.buckets())?;
 
         self.write_segment_file(seq, &image)?;
-        self.manifest.segments.push(SegmentMeta {
+        let mut next = self.manifest.clone();
+        next.segments.push(SegmentMeta {
             seq,
             entry_count: index.len() as u32,
         });
-        self.manifest.next_seq += 1;
-        self.manifest.save(&self.dir)?;
+        next.next_seq += 1;
+        self.commit(next)?;
         self.metrics.segments_written.incr();
         self.metrics.save_time.record(start.elapsed());
         Ok(seq)
@@ -331,48 +449,32 @@ impl GalleryStore {
                 ),
             ));
         }
-        if !self.manifest.tombstones.insert((seq, index)) {
+        let mut next = self.manifest.clone();
+        if !next.tombstones.insert((seq, index)) {
             return Ok(false);
         }
-        self.manifest.save(&self.dir)?;
+        self.commit(next)?;
         self.metrics.tombstones.incr();
         Ok(true)
     }
 
-    fn read_segment(&self, seq: u32) -> Result<(Vec<u8>, DecodedSegment), StoreError> {
-        let bytes = fs::read(Manifest::segment_path(&self.dir, seq))?;
-        let decoded = decode_segment(&bytes)?;
-        Ok((bytes, decoded))
-    }
-
-    /// Decodes every live segment and concatenates the survivors in live
-    /// order with dense ids.
-    fn load(&self) -> Result<LoadedGallery, StoreError> {
+    /// Opens every live segment and merges the survivors in live order
+    /// with dense ids.
+    fn open_live(&self) -> Result<LiveView, StoreError> {
         let mut config: Option<IndexConfig> = None;
-        let mut tables = Vec::new();
         let mut pair_counts = Vec::new();
         let mut arena = CodeArena::new();
         let mut buckets = FlatBuckets::default();
+        let mut files = Vec::new();
+        let mut places = Vec::new();
         let mut bytes_read = 0u64;
-        let mut next_id = 0u32;
 
         for seg in &self.manifest.segments {
-            let (bytes, decoded) = self.read_segment(seg.seq)?;
-            bytes_read += bytes.len() as u64;
-            if decoded.entries.len() != seg.entry_count as usize {
-                return Err(corrupt(
-                    "manifest",
-                    format!(
-                        "segment {} packs {} entries, manifest declares {}",
-                        seg.seq,
-                        decoded.entries.len(),
-                        seg.entry_count
-                    ),
-                ));
-            }
+            let (file, head) = SegmentFile::open(&self.dir, *seg)?;
+            bytes_read += head.bytes_read;
             match config {
-                None => config = Some(decoded.config),
-                Some(ref first) if *first != decoded.config => {
+                None => config = Some(head.config),
+                Some(ref first) if *first != head.config => {
                     return Err(corrupt(
                         "segment",
                         format!("segment {} config differs from the gallery's", seg.seq),
@@ -382,37 +484,52 @@ impl GalleryStore {
             }
 
             // Dense remap in live order: tombstoned entries get no id.
-            let mut remap = vec![None; decoded.entries.len()];
-            for (at, entry) in decoded.entries.iter().enumerate() {
-                if self.manifest.tombstones.contains(&(seg.seq, at as u32)) {
-                    continue;
+            let first = places.len();
+            let mut remap = vec![None; head.pair_counts.len()];
+            for (at, &pair_count) in head.pair_counts.iter().enumerate() {
+                let at = at as u32;
+                if !self.manifest.tombstones.contains(&(seg.seq, at)) {
+                    remap[at as usize] = Some(places.len() as u32);
+                    places.push((files.len(), at));
+                    pair_counts.push(pair_count);
                 }
-                remap[at] = Some(next_id);
-                next_id += 1;
-                arena.push_view(decoded.arena.entry(at));
-                tables.push(entry.table.clone());
-                pair_counts.push(entry.pair_count);
             }
-            // Segments are processed in live order and ids assigned in the
-            // same order, so this segment's survivors rank after every id
-            // merged so far: appending them keeps each bucket in the
-            // ascending-id order fresh enrollment would have produced.
-            buckets.append(decoded.buckets.remap(|id| remap[id as usize]));
+            if first == 0 && places.len() == remap.len() {
+                // Nothing merged before and nothing dropped: every id
+                // stays, so the arena and bucket table are adopted as
+                // decoded.
+                arena = head.arena;
+                buckets = head.buckets;
+            } else {
+                for (at, id) in remap.iter().enumerate() {
+                    if id.is_some() {
+                        arena.push_view(head.arena.entry(at));
+                    }
+                }
+                // Segments are processed in live order and ids assigned
+                // in the same order, so this segment's survivors rank
+                // after every id merged so far: appending them keeps each
+                // bucket in the ascending-id order fresh enrollment would
+                // have produced.
+                buckets.append(head.buckets.remap(|id| remap[id as usize]));
+            }
+            files.push(file);
         }
 
-        Ok(LoadedGallery {
+        Ok(LiveView {
             config: config.unwrap_or_default(),
-            tables,
             pair_counts,
             arena,
             buckets,
+            tables: Arc::new(LiveTables { files, places }),
             bytes_read,
-            segments_read: self.manifest.segments.len() as u64,
         })
     }
 
-    fn record_load(&self, segments_read: u64, bytes_read: u64, start: Instant) {
-        self.metrics.segments_loaded.add(segments_read);
+    fn record_load(&self, bytes_read: u64, start: Instant) {
+        self.metrics
+            .segments_loaded
+            .add(self.manifest.segments.len() as u64);
         self.metrics.load_bytes.add(bytes_read);
         self.metrics.load_time.record(start.elapsed());
     }
@@ -420,12 +537,9 @@ impl GalleryStore {
     /// Assembles the live view as one in-memory [`CandidateIndex`] —
     /// candidate lists and RUNFP chain byte-identical to fresh enrollment
     /// of the survivors in live order. An empty store opens as an empty
-    /// index with the default config.
-    ///
-    /// A compacted store (exactly one segment, no tombstones) opens
-    /// through the lazy fast path, deferring the TABLES section to
-    /// demand-time per-record loads (see the module docs for the parity
-    /// argument and failure policy).
+    /// index with the default config. Tables load on stage 2's first
+    /// touch (see the module docs for the parity argument and failure
+    /// policy).
     pub fn open_index(&self) -> Result<CandidateIndex<PairTableMatcher>, StoreError> {
         let start = Instant::now();
         let _span = self.metrics.telemetry.trace_span(
@@ -435,156 +549,16 @@ impl GalleryStore {
                 ("live", self.live_len().to_string()),
             ],
         );
-        if let [seg] = self.manifest.segments.as_slice() {
-            if self.manifest.tombstones.is_empty() {
-                let (index, bytes_read) = self.open_index_lazy(*seg)?;
-                self.record_load(1, bytes_read, start);
-                return Ok(index);
-            }
-        }
-        let loaded = self.load()?;
+        let live = self.open_live()?;
         let index = assemble_index(
-            loaded.config,
-            loaded.pair_counts,
-            StoredTables::Ready(loaded.tables),
-            loaded.arena,
-            loaded.buckets,
+            live.config,
+            live.pair_counts,
+            live.tables.loader(1, 0),
+            live.arena,
+            live.buckets,
         )?;
-        self.record_load(loaded.segments_read, loaded.bytes_read, start);
+        self.record_load(live.bytes_read, start);
         Ok(index)
-    }
-
-    /// The fast open path for a compacted store: preads and CRC-verifies
-    /// only the header + META + SPANS + ARENA + BUCKETS sections (a few
-    /// percent of the file at study scale) and installs a
-    /// [`TableLoader`] that demand-loads individual TABLES records by
-    /// span offset, each verified against its per-record CRC from SPANS.
-    /// Returns the index and the bytes actually read eagerly.
-    fn open_index_lazy(
-        &self,
-        seg: SegmentMeta,
-    ) -> Result<(CandidateIndex<PairTableMatcher>, u64), StoreError> {
-        let path = Manifest::segment_path(&self.dir, seg.seq);
-        let file = fs::File::open(&path)?;
-        let file_len = file.metadata()?.len();
-
-        let mut head = vec![0u8; SECTIONS_START.min(file_len as usize)];
-        file.read_exact_at(&mut head, 0)?;
-        let frame = parse_header(&head, file_len, true)?;
-        if frame.entry_count != seg.entry_count {
-            return Err(corrupt(
-                "manifest",
-                format!(
-                    "segment {} packs {} entries, manifest declares {}",
-                    seg.seq, frame.entry_count, seg.entry_count
-                ),
-            ));
-        }
-        let entry_count = frame.entry_count as usize;
-
-        // Sections tile the file in order META, SPANS, TABLES, ARENA,
-        // BUCKETS (parse_header validated the tiling), so the two eager
-        // runs — META+SPANS and ARENA+BUCKETS — are each one contiguous
-        // pread.
-        let read_run = |lo: usize, hi: usize| -> Result<Vec<Vec<u8>>, StoreError> {
-            let base = frame.sections[lo].0;
-            let len: u64 = frame.sections[lo..=hi].iter().map(|&(_, len)| len).sum();
-            let mut run = vec![0u8; len as usize];
-            file.read_exact_at(&mut run, base)?;
-            let mut out = Vec::with_capacity(hi - lo + 1);
-            let mut cursor = 0usize;
-            for k in lo..=hi {
-                let len = frame.sections[k].1 as usize;
-                let payload = run[cursor..cursor + len].to_vec();
-                cursor += len;
-                if crc32(&payload) != frame.crcs[k] {
-                    return Err(StoreError::CrcMismatch {
-                        what: "segment",
-                        section: ["meta", "spans", "tables", "arena", "buckets"][k],
-                    });
-                }
-                out.push(payload);
-            }
-            Ok(out)
-        };
-        let mut meta_spans = read_run(0, 1)?;
-        let spans_payload = meta_spans.pop().unwrap();
-        let meta_payload = meta_spans.pop().unwrap();
-        let mut arena_buckets = read_run(3, 4)?;
-        let buckets_payload = arena_buckets.pop().unwrap();
-        let arena_payload = arena_buckets.pop().unwrap();
-        let bytes_read = (head.len()
-            + meta_payload.len()
-            + spans_payload.len()
-            + arena_payload.len()
-            + buckets_payload.len()) as u64;
-
-        let config = decode_meta(&meta_payload)?;
-        let spans = decode_spans(&spans_payload, entry_count)?;
-        let arena = decode_arena(&arena_payload, &spans)?;
-        let buckets = decode_buckets(&buckets_payload, &spans)?;
-        let pair_counts: Vec<u32> = spans.iter().map(|s| s.pair_count).collect();
-
-        // (record offset, record length, stored CRC) per entry, offsets
-        // absolute in the file. The sum telescopes to the TABLES length —
-        // enforced so a rotten span table cannot direct preads past the
-        // section.
-        let tables_end = frame.sections[2].0 + frame.sections[2].1;
-        let mut records = Vec::with_capacity(entry_count);
-        let mut rec_off = frame.sections[2].0;
-        for span in &spans {
-            let end = rec_off
-                .checked_add(span.table_bytes)
-                .filter(|&e| e <= tables_end)
-                .ok_or(StoreError::Truncated {
-                    what: "segment",
-                    context: "tables",
-                })?;
-            records.push((rec_off, span.table_bytes as usize, span.table_crc));
-            rec_off = end;
-        }
-        if rec_off != tables_end {
-            return Err(corrupt(
-                "segment",
-                format!("tables: {} trailing bytes", tables_end - rec_off),
-            ));
-        }
-
-        let seq = seg.seq;
-        let shared = Arc::new((file, records, path));
-        let loader = TableLoader::new(move |id: u32| {
-            let (file, records, path) = &*shared;
-            let (off, len, crc) = records[id as usize];
-            let mut record = vec![0u8; len];
-            file.read_exact_at(&mut record, off).unwrap_or_else(|err| {
-                panic!(
-                    "segment {seq} ({}): entry {id} table read failed after open: {err}",
-                    path.display()
-                )
-            });
-            if crc32(&record) != crc {
-                panic!(
-                    "segment {seq} ({}): entry {id} table CRC mismatch after open \
-                     (file changed under a live index)",
-                    path.display()
-                );
-            }
-            decode_table_record(&record, id as usize).unwrap_or_else(|err| {
-                panic!(
-                    "segment {seq} ({}): entry {id} table corrupt after open: {err}",
-                    path.display()
-                )
-            })
-        });
-
-        let index = assemble_index(
-            config,
-            pair_counts,
-            StoredTables::Lazy(loader),
-            arena,
-            buckets,
-        )?;
-        Ok((index, bytes_read))
     }
 
     /// Assembles the live view as a [`ShardedIndex`] over `shard_count`
@@ -604,39 +578,24 @@ impl GalleryStore {
                 ("shards", shard_count.to_string()),
             ],
         );
-        let loaded = self.load()?;
-        let (segments_read, bytes_read) = (loaded.segments_read, loaded.bytes_read);
-
-        #[derive(Default)]
-        struct ShardParts {
-            tables: Vec<PreparedPairTable>,
-            pair_counts: Vec<u32>,
-            arena: CodeArena,
-        }
-        let mut parts: Vec<ShardParts> = (0..shard_count).map(|_| ShardParts::default()).collect();
-
-        let entries = loaded.tables.into_iter().zip(loaded.pair_counts);
-        for (global, (table, pair_count)) in entries.enumerate() {
-            let shard = &mut parts[global % shard_count];
-            shard.arena.push_view(loaded.arena.entry(global));
-            shard.tables.push(table);
-            shard.pair_counts.push(pair_count);
-        }
-
-        let shards = parts
+        let live = self.open_live()?;
+        let shards = live
+            .buckets
+            .deal(shard_count)
             .into_iter()
-            .zip(loaded.buckets.deal(shard_count))
-            .map(|(p, buckets)| {
-                assemble_index(
-                    loaded.config,
-                    p.pair_counts,
-                    StoredTables::Ready(p.tables),
-                    p.arena,
-                    buckets,
-                )
+            .enumerate()
+            .map(|(shard, buckets)| {
+                let mut arena = CodeArena::new();
+                let mut pair_counts = Vec::new();
+                for global in (shard..live.pair_counts.len()).step_by(shard_count) {
+                    arena.push_view(live.arena.entry(global));
+                    pair_counts.push(live.pair_counts[global]);
+                }
+                let tables = live.tables.loader(shard_count, shard);
+                assemble_index(live.config, pair_counts, tables, arena, buckets)
             })
             .collect::<Result<Vec<_>, StoreError>>()?;
-        self.record_load(segments_read, bytes_read, start);
+        self.record_load(live.bytes_read, start);
         Ok(ShardedIndex::from_shards(shards))
     }
 
@@ -666,41 +625,41 @@ impl GalleryStore {
             ],
         );
 
-        // Decode everything, then re-encode the survivors with densely
-        // remapped bucket ids — no template re-preparation anywhere.
-        let loaded = self.load()?;
-        let old_seqs: Vec<u32> = self.manifest.segments.iter().map(|s| s.seq).collect();
-        let survivors = loaded.tables.len();
+        // Each survivor's record is read, checked and decoded, then
+        // written as read; the buckets are remapped densely. Nothing is
+        // re-prepared, cloned or encoded again.
+        let live = self.open_live()?;
+        let survivors = live.pair_counts.len();
         let new_seq = self.manifest.next_seq;
+        let mut segments = Vec::new();
         let mut bytes_after = 0u64;
-
         if survivors > 0 {
-            let tables = loaded.tables.iter().zip(loaded.pair_counts.iter().copied());
-            let image = encode_segment(&SegmentSource {
-                config: loaded.config,
-                entries: EntrySource::zip_arena(tables, &loaded.arena),
-                buckets: &loaded.buckets,
+            let entries = (0..survivors).map(|id| {
+                let (record, _) = live.tables.record(id)?;
+                Ok(EntrySource {
+                    record,
+                    pair_count: live.pair_counts[id],
+                    codes: live.arena.entry(id),
+                })
             });
+            let image = encode_segment(live.config, entries, &live.buckets)?;
             bytes_after = image.len() as u64;
             self.write_segment_file(new_seq, &image)?;
             self.metrics.segments_written.incr();
+            segments.push(SegmentMeta {
+                seq: new_seq,
+                entry_count: survivors as u32,
+            });
         }
 
-        self.manifest = Manifest {
+        let old = self.segments();
+        self.commit(Manifest {
             next_seq: new_seq + 1,
-            segments: if survivors > 0 {
-                vec![SegmentMeta {
-                    seq: new_seq,
-                    entry_count: survivors as u32,
-                }]
-            } else {
-                Vec::new()
-            },
+            segments,
             tombstones: Default::default(),
-        };
-        self.manifest.save(&self.dir)?;
-        for seq in old_seqs {
-            fs::remove_file(Manifest::segment_path(&self.dir, seq))?;
+        })?;
+        for seg in old {
+            fs::remove_file(Manifest::segment_path(&self.dir, seg.seq))?;
         }
 
         self.metrics.compactions.incr();

@@ -19,8 +19,9 @@
 //!   tombstone set. Deletion appends a tombstone; re-enrollment writes a
 //!   new segment; neither touches existing files.
 //! - **Compaction** ([`GalleryStore::compact`]) merges survivors into one
-//!   fresh segment and reclaims tombstoned space — pure byte shuffling,
-//!   no re-preparation.
+//!   fresh segment and reclaims tombstoned space — pure byte shuffling:
+//!   each survivor's table record is checked and copied as it is, never
+//!   decoded into a new encoding, and nothing is re-prepared.
 //!
 //! The headline invariant, enforced end to end by `study check-store`:
 //! search over an opened store (sharded or not, before or after churn
@@ -48,8 +49,10 @@ mod tests {
     use fp_core::template::Template;
     use fp_index::{CandidateIndex, IndexConfig};
     use fp_match::PairTableMatcher;
+    use fp_telemetry::Telemetry;
     use rand::Rng;
 
+    use crate::segment::parse_header;
     use crate::GalleryStore;
 
     /// Deterministic synthetic template, same builder idiom as the
@@ -122,6 +125,35 @@ mod tests {
         );
     }
 
+    fn load_bytes(telemetry: &Telemetry) -> u64 {
+        let counters = telemetry.snapshot().counters;
+        counters.get("store.load.bytes").copied().unwrap_or(0)
+    }
+
+    /// Runs `open` and asserts that it read, through `store.load.bytes`,
+    /// each live segment's file less its TABLES section: every open reads
+    /// no table record, whatever the store's shape.
+    fn reads_no_tables<T>(
+        store: &GalleryStore,
+        telemetry: &Telemetry,
+        open: impl FnOnce() -> T,
+    ) -> T {
+        let before = load_bytes(telemetry);
+        let opened = open();
+        let expected: u64 = store
+            .segments()
+            .iter()
+            .map(|seg| {
+                let path = store.dir().join(format!("seg-{:08}.fpseg", seg.seq));
+                let bytes = std::fs::read(path).unwrap();
+                let frame = parse_header(&bytes, bytes.len() as u64, true).unwrap();
+                bytes.len() as u64 - frame.sections[2].1
+            })
+            .sum();
+        assert_eq!(load_bytes(telemetry) - before, expected);
+        opened
+    }
+
     #[test]
     fn save_open_churn_compact_stays_byte_identical_to_fresh_enrollment() {
         let seed = SeedTree::new(0xF9_57);
@@ -134,7 +166,10 @@ mod tests {
 
         let dir = std::env::temp_dir().join(format!("fp-store-rt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut store = GalleryStore::create(&dir).unwrap();
+        let telemetry = Telemetry::enabled();
+        let mut store = GalleryStore::create(&dir)
+            .unwrap()
+            .with_telemetry(&telemetry);
 
         // Two segments: 18 + 12 entries.
         let seg_a = store.append_index(&enroll(config, &pool[..18])).unwrap();
@@ -143,13 +178,15 @@ mod tests {
 
         // Round trip: open == fresh enrollment of all 30.
         let fresh = enroll(config, &pool);
-        let opened = GalleryStore::open(&dir).unwrap().open_index().unwrap();
+        let reopened = GalleryStore::open(&dir).unwrap().with_telemetry(&telemetry);
+        let opened = reads_no_tables(&reopened, &telemetry, || reopened.open_index().unwrap());
         assert_eq!(opened.len(), 30);
         assert_same_results(&fresh, &opened, &probes);
 
         // Sharded open, both shard counts.
         for shards in [2usize, 3] {
-            let sharded = store.open_sharded(shards).unwrap();
+            let sharded =
+                reads_no_tables(&store, &telemetry, || store.open_sharded(shards).unwrap());
             let fresh = enroll(config, &pool);
             for probe in &probes {
                 let a = fresh.search(probe);
@@ -180,8 +217,8 @@ mod tests {
                 "double tombstone is a no-op"
             );
         }
-        // Two segments with tombstones open through the eager merge to
-        // the bucket table a fresh enrollment of the survivors builds.
+        // Two segments with tombstones merge to the bucket table a fresh
+        // enrollment of the survivors builds.
         let survivors: Vec<Template> = pool
             .iter()
             .enumerate()
@@ -189,7 +226,7 @@ mod tests {
             .map(|(_, t)| t.clone())
             .collect();
         assert_eq!(
-            store.open_index().unwrap().buckets(),
+            reads_no_tables(&store, &telemetry, || store.open_index().unwrap()).buckets(),
             enroll(config, &survivors).buckets()
         );
         let replacements = gallery(&seed.child(&[3]), 2);
@@ -206,20 +243,41 @@ mod tests {
         live.extend_from_slice(&pool[18..]);
         live.extend_from_slice(&replacements);
         let fresh = enroll(config, &live);
-        let opened = store.open_index().unwrap();
+        let opened = reads_no_tables(&store, &telemetry, || store.open_index().unwrap());
         assert_eq!(opened.len(), live.len());
         assert_same_results(&fresh, &opened, &probes);
 
-        // Compact: one segment, zero tombstones, same live view.
+        // Compact: one segment, zero tombstones, same live view. An index
+        // opened before, and not searched yet, keeps its segment files
+        // open: it answers the same after compaction deletes them.
+        let old_files: Vec<_> = store
+            .segments()
+            .iter()
+            .map(|seg| dir.join(format!("seg-{:08}.fpseg", seg.seq)))
+            .collect();
+        let before = reads_no_tables(&store, &telemetry, || store.open_index().unwrap());
         let stats = store.compact().unwrap();
+        assert!(old_files.iter().all(|path| !path.exists()));
+        assert_same_results(&enroll(config, &live), &before, &probes);
         assert_eq!(stats.segments_before, 3);
         assert_eq!(stats.segments_after, 1);
         assert_eq!(stats.entries_dropped, 4);
         assert!(stats.bytes_after < stats.bytes_before);
         assert_eq!(store.live_len(), live.len());
         assert_eq!(store.tombstone_count(), 0);
+        // Copying the survivors' records writes, byte for byte, the
+        // segment a fresh enrollment of the survivors encodes.
+        let mut twin = GalleryStore::create(dir.join("twin")).unwrap();
+        let twin_seq = twin.append_index(&enroll(config, &live)).unwrap();
+        let segment_file = |store: &GalleryStore, seq: u32| {
+            std::fs::read(store.dir().join(format!("seg-{seq:08}.fpseg"))).unwrap()
+        };
+        assert!(
+            segment_file(&store, store.segments()[0].seq) == segment_file(&twin, twin_seq),
+            "compaction must write the fresh enrollment's segment"
+        );
         let fresh = enroll(config, &live);
-        let opened = store.open_index().unwrap();
+        let opened = reads_no_tables(&store, &telemetry, || store.open_index().unwrap());
         assert_same_results(&fresh, &opened, &probes);
 
         // Compacting again is a no-op.

@@ -194,8 +194,8 @@ impl Manifest {
         })
     }
 
-    /// Loads `dir/MANIFEST`.
-    pub(crate) fn load(dir: &Path) -> Result<Manifest, StoreError> {
+    /// Reads `dir/MANIFEST`.
+    pub(crate) fn read(dir: &Path) -> Result<Manifest, StoreError> {
         let bytes = fs::read(dir.join(MANIFEST_NAME))?;
         Manifest::decode(&bytes)
     }
@@ -282,7 +282,7 @@ mod tests {
         let m = sample();
         m.save(&dir).unwrap();
         assert!(!dir.join("MANIFEST.tmp").exists());
-        let loaded = Manifest::load(&dir).unwrap();
+        let loaded = Manifest::read(&dir).unwrap();
         assert_eq!(loaded.segments, m.segments);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -31,10 +31,10 @@
 //! Each SPANS record is 24 bytes per entry — `cylinders u32, words_per
 //! u32, table_bytes u64, table_crc u32, pair_count u32` — carrying
 //! everything stage-1 and the arena need about an entry *plus* the length
-//! and CRC32 of that entry's variable-length TABLES record. That is what
-//! makes the fast open path possible: a reader that has verified the tiny
-//! SPANS section can leave the TABLES section (the dominant share of the
-//! file) on disk and slice, checksum, and decode individual records on
+//! and CRC32 of that entry's variable-length TABLES record. That is how
+//! every reader works (`read_head`): having verified the tiny SPANS
+//! section it leaves the TABLES section (the dominant share of the file)
+//! on disk and slices, checksums, and decodes individual records on
 //! demand.
 //!
 //! Decoding validates semantics, not just framing: pair distances must be
@@ -63,7 +63,7 @@ const SECTION_COUNT: usize = 5;
 const SECTION_IDS: [u32; SECTION_COUNT] = [1, 2, 3, 4, 5];
 const SECTION_NAMES: [&str; SECTION_COUNT] = ["meta", "spans", "tables", "arena", "buckets"];
 const HEADER_BYTES: usize = 16 + SECTION_COUNT * 24;
-pub(crate) const SECTIONS_START: usize = HEADER_BYTES + 4;
+const SECTIONS_START: usize = HEADER_BYTES + 4;
 const WHAT: &str = "segment";
 
 fn corrupt(detail: impl Into<String>) -> StoreError {
@@ -73,73 +73,58 @@ fn corrupt(detail: impl Into<String>) -> StoreError {
     }
 }
 
-/// One entry's persistence view, borrowed from a live index.
+/// One entry as a segment persists it: its TABLES record, and its codes
+/// borrowed from an arena.
 pub(crate) struct EntrySource<'a> {
-    pub(crate) table: &'a PreparedPairTable,
+    /// The entry's TABLES record: [`encode_table`]'s bytes, or a record
+    /// compaction read and checked.
+    pub(crate) record: Vec<u8>,
     /// Vote-normalization denominator ([`fp_index`]'s feature count for
-    /// this entry — not in general derivable from `table`).
+    /// this entry — not in general derivable from its table).
     pub(crate) pair_count: u32,
     /// This entry's packed cylinder codes, as its arena hands them out.
     pub(crate) codes: CodeView<'a>,
 }
 
-impl<'a> EntrySource<'a> {
-    /// Pairs each `(table, pair count)` with its entry of `arena`, in
-    /// entry order.
-    pub(crate) fn zip_arena(
-        tables: impl Iterator<Item = (&'a PreparedPairTable, u32)>,
-        arena: &'a CodeArena,
-    ) -> Vec<EntrySource<'a>> {
-        tables
-            .enumerate()
-            .map(|(i, (table, pair_count))| EntrySource {
-                table,
-                pair_count,
-                codes: arena.entry(i),
-            })
-            .collect()
-    }
-}
-
-/// Everything a segment persists, borrowed from a live index (or from
-/// decoded segments during compaction).
-pub(crate) struct SegmentSource<'a> {
-    pub(crate) config: IndexConfig,
-    pub(crate) entries: Vec<EntrySource<'a>>,
-    pub(crate) buckets: &'a FlatBuckets,
-}
-
-/// One entry decoded from a segment; its codes are entry `i` of the
-/// segment's arena.
-#[derive(Debug)]
-pub(crate) struct DecodedEntry {
-    pub(crate) table: PreparedPairTable,
-    pub(crate) pair_count: u32,
-}
-
 /// One decoded SPANS record: the fixed-size per-entry facts.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct SpanRec {
-    pub(crate) cylinders: u32,
-    pub(crate) words_per: u32,
+struct SpanRec {
+    cylinders: u32,
+    words_per: u32,
     /// Length of this entry's TABLES record in bytes.
-    pub(crate) table_bytes: u64,
-    /// CRC32 of this entry's TABLES record — lets a lazy reader verify a
+    table_bytes: u64,
+    /// CRC32 of this entry's TABLES record — lets a reader verify a
     /// single record without touching the rest of the section.
-    pub(crate) table_crc: u32,
-    pub(crate) pair_count: u32,
+    table_crc: u32,
+    pair_count: u32,
 }
 
 /// Byte size of one SPANS record.
-pub(crate) const SPAN_RECORD_BYTES: usize = 24;
+const SPAN_RECORD_BYTES: usize = 24;
 
-/// A fully validated decoded segment.
+/// Where one entry's TABLES record lies in its file, and its SPANS CRC.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TableRecord {
+    pub(crate) offset: u64,
+    pub(crate) len: usize,
+    pub(crate) crc: u32,
+}
+
+/// A segment read and validated but for its TABLES records, which
+/// [`read_head`] locates and leaves on disk.
 #[derive(Debug)]
-pub(crate) struct DecodedSegment {
+pub(crate) struct SegmentHead {
     pub(crate) config: IndexConfig,
-    pub(crate) entries: Vec<DecodedEntry>,
+    /// Each entry's SPANS pair count, in entry order.
+    pub(crate) pair_counts: Vec<u32>,
     pub(crate) arena: CodeArena,
     pub(crate) buckets: FlatBuckets,
+    /// Each entry's TABLES record, in entry order; together they tile the
+    /// TABLES section.
+    pub(crate) records: Vec<TableRecord>,
+    pub(crate) frame: Frame,
+    /// Bytes read: the file less its TABLES section.
+    pub(crate) bytes_read: u64,
 }
 
 /// Per-section health as reported by [`inspect_segment`].
@@ -170,8 +155,8 @@ pub struct SegmentInspect {
     pub sections: Vec<SectionInspect>,
 }
 
-fn encode_table(entry: &EntrySource<'_>) -> Vec<u8> {
-    let table = entry.table;
+/// `table` as one TABLES record.
+pub(crate) fn encode_table(table: &PreparedPairTable) -> Vec<u8> {
     let mut enc = Enc::new();
     enc.u32(table.minutia_count() as u32);
     enc.u32(table.len() as u32);
@@ -194,52 +179,59 @@ fn encode_table(entry: &EntrySource<'_>) -> Vec<u8> {
     enc.into_bytes()
 }
 
-/// Serializes `source` into a complete segment file image.
-pub(crate) fn encode_segment(source: &SegmentSource<'_>) -> Vec<u8> {
+/// Serializes a complete segment file image: `entries` in entry order,
+/// each taken once (so at most one record is held beside the image being
+/// built), and the bucket table over them. The first entry that is an
+/// error fails the image.
+pub(crate) fn encode_segment<'a>(
+    config: IndexConfig,
+    entries: impl Iterator<Item = Result<EntrySource<'a>, StoreError>>,
+    bucket_table: &FlatBuckets,
+) -> Result<Vec<u8>, StoreError> {
     let mut meta = Enc::new();
-    source.config.encode(&mut meta);
+    config.encode(&mut meta);
 
+    let mut entry_count = 0u32;
     let mut spans = Enc::new();
     let mut tables = Enc::new();
-    let mut words_len = 0usize;
-    let mut ones_len = 0usize;
-    for entry in &source.entries {
-        let table_bytes = encode_table(entry);
+    let (mut words, mut ones) = (Enc::new(), Enc::new());
+    let (mut words_len, mut ones_len) = (0u64, 0u64);
+    for entry in entries {
+        let entry = entry?;
+        entry_count += 1;
         spans.u32(entry.codes.len() as u32);
         spans.u32(entry.codes.words_per() as u32);
-        spans.u64(table_bytes.len() as u64);
-        spans.u32(crc32(&table_bytes));
+        spans.u64(entry.record.len() as u64);
+        spans.u32(crc32(&entry.record));
         spans.u32(entry.pair_count);
-        tables.raw(&table_bytes);
-        words_len += entry.codes.words().len();
-        ones_len += entry.codes.len();
+        tables.raw(&entry.record);
+        for &w in entry.codes.words() {
+            words.u64(w);
+        }
+        for &o in entry.codes.ones() {
+            ones.u32(o);
+        }
+        words_len += entry.codes.words().len() as u64;
+        ones_len += entry.codes.len() as u64;
     }
 
     let mut arena = Enc::new();
-    arena.u64(words_len as u64);
-    arena.u64(ones_len as u64);
-    for entry in &source.entries {
-        for &w in entry.codes.words() {
-            arena.u64(w);
-        }
-    }
-    for entry in &source.entries {
-        for &o in entry.codes.ones() {
-            arena.u32(o);
-        }
-    }
+    arena.u64(words_len);
+    arena.u64(ones_len);
+    arena.raw(words.as_bytes());
+    arena.raw(ones.as_bytes());
 
     let mut buckets = Enc::new();
-    let id_count: usize = source.buckets.iter().map(|(_, ids)| ids.len()).sum();
-    buckets.u64(source.buckets.iter().count() as u64);
+    let id_count: usize = bucket_table.iter().map(|(_, ids)| ids.len()).sum();
+    buckets.u64(bucket_table.iter().count() as u64);
     buckets.u64(id_count as u64);
-    for (key, _) in source.buckets.iter() {
+    for (key, _) in bucket_table.iter() {
         buckets.u64(key);
     }
-    for (_, ids) in source.buckets.iter() {
+    for (_, ids) in bucket_table.iter() {
         buckets.u32(ids.len() as u32);
     }
-    for (_, ids) in source.buckets.iter() {
+    for (_, ids) in bucket_table.iter() {
         for &id in ids {
             buckets.u32(id);
         }
@@ -257,7 +249,7 @@ pub(crate) fn encode_segment(source: &SegmentSource<'_>) -> Vec<u8> {
     header.raw(SEGMENT_MAGIC);
     header.u16(SEGMENT_VERSION);
     header.u16(SECTION_COUNT as u16);
-    header.u32(source.entries.len() as u32);
+    header.u32(entry_count);
     let mut offset = SECTIONS_START as u64;
     for (id, payload) in SECTION_IDS.iter().zip(&payloads) {
         header.u32(*id);
@@ -270,10 +262,11 @@ pub(crate) fn encode_segment(source: &SegmentSource<'_>) -> Vec<u8> {
 
     header.u32(crc32(header.as_bytes()));
     let mut out = header.into_bytes();
+    out.reserve_exact(offset as usize - SECTIONS_START);
     for payload in &payloads {
         out.extend_from_slice(payload);
     }
-    out
+    Ok(out)
 }
 
 /// The validated fixed-size frame of a segment: entry count plus the
@@ -284,7 +277,21 @@ pub(crate) struct Frame {
     /// `(offset, len)` per section, in fixed section order.
     pub(crate) sections: [(u64, u64); SECTION_COUNT],
     /// Stored CRC32 per section payload.
-    pub(crate) crcs: [u32; SECTION_COUNT],
+    crcs: [u32; SECTION_COUNT],
+}
+
+impl Frame {
+    /// Checks section `k`'s payload against its stored CRC32.
+    fn check(&self, k: usize, payload: &[u8]) -> Result<(), StoreError> {
+        if crc32(payload) == self.crcs[k] {
+            Ok(())
+        } else {
+            Err(StoreError::CrcMismatch {
+                what: WHAT,
+                section: SECTION_NAMES[k],
+            })
+        }
+    }
 }
 
 /// Whether the CRC stored after the section table matches the header
@@ -296,10 +303,10 @@ fn header_crc_ok(head: &[u8]) -> bool {
 
 /// Parses the header from a *prefix* of the file — `head` must hold the
 /// first `min(file_len, SECTIONS_START)` bytes. This is the entry point
-/// of the fast open path, which never maps the whole file into memory:
-/// magic, version, counts, section tiling against `file_len`, and
-/// (unless `check_crc` is off, for inspection) the header CRC are all
-/// validated from the 140-byte prefix alone.
+/// of [`read_head`], which never reads the whole file: magic, version,
+/// counts, section tiling against `file_len`, and (unless `check_crc` is
+/// off, for inspection) the header CRC are all validated from the
+/// 140-byte prefix alone.
 pub(crate) fn parse_header(
     head: &[u8],
     file_len: u64,
@@ -382,30 +389,75 @@ pub(crate) fn parse_header(
     })
 }
 
-/// Entry count, `(offset, len)` per section, and per-section CRC status —
-/// the section table of a whole in-memory segment image.
-type ParsedFrame = (u32, [(usize, usize); SECTION_COUNT], [bool; SECTION_COUNT]);
+/// Reads and validates a segment of `file_len` bytes but for its TABLES
+/// records, through `read_at(buf, offset)`, which fills `buf` from the
+/// file at `offset`: the header, then META+SPANS and ARENA+BUCKETS, each
+/// run one read (the sections tile the file in order META, SPANS, TABLES,
+/// ARENA, BUCKETS, as `parse_header` checked), each section checked
+/// against its CRC and decoded. The TABLES records are located from SPANS
+/// and must tile the section exactly, so a rotten span table cannot direct
+/// a read past it.
+pub(crate) fn read_head(
+    file_len: u64,
+    read_at: impl Fn(&mut [u8], u64) -> std::io::Result<()>,
+) -> Result<SegmentHead, StoreError> {
+    let mut head = vec![0u8; SECTIONS_START.min(file_len as usize)];
+    read_at(&mut head, 0)?;
+    let frame = parse_header(&head, file_len, true)?;
+    let [meta, spans, tables, arena, buckets] = frame.sections;
+    // Sections `lo` and `lo + 1`, read as one run and checked.
+    let run = |lo: usize| -> Result<(Vec<u8>, usize), StoreError> {
+        let (base, first) = frame.sections[lo];
+        let mut run = vec![0u8; (first + frame.sections[lo + 1].1) as usize];
+        read_at(&mut run, base)?;
+        frame.check(lo, &run[..first as usize])?;
+        frame.check(lo + 1, &run[first as usize..])?;
+        Ok((run, first as usize))
+    };
+    let (meta_spans, at) = run(0)?;
+    let (arena_buckets, split) = run(3)?;
 
-fn parse_frame(bytes: &[u8], check_crcs: bool) -> Result<ParsedFrame, StoreError> {
-    let head = &bytes[..bytes.len().min(SECTIONS_START)];
-    let frame = parse_header(head, bytes.len() as u64, check_crcs)?;
-    let mut sections = [(0usize, 0usize); SECTION_COUNT];
-    let mut crc_ok = [false; SECTION_COUNT];
-    for (k, &(off, len)) in frame.sections.iter().enumerate() {
-        let (off, len) = (off as usize, len as usize);
-        sections[k] = (off, len);
-        crc_ok[k] = crc32(&bytes[off..off + len]) == frame.crcs[k];
-        if check_crcs && !crc_ok[k] {
-            return Err(StoreError::CrcMismatch {
+    let config = decode_meta(&meta_spans[..at])?;
+    let span_recs = decode_spans(&meta_spans[at..], frame.entry_count as usize)?;
+    let arena_table = decode_arena(&arena_buckets[..split], &span_recs)?;
+    let bucket_table = decode_buckets(&arena_buckets[split..], &span_recs)?;
+
+    let tables_end = tables.0 + tables.1;
+    let mut records = Vec::with_capacity(span_recs.len());
+    let mut offset = tables.0;
+    for span in &span_recs {
+        let end = offset
+            .checked_add(span.table_bytes)
+            .filter(|&end| end <= tables_end)
+            .ok_or(StoreError::Truncated {
                 what: WHAT,
-                section: SECTION_NAMES[k],
-            });
-        }
+                context: "tables",
+            })?;
+        records.push(TableRecord {
+            offset,
+            len: span.table_bytes as usize,
+            crc: span.table_crc,
+        });
+        offset = end;
     }
-    Ok((frame.entry_count, sections, crc_ok))
+    if offset != tables_end {
+        return Err(corrupt(format!(
+            "tables: {} trailing bytes",
+            tables_end - offset
+        )));
+    }
+    Ok(SegmentHead {
+        config,
+        pair_counts: span_recs.iter().map(|s| s.pair_count).collect(),
+        arena: arena_table,
+        buckets: bucket_table,
+        records,
+        frame,
+        bytes_read: head.len() as u64 + meta.1 + spans.1 + arena.1 + buckets.1,
+    })
 }
 
-pub(crate) fn decode_meta(payload: &[u8]) -> Result<IndexConfig, StoreError> {
+fn decode_meta(payload: &[u8]) -> Result<IndexConfig, StoreError> {
     let mut dec = Dec::new(payload, WHAT, "meta");
     let config = IndexConfig::decode(&mut dec)?;
     dec.finish()?;
@@ -417,7 +469,7 @@ pub(crate) fn decode_meta(payload: &[u8]) -> Result<IndexConfig, StoreError> {
 
 /// Decodes and validates the SPANS section: `entry_count` fixed-size
 /// records, word/popcount totals overflow-checked.
-pub(crate) fn decode_spans(payload: &[u8], entry_count: usize) -> Result<Vec<SpanRec>, StoreError> {
+fn decode_spans(payload: &[u8], entry_count: usize) -> Result<Vec<SpanRec>, StoreError> {
     let mut dec = Dec::new(payload, WHAT, "spans");
     dec.checked_count(entry_count as u64, SPAN_RECORD_BYTES)?;
     let mut spans = Vec::with_capacity(entry_count);
@@ -448,14 +500,22 @@ pub(crate) fn decode_spans(payload: &[u8], entry_count: usize) -> Result<Vec<Spa
     Ok(spans)
 }
 
-/// Decodes one TABLES record (`record` is exactly the span-declared byte
-/// range) into a validated [`PreparedPairTable`]. `at` labels errors with
-/// the entry index. Shared by the eager full decode and the lazy
-/// per-record loads — both therefore produce bit-identical tables.
+/// Checks one TABLES record (`record` is exactly the span-declared byte
+/// range) against its SPANS CRC and decodes it into a validated
+/// [`PreparedPairTable`]. `at` labels errors with the entry index. Every
+/// table load, compaction's pass-through and [`check_segment`] come
+/// through here.
 pub(crate) fn decode_table_record(
     record: &[u8],
+    crc: u32,
     at: usize,
 ) -> Result<PreparedPairTable, StoreError> {
+    if crc32(record) != crc {
+        return Err(StoreError::CrcMismatch {
+            what: WHAT,
+            section: "table record",
+        });
+    }
     let mut dec = Dec::new(record, WHAT, "tables");
     let minutia_count = dec.u32()? as usize;
     let table_len = dec.u32()? as u64;
@@ -493,7 +553,7 @@ pub(crate) fn decode_table_record(
 /// arena, which re-validates the tiling and every popcount *value*
 /// against its words (`CodeArena::from_raw_parts`) — nothing past this
 /// point handles loose words.
-pub(crate) fn decode_arena(payload: &[u8], spans: &[SpanRec]) -> Result<CodeArena, StoreError> {
+fn decode_arena(payload: &[u8], spans: &[SpanRec]) -> Result<CodeArena, StoreError> {
     let words_total: u64 = spans
         .iter()
         .map(|s| s.cylinders as u64 * s.words_per as u64)
@@ -523,7 +583,7 @@ pub(crate) fn decode_arena(payload: &[u8], spans: &[SpanRec]) -> Result<CodeAren
 /// then checks that entry `i` is registered exactly `spans[i].pair_count`
 /// times: enrollment registers one key per pair feature, and the vote
 /// score divides by that count.
-pub(crate) fn decode_buckets(payload: &[u8], spans: &[SpanRec]) -> Result<FlatBuckets, StoreError> {
+fn decode_buckets(payload: &[u8], spans: &[SpanRec]) -> Result<FlatBuckets, StoreError> {
     let mut dec = Dec::new(payload, WHAT, "buckets");
     let key_count = dec.u64()?;
     let id_count = dec.u64()?;
@@ -552,58 +612,27 @@ pub(crate) fn decode_buckets(payload: &[u8], spans: &[SpanRec]) -> Result<FlatBu
     }
 }
 
-/// Fully decodes and validates a segment file image, including every
-/// per-record table CRC stored in SPANS (so a segment that passes here can
-/// never fail a lazy per-record check later).
-pub(crate) fn decode_segment(bytes: &[u8]) -> Result<DecodedSegment, StoreError> {
-    let (entry_count, sections, _) = parse_frame(bytes, true)?;
-    let entry_count = entry_count as usize;
-    let payload = |k: usize| -> &[u8] {
-        let (off, len) = sections[k];
-        &bytes[off..off + len]
-    };
-
-    let config = decode_meta(payload(0))?;
-    let spans = decode_spans(payload(1), entry_count)?;
-
-    // TABLES: one variable-length record per entry, sliced by the span
-    // declaration and cross-checked against the per-record CRC.
-    let mut tables = Dec::new(payload(2), WHAT, "tables");
-    let mut entries = Vec::with_capacity(entry_count);
-    for (at, span) in spans.iter().enumerate() {
-        let record = tables.bytes(usize::try_from(span.table_bytes).unwrap_or(usize::MAX))?;
-        if crc32(record) != span.table_crc {
-            return Err(StoreError::CrcMismatch {
-                what: WHAT,
-                section: "table record",
-            });
-        }
-        let table = decode_table_record(record, at)?;
-        entries.push(DecodedEntry {
-            table,
-            pair_count: span.pair_count,
-        });
-    }
-    tables.finish()?;
-
-    Ok(DecodedSegment {
-        config,
-        entries,
-        arena: decode_arena(payload(3), &spans)?,
-        buckets: decode_buckets(payload(4), &spans)?,
-    })
-}
-
 /// Validates a segment image end to end — framing, every checksum, and
 /// all semantic invariants (sorted pair distances, canonical directions
 /// and pair angles, in-range minutia references and bucket ids, ascending
 /// bucket keys, bucket registrations matching the pair counts) — without
-/// assembling an index. Returns the entry count. This is the
-/// public fsck surface the corruption test-suite drives: **no** byte
-/// flip, truncation, or hostile header may get past it, and none may
-/// panic.
+/// assembling an index: `read_head`, the TABLES section's CRC, then
+/// every record through `decode_table_record`, as an open and its table
+/// loads would read them. Returns the entry count. This is the public
+/// fsck surface the corruption test-suite drives: **no** byte flip,
+/// truncation, or hostile header may get past it, and none may panic.
 pub fn check_segment(bytes: &[u8]) -> Result<u32, StoreError> {
-    decode_segment(bytes).map(|decoded| decoded.entries.len() as u32)
+    let slice = |offset: u64, len: usize| &bytes[offset as usize..][..len];
+    let head = read_head(bytes.len() as u64, |buf, offset| {
+        buf.copy_from_slice(slice(offset, buf.len()));
+        Ok(())
+    })?;
+    let (offset, len) = head.frame.sections[2];
+    head.frame.check(2, slice(offset, len as usize))?;
+    for (at, record) in head.records.iter().enumerate() {
+        decode_table_record(slice(record.offset, record.len), record.crc, at)?;
+    }
+    Ok(head.frame.entry_count)
 }
 
 /// Structural summary of a segment without requiring every checksum to
@@ -612,20 +641,23 @@ pub fn check_segment(bytes: &[u8]) -> Result<u32, StoreError> {
 /// section rather than aborting — `study gallery inspect` uses this to
 /// show which section of a damaged file rotted.
 pub fn inspect_segment(bytes: &[u8]) -> Result<SegmentInspect, StoreError> {
-    let (entry_count, sections, crc_ok) = parse_frame(bytes, false)?;
+    let head = &bytes[..bytes.len().min(SECTIONS_START)];
+    let frame = parse_header(head, bytes.len() as u64, false)?;
     Ok(SegmentInspect {
         version: SEGMENT_VERSION,
-        entry_count,
+        entry_count: frame.entry_count,
         file_bytes: bytes.len() as u64,
         header_crc_ok: header_crc_ok(bytes),
-        sections: sections
+        sections: frame
+            .sections
             .iter()
-            .zip(SECTION_NAMES)
-            .zip(crc_ok)
-            .map(|(((_, len), name), crc_ok)| SectionInspect {
-                name,
-                bytes: *len as u64,
-                crc_ok,
+            .enumerate()
+            .map(|(k, &(offset, len))| SectionInspect {
+                name: SECTION_NAMES[k],
+                bytes: len,
+                crc_ok: frame
+                    .check(k, &bytes[offset as usize..][..len as usize])
+                    .is_ok(),
             })
             .collect(),
     })

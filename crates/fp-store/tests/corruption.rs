@@ -19,7 +19,7 @@ use fp_core::rng::SeedTree;
 use fp_core::template::Template;
 use fp_index::{CandidateIndex, IndexConfig};
 use fp_match::PairTableMatcher;
-use fp_store::{check_manifest, check_segment, GalleryStore, StoreError};
+use fp_store::{check_manifest, check_segment, GalleryStore, SegmentMeta, StoreError};
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -296,16 +296,7 @@ fn crafted_hostile_section_tables_are_typed_errors() {
 fn a_table_changed_after_a_lazy_open_fails_with_its_own_message() {
     use std::io::{Seek, SeekFrom, Write};
 
-    /// Removes the scratch store on every exit, the expected panic included.
-    struct Scratch(std::path::PathBuf);
-    impl Drop for Scratch {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
-    }
-
-    let dir = Scratch(std::env::temp_dir().join(format!("fp-store-lazy-{}", std::process::id())));
-    let _ = std::fs::remove_dir_all(&dir.0);
+    let dir = Scratch::new("fp-store-lazy");
     let seed = SeedTree::new(0x1A_27);
     let templates: Vec<Template> = (0..12u64)
         .map(|i| synthetic_template(&seed.child(&[i]), 24))
@@ -328,6 +319,136 @@ fn a_table_changed_after_a_lazy_open_fails_with_its_own_message() {
     drop(file);
 
     opened.search_with_budget(&templates[3], templates.len());
+}
+
+/// A scratch directory, removed on every exit, an expected panic included.
+struct Scratch(std::path::PathBuf);
+
+impl Scratch {
+    fn new(name: &str) -> Scratch {
+        let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        Scratch(dir)
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A table record that rots before the open, in the second segment of a
+/// two-segment store with tombstones in both. Compaction refuses it with a
+/// typed error and leaves every file as it was; fsck and inspect report
+/// it. The open reads no table record, so it succeeds, and the first
+/// re-rank of the entry panics naming the file and the entry's index
+/// within its segment (2), not its dense id (5).
+#[test]
+#[should_panic(expected = "seg-00000001.fpseg): entry 2 table CRC mismatch after open")]
+fn a_record_rotten_before_open_fails_compaction_and_its_first_load() {
+    let dir = Scratch::new("fp-store-rot");
+    let seed = SeedTree::new(0x2D_07);
+    let templates: Vec<Template> = (0..10u64)
+        .map(|i| synthetic_template(&seed.child(&[i]), 24))
+        .collect();
+    let mut store = GalleryStore::create(&dir.0).unwrap();
+    for half in templates.chunks(5) {
+        let mut index = CandidateIndex::new(PairTableMatcher::default());
+        index.enroll_all(half);
+        store.append_index(&index).unwrap();
+    }
+    store.tombstone(0, 1).unwrap();
+    store.tombstone(1, 0).unwrap();
+
+    // Entry 2's record follows entries 0 and 1's. SPANS is section-table
+    // row 1 (at 16 + 24), TABLES row 2; a SPANS record is 24 bytes, its
+    // table length bytes 8..16.
+    let path = dir.0.join("seg-00000001.fpseg");
+    let mut segment = std::fs::read(&path).unwrap();
+    let u64_at = |at: usize| u64::from_le_bytes(segment[at..at + 8].try_into().unwrap()) as usize;
+    let (spans_off, tables_off) = (u64_at(44), u64_at(68));
+    let record = tables_off + u64_at(spans_off + 8) + u64_at(spans_off + 24 + 8);
+    segment[record + 12] ^= 0x10;
+    std::fs::write(&path, &segment).unwrap();
+
+    let files = || {
+        let mut files: Vec<_> = std::fs::read_dir(&dir.0)
+            .unwrap()
+            .map(|entry| {
+                let path = entry.unwrap().path();
+                let bytes = std::fs::read(&path).unwrap();
+                (path, bytes)
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    let on_disk = files();
+    assert!(matches!(
+        store.compact(),
+        Err(StoreError::CrcMismatch { .. })
+    ));
+    assert!(files() == on_disk, "a failed compaction changed the store");
+    assert!(check_segment(&segment).is_err());
+    assert!(!store.inspect().unwrap().all_crc_ok());
+
+    let opened = store.open_index().unwrap();
+    assert_eq!(opened.len(), 8);
+    opened.search_with_budget(&templates[6], opened.len());
+}
+
+/// A manifest change reaches memory only once it is on disk. A directory
+/// squatting on `MANIFEST.tmp` fails every save, even as root. After each
+/// failed tombstone, append and compaction the store reads as before; the
+/// retries succeed, and a reopen shows each change exactly once.
+#[test]
+fn a_failed_manifest_save_leaves_the_store_as_it_was() {
+    let dir = Scratch::new("fp-store-save");
+    let seed = SeedTree::new(0x5A_7E);
+    let batch = |k: u64| {
+        let mut index = CandidateIndex::new(PairTableMatcher::default());
+        for i in 0..4u64 {
+            index.enroll(&synthetic_template(&seed.child(&[k, i]), 20));
+        }
+        index
+    };
+    let view = |store: &GalleryStore| (store.live_len(), store.tombstone_count(), store.segments());
+    let mut store = GalleryStore::create(&dir.0).unwrap();
+    let a = store.append_index(&batch(0)).unwrap();
+    let b = store.append_index(&batch(1)).unwrap();
+    assert!(store.tombstone(a, 0).unwrap());
+    let before = view(&store);
+
+    let squat = dir.0.join("MANIFEST.tmp");
+    std::fs::create_dir(&squat).unwrap();
+    assert!(store.tombstone(b, 1).is_err());
+    assert_eq!(view(&store), before, "after a failed tombstone");
+    assert!(store.append_index(&batch(2)).is_err());
+    assert_eq!(view(&store), before, "after a failed append");
+    assert!(store.compact().is_err());
+    assert_eq!(view(&store), before, "after a failed compaction");
+    std::fs::remove_dir(&squat).unwrap();
+
+    assert!(
+        store.tombstone(b, 1).unwrap(),
+        "the retried tombstone is new"
+    );
+    let c = store.append_index(&batch(2)).unwrap();
+    let segment = |seq| SegmentMeta {
+        seq,
+        entry_count: 4,
+    };
+    let reopened = GalleryStore::open(&dir.0).unwrap();
+    assert_eq!(
+        view(&reopened),
+        (10, 2, vec![segment(a), segment(b), segment(c)])
+    );
+    store.compact().unwrap();
+    let reopened = GalleryStore::open(&dir.0).unwrap();
+    assert_eq!((reopened.live_len(), reopened.tombstone_count()), (10, 0));
+    assert_eq!(reopened.segments().len(), 1);
+    assert_eq!(reopened.open_index().unwrap().len(), 10);
 }
 
 /// `segment` with entry `at`'s SPANS pair count set to `count`, the SPANS
