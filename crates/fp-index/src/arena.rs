@@ -353,7 +353,7 @@ impl CodeArena {
     }
 
     /// Appends one entry through its view — how `fp-store` moves survivors
-    /// and shard deals from one arena ([`entry`](Self::entry)) to another.
+    /// from one arena ([`entry`](Self::entry)) to another.
     pub fn push_view(&mut self, view: CodeView<'_>) {
         self.spans.push(EntrySpan {
             word_off: self.words.len(),

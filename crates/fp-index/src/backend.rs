@@ -1,8 +1,7 @@
 //! The cross-process score seam: [`ShardBackend`].
 //!
-//! `ShardedIndex` proved (shard.rs module docs) that the one seam along
-//! which a two-stage 1:N search can be split without changing a single
-//! byte of the result is **per-entry stage-1 channel scores** plus
+//! The one seam along which a two-stage 1:N search can be split without
+//! changing a single byte of the result (shard.rs module docs) is **per-entry stage-1 channel scores** plus
 //! **per-entry exact stage-2 scores** — both pure functions of (probe,
 //! entry), bit-identical whatever gallery the entry shares. This module
 //! names that seam as a trait, so anything that can answer the two calls
@@ -157,15 +156,20 @@ impl<M: PreparableMatcher> ShardBackend for CandidateIndex<M> {
 /// (an in-process backend splits each call into lanes inside itself), no
 /// telemetry, no run fingerprint — so tests can pin transport-independent
 /// correctness and new transports have a model to diff against.
+///
+/// Backends whose sizes are not a round-robin deal of their total
+/// ([`check_deal`](crate::shard::check_deal)) are refused with a
+/// [`ShardError::Protocol`] before any stage runs.
 pub fn search_backends<B: ShardBackend>(
     backends: &[B],
     probe: &Template,
     shortlist: usize,
 ) -> Result<crate::SearchResult, ShardError> {
     assert!(!backends.is_empty(), "need at least one shard backend");
+    let lens: Vec<usize> = backends.iter().map(|b| b.shard_len()).collect();
     crate::shard::search_spine(
         backends.len(),
-        backends.iter().map(|b| b.shard_len()).sum(),
+        crate::shard::check_deal(&lens)?,
         shortlist,
         None,
         || backends.iter().map(|b| b.stage_one(probe)).collect(),

@@ -132,13 +132,6 @@ impl FlatBuckets {
         out
     }
 
-    /// Deals the table the way round-robin enrollment deals entries over
-    /// `shards` shards: id `g` becomes id `g / shards` of shard `g % shards`.
-    pub fn deal(&self, shards: usize) -> Vec<FlatBuckets> {
-        let local = |id: u32, k: usize| (id as usize % shards == k).then_some(id / shards as u32);
-        (0..shards).map(|k| self.remap(|id| local(id, k))).collect()
-    }
-
     /// Registers `(key, id)` pairs whose ids rank after every id here and
     /// ascend within each key, in place.
     fn register(&mut self, regs: impl Iterator<Item = (u64, u32)> + Clone) {
@@ -578,7 +571,7 @@ mod tests {
     }
 
     #[test]
-    fn runs_remap_and_deal_like_enrollment_does() {
+    fn runs_and_remap_like_enrollment_does() {
         let entries: Vec<Vec<PairFeature>> = (0..13)
             .map(|id| {
                 let feature_k = |k| feature(1.0 + (id * 7 + k) as f64 % 11.0, k as f64 - 1.5, 0.3);
@@ -603,17 +596,6 @@ mod tests {
             .map(|id| entries[id].clone())
             .collect();
         assert_eq!(survivors, enrolled(0.5, 16, &kept).table);
-
-        for shards in [1usize, 2, 5] {
-            for (k, part) in whole.deal(shards).into_iter().enumerate() {
-                let mine: Vec<_> = entries.iter().skip(k).step_by(shards).cloned().collect();
-                assert_eq!(
-                    part,
-                    enrolled(0.5, 16, &mine).table,
-                    "shard {k} of {shards}"
-                );
-            }
-        }
     }
 
     /// `entries` entries of `per` features strided irrationally over the

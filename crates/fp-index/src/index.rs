@@ -100,7 +100,7 @@ pub struct SearchResult {
 
 impl SearchResult {
     /// Assembles a result from an already-sorted candidate list (used by
-    /// the sharded and cross-process merges, which produce the same
+    /// the search spine's merge, which produces the same
     /// `(score desc, id asc)` order by construction — callers are
     /// responsible for that invariant).
     pub fn from_parts(candidates: Vec<Candidate>, gallery_len: usize) -> SearchResult {
@@ -167,10 +167,9 @@ impl Fingerprinted for SearchResult {
 
 /// The probe-side features of one search, computed once per probe: the
 /// pair features of its prepared pair table (for geometric-hash voting)
-/// and the binarized cylinder codes. A [`crate::ShardedIndex`] computes
-/// this once and shares it read-only across every shard's stage-1 pass —
-/// the features depend only on the probe and the (shard-invariant)
-/// extraction config, so every shard sees bit-identical probe features.
+/// and the binarized cylinder codes. The features depend only on the probe
+/// and the (shard-invariant) extraction config, so every shard computing
+/// them sees bit-identical probe features.
 pub(crate) struct ProbeFeatures {
     pairs: Vec<PairFeature>,
     codes: CylinderCodes,
@@ -183,9 +182,9 @@ pub(crate) struct ProbeFeatures {
 /// own cylinders — neither depends on which other entries share the
 /// gallery. This is the property that makes sharded search exact: scores
 /// computed shard-locally are bit-identical to the unsharded ones —
-/// whether the shard lives in this process ([`crate::ShardedIndex`]) or
-/// answers over `fp-serve`'s wire protocol, which is why this struct is
-/// public: it *is* the cross-process score seam.
+/// whether the shard lives in this process or answers over `fp-serve`'s
+/// wire protocol, which is why this struct is public: it *is* the
+/// cross-process score seam.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageOneScores {
     /// Min-support-normalized geometric-hash votes per entry.
@@ -309,9 +308,9 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
 
     /// Stage 2 as a *shard* serves it: [`rerank`](Self::rerank), with the
     /// part folded into the part chain exactly as served (shard-local ids,
-    /// selection order). The `ShardBackend` impl and `ShardedIndex`'s
-    /// re-rank lanes both come through here, so in-process and remote
-    /// shards fold bit-identical sequences a coordinator can mirror.
+    /// selection order). The `ShardBackend` impl comes through here, so
+    /// in-process and remote shards fold bit-identical sequences a
+    /// coordinator can mirror.
     pub(crate) fn serve_part(
         &self,
         selected: &[u32],
@@ -326,20 +325,9 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
     /// Registers the index's work counters and timing histograms on
     /// `telemetry` (candidates pruned, Hamming word ops, bucket hits,
     /// re-rank comparisons, build/search wall time).
-    pub fn with_telemetry(self, telemetry: &Telemetry) -> Self {
-        self.with_metrics(IndexMetrics::new(telemetry))
-    }
-
-    /// Installs a pre-registered instrument bundle (the sharded index uses
-    /// this to give every shard its own `index.shard<k>` label prefix).
-    pub(crate) fn with_metrics(mut self, metrics: IndexMetrics) -> Self {
-        self.metrics = metrics;
+    pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
+        self.metrics = IndexMetrics::new(telemetry);
         self
-    }
-
-    /// The installed instrument bundle.
-    pub(crate) fn metrics(&self) -> &IndexMetrics {
-        &self.metrics
     }
 
     /// The active configuration.
@@ -427,21 +415,8 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
             "index.enroll_all",
             &[("batch", templates.len().to_string())],
         );
-        let refs: Vec<&Template> = templates.iter().collect();
-        self.enroll_all_bounded(&refs, lanes::cores())
-    }
-
-    /// [`enroll_all`](Self::enroll_all) over template references with an
-    /// explicit worker-thread budget. The sharded index divides the
-    /// machine's cores across shards through this path so S shards
-    /// enrolling concurrently do not oversubscribe S x cores.
-    pub(crate) fn enroll_all_bounded(&mut self, templates: &[&Template], threads: usize) -> u32
-    where
-        M: Sync,
-        M::Prepared: Send,
-    {
         let start = Instant::now();
-        let prepared = parallel_make(self, templates, threads);
+        let prepared = parallel_make(self, templates);
         let first = self.insert(prepared);
         // Per-template preparation timings were recorded inside
         // `parallel_make`; the whole-batch wall time gets its own
@@ -840,8 +815,7 @@ fn channel_rank(scores: &[f64], id: u32) -> u32 {
 /// `index.build.seconds` histogram when telemetry is live.
 fn parallel_make<M>(
     index: &CandidateIndex<M>,
-    templates: &[&Template],
-    max_threads: usize,
+    templates: &[Template],
 ) -> Vec<PreparedEnrollment<M::Prepared>>
 where
     M: PreparableMatcher + Sync,
@@ -858,8 +832,9 @@ where
             index.make_entry(t)
         }
     };
-    let threads = lanes::cores().min(max_threads.max(1));
-    lanes::share(templates.to_vec(), vec![(); threads], |(), t| make_timed(t))
+    lanes::share(templates.iter().collect(), vec![(); lanes::cores()], |(), t| {
+        make_timed(t)
+    })
 }
 
 #[cfg(test)]

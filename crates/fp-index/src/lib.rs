@@ -35,19 +35,18 @@
 //! shortlist. The property tests require shortlist recall ≥ 0.98 at the
 //! default budget on seeded data; `study ext-scaling` reports it per run.
 //!
-//! For large galleries, [`ShardedIndex`] splits the gallery round-robin
-//! across S thread-parallel shards and merges per-shard results
-//! deterministically — byte-identical to the unsharded index at the same
-//! total budget (per-entry stage-1 scores are shard-invariant; fusion runs
-//! once, globally — see `shard.rs` for the argument), with both stages
-//! fanning out across shard threads. The seam itself is named by the
+//! A gallery can also be split round-robin across S shards and searched
+//! byte-identically to the unsharded index at the same total budget
+//! (per-entry stage-1 scores are shard-invariant; fusion runs once,
+//! globally — see `shard.rs` for the argument). The seam is named by the
 //! [`ShardBackend`] trait (`backend.rs`): anything that can answer stage-1
 //! scores and stage-2 exact scores for its slice of the gallery — an
 //! in-process [`CandidateIndex`] or `fp-serve`'s remote shard connection —
 //! is a shard. The sequence above the seam is written once, in
-//! [`search_spine`]: the unsharded index, the sharded index, the reference
-//! driver and `fp-serve`'s coordinator all run it and differ only in how
-//! they fan the two stages out, so they produce the same bytes.
+//! [`search_spine`]: the unsharded index, the reference driver
+//! [`search_backends`] and `fp-serve`'s coordinator all run it and differ
+//! only in how they fan the two stages out, so they produce the same
+//! bytes.
 //!
 //! ```
 //! use fp_index::{CandidateIndex, IndexConfig};
@@ -84,5 +83,5 @@ pub use index::{Candidate, CandidateIndex, SearchResult, StageOneScores, TableLo
 #[doc(hidden)]
 pub use lanes::MIN_LANE_ENTRIES;
 pub use metrics::IndexMetrics;
-pub use shard::{search_spine, ShardedIndex};
+pub use shard::search_spine;
 pub use signature::{CodeView, CylinderCodes, Stage1Scratch};

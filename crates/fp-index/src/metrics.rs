@@ -9,14 +9,9 @@
 //!
 //! Work is metered where it is done: the [`crate::CandidateIndex`] that
 //! runs a stage-1 or stage-2 pass records it, whichever route reached the
-//! pass — a top-level search, a [`crate::ShardedIndex`] lane, or the
-//! [`crate::ShardBackend`] calls a shard process serves — so a shard
-//! process's `index.search.*` counters show its share of every search.
-//!
-//! A [`crate::ShardedIndex`] registers one bundle per shard under an
-//! `index.shard<k>` prefix plus an unprefixed `index` roll-up bundle, so
-//! per-shard work is attributable while the roll-up stays comparable with
-//! an unsharded [`crate::CandidateIndex`] serving the same gallery.
+//! pass — a top-level search or the [`crate::ShardBackend`] calls a shard
+//! process serves — so a shard process's `index.search.*` counters show
+//! its share of every search.
 
 use fp_telemetry::{Counter, DurationHistogram, Telemetry, ValueHistogram};
 
@@ -71,28 +66,19 @@ impl IndexMetrics {
     /// Registers the index instruments on `telemetry` under the canonical
     /// `index` prefix.
     pub fn new(telemetry: &Telemetry) -> IndexMetrics {
-        IndexMetrics::with_prefix(telemetry, "index")
-    }
-
-    /// Registers the instruments under an explicit name prefix
-    /// (`<prefix>.searches`, `<prefix>.search.hamming_ops`, ...). Sharded
-    /// galleries use `index.shard<k>` so every shard's work is separately
-    /// attributable.
-    pub fn with_prefix(telemetry: &Telemetry, prefix: &str) -> IndexMetrics {
         IndexMetrics {
-            enrolled: telemetry.counter(&format!("{prefix}.enrolled")),
-            searches: telemetry.counter(&format!("{prefix}.searches")),
-            hamming_ops: telemetry.counter(&format!("{prefix}.search.hamming_ops")),
-            bucket_hits: telemetry.counter(&format!("{prefix}.search.bucket_hits")),
-            rerank_comparisons: telemetry.counter(&format!("{prefix}.search.rerank_comparisons")),
-            candidates_pruned: telemetry.counter(&format!("{prefix}.search.candidates_pruned")),
-            shortlist: telemetry.value(&format!("{prefix}.search.shortlist")),
-            hamming_per_search: telemetry.value(&format!("{prefix}.search.hamming_ops_per_search")),
-            bucket_hits_per_search: telemetry
-                .value(&format!("{prefix}.search.bucket_hits_per_search")),
-            build_time: telemetry.duration(&format!("{prefix}.build.seconds")),
-            build_batch_time: telemetry.duration(&format!("{prefix}.build.batch_seconds")),
-            search_time: telemetry.duration(&format!("{prefix}.search.seconds")),
+            enrolled: telemetry.counter("index.enrolled"),
+            searches: telemetry.counter("index.searches"),
+            hamming_ops: telemetry.counter("index.search.hamming_ops"),
+            bucket_hits: telemetry.counter("index.search.bucket_hits"),
+            rerank_comparisons: telemetry.counter("index.search.rerank_comparisons"),
+            candidates_pruned: telemetry.counter("index.search.candidates_pruned"),
+            shortlist: telemetry.value("index.search.shortlist"),
+            hamming_per_search: telemetry.value("index.search.hamming_ops_per_search"),
+            bucket_hits_per_search: telemetry.value("index.search.bucket_hits_per_search"),
+            build_time: telemetry.duration("index.build.seconds"),
+            build_batch_time: telemetry.duration("index.build.batch_seconds"),
+            search_time: telemetry.duration("index.search.seconds"),
             telemetry: telemetry.clone(),
         }
     }

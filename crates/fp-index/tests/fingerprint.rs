@@ -9,10 +9,10 @@
 //!   or of what configured the run (any `IndexConfig` field, the seed)
 //!   must change the fingerprint.
 //! * **Determinism** — re-running the same searches must reproduce the
-//!   value bit-for-bit: across shard counts (the sharded index folds the
-//!   same merged lists as the unsharded one) and across threads (the
-//!   cumulative combine is commutative, so completion order is
-//!   irrelevant).
+//!   value bit-for-bit: across shard counts (a search over round-robin
+//!   shards merges the same lists as the unsharded one) and across
+//!   threads (the cumulative combine is commutative, so completion order
+//!   is irrelevant).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -22,7 +22,7 @@ use fp_core::minutia::{Minutia, MinutiaKind};
 use fp_core::rng::SeedTree;
 use fp_core::template::Template;
 use fp_core::MatchScore;
-use fp_index::{Candidate, CandidateIndex, IndexConfig, SearchResult, ShardedIndex};
+use fp_index::{search_backends, Candidate, CandidateIndex, IndexConfig, SearchResult};
 use fp_match::PairTableMatcher;
 use fp_telemetry::{FingerprintChain, RunFingerprint};
 use proptest::prelude::*;
@@ -240,10 +240,11 @@ proptest! {
     }
 }
 
-/// Fold-order determinism across shard counts: the sharded index merges
-/// per-shard parts into the global-fusion order before folding, so for
-/// every S (including an S exceeding the gallery, leaving shards empty)
-/// the cumulative run fingerprint equals the unsharded one after the same
+/// Fold-order determinism across shard counts: the search spine merges
+/// per-shard parts into the global-fusion order, so for every S (including
+/// an S exceeding the gallery, leaving shards empty) the results of
+/// `search_backends` over round-robin-dealt backends, folded into a chain
+/// with the run's base, equal the unsharded run fingerprint after the same
 /// probes at the same budgets.
 #[test]
 fn sharded_run_fingerprints_equal_unsharded_for_every_shard_count() {
@@ -268,15 +269,19 @@ fn sharded_run_fingerprints_equal_unsharded_for_every_shard_count() {
     assert_eq!(reference.searches, (probes.len() * 3) as u64);
 
     for s in [1usize, 2, 3, 7] {
-        let mut sharded =
-            ShardedIndex::with_config(PairTableMatcher::default(), config, s).with_run_seed(SEED);
-        sharded.enroll_all(&templates);
+        let mut backends: Vec<CandidateIndex<PairTableMatcher>> = (0..s)
+            .map(|_| CandidateIndex::with_config(PairTableMatcher::default(), config))
+            .collect();
+        for (g, t) in templates.iter().enumerate() {
+            backends[g % s].enroll(t);
+        }
+        let chain = RunFingerprint::new(config.fingerprint_base(SEED));
         for probe in &probes {
             for budget in [0usize, N / 2, N] {
-                let _ = sharded.search_with_budget(probe, budget);
+                chain.record_item(&search_backends(&backends, probe, budget).expect("in-process"));
             }
         }
-        let snapshot = sharded.run_fingerprint();
+        let snapshot = chain.snapshot();
         assert_eq!(
             snapshot, reference,
             "S={s}: sharded run fingerprint diverged from unsharded"

@@ -1,19 +1,23 @@
-//! Sharded search must be *byte-identical* to the unsharded index.
+//! Search over round-robin shards must be *byte-identical* to the
+//! unsharded index.
 //!
-//! The sharded design's whole claim is exactness (DESIGN.md §5c): per-entry
+//! The claim is exactness (DESIGN.md, "The search spine"): per-entry
 //! stage-1 channel scores are shard-invariant, fusion runs once globally,
 //! and the per-shard exact re-ranks merge under the same strict total
-//! order. These tests pin that claim across shard counts (including more
-//! shards than templates, so some shards are empty), gallery sizes not
-//! divisible by S, and shortlist budgets from 0 through past the gallery
-//! size — plus telemetry roll-up parity with an unsharded run.
+//! order. These tests pin that claim for `search_backends` over
+//! round-robin-dealt `CandidateIndex` backends — what a set of shard
+//! processes holds — across shard counts (including more shards than
+//! templates, so some shards are empty), gallery sizes not divisible by S,
+//! and shortlist budgets from 0 through past the gallery size; plus the
+//! work meters' partition and the deal check.
 
 use fp_core::geometry::{Direction, Point, RigidMotion, Vector};
 use fp_core::minutia::{Minutia, MinutiaKind};
 use fp_core::rng::SeedTree;
 use fp_core::template::Template;
-use fp_index::{CandidateIndex, IndexConfig, ShardedIndex};
+use fp_index::{search_backends, CandidateIndex, IndexConfig, ShardBackend, ShardError};
 use fp_match::PairTableMatcher;
+use fp_telemetry::Telemetry;
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -88,15 +92,35 @@ fn gallery(seed: u64, n: usize) -> Vec<Template> {
         .collect()
 }
 
+/// `s` empty indexes under `config`.
+fn empty(s: usize, config: IndexConfig) -> Vec<CandidateIndex<PairTableMatcher>> {
+    (0..s)
+        .map(|_| CandidateIndex::with_config(PairTableMatcher::default(), config))
+        .collect()
+}
+
+/// `templates` enrolled round-robin into `shards` — template `g` on shard
+/// `g % S` as its local id `g / S`, the deal a coordinator makes.
+fn deal(
+    templates: &[Template],
+    mut shards: Vec<CandidateIndex<PairTableMatcher>>,
+) -> Vec<CandidateIndex<PairTableMatcher>> {
+    let s = shards.len();
+    for (g, t) in templates.iter().enumerate() {
+        shards[g % s].enroll(t);
+    }
+    shards
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// The central claim: for every shard count (1, 2, 3, and a 7 that
     /// exceeds small galleries, leaving shards empty), every budget
     /// (empty, single, partial, exact, and over-full), and gallery sizes
-    /// that do not divide evenly, the sharded candidate list — ids AND
-    /// scores, in order — equals the unsharded one; and at full budget
-    /// both equal brute force.
+    /// that do not divide evenly, the candidate list over dealt backends —
+    /// ids AND scores, in order — equals the unsharded one; and at full
+    /// budget both equal brute force.
     #[test]
     fn sharded_equals_unsharded_equals_brute_force(
         seed in 0u64..500,
@@ -111,14 +135,10 @@ proptest! {
         unsharded.enroll_all(&templates);
 
         for s in [1usize, 2, 3, 7] {
-            let mut sharded =
-                ShardedIndex::with_config(PairTableMatcher::default(), config, s);
-            sharded.enroll_all(&templates);
-            prop_assert_eq!(sharded.len(), n);
-
+            let backends = deal(&templates, empty(s, config));
             for budget in [0usize, 1, n / 2, n, n + 5] {
                 let a = unsharded.search_with_budget(&probe, budget);
-                let b = sharded.search_with_budget(&probe, budget);
+                let b = search_backends(&backends, &probe, budget).expect("in-process");
                 prop_assert_eq!(
                     a.candidates(),
                     b.candidates(),
@@ -132,179 +152,55 @@ proptest! {
             }
 
             // Full budget degenerates to exact brute force.
-            let full = sharded.search_with_budget(&probe, n);
+            let full = search_backends(&backends, &probe, n).expect("in-process");
             let reference = unsharded.brute_force(&probe);
             prop_assert_eq!(full.candidates(), reference.candidates());
         }
-    }
-
-    /// Batch and sequential sharded enrollment assign the same global ids
-    /// and build the same index.
-    #[test]
-    fn sharded_batch_and_sequential_enrollment_agree(
-        seed in 0u64..200,
-        n in 1usize..12,
-        s in 1usize..5,
-    ) {
-        let templates = gallery(seed + 7_000, n);
-        let probe = second_capture(&templates[0], seed ^ 0xBEEF);
-
-        let mut batch = ShardedIndex::new(PairTableMatcher::default(), s);
-        prop_assert_eq!(batch.enroll_all(&templates), 0);
-
-        let mut sequential = ShardedIndex::new(PairTableMatcher::default(), s);
-        for (g, t) in templates.iter().enumerate() {
-            prop_assert_eq!(sequential.enroll(t), g as u32);
-        }
-
-        let a = batch.search(&probe);
-        let b = sequential.search(&probe);
-        prop_assert_eq!(a.candidates(), b.candidates());
     }
 }
 
 #[test]
 fn empty_sharded_gallery_returns_empty_result() {
-    let sharded: ShardedIndex<PairTableMatcher> = ShardedIndex::new(PairTableMatcher::default(), 4);
-    assert!(sharded.is_empty());
-    assert_eq!(sharded.shard_count(), 4);
+    let backends = empty(4, IndexConfig::default());
     let probe = synthetic_template(1, 20);
-    let result = sharded.search(&probe);
+    let result = search_backends(&backends, &probe, 10).expect("in-process");
     assert!(result.candidates().is_empty());
     assert_eq!(result.gallery_len(), 0);
 }
 
+/// `search_backends` adopts shard sizes it did not deal itself, so it
+/// checks them first: backends holding 3 and 0 entries, or 1 and 2, are
+/// not a round-robin deal of their total and are refused with a typed
+/// error naming the first shard that holds the wrong number — not an
+/// out-of-bounds panic while stitching stage 1.
 #[test]
-#[should_panic(expected = "at least one shard")]
-fn zero_shards_is_rejected() {
-    let _ = ShardedIndex::new(PairTableMatcher::default(), 0);
-}
-
-/// Roll-up telemetry parity: a sharded run's `index.*` roll-up counters
-/// must equal an unsharded run's on the same gallery and probes (the work
-/// counters are pure functions of probe x entries, so sharding cannot
-/// change them), and the per-shard `index.shard<k>.*` counters must sum to
-/// the roll-up exactly.
-#[test]
-fn rollup_counters_match_unsharded_and_shards_partition_them() {
-    const N: usize = 30;
-    const S: usize = 3;
-    let templates = gallery(42, N);
-    let probes: Vec<Template> = (0..4)
-        .map(|p| second_capture(&templates[p * 5], 9_000 + p as u64))
-        .collect();
-
-    let plain_tel = fp_telemetry::Telemetry::enabled();
-    let mut plain = CandidateIndex::new(PairTableMatcher::default()).with_telemetry(&plain_tel);
-    plain.enroll_all(&templates);
-
-    let sharded_tel = fp_telemetry::Telemetry::enabled();
-    let mut sharded =
-        ShardedIndex::new(PairTableMatcher::default(), S).with_telemetry(&sharded_tel);
-    sharded.enroll_all(&templates);
-
-    for probe in &probes {
-        assert_eq!(
-            plain.search(probe).candidates(),
-            sharded.search(probe).candidates()
-        );
-    }
-
-    let a = plain_tel.snapshot();
-    let b = sharded_tel.snapshot();
-    // `index.searches` fans out (every shard serves every search) rather
-    // than partitioning; it is checked per shard below.
-    assert_eq!(a.counters["index.searches"], b.counters["index.searches"]);
-    for key in [
-        "index.enrolled",
-        "index.search.hamming_ops",
-        "index.search.bucket_hits",
-        "index.search.rerank_comparisons",
-        "index.search.candidates_pruned",
-    ] {
-        assert_eq!(a.counters[key], b.counters[key], "roll-up {key}");
-        let shard_sum: u64 = (0..S)
-            .map(|k| {
-                let name = format!("index.shard{k}.{}", &key["index.".len()..]);
-                b.counters.get(&name).copied().unwrap_or_else(|| {
-                    panic!("missing per-shard counter {name}");
-                })
-            })
-            .sum();
-        assert_eq!(shard_sum, b.counters[key], "shard partition of {key}");
-    }
-
-    // Every shard served every search, and per-shard build histograms
-    // carry one sample per locally enrolled template.
-    for k in 0..S {
-        assert_eq!(b.counters[&format!("index.shard{k}.searches")], 4);
-        assert_eq!(
-            b.durations[&format!("index.shard{k}.build.seconds")].count,
-            (N / S) as u64
-        );
-        assert_eq!(
-            b.durations[&format!("index.shard{k}.build.batch_seconds")].count,
-            1
-        );
-        assert_eq!(
-            b.durations[&format!("index.shard{k}.search.seconds")].count,
-            4
-        );
-    }
-    assert_eq!(b.durations["index.search.seconds"].count, 4);
-    assert_eq!(b.durations["index.build.batch_seconds"].count, 1);
-}
-
-/// The sharded search's flight-recorder spans nest per-shard work under
-/// the probe's `index.search` root.
-#[test]
-fn shard_spans_nest_under_the_search_span() {
-    const S: usize = 2;
-    let telemetry = fp_telemetry::Telemetry::enabled();
-    let templates = gallery(77, 10);
-    let mut sharded = ShardedIndex::new(PairTableMatcher::default(), S).with_telemetry(&telemetry);
-    sharded.enroll_all(&templates);
-    let probe = second_capture(&templates[3], 1_234);
-    let _ = sharded.search(&probe);
-
-    let trace = telemetry.trace_snapshot();
-    trace.validate_tree().expect("well-formed trace");
-    let search = trace
-        .spans
-        .iter()
-        .find(|s| s.name == "index.search")
-        .expect("search span recorded");
-    for name in ["index.shard.search", "index.shard.rerank"] {
-        let lanes: Vec<_> = trace.spans.iter().filter(|s| s.name == name).collect();
-        assert_eq!(lanes.len(), S, "{name} once per shard");
-        for lane in lanes {
-            assert_eq!(lane.parent, Some(search.id), "{name} parented");
+fn search_backends_refuses_backends_that_are_not_a_round_robin_deal() {
+    let templates = gallery(61, 3);
+    let probe = second_capture(&templates[0], 6_100);
+    for lens in [[3usize, 0], [1, 2]] {
+        let mut backends = empty(2, IndexConfig::default());
+        let mut next = templates.iter();
+        for (backend, &len) in backends.iter_mut().zip(&lens) {
+            for t in next.by_ref().take(len) {
+                backend.enroll(t);
+            }
         }
-    }
-    let enroll = trace
-        .spans
-        .iter()
-        .find(|s| s.name == "index.enroll_all")
-        .expect("enroll span recorded");
-    let enroll_lanes: Vec<_> = trace
-        .spans
-        .iter()
-        .filter(|s| s.name == "index.shard.enroll")
-        .collect();
-    assert_eq!(enroll_lanes.len(), S);
-    for lane in enroll_lanes {
-        assert_eq!(lane.parent, Some(enroll.id));
+        match search_backends(&backends, &probe, 3) {
+            Err(ShardError::Protocol { shard: 0, detail }) => assert!(
+                detail.contains("round-robin deal of 3 over 2 shards"),
+                "{detail}"
+            ),
+            other => panic!("lens {lens:?}: expected a protocol error on shard 0, got {other:?}"),
+        }
     }
 }
 
 /// The transport-independent reference driver (`search_backends` over the
-/// `ShardBackend` trait) produces the same bytes as both `ShardedIndex`
-/// and the unsharded index: round-robin-dealt `CandidateIndex` backends
-/// are exactly what a set of remote shard servers holds.
+/// `ShardBackend` trait) produces the same bytes as the unsharded index on
+/// a larger gallery: round-robin-dealt `CandidateIndex` backends are
+/// exactly what a set of remote shard servers holds.
 #[test]
-fn backend_driver_matches_sharded_and_unsharded() {
-    use fp_index::search_backends;
-
+fn backend_driver_matches_unsharded() {
     const N: usize = 26;
     let templates = gallery(77, N);
     let config = IndexConfig::default();
@@ -313,27 +209,13 @@ fn backend_driver_matches_sharded_and_unsharded() {
     unsharded.enroll_all(&templates);
 
     for s in [1usize, 2, 3, 5] {
-        // Deal templates round-robin into standalone per-shard indexes —
-        // the same distribution ShardedIndex (and a remote coordinator)
-        // uses.
-        let mut backends: Vec<CandidateIndex<PairTableMatcher>> = (0..s)
-            .map(|_| CandidateIndex::with_config(PairTableMatcher::default(), config))
-            .collect();
-        for (g, t) in templates.iter().enumerate() {
-            backends[g % s].enroll(t);
-        }
-
-        let mut sharded = ShardedIndex::with_config(PairTableMatcher::default(), config, s);
-        sharded.enroll_all(&templates);
-
+        let backends = deal(&templates, empty(s, config));
         for p in [0usize, 7, 19] {
             let probe = second_capture(&templates[p], 4_400 + p as u64);
             for budget in [0usize, 1, N / 2, N, N + 3] {
                 let via_trait = search_backends(&backends, &probe, budget).expect("in-process");
-                let via_sharded = sharded.search_with_budget(&probe, budget);
                 let via_plain = unsharded.search_with_budget(&probe, budget);
                 assert_eq!(via_trait.candidates(), via_plain.candidates(), "s={s}");
-                assert_eq!(via_trait.candidates(), via_sharded.candidates(), "s={s}");
                 assert_eq!(via_trait.gallery_len(), N);
             }
         }
@@ -374,7 +256,6 @@ fn fused_keys(vote_scores: &[f64], cyl_scores: &[f64]) -> Vec<(u32, u32, u32)> {
 #[test]
 fn every_shard_count_selects_one_set_in_fused_order() {
     use fp_index::shard::select_per_shard;
-    use fp_index::ShardBackend;
 
     const N: usize = 40;
     let templates = gallery(515, N);
@@ -433,12 +314,12 @@ fn every_shard_count_selects_one_set_in_fused_order() {
 /// gets no stage-2 call and folds nothing into its part chain — is the one
 /// place search drivers could drift apart, so pin it where it bites: three
 /// entries over seven shards (four shards hold nothing) at budgets that
-/// select none, one and all of them. Candidates, the canonical RUNFP chain
-/// and every per-shard part chain must agree between `ShardedIndex` and
-/// standalone backends driven by `search_backends`.
+/// select none, one and all of them. Candidates and the canonical RUNFP
+/// chain must agree between the unsharded index and standalone backends
+/// driven by `search_backends`, and each backend's part chain holds only
+/// the parts it served.
 #[test]
 fn empty_selections_fold_nothing_in_any_driver() {
-    use fp_index::search_backends;
     use fp_telemetry::RunFingerprint;
 
     const N: usize = 3;
@@ -448,14 +329,7 @@ fn empty_selections_fold_nothing_in_any_driver() {
 
     let mut unsharded = CandidateIndex::with_config(PairTableMatcher::default(), config);
     unsharded.enroll_all(&templates);
-    let mut sharded = ShardedIndex::with_config(PairTableMatcher::default(), config, S);
-    sharded.enroll_all(&templates);
-    let mut backends: Vec<CandidateIndex<PairTableMatcher>> = (0..S)
-        .map(|_| CandidateIndex::with_config(PairTableMatcher::default(), config))
-        .collect();
-    for (g, t) in templates.iter().enumerate() {
-        backends[g % S].enroll(t);
-    }
+    let backends = deal(&templates, empty(S, config));
     // `search_backends` keeps no chain of its own; fold its results here.
     let via_trait_chain = RunFingerprint::new(config.fingerprint_base(0));
 
@@ -463,19 +337,15 @@ fn empty_selections_fold_nothing_in_any_driver() {
     for budget in [0usize, 1, N] {
         let probe = second_capture(&templates[budget % N], 5_150 + budget as u64);
         let via_trait = search_backends(&backends, &probe, budget).expect("in-process");
-        let via_sharded = sharded.search_with_budget(&probe, budget);
         let via_plain = unsharded.search_with_budget(&probe, budget);
         assert_eq!(via_trait.candidates().len(), budget);
         assert_eq!(via_trait.candidates(), via_plain.candidates());
-        assert_eq!(via_trait.candidates(), via_sharded.candidates());
         via_trait_chain.record_item(&via_trait);
         served += budget as u64;
     }
 
-    assert_eq!(unsharded.run_fingerprint(), sharded.run_fingerprint());
     assert_eq!(unsharded.run_fingerprint(), via_trait_chain.snapshot());
     let standalone: Vec<_> = backends.iter().map(|b| b.part_fingerprint()).collect();
-    assert_eq!(sharded.shard_fingerprints(), standalone);
     // Only non-empty parts were folded: one per selected entry here (each
     // occupied shard holds a single entry), none on the four empty shards.
     assert_eq!(standalone.iter().map(|fp| fp.searches).sum::<u64>(), served);
@@ -486,19 +356,19 @@ fn empty_selections_fold_nothing_in_any_driver() {
 
 /// Work is metered by the index that does it, on every route — and an
 /// index whose slice of the selection came back empty (so it never hears
-/// about stage 2) still accounts for its pruned entries and its one
-/// `search.seconds` sample.
+/// about stage 2) still accounts for its pruned entries. Standalone
+/// backends, each metering on its own registry, partition the unsharded
+/// index's work exactly: the work counters are pure functions of
+/// probe x entries.
 #[test]
 fn every_route_meters_its_work_and_empty_selections_still_settle() {
-    use fp_index::ShardBackend;
-
     const N: usize = 3;
     const S: usize = 7;
     let templates = gallery(414, N);
     let probe = second_capture(&templates[1], 6_001);
 
     // The `ShardBackend` route — what a shard process serves.
-    let telemetry = fp_telemetry::Telemetry::enabled();
+    let telemetry = Telemetry::enabled();
     let mut served = CandidateIndex::new(PairTableMatcher::default()).with_telemetry(&telemetry);
     served.enroll_all(&templates);
     served.stage_one(&probe).unwrap();
@@ -515,29 +385,42 @@ fn every_route_meters_its_work_and_empty_selections_still_settle() {
     assert!(snap.counters["index.search.hamming_ops"] > 0);
     assert_eq!(snap.durations["index.search.seconds"].count, 1);
 
-    // Sharded lanes: one entry selected, so six of seven shards sit stage
-    // 2 out — four of them hold nothing at all.
-    let telemetry = fp_telemetry::Telemetry::enabled();
-    let mut sharded = ShardedIndex::new(PairTableMatcher::default(), S).with_telemetry(&telemetry);
-    sharded.enroll_all(&templates);
-    assert_eq!(sharded.search_with_budget(&probe, 1).candidates().len(), 1);
-    let snap = telemetry.snapshot();
-    let per_shard = |key: &str| -> u64 {
-        (0..S)
-            .map(|k| snap.counters[&format!("index.shard{k}.search.{key}")])
-            .sum()
-    };
-    assert_eq!(
-        snap.counters["index.search.candidates_pruned"],
-        (N - 1) as u64
+    // `search_backends` over seven standalone backends: at budget 1 six of
+    // seven sit stage 2 out — four of them hold nothing at all.
+    let plain_telemetry = Telemetry::enabled();
+    let mut plain =
+        CandidateIndex::new(PairTableMatcher::default()).with_telemetry(&plain_telemetry);
+    plain.enroll_all(&templates);
+    let registries: Vec<Telemetry> = (0..S).map(|_| Telemetry::enabled()).collect();
+    let backends = deal(
+        &templates,
+        registries
+            .iter()
+            .map(|t| CandidateIndex::new(PairTableMatcher::default()).with_telemetry(t))
+            .collect(),
     );
-    assert_eq!(per_shard("candidates_pruned"), (N - 1) as u64);
-    assert_eq!(per_shard("rerank_comparisons"), 1);
-    for k in 0..S {
-        assert_eq!(snap.counters[&format!("index.shard{k}.searches")], 1);
+    for budget in [0usize, 1, N] {
         assert_eq!(
-            snap.durations[&format!("index.shard{k}.search.seconds")].count,
-            1
+            search_backends(&backends, &probe, budget)
+                .expect("in-process")
+                .candidates(),
+            plain.search_with_budget(&probe, budget).candidates()
         );
+    }
+    let whole = plain_telemetry.snapshot().counters;
+    let parts: Vec<_> = registries.iter().map(|t| t.snapshot().counters).collect();
+    for key in [
+        "index.enrolled",
+        "index.search.hamming_ops",
+        "index.search.bucket_hits",
+        "index.search.rerank_comparisons",
+        "index.search.candidates_pruned",
+    ] {
+        let sum: u64 = parts.iter().map(|counters| counters[key]).sum();
+        assert_eq!(sum, whole[key], "backends partition {key}");
+    }
+    // `index.searches` fans out: every backend served every search.
+    for counters in &parts {
+        assert_eq!(counters["index.searches"], whole["index.searches"]);
     }
 }

@@ -1,9 +1,8 @@
 //! End-to-end server + coordinator tests over real loopback sockets.
 //!
-//! The load-bearing test is `remote_matches_sharded_and_unsharded`: a
-//! coordinator over TCP shard servers must return candidate lists **byte
-//! identical** to the in-process [`ShardedIndex`] and the unsharded
-//! [`CandidateIndex`] across shard counts and budgets. The rest pin the
+//! The load-bearing test is `remote_matches_unsharded`: a coordinator over
+//! TCP shard servers must return candidate lists **byte identical** to the
+//! unsharded [`CandidateIndex`] across shard counts and budgets. The rest pin the
 //! failure contract — dead shards fail loudly with typed errors after a
 //! bounded retry budget, config drift is rejected, shutdown is clean —
 //! and the `serve.*` telemetry wiring.
@@ -15,7 +14,7 @@ use fp_core::geometry::{Direction, Point, RigidMotion, Vector};
 use fp_core::minutia::{Minutia, MinutiaKind};
 use fp_core::rng::SeedTree;
 use fp_core::template::Template;
-use fp_index::{CandidateIndex, IndexConfig, ShardError, ShardedIndex};
+use fp_index::{search_backends, CandidateIndex, IndexConfig, ShardError};
 use fp_match::PairTableMatcher;
 use fp_serve::server::ServerHandle;
 use fp_serve::{wire, Coordinator, Frame, MuxConn, RemoteShard, RetryPolicy, ShardServer};
@@ -116,7 +115,7 @@ fn fast_retry() -> RetryPolicy {
 }
 
 #[test]
-fn remote_matches_sharded_and_unsharded() {
+fn remote_matches_unsharded() {
     let n = 17;
     let templates = gallery(42, n);
     let config = IndexConfig::default();
@@ -132,24 +131,15 @@ fn remote_matches_sharded_and_unsharded() {
         assert_eq!(remote.len(), n);
         assert_eq!(remote.shard_count(), s);
 
-        let mut sharded = ShardedIndex::with_config(PairTableMatcher::default(), config, s);
-        sharded.enroll_all(&templates);
-
         for probe_pick in [0usize, 5, 11] {
             let probe = second_capture(&templates[probe_pick], 42 ^ probe_pick as u64);
             for budget in [0usize, 1, n / 2, n, n + 5] {
                 let a = unsharded.search_with_budget(&probe, budget);
-                let b = sharded.search_with_budget(&probe, budget);
                 let c = remote.search_with_budget(&probe, budget).unwrap();
                 assert_eq!(
                     a.candidates(),
                     c.candidates(),
                     "remote != unsharded at s={s} budget={budget}"
-                );
-                assert_eq!(
-                    b.candidates(),
-                    c.candidates(),
-                    "remote != in-process sharded at s={s} budget={budget}"
                 );
                 assert_eq!(a.gallery_len(), c.gallery_len());
                 assert_eq!(a.pruned(), c.pruned());
@@ -171,15 +161,15 @@ fn incremental_enrollment_keeps_global_ids_aligned() {
     let mut remote =
         Coordinator::connect(&addrs, config, Duration::from_secs(5), fast_retry()).unwrap();
     // Two batches with an awkward split: round-robin must continue where
-    // the first batch stopped, exactly like ShardedIndex::enroll_all.
+    // the first batch stopped, so ids stay aligned with the unsharded index.
     remote.enroll_all(&templates[..4]).unwrap();
     remote.enroll_all(&templates[4..]).unwrap();
 
-    let mut sharded = ShardedIndex::with_config(PairTableMatcher::default(), config, 3);
-    sharded.enroll_all(&templates);
+    let mut unsharded = CandidateIndex::with_config(PairTableMatcher::default(), config);
+    unsharded.enroll_all(&templates);
 
     let probe = second_capture(&templates[3], 0xA11CE);
-    let a = sharded.search_with_budget(&probe, 10);
+    let a = unsharded.search_with_budget(&probe, 10);
     let b = remote.search_with_budget(&probe, 10).unwrap();
     assert_eq!(a.candidates(), b.candidates());
 
@@ -431,10 +421,11 @@ fn ancestor_of(
     false
 }
 
-/// The canonical run fingerprint is transport-invariant: unsharded,
-/// in-process sharded and remote coordinators fold byte-identical merged
-/// results, so their chains are equal — and the per-shard chain scrape
-/// verifies cleanly when nothing drifted.
+/// The canonical run fingerprint is transport-invariant: the unsharded
+/// index and remote coordinators fold byte-identical merged results, so
+/// their chains are equal; standalone backends driven by `search_backends`
+/// fold the same served parts as the coordinator's mirrors — and the
+/// per-shard chain scrape verifies cleanly when nothing drifted.
 #[test]
 fn run_fingerprints_agree_across_transports() {
     let n = 14;
@@ -456,9 +447,12 @@ fn run_fingerprints_agree_across_transports() {
             .with_fingerprint_every(1);
         remote.enroll_all(&templates).unwrap();
 
-        let mut sharded =
-            ShardedIndex::with_config(PairTableMatcher::default(), config, s).with_run_seed(seed);
-        sharded.enroll_all(&templates);
+        let mut backends: Vec<CandidateIndex<PairTableMatcher>> = (0..s)
+            .map(|_| CandidateIndex::with_config(PairTableMatcher::default(), config))
+            .collect();
+        for (g, t) in templates.iter().enumerate() {
+            backends[g % s].enroll(t);
+        }
 
         let mut fresh =
             CandidateIndex::with_config(PairTableMatcher::default(), config).with_run_seed(seed);
@@ -467,20 +461,19 @@ fn run_fingerprints_agree_across_transports() {
         for probe_pick in [0usize, 4, 9] {
             let probe = second_capture(&templates[probe_pick], 21 ^ probe_pick as u64);
             fresh.search_with_budget(&probe, n / 2);
-            sharded.search_with_budget(&probe, n / 2);
+            search_backends(&backends, &probe, n / 2).unwrap();
             remote.search_with_budget(&probe, n / 2).unwrap();
         }
 
         let a = fresh.run_fingerprint();
-        let b = sharded.run_fingerprint();
         let c = remote.run_fingerprint();
-        assert_eq!(a, b, "unsharded != in-process sharded at s={s}");
         assert_eq!(a, c, "unsharded != remote at s={s}");
 
-        // The in-process sharded index's per-shard part chains equal the
-        // coordinator's mirrors of its remote shards: both fold the same
-        // served parts in the same order.
-        assert_eq!(sharded.shard_fingerprints(), remote.shard_fingerprints());
+        // Standalone backends' part chains equal the coordinator's mirrors
+        // of its remote shards: both fold the same served parts in the
+        // same order.
+        let standalone: Vec<_> = backends.iter().map(|b| b.part_fingerprint()).collect();
+        assert_eq!(standalone, remote.shard_fingerprints());
 
         // Every search already ran the every-1 scrape; an explicit pass
         // must agree too and the drift counter must have stayed at zero.
@@ -615,11 +608,11 @@ fn stats_scrape_merges_remote_instruments() {
 }
 
 /// Each shard process meters exactly its share: over two shards the
-/// scraped per-shard work counters sum to the roll-up of an in-process
-/// `ShardedIndex` serving the same probes, and every shard saw every
+/// scraped per-shard work counters sum to the work counters of an
+/// unsharded index serving the same probes, and every shard saw every
 /// search.
 #[test]
-fn remote_shard_work_sums_to_the_in_process_rollup() {
+fn remote_shard_work_sums_to_the_unsharded_index() {
     const S: usize = 2;
     let templates = gallery(56, 12);
     let mut handles = Vec::new();
@@ -643,16 +636,16 @@ fn remote_shard_work_sums_to_the_in_process_rollup() {
     remote.enroll_all(&templates).unwrap();
 
     let local_telemetry = Telemetry::enabled();
-    let mut sharded =
-        ShardedIndex::new(PairTableMatcher::default(), S).with_telemetry(&local_telemetry);
-    sharded.enroll_all(&templates);
+    let mut unsharded =
+        CandidateIndex::new(PairTableMatcher::default()).with_telemetry(&local_telemetry);
+    unsharded.enroll_all(&templates);
 
     // Budget 1 leaves one shard without a re-rank request per search.
     let probes = [(0usize, 1usize), (5, 4), (7, 12)];
     for (pick, budget) in probes {
         let probe = second_capture(&templates[pick], 560 + pick as u64);
         let over_wire = remote.search_with_budget(&probe, budget).unwrap();
-        let local = sharded.search_with_budget(&probe, budget);
+        let local = unsharded.search_with_budget(&probe, budget);
         assert_eq!(over_wire.candidates(), local.candidates());
     }
 

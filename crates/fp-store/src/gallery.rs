@@ -27,11 +27,10 @@
 //! ARENA+BUCKETS, checks each section's CRC, decodes the sections and
 //! checks the entry count against the manifest. It keeps the open file
 //! and where each entry's TABLES record lies; TABLES, by far the largest
-//! section, stays on disk. [`GalleryStore::open_index`] and
-//! [`GalleryStore::open_sharded`] merge the survivors of every live
-//! segment in live order, whatever the store's shape, and install a
-//! [`TableLoader`] that reads an entry's record the first time stage 2
-//! touches it. [`GalleryStore::compact`] reads every survivor's record
+//! section, stays on disk. [`GalleryStore::open_index`] merges the
+//! survivors of every live segment in live order, whatever the store's
+//! shape, and installs a [`TableLoader`] that reads an entry's record the
+//! first time stage 2 touches it. [`GalleryStore::compact`] reads every survivor's record
 //! the same way and writes its bytes unchanged. A reader checks a record
 //! against its CRC from SPANS and decodes it before anything uses it;
 //! `decode_table_record` is the record's only decoder, so a loaded table
@@ -51,7 +50,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-use fp_index::{CandidateIndex, CodeArena, FlatBuckets, IndexConfig, ShardedIndex, TableLoader};
+use fp_index::{CandidateIndex, CodeArena, FlatBuckets, IndexConfig, TableLoader};
 use fp_match::{PairTableMatcher, PreparedPairTable};
 use fp_telemetry::{Counter, DurationHistogram, Telemetry};
 use serde::Serialize;
@@ -164,27 +163,6 @@ impl GalleryInspect {
     }
 }
 
-/// The one seam every open path crosses into `fp-index`: hands the decoded
-/// parts to [`CandidateIndex::from_store_parts`], which validates the
-/// stored config (`decode_arena` validated the arena).
-fn assemble_index(
-    config: IndexConfig,
-    pair_counts: Vec<u32>,
-    tables: TableLoader<PreparedPairTable>,
-    arena: CodeArena,
-    buckets: FlatBuckets,
-) -> Result<CandidateIndex<PairTableMatcher>, StoreError> {
-    CandidateIndex::from_store_parts(
-        PairTableMatcher::default(),
-        config,
-        pair_counts,
-        tables,
-        arena,
-        buckets,
-    )
-    .map_err(|err| corrupt("segment", format!("stored config invalid: {err}")))
-}
-
 /// One live segment file, open: the store's one way to read a segment.
 /// [`open`](Self::open) reads and checks everything but the TABLES
 /// records; [`record`](Self::record) reads one of them.
@@ -254,14 +232,13 @@ impl LiveTables {
         self.files[file].record(at)
     }
 
-    /// The loader of shard `shard` of `shards`, whose local id `j` is
-    /// survivor `j * shards + shard` (one shard: the survivors' own ids).
-    /// A record that fails to read or check panics, naming its file and
-    /// its entry index within that segment.
-    fn loader(self: &Arc<Self>, shards: usize, shard: usize) -> TableLoader<PreparedPairTable> {
+    /// The loader of the survivors' tables, by dense id. A record that
+    /// fails to read or check panics, naming its file and its entry index
+    /// within that segment.
+    fn loader(self: &Arc<Self>) -> TableLoader<PreparedPairTable> {
         let tables = Arc::clone(self);
-        TableLoader::new(move |j: u32| {
-            let (file, at) = tables.places[j as usize * shards + shard];
+        TableLoader::new(move |id: u32| {
+            let (file, at) = tables.places[id as usize];
             let file = &tables.files[file];
             file.record(at).map_or_else(
                 |err| {
@@ -539,7 +516,8 @@ impl GalleryStore {
     /// of the survivors in live order. An empty store opens as an empty
     /// index with the default config. Tables load on stage 2's first
     /// touch (see the module docs for the parity argument and failure
-    /// policy).
+    /// policy). [`CandidateIndex::from_store_parts`] validates the stored
+    /// config (`read_head` validated the arena).
     pub fn open_index(&self) -> Result<CandidateIndex<PairTableMatcher>, StoreError> {
         let start = Instant::now();
         let _span = self.metrics.telemetry.trace_span(
@@ -550,53 +528,17 @@ impl GalleryStore {
             ],
         );
         let live = self.open_live()?;
-        let index = assemble_index(
+        let index = CandidateIndex::from_store_parts(
+            PairTableMatcher::default(),
             live.config,
             live.pair_counts,
-            live.tables.loader(1, 0),
+            live.tables.loader(),
             live.arena,
             live.buckets,
-        )?;
+        )
+        .map_err(|err| corrupt("segment", format!("stored config invalid: {err}")))?;
         self.record_load(live.bytes_read, start);
         Ok(index)
-    }
-
-    /// Assembles the live view as a [`ShardedIndex`] over `shard_count`
-    /// shards — the survivors are dealt round-robin by dense id, exactly
-    /// as sequential [`ShardedIndex::enroll`] calls would have.
-    pub fn open_sharded(
-        &self,
-        shard_count: usize,
-    ) -> Result<ShardedIndex<PairTableMatcher>, StoreError> {
-        assert!(shard_count >= 1, "need at least one shard");
-        let start = Instant::now();
-        let _span = self.metrics.telemetry.trace_span(
-            "store.load",
-            &[
-                ("segments", self.manifest.segments.len().to_string()),
-                ("live", self.live_len().to_string()),
-                ("shards", shard_count.to_string()),
-            ],
-        );
-        let live = self.open_live()?;
-        let shards = live
-            .buckets
-            .deal(shard_count)
-            .into_iter()
-            .enumerate()
-            .map(|(shard, buckets)| {
-                let mut arena = CodeArena::new();
-                let mut pair_counts = Vec::new();
-                for global in (shard..live.pair_counts.len()).step_by(shard_count) {
-                    arena.push_view(live.arena.entry(global));
-                    pair_counts.push(live.pair_counts[global]);
-                }
-                let tables = live.tables.loader(shard_count, shard);
-                assemble_index(live.config, pair_counts, tables, arena, buckets)
-            })
-            .collect::<Result<Vec<_>, StoreError>>()?;
-        self.record_load(live.bytes_read, start);
-        Ok(ShardedIndex::from_shards(shards))
     }
 
     /// Merges every live segment's survivors into one fresh segment,

@@ -24,8 +24,8 @@
 //!   decoded into a new encoding, and nothing is re-prepared.
 //!
 //! The headline invariant, enforced end to end by `study check-store`:
-//! search over an opened store (sharded or not, before or after churn
-//! and compaction) is **byte-identical** — candidate lists and RUNFP
+//! search over an opened store (before or after churn and compaction) is
+//! **byte-identical** — candidate lists and RUNFP
 //! chain — to fresh in-memory enrollment of the live entries in live
 //! order.
 
@@ -182,31 +182,6 @@ mod tests {
         let opened = reads_no_tables(&reopened, &telemetry, || reopened.open_index().unwrap());
         assert_eq!(opened.len(), 30);
         assert_same_results(&fresh, &opened, &probes);
-
-        // Sharded open, both shard counts.
-        for shards in [2usize, 3] {
-            let sharded =
-                reads_no_tables(&store, &telemetry, || store.open_sharded(shards).unwrap());
-            let fresh = enroll(config, &pool);
-            for probe in &probes {
-                let a = fresh.search(probe);
-                let b = sharded.search(probe);
-                assert_eq!(
-                    a.candidates()
-                        .iter()
-                        .map(|c| (c.id, c.score.value().to_bits()))
-                        .collect::<Vec<_>>(),
-                    b.candidates()
-                        .iter()
-                        .map(|c| (c.id, c.score.value().to_bits()))
-                        .collect::<Vec<_>>()
-                );
-            }
-            assert_eq!(
-                fresh.run_fingerprint().hex(),
-                sharded.run_fingerprint().hex()
-            );
-        }
 
         // Churn: tombstone every 5th entry of segment A, re-enroll two
         // replacements as a third segment.

@@ -23,10 +23,10 @@
 //!    bodies its host ran; that one's parity is `fp-match`'s own test
 //!    (every body against the retained scalar oracle).
 //! 3. **Transport parity** — the RUNFP chain over the full probe loop must
-//!    be identical across the unsharded index, an in-process
-//!    [`ShardedIndex`], and (when `--remote-shards` is given) real
-//!    `serve-shard` child processes behind an `fp-serve` coordinator —
-//!    the kernel cannot perturb a single candidate byte on any transport.
+//!    be identical across the unsharded index and (when `--remote-shards`
+//!    is given) real `serve-shard` child processes behind an `fp-serve`
+//!    coordinator — the kernel cannot perturb a single candidate byte on
+//!    any transport.
 //!
 //! Any divergence fails the gate loudly with the first offending probe and
 //! entry.
@@ -35,7 +35,7 @@ use std::collections::BTreeMap;
 
 use fp_core::rng::SeedTree;
 use fp_core::template::Template;
-use fp_index::{CandidateIndex, CodeArena, CylinderCodes, IndexConfig, ShardedIndex, LANE_WORDS};
+use fp_index::{CandidateIndex, CodeArena, CylinderCodes, IndexConfig, LANE_WORDS};
 use fp_match::{MccMatcher, PairTableMatcher};
 use fp_store::GalleryStore;
 use serde_json::json;
@@ -62,8 +62,6 @@ struct KernelStats {
     body_parity: BTreeMap<String, u64>,
     arena_kib: usize,
     runfp: String,
-    runfp_sharded: String,
-    shards: usize,
     runfp_remote: Option<String>,
     remote_shards: usize,
 }
@@ -104,7 +102,7 @@ fn reopened(
 }
 
 /// Runs the gate: `Ok` with the stats, or the first divergence found.
-fn check(config: &StudyConfig, shards: usize, remote_shards: usize) -> Result<KernelStats, String> {
+fn check(config: &StudyConfig, remote_shards: usize) -> Result<KernelStats, String> {
     let gallery = config.subjects * 10;
     let cohort = Cohort::new(
         SeedTree::new(config.seed).child(&[0xEC]),
@@ -175,25 +173,6 @@ fn check(config: &StudyConfig, shards: usize, remote_shards: usize) -> Result<Ke
     let unsharded_results: Vec<_> = (0..probes).map(|p| index.search(&probe_of(p))).collect();
     let runfp = index.run_fingerprint().hex();
 
-    let shards = shards.max(2);
-    let mut sharded = ShardedIndex::with_config(PairTableMatcher::default(), index_config, shards)
-        .with_run_seed(config.seed);
-    sharded.enroll_all(pool);
-    for (p, unsharded_result) in unsharded_results.iter().enumerate() {
-        let result = sharded.search(&probe_of(p));
-        if result.candidates() != unsharded_result.candidates() {
-            return Err(format!(
-                "probe {p}: {shards}-shard candidate list diverged from unsharded"
-            ));
-        }
-    }
-    let runfp_sharded = sharded.run_fingerprint().hex();
-    if runfp_sharded != runfp {
-        return Err(format!(
-            "RUNFP diverged: unsharded {runfp}, {shards}-shard {runfp_sharded}"
-        ));
-    }
-
     let mut runfp_remote = None;
     if remote_shards >= 1 {
         let hex = remote_runfp(
@@ -222,8 +201,6 @@ fn check(config: &StudyConfig, shards: usize, remote_shards: usize) -> Result<Ke
         body_parity,
         arena_kib: index.arena().packed_bytes() / 1024,
         runfp,
-        runfp_sharded,
-        shards,
         runfp_remote,
         remote_shards,
     })
@@ -263,8 +240,8 @@ fn remote_runfp(
 
 /// Runs the gate and renders the report. `values["error"]` is `null` on
 /// success; the CLI exit code keys off it.
-pub fn run_check(config: &StudyConfig, shards: usize, remote_shards: usize) -> Report {
-    match check(config, shards, remote_shards) {
+pub fn run_check(config: &StudyConfig, remote_shards: usize) -> Report {
+    match check(config, remote_shards) {
         Ok(stats) => {
             let mut body = format!(
                 "stage-1 kernel parity over a {}-entry gallery ({} KiB packed arena):\n\
@@ -274,8 +251,7 @@ pub fn run_check(config: &StudyConfig, shards: usize, remote_shards: usize) -> R
                  re-rank runs scan body {} (proven against its oracle in fp-match's tests)\n\
                  kernel ≡ scalar: {} per-entry scores bitwise equal over {} probes\n\
                  hamming_ops meters agree exactly: {} word ops\n\
-                 RUNFP unsharded:      {}\n\
-                 RUNFP {}-shard:        {}\n",
+                 RUNFP unsharded:      {}\n",
                 stats.gallery,
                 stats.arena_kib,
                 stats.widths,
@@ -286,8 +262,6 @@ pub fn run_check(config: &StudyConfig, shards: usize, remote_shards: usize) -> R
                 stats.probes,
                 stats.hamming_ops,
                 stats.runfp,
-                stats.shards,
-                stats.runfp_sharded,
             );
             if let Some(remote) = &stats.runfp_remote {
                 body.push_str(&format!(
@@ -317,7 +291,6 @@ pub fn run_check(config: &StudyConfig, shards: usize, remote_shards: usize) -> R
                     "hamming_ops": stats.hamming_ops,
                     "arena_kib": stats.arena_kib,
                     "runfp": stats.runfp,
-                    "runfp_sharded": stats.runfp_sharded,
                     "runfp_remote": stats.runfp_remote,
                 }),
             )
@@ -338,7 +311,7 @@ mod tests {
     #[test]
     fn gate_passes_on_the_default_cohort() {
         let config = StudyConfig::builder().subjects(6).build();
-        let report = run_check(&config, 0, 0);
+        let report = run_check(&config, 0);
         assert!(
             report.values["error"].is_null(),
             "kernel parity gate failed: {}",
@@ -360,7 +333,6 @@ mod tests {
         assert_eq!(report.values["scan_body"], fp_match::scan_body_name());
         assert!(report.values["entries_checked"].as_u64().unwrap() > 0);
         assert!(report.values["hamming_ops"].as_u64().unwrap() > 0);
-        assert_eq!(report.values["runfp"], report.values["runfp_sharded"]);
     }
 
     #[test]

@@ -5,22 +5,20 @@
 //!
 //! The fp-store unit tests prove the invariant on a small gallery; this
 //! gate re-proves it on every CI run at system scale, over the same
-//! synthetic cohort the scaling study uses, across five rungs:
+//! synthetic cohort the scaling study uses, across four rungs:
 //!
 //! 1. **Open parity** — a two-segment gallery opened as a
 //!    [`CandidateIndex`] returns bitwise-equal candidate lists and an
 //!    equal RUNFP chain vs fresh enrollment (and records how much faster
 //!    opening is than enrolling).
-//! 2. **Sharded open parity** — the same store dealt into an in-process
-//!    sharded index.
-//! 3. **Serve-from-store** (with `--remote-shards`) — a real
+//! 2. **Serve-from-store** (with `--remote-shards`) — a real
 //!    `serve-shard --gallery-dir` child answers the same probes without a
 //!    single enroll RPC, is then SIGKILLed mid-run and restarted from the
 //!    same directory, and still agrees — the crash-recovery path.
-//! 4. **Churn parity** — tombstone a spread of entries, append a
+//! 3. **Churn parity** — tombstone a spread of entries, append a
 //!    re-enrollment segment, and the live view still equals fresh
 //!    enrollment of the survivors in live order.
-//! 5. **Compact parity** — compaction reclaims the tombstones into one
+//! 4. **Compact parity** — compaction reclaims the tombstones into one
 //!    fresh segment without perturbing a byte, and every CRC checks out.
 //!
 //! Any divergence fails the gate loudly with the first offending probe.
@@ -48,7 +46,6 @@ const MAX_PROBES: usize = 24;
 struct StoreStats {
     gallery: usize,
     probes: usize,
-    shards: usize,
     runfp: String,
     enroll_ms: f64,
     open_ms: f64,
@@ -133,12 +130,7 @@ pub fn build_gallery(config: &StudyConfig, dir: &Path) -> Result<(usize, usize),
 }
 
 /// Runs the gate: `Ok` with the stats, or the first divergence found.
-fn check(
-    config: &StudyConfig,
-    shards: usize,
-    remote_shards: usize,
-    dir: &Path,
-) -> Result<StoreStats, String> {
+fn check(config: &StudyConfig, remote_shards: usize, dir: &Path) -> Result<StoreStats, String> {
     prepare_dir(dir)?;
 
     let cohort = cohort(config);
@@ -199,23 +191,7 @@ fn check(
         ));
     }
 
-    // Rung 2: the same store dealt into an in-process sharded index.
-    let shards = shards.max(2);
-    let sharded = store
-        .open_sharded(shards)
-        .map_err(|e| format!("open sharded: {e}"))?
-        .with_run_seed(config.seed);
-    for (p, want) in baseline_results.iter().enumerate() {
-        assert_parity("sharded-open", p, &sharded.search(&probe_of(p)), want)?;
-    }
-    let runfp_sharded = sharded.run_fingerprint().hex();
-    if runfp_sharded != runfp {
-        return Err(format!(
-            "RUNFP diverged: fresh {runfp}, {shards}-shard open {runfp_sharded}"
-        ));
-    }
-
-    // Rung 3: a real serve-shard child loads the gallery itself — zero
+    // Rung 2: a real serve-shard child loads the gallery itself — zero
     // enroll RPCs — then survives a SIGKILL + restart from the same dir.
     let mut remote_checked = false;
     if remote_shards >= 1 {
@@ -230,7 +206,7 @@ fn check(
         remote_checked = true;
     }
 
-    // Rung 4: churn. Tombstone every 7th entry of segment A, append a
+    // Rung 3: churn. Tombstone every 7th entry of segment A, append a
     // re-enrollment segment, and the live view must equal fresh
     // enrollment of the survivors in live order.
     for at in (0..split as u32).step_by(7) {
@@ -281,7 +257,7 @@ fn check(
         ));
     }
 
-    // Rung 5: compact reclaims the tombstones without perturbing a byte.
+    // Rung 4: compact reclaims the tombstones without perturbing a byte.
     let compact = store.compact().map_err(|e| format!("compact: {e}"))?;
     if compact.segments_after != 1 || store.tombstone_count() != 0 {
         return Err(format!(
@@ -317,7 +293,6 @@ fn check(
     Ok(StoreStats {
         gallery,
         probes,
-        shards,
         runfp,
         enroll_ms,
         open_ms,
@@ -388,21 +363,15 @@ fn remote_rung(
 
 /// Runs the gate and renders the report. `values["error"]` is `null` on
 /// success; the CLI exit code keys off it.
-pub fn run_check(
-    config: &StudyConfig,
-    shards: usize,
-    remote_shards: usize,
-    gallery_dir: &Path,
-) -> Report {
-    match check(config, shards, remote_shards, gallery_dir) {
+pub fn run_check(config: &StudyConfig, remote_shards: usize, gallery_dir: &Path) -> Report {
+    match check(config, remote_shards, gallery_dir) {
         Ok(stats) => {
             let speedup = stats.enroll_ms / stats.open_ms.max(1e-9);
             let mut body = format!(
                 "persistent-store parity over a {}-entry gallery ({} probes):\n\
                  \n\
-                 open = fresh enrollment: candidate lists bitwise equal, RUNFP {}\n\
-                 sharded open ({} shards): equal\n",
-                stats.gallery, stats.probes, stats.runfp, stats.shards,
+                 open = fresh enrollment: candidate lists bitwise equal, RUNFP {}\n",
+                stats.gallery, stats.probes, stats.runfp,
             );
             if stats.remote_checked {
                 body.push_str(
@@ -435,7 +404,6 @@ pub fn run_check(
                     "error": null,
                     "gallery": stats.gallery,
                     "probes": stats.probes,
-                    "shards": stats.shards,
                     "runfp": stats.runfp,
                     "enroll_ms": stats.enroll_ms,
                     "open_ms": stats.open_ms,
@@ -464,7 +432,7 @@ mod tests {
     fn gate_passes_on_the_default_cohort() {
         let config = StudyConfig::builder().subjects(6).build();
         let dir = std::env::temp_dir().join(format!("fp-check-store-{}", std::process::id()));
-        let report = run_check(&config, 0, 0, &dir);
+        let report = run_check(&config, 0, &dir);
         assert!(
             report.values["error"].is_null(),
             "store parity gate failed: {}",
@@ -481,7 +449,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("precious.txt"), "not a gallery").unwrap();
         let config = StudyConfig::builder().subjects(2).build();
-        let report = run_check(&config, 0, 0, &dir);
+        let report = run_check(&config, 0, &dir);
         assert!(!report.values["error"].is_null());
         assert!(
             dir.join("precious.txt").exists(),

@@ -16,7 +16,7 @@
 //! (`fp_study::experiments::harness`, seed-tree child `0xE5`).
 
 use fp_core::rng::SeedTree;
-use fp_index::{CandidateIndex, IndexConfig, ShardedIndex};
+use fp_index::{CandidateIndex, IndexConfig};
 use fp_match::PairTableMatcher;
 use fp_telemetry::Telemetry;
 use serde_json::json;
@@ -50,24 +50,9 @@ struct ScalingRow {
     searches_per_second: f64,
     brute_searches_per_second: f64,
     /// Run fingerprint (hex) over exactly the rung's probe loop — the
-    /// chain is snapshotted before the audits re-search the index, so
-    /// sharded and remote rungs running the same probes must report the
-    /// very same value.
-    runfp: String,
-}
-
-/// One rung of the shard ladder (always over the top gallery rung).
-struct ShardRow {
-    shards: usize,
-    probes: usize,
-    recall: f64,
-    build_seconds: f64,
-    searches_per_second: f64,
-    speedup_vs_1: f64,
-    parity_checked: usize,
-    parity_agreed: usize,
-    /// Run fingerprint (hex) over the rung's probe loop; must equal the
-    /// unsharded top rung's.
+    /// chain is snapshotted before the audits re-search the index, so the
+    /// remote rung running the same probes must report the very same
+    /// value.
     runfp: String,
 }
 
@@ -83,41 +68,17 @@ struct RemoteRow {
     /// lists: ids AND scores, in order).
     parity_checked: usize,
     parity_agreed: usize,
-    /// The same audits against an in-process `ShardedIndex` with the same
-    /// shard count — pins remote == in-process sharded == unsharded.
-    parity_sharded_agreed: usize,
-    /// Run fingerprint (hex) over the rung's probe loop; must equal both
-    /// the unsharded top rung's and the in-process shard rows'.
+    /// Run fingerprint (hex) over the rung's probe loop; must equal the
+    /// unsharded top rung's.
     runfp: String,
 }
 
-/// Shard counts to run: powers of two up to `max`, plus `max` itself when
-/// it is not a power of two. `max = 0` disables the ladder.
-fn shard_ladder(max: usize) -> Vec<usize> {
-    let mut ladder = Vec::new();
-    let mut s = 1;
-    while s <= max {
-        ladder.push(s);
-        s *= 2;
-    }
-    if max >= 1 && ladder.last() != Some(&max) {
-        ladder.push(max);
-    }
-    ladder
-}
-
-/// Runs the ladder: the three gallery rungs, then the in-process shard
-/// ladder up to `shards` (0: none) and the cross-process rung over
-/// `remote_shards` `serve-shard` children (0: none). The index's
+/// Runs the ladder: the three gallery rungs, then the cross-process rung
+/// over `remote_shards` `serve-shard` children (0: none). The index's
 /// build/search instruments land in `telemetry`. Accuracy numbers (recall,
 /// rank-1, audit agreement) are pure functions of the seed; throughput
 /// numbers vary with the machine.
-pub fn run(
-    config: &StudyConfig,
-    shards: usize,
-    remote_shards: usize,
-    telemetry: &Telemetry,
-) -> Report {
+pub fn run(config: &StudyConfig, remote_shards: usize, telemetry: &Telemetry) -> Report {
     let max_gallery = config.subjects * LADDER[LADDER.len() - 1];
 
     // One template pool, shared by every rung as a prefix: rung results at
@@ -163,7 +124,7 @@ pub fn run(
         let rank1_hits = outcomes.iter().filter(|(_, r1)| *r1).count();
         // Snapshot the run fingerprint NOW: the audits below re-search the
         // index, and the rung's reported chain must cover exactly the
-        // probe loop the sharded/remote rungs replay.
+        // probe loop the remote rung replays.
         let runfp = index.run_fingerprint().hex();
 
         // Exhaustive-scan baseline and agreement audit on a probe subsample.
@@ -202,84 +163,9 @@ pub fn run(
         }
     }
 
-    // Shard ladder over the top rung: same gallery, same config, same
-    // probes — the sharded results are provably identical to the unsharded
-    // index, so recall must match the top rung *exactly* and the parity
-    // audit compares full candidate lists, not just rank-1.
-    let mut shard_rows: Vec<ShardRow> = Vec::new();
-    if shards >= 1 {
-        let gallery = max_gallery;
-        let unsharded = top_index.as_ref().expect("ladder is non-empty");
-        let probes = cohort.probes();
-        let probe_of = |p: usize| cohort.probe(p);
-        for s in shard_ladder(shards) {
-            let _span = telemetry.span_with(
-                &format!("scaling.shards{s}"),
-                &[("gallery", gallery.to_string()), ("shards", s.to_string())],
-            );
-            let mut sharded = ShardedIndex::with_config(
-                PairTableMatcher::default(),
-                IndexConfig::scaled(gallery),
-                s,
-            )
-            .with_telemetry(telemetry)
-            .with_run_seed(config.seed);
-            let build_start = std::time::Instant::now();
-            sharded.enroll_all(&pool[..gallery]);
-            let build_seconds = build_start.elapsed().as_secs_f64();
-
-            // Sequential probe loop: each search fans out across the shard
-            // threads internally, so this measures per-search latency.
-            let search_start = std::time::Instant::now();
-            let mut in_shortlist = 0usize;
-            for p in 0..probes {
-                let (subject, probe) = probe_of(p);
-                if sharded
-                    .search(&probe)
-                    .genuine_rank(subject as u32)
-                    .is_some()
-                {
-                    in_shortlist += 1;
-                }
-            }
-            let search_seconds = search_start.elapsed().as_secs_f64();
-            let searches_per_second = probes as f64 / search_seconds.max(1e-9);
-            // Snapshot before the parity audits re-search this index.
-            let runfp = sharded.run_fingerprint().hex();
-
-            // Exact-parity audit: full candidate lists (ids AND scores, in
-            // order) against the unsharded top-rung index.
-            let audits = probes.min(MAX_AUDITS);
-            let audit_stride = probes / audits;
-            let mut parity_agreed = 0usize;
-            for a in 0..audits {
-                let (_, probe) = probe_of(a * audit_stride);
-                if sharded.search(&probe).candidates() == unsharded.search(&probe).candidates() {
-                    parity_agreed += 1;
-                }
-            }
-
-            let base = shard_rows
-                .first()
-                .map(|r| r.searches_per_second)
-                .unwrap_or(searches_per_second);
-            shard_rows.push(ShardRow {
-                shards: s,
-                probes,
-                recall: in_shortlist as f64 / probes as f64,
-                build_seconds,
-                searches_per_second,
-                speedup_vs_1: searches_per_second / base.max(1e-9),
-                parity_checked: audits,
-                parity_agreed,
-                runfp,
-            });
-        }
-    }
-
     // Cross-process rung: N `serve-shard` children over loopback behind a
-    // coordinator, audited for byte-identical parity against both the
-    // unsharded index and an in-process sharded index.
+    // coordinator, audited for byte-identical parity against the
+    // unsharded index.
     let mut remote_rows: Vec<RemoteRow> = Vec::new();
     let mut remote_error: Option<String> = None;
     if remote_shards >= 1 {
@@ -329,44 +215,21 @@ pub fn run(
         rows.iter().map(|r| r.audit_agreed).sum::<usize>(),
         rows.iter().map(|r| r.audit_sampled).sum::<usize>(),
     ));
-    if !shard_rows.is_empty() {
-        body.push_str(&format!(
-            "\nshard ladder over the {}-entry gallery (per-shard stage-1 + \
-             stage-2 threads, one global fusion):\n\
-             {:<8}{:>9}{:>10}{:>12}{:>10}{:>10}\n",
-            max_gallery, "shards", "build s", "recall", "search/s", "speedup", "parity"
-        ));
-        for r in &shard_rows {
-            body.push_str(&format!(
-                "{:<8}{:>9.2}{:>10.3}{:>12.1}{:>10.2}{:>7}/{}\n",
-                r.shards,
-                r.build_seconds,
-                r.recall,
-                r.searches_per_second,
-                r.speedup_vs_1,
-                r.parity_agreed,
-                r.parity_checked,
-            ));
-        }
-    }
-
     if !remote_rows.is_empty() {
         body.push_str(&format!(
             "\ncross-process rung over the {max_gallery}-entry gallery \
              (serve-shard children over loopback, fp-serve wire protocol):\n\
-             {:<8}{:>9}{:>10}{:>12}{:>17}{:>17}\n",
-            "shards", "build s", "recall", "search/s", "parity(unshard)", "parity(sharded)"
+             {:<8}{:>9}{:>10}{:>12}{:>10}\n",
+            "shards", "build s", "recall", "search/s", "parity"
         ));
         for r in &remote_rows {
             body.push_str(&format!(
-                "{:<8}{:>9.2}{:>10.3}{:>12.1}{:>14}/{}{:>14}/{}\n",
+                "{:<8}{:>9.2}{:>10.3}{:>12.1}{:>7}/{}\n",
                 r.shards,
                 r.build_seconds,
                 r.recall,
                 r.searches_per_second,
                 r.parity_agreed,
-                r.parity_checked,
-                r.parity_sharded_agreed,
                 r.parity_checked,
             ));
         }
@@ -375,8 +238,8 @@ pub fn run(
         body.push_str(&format!("\ncross-process rung FAILED: {e}\n"));
     }
     body.push_str(&format!(
-        "\nrun fingerprint (top rung, seed {}): {} — sharded and remote \
-         rungs over the same probes must report this exact value\n",
+        "\nrun fingerprint (top rung, seed {}): {} — the remote rung over \
+         the same probes must report this exact value\n",
         config.seed, last.runfp
     ));
 
@@ -387,7 +250,6 @@ pub fn run(
         json!({
             "base_subjects": config.subjects,
             "ladder": LADDER,
-            "shards": shards,
             "remote_shards": remote_shards,
             "seed": config.seed,
             "remote_error": remote_error,
@@ -399,21 +261,6 @@ pub fn run(
                     "recall": r.recall,
                     "build_seconds": r.build_seconds,
                     "searches_per_second": r.searches_per_second,
-                    "parity_checked": r.parity_checked,
-                    "parity_agreed": r.parity_agreed,
-                    "parity_sharded_agreed": r.parity_sharded_agreed,
-                    "runfp": r.runfp,
-                }))
-                .collect::<Vec<_>>(),
-            "shard_rows": shard_rows
-                .iter()
-                .map(|r| json!({
-                    "shards": r.shards,
-                    "probes": r.probes,
-                    "recall": r.recall,
-                    "build_seconds": r.build_seconds,
-                    "searches_per_second": r.searches_per_second,
-                    "speedup_vs_1": r.speedup_vs_1,
                     "parity_checked": r.parity_checked,
                     "parity_agreed": r.parity_agreed,
                     "runfp": r.runfp,
@@ -439,10 +286,9 @@ pub fn run(
     )
 }
 
-/// Runs the cross-process rung: spawns `s` `serve-shard` children, enrolls the top gallery rung through an `fp-serve`
-/// coordinator, and audits full candidate-list parity against both the
-/// unsharded index and an in-process [`ShardedIndex`] with the same shard
-/// count.
+/// Runs the cross-process rung: spawns `s` `serve-shard` children, enrolls
+/// the top gallery rung through an `fp-serve` coordinator, and audits full
+/// candidate-list parity against the unsharded index.
 ///
 /// Errors are returned as strings so a failed rung shows up loudly in the
 /// report (and fails `check-serve`) without aborting the in-process ladder
@@ -473,11 +319,6 @@ fn remote_rung(
     remote.enroll_all(pool).map_err(|e| e.to_string())?;
     let build_seconds = build_start.elapsed().as_secs_f64();
 
-    // The in-process sharded reference at the same shard count: the audit
-    // pins remote == in-process sharded == unsharded, full lists.
-    let mut sharded = ShardedIndex::with_config(PairTableMatcher::default(), index_config, s);
-    sharded.enroll_all(pool);
-
     let probes = cohort.probes();
     let search_start = Instant::now();
     let mut in_shortlist = 0usize;
@@ -505,15 +346,11 @@ fn remote_rung(
     let audits = probes.min(MAX_AUDITS);
     let audit_stride = probes / audits;
     let mut parity_agreed = 0usize;
-    let mut parity_sharded_agreed = 0usize;
     for a in 0..audits {
         let (_, probe) = cohort.probe(a * audit_stride);
         let remote_result = remote.search(&probe).map_err(|e| e.to_string())?;
         if remote_result.candidates() == unsharded.search(&probe).candidates() {
             parity_agreed += 1;
-        }
-        if remote_result.candidates() == sharded.search(&probe).candidates() {
-            parity_sharded_agreed += 1;
         }
     }
     fleet.retire(&remote);
@@ -526,7 +363,6 @@ fn remote_rung(
         searches_per_second: probes as f64 / search_seconds.max(1e-9),
         parity_checked: audits,
         parity_agreed,
-        parity_sharded_agreed,
         runfp,
     })
 }
@@ -544,7 +380,7 @@ mod tests {
     }
 
     fn tiny() -> Report {
-        run(&tiny_config(), 0, 0, &Telemetry::disabled())
+        run(&tiny_config(), 0, &Telemetry::disabled())
     }
 
     #[test]
@@ -571,41 +407,11 @@ mod tests {
     }
 
     #[test]
-    fn shard_ladder_is_off_by_default_and_spans_powers_of_two() {
+    fn remote_rung_is_off_by_default() {
         let r = tiny();
-        assert_eq!(r.values["shards"], 0);
-        assert!(r.values["shard_rows"].as_array().unwrap().is_empty());
         assert_eq!(r.values["remote_shards"], 0);
         assert!(r.values["remote_rows"].as_array().unwrap().is_empty());
         assert!(r.values["remote_error"].is_null());
-        assert_eq!(shard_ladder(0), Vec::<usize>::new());
-        assert_eq!(shard_ladder(1), vec![1]);
-        assert_eq!(shard_ladder(4), vec![1, 2, 4]);
-        assert_eq!(shard_ladder(8), vec![1, 2, 4, 8]);
-        assert_eq!(shard_ladder(6), vec![1, 2, 4, 6]);
-    }
-
-    #[test]
-    fn shard_rows_show_exact_parity_with_the_unsharded_index() {
-        let r = run(&tiny_config(), 4, 0, &Telemetry::disabled());
-        let rows = r.values["rows"].as_array().unwrap();
-        let top_recall = rows.last().unwrap()["recall"].as_f64().unwrap();
-        let top_runfp = rows.last().unwrap()["runfp"].as_str().unwrap();
-        assert_eq!(top_runfp.len(), 16, "runfp is 16 hex digits: {top_runfp}");
-        let shard_rows = r.values["shard_rows"].as_array().unwrap();
-        assert_eq!(shard_rows.len(), 3); // shards 1, 2, 4
-        for (i, row) in shard_rows.iter().enumerate() {
-            assert_eq!(row["shards"], [1, 2, 4][i] as u64, "{row}");
-            // Sharded search is provably identical to unsharded: every
-            // audited candidate list must match and recall must equal the
-            // top rung's recall exactly (same probes, same budget).
-            assert_eq!(row["parity_agreed"], row["parity_checked"], "{row}");
-            assert!(row["parity_checked"].as_u64().unwrap() > 0, "{row}");
-            assert_eq!(row["recall"].as_f64().unwrap(), top_recall, "{row}");
-            // The O(1) parity proof: same probes, same budget, same seed
-            // ⇒ the same run-fingerprint chain, whatever the shard count.
-            assert_eq!(row["runfp"].as_str().unwrap(), top_runfp, "{row}");
-        }
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! file that already exists.
 //!
 //! A row's producer is spelled as the `study` subcommand lines that used to
-//! be script arguments — the smoke scale (200 subjects, 4 shards, 2 remote
-//! shards, …) is a constant of the row. The runner executes each line in
+//! be script arguments — the smoke scale (200 subjects, 2 remote shards,
+//! …) is a constant of the row. The runner executes each line in
 //! process, once per invocation however many rows name it, then hands the
 //! row's first artifact to the row's checker.
 
@@ -71,9 +71,8 @@ pub static GATES: &[Gate] = &[
     },
     Gate {
         name: "scaling",
-        proves: "shortlist recall >= 0.98 and brute-force agreement on the 200/1000/2000 ladder; \
-                 1/2/4 in-process shards at exact candidate-list parity",
-        steps: &["ext-scaling --subjects 200 --shards 4 --json {out}/scaling.json"],
+        proves: "shortlist recall >= 0.98 and brute-force agreement on the 200/1000/2000 ladder",
+        steps: &["ext-scaling --subjects 200 --json {out}/scaling.json"],
         artifacts: &["scaling.json"],
         budget_secs: 600,
         check: check_scaling,
@@ -83,8 +82,8 @@ pub static GATES: &[Gate] = &[
     },
     Gate {
         name: "serve",
-        proves: "two serve-shard processes at exact parity with the unsharded and the in-process \
-                 sharded index, with real wire traffic and every shard metering its searches",
+        proves: "two serve-shard processes at exact parity with the unsharded index, with real \
+                 wire traffic and every shard metering its searches",
         steps: &[SERVE_SMOKE],
         artifacts: &["serve.json", "serve-metrics.json"],
         budget_secs: 600,
@@ -107,8 +106,8 @@ pub static GATES: &[Gate] = &[
     },
     Gate {
         name: "fingerprint",
-        proves: "one RUNFP chain across unsharded, in-process sharded and cross-process rungs \
-                 (deep audit); publishes the manifest",
+        proves: "one RUNFP chain across the unsharded and cross-process rungs (deep audit); \
+                 publishes the manifest",
         steps: &[
             SERVE_SMOKE,
             "fingerprint {out}/serve.json --json {out}/fingerprint-manifest.json",
@@ -118,8 +117,8 @@ pub static GATES: &[Gate] = &[
         check: |payload| fingerprint_audit(payload, true),
         summary: |payload| fingerprint_summary(payload, true),
         file_flags: Some("--deep"),
-        // Without `--deep`: chains must agree, cross-process evidence is
-        // not demanded.
+        // Without `--deep`: the remote chains must agree with the top
+        // rung, but the ladder's own rungs are not audited for distinctness.
         lax: Some((
             |payload| fingerprint_audit(payload, false),
             |payload| fingerprint_summary(payload, false),
@@ -148,8 +147,8 @@ pub static GATES: &[Gate] = &[
     Gate {
         name: "kernel",
         proves: "every coded entry LANE_WORDS wide, enrolled and store-opened; stage-1 arena \
-                 kernel bitwise equal to the scalar reference; one RUNFP chain across unsharded, \
-                 in-process sharded and two serve-shard processes",
+                 kernel bitwise equal to the scalar reference; one RUNFP chain across the \
+                 unsharded index and two serve-shard processes",
         steps: &["check-kernel --subjects 20 --remote-shards 2 --json {out}/kernel.json"],
         artifacts: &["kernel.json"],
         budget_secs: 600,
@@ -160,8 +159,7 @@ pub static GATES: &[Gate] = &[
     },
     Gate {
         name: "store",
-        proves:
-            "open, sharded open, serve-from-store with kill+restart, churn and compaction each \
+        proves: "open, serve-from-store with kill+restart, churn and compaction each \
                  byte-identical to fresh enrollment; every section CRC ok",
         steps: &[
             "check-store --subjects 200 --remote-shards 1 --gallery-dir {out}/store-gallery \
@@ -265,42 +263,17 @@ fn check_scaling(payload: &Value) -> Vec<String> {
             failures.push(format!("brute-force audit mismatch (row={row})"));
         }
     }
-    // Shard ladder (when run with --shards): every shard row must show
-    // full candidate-list parity with the unsharded index, and — because
-    // sharded search is provably identical — recall must equal the top
-    // unsharded rung's recall *exactly*, not just within tolerance.
-    let top_recall = rows.last().expect("non-empty")["recall"].as_f64();
-    for row in values["shard_rows"].as_array().into_iter().flatten() {
-        if row["parity_checked"].as_u64().unwrap_or(0) == 0
-            || row["parity_agreed"] != row["parity_checked"]
-        {
-            failures.push(format!(
-                "sharded search diverged from the unsharded index (row={row})"
-            ));
-        }
-        if row["recall"].as_f64() != top_recall {
-            failures.push(format!(
-                "sharded recall differs from the unsharded top rung (row={row})"
-            ));
-        }
-    }
     failures
 }
 
 fn scaling_summary(payload: &Value) -> String {
-    let values = self_report(payload, "ext-scaling");
-    let rungs = len(&values["rows"]);
-    match len(&values["shard_rows"]) {
-        0 => format!("ext-scaling smoke ok ({rungs} rungs)"),
-        shard_rows => {
-            format!("ext-scaling smoke ok ({rungs} rungs, {shard_rows} shard rows at exact parity)")
-        }
-    }
+    let rungs = len(&self_report(payload, "ext-scaling")["rows"]);
+    format!("ext-scaling smoke ok ({rungs} rungs)")
 }
 
 /// `ext-scaling --remote-shards --json`: the cross-process rung must have
-/// run, every audited probe must show full candidate-list parity with BOTH
-/// the unsharded index and the in-process sharded index, recall must equal
+/// run, every audited probe must show full candidate-list parity with the
+/// unsharded index, recall must equal
 /// the top unsharded rung exactly, the `serve.*` transport counters must
 /// show real wire traffic, and every shard's scraped
 /// `shard<k>.remote.index.searches` gauge must be non-zero.
@@ -330,10 +303,9 @@ fn check_serve(payload: &Value) -> Vec<String> {
     for row in remote_rows {
         if row["parity_checked"].as_u64().unwrap_or(0) == 0
             || row["parity_agreed"] != row["parity_checked"]
-            || row["parity_sharded_agreed"] != row["parity_checked"]
         {
             failures.push(format!(
-                "remote search diverged from the in-process indexes (row={row})"
+                "remote search diverged from the unsharded index (row={row})"
             ));
         }
         // Remote sharded search is provably identical to the unsharded
@@ -468,15 +440,15 @@ fn load_summary(payload: &Value) -> String {
 }
 
 /// Fingerprint parity in an `ext-scaling --json` payload: the unsharded top
-/// rung, every in-process shard rung and every cross-process rung ran the
-/// same probes under the same seed, so their RUNFP chains must be *equal*.
+/// rung and every cross-process rung ran the same probes under the same
+/// seed, so their RUNFP chains must be *equal*.
 /// One flipped score bit anywhere in a multi-thousand-search run changes
 /// the chain — this is the O(1) behavioral-parity proof.
 ///
-/// `deep` additionally requires cross-process evidence (remote rungs
-/// present) and audits the unsharded ladder itself: different gallery sizes
-/// must produce *different* chains (equal values across different workloads
-/// signal a pinned or forged constant).
+/// At least one remote rung must be present. `deep` additionally audits the
+/// unsharded ladder itself: different gallery sizes must produce
+/// *different* chains (equal values across different workloads signal a
+/// pinned or forged constant).
 fn fingerprint_audit(payload: &Value, deep: bool) -> Vec<String> {
     let values = match report_values(payload, "ext-scaling") {
         Ok(v) => v,
@@ -502,33 +474,21 @@ fn fingerprint_audit(payload: &Value, deep: bool) -> Vec<String> {
             values["remote_error"]
         ));
     }
-    let mut cross_checked = 0usize;
-    for (section, kind) in [
-        ("shard_rows", "in-process sharded"),
-        ("remote_rows", "remote"),
-    ] {
-        for row in values[section].as_array().into_iter().flatten() {
-            cross_checked += 1;
-            if row["runfp"].as_str().unwrap_or("") != top {
-                failures.push(format!(
-                    "run fingerprint diverged from the unsharded top rung \
-                     (kind={kind}, expected={top}, row={row})"
-                ));
+    match non_empty(&values["remote_rows"]) {
+        None => failures
+            .push("nothing to cross-check: run ext-scaling with --remote-shards N".to_string()),
+        Some(remote_rows) => {
+            for row in remote_rows {
+                if row["runfp"].as_str().unwrap_or("") != top {
+                    failures.push(format!(
+                        "run fingerprint diverged from the unsharded top rung \
+                         (expected={top}, row={row})"
+                    ));
+                }
             }
         }
     }
-    if cross_checked == 0 {
-        failures.push(
-            "nothing to cross-check: run ext-scaling with --shards and/or --remote-shards"
-                .to_string(),
-        );
-    }
     if deep {
-        if non_empty(&values["remote_rows"]).is_none() {
-            failures.push(
-                "--deep requires cross-process evidence (run with --remote-shards N)".to_string(),
-            );
-        }
         // Different gallery sizes are different workloads: their chains
         // must differ, or someone pinned a constant.
         let mut seen = std::collections::BTreeMap::new();
@@ -552,8 +512,8 @@ fn fingerprint_summary(payload: &Value, deep: bool) -> String {
         .and_then(|row| row["runfp"].as_str())
         .unwrap_or("");
     format!(
-        "fingerprint parity ok (top rung {top}, {} sharded/remote rung(s) equal{})",
-        len(&values["shard_rows"]) + len(&values["remote_rows"]),
+        "fingerprint parity ok (top rung {top}, {} remote rung(s) equal{})",
+        len(&values["remote_rows"]),
         if deep { ", deep audit passed" } else { "" }
     )
 }

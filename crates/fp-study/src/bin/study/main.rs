@@ -50,9 +50,8 @@ struct Args {
     gallery_dir: Option<String>,
     subjects: Option<usize>,
     seed: Option<u64>,
-    /// Topology of the ladders and cross-process producers; 0 when the
-    /// flag is absent (each producer documents what it does then).
-    shards: usize,
+    /// Topology of the cross-process producers; 0 when the flag is
+    /// absent (each producer documents what it does then).
     remote_shards: usize,
     port: Option<u16>,
     json: Option<String>,
@@ -86,9 +85,8 @@ struct Subcommand {
 /// Flags of a single experiment.
 const STUDY_FLAGS: &str = "--subjects --seed --json --metrics --trace --events";
 
-/// Flags of `all` and `ext-scaling`, which run the shard ladders.
-const LADDER_FLAGS: &str =
-    "--subjects --seed --shards --remote-shards --json --metrics --trace --events";
+/// Flags of `all` and `ext-scaling`, which run the scaling ladder.
+const LADDER_FLAGS: &str = "--subjects --seed --remote-shards --json --metrics --trace --events";
 
 const SUBCOMMANDS: &[Subcommand] = &[
     Subcommand {
@@ -148,13 +146,13 @@ const SUBCOMMANDS: &[Subcommand] = &[
     Subcommand {
         name: "check-kernel",
         operands: "",
-        flags: "--subjects --seed --shards --remote-shards --json",
+        flags: "--subjects --seed --remote-shards --json",
         run: check_kernel,
     },
     Subcommand {
         name: "check-store",
         operands: "",
-        flags: "--subjects --seed --shards --remote-shards --gallery-dir --json",
+        flags: "--subjects --seed --remote-shards --gallery-dir --json",
         run: check_store,
     },
     Subcommand {
@@ -267,16 +265,12 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
                 parsed.subjects = Some(n);
             }
             "--seed" => parsed.seed = Some(number(&word, value("a value")?)?),
-            "--shards" | "--remote-shards" => {
+            "--remote-shards" => {
                 let n: usize = number(&word, value("a value")?)?;
                 if n < 1 {
                     return Err(format!("{word} must be at least 1, got {n}"));
                 }
-                if word == "--shards" {
-                    parsed.shards = n;
-                } else {
-                    parsed.remote_shards = n;
-                }
+                parsed.remote_shards = n;
             }
             "--port" => parsed.port = Some(number(&word, value("a value")?)?),
             "--delay-ms" => parsed.delay_ms = Some(number(&word, value("a value")?)?),
@@ -573,11 +567,9 @@ fn print_metrics_help(_args: &Args, _telemetry: &Telemetry) -> ExitCode {
     println!("    scores.comparisons.genuine/impostor        study comparisons");
     println!("    index.enrolled/searches/hamming_ops/bucket_hits  1:N index work");
     println!("      (hamming_ops counts packed-u64 word comparisons, not entries;");
-    println!("       sharded runs add per-shard index.shard<k>.* labels whose work");
-    println!("       counters sum to the index.* roll-up; a serve-shard process");
-    println!("       meters the index.search.* work of the stage-1/stage-2 calls");
-    println!("       it serves, and a coordinator's STATS scrape merges them in");
-    println!("       as shard<k>.remote.index.* gauges)");
+    println!("       a serve-shard process meters the index.search.* work of the");
+    println!("       stage-1/stage-2 calls it serves, and a coordinator's STATS");
+    println!("       scrape merges them in as shard<k>.remote.index.* gauges)");
     println!();
     println!("  work-size histograms (deterministic)");
     println!("    synth.minutiae_per_master         master template sizes");
@@ -635,7 +627,6 @@ fn fingerprint_manifest(args: &Args, telemetry: &Telemetry) -> ExitCode {
     println!("run-fingerprint manifest (RUNFP v1, seed {seed}):");
     for (section, kind, size, label, transport) in [
         ("rows", "unsharded", "gallery", "gallery", "unsharded"),
-        ("shard_rows", "sharded", "shards", "shards ", "in-process"),
         (
             "remote_rows",
             "remote",
@@ -957,28 +948,23 @@ fn verify(args: &Args, telemetry: &Telemetry) -> ExitCode {
 /// `study check-kernel`: the stage-1 kernel parity producer — every coded
 /// entry at the lane width, bitwise kernel ≡ scalar scores plus exact
 /// hamming_ops agreement on an enrolled gallery, and identical RUNFP
-/// chains across unsharded / in-process sharded / (with --remote-shards)
-/// cross-process execution.
+/// chains across unsharded and (with --remote-shards) cross-process
+/// execution.
 fn check_kernel(args: &Args, telemetry: &Telemetry) -> ExitCode {
     let config = config_from(args, Some(20));
-    let report = check_kernel::run_check(&config, args.shards, args.remote_shards);
+    let report = check_kernel::run_check(&config, args.remote_shards);
     emit(args, telemetry, &config, &[report])
 }
 
 /// `study check-store`: the persistent-store parity producer — open /
-/// sharded-open / (with --remote-shards 1) serve-from-store with a
-/// kill+restart / churn / compact, each byte-identical to fresh enrollment.
+/// (with --remote-shards 1) serve-from-store with a kill+restart / churn /
+/// compact, each byte-identical to fresh enrollment.
 /// The gallery directory is left behind (compacted) as an inspectable
 /// artifact.
 fn check_store(args: &Args, telemetry: &Telemetry) -> ExitCode {
     let config = config_from(args, Some(20));
     let dir = args.gallery_dir.as_deref().expect("required by parse_args");
-    let report = check_store::run_check(
-        &config,
-        args.shards,
-        args.remote_shards,
-        std::path::Path::new(dir),
-    );
+    let report = check_store::run_check(&config, args.remote_shards, std::path::Path::new(dir));
     emit(args, telemetry, &config, &[report])
 }
 
@@ -1068,7 +1054,7 @@ fn scaling_ladder(args: &Args, telemetry: &Telemetry) -> ExitCode {
             ("seed", config.seed.to_string()),
         ],
     );
-    let report = ext_scaling::run(&config, args.shards, args.remote_shards, telemetry);
+    let report = ext_scaling::run(&config, args.remote_shards, telemetry);
     emit(args, telemetry, &config, &[report])
 }
 
@@ -1116,12 +1102,7 @@ fn run_experiments(args: &Args, telemetry: &Telemetry) -> ExitCode {
             "experiment.ext-scaling",
             &[("experiment", "ext-scaling".to_string())],
         );
-        reports.push(ext_scaling::run(
-            &config,
-            args.shards,
-            args.remote_shards,
-            telemetry,
-        ));
+        reports.push(ext_scaling::run(&config, args.remote_shards, telemetry));
         reports
     } else {
         let report = experiments::run_with(&args.experiment, &data, telemetry);

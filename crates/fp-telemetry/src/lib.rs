@@ -45,6 +45,8 @@
 //! assert_eq!(snapshot.durations["pipeline"].count, 1);
 //! ```
 
+#![deny(unsafe_op_in_unsafe_fn)]
+
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};

@@ -34,6 +34,8 @@
 //! attributes, per-name counts — is a pure function of the seed, mirroring
 //! the counters/durations determinism split.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 use std::cell::UnsafeCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
