@@ -101,7 +101,7 @@ fn empty(s: usize, config: IndexConfig) -> Vec<CandidateIndex<PairTableMatcher>>
 
 /// `templates` enrolled round-robin into `shards` — template `g` on shard
 /// `g % S` as its local id `g / S`, the deal a coordinator makes.
-fn deal(
+fn dealt(
     templates: &[Template],
     mut shards: Vec<CandidateIndex<PairTableMatcher>>,
 ) -> Vec<CandidateIndex<PairTableMatcher>> {
@@ -135,7 +135,7 @@ proptest! {
         unsharded.enroll_all(&templates);
 
         for s in [1usize, 2, 3, 7] {
-            let backends = deal(&templates, empty(s, config));
+            let backends = dealt(&templates, empty(s, config));
             for budget in [0usize, 1, n / 2, n, n + 5] {
                 let a = unsharded.search_with_budget(&probe, budget);
                 let b = search_backends(&backends, &probe, budget).expect("in-process");
@@ -209,7 +209,7 @@ fn backend_driver_matches_unsharded() {
     unsharded.enroll_all(&templates);
 
     for s in [1usize, 2, 3, 5] {
-        let backends = deal(&templates, empty(s, config));
+        let backends = dealt(&templates, empty(s, config));
         for p in [0usize, 7, 19] {
             let probe = second_capture(&templates[p], 4_400 + p as u64);
             for budget in [0usize, 1, N / 2, N, N + 3] {
@@ -329,7 +329,7 @@ fn empty_selections_fold_nothing_in_any_driver() {
 
     let mut unsharded = CandidateIndex::with_config(PairTableMatcher::default(), config);
     unsharded.enroll_all(&templates);
-    let backends = deal(&templates, empty(S, config));
+    let backends = dealt(&templates, empty(S, config));
     // `search_backends` keeps no chain of its own; fold its results here.
     let via_trait_chain = RunFingerprint::new(config.fingerprint_base(0));
 
@@ -392,7 +392,7 @@ fn every_route_meters_its_work_and_empty_selections_still_settle() {
         CandidateIndex::new(PairTableMatcher::default()).with_telemetry(&plain_telemetry);
     plain.enroll_all(&templates);
     let registries: Vec<Telemetry> = (0..S).map(|_| Telemetry::enabled()).collect();
-    let backends = deal(
+    let backends = dealt(
         &templates,
         registries
             .iter()

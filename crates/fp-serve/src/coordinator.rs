@@ -1,6 +1,6 @@
-//! The coordinator: `ShardedIndex` semantics over TCP shards.
+//! The coordinator: the search spine over TCP shards.
 //!
-//! [`Coordinator`] mirrors [`fp_index::ShardedIndex`] exactly — round-robin
+//! [`Coordinator`] runs [`fp_index::search_backends`]'s sequence — round-robin
 //! enrollment and the same [`fp_index::search_spine`] — but each shard is a
 //! [`RemoteShard`] connection instead of an in-process
 //! [`fp_index::CandidateIndex`], and the spine's two fan-outs are pipelined
@@ -616,7 +616,7 @@ fn elapsed_ns(start: Instant) -> u64 {
 }
 
 /// A cross-process sharded 1:N index: the drop-in remote counterpart of
-/// [`fp_index::ShardedIndex`], returning byte-identical [`SearchResult`]s.
+/// the unsharded index, returning byte-identical [`SearchResult`]s.
 /// Searches take `&self` and are thread-safe — N client threads may drive
 /// one coordinator concurrently, multiplexing on the shard connections.
 pub struct Coordinator {
@@ -754,7 +754,7 @@ impl Coordinator {
 
     /// Enrolls a batch: templates are dealt round-robin (continuing from
     /// previous batches) and each shard enrolls its share on its own
-    /// thread — the same global id assignment as [`fp_index::ShardedIndex`]
+    /// thread — the same global id assignment as [`fp_index::search_backends`]
     /// and, transitively, the unsharded index.
     pub fn enroll_all(&mut self, templates: &[Template]) -> Result<(), ShardError> {
         let s = self.shards.len();
@@ -807,7 +807,7 @@ impl Coordinator {
     /// Searches with an explicit **total** shortlist budget:
     /// [`search_spine`] with each fan-out one pipelined RPC round — only
     /// the transport differs from
-    /// [`fp_index::ShardedIndex::search_with_budget`].
+    /// [`fp_index::search_backends`].
     pub fn search_with_budget(
         &self,
         probe: &Template,

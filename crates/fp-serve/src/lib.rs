@@ -31,7 +31,7 @@
 //!   the wire before the first response is awaited), runs the single
 //!   global best-rank fusion locally, pipelines per-shard re-rank slices,
 //!   and S-way merges under the same strict `(score desc, id asc)` order
-//!   as [`fp_index::ShardedIndex`]. Per-request deadlines, bounded
+//!   as [`fp_index::search_spine`]. Per-request deadlines, bounded
 //!   deterministic retry with exponential backoff, and typed
 //!   [`fp_index::ShardError`]s: a dead shard fails the search loudly —
 //!   truncated results are never returned. `&self` searches are
@@ -47,11 +47,9 @@
 //! sides run the same code on the same bits. The only cross-shard
 //! computation — best-rank fusion over the stitched global score arrays and
 //! the final merge — happens exactly once, on the coordinator, using the
-//! very same `fp_index::shard` helpers the in-process [`ShardedIndex`]
-//! uses. Equality of results is therefore structural, not a numerical
+//! very same `fp_index::shard` helpers the in-process
+//! [`fp_index::search_backends`] uses. Equality of results is therefore structural, not a numerical
 //! accident; `study check-serve` audits it end-to-end anyway.
-//!
-//! [`ShardedIndex`]: fp_index::ShardedIndex
 
 pub mod coordinator;
 pub mod metrics;
