@@ -832,9 +832,11 @@ where
             index.make_entry(t)
         }
     };
-    lanes::share(templates.iter().collect(), vec![(); lanes::cores()], |(), t| {
-        make_timed(t)
-    })
+    lanes::share(
+        templates.iter().collect(),
+        vec![(); lanes::cores()],
+        |(), t| make_timed(t),
+    )
 }
 
 #[cfg(test)]

@@ -29,7 +29,8 @@
 //!
 //! Step 2 is where a comparison's time goes: two ~520-entry tables offer
 //! ~22,000 entry pairs within distance tolerance, each tested in both
-//! orientations, to keep ~140. It runs as a scan (`scan_body`):
+//! orientations; ~310 of them agree in both angles, one way round or
+//! both. It runs as a scan:
 //!
 //! * the probe's angles are laid out once per call as columns of
 //!   `LANES` = 8 entries (`ProbeChunk`): `beta1`, `beta2` and the two
@@ -37,24 +38,72 @@
 //! * both tables are sorted by distance, so the probe entries within
 //!   tolerance of a gallery entry are a window whose two ends only move
 //!   forward;
-//! * the window's chunks go through one branch-free predicate
+//! * a chunk goes through one branch-free predicate
 //!   (`ProbeChunk::close_to`) that answers for eight probe entries at
 //!   once, direct and swapped. For angles in `(-pi, pi]` a difference lies
 //!   in `[-2pi, 2pi]`, where `x % TAU` is `x`, so `wrap` is a conditional
 //!   add and a conditional subtract with the roundings of the `rem_euclid`
 //!   form it replaces — the same accept/reject decision on every pair;
-//! * only steps with a passing lane reach the scalar tail (kinds test,
+//! * only chunks with a passing lane reach the scalar tail (kinds test,
 //!   implied rotation, vote), in the order a pair-at-a-time loop visits
 //!   them.
 //!
-//! The predicate is plain Rust, compiled three times — at the build's
-//! baseline, under `avx2` and under `avx512f` — and `ScanBody::detect`
-//! picks the widest the CPU runs by `is_x86_feature_detected!` alone
-//! (there is no option; [`scan_body_name`] says which). `f64` arithmetic
-//! is the same at every width, so all three produce the same bits; the
+//! ### Bodies
+//!
+//! `ScanBody::detect` picks the widest body the CPU runs by
+//! `is_x86_feature_detected!` alone (there is no option; [`scan_body_name`]
+//! says which):
+//!
+//! * `avx512bw` (`avx512f` + `avx512bw`) runs a **byte-angle prefilter**
+//!   ahead of the predicate. It first writes each probe entry's angles as
+//!   bytes, `q(x) = ⌊(x + pi)·256/TAU⌋ mod 256` (eight angles a step, from
+//!   the chunks), and its distances as a column. Per gallery entry the window's ends advance eight
+//!   distances a compare, and the window is tested 64 entries a step, from
+//!   the chunk boundary at or below its start: four circular byte distances
+//!   `min(a - b, b - a)` (`_mm512_sub_epi8`, `_mm512_min_epu8`) against `T`
+//!   (`_mm512_cmple_epu8_mask`) — `q(beta1)` against the gallery's, and
+//!   `q(beta2)`; `q(beta2)` against the gallery's `q(beta1) ^ 0x80`, and
+//!   `q(beta1)` against `q(beta2) ^ 0x80` — give one `u64` of survivors.
+//!   Only the chunks holding a survivor go through `close_to`. About 2 % of
+//!   window lanes survive, so a comparison tests about a seventh of the
+//!   chunks the other bodies test. The mask intrinsic is the point: the
+//!   same test as a plain-Rust 64-lane byte loop, storing a flag per lane
+//!   and reading the flags back as words, runs no faster than the `f64`
+//!   predicate on every chunk.
+//! * `avx2` and `baseline` run the predicate on every chunk of the window:
+//!   plain Rust compiled under `avx2` and at the build's baseline.
+//!
+//! `f64` arithmetic is the same at every width and the prefilter rejects
+//! only pairs `close_to` rejects, so every body produces the same hits; the
 //! tests hold every body the host can run bit-equal — scores, association
 //! and cluster counts — to `score_tables_reference`, the pair-at-a-time
 //! scoring function kept verbatim as the oracle.
+//!
+//! ### Why the prefilter loses no pair
+//!
+//! The threshold is `T = ⌊tol·256/TAU⌋ + 2`, `128` (every circular byte
+//! distance) when `tol·256/TAU` is `NaN` or `>= 126`. Take a pair
+//! `close_to` accepts: `|wrap(g - p)| <= tol` as computed in `f64`, with `g`
+//! and `p` canonical (swapped: `p` is `wrap(beta + pi)`). In real numbers,
+//! scale angles by `s = 256/TAU`, so `u = (g + pi)·s` and `v = (p + pi)·s`
+//! lie in `[0, 256]` and their distance on the circle of length 256 is at
+//! most `c = tol·s + δ`, where `δ` gathers the roundings of the `f64`
+//! predicate, of `pi` and `TAU`, and of `wrap(beta + pi)` — a few ulps of
+//! `TAU` times `s`, under `1e-12`. The bytes are `⌊u'⌋` and `⌊v'⌋` mod 256
+//! for the computed `u'`, `v'`, each within `1e-13` of `u`, `v`; for reals
+//! `⌊x⌋ - ⌊y⌋` is an integer within `1` of `x - y`, so the circular byte
+//! distance is at most `⌈c + 2e-13⌉`. With `t` the computed `tol·s`
+//! (within `1e-13` of the real product), that is at most
+//! `⌈t + 2e-12⌉ <= ⌊t⌋ + 2 = T`: the `+ 2` is one step for the floors and
+//! one for the roundings. The swapped side needs no third column:
+//! `q(wrap(beta + pi))` is `q(beta) + 128 mod 256` up to the same
+//! rounding, and `^ 0x80` adds 128 mod 256 to the gallery's byte instead,
+//! which leaves every circular distance the same. A negative tolerance
+//! accepts nothing, so any `T` is safe there (it saturates to `0`), and
+//! `T = 128` passes every lane. The test
+//! `byte_prefilter_passes_every_pair_close_to_passes` sweeps every byte
+//! step's boundary, probes at `±tol` a few ulps either side, edge
+//! tolerances and jittered tables.
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 
@@ -595,6 +644,7 @@ const SWAPPED: u8 = 2;
 /// A step of the scan in which some lane passed: gallery entry `gallery`
 /// against probe entries `chunk * LANES + lane`, for each lane whose byte
 /// of `flags` (little-endian) is non-zero.
+#[derive(Debug, PartialEq, Eq)]
 struct ChunkHit {
     gallery: usize,
     chunk: usize,
@@ -611,12 +661,72 @@ fn lane_bytes(first: usize, end: usize) -> u64 {
     below(end) & !below(first)
 }
 
+/// Probe entries per step of the byte prefilter: the `u8` lanes of one
+/// 512-bit vector, and the padding `load_columns` puts after each byte
+/// column so a step that starts inside the probe reads inside the column.
+const BYTE_LANES: usize = 64;
+
+/// Byte angles per radian.
+const BYTE_SCALE: f64 = 256.0 / TAU;
+
+/// A canonical angle as a byte: `q(x) = ⌊(x + pi)·256/TAU⌋ mod 256`, the
+/// 256th of the circle it falls in. (`x + pi` is in `[0, TAU]`, so the
+/// conversion truncates a value in `[0, 256]`, and `as u8` takes it mod
+/// 256.)
+#[inline(always)]
+fn byte_angle(x: f64) -> u8 {
+    ((x + PI) * BYTE_SCALE) as u32 as u8
+}
+
+/// The prefilter's threshold for angle tolerance `tol`:
+/// `T = ⌊tol·256/TAU⌋ + 2`; `128`, the largest circular byte distance (so
+/// every lane passes), when `tol·256/TAU` is `NaN` or `>= 126`; `0` when
+/// it is below `-2` (a negative tolerance accepts no pair). See the module
+/// docs for why `T` never rejects a pair [`ProbeChunk::close_to`] accepts.
+fn byte_tolerance(tol: f64) -> u8 {
+    let t = (tol * BYTE_SCALE).floor() + 2.0;
+    if t.is_nan() || t >= 128.0 {
+        128
+    } else {
+        t as u8
+    }
+}
+
+/// A gallery entry's angles as the byte prefilter tests them: `direct`
+/// against the probe's `(q(beta1), q(beta2))`, `swapped` against
+/// `(q(beta2), q(beta1))`. A probe entry's swapped angle
+/// `wrap(beta + pi)` is half a turn from `beta`, which in bytes is
+/// `q(beta) ^ 0x80`; the half turn is added on the gallery side instead,
+/// so the probe needs one byte column per angle.
+#[derive(Debug)]
+struct ByteKey {
+    direct: [u8; 2],
+    swapped: [u8; 2],
+}
+
+impl ByteKey {
+    #[inline(always)]
+    fn of(beta1: f64, beta2: f64) -> ByteKey {
+        let direct = [byte_angle(beta1), byte_angle(beta2)];
+        ByteKey {
+            direct,
+            swapped: direct.map(|q| q ^ 0x80),
+        }
+    }
+}
+
 /// The association scan's working set.
 #[derive(Default)]
 struct Scan {
     /// The probe table's angles, rebuilt per call by
     /// [`load_probe`](Self::load_probe).
     chunks: Vec<ProbeChunk>,
+    /// The probe's distances and [`LANES`] `NaN`s, rebuilt per call by
+    /// the `avx512bw` body (`load_columns`).
+    distances: Vec<f64>,
+    /// The probe's `q(beta1)` and `q(beta2)` ([`byte_angle`]), one byte per
+    /// entry and [`BYTE_LANES`] bytes of padding, rebuilt with `distances`.
+    bytes: [Vec<u8>; 2],
     /// Where [`ProbeChunk::close_to`] leaves one step's flags.
     flags: [u8; LANES],
     /// The steps in which some lane passed, in scan order.
@@ -643,14 +753,46 @@ impl Scan {
             }
         }));
     }
+
+    /// Tests gallery entry `g` (number `at_gallery`) against chunk `chunk`
+    /// of the probe with [`ProbeChunk::close_to`], and records a hit if a
+    /// lane inside the distance window `[lo, hi)` passes.
+    #[inline(always)]
+    fn test_chunk(
+        &mut self,
+        tol: f64,
+        at_gallery: usize,
+        g: &PairEntry,
+        chunk: usize,
+        (lo, hi): (usize, usize),
+    ) {
+        self.chunks[chunk].close_to(g.beta1, g.beta2, tol, &mut self.flags);
+        let lanes = u64::from_le_bytes(self.flags);
+        if lanes == 0 {
+            return;
+        }
+        // Lanes of this chunk outside `[lo, hi)` are out of distance
+        // tolerance, whatever their angles say.
+        let at = chunk * LANES;
+        let lanes = lanes & lane_bytes(lo.saturating_sub(at), hi - at);
+        if lanes != 0 {
+            self.hits.push(ChunkHit {
+                gallery: at_gallery,
+                chunk,
+                flags: lanes,
+            });
+        }
+    }
 }
 
 /// What one comparison would otherwise allocate, kept per thread. Tens of
 /// KB. Long-lived threads (`ScoreMatrix::compute_with`'s workers, the
 /// shard pool) grow it once; `CandidateIndex::rerank` runs its helper
 /// lanes on threads spawned per search, so each helper's first comparison
-/// grows a fresh one: about 10 µs on top of a warm call's 34 µs (30
-/// against 50 minutiae, 2.1 GHz Xeon), once per lane and search.
+/// grows a fresh one, once per lane and search. On a 2-core 2.1 GHz Xeon
+/// a warm call of 30 against 50 minutiae (378 x 931 entries, `avx512bw`
+/// body) took 20-36 µs and a first call on a fresh thread 25-38 µs: the
+/// growth is lost in the host's noise.
 #[derive(Default)]
 struct Scratch {
     scan: Scan,
@@ -664,25 +806,30 @@ thread_local! {
     static SCRATCH: std::cell::RefCell<Scratch> = std::cell::RefCell::default();
 }
 
-/// The compilations of the association scan, widest first.
+/// The association scan's bodies, widest first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ScanBody {
-    /// Eight probe entries per instruction.
-    Avx512,
-    /// Four.
+    /// The byte prefilter, 64 probe entries per instruction, then the exact
+    /// predicate on the chunks it leaves.
+    Avx512Bw,
+    /// The exact predicate on every chunk of the window, four probe
+    /// entries per instruction.
     Avx2,
-    /// The build's baseline features (two on x86-64: SSE2).
+    /// The same at the build's baseline features (two on x86-64: SSE2).
     Baseline,
 }
 
 impl ScanBody {
-    const ALL: [ScanBody; 3] = [ScanBody::Avx512, ScanBody::Avx2, ScanBody::Baseline];
+    const ALL: [ScanBody; 3] = [ScanBody::Avx512Bw, ScanBody::Avx2, ScanBody::Baseline];
 
     /// Whether this CPU can run the body.
     fn runs_here(self) -> bool {
         match self {
             #[cfg(target_arch = "x86_64")]
-            ScanBody::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            ScanBody::Avx512Bw => {
+                std::arch::is_x86_feature_detected!("avx512f")
+                    && std::arch::is_x86_feature_detected!("avx512bw")
+            }
             #[cfg(target_arch = "x86_64")]
             ScanBody::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
             ScanBody::Baseline => true,
@@ -705,7 +852,7 @@ impl ScanBody {
 
     fn name(self) -> &'static str {
         match self {
-            ScanBody::Avx512 => "avx512f",
+            ScanBody::Avx512Bw => "avx512bw",
             ScanBody::Avx2 => "avx2",
             ScanBody::Baseline => "baseline",
         }
@@ -722,10 +869,10 @@ impl ScanBody {
     ) {
         match self {
             #[cfg(target_arch = "x86_64")]
-            ScanBody::Avx512 => {
-                // SAFETY: `runs_here` verified `avx512f` before `available`
-                // or `detect` yielded this body.
-                unsafe { scan_avx512(cfg, gallery, probe, scan) }
+            ScanBody::Avx512Bw => {
+                // SAFETY: `runs_here` verified `avx512f` and `avx512bw`
+                // before `available` or `detect` yielded this body.
+                unsafe { scan_avx512bw(cfg, gallery, probe, scan) }
             }
             #[cfg(target_arch = "x86_64")]
             ScanBody::Avx2 => {
@@ -738,28 +885,158 @@ impl ScanBody {
     }
 }
 
-/// Name of the association-scan compilation [`PairTableMatcher`] runs on
-/// this CPU — `"avx512f"`, `"avx2"` or `"baseline"` — for gate reports and
+/// Name of the association-scan body [`PairTableMatcher`] runs on this
+/// CPU — `"avx512bw"`, `"avx2"` or `"baseline"` — for gate reports and
 /// logs, so a host that fell back to a narrower body says so.
 pub fn scan_body_name() -> &'static str {
     ScanBody::detect().name()
 }
 
-/// [`scan_body`] compiled with 512-bit vectors: a chunk column is one
-/// register, a predicate one mask.
+/// The byte-prefiltered scan. Per gallery entry, the distance window's
+/// ends advance as in [`for_each_window`], eight distances a compare
+/// ([`skip_while`]); the window goes through [`ByteKey`]'s four circular
+/// byte distances, 64 probe entries a step starting at a chunk boundary,
+/// into one `u64` of survivors; only
+/// the chunks holding a survivor go through [`Scan::test_chunk`], in
+/// order. The prefilter passes every lane `close_to` passes (module docs),
+/// so the hits are [`scan_body`]'s.
 ///
 /// # Safety
 ///
-/// Callers must have verified the CPU supports `avx512f`.
+/// Callers must have verified the CPU supports `avx512f` and `avx512bw`.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn scan_avx512(
+#[target_feature(enable = "avx512f,avx512bw")]
+unsafe fn scan_avx512bw(
     cfg: &PairTableConfig,
     gallery: &[PairEntry],
     probe: &[PairEntry],
     scan: &mut Scan,
 ) {
-    scan_body(cfg, gallery, probe, scan)
+    use std::arch::x86_64::*;
+
+    load_columns(scan, probe);
+    let limit = _mm512_set1_epi8(byte_tolerance(cfg.angle_tolerance) as i8);
+    let near = |a: __m512i, b: __m512i| {
+        let distance = _mm512_min_epu8(_mm512_sub_epi8(a, b), _mm512_sub_epi8(b, a));
+        _mm512_cmple_epu8_mask(distance, limit)
+    };
+    let (mut lo, mut hi) = (0usize, 0usize);
+    for (at_gallery, g) in gallery.iter().enumerate() {
+        // `for_each_window`'s walk, its forward loops eight distances a
+        // step.
+        let tol = cfg.distance_tolerance + cfg.relative_distance_tolerance * g.d;
+        let in_reach = |d: f64| d <= g.d + tol;
+        lo = skip_while::<_CMP_LT_OQ>(&scan.distances, lo, g.d - tol);
+        hi = skip_while::<_CMP_LE_OQ>(&scan.distances, hi.max(lo), g.d + tol);
+        while hi > lo && !in_reach(scan.distances[hi - 1]) {
+            hi -= 1;
+        }
+        if lo == hi {
+            continue;
+        }
+        let key = ByteKey::of(g.beta1, g.beta2);
+        let [g1, g2] = key.direct.map(|q| _mm512_set1_epi8(q as i8));
+        let [s1, s2] = key.swapped.map(|q| _mm512_set1_epi8(q as i8));
+        let mut at = lo / LANES * LANES;
+        while at < hi {
+            let (q1, q2) = (
+                load_bytes(&scan.bytes[0], at),
+                load_bytes(&scan.bytes[1], at),
+            );
+            let pass = (near(q1, g1) & near(q2, g2)) | (near(q2, s1) & near(q1, s2));
+            let mut survivors = pass & lane_bits(lo.saturating_sub(at), hi - at);
+            while survivors != 0 {
+                let chunk = (at + survivors.trailing_zeros() as usize) / LANES;
+                scan.test_chunk(cfg.angle_tolerance, at_gallery, g, chunk, (lo, hi));
+                survivors &= !(0xFF << (chunk * LANES - at));
+            }
+            at += BYTE_LANES;
+        }
+    }
+}
+
+/// Sets `scan.distances` to the probe's distances and [`LANES`] `NaN`s,
+/// and `scan.bytes` to the [`byte_angle`]s of the loaded chunks' `beta1`
+/// and `beta2` and [`BYTE_LANES`] bytes of padding. Eight angles a step:
+/// the add and multiply round as the scalar ones do, and a truncating
+/// convert then a truncating narrow are `as u32 as u8` on `[0, 256]`. (A
+/// pad lane's `NaN` gives byte 0, never read: it lies outside every
+/// window.)
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn load_columns(scan: &mut Scan, probe: &[PairEntry]) {
+    use std::arch::x86_64::*;
+
+    scan.distances.clear();
+    scan.distances.extend(probe.iter().map(|p| p.d));
+    scan.distances.extend([f64::NAN; LANES]);
+    let (pi, scale) = (_mm512_set1_pd(PI), _mm512_set1_pd(BYTE_SCALE));
+    let quantise = |angles: &[f64; LANES], out: &mut [u8]| {
+        // SAFETY: `angles` is 64 readable bytes; `loadu` asks no alignment.
+        let x = unsafe { _mm512_loadu_pd(angles.as_ptr()) };
+        let q = _mm512_cvttpd_epi32(_mm512_mul_pd(_mm512_add_pd(x, pi), scale));
+        let bytes = _mm512_cvtepi32_epi8(_mm512_zextsi256_si512(q));
+        out.copy_from_slice(&_mm_cvtsi128_si64(bytes).to_le_bytes());
+    };
+    let [bytes1, bytes2] = &mut scan.bytes;
+    for column in [&mut *bytes1, &mut *bytes2] {
+        column.clear();
+        column.resize(probe.len() + BYTE_LANES, 0);
+    }
+    let bytes = bytes1
+        .chunks_exact_mut(LANES)
+        .zip(bytes2.chunks_exact_mut(LANES));
+    for (chunk, (q1, q2)) in scan.chunks.iter().zip(bytes) {
+        quantise(&chunk.beta1, q1);
+        quantise(&chunk.beta2, q2);
+    }
+}
+
+/// The first index from `at` on whose distance fails `d PREDICATE bound`
+/// (`_CMP_LT_OQ` or `_CMP_LE_OQ`), eight distances a step. The `NaN`s
+/// `load_columns` puts past the probe's end fail either compare, so this is
+/// `for_each_window`'s scalar loop, `at < n` test included.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn skip_while<const PREDICATE: i32>(distances: &[f64], mut at: usize, bound: f64) -> usize {
+    use std::arch::x86_64::*;
+
+    let bound = _mm512_set1_pd(bound);
+    loop {
+        debug_assert!(at + LANES <= distances.len());
+        // SAFETY: `at` is at most the probe's length, and `load_columns` pads
+        // the distance column with `LANES` values past it, so the eight from
+        // `at` are in the column; `loadu` asks no alignment.
+        let d = unsafe { _mm512_loadu_pd(distances.as_ptr().add(at)) };
+        let run = (!_mm512_cmp_pd_mask::<PREDICATE>(d, bound)).trailing_zeros() as usize;
+        at += run;
+        if run < LANES {
+            return at;
+        }
+    }
+}
+
+/// The 64 bytes of a byte column from `at` on.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn load_bytes(column: &[u8], at: usize) -> std::arch::x86_64::__m512i {
+    debug_assert!(at + BYTE_LANES <= column.len());
+    // SAFETY: `at` is below the probe's length, and `load_columns` pads each
+    // byte column with `BYTE_LANES` bytes past it, so the 64 bytes from
+    // `at` are in the column; `loadu` asks no alignment.
+    unsafe { std::arch::x86_64::_mm512_loadu_si512(column.as_ptr().add(at).cast()) }
+}
+
+/// The bits of a prefilter step's survivor word for lanes `first..end`.
+#[inline(always)]
+fn lane_bits(first: usize, end: usize) -> u64 {
+    let below = |lane: usize| match lane {
+        BYTE_LANES.. => u64::MAX,
+        _ => (1 << lane) - 1,
+    };
+    below(end) & !below(first)
 }
 
 /// [`scan_body`] compiled with 256-bit vectors.
@@ -778,21 +1055,31 @@ unsafe fn scan_avx2(
     scan_body(cfg, gallery, probe, scan)
 }
 
-/// The association scan. Both tables are sorted by distance, so the probe
-/// entries within tolerance of a gallery entry's distance are a window
-/// `[lo, hi)` whose ends only move forward as the gallery entry advances;
-/// the window's chunks go through [`ProbeChunk::close_to`], lanes outside
-/// the window are masked off, and a step with a surviving lane is pushed
-/// onto `hits` — in gallery order, then probe order, the oracle's order.
-/// Plain arithmetic on `f64`s, so every compilation computes the same
-/// bits.
+/// The exact scan: every chunk of each distance window goes through
+/// [`Scan::test_chunk`] — in gallery order, then probe order, the
+/// oracle's order. Plain arithmetic on `f64`s, so every compilation
+/// computes the same bits.
 #[inline(always)]
 fn scan_body(cfg: &PairTableConfig, gallery: &[PairEntry], probe: &[PairEntry], scan: &mut Scan) {
-    let Scan {
-        chunks,
-        flags,
-        hits,
-    } = scan;
+    for_each_window(cfg, gallery, probe, |at_gallery, g, (lo, hi)| {
+        for chunk in lo / LANES..=(hi - 1) / LANES {
+            scan.test_chunk(cfg.angle_tolerance, at_gallery, g, chunk, (lo, hi));
+        }
+    });
+}
+
+/// Calls `visit(at, g, (lo, hi))` for each gallery entry `g` (number `at`)
+/// whose distance window in `probe` is not empty. Both tables are sorted
+/// by distance, so the probe entries within tolerance of a gallery entry's
+/// distance are a window `[lo, hi)` whose ends only move forward as the
+/// gallery entry advances.
+#[inline(always)]
+fn for_each_window(
+    cfg: &PairTableConfig,
+    gallery: &[PairEntry],
+    probe: &[PairEntry],
+    mut visit: impl FnMut(usize, &PairEntry, (usize, usize)),
+) {
     let n = probe.len();
     let (mut lo, mut hi) = (0usize, 0usize);
     for (at_gallery, g) in gallery.iter().enumerate() {
@@ -813,27 +1100,8 @@ fn scan_body(cfg: &PairTableConfig, gallery: &[PairEntry], probe: &[PairEntry], 
         while hi > lo && !in_reach(probe[hi - 1].d) {
             hi -= 1;
         }
-        if lo == hi {
-            continue;
-        }
-        let first = lo / LANES;
-        for (chunk, columns) in (first..).zip(&chunks[first..=(hi - 1) / LANES]) {
-            columns.close_to(g.beta1, g.beta2, cfg.angle_tolerance, flags);
-            let lanes = u64::from_le_bytes(*flags);
-            if lanes == 0 {
-                continue;
-            }
-            // Lanes of this chunk outside `[lo, hi)` are out of distance
-            // tolerance, whatever their angles say.
-            let at = chunk * LANES;
-            let lanes = lanes & lane_bytes(lo.saturating_sub(at), hi - at);
-            if lanes != 0 {
-                hits.push(ChunkHit {
-                    gallery: at_gallery,
-                    chunk,
-                    flags: lanes,
-                });
-            }
+        if lo < hi {
+            visit(at_gallery, g, (lo, hi));
         }
     }
 }
@@ -1434,7 +1702,18 @@ mod tests {
                 distance_tolerance: 14.0,
                 ..PairTableConfig::default()
             },
-        ];
+        ]
+        .into_iter()
+        // Degenerate angle tolerances: each of the prefilter threshold's
+        // branches (negative, `NaN`, saturated) on every body.
+        .chain(
+            [0.0, -0.0, -0.1, f64::NAN, PI, TAU, f64::INFINITY].map(|angle_tolerance| {
+                PairTableConfig {
+                    angle_tolerance,
+                    ..PairTableConfig::default()
+                }
+            }),
+        );
         let pairs = oracle_pairs();
         assert_eq!(ScanBody::available().last(), Some(ScanBody::Baseline));
         let mut associations = 0;
@@ -1479,6 +1758,228 @@ mod tests {
             associations > 10_000,
             "the pairs exercise the tail: {associations}"
         );
+    }
+
+    /// What `body` leaves in `scan.hits` for `gallery` against `probe`;
+    /// asserts on the way that the `avx512bw` body's byte columns are the
+    /// scalar [`byte_angle`]s.
+    fn hits_of(
+        body: ScanBody,
+        cfg: &PairTableConfig,
+        gallery: &[PairEntry],
+        probe: &[PairEntry],
+    ) -> Vec<ChunkHit> {
+        let mut scan = Scan::default();
+        scan.load_probe(probe);
+        body.run(cfg, gallery, probe, &mut scan);
+        if body == ScanBody::Avx512Bw {
+            for (at, p) in probe.iter().enumerate() {
+                assert_eq!(
+                    [scan.bytes[0][at], scan.bytes[1][at]],
+                    [byte_angle(p.beta1), byte_angle(p.beta2)],
+                    "probe ({:e}, {:e})",
+                    p.beta1,
+                    p.beta2
+                );
+            }
+        }
+        scan.hits
+    }
+
+    /// Asserts that the byte prefilter passes every pair of `gallery` and
+    /// `probe` entries that `close_to` passes under `tol`, direct and
+    /// swapped, on the scalar byte angles (`hits_of` holds the `avx512bw`
+    /// body's columns to them) and the threshold and keys that body uses;
+    /// and that every body the host runs finds the baseline body's hits. Returns how many orientations `close_to`
+    /// passed.
+    fn assert_prefilter_is_conservative(
+        tol: f64,
+        gallery: &[PairEntry],
+        probe: &[PairEntry],
+    ) -> usize {
+        let mut scan = Scan::default();
+        scan.load_probe(probe);
+        let limit = byte_tolerance(tol);
+        let near = |a: u8, b: u8| a.wrapping_sub(b).min(b.wrapping_sub(a)) <= limit;
+        let mut passed = 0;
+        for g in gallery {
+            let key = ByteKey::of(g.beta1, g.beta2);
+            for (at, p) in probe.iter().enumerate() {
+                let mut flags = [0; LANES];
+                scan.chunks[at / LANES].close_to(g.beta1, g.beta2, tol, &mut flags);
+                let flags = flags[at % LANES];
+                let (q1, q2) = (byte_angle(p.beta1), byte_angle(p.beta2));
+                let case = || {
+                    format!(
+                        "tol {tol:e} (T = {limit}): gallery ({:e}, {:e}) {key:?}, \
+                         probe ({:e}, {:e}) = bytes ({q1}, {q2})",
+                        g.beta1, g.beta2, p.beta1, p.beta2
+                    )
+                };
+                if flags & DIRECT != 0 {
+                    passed += 1;
+                    assert!(
+                        near(q1, key.direct[0]) && near(q2, key.direct[1]),
+                        "direct pair lost: {}",
+                        case()
+                    );
+                }
+                if flags & SWAPPED != 0 {
+                    passed += 1;
+                    assert!(
+                        near(q2, key.swapped[0]) && near(q1, key.swapped[1]),
+                        "swapped pair lost: {}",
+                        case()
+                    );
+                }
+            }
+        }
+        let cfg = PairTableConfig {
+            angle_tolerance: tol,
+            ..PairTableConfig::default()
+        };
+        let expected = hits_of(ScanBody::Baseline, &cfg, gallery, probe);
+        for body in ScanBody::available() {
+            assert_eq!(
+                hits_of(body, &cfg, gallery, probe),
+                expected,
+                "{} body, tol {tol:e}",
+                body.name()
+            );
+        }
+        passed
+    }
+
+    /// `x` moved by `ulps` representable steps.
+    fn step_ulps(x: f64, ulps: i32) -> f64 {
+        (0..ulps.abs()).fold(x, |x, _| if ulps > 0 { x.next_up() } else { x.next_down() })
+    }
+
+    /// A table entry at distance `d` with angles `beta1`, `beta2`.
+    fn entry(d: f64, beta1: f64, beta2: f64) -> PairEntry {
+        PairEntry {
+            d,
+            beta1,
+            beta2,
+            i: 0,
+            j: 1,
+        }
+    }
+
+    fn is_canonical(x: f64) -> bool {
+        x > -PI && x <= PI
+    }
+
+    #[test]
+    fn byte_prefilter_passes_every_pair_close_to_passes() {
+        // Every byte step's lower boundary `k·TAU/256 - pi`, and its
+        // neighbours at one and two ulps.
+        let boundaries: Vec<f64> = (0..=256)
+            .flat_map(|k| {
+                let x = f64::from(k) * (TAU / 256.0) - PI;
+                (-2..=2).map(move |ulps| step_ulps(x, ulps))
+            })
+            .filter(|&x| is_canonical(x))
+            .collect();
+        // Tolerances at zero, a step of the byte grid either side of
+        // whole steps, the default, and half a turn.
+        let tolerances: Vec<f64> = [1.0, 5.0, 8.0, 13.0, 64.0]
+            .into_iter()
+            .flat_map(|k| {
+                let t = k * (TAU / 256.0);
+                [t.next_down(), t, t.next_up()]
+            })
+            .chain([0.0, 0.20, PI])
+            .collect();
+        let mut passed = 0;
+        for &tol in &tolerances {
+            for &g in &boundaries {
+                // Probe angles at `±tol` from `g` (direct) and from `g + pi`
+                // (swapped: `wrap(p + pi)` lands at `g ± tol`), a few ulps
+                // either side; both angles of an entry alike, so each
+                // orientation passes exactly when one angle does.
+                let probe: Vec<PairEntry> = [-tol, tol]
+                    .into_iter()
+                    .flat_map(|off| [wrap(g + off), wrap(wrap(g + off) + PI)])
+                    .flat_map(|p| (-3..=3).map(move |ulps| step_ulps(p, ulps)))
+                    .filter(|&p| is_canonical(p))
+                    .map(|p| entry(5.0, p, p))
+                    .collect();
+                passed += assert_prefilter_is_conservative(tol, &[entry(5.0, g, g)], &probe);
+            }
+        }
+        assert!(
+            passed > 100_000,
+            "the edge cases reach close_to's accepts: {passed}"
+        );
+
+        // Jittered tables, after Grosz et al.: a template against itself
+        // with every relative angle moved to `±tol`, a few ulps either
+        // side, and against a copy with minutiae jittered in place.
+        let m = PairTableMatcher::default();
+        let tol = m.config().angle_tolerance;
+        let mut rng = SeedTree::new(0xB17E).rng();
+        for seed in 0..4 {
+            let t = synthetic_template(600 + seed, 40);
+            let table = m.prepare(&t);
+            let edged: Vec<PairEntry> = table
+                .entries
+                .iter()
+                .map(|e| {
+                    let mut jitter = |beta: f64| {
+                        let off = if rng.gen::<bool>() { tol } else { -tol };
+                        let p = step_ulps(wrap(beta + off), rng.gen_range(-3..=3));
+                        if is_canonical(p) {
+                            p
+                        } else {
+                            beta
+                        }
+                    };
+                    entry(e.d, jitter(e.beta1), jitter(e.beta2))
+                })
+                .collect();
+            let jittered = t
+                .minutiae()
+                .iter()
+                .map(|mi| {
+                    Minutia::new(
+                        Point::new(
+                            mi.pos.x + fp_core::dist::normal(&mut rng, 0.0, 0.1),
+                            mi.pos.y + fp_core::dist::normal(&mut rng, 0.0, 0.1),
+                        ),
+                        mi.direction
+                            .rotated(fp_core::dist::normal(&mut rng, 0.0, 0.1)),
+                        mi.kind,
+                        mi.reliability,
+                    )
+                })
+                .collect::<Vec<_>>();
+            let jittered = m.prepare(&Template::builder(500.0).extend(jittered).build().unwrap());
+            for probe in [&edged, &jittered.entries] {
+                assert!(assert_prefilter_is_conservative(tol, &table.entries, probe) > 0);
+            }
+        }
+    }
+
+    #[test]
+    fn byte_threshold_saturates_at_its_edges() {
+        assert_eq!(byte_tolerance(0.20), 10);
+        assert_eq!(byte_tolerance(0.0), 2);
+        assert_eq!(byte_tolerance(-0.0), 2);
+        assert_eq!(byte_tolerance(-0.1), 0);
+        assert_eq!(byte_tolerance(f64::NEG_INFINITY), 0);
+        // The least tolerance whose scaled value is 126.
+        let mut edge = 126.0 / BYTE_SCALE;
+        while edge * BYTE_SCALE < 126.0 {
+            edge = edge.next_up();
+        }
+        for tol in [f64::NAN, PI, TAU, f64::INFINITY, edge] {
+            assert_eq!(byte_tolerance(tol), 128, "{tol:e}");
+        }
+        assert_eq!(byte_tolerance(edge.next_down()), 127);
+        assert_eq!(byte_angle(PI), 0, "pi is the circle's end, byte 256 = 0");
+        assert_eq!(byte_angle((-PI).next_up()), 0);
+        assert_eq!(byte_angle(0.0), 128);
     }
 
     #[test]
