@@ -45,7 +45,8 @@ pub use calibrate::ScoreCalibration;
 pub use hough::{HoughConfig, HoughMatcher};
 pub use mcc::{MccConfig, MccMatcher, PreparedCylinders};
 pub use pairtable::{
-    scan_body_name, PairFeature, PairTableConfig, PairTableMatcher, PreparedPairTable,
+    scan_body_name, PairFeature, PairTableConfig, PairTableConfigError, PairTableMatcher,
+    PreparedPairTable,
 };
 
 use fp_core::template::Template;

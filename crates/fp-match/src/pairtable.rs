@@ -25,9 +25,31 @@
 //! depth. [`crate::ScoreCalibration`] then maps raw scores onto the paper's
 //! commercial scale.
 //!
+//! ## Where a comparison's time goes
+//!
+//! Over the study's 494-subject matrix on a 2-core 2.1 GHz Xeon, a call
+//! spends about 40 µs in step 2's scan (pass 1a, below), 12 µs in its
+//! scalar tail (pass 1b: kinds test, implied rotation, vote) and 5 µs in
+//! steps 3–4 (pass 2). Pass 2 counts the rotation cluster's correspondence
+//! keys `(g << 16) | p` in an open-addressing table (`Support`) sized from
+//! the cluster, never from the templates' minutia counts, and ranks the
+//! keys with at least `min_support` votes as packed `u64`s,
+//! `(u32::MAX - count) << 32 | key`, by one unstable sort: count
+//! descending, then `(g, p)` ascending, the order the oracle's `HashMap`
+//! and sort give.
+//!
+//! Step 1 (`prepare`, about 55-90 µs a template on the same host, mostly
+//! `hypot` and `atan2`) builds its entries in the thread's `Scratch` and
+//! returns an exact-capacity copy. A squared-distance band, widened by
+//! `2^-30` relative, skips `hypot` for pairs that cannot pass the distance
+//! bounds; angles wrap without `fmod` where that is bit-equal to
+//! [`Direction::signed_delta`]; the sort is unstable on (total-order `d`,
+//! `i`, `j`), which is the stable distance sort's order. Every stored bit
+//! equals the retained `build_table_reference`'s.
+//!
 //! ## The association scan
 //!
-//! Step 2 is where a comparison's time goes: two ~520-entry tables offer
+//! Step 2 is the largest part: two ~520-entry tables offer
 //! ~22,000 entry pairs within distance tolerance, each tested in both
 //! orientations; ~310 of them agree in both angles, one way round or
 //! both. It runs as a scan:
@@ -107,7 +129,6 @@
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 
-use std::collections::HashMap;
 use std::f64::consts::{PI, TAU};
 
 use serde::{Deserialize, Serialize};
@@ -173,6 +194,53 @@ impl Default for PairTableConfig {
             require_kind_match: true,
             size_cap: 34,
         }
+    }
+}
+
+/// A [`PairTableConfig`] the matcher cannot score with, rejected when the
+/// matcher is built ([`PairTableMatcher::new`]) instead of failing at the
+/// first comparison.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PairTableConfigError {
+    /// `rotation_bins == 0`: every association votes into one bin of the
+    /// rotation histogram, so the histogram needs at least one.
+    ZeroRotationBins,
+    /// `full_support == 0`: a correspondence's depth is its support over
+    /// `full_support`, so every raw score would be `NaN`, which
+    /// [`MatchScore::new`] silently reads as `0`.
+    ZeroFullSupport,
+}
+
+impl std::fmt::Display for PairTableConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PairTableConfigError::ZeroRotationBins => {
+                write!(
+                    f,
+                    "rotation_bins must be >= 1 (each association votes into a bin)"
+                )
+            }
+            PairTableConfigError::ZeroFullSupport => write!(
+                f,
+                "full_support must be >= 1 (depth 0/0 would make every score NaN)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for PairTableConfigError {}
+
+impl PairTableConfig {
+    /// Checks structural validity. See [`PairTableConfigError`] for the
+    /// rules.
+    pub fn validate(&self) -> Result<(), PairTableConfigError> {
+        if self.rotation_bins == 0 {
+            return Err(PairTableConfigError::ZeroRotationBins);
+        }
+        if self.full_support == 0 {
+            return Err(PairTableConfigError::ZeroFullSupport);
+        }
+        Ok(())
     }
 }
 
@@ -349,12 +417,14 @@ pub struct PairTableMatcher {
 }
 
 impl PairTableMatcher {
-    /// Creates a matcher with explicit tuning parameters.
-    pub fn new(config: PairTableConfig) -> Self {
-        PairTableMatcher {
+    /// Creates a matcher with explicit tuning parameters, or says why it
+    /// cannot score with them.
+    pub fn new(config: PairTableConfig) -> Result<Self, PairTableConfigError> {
+        config.validate()?;
+        Ok(PairTableMatcher {
             config,
             metrics: Default::default(),
-        }
+        })
     }
 
     /// Registers this matcher's work counters (comparisons, table entries,
@@ -369,32 +439,47 @@ impl PairTableMatcher {
         &self.config
     }
 
+    /// Builds the template's pair table in the thread's [`Scratch`] and
+    /// returns an exact-size copy, bit for bit `build_table_reference`'s
+    /// (module docs). The sort is unstable on `(d, i, j)`: pairs are unique
+    /// and generated in `(i, j)` order, so that is the reference's stable
+    /// sort on `d`.
     fn build_table(&self, template: &Template) -> PreparedPairTable {
         let ms = template.minutiae();
-        let mut entries = Vec::new();
-        for i in 0..ms.len() {
-            for j in (i + 1)..ms.len() {
-                let d = ms[i].pos.distance(&ms[j].pos);
-                if d < self.config.min_pair_distance || d > self.config.max_pair_distance {
-                    continue;
+        let (min, max) = (self.config.min_pair_distance, self.config.max_pair_distance);
+        let (lo_sq, hi_sq) = distance_screen(min, max);
+        let entries = SCRATCH.with_borrow_mut(|scratch| {
+            let entries = &mut scratch.entries;
+            entries.clear();
+            for (i, a) in ms.iter().enumerate() {
+                for (j, b) in ms.iter().enumerate().skip(i + 1) {
+                    // `Point::direction_to`'s displacement.
+                    let (dx, dy) = (b.pos.x - a.pos.x, b.pos.y - a.pos.y);
+                    let d_sq = dx * dx + dy * dy;
+                    if d_sq < lo_sq || d_sq > hi_sq {
+                        continue;
+                    }
+                    let d = a.pos.distance(&b.pos);
+                    if d < min || d > max {
+                        continue;
+                    }
+                    let line = if dx == 0.0 && dy == 0.0 {
+                        Direction::ZERO.radians()
+                    } else {
+                        wrap_stored(dy.atan2(dx))
+                    };
+                    entries.push(PairEntry {
+                        d,
+                        beta1: wrap_stored(a.direction.radians() - line),
+                        beta2: wrap_stored(b.direction.radians() - line),
+                        i: i as u16,
+                        j: j as u16,
+                    });
                 }
-                let line = ms[i].pos.direction_to(&ms[j].pos);
-                let beta1 = ms[i].direction.signed_delta(line);
-                let beta2 = ms[j].direction.signed_delta(line);
-                entries.push(PairEntry {
-                    d,
-                    beta1,
-                    beta2,
-                    i: i as u16,
-                    j: j as u16,
-                });
             }
-        }
-        // A total order, so no input can make the sort panic; on the
-        // distances of finite positions (`+0.0` and up) it is the order
-        // `partial_cmp` gave, and the sort is stable, so ties keep `(i, j)`
-        // order.
-        entries.sort_by(|a, b| a.d.total_cmp(&b.d));
+            entries.sort_unstable_by(|a, b| a.d.total_cmp(&b.d).then((a.i, a.j).cmp(&(b.i, b.j))));
+            entries.to_vec()
+        });
         self.metrics.table_entries.record(entries.len() as u64);
         PreparedPairTable {
             entries,
@@ -433,8 +518,11 @@ impl PairTableMatcher {
             scan,
             assocs,
             rotation_votes,
+            keys,
+            support,
             g_used,
             p_used,
+            entries: _,
         } = scratch;
 
         // Pass 1a, the scan: which (gallery entry, probe entry) pairs agree
@@ -512,40 +600,41 @@ impl PairTableMatcher {
         let modal_rotation = -PI + bin_width * (best_bin as f64 + 1.0); // boundary of the smoothed pair
 
         // Pass 2: correspondences supported by rotation-consistent
-        // associations. (`modal_rotation` is a bin boundary, at most an ulp
-        // of `TAU` past `pi`, so the difference stays in `wrap`'s domain.)
-        let mut support: HashMap<(u16, u16), u32> = HashMap::new();
-        let mut cluster_size = 0u64;
+        // associations, two keys per association. (`modal_rotation` is a
+        // bin boundary, at most an ulp of `TAU` past `pi`, so the
+        // difference stays in `wrap`'s domain.)
+        let window = cfg.rotation_window + bin_width / 2.0;
+        keys.clear();
         for a in assocs.iter() {
-            if wrap(a.rotation - modal_rotation).abs() > cfg.rotation_window + bin_width / 2.0 {
+            if wrap(a.rotation - modal_rotation).abs() > window {
                 continue;
             }
-            cluster_size += 1;
-            *support.entry((a.g_i, a.p_i)).or_insert(0) += 1;
-            *support.entry((a.g_j, a.p_j)).or_insert(0) += 1;
+            keys.push(u32::from(a.g_i) << 16 | u32::from(a.p_i));
+            keys.push(u32::from(a.g_j) << 16 | u32::from(a.p_j));
         }
-        self.metrics.cluster_size.record(cluster_size);
-        if support.is_empty() {
+        self.metrics.cluster_size.record(keys.len() as u64 / 2);
+        if keys.is_empty() {
             return MatchScore::ZERO;
         }
 
-        // Greedy one-to-one extraction by support depth.
-        let mut ranked: Vec<((u16, u16), u32)> = support.into_iter().collect();
-        ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        // Greedy one-to-one extraction by support depth. A correspondence
+        // below `min_support` is never accepted, so it is never ranked.
         g_used.clear();
         g_used.resize(gallery.minutia_count, false);
         p_used.clear();
         p_used.resize(probe.minutia_count, false);
         let mut raw = 0.0;
-        for ((gi, pi), s) in ranked {
-            if g_used[gi as usize] || p_used[pi as usize] {
+        for &ranked in support.rank(keys, cfg.min_support) {
+            let s = u32::MAX - (ranked >> 32) as u32;
+            let (gi, pi) = (
+                usize::from((ranked >> 16) as u16),
+                usize::from(ranked as u16),
+            );
+            if g_used[gi] || p_used[pi] {
                 continue;
             }
-            if s < cfg.min_support {
-                continue;
-            }
-            g_used[gi as usize] = true;
-            p_used[pi as usize] = true;
+            g_used[gi] = true;
+            p_used[pi] = true;
             let depth = (s.min(cfg.full_support) as f64) / cfg.full_support as f64;
             raw += 0.4 + 0.6 * depth;
         }
@@ -577,6 +666,47 @@ fn wrap(x: f64) -> f64 {
     } else {
         r
     }
+}
+
+/// [`Direction::from_radians`]'s wrap into `(-pi, pi]`, bit for bit,
+/// without its `fmod`, for `x` in `[-TAU, TAU]`: `build_table`'s `atan2`
+/// of a finite displacement, and differences of canonical angles. That is
+/// [`wrap`] but at `-TAU`, where `rem_euclid` gives `-0.0` and `wrap`
+/// gives `+0.0`: a stored angle keeps its sign bit.
+#[inline(always)]
+fn wrap_stored(x: f64) -> f64 {
+    if x == -TAU {
+        -0.0
+    } else {
+        wrap(x)
+    }
+}
+
+/// The squared-distance band `[lo, hi]` outside which a pair's `hypot`
+/// cannot lie in `[min, max]`: the bounds squared and widened by `2^-30`
+/// relative, far more than the few ulps `dx*dx + dy*dy` and `hypot` can
+/// differ by. A bound screens only where its square is a normal number,
+/// `1e-100 ..= 1e100` (a subnormal square has no relative precision), and
+/// only when `min >= 0` and both bounds are finite; otherwise the band is
+/// `[0, inf]` and the exact test decides alone. A `NaN` squared distance
+/// passes the band too.
+fn distance_screen(min: f64, max: f64) -> (f64, f64) {
+    const WIDEN: f64 = 1.0 / (1u64 << 30) as f64;
+    if !(min >= 0.0 && min.is_finite() && max.is_finite()) {
+        return (0.0, f64::INFINITY);
+    }
+    let normal = |bound: f64| (1e-100..=1e100).contains(&bound);
+    let lo = if normal(min) {
+        min * min * (1.0 - WIDEN)
+    } else {
+        0.0
+    };
+    let hi = if normal(max) {
+        max * max * (1.0 + WIDEN)
+    } else {
+        f64::INFINITY
+    };
+    (lo, hi)
 }
 
 /// An association: gallery pair `(g_i, g_j)` onto probe minutiae
@@ -785,21 +915,79 @@ impl Scan {
     }
 }
 
-/// What one comparison would otherwise allocate, kept per thread. Tens of
-/// KB. Long-lived threads (`ScoreMatrix::compute_with`'s workers, the
-/// shard pool) grow it once; `CandidateIndex::rerank` runs its helper
-/// lanes on threads spawned per search, so each helper's first comparison
-/// grows a fresh one, once per lane and search. On a 2-core 2.1 GHz Xeon
-/// a warm call of 30 against 50 minutiae (378 x 931 entries, `avx512bw`
-/// body) took 20-36 µs and a first call on a fresh thread 25-38 µs: the
-/// growth is lost in the host's noise.
+/// What one comparison or one table build would otherwise allocate, kept
+/// per thread. Tens of KB. Long-lived threads (`ScoreMatrix::compute_with`'s
+/// workers, the shard pool) grow it once; `CandidateIndex::rerank` runs its
+/// helper lanes on threads spawned per search, so each helper's first
+/// comparison grows a fresh one, once per lane and search. On a 2-core
+/// 2.1 GHz Xeon a warm call of 30 against 50 minutiae (378 x 931 entries,
+/// `avx512bw` body) took 20-36 µs and a first call on a fresh thread
+/// 25-38 µs: the growth is lost in the host's noise.
 #[derive(Default)]
 struct Scratch {
     scan: Scan,
     assocs: Vec<Assoc>,
     rotation_votes: Vec<u32>,
+    /// Pass 2's correspondence keys `(g << 16) | p`, two per association
+    /// in the rotation cluster.
+    keys: Vec<u32>,
+    support: Support,
     g_used: Vec<bool>,
     p_used: Vec<bool>,
+    /// `build_table`'s pair entries before the exact-size copy it returns.
+    entries: Vec<PairEntry>,
+}
+
+/// Pass 2's counter: how many of the cluster's keys name each
+/// correspondence, in an open-addressing table (linear probing) with at
+/// least twice as many slots as keys offered. Its size follows the
+/// cluster, never the templates' minutia counts, so a table that declares
+/// 65,535 minutiae costs nothing extra here.
+#[derive(Default)]
+struct Support {
+    /// `count << 32 | key`; `0` is an empty slot (a counted key has
+    /// `count >= 1`).
+    slots: Vec<u64>,
+    /// The ranked correspondences, `(u32::MAX - count) << 32 | key`.
+    ranked: Vec<u64>,
+}
+
+impl Support {
+    /// Counts `keys` and returns the keys counted at least `min_support`
+    /// times as `(u32::MAX - count) << 32 | key`, ascending: count
+    /// descending, then key ascending, which is `(g, p)` ascending. Keys
+    /// are unique, so the order is total.
+    fn rank(&mut self, keys: &[u32], min_support: u32) -> &[u64] {
+        let bits = (2 * keys.len()).next_power_of_two().trailing_zeros();
+        let mask = (1usize << bits) - 1;
+        self.slots.clear();
+        self.slots.resize(mask + 1, 0);
+        for &key in keys {
+            // Fibonacci hashing: the product's top `bits` bits.
+            let mut at =
+                (u64::from(key).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize;
+            loop {
+                let slot = &mut self.slots[at];
+                if *slot == 0 {
+                    *slot = 1 << 32 | u64::from(key);
+                    break;
+                }
+                if *slot as u32 == key {
+                    *slot += 1 << 32;
+                    break;
+                }
+                at = (at + 1) & mask;
+            }
+        }
+        self.ranked.clear();
+        self.ranked.extend(self.slots.iter().filter_map(|&slot| {
+            let count = (slot >> 32) as u32;
+            (slot != 0 && count >= min_support)
+                .then(|| u64::from(u32::MAX - count) << 32 | (slot & 0xFFFF_FFFF))
+        }));
+        self.ranked.sort_unstable();
+        &self.ranked
+    }
 }
 
 thread_local! {
@@ -1138,6 +1326,44 @@ impl PreparableMatcher for PairTableMatcher {
 /// kept verbatim so every [`ScanBody`] is proven against it bit for bit.
 #[cfg(test)]
 impl PairTableMatcher {
+    /// The table builder as it stood before it built in [`Scratch`] and
+    /// screened on squared distances, kept verbatim as `build_table`'s
+    /// oracle.
+    fn build_table_reference(&self, template: &Template) -> PreparedPairTable {
+        let ms = template.minutiae();
+        let mut entries = Vec::new();
+        for i in 0..ms.len() {
+            for j in (i + 1)..ms.len() {
+                let d = ms[i].pos.distance(&ms[j].pos);
+                if d < self.config.min_pair_distance || d > self.config.max_pair_distance {
+                    continue;
+                }
+                let line = ms[i].pos.direction_to(&ms[j].pos);
+                let beta1 = ms[i].direction.signed_delta(line);
+                let beta2 = ms[j].direction.signed_delta(line);
+                entries.push(PairEntry {
+                    d,
+                    beta1,
+                    beta2,
+                    i: i as u16,
+                    j: j as u16,
+                });
+            }
+        }
+        // A total order, so no input can make the sort panic; on the
+        // distances of finite positions (`+0.0` and up) it is the order
+        // `partial_cmp` gave, and the sort is stable, so ties keep `(i, j)`
+        // order.
+        entries.sort_by(|a, b| a.d.total_cmp(&b.d));
+        self.metrics.table_entries.record(entries.len() as u64);
+        PreparedPairTable {
+            entries,
+            directions: ms.iter().map(|m| m.direction).collect(),
+            kinds: ms.iter().map(|m| m.kind).collect(),
+            minutia_count: ms.len(),
+        }
+    }
+
     /// Wraps an angle difference into `(-pi, pi]`.
     #[inline]
     fn wrap_reference(a: f64) -> f64 {
@@ -1269,7 +1495,8 @@ impl PairTableMatcher {
 
         // Pass 2: correspondences supported by rotation-consistent
         // associations.
-        let mut support: HashMap<(u16, u16), u32> = HashMap::new();
+        let mut support: std::collections::HashMap<(u16, u16), u32> =
+            std::collections::HashMap::new();
         let mut cluster_size = 0u64;
         for a in &assocs {
             if Self::wrap_reference(a.rotation - modal_rotation).abs()
@@ -1718,7 +1945,9 @@ mod tests {
         assert_eq!(ScanBody::available().last(), Some(ScanBody::Baseline));
         let mut associations = 0;
         for config in configs {
-            let oracle = PairTableMatcher::new(config).with_telemetry(&Telemetry::enabled());
+            let oracle = PairTableMatcher::new(config)
+                .unwrap()
+                .with_telemetry(&Telemetry::enabled());
             let tables: Vec<_> = pairs
                 .iter()
                 .map(|(g, p)| (oracle.prepare(g), oracle.prepare(p)))
@@ -1729,7 +1958,9 @@ mod tests {
                 .collect();
             associations += oracle.metrics.associations.snapshot().sum;
             for body in ScanBody::available() {
-                let matcher = PairTableMatcher::new(config).with_telemetry(&Telemetry::enabled());
+                let matcher = PairTableMatcher::new(config)
+                    .unwrap()
+                    .with_telemetry(&Telemetry::enabled());
                 for (at, (g, p)) in tables.iter().enumerate() {
                     assert_eq!(
                         matcher.score_with(body, g, p).value().to_bits(),
@@ -1980,6 +2211,189 @@ mod tests {
         assert_eq!(byte_angle(PI), 0, "pi is the circle's end, byte 256 = 0");
         assert_eq!(byte_angle((-PI).next_up()), 0);
         assert_eq!(byte_angle(0.0), 128);
+    }
+
+    #[test]
+    fn zero_rotation_bins_are_rejected_at_construction() {
+        let config = PairTableConfig {
+            rotation_bins: 0,
+            ..PairTableConfig::default()
+        };
+        assert_eq!(
+            PairTableMatcher::new(config).unwrap_err(),
+            PairTableConfigError::ZeroRotationBins
+        );
+        assert_eq!(
+            config.validate(),
+            Err(PairTableConfigError::ZeroRotationBins)
+        );
+        let one = PairTableConfig {
+            rotation_bins: 1,
+            ..PairTableConfig::default()
+        };
+        let m = PairTableMatcher::new(one).unwrap();
+        let t = synthetic_template(1, 30);
+        assert!(m.compare(&t, &t).value() > 0.0);
+    }
+
+    #[test]
+    fn zero_full_support_is_rejected_at_construction() {
+        let config = PairTableConfig {
+            full_support: 0,
+            ..PairTableConfig::default()
+        };
+        let err = PairTableMatcher::new(config).unwrap_err();
+        assert_eq!(err, PairTableConfigError::ZeroFullSupport);
+        assert!(err.to_string().contains("full_support"), "{err}");
+        assert!(PairTableMatcher::new(PairTableConfig::default()).is_ok());
+    }
+
+    /// `build_table` against `build_table_reference` on `t`: every stored
+    /// bit, and a table of exactly its length.
+    fn assert_builds_like_the_reference(m: &PairTableMatcher, t: &Template, what: &str) {
+        let (new, old) = (m.build_table(t), m.build_table_reference(t));
+        let bits = |table: &PreparedPairTable| -> Vec<_> {
+            table
+                .entries
+                .iter()
+                .map(|e| {
+                    (
+                        e.d.to_bits(),
+                        e.beta1.to_bits(),
+                        e.beta2.to_bits(),
+                        e.i,
+                        e.j,
+                    )
+                })
+                .collect()
+        };
+        assert_eq!(bits(&new), bits(&old), "{what}: {:?}", m.config());
+        let directions = |table: &PreparedPairTable| -> Vec<u64> {
+            table.raw_directions().map(f64::to_bits).collect()
+        };
+        assert_eq!(directions(&new), directions(&old), "{what}");
+        assert_eq!(new.kinds, old.kinds, "{what}");
+        assert_eq!(new.minutia_count, old.minutia_count, "{what}");
+        assert_eq!(new.entries.capacity(), new.entries.len(), "{what}");
+    }
+
+    fn minutia(x: f64, y: f64, radians: f64) -> Minutia {
+        let direction = Direction::try_from_canonical_radians(radians).expect("canonical");
+        Minutia::new(Point::new(x, y), direction, MinutiaKind::RidgeEnding, 1.0)
+    }
+
+    fn template_of(minutiae: Vec<Minutia>) -> Template {
+        Template::builder(500.0).extend(minutiae).build().unwrap()
+    }
+
+    fn with_bounds(min_pair_distance: f64, max_pair_distance: f64) -> PairTableMatcher {
+        PairTableMatcher::new(PairTableConfig {
+            min_pair_distance,
+            max_pair_distance,
+            ..PairTableConfig::default()
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn build_table_equals_the_reference_bit_for_bit() {
+        use fp_core::ids::{DeviceId, Finger, SessionId};
+
+        // Real captures: six subjects on every device, both sessions.
+        let population = fp_synth::population::Population::generate(
+            &fp_synth::population::PopulationConfig::new(0xB17, 6),
+        );
+        let protocol = fp_sensor::CaptureProtocol::new();
+        let mut templates = Vec::new();
+        for subject in population.subjects() {
+            for device in DeviceId::ALL {
+                for session in [SessionId(0), SessionId(1)] {
+                    let capture = protocol.capture(subject, Finger::RIGHT_INDEX, device, session);
+                    templates.push(capture.template().clone());
+                }
+            }
+        }
+        // Synthetic ones, from empty to 60 minutiae, and duplicated
+        // (coincident) minutiae.
+        templates.extend((0..=60).map(|n| synthetic_template(600 + n, n as usize)));
+        let t = synthetic_template(700, 30);
+        templates.push(with_duplicates(&t, 30));
+        // A connecting line at exactly +pi (`dy = +0`, `dx < 0`) and -pi
+        // (`dy = -0`), against directions at pi and -pi + ulp: `dir - line`
+        // rounds to -TAU, where the stored beta is -0.0.
+        let edge = (-PI).next_up();
+        templates.push(template_of(vec![
+            minutia(3.0, 0.0, PI),
+            minutia(0.0, 0.0, edge),
+            minutia(-3.0, -0.0, edge),
+            minutia(0.0, -0.0, PI),
+            minutia(0.0, 0.0, 0.0),
+            minutia(3.0, 0.0, -0.0),
+        ]));
+        // Coincident minutiae with different directions.
+        templates.push(template_of(vec![
+            minutia(1.0, 2.0, edge),
+            minutia(1.0, 2.0, PI),
+            minutia(1.0, 2.0, 1.0),
+        ]));
+
+        let mut matchers = vec![PairTableMatcher::default()];
+        for (min, max) in [
+            (0.0, 12.0),
+            (-0.0, 12.0),
+            (0.0, f64::INFINITY),
+            (13.0, 2.0),
+            (-1.0, 12.0),
+            (f64::NEG_INFINITY, 5.0),
+            (f64::NAN, 12.0),
+            (1.5, f64::NAN),
+            (f64::NAN, f64::NAN),
+            (f64::INFINITY, f64::INFINITY),
+            (1e-200, 1e200),
+        ] {
+            matchers.push(with_bounds(min, max));
+        }
+        for m in &matchers {
+            for (at, t) in templates.iter().enumerate() {
+                assert_builds_like_the_reference(m, t, &format!("template {at}"));
+            }
+        }
+
+        // The stored sign of zero at the ±pi line is what the reference
+        // stores: both zeros occur.
+        let signs: Vec<bool> = matchers[1]
+            .build_table(&templates[templates.len() - 2])
+            .entries
+            .iter()
+            .flat_map(|e| [e.beta1, e.beta2])
+            .filter(|beta| *beta == 0.0)
+            .map(f64::is_sign_negative)
+            .collect();
+        assert!(signs.contains(&true) && signs.contains(&false), "{signs:?}");
+    }
+
+    #[test]
+    fn build_table_keeps_pairs_at_the_distance_bounds_as_the_reference_does() {
+        // Pairs at exactly a bound and one ulp either side, with the bound
+        // taken from a real pair's `hypot`. `tight` counts the pairs at a
+        // bound whose `dx*dx + dy*dy` lies beyond the bound squared: an
+        // unwidened screen would drop them.
+        let t = synthetic_template(800, 40);
+        let reference = PairTableMatcher::default().build_table_reference(&t);
+        let ms = t.minutiae();
+        let mut tight = 0;
+        for e in reference.entries.iter().step_by(3) {
+            let (a, b) = (ms[e.i as usize].pos, ms[e.j as usize].pos);
+            let (dx, dy) = (b.x - a.x, b.y - a.y);
+            let d_sq = dx * dx + dy * dy;
+            tight += usize::from(d_sq > e.d * e.d) + usize::from(d_sq < e.d * e.d);
+            for bound in [e.d.next_down(), e.d, e.d.next_up()] {
+                for m in [with_bounds(bound, 12.0), with_bounds(1.5, bound)] {
+                    assert_builds_like_the_reference(&m, &t, &format!("bound {bound:e}"));
+                }
+            }
+        }
+        assert!(tight > 0, "no pair tests the screen's widening");
     }
 
     #[test]

@@ -586,11 +586,14 @@ fn print_metrics_help(_args: &Args, _telemetry: &Telemetry) -> ExitCode {
     println!("    index.search.seconds              per 1:N search");
     println!("    study.dataset, study.dataset.population, study.scores");
     println!("    dataset.subject                   per-subject capture work");
-    println!("    scores.cell.g<g>p<p>              per (gallery, probe) device cell");
+    println!("    scores.cell.g<g>p<p>              per run of up to 32 comparisons in a");
+    println!("                                      (gallery, probe) device cell, one");
+    println!("                                      span per run, genuine and impostor");
     println!("    experiment.<id>                   per report");
     println!();
     println!("  stages (per-thread utilization)");
     println!("    dataset.capture, scores.prepare, scores.genuine, scores.impostor");
+    println!("    (the scores.genuine/impostor items are the cells' runs)");
     println!("    scaling.pool, scaling.search, scaling.audit");
     println!();
     println!("  flight recorder (--trace / --events)");

@@ -1,5 +1,7 @@
 //! The full score matrices: DMG, DDMG, DMI, DDMI in the paper's notation.
 
+use std::ops::Range;
+
 use fp_core::ids::{DeviceId, SubjectId};
 use fp_core::rng::SeedTree;
 use fp_match::{PairTableMatcher, PreparableMatcher};
@@ -11,6 +13,51 @@ use rand::Rng;
 use crate::config::{StudyConfig, DEVICE_COUNT};
 use crate::dataset::Dataset;
 use crate::parallel::parallel_map_metered;
+
+/// The (gallery device, probe device) cells of a score matrix.
+const CELLS: usize = DEVICE_COUNT * DEVICE_COUNT;
+
+/// Comparisons per work item of [`ScoreMatrix::compute_with`]: a cell's
+/// genuine subjects and its impostor pairs are scored in runs of this
+/// many, so the workers end within one short run of each other however
+/// uneven the cells' costs (the ink cells are the heaviest and come last).
+const RUN: usize = 32;
+
+/// Cells in row-major order as rows by gallery device.
+fn by_gallery<T>(cells: Vec<Vec<T>>) -> Vec<Vec<Vec<T>>> {
+    let mut cells = cells.into_iter();
+    (0..DEVICE_COUNT)
+        .map(|_| cells.by_ref().take(DEVICE_COUNT).collect())
+        .collect()
+}
+
+/// Runs `score(cell, run)` over every cell's items `0..lens[cell]` in
+/// runs of [`RUN`] on [`parallel_map_metered`]'s workers (stage `stage`,
+/// one item per run), and returns each cell's scores in item order.
+fn score_in_runs<T, F>(telemetry: &Telemetry, stage: &str, lens: &[usize], score: F) -> Vec<Vec<T>>
+where
+    T: Send,
+    F: Fn(usize, Range<usize>) -> Vec<T> + Sync,
+{
+    let runs: Vec<(usize, Range<usize>)> = lens
+        .iter()
+        .enumerate()
+        .flat_map(|(cell, &len)| {
+            (0..len)
+                .step_by(RUN)
+                .map(move |start| (cell, start..len.min(start + RUN)))
+        })
+        .collect();
+    let scored = parallel_map_metered(runs.len(), telemetry, stage, |at| {
+        let (cell, run) = runs[at].clone();
+        score(cell, run)
+    });
+    let mut cells: Vec<Vec<T>> = lens.iter().map(|&len| Vec::with_capacity(len)).collect();
+    for ((cell, _), scores) in runs.into_iter().zip(scored) {
+        cells[cell].extend(scores);
+    }
+    cells
+}
 
 /// One genuine comparison outcome, annotated for the quality analyses
 /// (Figure 5, Table 6).
@@ -50,7 +97,8 @@ impl ScoreMatrix {
     }
 
     /// [`ScoreMatrix::compute`] with telemetry: records preparation and
-    /// per-cell matching wall time, comparison counters, per-stage thread
+    /// matching wall time (one `scores.cell.g<g>p<p>` span per run of a
+    /// cell's comparisons), comparison counters, per-stage thread
     /// utilization, and throttled progress lines on stderr. The scores are
     /// identical to the uninstrumented computation.
     pub fn compute_with<M>(dataset: &Dataset, matcher: &M, telemetry: &Telemetry) -> ScoreMatrix
@@ -59,11 +107,10 @@ impl ScoreMatrix {
     {
         let n = dataset.len();
         let config = dataset.config();
-        let cells = DEVICE_COUNT * DEVICE_COUNT;
         // Impostor pairs need two distinct subjects; a degenerate one-subject
         // study produces no impostor scores at all.
         let impostors_per_cell = if n >= 2 { config.impostors_per_cell } else { 0 };
-        let progress = telemetry.progress("scores", (cells * (n + impostors_per_cell)) as u64);
+        let progress = telemetry.progress("scores", (CELLS * (n + impostors_per_cell)) as u64);
         let genuine_counter = telemetry.counter("scores.comparisons.genuine");
         let impostor_counter = telemetry.counter("scores.comparisons.impostor");
 
@@ -79,10 +126,10 @@ impl ScoreMatrix {
                 })
             });
 
-        // Genuine: 25 cells x n subjects.
-        let genuine_flat = parallel_map_metered(cells, telemetry, "scores.genuine", |cell| {
+        // Genuine: 25 cells x n subjects, in runs of `RUN` subjects.
+        let genuine = score_in_runs(telemetry, "scores.genuine", &[n; CELLS], |cell, run| {
             let (g, p) = (cell / DEVICE_COUNT, cell % DEVICE_COUNT);
-            let _cell = telemetry.span_with(
+            let _run = telemetry.span_with(
                 &format!("scores.cell.g{g}p{p}"),
                 &[
                     ("gallery", g.to_string()),
@@ -91,7 +138,7 @@ impl ScoreMatrix {
                     ("subjects", n.to_string()),
                 ],
             );
-            let scores = (0..n)
+            let scores = run
                 .map(|s| {
                     let score = config
                         .calibration
@@ -106,15 +153,35 @@ impl ScoreMatrix {
                     }
                 })
                 .collect::<Vec<_>>();
-            genuine_counter.add(n as u64);
-            progress.inc(n as u64);
+            genuine_counter.add(scores.len() as u64);
+            progress.inc(scores.len() as u64);
             scores
         });
 
-        // Impostor: 25 cells x impostors_per_cell sampled ordered pairs.
-        let impostor_flat = parallel_map_metered(cells, telemetry, "scores.impostor", |cell| {
+        // Impostor: 25 cells x impostors_per_cell sampled ordered pairs,
+        // each cell's drawn from its own stream, then scored in runs.
+        let pairs: Vec<Vec<(usize, usize)>> = (0..CELLS)
+            .map(|cell| {
+                let (g, p) = (cell / DEVICE_COUNT, cell % DEVICE_COUNT);
+                let mut rng = SeedTree::new(config.seed)
+                    .child(&[0x1A, g as u64, p as u64])
+                    .rng();
+                (0..impostors_per_cell)
+                    .map(|_| {
+                        let a = rng.gen_range(0..n);
+                        let mut b = rng.gen_range(0..n - 1);
+                        if b >= a {
+                            b += 1;
+                        }
+                        (a, b)
+                    })
+                    .collect()
+            })
+            .collect();
+        let lens: [usize; CELLS] = std::array::from_fn(|cell| pairs[cell].len());
+        let impostor = score_in_runs(telemetry, "scores.impostor", &lens, |cell, run| {
             let (g, p) = (cell / DEVICE_COUNT, cell % DEVICE_COUNT);
-            let _cell = telemetry.span_with(
+            let _run = telemetry.span_with(
                 &format!("scores.cell.g{g}p{p}"),
                 &[
                     ("gallery", g.to_string()),
@@ -123,44 +190,22 @@ impl ScoreMatrix {
                     ("pairs", impostors_per_cell.to_string()),
                 ],
             );
-            let mut rng = SeedTree::new(config.seed)
-                .child(&[0x1A, g as u64, p as u64])
-                .rng();
-            let mut scores = Vec::with_capacity(config.impostors_per_cell);
-            if n >= 2 {
-                for _ in 0..config.impostors_per_cell {
-                    let a = rng.gen_range(0..n);
-                    let b = {
-                        let mut b = rng.gen_range(0..n - 1);
-                        if b >= a {
-                            b += 1;
-                        }
-                        b
-                    };
+            let scores = pairs[cell][run]
+                .iter()
+                .map(|&(a, b)| {
                     let score = config
                         .calibration
                         .apply(matcher.compare_prepared(&prepared[a][g].0, &prepared[b][p].1));
-                    scores.push(score.value());
-                }
-            }
+                    score.value()
+                })
+                .collect::<Vec<_>>();
             impostor_counter.add(scores.len() as u64);
             progress.inc(scores.len() as u64);
             scores
         });
         progress.finish();
 
-        let mut genuine: Vec<Vec<Vec<GenuineScore>>> = (0..DEVICE_COUNT)
-            .map(|_| vec![Vec::new(); DEVICE_COUNT])
-            .collect();
-        let mut impostor: Vec<Vec<Vec<f64>>> = (0..DEVICE_COUNT)
-            .map(|_| vec![Vec::new(); DEVICE_COUNT])
-            .collect();
-        for (cell, scores) in genuine_flat.into_iter().enumerate() {
-            genuine[cell / DEVICE_COUNT][cell % DEVICE_COUNT] = scores;
-        }
-        for (cell, scores) in impostor_flat.into_iter().enumerate() {
-            impostor[cell / DEVICE_COUNT][cell % DEVICE_COUNT] = scores;
-        }
+        let (genuine, impostor) = (by_gallery(genuine), by_gallery(impostor));
         ScoreMatrix { genuine, impostor }
     }
 
@@ -351,6 +396,121 @@ mod tests {
         let snap = telemetry.snapshot();
         assert_eq!(snap.counters["scores.comparisons.impostor"], 0);
         assert_eq!(snap.counters["scores.comparisons.genuine"], 25);
+    }
+
+    /// Computes the matrix of `subjects` subjects in runs, and asserts
+    /// every score equals a serial pair-by-pair recomputation (the
+    /// impostor pairs drawn in the same order) and that each cell records
+    /// one span per run.
+    fn assert_runs_score_like_a_serial_loop(subjects: usize, impostors: usize) {
+        let config = StudyConfig::builder()
+            .subjects(subjects)
+            .seed(11)
+            .impostors_per_cell(impostors)
+            .build();
+        let dataset = Dataset::generate(&config);
+        let matcher = PairTableMatcher::default();
+        let telemetry = Telemetry::enabled();
+        let scores = ScoreMatrix::compute_with(&dataset, &matcher, &telemetry);
+
+        let tables: Vec<Vec<_>> = (0..subjects)
+            .map(|s| {
+                DeviceId::ALL
+                    .iter()
+                    .map(|&d| {
+                        let c = dataset.captures(SubjectId(s as u32), d);
+                        (
+                            matcher.prepare(c.gallery.template()),
+                            matcher.prepare(c.probe.template()),
+                        )
+                    })
+                    .collect()
+            })
+            .collect();
+        let score = |a: usize, g: DeviceId, b: usize, p: DeviceId| {
+            let raw =
+                matcher.compare_prepared(&tables[a][g.0 as usize].0, &tables[b][p.0 as usize].1);
+            config.calibration.apply(raw).value().to_bits()
+        };
+        let impostors = if subjects >= 2 { impostors } else { 0 };
+        for g in DeviceId::ALL {
+            for p in DeviceId::ALL {
+                let genuine: Vec<(SubjectId, u64)> = scores
+                    .genuine_cell(g, p)
+                    .iter()
+                    .map(|s| (s.subject, s.score.to_bits()))
+                    .collect();
+                let serial: Vec<(SubjectId, u64)> = (0..subjects)
+                    .map(|s| (SubjectId(s as u32), score(s, g, s, p)))
+                    .collect();
+                assert_eq!(genuine, serial, "genuine g{g:?} p{p:?}");
+
+                let mut rng = SeedTree::new(config.seed)
+                    .child(&[0x1A, u64::from(g.0), u64::from(p.0)])
+                    .rng();
+                let serial: Vec<u64> = (0..impostors)
+                    .map(|_| {
+                        let a = rng.gen_range(0..subjects);
+                        let mut b = rng.gen_range(0..subjects - 1);
+                        if b >= a {
+                            b += 1;
+                        }
+                        score(a, g, b, p)
+                    })
+                    .collect();
+                let impostor: Vec<u64> = scores
+                    .impostor_cell(g, p)
+                    .iter()
+                    .map(|s| s.to_bits())
+                    .collect();
+                assert_eq!(impostor, serial, "impostor g{g:?} p{p:?}");
+            }
+        }
+
+        // One span per run: the genuine runs, then the impostor runs.
+        let runs = |len: usize| len.div_ceil(RUN);
+        let snap = telemetry.snapshot();
+        let trace = telemetry.trace_snapshot();
+        for g in 0..DEVICE_COUNT {
+            for p in 0..DEVICE_COUNT {
+                let name = format!("scores.cell.g{g}p{p}");
+                let expected = runs(subjects) + runs(impostors);
+                assert_eq!(snap.durations[&name].count, expected as u64, "{name}");
+                let spans = trace.spans.iter().filter(|s| s.name == name).count();
+                assert_eq!(spans, expected, "{name}");
+            }
+        }
+        let items = |stage: &str| {
+            snap.stages
+                .iter()
+                .find(|s| s.stage == stage)
+                .map_or(0, |s| s.items)
+        };
+        assert_eq!(items("scores.genuine"), (CELLS * runs(subjects)) as u64);
+        assert_eq!(items("scores.impostor"), (CELLS * runs(impostors)) as u64);
+        assert_eq!(
+            snap.counters["scores.comparisons.genuine"],
+            (CELLS * subjects) as u64
+        );
+        assert_eq!(
+            snap.counters["scores.comparisons.impostor"],
+            (CELLS * impostors) as u64
+        );
+    }
+
+    #[test]
+    fn runs_score_like_a_serial_loop_across_several_runs_a_cell() {
+        // 70 subjects: runs of 32, 32 and 6; 75 impostor pairs: 32, 32, 11.
+        assert_runs_score_like_a_serial_loop(70, 75);
+    }
+
+    #[test]
+    fn runs_score_like_a_serial_loop_at_one_and_two_subjects() {
+        // One subject: one genuine run a cell, no impostor pair (and so no
+        // impostor item). Two subjects: every impostor pair is (0, 1) or
+        // (1, 0).
+        assert_runs_score_like_a_serial_loop(1, 40);
+        assert_runs_score_like_a_serial_loop(2, 40);
     }
 
     #[test]

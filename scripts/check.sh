@@ -28,12 +28,15 @@ fi
 # Workspace tests include the fp-index exactness/recall property suite and
 # the fp-study golden-regression + determinism suite.
 run cargo test -q --release --offline --workspace
-# The index and store again under the debug profile, where their
-# `debug_assert!`s and integer-overflow checks are live.
-run cargo test -q --offline -p fp-index -p fp-store
+# The index, store and matcher again under the debug profile, where their
+# `debug_assert!`s (among them the bounds of the matcher's unaligned
+# AVX-512 loads) and integer-overflow checks are live.
+run cargo test -q --offline -p fp-index -p fp-store -p fp-match
 # And pinned to one core, where every search pass takes the inline one-lane
-# path: the multi-lane runs above must give the same bits.
+# path and the score matrix the one-thread path of `parallel_map`: the
+# multi-thread runs above must give the same bits.
 run taskset -c 0 cargo test -q --release --offline -p fp-index -p fp-store
+run taskset -c 0 cargo test -q --release --offline -p fp-study --lib
 # The benchmark is a package of its own (outside the workspace); its unit
 # tests plus the TINY-size smoke drive all five workloads through the
 # crates' public API, so an API drift fails here, not at the next
