@@ -6,7 +6,7 @@
 //! [`fp_index::CandidateIndex`], and the spine's two fan-outs are pipelined
 //! RPC rounds instead of thread lanes. A remote search is therefore
 //! byte-identical to the in-process sharded search, which is itself
-//! byte-identical to the unsharded index (`study check-serve` audits the
+//! byte-identical to the unsharded index (`study gate ladder` audits the
 //! whole chain).
 //!
 //! # Pipelining, not fan-out/join
@@ -630,10 +630,8 @@ pub struct Coordinator {
     /// accumulator is commutative, so concurrent searches reach the same
     /// cumulative value regardless of interleaving.
     runfp: RunFingerprint,
-    /// Searches completed, driving the every-Nth drift check.
+    /// Searches completed: the slow log's search number.
     searches: AtomicU64,
-    /// Verify shard fingerprints after every Nth search (0 = never).
-    fingerprint_every: u64,
     /// Tail-latency exemplar log; every search is offered when attached.
     slowlog: Option<Arc<SlowLog>>,
     /// Remote spans drained by [`collect_traces`](Self::collect_traces),
@@ -671,7 +669,6 @@ impl Coordinator {
             enrolled,
             telemetry: Telemetry::disabled(),
             searches: AtomicU64::new(0),
-            fingerprint_every: 0,
             slowlog: None,
             collected: Mutex::new(Vec::new()),
         })
@@ -681,15 +678,6 @@ impl Coordinator {
     /// keep seed 0 — shard servers have no notion of the run seed).
     pub fn with_run_seed(mut self, seed: u64) -> Self {
         self.runfp = RunFingerprint::new(self.config.fingerprint_base(seed));
-        self
-    }
-
-    /// Verifies every shard's fingerprint chain after every `every`th
-    /// search (0, the default, disables the periodic check;
-    /// [`verify_fingerprints`](Self::verify_fingerprints) can always be
-    /// called explicitly).
-    pub fn with_fingerprint_every(mut self, every: u64) -> Self {
-        self.fingerprint_every = every;
         self
     }
 
@@ -877,13 +865,8 @@ impl Coordinator {
         )?;
 
         let done = self.searches.fetch_add(1, Ordering::Relaxed) + 1;
-        // Offer the slow log before any periodic fingerprint round trips
-        // so those RPCs never pollute the end-to-end latency.
         if let Some(slowlog) = &self.slowlog {
             slowlog.observe(done, elapsed_ns(search_start), breakdown.into_inner());
-        }
-        if self.fingerprint_every > 0 && done.is_multiple_of(self.fingerprint_every) {
-            self.verify_fingerprints()?;
         }
         Ok(result)
     }

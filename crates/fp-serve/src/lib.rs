@@ -49,7 +49,7 @@
 //! the final merge — happens exactly once, on the coordinator, using the
 //! very same `fp_index::shard` helpers the in-process
 //! [`fp_index::search_backends`] uses. Equality of results is therefore structural, not a numerical
-//! accident; `study check-serve` audits it end-to-end anyway.
+//! accident; `study gate ladder` audits it end-to-end anyway.
 
 pub mod coordinator;
 pub mod metrics;

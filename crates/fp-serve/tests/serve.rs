@@ -443,8 +443,7 @@ fn run_fingerprints_agree_across_transports() {
         let mut remote = Coordinator::connect(&addrs, config, Duration::from_secs(5), fast_retry())
             .unwrap()
             .with_telemetry(&telemetry)
-            .with_run_seed(seed)
-            .with_fingerprint_every(1);
+            .with_run_seed(seed);
         remote.enroll_all(&templates).unwrap();
 
         let mut backends: Vec<CandidateIndex<PairTableMatcher>> = (0..s)
@@ -463,6 +462,7 @@ fn run_fingerprints_agree_across_transports() {
             fresh.search_with_budget(&probe, n / 2);
             search_backends(&backends, &probe, n / 2).unwrap();
             remote.search_with_budget(&probe, n / 2).unwrap();
+            remote.verify_fingerprints().unwrap();
         }
 
         let a = fresh.run_fingerprint();
@@ -475,8 +475,8 @@ fn run_fingerprints_agree_across_transports() {
         let standalone: Vec<_> = backends.iter().map(|b| b.part_fingerprint()).collect();
         assert_eq!(standalone, remote.shard_fingerprints());
 
-        // Every search already ran the every-1 scrape; an explicit pass
-        // must agree too and the drift counter must have stayed at zero.
+        // Every search was followed by a clean scrape; one more must agree
+        // with the mirrors and the drift counter must have stayed at zero.
         let scraped = remote.verify_fingerprints().unwrap();
         assert_eq!(scraped, remote.shard_fingerprints());
         let snapshot = telemetry.snapshot();
@@ -489,7 +489,7 @@ fn run_fingerprints_agree_across_transports() {
     }
 }
 
-/// Inject fingerprint skew into a shard server: the every-Nth scrape must
+/// Inject fingerprint skew into a shard server: the next scrape must
 /// surface a typed `FingerprintDrift` naming the shard and bump the
 /// `serve.drift` counter — a shard whose recorded chain disagrees with
 /// what it served is never trusted silently.
@@ -509,17 +509,18 @@ fn injected_drift_surfaces_as_typed_error() {
         fast_retry(),
     )
     .unwrap()
-    .with_telemetry(&telemetry)
-    .with_fingerprint_every(1);
+    .with_telemetry(&telemetry);
     remote.enroll_all(&templates).unwrap();
 
     let probe = second_capture(&templates[1], 0xD21F7);
-    // Clean shard: the every-1 check passes.
+    // Clean shard: the scrape after a search passes.
     remote.search_with_budget(&probe, 8).unwrap();
+    remote.verify_fingerprints().unwrap();
 
-    // Now skew the shard's reported chain and search again.
+    // Now skew the shard's reported chain, search again and scrape.
     skew.store(0xBAD_C0DE, std::sync::atomic::Ordering::Relaxed);
-    match remote.search_with_budget(&probe, 8) {
+    remote.search_with_budget(&probe, 8).unwrap();
+    match remote.verify_fingerprints() {
         Err(ShardError::FingerprintDrift {
             shard,
             expected,
@@ -529,7 +530,7 @@ fn injected_drift_surfaces_as_typed_error() {
             assert_eq!(reported, expected ^ 0xBAD_C0DE);
         }
         Err(other) => panic!("expected FingerprintDrift, got {other}"),
-        Ok(_) => panic!("a drifting shard must fail the search"),
+        Ok(_) => panic!("a drifting shard must fail the scrape"),
     }
     let snapshot = telemetry.snapshot();
     assert_eq!(snapshot.counters.get("serve.drift").copied(), Some(1));

@@ -22,11 +22,9 @@
 //!    ([`fp_match::scan_body_name`]), so a committed record names both
 //!    bodies its host ran; that one's parity is `fp-match`'s own test
 //!    (every body against the retained scalar oracle).
-//! 3. **Transport parity** — the RUNFP chain over the full probe loop must
-//!    be identical across the unsharded index and (when `--remote-shards`
-//!    is given) real `serve-shard` child processes behind an `fp-serve`
-//!    coordinator — the kernel cannot perturb a single candidate byte on
-//!    any transport.
+//!
+//! RUNFP equality across transports is the `ladder` gate's (and
+//! `fp-serve`'s `run_fingerprints_agree_across_transports`).
 //!
 //! Any divergence fails the gate loudly with the first offending probe and
 //! entry.
@@ -34,7 +32,6 @@
 use std::collections::BTreeMap;
 
 use fp_core::rng::SeedTree;
-use fp_core::template::Template;
 use fp_index::{CandidateIndex, CodeArena, CylinderCodes, IndexConfig, LANE_WORDS};
 use fp_match::{MccMatcher, PairTableMatcher};
 use fp_store::GalleryStore;
@@ -44,10 +41,8 @@ use fp_study::config::StudyConfig;
 use fp_study::experiments::harness::Cohort;
 use fp_study::report::Report;
 
-use crate::fleet::ShardFleet;
-
 /// Probes checked (each one scores the whole gallery twice, kernel and
-/// oracle, plus one search per transport).
+/// oracle).
 const MAX_PROBES: usize = 32;
 
 /// What the parity pass measured.
@@ -61,9 +56,6 @@ struct KernelStats {
     /// Entries proven against the reference per lane body the CPU runs.
     body_parity: BTreeMap<String, u64>,
     arena_kib: usize,
-    runfp: String,
-    runfp_remote: Option<String>,
-    remote_shards: usize,
 }
 
 /// Counts `arena`'s coded entries by packed width and refuses any width
@@ -102,7 +94,7 @@ fn reopened(
 }
 
 /// Runs the gate: `Ok` with the stats, or the first divergence found.
-fn check(config: &StudyConfig, remote_shards: usize) -> Result<KernelStats, String> {
+fn check(config: &StudyConfig) -> Result<KernelStats, String> {
     let gallery = config.subjects * 10;
     let cohort = Cohort::new(
         SeedTree::new(config.seed).child(&[0xEC]),
@@ -112,8 +104,7 @@ fn check(config: &StudyConfig, remote_shards: usize) -> Result<KernelStats, Stri
     let pool = cohort.pool();
     let index_config = IndexConfig::scaled(gallery);
 
-    let mut index = CandidateIndex::with_config(PairTableMatcher::default(), index_config)
-        .with_run_seed(config.seed);
+    let mut index = CandidateIndex::with_config(PairTableMatcher::default(), index_config);
     index.enroll_all(pool);
 
     let probes = cohort.probes();
@@ -168,30 +159,6 @@ fn check(config: &StudyConfig, remote_shards: usize) -> Result<KernelStats, Stri
         }
     }
 
-    // 3. Transport parity: the same probe loop on every transport must
-    // produce identical candidate lists, hence identical RUNFP chains.
-    let unsharded_results: Vec<_> = (0..probes).map(|p| index.search(&probe_of(p))).collect();
-    let runfp = index.run_fingerprint().hex();
-
-    let mut runfp_remote = None;
-    if remote_shards >= 1 {
-        let hex = remote_runfp(
-            config,
-            remote_shards,
-            pool,
-            index_config,
-            &unsharded_results,
-            &probe_of,
-        )?;
-        if hex != runfp {
-            return Err(format!(
-                "RUNFP diverged: unsharded {runfp}, remote {hex} \
-                 ({remote_shards} serve-shard children)"
-            ));
-        }
-        runfp_remote = Some(hex);
-    }
-
     Ok(KernelStats {
         gallery,
         widths,
@@ -200,58 +167,22 @@ fn check(config: &StudyConfig, remote_shards: usize) -> Result<KernelStats, Stri
         hamming_ops,
         body_parity,
         arena_kib: index.arena().packed_bytes() / 1024,
-        runfp,
-        runfp_remote,
-        remote_shards,
     })
-}
-
-/// The cross-process rung: the same probe loop through real `serve-shard`
-/// children, returning the coordinator's RUNFP hex (after auditing full
-/// candidate-list parity per probe).
-fn remote_runfp(
-    config: &StudyConfig,
-    remote_shards: usize,
-    pool: &[Template],
-    index_config: IndexConfig,
-    unsharded_results: &[fp_index::SearchResult],
-    probe_of: &dyn Fn(usize) -> Template,
-) -> Result<String, String> {
-    let fleet = ShardFleet::spawn(remote_shards, |_| Vec::new())?;
-    let mut remote = fleet.connect(index_config)?.with_run_seed(config.seed);
-    remote.enroll_all(pool).map_err(|e| e.to_string())?;
-
-    for (p, unsharded_result) in unsharded_results.iter().enumerate() {
-        let result = remote.search(&probe_of(p)).map_err(|e| e.to_string())?;
-        if result.candidates() != unsharded_result.candidates() {
-            return Err(format!(
-                "probe {p}: remote candidate list diverged from unsharded"
-            ));
-        }
-    }
-    let hex = remote.run_fingerprint().hex();
-    remote
-        .verify_fingerprints()
-        .map_err(|e| format!("fingerprint verification: {e}"))?;
-
-    fleet.retire(&remote);
-    Ok(hex)
 }
 
 /// Runs the gate and renders the report. `values["error"]` is `null` on
 /// success; the CLI exit code keys off it.
-pub fn run_check(config: &StudyConfig, remote_shards: usize) -> Report {
-    match check(config, remote_shards) {
+pub fn run_check(config: &StudyConfig) -> Report {
+    match check(config) {
         Ok(stats) => {
-            let mut body = format!(
+            let body = format!(
                 "stage-1 kernel parity over a {}-entry gallery ({} KiB packed arena):\n\
                  \n\
                  coded entries by words per cylinder, enrolled and store-opened: {:?}\n\
                  searches run lane body {}; same parity per body this CPU runs: {:?}\n\
                  re-rank runs scan body {} (proven against its oracle in fp-match's tests)\n\
                  kernel ≡ scalar: {} per-entry scores bitwise equal over {} probes\n\
-                 hamming_ops meters agree exactly: {} word ops\n\
-                 RUNFP unsharded:      {}\n",
+                 hamming_ops meters agree exactly: {} word ops\n",
                 stats.gallery,
                 stats.arena_kib,
                 stats.widths,
@@ -261,15 +192,7 @@ pub fn run_check(config: &StudyConfig, remote_shards: usize) -> Report {
                 stats.entries_checked,
                 stats.probes,
                 stats.hamming_ops,
-                stats.runfp,
             );
-            if let Some(remote) = &stats.runfp_remote {
-                body.push_str(&format!(
-                    "RUNFP remote ({} proc): {}\n",
-                    stats.remote_shards, remote
-                ));
-            }
-            body.push_str("\nkernel parity holds on every transport\n");
             let widths: BTreeMap<String, u64> = stats
                 .widths
                 .iter()
@@ -290,8 +213,6 @@ pub fn run_check(config: &StudyConfig, remote_shards: usize) -> Report {
                     "entries_checked": stats.entries_checked,
                     "hamming_ops": stats.hamming_ops,
                     "arena_kib": stats.arena_kib,
-                    "runfp": stats.runfp,
-                    "runfp_remote": stats.runfp_remote,
                 }),
             )
         }
@@ -311,7 +232,7 @@ mod tests {
     #[test]
     fn gate_passes_on_the_default_cohort() {
         let config = StudyConfig::builder().subjects(6).build();
-        let report = run_check(&config, 0);
+        let report = run_check(&config);
         assert!(
             report.values["error"].is_null(),
             "kernel parity gate failed: {}",

@@ -11,7 +11,7 @@
 //!    [`CandidateIndex`] returns bitwise-equal candidate lists and an
 //!    equal RUNFP chain vs fresh enrollment (and records how much faster
 //!    opening is than enrolling).
-//! 2. **Serve-from-store** (with `--remote-shards`) — a real
+//! 2. **Serve-from-store** — a real
 //!    `serve-shard --gallery-dir` child answers the same probes without a
 //!    single enroll RPC, is then SIGKILLed mid-run and restarted from the
 //!    same directory, and still agrees — the crash-recovery path.
@@ -49,7 +49,6 @@ struct StoreStats {
     runfp: String,
     enroll_ms: f64,
     open_ms: f64,
-    remote_checked: bool,
     churn_tombstoned: usize,
     churn_replacements: usize,
     compact: CompactStats,
@@ -130,7 +129,7 @@ pub fn build_gallery(config: &StudyConfig, dir: &Path) -> Result<(usize, usize),
 }
 
 /// Runs the gate: `Ok` with the stats, or the first divergence found.
-fn check(config: &StudyConfig, remote_shards: usize, dir: &Path) -> Result<StoreStats, String> {
+fn check(config: &StudyConfig, dir: &Path) -> Result<StoreStats, String> {
     prepare_dir(dir)?;
 
     let cohort = cohort(config);
@@ -193,18 +192,14 @@ fn check(config: &StudyConfig, remote_shards: usize, dir: &Path) -> Result<Store
 
     // Rung 2: a real serve-shard child loads the gallery itself — zero
     // enroll RPCs — then survives a SIGKILL + restart from the same dir.
-    let mut remote_checked = false;
-    if remote_shards >= 1 {
-        remote_rung(
-            config,
-            dir,
-            index_config,
-            &baseline_results,
-            &probe_of,
-            &runfp,
-        )?;
-        remote_checked = true;
-    }
+    remote_rung(
+        config,
+        dir,
+        index_config,
+        &baseline_results,
+        &probe_of,
+        &runfp,
+    )?;
 
     // Rung 3: churn. Tombstone every 7th entry of segment A, append a
     // re-enrollment segment, and the live view must equal fresh
@@ -296,7 +291,6 @@ fn check(config: &StudyConfig, remote_shards: usize, dir: &Path) -> Result<Store
         runfp,
         enroll_ms,
         open_ms,
-        remote_checked,
         churn_tombstoned,
         churn_replacements: replacements.len(),
         compact,
@@ -309,9 +303,8 @@ fn check(config: &StudyConfig, remote_shards: usize, dir: &Path) -> Result<Store
 /// is restarted from the same directory, and must still agree byte for
 /// byte.
 ///
-/// One child, not `--remote-shards` of them: the store persists the whole
-/// gallery, and every child opening the same directory would serve every
-/// entry. Serving one store across many hosts needs per-shard gallery
+/// One child: the store persists the whole gallery, and every child
+/// opening the same directory would serve every entry. Serving one store across many hosts needs per-shard gallery
 /// directories (see ROADMAP).
 fn remote_rung(
     config: &StudyConfig,
@@ -363,28 +356,22 @@ fn remote_rung(
 
 /// Runs the gate and renders the report. `values["error"]` is `null` on
 /// success; the CLI exit code keys off it.
-pub fn run_check(config: &StudyConfig, remote_shards: usize, gallery_dir: &Path) -> Report {
-    match check(config, remote_shards, gallery_dir) {
+pub fn run_check(config: &StudyConfig, gallery_dir: &Path) -> Report {
+    match check(config, gallery_dir) {
         Ok(stats) => {
             let speedup = stats.enroll_ms / stats.open_ms.max(1e-9);
-            let mut body = format!(
+            let body = format!(
                 "persistent-store parity over a {}-entry gallery ({} probes):\n\
                  \n\
-                 open = fresh enrollment: candidate lists bitwise equal, RUNFP {}\n",
-                stats.gallery, stats.probes, stats.runfp,
-            );
-            if stats.remote_checked {
-                body.push_str(
-                    "serve-shard --gallery-dir: equal, zero enroll RPCs, survived kill+restart\n",
-                );
-            } else {
-                body.push_str("serve-shard --gallery-dir: skipped (run with --remote-shards 1)\n");
-            }
-            body.push_str(&format!(
-                "churn ({} tombstones + {} re-enrollments): equal\n\
+                 open = fresh enrollment: candidate lists bitwise equal, RUNFP {}\n\
+                 serve-shard --gallery-dir: equal, zero enroll RPCs, survived kill+restart\n\
+                 churn ({} tombstones + {} re-enrollments): equal\n\
                  compact ({} -> {} segments, {} entries reclaimed, {} -> {} bytes): equal, all CRCs ok\n\
                  \n\
                  open {:.1} ms vs enroll {:.1} ms ({speedup:.0}x); {} live entries on disk\n",
+                stats.gallery,
+                stats.probes,
+                stats.runfp,
                 stats.churn_tombstoned,
                 stats.churn_replacements,
                 stats.compact.segments_before,
@@ -395,7 +382,7 @@ pub fn run_check(config: &StudyConfig, remote_shards: usize, gallery_dir: &Path)
                 stats.open_ms,
                 stats.enroll_ms,
                 stats.live_final,
-            ));
+            );
             Report::new(
                 "check-store",
                 "persisted gallery = fresh enrollment (bitwise)",
@@ -407,7 +394,6 @@ pub fn run_check(config: &StudyConfig, remote_shards: usize, gallery_dir: &Path)
                     "runfp": stats.runfp,
                     "enroll_ms": stats.enroll_ms,
                     "open_ms": stats.open_ms,
-                    "remote_checked": stats.remote_checked,
                     "churn_tombstoned": stats.churn_tombstoned,
                     "churn_replacements": stats.churn_replacements,
                     "compact": serde_json::to_value(stats.compact).expect("serializable"),
@@ -429,27 +415,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn gate_passes_on_the_default_cohort() {
-        let config = StudyConfig::builder().subjects(6).build();
-        let dir = std::env::temp_dir().join(format!("fp-check-store-{}", std::process::id()));
-        let report = run_check(&config, 0, &dir);
-        assert!(
-            report.values["error"].is_null(),
-            "store parity gate failed: {}",
-            report.body
-        );
-        assert!(report.values["open_ms"].as_f64().unwrap() > 0.0);
-        assert_eq!(report.values["compact"]["segments_after"], 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn refuses_to_clobber_a_non_gallery_directory() {
         let dir = std::env::temp_dir().join(format!("fp-check-store-guard-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("precious.txt"), "not a gallery").unwrap();
         let config = StudyConfig::builder().subjects(2).build();
-        let report = run_check(&config, 0, &dir);
+        let report = run_check(&config, &dir);
         assert!(!report.values["error"].is_null());
         assert!(
             dir.join("precious.txt").exists(),

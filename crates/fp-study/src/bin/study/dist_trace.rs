@@ -41,6 +41,12 @@ use fp_study::report::Report;
 
 use crate::fleet::ShardFleet;
 
+/// Shard processes.
+const SHARDS: usize = 2;
+
+/// The shard whose stage handlers sleep: the last one.
+const DELAYED: usize = SHARDS - 1;
+
 /// Probes per pass: small — the delayed shard pays `2 * delay_ms` per
 /// search, and the gate runs the set twice.
 const MAX_PROBES: usize = 12;
@@ -68,16 +74,12 @@ struct Pass {
     slowlog_jsonl: String,
 }
 
-/// Runs the full gate over `remote_shards` children (at least two).
-/// `delay_ms` is injected into the *last* shard's stage handlers via
-/// `serve-shard --delay-ms`.
-pub fn run_check(config: &StudyConfig, remote_shards: usize, delay_ms: u64) -> DistTraceOutcome {
-    let shards = remote_shards.max(2);
-    let delayed = shards - 1;
+/// Runs the full gate over [`SHARDS`] children. `delay_ms` is injected
+/// into [`DELAYED`]'s stage handlers via `serve-shard --delay-ms`.
+pub fn run_check(config: &StudyConfig, delay_ms: u64) -> DistTraceOutcome {
     let delay_ms = delay_ms.max(1);
 
-    let (checks, merged, slowlog_jsonl, error) = match run_passes(config, shards, delayed, delay_ms)
-    {
+    let (checks, merged, slowlog_jsonl, error) = match run_passes(config, delay_ms) {
         Ok((checks, merged, jsonl)) => {
             let failed = checks.iter().any(|(_, ok, _)| !*ok);
             let error = failed.then(|| {
@@ -94,8 +96,8 @@ pub fn run_check(config: &StudyConfig, remote_shards: usize, delay_ms: u64) -> D
     };
 
     let mut body = format!(
-        "distributed-tracing gate: {} subjects over {shards} serve-shard \
-         process(es), shard {delayed} delayed by {delay_ms} ms\n\n",
+        "distributed-tracing gate: {} subjects over {SHARDS} serve-shard \
+         process(es), shard {DELAYED} delayed by {delay_ms} ms\n\n",
         config.subjects,
     );
     for (name, ok, detail) in &checks {
@@ -113,8 +115,8 @@ pub fn run_check(config: &StudyConfig, remote_shards: usize, delay_ms: u64) -> D
     let values = json!({
         "subjects": config.subjects,
         "seed": config.seed,
-        "shards": shards,
-        "delayed_shard": delayed,
+        "shards": SHARDS,
+        "delayed_shard": DELAYED,
         "delay_ms": delay_ms,
         "error": error,
         "checks": checks.iter().map(|(name, ok, detail)| json!({
@@ -141,8 +143,6 @@ type Checks = Vec<(String, bool, String)>;
 
 fn run_passes(
     config: &StudyConfig,
-    shards: usize,
-    delayed: usize,
     delay_ms: u64,
 ) -> Result<(Checks, TraceSnapshot, String), String> {
     let gallery = config.subjects;
@@ -163,8 +163,8 @@ fn run_passes(
     let baseline: Vec<SearchResult> = probes.iter().map(|p| baseline_index.search(p)).collect();
     let runfp_baseline = baseline_index.run_fingerprint().hex();
 
-    let untraced = run_pass(config, pool, &probes, shards, delayed, delay_ms, false)?;
-    let traced = run_pass(config, pool, &probes, shards, delayed, delay_ms, true)?;
+    let untraced = run_pass(config, pool, &probes, delay_ms, false)?;
+    let traced = run_pass(config, pool, &probes, delay_ms, true)?;
 
     let mut checks: Checks = Vec::new();
     let mut check =
@@ -259,9 +259,9 @@ fn run_passes(
     pids.dedup();
     check(
         "one lane per process",
-        pids.len() == shards + 1 && pids.contains(&LOCAL_PID),
+        pids.len() == SHARDS + 1 && pids.contains(&LOCAL_PID),
         format!(
-            "{} process lanes for coordinator + {shards} shard(s)",
+            "{} process lanes for coordinator + {SHARDS} shard(s)",
             pids.len()
         ),
     );
@@ -270,13 +270,13 @@ fn run_passes(
     let naming = traced
         .exemplars
         .iter()
-        .filter(|e| e.slowest_shard() == Some(delayed))
+        .filter(|e| e.slowest_shard() == Some(DELAYED))
         .count();
     check(
         "slow-log exemplars name the delayed shard",
         !traced.exemplars.is_empty() && naming == traced.exemplars.len(),
         format!(
-            "{naming}/{} exemplars name shard {delayed}",
+            "{naming}/{} exemplars name shard {DELAYED}",
             traced.exemplars.len()
         ),
     );
@@ -284,14 +284,14 @@ fn run_passes(
     let covered = traced
         .exemplars
         .iter()
-        .filter_map(|e| e.shards.iter().find(|b| b.shard == delayed))
+        .filter_map(|e| e.shards.iter().find(|b| b.shard == DELAYED))
         .filter(|b| b.work_ns >= delay_ns)
         .count();
     check(
         "server timing covers the injected delay",
         covered == traced.exemplars.len() && !traced.exemplars.is_empty(),
         format!(
-            "{covered}/{} exemplars report >= {delay_ms} ms shard-side work for shard {delayed}",
+            "{covered}/{} exemplars report >= {delay_ms} ms shard-side work for shard {DELAYED}",
             traced.exemplars.len()
         ),
     );
@@ -317,16 +317,14 @@ fn run_pass(
     config: &StudyConfig,
     pool: &[Template],
     probes: &[Template],
-    shards: usize,
-    delayed: usize,
     delay_ms: u64,
     traced: bool,
 ) -> Result<Pass, String> {
     // The injected delay rides in *both* passes so their latencies — and
     // hence their results and fingerprints — are measured under identical
     // conditions; only the tracing differs.
-    let fleet = ShardFleet::spawn(shards, |k| {
-        if k == delayed {
+    let fleet = ShardFleet::spawn(SHARDS, |k| {
+        if k == DELAYED {
             vec!["--delay-ms".to_string(), delay_ms.to_string()]
         } else {
             Vec::new()
@@ -358,7 +356,7 @@ fn run_pass(
         // The pass root span: every serve.rpc (enroll, stage-1, re-rank,
         // trace drain) nests under it, so the merged snapshot forms a
         // single connected tree.
-        let _root = telemetry.span_with("check.dist_trace", &[("shards", shards.to_string())]);
+        let _root = telemetry.span_with("check.dist_trace", &[("shards", SHARDS.to_string())]);
         remote.enroll_all(pool).map_err(|e| e.to_string())?;
         for probe in probes {
             results.push(remote.search(probe).map_err(|e| e.to_string())?);

@@ -27,7 +27,9 @@
 //!    the server dropped without a typed answer breaks the ledger (and
 //!    would already have hung or failed its caller).
 //!
-//! `study check-load` gates the emitted JSON on all four.
+//! The run judges itself ([`verdict`]): a parity break, a fingerprint
+//! mismatch, a shallow pipeline or a broken ledger lands in
+//! `values.error`, and `study load` exits non-zero.
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -47,6 +49,9 @@ use fp_study::report::Report;
 
 use crate::fleet::{ShardFleet, RPC_DEADLINE};
 
+/// `serve-shard` child processes behind the coordinator.
+const SHARDS: usize = 2;
+
 /// Probes per pass (capped so the whole harness stays seconds-scale).
 const MAX_PROBES: usize = 48;
 
@@ -55,6 +60,9 @@ const PARITY_THREADS: usize = 4;
 
 /// Requests put on the wire before any is awaited in the pipeline probe.
 const PIPELINE_DEPTH: usize = 8;
+
+/// The in-flight peak the pipeline probe must reach to pass.
+const MIN_PIPELINE_PEAK: usize = 4;
 
 /// Client-thread counts of the latency ladder.
 const LADDER: [usize; 4] = [1, 2, 4, 8];
@@ -87,7 +95,6 @@ struct LoadRung {
 struct LoadData {
     gallery: usize,
     probes: usize,
-    shards: usize,
     parity_checked: usize,
     parity_agreed: usize,
     runfp_remote: String,
@@ -101,24 +108,63 @@ struct LoadData {
     rungs: Vec<LoadRung>,
 }
 
-/// Runs the harness over `remote_shards` `serve-shard` children (0: two).
-/// Parity counts, fingerprints and the admission ledger are pure functions
-/// of the seed; latency and throughput vary with the machine. Every search
+/// Runs the harness over [`SHARDS`] `serve-shard` children. Parity counts,
+/// fingerprints and the admission ledger are pure functions of the seed; latency and throughput vary with the machine. Every search
 /// (concurrent pass and ladder rungs alike) is offered to `slowlog`, and the
 /// caller reads the retained exemplars afterwards (`study load --slowlog
 /// PATH` writes them as JSONL).
-pub fn run(
-    config: &StudyConfig,
-    remote_shards: usize,
-    telemetry: &Telemetry,
-    slowlog: Option<Arc<SlowLog>>,
-) -> Report {
-    let (data, error) = match load_rung(config, remote_shards, telemetry, slowlog) {
-        Ok(data) => (Some(data), None),
-        Err(e) => {
-            telemetry.event_with(Level::Error, "load rung failed", &[("error", e.clone())]);
-            (None, Some(e))
+pub fn run(config: &StudyConfig, telemetry: &Telemetry, slowlog: Option<Arc<SlowLog>>) -> Report {
+    let outcome = load_rung(config, telemetry, slowlog);
+    if let Err(e) = &outcome {
+        telemetry.event_with(Level::Error, "load rung failed", &[("error", e.clone())]);
+    }
+    report(config, outcome)
+}
+
+/// The run's verdict, a pure function of what it measured: every failure,
+/// one message each (empty is a pass).
+fn verdict(d: &LoadData) -> Vec<String> {
+    let mut failures = Vec::new();
+    if d.parity_checked == 0 || d.parity_agreed != d.parity_checked {
+        failures.push(format!(
+            "concurrent results diverged from the sequential baseline \
+             (agreed {}/{})",
+            d.parity_agreed, d.parity_checked
+        ));
+    }
+    if d.runfp_remote != d.runfp_baseline {
+        failures.push(format!(
+            "run fingerprint diverged from the sequential baseline \
+             (remote {}, baseline {})",
+            d.runfp_remote, d.runfp_baseline
+        ));
+    }
+    if d.pipeline_peak < MIN_PIPELINE_PEAK || !d.pipeline_parity {
+        failures.push(format!(
+            "pipeline probe failed (peak {} in flight, need {MIN_PIPELINE_PEAK}; \
+             responses equal to sequential: {})",
+            d.pipeline_peak, d.pipeline_parity
+        ));
+    }
+    if d.offered == 0 || d.offered != d.accepted + d.overloaded {
+        failures.push(format!(
+            "admission ledger broken: offered {} != accepted {} + overloaded {}",
+            d.offered, d.accepted, d.overloaded
+        ));
+    }
+    failures
+}
+
+/// Renders the report; `values.error` holds the harness's error or the
+/// failures of [`verdict`], joined, and is null on a pass.
+fn report(config: &StudyConfig, outcome: Result<LoadData, String>) -> Report {
+    let (data, error) = match outcome {
+        Ok(data) => {
+            let failures = verdict(&data);
+            let error = (!failures.is_empty()).then(|| failures.join("; "));
+            (Some(data), error)
         }
+        Err(e) => (None, Some(e)),
     };
 
     let mut body = String::new();
@@ -136,7 +182,7 @@ pub fn run(
              admission ledger: offered {} = accepted {} + overloaded {}\n\n\
              {:<9}{:>10}{:>12}{:>11}{:>11}{:>11}{:>11}\n",
             d.gallery,
-            d.shards,
+            SHARDS,
             d.probes,
             d.parity_agreed,
             d.parity_checked,
@@ -190,7 +236,7 @@ pub fn run(
         ));
     }
     if let Some(e) = &error {
-        body.push_str(&format!("load rung FAILED: {e}\n"));
+        body.push_str(&format!("load FAILED: {e}\n"));
     }
 
     let values = match &data {
@@ -204,7 +250,7 @@ pub fn run(
             json!({
                 "subjects": d.gallery,
                 "probes": d.probes,
-                "shards": d.shards,
+                "shards": SHARDS,
                 "seed": config.seed,
                 "error": error,
                 "parity_checked": d.parity_checked,
@@ -255,17 +301,15 @@ pub fn run(
 /// Spawns the topology, runs all four load phases, tears everything down.
 fn load_rung(
     config: &StudyConfig,
-    remote_shards: usize,
     telemetry: &Telemetry,
     slowlog: Option<Arc<SlowLog>>,
 ) -> Result<LoadData, String> {
     let gallery = config.subjects;
-    let shards = if remote_shards >= 1 { remote_shards } else { 2 };
     let _span = telemetry.span_with(
         "load.harness",
         &[
             ("gallery", gallery.to_string()),
-            ("shards", shards.to_string()),
+            ("shards", SHARDS.to_string()),
         ],
     );
 
@@ -287,7 +331,7 @@ fn load_rung(
     let baseline: Vec<SearchResult> = probes.iter().map(|p| baseline_index.search(p)).collect();
     let runfp_baseline = baseline_index.run_fingerprint().hex();
 
-    let fleet = ShardFleet::spawn(shards, |_| Vec::new())?;
+    let fleet = ShardFleet::spawn(SHARDS, |_| Vec::new())?;
     let addrs = fleet.addrs();
     let mut remote = fleet
         .connect(IndexConfig::scaled(gallery))?
@@ -302,7 +346,7 @@ fn load_rung(
         "load topology up",
         &[
             ("gallery", gallery.to_string()),
-            ("shards", shards.to_string()),
+            ("shards", SHARDS.to_string()),
             ("probes", n.to_string()),
         ],
     );
@@ -518,7 +562,6 @@ fn load_rung(
     Ok(LoadData {
         gallery,
         probes: n,
-        shards,
         parity_checked: n,
         parity_agreed,
         runfp_remote,
@@ -551,5 +594,93 @@ mod tests {
         assert_eq!(nearest_rank(&ladder, 0.95), 46);
         assert_eq!(nearest_rank(&ladder, 0.999), 48);
         assert_eq!(nearest_rank(&[], 0.50), 0);
+    }
+
+    /// What a clean 200-subject run measures.
+    fn passing() -> LoadData {
+        LoadData {
+            gallery: 200,
+            probes: 48,
+            parity_checked: 48,
+            parity_agreed: 48,
+            runfp_remote: "0123456789abcdef".to_string(),
+            runfp_baseline: "0123456789abcdef".to_string(),
+            pipeline_peak: PIPELINE_DEPTH,
+            pipeline_parity: true,
+            coordinator_peak: 3,
+            offered: 400,
+            accepted: 398,
+            overloaded: 2,
+            rungs: Vec::new(),
+        }
+    }
+
+    /// The report's `values.error` for `data`.
+    fn error_of(data: LoadData) -> serde_json::Value {
+        let config = StudyConfig::builder().subjects(200).build();
+        report(&config, Ok(data)).values["error"].clone()
+    }
+
+    #[test]
+    fn a_clean_run_passes() {
+        assert!(verdict(&passing()).is_empty());
+        assert!(error_of(passing()).is_null());
+    }
+
+    #[test]
+    fn a_short_parity_count_fails_the_run() {
+        let data = LoadData {
+            parity_agreed: 47,
+            ..passing()
+        };
+        assert!(error_of(data).as_str().unwrap().contains("agreed 47/48"));
+        let data = LoadData {
+            parity_checked: 0,
+            parity_agreed: 0,
+            ..passing()
+        };
+        assert!(error_of(data).as_str().unwrap().contains("diverged"));
+    }
+
+    #[test]
+    fn a_fingerprint_off_the_baseline_fails_the_run() {
+        let data = LoadData {
+            runfp_remote: "1123456789abcdef".to_string(),
+            ..passing()
+        };
+        assert!(error_of(data)
+            .as_str()
+            .unwrap()
+            .contains("run fingerprint diverged"));
+    }
+
+    #[test]
+    fn a_shallow_pipeline_fails_the_run() {
+        let data = LoadData {
+            pipeline_peak: MIN_PIPELINE_PEAK - 1,
+            ..passing()
+        };
+        assert!(error_of(data).as_str().unwrap().contains("pipeline"));
+        let data = LoadData {
+            pipeline_parity: false,
+            ..passing()
+        };
+        assert!(error_of(data).as_str().unwrap().contains("pipeline"));
+    }
+
+    #[test]
+    fn a_broken_admission_ledger_fails_the_run() {
+        let data = LoadData {
+            accepted: 397,
+            ..passing()
+        };
+        assert!(error_of(data).as_str().unwrap().contains("ledger"));
+        let data = LoadData {
+            offered: 0,
+            accepted: 0,
+            overloaded: 0,
+            ..passing()
+        };
+        assert!(error_of(data).as_str().unwrap().contains("ledger"));
     }
 }

@@ -14,6 +14,9 @@
 //!
 //! Galleries and probes are the library's synthetic cohort
 //! (`fp_study::experiments::harness`, seed-tree child `0xE5`).
+//!
+//! The run judges itself ([`verdict`]): a failure lands in `values.error`
+//! and `study ext-scaling` (or `study all`) exits non-zero.
 
 use fp_core::rng::SeedTree;
 use fp_index::{CandidateIndex, IndexConfig};
@@ -36,6 +39,13 @@ const MAX_PROBES: usize = 96;
 
 /// Exhaustive-scan audits per rung (brute force is the expensive baseline).
 const MAX_AUDITS: usize = 12;
+
+/// Shortlist recall every rung must reach.
+const MIN_RECALL: f64 = 0.98;
+
+/// The coordinator's wire counters, each of which must be non-zero after
+/// the cross-process rung.
+const WIRE_COUNTERS: [&str; 3] = ["serve.requests", "serve.bytes_tx", "serve.bytes_rx"];
 
 /// One rung of the gallery ladder.
 struct ScalingRow {
@@ -71,13 +81,18 @@ struct RemoteRow {
     /// Run fingerprint (hex) over the rung's probe loop; must equal the
     /// unsharded top rung's.
     runfp: String,
+    /// [`WIRE_COUNTERS`], in order, as the coordinator counted them.
+    wire: [u64; 3],
+    /// Each shard's own scraped `index.searches` (`shard<k>.remote.*`).
+    shard_searches: Vec<f64>,
 }
 
 /// Runs the ladder: the three gallery rungs, then the cross-process rung
 /// over `remote_shards` `serve-shard` children (0: none). The index's
-/// build/search instruments land in `telemetry`. Accuracy numbers (recall,
-/// rank-1, audit agreement) are pure functions of the seed; throughput
-/// numbers vary with the machine.
+/// build/search instruments land in `telemetry`, which the cross-process
+/// rung also reads its wire and shard counters from, so that rung needs an
+/// enabled registry. Accuracy numbers (recall, rank-1, audit agreement) are
+/// pure functions of the seed; throughput numbers vary with the machine.
 pub fn run(config: &StudyConfig, remote_shards: usize, telemetry: &Telemetry) -> Report {
     let max_gallery = config.subjects * LADDER[LADDER.len() - 1];
 
@@ -166,15 +181,92 @@ pub fn run(config: &StudyConfig, remote_shards: usize, telemetry: &Telemetry) ->
     // Cross-process rung: N `serve-shard` children over loopback behind a
     // coordinator, audited for byte-identical parity against the
     // unsharded index.
-    let mut remote_rows: Vec<RemoteRow> = Vec::new();
-    let mut remote_error: Option<String> = None;
-    if remote_shards >= 1 {
+    let remote = (remote_shards >= 1).then(|| {
         let unsharded = top_index.as_ref().expect("ladder is non-empty");
-        match remote_rung(config, remote_shards, telemetry, &cohort, unsharded) {
-            Ok(row) => remote_rows.push(row),
-            Err(e) => remote_error = Some(e),
+        remote_rung(config, remote_shards, telemetry, &cohort, unsharded)
+    });
+    report(config, remote_shards, &rows, remote)
+}
+
+/// The ladder's verdict, a pure function of its rows: every failure, one
+/// message each (empty is a pass). `remote` is the cross-process rung's
+/// outcome when one was asked for.
+fn verdict(rows: &[ScalingRow], remote: Option<&Result<RemoteRow, String>>) -> Vec<String> {
+    let mut failures = Vec::new();
+    for (i, r) in rows.iter().enumerate() {
+        if r.recall < MIN_RECALL {
+            failures.push(format!(
+                "gallery {}: shortlist recall {} < {MIN_RECALL}",
+                r.gallery, r.recall
+            ));
+        }
+        if r.audit_sampled == 0 || r.audit_agreed != r.audit_sampled {
+            failures.push(format!(
+                "gallery {}: brute-force audit agreed {}/{}",
+                r.gallery, r.audit_agreed, r.audit_sampled
+            ));
+        }
+        // Different gallery sizes are different workloads: equal chains
+        // mean a pinned or forged constant.
+        if let Some(other) = rows[..i].iter().find(|o| o.runfp == r.runfp) {
+            failures.push(format!(
+                "galleries {} and {} report the same run fingerprint {}",
+                other.gallery, r.gallery, r.runfp
+            ));
         }
     }
+    let top = rows.last().expect("ladder is non-empty");
+    match remote {
+        None => {}
+        Some(Err(e)) => failures.push(format!("cross-process rung failed: {e}")),
+        Some(Ok(r)) => {
+            if r.parity_checked == 0 || r.parity_agreed != r.parity_checked {
+                failures.push(format!(
+                    "remote search diverged from the unsharded index (parity {}/{})",
+                    r.parity_agreed, r.parity_checked
+                ));
+            }
+            // Remote sharded search is provably identical to the unsharded
+            // index, so recall must match the top rung exactly.
+            if r.recall != top.recall {
+                failures.push(format!(
+                    "remote recall {} differs from the top rung's {}",
+                    r.recall, top.recall
+                ));
+            }
+            if r.runfp != top.runfp {
+                failures.push(format!(
+                    "remote run fingerprint {} diverged from the top rung's {}",
+                    r.runfp, top.runfp
+                ));
+            }
+            for (key, n) in WIRE_COUNTERS.iter().zip(r.wire) {
+                if n == 0 {
+                    failures.push(format!("wire counter {key} is zero"));
+                }
+            }
+            for (k, n) in r.shard_searches.iter().enumerate() {
+                if *n <= 0.0 {
+                    failures.push(format!("shard{k}.remote.index.searches is zero"));
+                }
+            }
+        }
+    }
+    failures
+}
+
+/// Renders the report; `values.error` holds the failures of [`verdict`],
+/// joined, and is null on a pass.
+fn report(
+    config: &StudyConfig,
+    remote_shards: usize,
+    rows: &[ScalingRow],
+    remote: Option<Result<RemoteRow, String>>,
+) -> Report {
+    let failures = verdict(rows, remote.as_ref());
+    let error = (!failures.is_empty()).then(|| failures.join("; "));
+    let remote_rows: Vec<RemoteRow> = remote.into_iter().flatten().collect();
+    let max_gallery = config.subjects * LADDER[LADDER.len() - 1];
 
     let mut body = format!(
         "identification scaling: gallery ladder x{:?} of {} subjects, \
@@ -191,7 +283,7 @@ pub fn run(config: &StudyConfig, remote_shards: usize, telemetry: &Telemetry) ->
         "brute/s",
         "speedup"
     );
-    for r in &rows {
+    for r in rows {
         body.push_str(&format!(
             "{:<10}{:>10}{:>9.2}{:>10.3}{:>9.3}{:>12.1}{:>12.1}{:>10.1}\n",
             r.gallery,
@@ -234,8 +326,8 @@ pub fn run(config: &StudyConfig, remote_shards: usize, telemetry: &Telemetry) ->
             ));
         }
     }
-    if let Some(e) = &remote_error {
-        body.push_str(&format!("\ncross-process rung FAILED: {e}\n"));
+    if let Some(e) = &error {
+        body.push_str(&format!("\next-scaling FAILED: {e}\n"));
     }
     body.push_str(&format!(
         "\nrun fingerprint (top rung, seed {}): {} — the remote rung over \
@@ -252,7 +344,7 @@ pub fn run(config: &StudyConfig, remote_shards: usize, telemetry: &Telemetry) ->
             "ladder": LADDER,
             "remote_shards": remote_shards,
             "seed": config.seed,
-            "remote_error": remote_error,
+            "error": error,
             "remote_rows": remote_rows
                 .iter()
                 .map(|r| json!({
@@ -291,7 +383,7 @@ pub fn run(config: &StudyConfig, remote_shards: usize, telemetry: &Telemetry) ->
 /// candidate-list parity against the unsharded index.
 ///
 /// Errors are returned as strings so a failed rung shows up loudly in the
-/// report (and fails `check-serve`) without aborting the in-process ladder
+/// report (and fails its verdict) without aborting the in-process ladder
 /// results.
 fn remote_rung(
     config: &StudyConfig,
@@ -338,7 +430,7 @@ fn remote_rung(
         .verify_fingerprints()
         .map_err(|e| format!("fingerprint verification: {e}"))?;
     // Each shard's own `index.*` instruments, as `shard<k>.remote.*`
-    // gauges: `check-serve` reads them to see every shard did its share.
+    // gauges: the verdict reads them to see every shard did its share.
     remote
         .scrape_stats()
         .map_err(|e| format!("stats scrape: {e}"))?;
@@ -355,6 +447,9 @@ fn remote_rung(
     }
     fleet.retire(&remote);
 
+    let snapshot = telemetry.snapshot();
+    let counter = |key: &str| snapshot.counters.get(key).copied().unwrap_or(0);
+    let gauge = |key: String| snapshot.gauges.get(&key).copied().unwrap_or(0.0);
     Ok(RemoteRow {
         shards: s,
         probes,
@@ -364,12 +459,17 @@ fn remote_rung(
         parity_checked: audits,
         parity_agreed,
         runfp,
+        wire: WIRE_COUNTERS.map(counter),
+        shard_searches: (0..s)
+            .map(|k| gauge(format!("shard{k}.remote.index.searches")))
+            .collect(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::Value;
 
     fn tiny_config() -> StudyConfig {
         StudyConfig::builder()
@@ -411,7 +511,135 @@ mod tests {
         let r = tiny();
         assert_eq!(r.values["remote_shards"], 0);
         assert!(r.values["remote_rows"].as_array().unwrap().is_empty());
-        assert!(r.values["remote_error"].is_null());
+        assert!(r.values["error"].is_null(), "{}", r.values["error"]);
+    }
+
+    /// A clean ladder at 200 subjects: three rungs, distinct chains.
+    fn rows() -> Vec<ScalingRow> {
+        [
+            (200, "f2f17b73bca0423c"),
+            (1000, "944c5c30152a6afa"),
+            (2000, "bed03800244ea780"),
+        ]
+        .map(|(gallery, runfp)| ScalingRow {
+            gallery,
+            shortlist: 64,
+            probes: MAX_PROBES,
+            recall: 1.0,
+            rank1: 1.0,
+            audit_sampled: MAX_AUDITS,
+            audit_agreed: MAX_AUDITS,
+            build_seconds: 0.1,
+            searches_per_second: 100.0,
+            brute_searches_per_second: 10.0,
+            runfp: runfp.to_string(),
+        })
+        .into()
+    }
+
+    /// A clean two-shard cross-process rung over the top of [`rows`].
+    fn remote() -> RemoteRow {
+        RemoteRow {
+            shards: 2,
+            probes: MAX_PROBES,
+            recall: 1.0,
+            build_seconds: 0.2,
+            searches_per_second: 50.0,
+            parity_checked: MAX_AUDITS,
+            parity_agreed: MAX_AUDITS,
+            runfp: "bed03800244ea780".to_string(),
+            wire: [500, 90_000, 800_000],
+            shard_searches: vec![108.0, 108.0],
+        }
+    }
+
+    /// The report's `values.error` over doctored rows.
+    fn error_of(rows: &[ScalingRow], remote: Option<Result<RemoteRow, String>>) -> Value {
+        let config = StudyConfig::builder().subjects(200).build();
+        report(&config, 2, rows, remote).values["error"].clone()
+    }
+
+    /// `values.error` as text; panics when the verdict passed.
+    fn failure(rows: &[ScalingRow], remote: Option<Result<RemoteRow, String>>) -> String {
+        let error = error_of(rows, remote);
+        error.as_str().expect("the verdict must fail").to_string()
+    }
+
+    #[test]
+    fn a_clean_ladder_passes_with_or_without_its_remote_rung() {
+        assert!(error_of(&rows(), None).is_null());
+        assert!(error_of(&rows(), Some(Ok(remote()))).is_null());
+    }
+
+    #[test]
+    fn recall_below_the_floor_fails_the_ladder() {
+        let mut rows = rows();
+        rows[1].recall = 0.97;
+        assert!(failure(&rows, None).contains("gallery 1000: shortlist recall 0.97"));
+    }
+
+    #[test]
+    fn an_audit_mismatch_or_no_audit_fails_the_ladder() {
+        let mut rows = rows();
+        rows[2].audit_agreed = MAX_AUDITS - 1;
+        assert!(failure(&rows, None).contains("gallery 2000: brute-force audit agreed 11/12"));
+        rows[2].audit_agreed = 0;
+        rows[2].audit_sampled = 0;
+        assert!(failure(&rows, None).contains("audit agreed 0/0"));
+    }
+
+    #[test]
+    fn two_rungs_with_one_chain_fail_the_ladder() {
+        let mut rows = rows();
+        rows[1].runfp = rows[0].runfp.clone();
+        assert!(failure(&rows, None).contains("galleries 200 and 1000 report the same"));
+    }
+
+    #[test]
+    fn a_diverged_remote_probe_puts_an_error_in_the_report() {
+        let row = RemoteRow {
+            parity_agreed: MAX_AUDITS - 1,
+            ..remote()
+        };
+        assert!(failure(&rows(), Some(Ok(row))).contains("remote search diverged"));
+    }
+
+    #[test]
+    fn a_failed_remote_rung_fails_the_ladder() {
+        let error = failure(&rows(), Some(Err("spawn failed".to_string())));
+        assert!(error.contains("cross-process rung failed: spawn failed"));
+    }
+
+    #[test]
+    fn remote_recall_off_the_top_rung_fails_the_ladder() {
+        let row = RemoteRow {
+            recall: 0.99,
+            ..remote()
+        };
+        assert!(failure(&rows(), Some(Ok(row))).contains("remote recall 0.99 differs"));
+    }
+
+    #[test]
+    fn one_forged_runfp_digit_fails_the_ladder() {
+        let row = RemoteRow {
+            runfp: "aed03800244ea780".to_string(),
+            ..remote()
+        };
+        assert!(failure(&rows(), Some(Ok(row))).contains("remote run fingerprint"));
+    }
+
+    #[test]
+    fn silent_wire_counters_or_an_idle_shard_fail_the_ladder() {
+        for (i, key) in WIRE_COUNTERS.iter().enumerate() {
+            let mut row = remote();
+            row.wire[i] = 0;
+            let error = failure(&rows(), Some(Ok(row)));
+            assert!(error.contains(&format!("{key} is zero")));
+        }
+        let mut row = remote();
+        row.shard_searches[1] = 0.0;
+        let error = failure(&rows(), Some(Ok(row)));
+        assert!(error.contains("shard1.remote.index.searches is zero"));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `serve-shard` children of this very binary on loopback, behind a
 //! coordinator: the one spawn / connect / teardown block the cross-process
-//! producers (`ext-scaling`, `load`, `check-kernel`, `check-store`,
-//! `check-dist-trace`) share.
+//! producers (`ext-scaling`, `load`, `check-store`, `check-dist-trace`)
+//! share.
 
 use std::net::SocketAddr;
 use std::time::Duration;

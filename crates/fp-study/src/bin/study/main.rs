@@ -9,7 +9,6 @@
 //! study verify --subjects 150      # check the paper's findings hold
 //! study gate                       # every smoke gate, artifacts in target/gates
 //! study gate kernel store          # just those rows
-//! study check-serve results.json   # a row's checker on an existing results file
 //! ```
 //!
 //! Nothing here lists the subcommands by hand: the usage line `study`
@@ -42,16 +41,16 @@ mod gates;
 #[derive(Default)]
 struct Args {
     experiment: String,
-    /// Operands: the results PATH of a file-form gate, `gallery`'s action
-    /// word and DIR, `gate`'s row names.
+    /// Operands: `fingerprint`'s results PATH, `gallery`'s action word and
+    /// DIR, `gate`'s row names.
     positionals: Vec<String>,
     /// Every flag given, for the per-subcommand check.
     flags: Vec<String>,
     gallery_dir: Option<String>,
     subjects: Option<usize>,
     seed: Option<u64>,
-    /// Topology of the cross-process producers; 0 when the flag is
-    /// absent (each producer documents what it does then).
+    /// `ext-scaling` / `all`: the cross-process rung's shard count; 0 (no
+    /// rung) when the flag is absent.
     remote_shards: usize,
     port: Option<u16>,
     json: Option<String>,
@@ -65,14 +64,11 @@ struct Args {
     /// `serve-shard --delay-ms N`: sleep N ms at the top of each stage
     /// handler (fault injection for the distributed-tracing gate).
     delay_ms: Option<u64>,
-    /// `check-fingerprint --deep`: stricter audit of the manifest.
-    deep: bool,
 }
 
 type Handler = fn(&Args, &Telemetry) -> ExitCode;
 
-/// A subcommand that is neither an experiment id nor derived from the gate
-/// table.
+/// A subcommand that is neither an experiment id nor the gate runner.
 struct Subcommand {
     name: &'static str,
     /// Operand synopsis for the usage line; one operand per word.
@@ -122,7 +118,7 @@ const SUBCOMMANDS: &[Subcommand] = &[
     Subcommand {
         name: "load",
         operands: "",
-        flags: "--subjects --seed --remote-shards --json --metrics --slowlog --trace --events",
+        flags: "--subjects --seed --json --metrics --slowlog --trace --events",
         run: load,
     },
     Subcommand {
@@ -146,19 +142,19 @@ const SUBCOMMANDS: &[Subcommand] = &[
     Subcommand {
         name: "check-kernel",
         operands: "",
-        flags: "--subjects --seed --remote-shards --json",
+        flags: "--subjects --seed --json",
         run: check_kernel,
     },
     Subcommand {
         name: "check-store",
         operands: "",
-        flags: "--subjects --seed --remote-shards --gallery-dir --json",
+        flags: "--subjects --seed --gallery-dir --json",
         run: check_store,
     },
     Subcommand {
         name: "check-dist-trace",
         operands: "",
-        flags: "--subjects --seed --remote-shards --delay-ms --trace --slowlog --json",
+        flags: "--subjects --seed --delay-ms --trace --slowlog --json",
         run: check_dist_trace,
     },
 ];
@@ -177,8 +173,8 @@ impl Grammar {
     }
 }
 
-/// Resolves a subcommand name: the gate runner and the file-form gates
-/// come from the gate table, the rest from [`SUBCOMMANDS`], and anything
+/// Resolves a subcommand name: the gate runner takes up to one operand per
+/// row of the gate table, the rest come from [`SUBCOMMANDS`], and anything
 /// else is an experiment id (checked when it runs).
 fn grammar(name: &str) -> Grammar {
     if name == "gate" {
@@ -186,13 +182,6 @@ fn grammar(name: &str) -> Grammar {
             operands: 0..=gates::GATES.len(),
             flags: "--out",
             run: run_gates,
-        };
-    }
-    if let Some(flags) = gates::file_form(name).and_then(|gate| gate.file_flags) {
-        return Grammar {
-            operands: 1..=1,
-            flags,
-            run: check_file,
         };
     }
     match SUBCOMMANDS.iter().find(|s| s.name == name) {
@@ -217,7 +206,7 @@ fn grammar(name: &str) -> Grammar {
 }
 
 fn usage() -> String {
-    let mut names = vec![gates::usage(), "all".to_string()];
+    let mut names = vec!["gate [NAME…]".to_string(), "all".to_string()];
     for sub in SUBCOMMANDS {
         names.push(format!("{} {}", sub.name, sub.operands).trim().to_string());
     }
@@ -281,7 +270,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--events" => parsed.events = Some(value("a path")?),
             "--slowlog" => parsed.slowlog = Some(value("a path")?),
             "--gallery-dir" => parsed.gallery_dir = Some(value("a path")?),
-            "--deep" => parsed.deep = true,
             other => return Err(format!("unknown flag: {other}")),
         }
         if word != "--all" {
@@ -369,14 +357,6 @@ fn write_text(path: &str, text: &str, what: &str) -> Result<(), ExitCode> {
     }
 }
 
-/// The one place a results file is read back.
-fn load_payload(path: &str) -> Result<serde_json::Value, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read results file (path={path}, error={e})"))?;
-    serde_json::from_str(&text)
-        .map_err(|e| format!("results file is not valid JSON (path={path}, error={e})"))
-}
-
 /// The tail every producer shares: print the reports, write `--json`
 /// (config, reports, and the telemetry section when this run records one)
 /// and `--metrics`, and fail when a report carries an error.
@@ -408,40 +388,10 @@ fn emit(args: &Args, telemetry: &Telemetry, config: &StudyConfig, reports: &[Rep
     }
 }
 
-/// Applies a gate's checker to a payload: the pass line on stdout, or one
-/// line per failure on stderr.
-fn verdict(check: gates::Checker, summary: gates::Summary, payload: &serde_json::Value) -> bool {
-    let failures = check(payload);
-    for failure in &failures {
-        eprintln!("{failure}");
-    }
-    if failures.is_empty() {
-        println!("{}", summary(payload));
-    }
-    failures.is_empty()
-}
-
-/// `study check-<name> PATH`: the file form of a gate row.
-fn check_file(args: &Args, _telemetry: &Telemetry) -> ExitCode {
-    let gate = gates::file_form(&args.experiment).expect("resolved by grammar()");
-    let (check, summary) = match gate.lax {
-        Some(lax) if !args.deep => lax,
-        _ => (gate.check, gate.summary),
-    };
-    match load_payload(&args.positionals[0]) {
-        Ok(payload) if verdict(check, summary, &payload) => ExitCode::SUCCESS,
-        Ok(_) => ExitCode::FAILURE,
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 /// `study gate [name…] [--out DIR]`: runs gate rows — every row when none
-/// is named. Each distinct producer line runs once, in process; a row
-/// passes when its lines succeed, its checker accepts its payload, its
-/// artifacts exist and it stayed inside its budget.
+/// is named. Each producer line runs in process and judges its own run; a
+/// row passes when every line exits 0, its artifacts exist and it stayed
+/// inside the budget.
 fn run_gates(args: &Args, _telemetry: &Telemetry) -> ExitCode {
     let rows: Vec<&gates::Gate> = if args.positionals.is_empty() {
         gates::GATES.iter().collect()
@@ -459,7 +409,6 @@ fn run_gates(args: &Args, _telemetry: &Telemetry) -> ExitCode {
         eprintln!("error: cannot create {out}: {e}");
         return ExitCode::FAILURE;
     }
-    let mut ran: Vec<(Vec<String>, bool)> = Vec::new();
     let mut failed: Vec<&str> = Vec::new();
     for gate in &rows {
         println!("==> gate {}: {}", gate.name, gate.proves);
@@ -470,19 +419,12 @@ fn run_gates(args: &Args, _telemetry: &Telemetry) -> ExitCode {
                 .split_whitespace()
                 .map(|w| w.replace("{out}", out))
                 .collect();
-            let ok = match ran.iter().find(|(done, _)| *done == line) {
-                Some((_, ok)) => *ok,
-                None => {
-                    println!("==> study {}", line.join(" "));
-                    let ok = match parse_args(line.clone()) {
-                        Ok(step_args) => invoke(&step_args) == ExitCode::SUCCESS,
-                        Err(e) => {
-                            eprintln!("error: {e}");
-                            false
-                        }
-                    };
-                    ran.push((line.clone(), ok));
-                    ok
+            println!("==> study {}", line.join(" "));
+            let ok = match parse_args(line.clone()) {
+                Ok(step_args) => invoke(&step_args) == ExitCode::SUCCESS,
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    false
                 }
             };
             if !ok {
@@ -491,11 +433,6 @@ fn run_gates(args: &Args, _telemetry: &Telemetry) -> ExitCode {
             }
         }
         if failures.is_empty() {
-            match load_payload(&format!("{out}/{}", gate.artifacts[0])) {
-                Ok(payload) if verdict(gate.check, gate.summary, &payload) => {}
-                Ok(_) => failures.push("checker rejected the payload".to_string()),
-                Err(e) => failures.push(e),
-            }
             for artifact in gate.artifacts {
                 if !std::path::Path::new(out).join(artifact).exists() {
                     failures.push(format!("artifact missing: {out}/{artifact}"));
@@ -503,8 +440,8 @@ fn run_gates(args: &Args, _telemetry: &Telemetry) -> ExitCode {
             }
         }
         let secs = start.elapsed().as_secs();
-        if secs > gate.budget_secs {
-            failures.push(format!("over budget by {} s", secs - gate.budget_secs));
+        if secs > gates::BUDGET_SECS {
+            failures.push(format!("over budget by {} s", secs - gates::BUDGET_SECS));
         }
         for failure in &failures {
             eprintln!("gate {}: {failure}", gate.name);
@@ -512,7 +449,8 @@ fn run_gates(args: &Args, _telemetry: &Telemetry) -> ExitCode {
         let state = if failures.is_empty() { "ok" } else { "FAILED" };
         println!(
             "gate {} {state} in {secs} s (budget {} s)",
-            gate.name, gate.budget_secs
+            gate.name,
+            gates::BUDGET_SECS
         );
         if !failures.is_empty() {
             failed.push(gate.name);
@@ -611,19 +549,25 @@ fn print_metrics_help(_args: &Args, _telemetry: &Telemetry) -> ExitCode {
 /// candidate lists.
 fn fingerprint_manifest(args: &Args, telemetry: &Telemetry) -> ExitCode {
     let path = &args.positionals[0];
-    let payload = match load_payload(path) {
+    let payload: serde_json::Value = match std::fs::read_to_string(path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| serde_json::from_str(&text).map_err(|e| e.to_string()))
+    {
         Ok(payload) => payload,
         Err(e) => {
-            eprintln!("{e}");
+            eprintln!("cannot read results file (path={path}, error={e})");
             return ExitCode::FAILURE;
         }
     };
-    let values = match gates::report_values(&payload, "ext-scaling") {
-        Ok(values) => values,
-        Err(e) => {
-            eprintln!("{e} (path={path})");
-            return ExitCode::FAILURE;
-        }
+    let Some(values) = payload["reports"]
+        .as_array()
+        .into_iter()
+        .flatten()
+        .find(|r| r["id"] == "ext-scaling")
+        .map(|r| &r["values"])
+    else {
+        eprintln!("no ext-scaling report in results file (path={path})");
+        return ExitCode::FAILURE;
     };
     let seed = values["seed"].as_u64().unwrap_or(0);
     let mut rungs = Vec::new();
@@ -949,25 +893,23 @@ fn verify(args: &Args, telemetry: &Telemetry) -> ExitCode {
 }
 
 /// `study check-kernel`: the stage-1 kernel parity producer — every coded
-/// entry at the lane width, bitwise kernel ≡ scalar scores plus exact
-/// hamming_ops agreement on an enrolled gallery, and identical RUNFP
-/// chains across unsharded and (with --remote-shards) cross-process
-/// execution.
+/// entry at the lane width, and bitwise kernel ≡ scalar scores plus exact
+/// hamming_ops agreement on an enrolled gallery.
 fn check_kernel(args: &Args, telemetry: &Telemetry) -> ExitCode {
     let config = config_from(args, Some(20));
-    let report = check_kernel::run_check(&config, args.remote_shards);
+    let report = check_kernel::run_check(&config);
     emit(args, telemetry, &config, &[report])
 }
 
 /// `study check-store`: the persistent-store parity producer — open /
-/// (with --remote-shards 1) serve-from-store with a kill+restart / churn /
-/// compact, each byte-identical to fresh enrollment.
+/// serve-from-store with a kill+restart / churn / compact, each
+/// byte-identical to fresh enrollment.
 /// The gallery directory is left behind (compacted) as an inspectable
 /// artifact.
 fn check_store(args: &Args, telemetry: &Telemetry) -> ExitCode {
     let config = config_from(args, Some(20));
     let dir = args.gallery_dir.as_deref().expect("required by parse_args");
-    let report = check_store::run_check(&config, args.remote_shards, std::path::Path::new(dir));
+    let report = check_store::run_check(&config, std::path::Path::new(dir));
     emit(args, telemetry, &config, &[report])
 }
 
@@ -979,7 +921,7 @@ fn check_store(args: &Args, telemetry: &Telemetry) -> ExitCode {
 /// flight recorder (which stays off).
 fn check_dist_trace(args: &Args, telemetry: &Telemetry) -> ExitCode {
     let config = config_from(args, Some(16));
-    let outcome = dist_trace::run_check(&config, args.remote_shards, args.delay_ms.unwrap_or(25));
+    let outcome = dist_trace::run_check(&config, args.delay_ms.unwrap_or(25));
     if let Some(path) = &args.trace {
         let mut pids: Vec<u64> = outcome.merged.spans.iter().map(|s| s.pid).collect();
         pids.sort_unstable();
@@ -1025,7 +967,7 @@ fn load(args: &Args, telemetry: &Telemetry) -> ExitCode {
         .slowlog
         .as_ref()
         .map(|_| std::sync::Arc::new(fp_serve::SlowLog::running_p99(telemetry)));
-    let report = ext_load::run(&config, args.remote_shards, telemetry, slowlog.clone());
+    let report = ext_load::run(&config, telemetry, slowlog.clone());
     if let (Some(path), Some(slowlog)) = (&args.slowlog, &slowlog) {
         let what = format!("{} slow-query exemplars", slowlog.entries().len());
         if let Err(code) = write_text(path, &slowlog.to_jsonl(), &what) {

@@ -55,9 +55,11 @@ if [ -n "$lock_drift" ] && [ "$lock_drift" != '- "fp-image",' ]; then
 fi
 # Smoke gates: every row of the gate table
 # (crates/fp-study/src/bin/study/gates.rs, tabulated in DESIGN.md "Gates") —
-# producer at its pinned smoke scale, checker, artifacts under target/gates.
-# The runner enforces and reports each row's own wall-clock budget; the
-# outer timeout only guards against a hang.
+# producer lines at their pinned smoke scale, each failing its own run on a
+# broken verdict; results JSON, metrics, merged trace, slow log, RUNFP
+# manifest and the store gallery land under target/gates. The runner
+# enforces and reports the rows' wall-clock budget; the outer timeout only
+# guards against a hang.
 run timeout 5400 cargo run -q --release --offline -p fp-study --bin study -- gate
 # Perf gate: the one micro suite (what the end-to-end benchmark cannot
 # see; ~10 s), diffed row by row against the committed baseline. Every
