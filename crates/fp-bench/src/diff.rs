@@ -17,10 +17,10 @@
 //! threshold, or a baseline taken during a burst could let the bench
 //! double unnoticed.
 
-use serde::Deserialize;
+use serde_json::Value;
 
 /// A `BENCH_*.json` file as written by the bench harness's `--save`.
-#[derive(Debug, Clone, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BenchSnapshot {
     /// Schema version; only version 1 is understood.
     pub version: u32,
@@ -32,7 +32,7 @@ pub struct BenchSnapshot {
 }
 
 /// One benchmark's measurements within a snapshot.
-#[derive(Debug, Clone, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BenchEntry {
     /// Full bench name (`group/bench`).
     pub bench: String,
@@ -45,18 +45,44 @@ pub struct BenchEntry {
 }
 
 impl BenchSnapshot {
-    /// Parses a snapshot from JSON, rejecting unknown schema versions.
+    /// Parses a snapshot from JSON, rejecting unknown schema versions. A
+    /// field that is missing or of another type is an error naming it.
     pub fn from_json(raw: &str) -> Result<BenchSnapshot, String> {
-        let snapshot: BenchSnapshot =
-            serde_json::from_str(raw).map_err(|e| format!("invalid snapshot JSON: {e}"))?;
-        if snapshot.version != 1 {
+        let json = serde_json::from_str(raw).map_err(|e| format!("invalid snapshot JSON: {e}"))?;
+        let version = field(&json, "version", Value::as_u64)?;
+        if version != 1 {
             return Err(format!(
-                "unsupported snapshot version {} (expected 1)",
-                snapshot.version
+                "unsupported snapshot version {version} (expected 1)"
             ));
         }
-        Ok(snapshot)
+        let benches = field(&json, "benches", Value::as_array)?
+            .iter()
+            .map(|entry| {
+                Ok(BenchEntry {
+                    bench: field(entry, "bench", Value::as_str)?.to_string(),
+                    median_ns: field(entry, "median_ns", Value::as_f64)?,
+                    p95_ns: field(entry, "p95_ns", Value::as_f64)?,
+                    iters: field(entry, "iters", Value::as_u64)?,
+                })
+            })
+            .collect::<Result<_, String>>()?;
+        Ok(BenchSnapshot {
+            version: 1,
+            host: field(&json, "host", Value::as_str)?.to_string(),
+            benches,
+        })
     }
+}
+
+/// `json[name]` as `read` takes it, or an error naming the field.
+fn field<'a, T>(
+    json: &'a Value,
+    name: &str,
+    read: impl Fn(&'a Value) -> Option<T>,
+) -> Result<T, String> {
+    json.get(name)
+        .and_then(read)
+        .ok_or_else(|| format!("invalid snapshot JSON: field `{name}` is missing or mistyped"))
 }
 
 /// How one bench moved between two snapshots.
@@ -344,5 +370,32 @@ mod tests {
         assert_eq!(snap.benches[0].bench, "telemetry/span");
         assert!(BenchSnapshot::from_json(r#"{"version": 2, "host": "x", "benches": []}"#).is_err());
         assert!(BenchSnapshot::from_json("not json").is_err());
+        let with = |entry: &str| format!(r#"{{"version": 1, "host": "x", "benches": [{entry}]}}"#);
+        for (raw, named) in [
+            (r#"{"host": "x", "benches": []}"#.to_string(), "version"),
+            (
+                r#"{"version": 1, "host": 7, "benches": []}"#.to_string(),
+                "host",
+            ),
+            (r#"{"version": 1, "host": "x"}"#.to_string(), "benches"),
+            (
+                with(r#"{"median_ns": 1, "p95_ns": 2, "iters": 3}"#),
+                "bench",
+            ),
+            (
+                with(r#"{"bench": "b", "median_ns": 1, "p95_ns": "2", "iters": 3}"#),
+                "p95_ns",
+            ),
+            (
+                with(r#"{"bench": "b", "median_ns": 1, "p95_ns": 2, "iters": -3}"#),
+                "iters",
+            ),
+        ] {
+            let err = BenchSnapshot::from_json(&raw).expect_err(&raw);
+            assert!(err.contains(&format!("field `{named}`")), "{raw}: {err}");
+        }
+        let raw = with(r#"{"bench": "b", "median_ns": 1, "p95_ns": 2.5, "iters": 3}"#);
+        let snap = BenchSnapshot::from_json(&raw).expect("an integer median reads as f64");
+        assert_eq!((snap.benches[0].median_ns, snap.benches[0].iters), (1.0, 3));
     }
 }

@@ -44,12 +44,6 @@ pub fn truncated_normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, sd: f64, lo: f6
     normal(rng, mean, sd).clamp(lo, hi)
 }
 
-/// Samples a log-normal deviate with the given parameters of the underlying
-/// normal.
-pub fn log_normal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
-    normal(rng, mu, sigma).exp()
-}
-
 /// Samples from the von Mises distribution `VM(mu, kappa)` on `(-pi, pi]`
 /// using the Best–Fisher (1979) rejection algorithm.
 ///

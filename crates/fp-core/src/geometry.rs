@@ -11,12 +11,10 @@ use std::f64::consts::PI;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 const TAU: f64 = 2.0 * PI;
 
 /// A point in the finger-centred plane, in millimetres.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
     /// Horizontal coordinate (mm), `+x` toward the right edge of the finger.
     pub x: f64,
@@ -72,7 +70,7 @@ impl Point {
 }
 
 /// A displacement between two [`Point`]s, in millimetres.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vector {
     /// Horizontal component (mm).
     pub x: f64,
@@ -98,11 +96,6 @@ impl Vector {
     /// Euclidean length in millimetres.
     pub fn norm(&self) -> f64 {
         self.x.hypot(self.y)
-    }
-
-    /// Dot product.
-    pub fn dot(&self, other: &Vector) -> f64 {
-        self.x * other.x + self.y * other.y
     }
 
     /// 2-D cross product (z-component of the 3-D cross product).
@@ -225,7 +218,7 @@ fn wrap_orientation(radians: f64) -> f64 {
 ///
 /// Use for minutia directions and any quantity where "this way" differs from
 /// "the opposite way". Arithmetic wraps around the circle.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Direction(f64);
 
 impl Direction {
@@ -235,11 +228,6 @@ impl Direction {
     /// Creates a direction from radians; any finite value is wrapped.
     pub fn from_radians(radians: f64) -> Self {
         Direction(wrap_direction(radians))
-    }
-
-    /// Creates a direction from degrees; any finite value is wrapped.
-    pub fn from_degrees(degrees: f64) -> Self {
-        Direction::from_radians(degrees.to_radians())
     }
 
     /// Reconstructs a direction from an already-canonical radian value —
@@ -320,7 +308,7 @@ impl fmt::Display for Direction {
 ///
 /// Ridge flow has no arrow: flowing "northeast" and "southwest" are the same
 /// orientation. Angular differences therefore live in `[0, pi/2]`.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Orientation(f64);
 
 impl Orientation {
@@ -343,12 +331,6 @@ impl Orientation {
     pub fn separation(&self, other: Orientation) -> f64 {
         let d = (self.0 - other.0).abs();
         d.min(PI - d)
-    }
-
-    /// Lifts to a [`Direction`] pointing along the orientation (the
-    /// representative in `[0, pi)`).
-    pub fn to_direction(&self) -> Direction {
-        Direction::from_radians(self.0)
     }
 
     /// Rotates by `radians` (wrapping on the half-circle).
@@ -405,7 +387,7 @@ impl fmt::Display for Orientation {
 
 /// An axis-aligned rectangle in millimetres, used for capture windows and
 /// finger extents.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rect {
     min: Point,
     max: Point,
@@ -501,26 +483,13 @@ impl Rect {
             max: Point::new(self.max.x.max(other.max.x), self.max.y.max(other.max.y)),
         }
     }
-
-    /// Shrinks the rectangle by `margin` on every side; `None` if the result
-    /// would be degenerate.
-    pub fn shrunk(&self, margin: f64) -> Option<Rect> {
-        let m = Vector::new(margin, margin);
-        let min = self.min + m;
-        let max = self.max - m;
-        if min.x < max.x && min.y < max.y {
-            Some(Rect { min, max })
-        } else {
-            None
-        }
-    }
 }
 
 /// A rigid motion of the plane: rotation about the origin followed by a
 /// translation.
 ///
 /// Used to model finger placement on a platen and to test matcher invariance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RigidMotion {
     rotation: Direction,
     translation: Vector,
@@ -555,11 +524,6 @@ impl RigidMotion {
     /// The rotation component.
     pub fn rotation_part(&self) -> Direction {
         self.rotation
-    }
-
-    /// The translation component.
-    pub fn translation_part(&self) -> Vector {
-        self.translation
     }
 
     /// Applies the motion to a point.

@@ -5,12 +5,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A study participant. The DSN'13 study had 494 of these.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SubjectId(pub u32);
 
 impl fmt::Display for SubjectId {
@@ -20,7 +16,7 @@ impl fmt::Display for SubjectId {
 }
 
 /// Which hand a finger belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Hand {
     /// The left hand.
     Left,
@@ -29,7 +25,7 @@ pub enum Hand {
 }
 
 /// A digit on a hand, thumb through little finger.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Digit {
     /// The thumb.
     Thumb,
@@ -56,7 +52,7 @@ impl Digit {
 }
 
 /// A specific finger of a specific hand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Finger {
     /// The hand.
     pub hand: Hand,
@@ -122,9 +118,7 @@ impl fmt::Display for Finger {
 
 /// A capture session. The study protocol captured two sets per device per
 /// participant; we call these sessions 0 and 1.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SessionId(pub u8);
 
 impl fmt::Display for SessionId {
@@ -135,9 +129,7 @@ impl fmt::Display for SessionId {
 
 /// A capture device, indexed as in the paper's Table 1: `D0..D3` are optical
 /// live-scan sensors, `D4` is the flat-bed-scanned ink ten-print card.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct DeviceId(pub u8);
 
 impl DeviceId {

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::template::Template;
 
 /// A similarity score between two templates.
@@ -11,7 +9,7 @@ use crate::template::Template;
 /// Higher means more similar. The study calibrates scores onto the scale used
 /// by the paper's commercial matcher, where impostor comparisons essentially
 /// never exceed 7 and genuine scores below 10 are considered "low".
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct MatchScore(f64);
 
 impl MatchScore {

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::geometry::{Direction, Point, RigidMotion};
 
 /// The type of a minutia point.
@@ -12,7 +10,7 @@ use crate::geometry::{Direction, Point, RigidMotion};
 /// crossovers); matchers — including NIST's Bozorth3 and the commercial SDK
 /// used in the paper — collapse them to endings and bifurcations, so we model
 /// exactly those.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MinutiaKind {
     /// A ridge terminates.
     RidgeEnding,
@@ -36,7 +34,7 @@ impl fmt::Display for MinutiaKind {
 
 /// A single minutia: position, direction of the ridge flow at the point, the
 /// feature kind, and an extraction-reliability estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Minutia {
     /// Position in finger-centred millimetres.
     pub pos: Point,

@@ -1,7 +1,5 @@
 //! Minutiae templates — the unit of enrollment and verification.
 
-use serde::{Deserialize, Serialize};
-
 use crate::geometry::{Point, Rect, RigidMotion};
 use crate::minutia::Minutia;
 use crate::{Error, Result};
@@ -16,7 +14,7 @@ pub const MAX_MINUTIAE: usize = 512;
 ///
 /// Templates are immutable after construction; use [`Template::builder`] or
 /// [`Template::from_minutiae`] to create them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Template {
     minutiae: Vec<Minutia>,
     resolution_dpi: f64,

@@ -2,7 +2,6 @@
 
 use fp_core::codec::{Dec, DecodeError, Enc};
 use fp_telemetry::{FingerprintChain, Fingerprinted};
-use serde::{Deserialize, Serialize};
 
 /// Tuning parameters for [`CandidateIndex`](crate::CandidateIndex).
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// re-ranking only a small, bounded slice of the gallery — including the
 /// hostile card-scan probe device, whose impressions carry ~2.5x more
 /// (mostly spurious) minutiae than their live-scan gallery mates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IndexConfig {
     /// Number of shortlisted candidates re-ranked exactly per search.
     /// `shortlist >= gallery size` degenerates to brute force (useful for

@@ -11,7 +11,7 @@
 //! thresholds — and every rank statistic (Kendall τ) — are invariant; only
 //! the axis labels move.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use fp_core::template::Template;
 use fp_core::{MatchScore, Matcher};
@@ -19,7 +19,7 @@ use fp_core::{MatchScore, Matcher};
 use crate::PreparableMatcher;
 
 /// A monotone map from raw matcher scores to the paper's score scale.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ScoreCalibration {
     /// Raw score mapped to the impostor ceiling (paper scale 7).
     pub raw_impostor_ceiling: f64,

@@ -13,8 +13,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use fp_core::geometry::{Direction, RigidMotion, Vector};
 use fp_core::template::Template;
 use fp_core::{MatchScore, Matcher};
@@ -22,7 +20,7 @@ use fp_core::{MatchScore, Matcher};
 use crate::PreparableMatcher;
 
 /// Tuning parameters for [`HoughMatcher`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HoughConfig {
     /// Rotation quantization step (radians) of the vote space.
     pub rotation_step: f64,

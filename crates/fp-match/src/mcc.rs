@@ -15,15 +15,13 @@
 //! alignment), which is exactly what the paper's "diverse matchers"
 //! future-work question needs.
 
-use serde::{Deserialize, Serialize};
-
 use fp_core::template::Template;
 use fp_core::{MatchScore, Matcher};
 
 use crate::PreparableMatcher;
 
 /// Tuning parameters for [`MccMatcher`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MccConfig {
     /// Cylinder radius (mm): how far neighbours contribute.
     pub radius: f64,

@@ -131,8 +131,6 @@
 
 use std::f64::consts::{PI, TAU};
 
-use serde::{Deserialize, Serialize};
-
 use fp_core::geometry::Direction;
 use fp_core::minutia::MinutiaKind;
 use fp_core::template::Template;
@@ -141,7 +139,7 @@ use fp_core::{MatchScore, Matcher};
 use crate::PreparableMatcher;
 
 /// Tuning parameters for [`PairTableMatcher`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PairTableConfig {
     /// Ignore minutiae pairs closer than this (mm); very short pairs carry
     /// almost no relative-angle information.

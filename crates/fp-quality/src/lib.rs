@@ -32,10 +32,9 @@
 use std::fmt;
 
 use fp_sensor::{Impression, ImpressionFeatures};
-use serde::{Deserialize, Serialize};
 
 /// The five NFIQ quality levels. Lower is better, as in NIST's tool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum NfiqLevel {
     /// Level 1: excellent.
     Excellent = 1,
@@ -93,7 +92,7 @@ impl fmt::Display for NfiqLevel {
 /// Weights of the quality-defect features. All weights multiply a defect in
 /// `[0, 1]`, so the weighted sum is a non-negative "defect score" that the
 /// level thresholds cut into five bands.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QualityWeights {
     /// Weight of `1 - clarity` (ridge/valley contrast defects).
     pub clarity: f64,

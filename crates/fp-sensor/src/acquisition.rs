@@ -28,13 +28,12 @@ use fp_core::rng::SeedTree;
 use fp_core::template::{Template, MAX_MINUTIAE};
 use fp_synth::master::MasterPrint;
 use fp_synth::population::SkinProfile;
-use serde::{Deserialize, Serialize};
 
 use crate::condition::CaptureCondition;
 use crate::device::Device;
 
 /// Quality-relevant features of an impression, consumed by `fp-quality`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ImpressionFeatures {
     /// Number of minutiae that survived capture.
     pub minutia_count: usize,

@@ -11,10 +11,9 @@ use rand::Rng;
 
 use fp_core::dist;
 use fp_synth::population::SkinProfile;
-use serde::{Deserialize, Serialize};
 
 /// The condition of one finger presentation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CaptureCondition {
     /// Skin moisture in `[0, 1]`; 0.5 is ideal, low = dry (broken ridges),
     /// high = wet (bridged valleys).

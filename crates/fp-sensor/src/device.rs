@@ -1,14 +1,12 @@
 //! The five capture devices of the study (paper Table 1).
 
-use serde::{Deserialize, Serialize};
-
 use fp_core::geometry::{Point, Rect};
 use fp_core::ids::DeviceId;
 
 use crate::distortion::DistortionSignature;
 
 /// The sensing technology family of a device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SensingTechnology {
     /// Optical frustrated-total-internal-reflection live scan (glass platen,
     /// laser source, CCD/CMOS camera) — D0 through D3.
@@ -28,7 +26,7 @@ pub enum SensingTechnology {
 }
 
 /// Stochastic imperfection parameters of a device's capture chain.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseProfile {
     /// Standard deviation (mm) of minutia position jitter.
     pub position_jitter: f64,
@@ -54,7 +52,7 @@ pub struct NoiseProfile {
 
 /// A capture device: identity, paper Table 1 characteristics, distortion
 /// signature, and noise profile.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Device {
     /// Stable identifier (D0..D4).
     pub id: DeviceId,

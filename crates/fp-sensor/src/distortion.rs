@@ -8,8 +8,6 @@
 //! cannot undo the first-order *difference* between two devices' warps
 //! (Ross & Nadgir model this same residual with thin-plate splines).
 
-use serde::{Deserialize, Serialize};
-
 use fp_core::geometry::{Point, Vector};
 
 /// A fixed smooth nonlinear warp of platen coordinates.
@@ -23,7 +21,7 @@ use fp_core::geometry::{Point, Vector};
 ///      + wave_amp * (sin(f*q.y + phase), cos(f*q.x + phase))  // flatness ripple
 ///      + (roll_stretch * q.x, 0)                     // ink roll stretch
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DistortionSignature {
     /// Global scale factor (1.0 = perfectly calibrated dpi).
     pub scale: f64,

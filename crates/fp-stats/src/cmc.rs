@@ -7,8 +7,6 @@
 //! reports, for each rank `k`, the probability that the searched person's
 //! enrolled template appears among the top `k` candidates.
 
-use serde::{Deserialize, Serialize};
-
 /// Rank of the genuine candidate among all candidates, 1-based: one plus
 /// the number of impostor scores strictly greater than the genuine score
 /// (ties resolved pessimistically — tied impostors rank ahead).
@@ -17,7 +15,7 @@ pub fn genuine_rank(genuine: f64, impostors: &[f64]) -> usize {
 }
 
 /// A closed-set identification CMC curve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CmcCurve {
     /// `hits[k-1]` = number of probes whose genuine rank is `<= k`.
     hits: Vec<usize>,

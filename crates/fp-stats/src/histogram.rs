@@ -1,7 +1,5 @@
 //! Fixed-bin histograms for score-distribution figures.
 
-use serde::{Deserialize, Serialize};
-
 /// A histogram over `[lo, hi)` with uniform bins plus an overflow bin for
 /// values `≥ hi`. Values below `lo` are clamped into the first bin (the
 /// score distributions this is used for are non-negative by construction).
@@ -13,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(h.count(0), 2);   // two scores in [0, 1)
 /// assert_eq!(h.overflow(), 1); // 11.0 is beyond the range
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

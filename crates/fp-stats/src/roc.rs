@@ -9,8 +9,6 @@
 //!
 //! and both are monotone in `t` (FMR non-increasing, FNMR non-decreasing).
 
-use serde::{Deserialize, Serialize};
-
 /// A labelled set of genuine and impostor similarity scores.
 ///
 /// ```
@@ -23,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// let (eer, _threshold) = set.eer();
 /// assert_eq!(eer, 0.0); // the sets are separable
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScoreSet {
     genuine: Vec<f64>,
     impostor: Vec<f64>,

@@ -41,11 +41,6 @@ impl Summary {
             max,
         })
     }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance.sqrt()
-    }
 }
 
 /// Linearly interpolated quantile (type-7, the numpy/R default) of an

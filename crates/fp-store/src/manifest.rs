@@ -51,7 +51,7 @@ pub fn check_manifest(bytes: &[u8]) -> Result<(), StoreError> {
 }
 
 /// One live segment as the manifest records it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentMeta {
     /// Monotonic segment sequence number (also its file name).
     pub seq: u32,

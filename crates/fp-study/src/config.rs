@@ -1,7 +1,7 @@
 //! Study configuration.
 
 use fp_match::ScoreCalibration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Number of devices (paper Table 1).
 pub const DEVICE_COUNT: usize = 5;
@@ -16,7 +16,7 @@ pub const PAPER_SUBJECTS: usize = 494;
 pub const PAPER_IMPOSTORS_PER_CELL: usize = 24_171;
 
 /// Configuration of a study run. Construct via [`StudyConfig::builder`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct StudyConfig {
     /// Root seed; every artifact of the study is a pure function of it.
     pub seed: u64,

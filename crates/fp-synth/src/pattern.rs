@@ -3,11 +3,10 @@
 use std::fmt;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The five Henry pattern classes used by essentially all fingerprint
 /// taxonomies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PatternClass {
     /// Plain arch: ridges enter one side, rise, exit the other. No singular
     /// points.

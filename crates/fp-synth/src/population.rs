@@ -9,12 +9,11 @@
 use fp_core::dist;
 use fp_core::ids::{Finger, SubjectId};
 use fp_core::rng::SeedTree;
-use serde::{Deserialize, Serialize};
 
 use crate::master::MasterPrint;
 
 /// Age bands reported in the paper's Figure 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AgeGroup {
     /// Younger than 20.
     Under20,
@@ -71,7 +70,7 @@ impl AgeGroup {
 }
 
 /// Ethnicity groups reported in the paper's Figure 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Ethnicity {
     /// Caucasian — 57.2% of the cohort per the paper.
     Caucasian,
@@ -117,7 +116,7 @@ impl Ethnicity {
 
 /// Stable physiological skin traits of a subject (session-level variation is
 /// layered on top by `fp-sensor`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SkinProfile {
     /// Baseline skin moisture in `[0, 1]`; 0.5 is ideal for optical capture,
     /// low values mean dry skin (broken ridges), high values mean sweaty
@@ -218,7 +217,7 @@ impl Subject {
 }
 
 /// Configuration for cohort generation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PopulationConfig {
     /// Root seed for the whole cohort.
     pub seed: u64,

@@ -160,29 +160,6 @@ pub struct HistogramSnapshot {
     pub p999: u64,
 }
 
-impl serde::Deserialize for HistogramSnapshot {
-    fn from_content(content: &serde::Content) -> Result<HistogramSnapshot, serde::DeError> {
-        // `p99`/`p999` default to 0 when parsing snapshots written before
-        // the fields existed (the vendored derive has no `#[serde(default)]`).
-        let tail = |name: &str| -> Result<u64, serde::DeError> {
-            match content.field(name) {
-                Ok(v) => serde::Deserialize::from_content(v),
-                Err(_) => Ok(0),
-            }
-        };
-        Ok(HistogramSnapshot {
-            count: serde::Deserialize::from_content(content.field("count")?)?,
-            sum: serde::Deserialize::from_content(content.field("sum")?)?,
-            min: serde::Deserialize::from_content(content.field("min")?)?,
-            max: serde::Deserialize::from_content(content.field("max")?)?,
-            p50: serde::Deserialize::from_content(content.field("p50")?)?,
-            p95: serde::Deserialize::from_content(content.field("p95")?)?,
-            p99: tail("p99")?,
-            p999: tail("p999")?,
-        })
-    }
-}
-
 impl HistogramSnapshot {
     /// Mean of the recorded values (0.0 when empty).
     pub fn mean(&self) -> f64 {

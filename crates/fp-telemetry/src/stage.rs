@@ -2,12 +2,12 @@
 
 use std::time::{Duration, Instant};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::Telemetry;
 
 /// One worker thread's share of a parallel stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ThreadStats {
     /// Worker index within the stage.
     pub thread: usize,
@@ -21,7 +21,7 @@ pub struct ThreadStats {
 }
 
 /// A parallel stage: wall time plus each worker's items and busy time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StageStats {
     /// Stage name (e.g. `"scores.genuine"`).
     pub stage: String,
@@ -31,16 +31,6 @@ pub struct StageStats {
     pub wall_ns: u64,
     /// Per-worker statistics, in worker order.
     pub threads: Vec<ThreadStats>,
-}
-
-impl StageStats {
-    /// Mean worker utilization (0.0 for a stage with no workers).
-    pub fn mean_utilization(&self) -> f64 {
-        if self.threads.is_empty() {
-            return 0.0;
-        }
-        self.threads.iter().map(|t| t.utilization).sum::<f64>() / self.threads.len() as f64
-    }
 }
 
 /// Collects one stage's statistics; workers record into their own

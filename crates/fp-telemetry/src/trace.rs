@@ -41,8 +41,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
-
 use crate::event::EventRecord;
 use crate::span;
 use crate::Telemetry;
@@ -65,7 +63,7 @@ pub(crate) fn thread_lane() -> u64 {
 }
 
 /// One finished span, as stored in the flight recorder.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
     /// Unique id within this telemetry handle (creation order).
     pub id: u64,
@@ -327,7 +325,7 @@ impl Telemetry {
 
 /// Everything the flight recorder retained: spans sorted by
 /// (thread, start), events sorted by time, and drop counts.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceSnapshot {
     /// Finished spans, sorted by (thread, start_ns, id).
     pub spans: Vec<SpanRecord>,
@@ -340,7 +338,7 @@ pub struct TraceSnapshot {
 }
 
 /// Aggregated timing of one span name across the trace.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SelfTime {
     /// Spans with this name.
     pub count: u64,
