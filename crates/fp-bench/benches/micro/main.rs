@@ -19,7 +19,8 @@
 //! group in well under a minute; `bench-diff` compares the snapshot with
 //! `BENCH_baseline.json`.
 
-use criterion::{criterion_group, criterion_main};
+use std::process::ExitCode;
+
 use fp_core::rng::SeedTree;
 use fp_study::experiments::harness::Cohort;
 
@@ -35,12 +36,12 @@ fn cohort(size: usize) -> Cohort {
     Cohort::new(SeedTree::new(0xBE7C).child(&[0x5A]), size, 1)
 }
 
-criterion_group!(
-    micro,
-    telemetry::benches,
-    stage1::benches,
-    wire::benches,
-    trace::benches,
-    matchers::benches
-);
-criterion_main!(micro);
+fn main() -> ExitCode {
+    fp_bench::harness::run(&[
+        telemetry::benches,
+        stage1::benches,
+        wire::benches,
+        trace::benches,
+        matchers::benches,
+    ])
+}

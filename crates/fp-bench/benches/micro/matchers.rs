@@ -3,7 +3,7 @@
 //! Kayaoglu et al. (PAPERS.md) report them. The benchmark's `match.*`
 //! metrics time the pair-table matcher only, inside `study_matrix`.
 
-use criterion::Criterion;
+use fp_bench::harness::Harness;
 use std::hint::black_box;
 
 use fp_core::ids::{DeviceId, Finger, SessionId};
@@ -40,7 +40,7 @@ fn matcher_fixtures() -> (Template, Template, Template, Template) {
     )
 }
 
-pub fn benches(c: &mut Criterion) {
+pub fn benches(c: &mut Harness) {
     let (gallery, probe, impostor, ink_probe) = matcher_fixtures();
 
     let mut group = c.benchmark_group("pair_table");
@@ -67,7 +67,6 @@ pub fn benches(c: &mut Criterion) {
     group.bench_function("genuine_prepared_d4", |b| {
         b.iter(|| black_box(matcher.compare_prepared(black_box(&pg), black_box(&pd4))))
     });
-    group.finish();
 
     let mut group = c.benchmark_group("hough");
     let hough = HoughMatcher::default();
@@ -77,12 +76,10 @@ pub fn benches(c: &mut Criterion) {
     group.bench_function("impostor", |b| {
         b.iter(|| black_box(hough.compare(black_box(&gallery), black_box(&impostor))))
     });
-    group.finish();
 
     let mut group = c.benchmark_group("calibration");
     let calibrated = ScoreCalibration::default().wrap(PairTableMatcher::default());
     group.bench_function("calibrated_genuine", |b| {
         b.iter(|| black_box(calibrated.compare(black_box(&gallery), black_box(&probe))))
     });
-    group.finish();
 }

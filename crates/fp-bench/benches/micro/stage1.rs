@@ -8,13 +8,13 @@
 //! kernel's quick check; the 10k rung, where the arena outgrows L2, is the
 //! benchmark's `identify_10k` (`index.stage1_codes_ms`).
 
-use criterion::Criterion;
+use fp_bench::harness::Harness;
 use std::hint::black_box;
 
 use fp_index::{CandidateIndex, IndexConfig};
 use fp_match::PairTableMatcher;
 
-pub fn benches(c: &mut Criterion) {
+pub fn benches(c: &mut Harness) {
     let cohort = crate::cohort(2_000);
     let probe = cohort.probe(0).1;
     let mut index = CandidateIndex::with_config(
@@ -29,5 +29,4 @@ pub fn benches(c: &mut Criterion) {
     group.bench_function("reference_2k", |b| {
         b.iter(|| black_box(index.stage1_cylinder_scores_reference(black_box(&probe))))
     });
-    group.finish();
 }

@@ -2,14 +2,14 @@
 //! (no clock reads, no allocation), and the enabled ones only a relaxed
 //! atomic or a clock read — cheap against a ~1 ms template comparison.
 
-use criterion::Criterion;
+use fp_bench::harness::Harness;
 use std::hint::black_box;
 
 use fp_core::MatchScore;
 use fp_index::{Candidate, IndexConfig, SearchResult};
 use fp_telemetry::{RunFingerprint, Telemetry};
 
-pub fn benches(c: &mut Criterion) {
+pub fn benches(c: &mut Harness) {
     let disabled = Telemetry::disabled();
     let enabled = Telemetry::enabled();
 
@@ -18,14 +18,12 @@ pub fn benches(c: &mut Criterion) {
     let on = enabled.counter("bench.counter");
     group.bench_function("disabled_add", |b| b.iter(|| off.add(black_box(3))));
     group.bench_function("enabled_add", |b| b.iter(|| on.add(black_box(3))));
-    group.finish();
 
     let mut group = c.benchmark_group("value_histogram");
     let off = disabled.value("bench.value");
     let on = enabled.value("bench.value");
     group.bench_function("disabled_record", |b| b.iter(|| off.record(black_box(42))));
     group.bench_function("enabled_record", |b| b.iter(|| on.record(black_box(42))));
-    group.finish();
 
     let mut group = c.benchmark_group("span");
     group.bench_function("disabled", |b| {
@@ -38,7 +36,6 @@ pub fn benches(c: &mut Criterion) {
             let _span = enabled.span(black_box("bench.span"));
         })
     });
-    group.finish();
 
     // RUNFP cost: what every search pays to maintain the run fingerprint.
     // `fold_shortlist48` is one full per-search chain (a default-shortlist
@@ -66,7 +63,6 @@ pub fn benches(c: &mut Criterion) {
     group.bench_function("record_shortlist48", |b| {
         b.iter(|| black_box(runfp.record_item(black_box(&result))))
     });
-    group.finish();
 
     // End to end: the whole pipeline with and without instrumentation. The
     // two must be within noise of each other when telemetry is disabled.
@@ -88,5 +84,4 @@ pub fn benches(c: &mut Criterion) {
             black_box(StudyData::generate_with(black_box(&config), &telemetry))
         })
     });
-    group.finish();
 }

@@ -5,7 +5,7 @@
 //! hot path and the trace-collection epilogue — so they live in the
 //! committed baseline next to the `wire_*` groups they tax.
 
-use criterion::Criterion;
+use fp_bench::harness::Harness;
 use std::hint::black_box;
 
 use fp_serve::{decode_frame, encode_frame, Frame, TraceContext};
@@ -78,7 +78,7 @@ fn local_snapshot(requests: u64) -> TraceSnapshot {
     }
 }
 
-pub fn benches(c: &mut Criterion) {
+pub fn benches(c: &mut Harness) {
     let frame = traced_stage1();
     let bytes = encode_frame(&frame);
     let mut group = c.benchmark_group("serve");
@@ -88,7 +88,6 @@ pub fn benches(c: &mut Criterion) {
             black_box(decode_frame(black_box(&encoded)).expect("valid frame"))
         })
     });
-    group.finish();
     assert!(bytes.len() > 18, "traced frame carries the context section");
 
     const REQUESTS: u64 = 200;
@@ -102,5 +101,4 @@ pub fn benches(c: &mut Criterion) {
             black_box(n)
         })
     });
-    group.finish();
 }

@@ -7,7 +7,7 @@
 //! one shard's `StageOneOk` from its traced pass and bounds none of it;
 //! these rows are the gate, one pair per frame kind.
 
-use criterion::Criterion;
+use fp_bench::harness::Harness;
 use std::hint::black_box;
 
 use fp_index::{IndexConfig, StageOneScores};
@@ -47,7 +47,7 @@ fn rerank_ok_frame(entries: usize) -> Frame {
     }
 }
 
-pub fn benches(c: &mut Criterion) {
+pub fn benches(c: &mut Harness) {
     for (name, frame) in [
         ("stage1_ok_2000", stage1_frame(2_000)),
         ("enroll_64", enroll_frame(64)),
@@ -62,6 +62,5 @@ pub fn benches(c: &mut Criterion) {
         group.bench_function("decode", |b| {
             b.iter(|| black_box(decode_frame(black_box(&bytes)).expect("valid frame")))
         });
-        group.finish();
     }
 }

@@ -1,7 +1,9 @@
 //! Comparing `BENCH_*.json` performance snapshots.
 //!
-//! A snapshot is what the bench harness writes under `--save`: a versioned
-//! record of `{bench, median_ns, p95_ns, iters}` per benchmark. [`diff`]
+//! A snapshot is what the micro suite writes under `--save`
+//! ([`crate::harness`]): a versioned record of the instrument and of
+//! `{bench, median_ns, p95_ns, iters}` per benchmark, written by
+//! [`BenchSnapshot::to_json`] and read by [`BenchSnapshot::from_json`]. [`diff`]
 //! compares an old (baseline) snapshot against a new one and classifies
 //! every shared bench as regressed, warned, improved, or unchanged.
 //!
@@ -19,7 +21,7 @@
 
 use serde_json::Value;
 
-/// A `BENCH_*.json` file as written by the bench harness's `--save`.
+/// A `BENCH_*.json` file as written by the micro suite's `--save`.
 #[derive(Debug, Clone)]
 pub struct BenchSnapshot {
     /// Schema version; only version 1 is understood.
@@ -27,6 +29,12 @@ pub struct BenchSnapshot {
     /// The machine the snapshot was measured on: `<CPU model> x <cores>`,
     /// or `"unknown"`.
     pub host: String,
+    /// `git describe --always --dirty` of the measured tree, or `"unknown"`.
+    pub commit: String,
+    /// `release` or `debug`.
+    pub profile: String,
+    /// `rustc --version`, or `"unknown"`.
+    pub rustc: String,
     /// One entry per measured benchmark.
     pub benches: Vec<BenchEntry>,
 }
@@ -46,7 +54,9 @@ pub struct BenchEntry {
 
 impl BenchSnapshot {
     /// Parses a snapshot from JSON, rejecting unknown schema versions. A
-    /// field that is missing or of another type is an error naming it.
+    /// field that is missing or of another type is an error naming it, and
+    /// so is a row no harness can measure: a median that is not positive,
+    /// a p95 below the median, no iterations, or a bench named twice.
     pub fn from_json(raw: &str) -> Result<BenchSnapshot, String> {
         let json = serde_json::from_str(raw).map_err(|e| format!("invalid snapshot JSON: {e}"))?;
         let version = field(&json, "version", Value::as_u64)?;
@@ -55,22 +65,70 @@ impl BenchSnapshot {
                 "unsupported snapshot version {version} (expected 1)"
             ));
         }
-        let benches = field(&json, "benches", Value::as_array)?
-            .iter()
-            .map(|entry| {
-                Ok(BenchEntry {
-                    bench: field(entry, "bench", Value::as_str)?.to_string(),
-                    median_ns: field(entry, "median_ns", Value::as_f64)?,
-                    p95_ns: field(entry, "p95_ns", Value::as_f64)?,
-                    iters: field(entry, "iters", Value::as_u64)?,
-                })
-            })
-            .collect::<Result<_, String>>()?;
+        let mut benches: Vec<BenchEntry> = Vec::new();
+        for entry in field(&json, "benches", Value::as_array)? {
+            let entry = BenchEntry {
+                bench: field(entry, "bench", Value::as_str)?.to_string(),
+                median_ns: field(entry, "median_ns", Value::as_f64)?,
+                p95_ns: field(entry, "p95_ns", Value::as_f64)?,
+                iters: field(entry, "iters", Value::as_u64)?,
+            };
+            let impossible = if entry.median_ns <= 0.0 {
+                Some(("median_ns", "is not positive"))
+            } else if entry.p95_ns < entry.median_ns {
+                Some(("p95_ns", "is below the median"))
+            } else if entry.iters == 0 {
+                Some(("iters", "is zero"))
+            } else if benches.iter().any(|b| b.bench == entry.bench) {
+                Some(("bench", "names a bench twice"))
+            } else {
+                None
+            };
+            if let Some((name, why)) = impossible {
+                return Err(format!(
+                    "invalid snapshot JSON: bench `{}`: field `{name}` {why}",
+                    entry.bench
+                ));
+            }
+            benches.push(entry);
+        }
         Ok(BenchSnapshot {
             version: 1,
             host: field(&json, "host", Value::as_str)?.to_string(),
+            commit: field(&json, "commit", Value::as_str)?.to_string(),
+            profile: field(&json, "profile", Value::as_str)?.to_string(),
+            rustc: field(&json, "rustc", Value::as_str)?.to_string(),
             benches,
         })
+    }
+
+    /// The snapshot as pretty JSON, the timings to three decimals: at one,
+    /// a 0.3 ns bench could only move in steps of 33 %.
+    pub fn to_json(&self) -> String {
+        let ns = |v: f64| (v * 1e3).round() / 1e3;
+        let benches: Vec<Value> = self
+            .benches
+            .iter()
+            .map(|b| {
+                serde_json::json!({
+                    "bench": b.bench,
+                    "median_ns": ns(b.median_ns),
+                    "p95_ns": ns(b.p95_ns),
+                    "iters": b.iters,
+                })
+            })
+            .collect();
+        let snapshot = serde_json::json!({
+            "version": self.version,
+            "host": self.host,
+            "commit": self.commit,
+            "profile": self.profile,
+            "rustc": self.rustc,
+            "benches": benches,
+        });
+        let mut out = serde_json::to_string_pretty(&snapshot).expect("a Value prints");
+        out.push('\n');
+        out
     }
 }
 
@@ -172,11 +230,7 @@ pub fn diff(old: &BenchSnapshot, new: &BenchSnapshot) -> DiffReport {
             report.removed.push(entry.bench.clone());
             continue;
         };
-        let change = if entry.median_ns > 0.0 {
-            fresh.median_ns / entry.median_ns - 1.0
-        } else {
-            0.0
-        };
+        let change = fresh.median_ns / entry.median_ns - 1.0;
         let verdict = if !same_host {
             Verdict::OtherHost
         } else if change > FAIL {
@@ -256,6 +310,9 @@ mod tests {
         BenchSnapshot {
             version: 1,
             host: "test".to_string(),
+            commit: "abc1234".to_string(),
+            profile: "release".to_string(),
+            rustc: "rustc 1.95.0".to_string(),
             benches: entries
                 .iter()
                 .map(|(name, median, p95)| BenchEntry {
@@ -360,6 +417,9 @@ mod tests {
         let raw = r#"{
   "version": 1,
   "host": "ci",
+  "commit": "abc1234",
+  "profile": "release",
+  "rustc": "rustc 1.95.0",
   "benches": [
     {"bench": "telemetry/span", "median_ns": 120.5, "p95_ns": 130.1, "iters": 1000}
   ]
@@ -370,7 +430,6 @@ mod tests {
         assert_eq!(snap.benches[0].bench, "telemetry/span");
         assert!(BenchSnapshot::from_json(r#"{"version": 2, "host": "x", "benches": []}"#).is_err());
         assert!(BenchSnapshot::from_json("not json").is_err());
-        let with = |entry: &str| format!(r#"{{"version": 1, "host": "x", "benches": [{entry}]}}"#);
         for (raw, named) in [
             (r#"{"host": "x", "benches": []}"#.to_string(), "version"),
             (
@@ -379,23 +438,83 @@ mod tests {
             ),
             (r#"{"version": 1, "host": "x"}"#.to_string(), "benches"),
             (
-                with(r#"{"median_ns": 1, "p95_ns": 2, "iters": 3}"#),
+                r#"{"version": 1, "host": "x", "profile": "release", "rustc": "r", "benches": []}"#
+                    .to_string(),
+                "commit",
+            ),
+            (
+                with_benches(r#"{"median_ns": 1, "p95_ns": 2, "iters": 3}"#),
                 "bench",
             ),
             (
-                with(r#"{"bench": "b", "median_ns": 1, "p95_ns": "2", "iters": 3}"#),
+                with_benches(r#"{"bench": "b", "median_ns": 1, "p95_ns": "2", "iters": 3}"#),
                 "p95_ns",
             ),
             (
-                with(r#"{"bench": "b", "median_ns": 1, "p95_ns": 2, "iters": -3}"#),
+                with_benches(r#"{"bench": "b", "median_ns": 1, "p95_ns": 2, "iters": -3}"#),
                 "iters",
             ),
         ] {
             let err = BenchSnapshot::from_json(&raw).expect_err(&raw);
             assert!(err.contains(&format!("field `{named}`")), "{raw}: {err}");
         }
-        let raw = with(r#"{"bench": "b", "median_ns": 1, "p95_ns": 2.5, "iters": 3}"#);
+        let raw = with_benches(r#"{"bench": "b", "median_ns": 1, "p95_ns": 2.5, "iters": 3}"#);
         let snap = BenchSnapshot::from_json(&raw).expect("an integer median reads as f64");
         assert_eq!((snap.benches[0].median_ns, snap.benches[0].iters), (1.0, 3));
+    }
+
+    /// A version-1 snapshot whose `benches` array holds `entries`.
+    fn with_benches(entries: &str) -> String {
+        format!(
+            r#"{{"version": 1, "host": "x", "commit": "c", "profile": "release",
+                "rustc": "r", "benches": [{entries}]}}"#
+        )
+    }
+
+    /// `from_json` refuses `entries`, naming the bench `b` and `field`.
+    fn refused(entries: &str, field: &str) {
+        let raw = with_benches(entries);
+        let err = BenchSnapshot::from_json(&raw).expect_err(&raw);
+        assert!(
+            err.contains("bench `b`") && err.contains(&format!("field `{field}`")),
+            "{raw}: {err}"
+        );
+    }
+
+    #[test]
+    fn a_median_that_is_not_positive_is_refused() {
+        refused(
+            r#"{"bench": "b", "median_ns": 0, "p95_ns": 1, "iters": 3}"#,
+            "median_ns",
+        );
+        refused(
+            r#"{"bench": "b", "median_ns": -2.5, "p95_ns": 1, "iters": 3}"#,
+            "median_ns",
+        );
+    }
+
+    #[test]
+    fn a_p95_below_its_median_is_refused() {
+        refused(
+            r#"{"bench": "b", "median_ns": 2, "p95_ns": 1.999, "iters": 3}"#,
+            "p95_ns",
+        );
+    }
+
+    #[test]
+    fn zero_iterations_are_refused() {
+        refused(
+            r#"{"bench": "b", "median_ns": 1, "p95_ns": 1, "iters": 0}"#,
+            "iters",
+        );
+    }
+
+    #[test]
+    fn a_bench_named_twice_is_refused() {
+        refused(
+            r#"{"bench": "b", "median_ns": 1, "p95_ns": 2, "iters": 3},
+               {"bench": "b", "median_ns": 9, "p95_ns": 9, "iters": 3}"#,
+            "bench",
+        );
     }
 }

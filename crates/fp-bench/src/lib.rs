@@ -6,8 +6,11 @@
 //!
 //! * `benches/micro` — the one micro suite (instrument overhead, RUNFP
 //!   folds, wire codec, trace merge, the 2k stage-1 kernel pair and the
-//!   per-matcher comparison rows), run by `cargo bench -p fp-bench`;
-//! * [`diff`] and the `bench-diff` binary — the gate that compares the
-//!   suite's `--save` snapshot with the committed `BENCH_baseline.json`.
+//!   per-matcher comparison rows), run by `cargo bench -p fp-bench` on the
+//!   [`harness`], which writes its `--save` snapshot;
+//! * [`diff`] and the `bench-diff` binary — the snapshot's one type and
+//!   the gate that compares a snapshot with the committed
+//!   `BENCH_baseline.json`.
 
 pub mod diff;
+pub mod harness;

@@ -65,6 +65,9 @@ run timeout 5400 cargo run -q --release --offline -p fp-study --bin study -- gat
 # see; ~10 s), diffed row by row against the committed baseline. Every
 # baseline row must be present; a row fails on slowdown only when the
 # baseline was measured on this host (DESIGN.md "The perf record").
+# The last run's snapshot goes first, so a suite that saves nothing fails
+# bench-diff instead of passing on stale numbers.
+rm -f "$ROOT/target/BENCH_current.json"
 run cargo bench -q --offline -p fp-bench -- --save "$ROOT/target/BENCH_current.json"
 run cargo run -q --release --offline -p fp-bench --bin bench-diff -- \
     BENCH_baseline.json target/BENCH_current.json
