@@ -17,18 +17,19 @@
 //! [`crate::shard::search_spine`]; the reference driver
 //! [`search_backends`] is that spine over sequential trait calls.
 //!
-//! In-process backends cannot fail, so their impl is infallible in
-//! practice; remote backends surface [`ShardError`] — a search over a dead
-//! shard must fail loudly, never silently return a truncated candidate
-//! list (a truncated list would look like a clean miss and quietly shift
-//! the study's rank-1/FNMR numbers).
+//! An in-process backend fails only when a store-opened gallery cannot
+//! load a stage-2 table ([`ShardError::Table`]); remote backends surface
+//! every other [`ShardError`] — a search over a dead shard must fail
+//! loudly, never silently return a truncated candidate list (a truncated
+//! list would look like a clean miss and quietly shift the study's
+//! rank-1/FNMR numbers).
 
 use std::fmt;
 
 use fp_core::template::Template;
 use fp_match::PreparableMatcher;
 
-use crate::index::{Candidate, CandidateIndex, StageOneScores};
+use crate::index::{Candidate, CandidateIndex, StageOneScores, TableLoadError};
 use crate::lanes;
 
 /// Why a shard backend could not serve its part of a search.
@@ -66,17 +67,10 @@ pub enum ShardError {
         /// The value the shard reported.
         reported: u64,
     },
-}
-
-impl ShardError {
-    /// The shard the error originated from.
-    pub fn shard(&self) -> usize {
-        match self {
-            ShardError::Unavailable { shard, .. }
-            | ShardError::Protocol { shard, .. }
-            | ShardError::FingerprintDrift { shard, .. } => *shard,
-        }
-    }
+    /// An in-process shard could not load a stage-2 table of its
+    /// store-opened gallery (a remote shard answers with an `INTERNAL`
+    /// error frame: [`ShardError::Protocol`]). Retrying cannot help.
+    Table(TableLoadError),
 }
 
 impl fmt::Display for ShardError {
@@ -99,6 +93,7 @@ impl fmt::Display for ShardError {
                      shard reported {reported:016x}"
                 )
             }
+            ShardError::Table(err) => write!(f, "stage-2 table load failed: {err}"),
         }
     }
 }
@@ -129,7 +124,7 @@ pub trait ShardBackend {
     ) -> Result<Vec<Candidate>, ShardError>;
 }
 
-impl<M: PreparableMatcher> ShardBackend for CandidateIndex<M> {
+impl ShardBackend for CandidateIndex {
     fn shard_len(&self) -> usize {
         self.len()
     }
@@ -143,7 +138,14 @@ impl<M: PreparableMatcher> ShardBackend for CandidateIndex<M> {
         probe: &Template,
         selected_local: &[u32],
     ) -> Result<Vec<Candidate>, ShardError> {
-        Ok(self.serve_part(selected_local, &self.prepare_probe(probe), lanes::cores()))
+        // The part chain folds the part as served (shard-local ids,
+        // selection order): what a coordinator mirrors.
+        let probe = self.matcher().prepare(probe);
+        let part = self
+            .rerank(selected_local, &probe, lanes::cores())
+            .map_err(ShardError::Table)?;
+        self.part_fp.record_item(&part[..]);
+        Ok(part)
     }
 }
 

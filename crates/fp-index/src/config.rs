@@ -1,6 +1,7 @@
 //! Tuning parameters for the candidate index.
 
 use fp_core::codec::{Dec, DecodeError, Enc};
+use fp_match::PairTableConfig;
 use fp_telemetry::{FingerprintChain, Fingerprinted};
 
 /// Tuning parameters for [`CandidateIndex`](crate::CandidateIndex).
@@ -64,8 +65,9 @@ pub enum IndexConfigError {
     ZeroLssDepth,
     /// `distance_bin` is zero, negative, NaN or infinite (the geometric
     /// hash divides every pair distance by it), or so fine that the bin of
-    /// the longest pair the index extracts, plus one, overflows the bucket
-    /// key's 21-bit distance field.
+    /// the longest pair the index's matcher extracts
+    /// ([`PairTableConfig::max_pair_distance`]), plus one, overflows the
+    /// bucket key's 21-bit distance field.
     BadDistanceBin,
     /// `angle_bins` outside `[2, MAX_ANGLE_BINS]`: one bin cannot separate
     /// directions at all, and the bucket key packs each angular bin into
@@ -100,12 +102,14 @@ impl std::fmt::Display for IndexConfigError {
 impl std::error::Error for IndexConfigError {}
 
 impl IndexConfig {
-    /// Checks structural validity. See [`IndexConfigError`] for the rules.
-    pub fn validate(&self) -> Result<(), IndexConfigError> {
+    /// Checks structural validity for an index whose pair features come
+    /// from a matcher configured by `pairs`. See [`IndexConfigError`] for
+    /// the rules.
+    pub fn validate(&self, pairs: &PairTableConfig) -> Result<(), IndexConfigError> {
         if self.lss_depth == 0 {
             return Err(IndexConfigError::ZeroLssDepth);
         }
-        let longest = fp_match::PairTableConfig::default().max_pair_distance;
+        let longest = pairs.max_pair_distance;
         let bin = self.distance_bin;
         if !(bin.is_finite() && bin > 0.0 && longest / bin < ((1 << 21) - 1) as f64) {
             return Err(IndexConfigError::BadDistanceBin);
@@ -188,6 +192,11 @@ impl Fingerprinted for IndexConfig {
 mod tests {
     use super::*;
 
+    /// Validity for the default matcher's pair features.
+    fn valid(config: IndexConfig) -> Result<(), IndexConfigError> {
+        config.validate(&PairTableConfig::default())
+    }
+
     #[test]
     fn scaled_shortlist_is_clamped() {
         assert_eq!(IndexConfig::scaled(100).shortlist, 48);
@@ -206,13 +215,9 @@ mod tests {
             lss_depth: 0,
             ..IndexConfig::default()
         };
-        assert_eq!(bad.validate(), Err(IndexConfigError::ZeroLssDepth));
-        assert!(bad
-            .validate()
-            .unwrap_err()
-            .to_string()
-            .contains("lss_depth"));
-        assert_eq!(IndexConfig::default().validate(), Ok(()));
+        assert_eq!(valid(bad), Err(IndexConfigError::ZeroLssDepth));
+        assert!(valid(bad).unwrap_err().to_string().contains("lss_depth"));
+        assert_eq!(valid(IndexConfig::default()), Ok(()));
     }
 
     #[test]
@@ -230,16 +235,16 @@ mod tests {
         let wide_enough = 12.0 / f64::from((1u32 << 21) - 2);
         let just_under = 12.0 / f64::from(1u32 << 21);
         for distance_bin in [0.0, -0.5, f64::NAN, f64::INFINITY, 1e-300, just_under] {
-            let err = with_bin(distance_bin).validate();
+            let err = valid(with_bin(distance_bin));
             assert_eq!(err, Err(IndexConfigError::BadDistanceBin), "{distance_bin}");
         }
-        assert_eq!(with_bin(wide_enough).validate(), Ok(()));
+        assert_eq!(valid(with_bin(wide_enough)), Ok(()));
         for angle_bins in [0, 1, MAX_ANGLE_BINS + 1] {
-            let err = with_angles(angle_bins).validate();
+            let err = valid(with_angles(angle_bins));
             assert_eq!(err, Err(IndexConfigError::BadAngleBins { angle_bins }));
         }
-        assert_eq!(with_angles(2).validate(), Ok(()));
-        assert_eq!(with_angles(MAX_ANGLE_BINS).validate(), Ok(()));
+        assert_eq!(valid(with_angles(2)), Ok(()));
+        assert_eq!(valid(with_angles(MAX_ANGLE_BINS)), Ok(()));
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! The two-stage candidate index.
 
-use std::convert::Infallible;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use fp_core::template::Template;
 use fp_core::MatchScore;
-use fp_match::{MccMatcher, PairFeature, PairTableMatcher, PreparableMatcher};
+use fp_match::{MccMatcher, PairTableMatcher, PreparableMatcher, PreparedPairTable};
 use fp_telemetry::{
     FingerprintChain, FingerprintSnapshot, Fingerprinted, RunFingerprint, Telemetry,
 };
@@ -24,38 +23,61 @@ use crate::signature::{CylinderCodes, Stage1Scratch};
 /// at the same dense id, so stage-1 streams one contiguous slab instead of
 /// chasing per-entry allocations.
 #[derive(Debug, Clone)]
-struct GalleryEntry<P> {
-    /// The entry's prepared stage-2 structure. Enrollment fills the slot
-    /// at construction; a store open leaves it empty for the index's
-    /// [`TableLoader`] to fill on first stage-2 touch. Only shortlisted
-    /// entries are ever re-ranked, so an opened gallery decodes a handful
-    /// of tables per search instead of all of them at open — the decoded
-    /// value is bit-identical to the enrolled one, so searches are too.
-    prepared: OnceLock<P>,
+struct GalleryEntry {
+    /// The entry's pair table. Enrollment fills the slot at construction;
+    /// a store open leaves it empty for the index's [`TableLoader`] to
+    /// fill on first stage-2 touch. Only shortlisted entries are ever
+    /// re-ranked, so an opened gallery decodes a handful of tables per
+    /// search instead of all of them at open — the decoded value is
+    /// bit-identical to the enrolled one, so searches are too.
+    prepared: OnceLock<PreparedPairTable>,
+    /// The table's pair-feature count: the vote-normalization denominator.
     pair_count: u32,
 }
 
+/// A table a [`TableLoader`] could not produce: the entry's record failed
+/// to read, check or decode after the gallery was opened.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TableLoadError {
+    /// The segment holding the record (`fp-store`: `segment <seq> (<file>)`).
+    pub segment: String,
+    /// The entry's index within that segment (not its dense gallery id).
+    pub entry: u32,
+    /// What failed, and why.
+    pub detail: String,
+}
+
+impl std::fmt::Display for TableLoadError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let TableLoadError {
+            segment,
+            entry,
+            detail,
+        } = self;
+        write!(f, "{segment}: entry {entry} table {detail}")
+    }
+}
+
+impl std::error::Error for TableLoadError {}
+
 /// Demand-loader for a store-opened index's entries: maps a dense gallery
-/// id to its prepared stage-2 structure (`fp-store` reads, checksums, and
-/// decodes the entry's table record from its open segment file). Must be
-/// pure — the value is cached in the entry's slot and must equal what
-/// enrollment would have produced, bit for bit.
-pub struct TableLoader<P>(std::sync::Arc<dyn Fn(u32) -> P + Send + Sync>);
+/// id to its pair table (`fp-store` reads, checksums, and decodes the
+/// entry's table record from its open segment file), or says which record
+/// failed. Must be pure — the value is cached in the entry's slot and must
+/// equal what enrollment would have produced, bit for bit.
+#[derive(Clone)]
+pub struct TableLoader(Arc<dyn Fn(u32) -> Result<PreparedPairTable, TableLoadError> + Send + Sync>);
 
-impl<P> TableLoader<P> {
+impl TableLoader {
     /// Wraps a demand-load function.
-    pub fn new(load: impl Fn(u32) -> P + Send + Sync + 'static) -> TableLoader<P> {
-        TableLoader(std::sync::Arc::new(load))
+    pub fn new(
+        load: impl Fn(u32) -> Result<PreparedPairTable, TableLoadError> + Send + Sync + 'static,
+    ) -> TableLoader {
+        TableLoader(Arc::new(load))
     }
 }
 
-impl<P> Clone for TableLoader<P> {
-    fn clone(&self) -> Self {
-        TableLoader(self.0.clone())
-    }
-}
-
-impl<P> std::fmt::Debug for TableLoader<P> {
+impl std::fmt::Debug for TableLoader {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("TableLoader")
     }
@@ -65,8 +87,8 @@ impl<P> std::fmt::Debug for TableLoader<P> {
 /// index (possibly on a worker thread) and committed by `insert` in id
 /// order: the entry itself, the geometric-hash bucket key of each of its
 /// pair features, and the cylinder codes destined for the arena.
-struct PreparedEnrollment<P> {
-    entry: GalleryEntry<P>,
+struct PreparedEnrollment {
+    entry: GalleryEntry,
     keys: Vec<u64>,
     codes: CylinderCodes,
 }
@@ -165,13 +187,13 @@ impl Fingerprinted for SearchResult {
     }
 }
 
-/// The probe-side features of one search, computed once per probe: the
-/// pair features of its prepared pair table (for geometric-hash voting)
-/// and the binarized cylinder codes. The features depend only on the probe
-/// and the (shard-invariant) extraction config, so every shard computing
-/// them sees bit-identical probe features.
+/// The probe-side features of one search, computed once per probe: its
+/// pair table (whose features stage 1 hashes and which stage 2 scores) and
+/// its binarized cylinder codes. The features depend only on the probe and
+/// the (shard-invariant) matcher and extraction configs, so every shard
+/// computing them sees bit-identical probe features.
 pub(crate) struct ProbeFeatures {
-    pairs: Vec<PairFeature>,
+    table: PreparedPairTable,
     codes: CylinderCodes,
 }
 
@@ -210,21 +232,23 @@ pub struct StageOneScores {
 /// better of its two channel ranks — so a genuine mate only needs to
 /// surface in one channel. The top-K fused entries survive.
 ///
-/// **Stage 2 (re-rank):** the shortlist is scored *exactly* with the wrapped
-/// matcher's [`PreparableMatcher::compare_prepared`], so every score the
-/// index reports is identical to what a brute-force scan would have
-/// produced for that candidate; with `shortlist >= gallery` the whole
+/// **Stage 2 (re-rank):** the shortlist is scored *exactly* with the
+/// pair-table matcher's [`PreparableMatcher::compare_prepared`], so every
+/// score the index reports is identical to what a brute-force scan would
+/// have produced for that candidate; with `shortlist >= gallery` the whole
 /// result is identical to brute force.
+///
+/// One pair-table matcher serves both stages. `M` is always its default,
+/// [`PairTableMatcher`], kept so `CandidateIndex<PairTableMatcher>` names it.
 #[derive(Debug, Clone)]
-pub struct CandidateIndex<M: PreparableMatcher> {
+pub struct CandidateIndex<M = PairTableMatcher> {
     matcher: M,
-    features: PairTableMatcher,
     mcc: MccMatcher,
     config: IndexConfig,
-    entries: Vec<GalleryEntry<M::Prepared>>,
+    entries: Vec<GalleryEntry>,
     /// Fills empty entry slots on first stage-2 touch; `None` on indexes
     /// whose slots were all filled at construction.
-    loader: Option<TableLoader<M::Prepared>>,
+    loader: Option<TableLoader>,
     /// Every enrolled entry's packed cylinder codes, structure-of-arrays,
     /// indexed by the same dense ids as `entries`.
     arena: CodeArena,
@@ -237,12 +261,12 @@ pub struct CandidateIndex<M: PreparableMatcher> {
     /// serves as a *shard backend* (`ShardBackend::stage_two`), in
     /// selection order with shard-local ids — the chain a coordinator
     /// mirrors and verifies over the wire.
-    part_fp: RunFingerprint,
+    pub(crate) part_fp: RunFingerprint,
 }
 
-impl<M: PreparableMatcher> CandidateIndex<M> {
+impl CandidateIndex {
     /// Creates an empty index around `matcher` with the default config.
-    pub fn new(matcher: M) -> CandidateIndex<M> {
+    pub fn new(matcher: PairTableMatcher) -> CandidateIndex {
         CandidateIndex::with_config(matcher, IndexConfig::default())
     }
 
@@ -255,7 +279,7 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
     /// [`try_with_config`](Self::try_with_config) to handle that as a
     /// typed error instead (boundaries adopting untrusted configs — e.g.
     /// `fp-serve`'s wire enroll — do).
-    pub fn with_config(matcher: M, config: IndexConfig) -> CandidateIndex<M> {
+    pub fn with_config(matcher: PairTableMatcher, config: IndexConfig) -> CandidateIndex {
         match CandidateIndex::try_with_config(matcher, config) {
             Ok(index) => index,
             Err(err) => panic!("invalid IndexConfig: {err}"),
@@ -263,15 +287,15 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
     }
 
     /// Creates an empty index with an explicit config, rejecting invalid
-    /// configs with a typed error.
+    /// configs with a typed error. The config is validated against
+    /// `matcher`'s config: stage 1 hashes its pair features.
     pub fn try_with_config(
-        matcher: M,
+        matcher: PairTableMatcher,
         config: IndexConfig,
-    ) -> Result<CandidateIndex<M>, IndexConfigError> {
-        config.validate()?;
+    ) -> Result<CandidateIndex, IndexConfigError> {
+        config.validate(matcher.config())?;
         Ok(CandidateIndex {
             matcher,
-            features: PairTableMatcher::default(),
             mcc: MccMatcher::default(),
             config,
             entries: Vec::new(),
@@ -306,22 +330,6 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
         self.part_fp.snapshot()
     }
 
-    /// Stage 2 as a *shard* serves it: [`rerank`](Self::rerank), with the
-    /// part folded into the part chain exactly as served (shard-local ids,
-    /// selection order). The `ShardBackend` impl comes through here, so
-    /// in-process and remote shards fold bit-identical sequences a
-    /// coordinator can mirror.
-    pub(crate) fn serve_part(
-        &self,
-        selected: &[u32],
-        probe_prepared: &M::Prepared,
-        max_lanes: usize,
-    ) -> Vec<Candidate> {
-        let part = self.rerank(selected, probe_prepared, max_lanes);
-        self.part_fp.record_item(&part[..]);
-        part
-    }
-
     /// Registers the index's work counters and timing histograms on
     /// `telemetry` (candidates pruned, Hamming word ops, bucket hits,
     /// re-rank comparisons, build/search wall time).
@@ -335,8 +343,8 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
         &self.config
     }
 
-    /// The wrapped exact matcher.
-    pub fn matcher(&self) -> &M {
+    /// The pair-table matcher both stages use.
+    pub fn matcher(&self) -> &PairTableMatcher {
         &self.matcher
     }
 
@@ -350,13 +358,15 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
         self.entries.is_empty()
     }
 
-    fn make_entry(&self, template: &Template) -> PreparedEnrollment<M::Prepared> {
-        let table = self.features.prepare(template);
+    /// Prepares a template once: its pair table gives the bucket keys and
+    /// the pair count, and fills the stage-2 slot.
+    fn make_entry(&self, template: &Template) -> PreparedEnrollment {
+        let table = self.matcher.prepare(template);
         let keys = self.buckets.keys(table.pair_features());
         let codes = CylinderCodes::extract(&self.mcc, template, self.config.max_cylinders);
         PreparedEnrollment {
             entry: GalleryEntry {
-                prepared: OnceLock::from(self.matcher.prepare(template)),
+                prepared: OnceLock::from(table),
                 pair_count: keys.len() as u32,
             },
             keys,
@@ -364,20 +374,22 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
         }
     }
 
-    /// The prepared stage-2 structure of gallery entry `id`, demand-loading
-    /// (and caching) it through the table loader if its slot is still
-    /// empty.
-    fn prepared(&self, id: u32) -> &M::Prepared {
-        self.entries[id as usize].prepared.get_or_init(|| {
-            // Only `from_store_parts` leaves slots empty, and it installs
-            // the loader.
-            let loader = self.loader.as_ref().expect("empty table slot has a loader");
-            (loader.0)(id)
-        })
+    /// The pair table of gallery entry `id`, demand-loading (and caching)
+    /// it through the table loader if its slot is still empty.
+    fn prepared(&self, id: u32) -> Result<&PreparedPairTable, TableLoadError> {
+        let slot = &self.entries[id as usize].prepared;
+        if let Some(table) = slot.get() {
+            return Ok(table);
+        }
+        // Only `from_store_parts` leaves slots empty, and it installs the
+        // loader. Lanes racing on a slot load equal tables; one is kept.
+        let loader = self.loader.as_ref().expect("empty table slot has a loader");
+        let table = (loader.0)(id)?;
+        Ok(slot.get_or_init(|| table))
     }
 
     /// Commits a prepared batch in slice order, returning its first id.
-    fn insert(&mut self, batch: Vec<PreparedEnrollment<M::Prepared>>) -> u32 {
+    fn insert(&mut self, batch: Vec<PreparedEnrollment>) -> u32 {
         let first = self.entries.len() as u32;
         self.buckets
             .append(first, batch.iter().map(|p| p.keys.as_slice()));
@@ -406,11 +418,7 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
     /// machine's cores (ids are still assigned in slice order, and the
     /// resulting index is identical to sequential [`enroll`](Self::enroll)
     /// calls). Returns the id of the first enrolled template.
-    pub fn enroll_all(&mut self, templates: &[Template]) -> u32
-    where
-        M: Sync,
-        M::Prepared: Send,
-    {
+    pub fn enroll_all(&mut self, templates: &[Template]) -> u32 {
         let _span = self.metrics.telemetry.trace_span(
             "index.enroll_all",
             &[("batch", templates.len().to_string())],
@@ -426,12 +434,12 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
         first
     }
 
-    /// Computes the probe-side features (prepared pair table + cylinder
-    /// codes) once for a search.
+    /// Computes the probe-side features (pair table + cylinder codes) once
+    /// for a search.
     pub(crate) fn probe_features(&self, probe: &Template) -> ProbeFeatures {
-        let pairs = self.features.prepare(probe).pair_features().collect();
+        let table = self.matcher.prepare(probe);
         let codes = CylinderCodes::extract(&self.mcc, probe, self.config.max_cylinders);
-        ProbeFeatures { pairs, codes }
+        ProbeFeatures { table, codes }
     }
 
     /// Stage 1: per-entry channel scores over this index's gallery.
@@ -453,8 +461,9 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
     pub(crate) fn stage1(&self, probe: &ProbeFeatures, max_lanes: usize) -> StageOneScores {
         let n = self.entries.len();
         let mut votes = vec![0u32; n];
-        let bucket_hits = self.buckets.accumulate(&probe.pairs, &mut votes, max_lanes);
-        let probe_pairs = probe.pairs.len() as u32;
+        let pairs: Vec<_> = probe.table.pair_features().collect();
+        let bucket_hits = self.buckets.accumulate(&pairs, &mut votes, max_lanes);
+        let probe_pairs = pairs.len() as u32;
         let vote_scores: Vec<f64> = self
             .entries
             .iter()
@@ -493,20 +502,20 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
         &self.arena
     }
 
-    /// Persistence view of the gallery: every entry's prepared matcher
-    /// structure plus its pair-feature count (the vote-normalization
-    /// denominator, counted from the index's own feature extractor — not
-    /// derivable from `M::Prepared` in general), in dense-id order.
-    /// Together with [`arena`](Self::arena)'s entry views and
-    /// [`buckets`](Self::buckets) this is the complete state `fp-store`
+    /// Persistence view of the gallery: every entry's pair table plus its
+    /// pair-feature count (the vote-normalization denominator), in
+    /// dense-id order. Together with [`arena`](Self::arena)'s entry views
+    /// and [`buckets`](Self::buckets) this is the complete state `fp-store`
     /// writes into a segment — per-entry scores are pure functions of
     /// (probe, entry, config), so an index rebuilt from these parts
-    /// searches byte-identically.
-    pub fn store_entries(&self) -> impl Iterator<Item = (&M::Prepared, u32)> + '_ {
-        // `prepared(id)` so saving a lazily opened index forces the
-        // remaining table loads — persistence always sees full entries.
+    /// searches byte-identically. A lazily opened index loads its
+    /// remaining tables here, and yields a [`TableLoadError`] for a record
+    /// that fails to load.
+    pub fn store_entries(
+        &self,
+    ) -> impl Iterator<Item = Result<(&PreparedPairTable, u32), TableLoadError>> + '_ {
         (0..self.entries.len() as u32)
-            .map(|id| (self.prepared(id), self.entries[id as usize].pair_count))
+            .map(|id| Ok((self.prepared(id)?, self.entries[id as usize].pair_count)))
     }
 
     /// The geometric-hash table, exactly as a segment's BUCKETS section
@@ -519,8 +528,8 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
     /// Reassembles an index from persisted parts — the open path of
     /// `fp-store`'s segment format. `pair_counts` holds every entry's
     /// pair-feature count in dense-id order (stage 1 needs them all on
-    /// every search); `tables` loads an entry's prepared matcher structure
-    /// the first time stage 2 touches it — since only shortlisted entries
+    /// every search); `tables` loads an entry's pair table the first time
+    /// stage 2 touches it — since only shortlisted entries
     /// are ever re-ranked, an open skips reading the dominant share of a
     /// persisted gallery's bytes. `arena` and `buckets` must describe the
     /// same entries (the arena packs one span per entry, bucket ids are
@@ -539,13 +548,13 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
     /// programming-error checks — a table a caller remapped, appended or
     /// dealt wrongly fails here, not at the first search's `votes[id]`.
     pub fn from_store_parts(
-        matcher: M,
+        matcher: PairTableMatcher,
         config: IndexConfig,
         pair_counts: Vec<u32>,
-        tables: TableLoader<M::Prepared>,
+        tables: TableLoader,
         arena: CodeArena,
         buckets: FlatBuckets,
-    ) -> Result<CandidateIndex<M>, IndexConfigError> {
+    ) -> Result<CandidateIndex, IndexConfigError> {
         let mut index = CandidateIndex::try_with_config(matcher, config)?;
         assert_eq!(
             arena.len(),
@@ -606,21 +615,23 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
     /// work. Up to `max_lanes` lanes (`crate::lanes`) take the comparisons
     /// one at a time as they go, and the scores are joined in selection
     /// order; an empty slot is demand-loaded by whichever lane reaches it
-    /// first.
+    /// first, and a table that fails to load fails the pass.
     pub(crate) fn rerank(
         &self,
         selected: &[u32],
-        probe_prepared: &M::Prepared,
+        probe: &PreparedPairTable,
         max_lanes: usize,
-    ) -> Vec<Candidate> {
+    ) -> Result<Vec<Candidate>, TableLoadError> {
         self.metrics.record_stage_two(selected.len());
         let lanes = lanes::count(selected.len() * lanes::COMPARISON_ENTRIES, max_lanes);
-        lanes::share(selected.to_vec(), vec![(); lanes], |(), id| Candidate {
-            id,
-            score: self
-                .matcher
-                .compare_prepared(self.prepared(id), probe_prepared),
+        lanes::share(selected.to_vec(), vec![(); lanes], |(), id| {
+            Ok(Candidate {
+                id,
+                score: self.matcher.compare_prepared(self.prepared(id)?, probe),
+            })
         })
+        .into_iter()
+        .collect()
     }
 
     /// [`ShardBackend::stage_one`](crate::ShardBackend::stage_one) on at
@@ -641,23 +652,29 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
         selected: &[u32],
         max_lanes: usize,
     ) -> Vec<Candidate> {
-        self.rerank(selected, &self.prepare_probe(probe), max_lanes)
-    }
-
-    /// Prepares the probe for exact stage-2 scoring.
-    pub(crate) fn prepare_probe(&self, probe: &Template) -> M::Prepared {
-        self.matcher.prepare(probe)
+        loaded(self.rerank(selected, &self.matcher.prepare(probe), max_lanes))
     }
 
     /// Searches the gallery with the configured shortlist budget.
+    ///
+    /// # Panics
+    ///
+    /// As [`search_with_budget`](Self::search_with_budget).
     pub fn search(&self, probe: &Template) -> SearchResult {
         self.search_with_budget(probe, self.config.shortlist)
     }
 
     /// Searches with an explicit shortlist budget; `shortlist >= len()`
     /// degenerates to an exact brute-force ranking. This is
-    /// [`search_spine`] with one shard and no part chain; stage 1 and the
-    /// re-rank each run one lane per core.
+    /// [`search_spine`] with one shard and no part chain; the probe is
+    /// prepared once for both stages, and stage 1 and the re-rank each run
+    /// one lane per core.
+    ///
+    /// # Panics
+    ///
+    /// With the [`TableLoadError`]'s text, if a store-opened gallery cannot
+    /// load a shortlisted entry's table; the shard route
+    /// ([`search_backends`](crate::search_backends)) returns it typed.
     pub fn search_with_budget(&self, probe: &Template, shortlist: usize) -> SearchResult {
         let start = Instant::now();
         let n = self.entries.len();
@@ -665,25 +682,19 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
             .metrics
             .telemetry
             .trace_span("index.search", &[("gallery", n.to_string())]);
-        let Ok(result) = search_spine(
+        let features = self.probe_features(probe);
+        let result = loaded(search_spine(
             1,
             n,
             shortlist,
             Some(&self.runfp),
-            || {
-                Ok::<_, Infallible>(vec![
-                    self.stage1(&self.probe_features(probe), lanes::cores())
-                ])
-            },
+            || Ok(vec![self.stage1(&features, lanes::cores())]),
             |jobs| {
-                Ok(jobs
-                    .iter()
-                    .map(|(_, selected)| {
-                        self.rerank(selected, &self.matcher.prepare(probe), lanes::cores())
-                    })
-                    .collect())
+                jobs.iter()
+                    .map(|(_, selected)| self.rerank(selected, &features.table, lanes::cores()))
+                    .collect()
             },
-        );
+        ));
         self.metrics.search_time.record(start.elapsed());
         result
     }
@@ -698,7 +709,7 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
                 id,
                 score: self
                     .matcher
-                    .compare_prepared(self.prepared(id), &probe_prepared),
+                    .compare_prepared(loaded(self.prepared(id)), &probe_prepared),
             })
             .collect();
         candidates.sort_unstable_by(|a, b| b.score.cmp(&a.score).then(a.id.cmp(&b.id)));
@@ -707,6 +718,11 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
             gallery_len: self.entries.len(),
         }
     }
+}
+
+/// The in-process routes' answer to a table that failed to load: a panic.
+fn loaded<T>(result: Result<T, TableLoadError>) -> T {
+    result.unwrap_or_else(|err| panic!("{err}"))
 }
 
 /// Best-rank fusion under a strict total order: each channel ranks the
@@ -813,14 +829,7 @@ fn channel_rank(scores: &[f64], id: u32) -> u32 {
 /// shared over the lanes by `lanes::share`), preserving slice order in the
 /// result and recording each template's preparation time in the
 /// `index.build.seconds` histogram when telemetry is live.
-fn parallel_make<M>(
-    index: &CandidateIndex<M>,
-    templates: &[Template],
-) -> Vec<PreparedEnrollment<M::Prepared>>
-where
-    M: PreparableMatcher + Sync,
-    M::Prepared: Send,
-{
+fn parallel_make(index: &CandidateIndex, templates: &[Template]) -> Vec<PreparedEnrollment> {
     let timed = index.metrics.telemetry.is_enabled();
     let make_timed = |t: &Template| {
         if timed {

@@ -25,11 +25,12 @@
 //!    channel. Both channels are deliberately robust to the study's hardest
 //!    probe device — ink-card scans whose spurious extra minutiae would
 //!    drown any pooled whole-template descriptor or max-normalized vote.
-//! 2. **Re-rank (exact).** The shortlist is scored with the wrapped
+//! 2. **Re-rank (exact).** The shortlist is scored with the pair-table
 //!    matcher's [`fp_match::PreparableMatcher::compare_prepared`], so every
 //!    reported score equals what brute force would produce. With
 //!    `shortlist >= gallery` the result is *identical* to brute force — the
-//!    exactness property the test harness pins down.
+//!    exactness property the test harness pins down. One pair-table
+//!    matcher serves both stages: a template or probe is prepared once.
 //!
 //! Recall is the only approximation: a genuine mate can fail to make the
 //! shortlist. The property tests require shortlist recall ≥ 0.98 at the
@@ -47,6 +48,10 @@
 //! [`search_backends`] and `fp-serve`'s coordinator all run it and differ
 //! only in how they fan the two stages out, so they produce the same
 //! bytes.
+//!
+//! A table record of a store-opened gallery that rotted after the open is
+//! a typed [`TableLoadError`] on the shard route ([`ShardError::Table`]);
+//! only the in-process [`CandidateIndex::search`] panics with its text.
 //!
 //! ```
 //! use fp_index::{CandidateIndex, IndexConfig};
@@ -79,6 +84,7 @@ pub use arena::{lane_body_name, CodeArena, LANE_WORDS};
 pub use backend::{search_backends, ShardBackend, ShardError};
 pub use config::{IndexConfig, IndexConfigError};
 pub use geohash::FlatBuckets;
+pub use index::TableLoadError;
 pub use index::{Candidate, CandidateIndex, SearchResult, StageOneScores, TableLoader};
 #[doc(hidden)]
 pub use lanes::MIN_LANE_ENTRIES;

@@ -24,7 +24,7 @@ use fp_index::{
     CandidateIndex, CodeArena, CylinderCodes, IndexConfig, IndexConfigError, Stage1Scratch,
     TableLoader, LANE_WORDS,
 };
-use fp_match::{MccMatcher, PairTableMatcher};
+use fp_match::{MccMatcher, PairTableConfig, PairTableMatcher, PreparableMatcher};
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -264,13 +264,58 @@ fn zero_lss_depth_is_rejected_at_construction() {
         lss_depth: 0,
         ..IndexConfig::default()
     };
-    assert_eq!(bad.validate(), Err(IndexConfigError::ZeroLssDepth));
+    assert_eq!(
+        bad.validate(PairTableMatcher::default().config()),
+        Err(IndexConfigError::ZeroLssDepth)
+    );
     let err = match CandidateIndex::try_with_config(PairTableMatcher::default(), bad) {
         Ok(_) => panic!("lss_depth == 0 must be rejected"),
         Err(err) => err,
     };
     assert_eq!(err, IndexConfigError::ZeroLssDepth);
     assert!(err.to_string().contains("lss_depth"));
+}
+
+/// Stage 1 hashes the pair features of the index's own matcher: under an
+/// 8 mm pair-distance limit every entry's vote denominator counts the
+/// pairs of the table stage 2 scores, not those of the default 12 mm
+/// config. A limit whose longest pair's distance bin overflows the bucket
+/// key is refused when the index is built.
+#[test]
+fn stage_one_counts_the_pairs_of_the_index_matcher() {
+    let short = |max_pair_distance| {
+        PairTableMatcher::new(PairTableConfig {
+            max_pair_distance,
+            ..PairTableConfig::default()
+        })
+        .unwrap()
+    };
+    let mut index = CandidateIndex::new(short(8.0));
+    index.enroll_all(
+        &(0..6)
+            .map(|i| synthetic_template(90 + i, 24))
+            .collect::<Vec<_>>(),
+    );
+    let default_pairs = PairTableMatcher::default();
+    for (id, entry) in index.store_entries().enumerate() {
+        let (table, pair_count) = entry.unwrap();
+        assert_eq!(
+            pair_count as usize,
+            table.pair_features().count(),
+            "entry {id}"
+        );
+        let twelve_mm = default_pairs.prepare(&synthetic_template(90 + id as u64, 24));
+        assert!(
+            twelve_mm.len() > table.len(),
+            "entry {id}: 8 mm must drop pairs"
+        );
+    }
+
+    let overflowing = 0.5 * f64::from(1u32 << 21);
+    match CandidateIndex::try_with_config(short(overflowing), IndexConfig::default()) {
+        Err(err) => assert_eq!(err, IndexConfigError::BadDistanceBin),
+        Ok(_) => panic!("a {overflowing} mm pair limit must overflow the 0.5 mm bucket key"),
+    }
 }
 
 #[test]
@@ -288,7 +333,10 @@ fn with_config_panics_on_zero_lss_depth() {
 fn adopting_a_bucket_table_with_a_stray_id_panics_at_construction() {
     let mut index = CandidateIndex::new(PairTableMatcher::default());
     index.enroll_all(&[synthetic_template(1, 20), synthetic_template(2, 20)]);
-    let pair_counts = index.store_entries().map(|(_, pairs)| pairs).collect();
+    let pair_counts = index
+        .store_entries()
+        .map(|entry| entry.unwrap().1)
+        .collect();
     // Shifted past the two entries: valid shape, ids naming no entry.
     let stray = index.buckets().remap(|id| Some(id + 2));
     let _ = CandidateIndex::from_store_parts(

@@ -89,7 +89,8 @@ struct Parts {
 fn parts(n: usize) -> Parts {
     let base = base();
     let b = base.len();
-    let entries: Vec<(&PreparedPairTable, u32)> = base.store_entries().collect();
+    let entries: Vec<(&PreparedPairTable, u32)> =
+        base.store_entries().map(Result::unwrap).collect();
     let mut arena = CodeArena::new();
     for i in 0..n {
         arena.push_view(base.arena().entry(i % b));
@@ -126,7 +127,7 @@ fn indexes(parts: &Parts) -> [CandidateIndex<PairTableMatcher>; 2] {
             PairTableMatcher::default(),
             IndexConfig::default(),
             parts.pair_counts.clone(),
-            TableLoader::new(move |id| shared[id as usize].clone()),
+            TableLoader::new(move |id| Ok(shared[id as usize].clone())),
             parts.arena.clone(),
             parts.buckets.clone(),
         )

@@ -52,8 +52,8 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
 use fp_core::template::Template;
-use fp_index::{CandidateIndex, IndexConfig, ShardBackend};
-use fp_match::PreparableMatcher;
+use fp_index::{CandidateIndex, IndexConfig, ShardBackend, ShardError};
+use fp_match::PairTableMatcher;
 use fp_telemetry::{Counter, Telemetry, TraceCtx, ValueHistogram, REMOTE_PARENT_ATTR};
 
 use crate::wire::{
@@ -99,9 +99,8 @@ impl Admission {
     }
 }
 
-struct State<M: PreparableMatcher> {
-    matcher: M,
-    index: RwLock<CandidateIndex<M>>,
+struct State {
+    index: RwLock<CandidateIndex>,
     stop: Arc<AtomicBool>,
     /// Instruments the [`Frame::Stats`] snapshot is taken from; inert
     /// unless [`ShardServer::with_telemetry`] was called.
@@ -125,7 +124,7 @@ struct State<M: PreparableMatcher> {
 
 /// One unit of work: a decoded request, the id to answer under, and the
 /// connection plumbing to answer through.
-struct Job<M: PreparableMatcher> {
+struct Job {
     request_id: u32,
     request: Frame,
     /// Trace context the request carried, if any.
@@ -139,16 +138,16 @@ struct Job<M: PreparableMatcher> {
     /// *before* writing the response (once the client has the response it
     /// may legally reuse the id).
     in_flight: Arc<Mutex<HashSet<u32>>>,
-    state: Arc<State<M>>,
+    state: Arc<State>,
 }
 
 /// A TCP server exposing one gallery shard over the wire protocol.
 ///
 /// `study serve-shard` wraps this in a binary; tests drive it in-process
 /// via [`ShardServer::spawn`].
-pub struct ShardServer<M: PreparableMatcher> {
+pub struct ShardServer {
     listener: TcpListener,
-    state: Arc<State<M>>,
+    state: Arc<State>,
     workers: usize,
     queue: usize,
 }
@@ -173,21 +172,16 @@ impl ServerHandle {
     }
 }
 
-impl<M> ShardServer<M>
-where
-    M: PreparableMatcher + Clone + Send + Sync + 'static,
-    M::Prepared: Send + Sync,
-{
+impl ShardServer {
     /// Binds a listener (use port 0 for an OS-assigned port) around an
-    /// empty index with the default config; the first enroll batch brings
-    /// the coordinator's config.
-    pub fn bind(matcher: M, addr: impl ToSocketAddrs) -> std::io::Result<ShardServer<M>> {
+    /// empty index over `matcher` with the default config; the first
+    /// enroll batch brings the coordinator's config.
+    pub fn bind(matcher: PairTableMatcher, addr: impl ToSocketAddrs) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         Ok(ShardServer {
             listener,
             state: Arc::new(State {
-                index: RwLock::new(CandidateIndex::new(matcher.clone())),
-                matcher,
+                index: RwLock::new(CandidateIndex::new(matcher)),
                 stop: Arc::new(AtomicBool::new(false)),
                 telemetry: Telemetry::disabled(),
                 admission: Admission::new(&Telemetry::disabled()),
@@ -210,9 +204,8 @@ where
             Arc::get_mut(&mut self.state).expect("with_telemetry must be called before spawn/run");
         state.telemetry = telemetry.clone();
         state.admission = Admission::new(telemetry);
-        let mut index = state.index.write().expect("index lock poisoned");
-        *index = CandidateIndex::new(state.matcher.clone()).with_telemetry(telemetry);
-        drop(index);
+        let index = state.index.get_mut().expect("index lock poisoned");
+        *index = CandidateIndex::new(index.matcher().clone()).with_telemetry(telemetry);
         self
     }
 
@@ -223,13 +216,11 @@ where
     /// already-attached telemetry, so call this *after*
     /// [`with_telemetry`](Self::with_telemetry) (and, like every builder
     /// method, before [`run`](Self::run)/[`spawn`](Self::spawn)).
-    pub fn with_index(mut self, index: CandidateIndex<M>) -> Self {
+    pub fn with_index(mut self, index: CandidateIndex) -> Self {
         let state =
             Arc::get_mut(&mut self.state).expect("with_index must be called before spawn/run");
-        let telemetry = state.telemetry.clone();
-        let mut slot = state.index.write().expect("index lock poisoned");
-        *slot = index.with_telemetry(&telemetry);
-        drop(slot);
+        *state.index.get_mut().expect("index lock poisoned") =
+            index.with_telemetry(&state.telemetry);
         self
     }
 
@@ -281,7 +272,7 @@ where
         // is unbounded; boundedness comes from the admission check in
         // `serve_connection` (shedding keeps the bookkeeping exact, which
         // a full `sync_channel` could not).
-        let (job_tx, job_rx) = std::sync::mpsc::channel::<Job<M>>();
+        let (job_tx, job_rx) = std::sync::mpsc::channel::<Job>();
         let job_rx = Arc::new(Mutex::new(job_rx));
         let workers: Vec<_> = (0..self.workers)
             .map(|_| {
@@ -346,11 +337,7 @@ where
 /// and answering under its request id. The `Mutex<Receiver>` is the
 /// standard shared-consumer pattern: the lock is held across the blocking
 /// `recv`, so idle workers queue on the mutex instead of the channel.
-fn worker_loop<M>(job_rx: Arc<Mutex<Receiver<Job<M>>>>)
-where
-    M: PreparableMatcher + Clone + Send + Sync,
-    M::Prepared: Send + Sync,
-{
+fn worker_loop(job_rx: Arc<Mutex<Receiver<Job>>>) {
     loop {
         let job = match job_rx.lock().expect("job queue lock poisoned").recv() {
             Ok(job) => job,
@@ -425,15 +412,7 @@ where
 /// with [`code::OVERLOADED`] when the pool's queue is at the watermark).
 /// Peeks with a short read deadline so the stop flag is honoured on idle
 /// connections, then reads whole frames under a longer deadline.
-fn serve_connection<M>(
-    stream: TcpStream,
-    state: Arc<State<M>>,
-    job_tx: Sender<Job<M>>,
-    watermark: usize,
-) where
-    M: PreparableMatcher + Clone + Send + Sync,
-    M::Prepared: Send + Sync,
-{
+fn serve_connection(stream: TcpStream, state: Arc<State>, job_tx: Sender<Job>, watermark: usize) {
     let _ = stream.set_nodelay(true);
     let writer = match stream.try_clone() {
         Ok(clone) => Arc::new(Mutex::new(clone)),
@@ -549,11 +528,7 @@ fn serve_connection<M>(
     }
 }
 
-fn handle_request<M>(request: Frame, state: &State<M>) -> Frame
-where
-    M: PreparableMatcher + Clone + Send + Sync,
-    M::Prepared: Send + Sync,
-{
+fn handle_request(request: Frame, state: &State) -> Frame {
     match request {
         Frame::EnrollBatch {
             config,
@@ -563,16 +538,10 @@ where
         Frame::StageOne { probe, trace: _ } => {
             stage_delay(state);
             let index = state.index.read().expect("index lock poisoned");
-            match index.stage_one(&probe) {
-                Ok(scores) => Frame::StageOneOk {
-                    scores,
-                    timing: None,
-                },
-                Err(e) => Frame::Error {
-                    code: code::INTERNAL,
-                    detail: e.to_string(),
-                },
-            }
+            stage_answer(index.stage_one(&probe), |scores| Frame::StageOneOk {
+                scores,
+                timing: None,
+            })
         }
         Frame::Rerank {
             probe,
@@ -588,16 +557,12 @@ where
                     detail: format!("re-rank id {bad} out of range (shard holds {len})"),
                 };
             }
-            match index.stage_two(&probe, &selected) {
-                Ok(candidates) => Frame::RerankOk {
+            stage_answer(index.stage_two(&probe, &selected), |candidates| {
+                Frame::RerankOk {
                     candidates,
                     timing: None,
-                },
-                Err(e) => Frame::Error {
-                    code: code::INTERNAL,
-                    detail: e.to_string(),
-                },
-            }
+                }
+            })
         }
         Frame::Health => Frame::HealthOk {
             shard_len: state.index.read().expect("index lock poisoned").len() as u32,
@@ -647,6 +612,17 @@ where
     }
 }
 
+/// A stage's response frame: `ok` of its result, or an `INTERNAL` error.
+fn stage_answer<T>(result: Result<T, ShardError>, ok: impl FnOnce(T) -> Frame) -> Frame {
+    result.map_or_else(
+        |e| Frame::Error {
+            code: code::INTERNAL,
+            detail: e.to_string(),
+        },
+        ok,
+    )
+}
+
 /// The trace context a request frame carried, if any.
 fn request_trace(request: &Frame) -> Option<TraceContext> {
     match request {
@@ -658,18 +634,14 @@ fn request_trace(request: &Frame) -> Option<TraceContext> {
 }
 
 /// Applies the injected-slowness fault hook (no-op when unset).
-fn stage_delay<M: PreparableMatcher>(state: &State<M>) {
+fn stage_delay(state: &State) {
     let ms = state.delay_ms.load(Ordering::Relaxed);
     if ms > 0 {
         std::thread::sleep(Duration::from_millis(ms));
     }
 }
 
-fn enroll<M>(config: IndexConfig, templates: Vec<Template>, state: &State<M>) -> Frame
-where
-    M: PreparableMatcher + Clone + Send + Sync,
-    M::Prepared: Send + Sync,
-{
+fn enroll(config: IndexConfig, templates: Vec<Template>, state: &State) -> Frame {
     let mut index = state.index.write().expect("index lock poisoned");
     if index.is_empty() {
         if *index.config() != config {
@@ -679,7 +651,7 @@ where
             // rebuild would otherwise lose. The wire config is untrusted:
             // a structurally invalid one is a typed error frame, never a
             // server panic.
-            let rebuilt = match CandidateIndex::try_with_config(state.matcher.clone(), config) {
+            let rebuilt = match CandidateIndex::try_with_config(index.matcher().clone(), config) {
                 Ok(rebuilt) => rebuilt,
                 Err(err) => {
                     return Frame::Error {

@@ -9,6 +9,7 @@
 use std::fmt;
 
 use fp_core::codec::{DecodeError, DecodeErrorKind};
+use fp_index::TableLoadError;
 
 /// Everything that can go wrong opening, validating, or writing a store.
 #[derive(Debug)]
@@ -53,6 +54,9 @@ pub enum StoreError {
         /// What exactly was violated.
         detail: String,
     },
+    /// A lazily opened index could not load an entry's table record: it
+    /// rotted after the open. Names the segment file and the entry.
+    TableLoad(TableLoadError),
 }
 
 impl fmt::Display for StoreError {
@@ -70,6 +74,7 @@ impl fmt::Display for StoreError {
                 write!(f, "{what}: CRC mismatch in {section}")
             }
             StoreError::Corrupt { what, detail } => write!(f, "{what}: corrupt: {detail}"),
+            StoreError::TableLoad(err) => write!(f, "{err}"),
         }
     }
 }
@@ -78,6 +83,7 @@ impl std::error::Error for StoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             StoreError::Io(err) => Some(err),
+            StoreError::TableLoad(err) => Some(err),
             _ => None,
         }
     }
@@ -86,6 +92,12 @@ impl std::error::Error for StoreError {
 impl From<std::io::Error> for StoreError {
     fn from(err: std::io::Error) -> StoreError {
         StoreError::Io(err)
+    }
+}
+
+impl From<TableLoadError> for StoreError {
+    fn from(err: TableLoadError) -> StoreError {
+        StoreError::TableLoad(err)
     }
 }
 

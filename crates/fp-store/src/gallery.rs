@@ -36,11 +36,16 @@
 //! `decode_table_record` is the record's only decoder, so a loaded table
 //! is bit-identical to the enrolled one and searches are too.
 //!
-//! An open reads no TABLES record, so a record that rotted, before the
-//! open or after it, is found when stage 2 first touches its entry. The
-//! loader then panics, the only channel mid-search, naming the segment's
-//! file and the entry's index within that segment (the index tombstones
-//! and `inspect` use). [`GalleryStore::compact`],
+//! An opened gallery is searched by one pair-table matcher, the default
+//! one, for both stages. An open reads no TABLES record, so a record that
+//! rotted, before the open or after it, is found when stage 2 first
+//! touches its entry. The loader then returns a [`TableLoadError`] naming
+//! the segment's file and the entry's index within that segment (the
+//! index tombstones and `inspect` use). On the shard route that is a
+//! typed error (`ShardError::Table`, or an error frame from a remote
+//! shard), and [`GalleryStore::append_index`] of such an index returns it
+//! as a [`StoreError`]; only the in-process `CandidateIndex::search`
+//! panics with its text. [`GalleryStore::compact`],
 //! [`check_segment`](crate::check_segment), [`GalleryStore::inspect`] and
 //! `study check-store` find such a record up front, as typed errors.
 
@@ -50,7 +55,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-use fp_index::{CandidateIndex, CodeArena, FlatBuckets, IndexConfig, TableLoader};
+use fp_index::{CandidateIndex, CodeArena, FlatBuckets, IndexConfig, TableLoadError, TableLoader};
 use fp_match::{PairTableMatcher, PreparedPairTable};
 use fp_telemetry::{Counter, DurationHistogram, Telemetry};
 use serde::Serialize;
@@ -233,28 +238,25 @@ impl LiveTables {
     }
 
     /// The loader of the survivors' tables, by dense id. A record that
-    /// fails to read or check panics, naming its file and its entry index
-    /// within that segment.
-    fn loader(self: &Arc<Self>) -> TableLoader<PreparedPairTable> {
+    /// fails to read or check is a [`TableLoadError`] naming its file and
+    /// its entry index within that segment.
+    fn loader(self: &Arc<Self>) -> TableLoader {
         let tables = Arc::clone(self);
         TableLoader::new(move |id: u32| {
             let (file, at) = tables.places[id as usize];
             let file = &tables.files[file];
-            file.record(at).map_or_else(
-                |err| {
-                    let what = match err {
-                        StoreError::Io(_) => "read failed",
-                        StoreError::CrcMismatch { .. } => "CRC mismatch",
-                        _ => "corrupt",
-                    };
-                    panic!(
-                        "segment {} ({}): entry {at} table {what} after open: {err}",
-                        file.seq,
-                        file.path.display()
-                    )
-                },
-                |(_, table)| table,
-            )
+            file.record(at).map(|(_, table)| table).map_err(|err| {
+                let what = match err {
+                    StoreError::Io(_) => "read failed",
+                    StoreError::CrcMismatch { .. } => "CRC mismatch",
+                    _ => "corrupt",
+                };
+                TableLoadError {
+                    segment: format!("segment {} ({})", file.seq, file.path.display()),
+                    entry: at,
+                    detail: format!("{what} after open: {err}"),
+                }
+            })
         })
     }
 }
@@ -358,7 +360,9 @@ impl GalleryStore {
 
     /// Persists the full state of `index` as one new immutable segment
     /// and registers it in the manifest. Returns the segment's sequence
-    /// number.
+    /// number. A lazily opened `index` loads its remaining tables here, so
+    /// a record that rotted after its open fails the append with
+    /// [`StoreError::TableLoad`], and the store is left as it was.
     pub fn append_index(
         &mut self,
         index: &CandidateIndex<PairTableMatcher>,
@@ -374,16 +378,14 @@ impl GalleryStore {
         );
 
         let arena = index.arena();
-        let entries = index
-            .store_entries()
-            .enumerate()
-            .map(|(id, (table, pair_count))| {
-                Ok(EntrySource {
-                    record: encode_table(table),
-                    pair_count,
-                    codes: arena.entry(id),
-                })
-            });
+        let entries = index.store_entries().enumerate().map(|(id, entry)| {
+            let (table, pair_count) = entry?;
+            Ok(EntrySource {
+                record: encode_table(table),
+                pair_count,
+                codes: arena.entry(id),
+            })
+        });
         let image = encode_segment(*index.config(), entries, index.buckets())?;
 
         self.write_segment_file(seq, &image)?;

@@ -29,6 +29,8 @@
 //! chain — to fresh in-memory enrollment of the live entries in live
 //! order.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod error;
 pub mod gallery;
 pub mod manifest;

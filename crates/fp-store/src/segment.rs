@@ -47,7 +47,7 @@
 use fp_core::codec::{crc32, Dec, Enc};
 use fp_core::minutia::MinutiaKind;
 use fp_index::{CodeArena, CodeView, FlatBuckets, IndexConfig};
-use fp_match::PreparedPairTable;
+use fp_match::{PairTableConfig, PreparedPairTable};
 use serde::Serialize;
 
 use crate::error::StoreError;
@@ -461,8 +461,9 @@ fn decode_meta(payload: &[u8]) -> Result<IndexConfig, StoreError> {
     let mut dec = Dec::new(payload, WHAT, "meta");
     let config = IndexConfig::decode(&mut dec)?;
     dec.finish()?;
+    // Validated for the matcher every opened store searches with.
     config
-        .validate()
+        .validate(&PairTableConfig::default())
         .map_err(|err| corrupt(format!("meta config invalid: {err}")))?;
     Ok(config)
 }
@@ -520,9 +521,7 @@ pub(crate) fn decode_table_record(
     let minutia_count = dec.u32()? as usize;
     let table_len = dec.u32()? as u64;
     let f64_at = |c: &[u8; 28], off: usize| {
-        f64::from_bits(u64::from_le_bytes(
-            c[off..off + 8].try_into().expect("8 bytes"),
-        ))
+        f64::from_bits(u64::from_le_bytes(std::array::from_fn(|k| c[off + k])))
     };
     let raw_entries = dec
         .at("pair entries")

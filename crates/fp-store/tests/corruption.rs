@@ -17,7 +17,7 @@ use fp_core::geometry::{Direction, Point};
 use fp_core::minutia::{Minutia, MinutiaKind};
 use fp_core::rng::SeedTree;
 use fp_core::template::Template;
-use fp_index::{CandidateIndex, IndexConfig};
+use fp_index::{search_backends, CandidateIndex, IndexConfig, ShardError, TableLoadError};
 use fp_match::PairTableMatcher;
 use fp_store::{check_manifest, check_segment, GalleryStore, SegmentMeta, StoreError};
 use proptest::prelude::*;
@@ -287,10 +287,11 @@ fn crafted_hostile_section_tables_are_typed_errors() {
     ));
 }
 
-/// A lazily opened gallery whose segment changes under it: the first
-/// table load of the damaged record panics with the loader's own message,
-/// on whichever re-rank lane takes entry 0: a full budget re-ranks all 12
-/// entries, two lanes' worth whenever the host has two cores.
+/// A lazily opened gallery whose segment changes under it: the in-process
+/// search, whose signature cannot carry an error, panics with the loader's
+/// own message, whichever re-rank lane loaded entry 0: a full budget
+/// re-ranks all 12 entries, two lanes' worth whenever the host has two
+/// cores.
 #[test]
 #[should_panic(expected = "CRC mismatch after open")]
 fn a_table_changed_after_a_lazy_open_fails_with_its_own_message() {
@@ -341,11 +342,12 @@ impl Drop for Scratch {
 /// A table record that rots before the open, in the second segment of a
 /// two-segment store with tombstones in both. Compaction refuses it with a
 /// typed error and leaves every file as it was; fsck and inspect report
-/// it. The open reads no table record, so it succeeds, and the first
-/// re-rank of the entry panics naming the file and the entry's index
-/// within its segment (2), not its dense id (5).
+/// it. The open reads no table record, so it succeeds. The first re-rank
+/// of the entry through the shard route, and an append of the opened
+/// index, return a typed error naming the file and the entry's index
+/// within its segment (2), not its dense id (5); the failed append leaves
+/// every file as it was too.
 #[test]
-#[should_panic(expected = "seg-00000001.fpseg): entry 2 table CRC mismatch after open")]
 fn a_record_rotten_before_open_fails_compaction_and_its_first_load() {
     let dir = Scratch::new("fp-store-rot");
     let seed = SeedTree::new(0x2D_07);
@@ -395,7 +397,25 @@ fn a_record_rotten_before_open_fails_compaction_and_its_first_load() {
 
     let opened = store.open_index().unwrap();
     assert_eq!(opened.len(), 8);
-    opened.search_with_budget(&templates[6], opened.len());
+    let named = |err: &TableLoadError| {
+        assert_eq!(err.segment, format!("segment 1 ({})", path.display()));
+        assert_eq!(err.entry, 2);
+        assert!(
+            err.to_string()
+                .contains("seg-00000001.fpseg): entry 2 table CRC mismatch after open"),
+            "{err}"
+        );
+    };
+    let backends = std::slice::from_ref(&opened);
+    match search_backends(backends, &templates[6], opened.len()) {
+        Err(ShardError::Table(err)) => named(&err),
+        other => panic!("a rotten table record searched as {other:?}"),
+    }
+    match store.append_index(&opened) {
+        Err(StoreError::TableLoad(err)) => named(&err),
+        other => panic!("a rotten table record appended as {other:?}"),
+    }
+    assert!(files() == on_disk, "a failed append changed the store");
 }
 
 /// A manifest change reaches memory only once it is on disk. A directory
