@@ -36,12 +36,6 @@ impl Point {
         (*self - *other).norm()
     }
 
-    /// Squared Euclidean distance (avoids the square root in hot loops).
-    pub fn distance_sq(&self, other: &Point) -> f64 {
-        let d = *self - *other;
-        d.x * d.x + d.y * d.y
-    }
-
     /// Direction of the ray from `self` to `other`.
     ///
     /// Returns [`Direction::ZERO`] when the points coincide.
@@ -272,12 +266,6 @@ impl Direction {
         self.signed_delta(other).abs()
     }
 
-    /// Collapses the direction onto the half-circle of undirected
-    /// orientations.
-    pub fn to_orientation(&self) -> Orientation {
-        Orientation::from_radians(self.0)
-    }
-
     /// Rotates by `radians` (wrapping).
     pub fn rotated(&self, radians: f64) -> Direction {
         Direction::from_radians(self.0 + radians)
@@ -336,46 +324,6 @@ impl Orientation {
     /// Rotates by `radians` (wrapping on the half-circle).
     pub fn rotated(&self, radians: f64) -> Orientation {
         Orientation::from_radians(self.0 + radians)
-    }
-
-    /// Averages orientations using the doubled-angle (dyadic) embedding,
-    /// optionally weighted. Returns `None` when `items` is empty or the
-    /// resultant vector vanishes (perfectly ambiguous input).
-    pub fn circular_mean<I>(items: I) -> Option<Orientation>
-    where
-        I: IntoIterator<Item = (Orientation, f64)>,
-    {
-        let (mut sx, mut sy, mut n) = (0.0_f64, 0.0_f64, 0usize);
-        for (o, w) in items {
-            let doubled = 2.0 * o.radians();
-            sx += w * doubled.cos();
-            sy += w * doubled.sin();
-            n += 1;
-        }
-        if n == 0 || (sx == 0.0 && sy == 0.0) {
-            return None;
-        }
-        Some(Orientation::from_radians(sy.atan2(sx) / 2.0))
-    }
-
-    /// Coherence of a set of weighted orientations in `[0, 1]`: 1 when all
-    /// orientations agree, 0 when they cancel. Empty input yields 0.
-    pub fn coherence<I>(items: I) -> f64
-    where
-        I: IntoIterator<Item = (Orientation, f64)>,
-    {
-        let (mut sx, mut sy, mut sw) = (0.0_f64, 0.0_f64, 0.0_f64);
-        for (o, w) in items {
-            let doubled = 2.0 * o.radians();
-            sx += w * doubled.cos();
-            sy += w * doubled.sin();
-            sw += w;
-        }
-        if sw <= 0.0 {
-            0.0
-        } else {
-            (sx.hypot(sy) / sw).clamp(0.0, 1.0)
-        }
     }
 }
 
@@ -601,28 +549,6 @@ mod tests {
         assert!((a.separation(b) - PI / 2.0).abs() < EPS);
         let c = Orientation::from_radians(PI - 0.01);
         assert!(a.separation(c) < 0.02);
-    }
-
-    #[test]
-    fn orientation_mean_handles_wraparound() {
-        let items = [
-            (Orientation::from_radians(0.05), 1.0),
-            (Orientation::from_radians(PI - 0.05), 1.0),
-        ];
-        let mean = Orientation::circular_mean(items).unwrap();
-        // Both orientations are ~horizontal; mean must be near 0 (mod pi).
-        assert!(mean.separation(Orientation::HORIZONTAL) < 0.02);
-    }
-
-    #[test]
-    fn coherence_is_one_for_agreement_zero_for_cancellation() {
-        let same = [(Orientation::from_radians(0.3), 1.0); 4];
-        assert!((Orientation::coherence(same) - 1.0).abs() < EPS);
-        let cancel = [
-            (Orientation::from_radians(0.0), 1.0),
-            (Orientation::from_radians(PI / 2.0), 1.0),
-        ];
-        assert!(Orientation::coherence(cancel) < 1e-9);
     }
 
     #[test]

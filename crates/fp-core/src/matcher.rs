@@ -74,24 +74,6 @@ pub trait Matcher: Send + Sync {
     fn name(&self) -> &str;
 }
 
-impl<M: Matcher + ?Sized> Matcher for &M {
-    fn compare(&self, gallery: &Template, probe: &Template) -> MatchScore {
-        (**self).compare(gallery, probe)
-    }
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-}
-
-impl<M: Matcher + ?Sized> Matcher for Box<M> {
-    fn compare(&self, gallery: &Template, probe: &Template) -> MatchScore {
-        (**self).compare(gallery, probe)
-    }
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -106,16 +106,6 @@ impl Template {
         self.capture_window.area()
     }
 
-    /// Minutiae per square millimetre of capture window.
-    pub fn minutia_density(&self) -> f64 {
-        let area = self.capture_area_mm2();
-        if area <= 0.0 {
-            0.0
-        } else {
-            self.minutiae.len() as f64 / area
-        }
-    }
-
     /// Mean extraction reliability over the template's minutiae, 0 for an
     /// empty template.
     pub fn mean_reliability(&self) -> f64 {
@@ -346,6 +336,5 @@ mod tests {
         assert!(t.is_empty());
         assert_eq!(t.centroid(), None);
         assert_eq!(t.mean_reliability(), 0.0);
-        assert_eq!(t.minutia_density(), 0.0);
     }
 }

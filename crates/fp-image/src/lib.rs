@@ -1,39 +1,7 @@
 //! # fp-image
 //!
-//! The raster image substrate: fingerprint image synthesis and the classic
-//! minutiae-extraction pipeline, implemented from scratch.
-//!
-//! The DSN'13 study worked on raster fingerprint images (Table 1 lists the
-//! pixel dimensions of every device); minutiae only exist after an
-//! extraction pipeline has run. This crate provides both directions:
-//!
-//! * **synthesis** ([`render`]): an SFinGe-style iterative oriented-filter
-//!   renderer that turns a ridge model (orientation field + frequency map +
-//!   master minutiae) into a grey-scale ridge image;
-//! * **analysis**: the standard extraction chain —
-//!   [`orientation`] estimation via structure tensors, [`segment`]ation,
-//!   [`enhance`]ment with oriented Gabor filters, adaptive [`binarize`]
-//!   -ation, Zhang–Suen [`thin`]ning, and crossing-number minutiae
-//!   [`extract`]ion back to an `fp_core` [`Template`](fp_core::template::Template).
-//!
-//! The large-scale score study runs on the template-domain fast path (see
-//! `DESIGN.md`); this crate exists so the full image pipeline is real,
-//! testable, and benchmarked — the `image_pipeline` example and the
-//! round-trip integration tests drive a print from ridge model to image and
-//! back.
-
-pub mod binarize;
-pub mod enhance;
-pub mod extract;
-pub mod filter;
-pub mod image;
-pub mod morphology;
-pub mod normalize;
-pub mod orientation;
-pub mod pgm;
-pub mod quality_map;
-pub mod render;
-pub mod segment;
-pub mod thin;
-
-pub use image::GrayImage;
+//! An empty package. The raster path it held (ridge rendering and the
+//! classic minutiae-extraction chain) reached no report, gate or benchmark
+//! and was deleted; EXPERIMENTS.md records the one measurement it was built
+//! for, the extractor row. The package stays only so that the benchmark's
+//! lock file keeps its entry until the benchmark is next re-locked.

@@ -2,11 +2,10 @@
 //!
 //! The paper's future-work list asks how *diverse matchers* affect
 //! interoperability ("we especially want to explore examples where diverse
-//! matchers improve the detection rates"). These combiners implement the
-//! classical fixed score-fusion rules (Kittler et al.) over two matchers.
+//! matchers improve the detection rates"). These are the classical fixed
+//! score-fusion rules (Kittler et al.) over two matchers' scores.
 
-use fp_core::template::Template;
-use fp_core::{MatchScore, Matcher};
+use fp_core::MatchScore;
 
 /// The fixed score-combination rule to apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -53,64 +52,9 @@ impl FusionRule {
     }
 }
 
-/// A matcher that fuses the scores of two inner matchers under a
-/// [`FusionRule`].
-#[derive(Debug, Clone)]
-pub struct FusedMatcher<A, B> {
-    first: A,
-    second: B,
-    rule: FusionRule,
-    name: String,
-}
-
-impl<A: Matcher, B: Matcher> FusedMatcher<A, B> {
-    /// Creates a fused matcher.
-    pub fn new(first: A, second: B, rule: FusionRule) -> Self {
-        let name = format!("{}+{}({})", first.name(), second.name(), rule.label());
-        FusedMatcher {
-            first,
-            second,
-            rule,
-            name,
-        }
-    }
-
-    /// The fusion rule in effect.
-    pub fn rule(&self) -> FusionRule {
-        self.rule
-    }
-}
-
-impl<A: Matcher, B: Matcher> Matcher for FusedMatcher<A, B> {
-    fn compare(&self, gallery: &Template, probe: &Template) -> MatchScore {
-        self.rule.combine(
-            self.first.compare(gallery, probe),
-            self.second.compare(gallery, probe),
-        )
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    struct Fixed(f64, &'static str);
-    impl Matcher for Fixed {
-        fn compare(&self, _: &Template, _: &Template) -> MatchScore {
-            MatchScore::new(self.0)
-        }
-        fn name(&self) -> &str {
-            self.1
-        }
-    }
-
-    fn t() -> Template {
-        Template::builder(500.0).build().unwrap()
-    }
 
     #[test]
     fn rules_combine_as_documented() {
@@ -129,22 +73,5 @@ mod tests {
         for rule in FusionRule::ALL {
             assert_eq!(rule.combine(a, b), rule.combine(b, a), "{}", rule.label());
         }
-    }
-
-    #[test]
-    fn fused_matcher_reports_compound_name() {
-        let f = FusedMatcher::new(Fixed(1.0, "alpha"), Fixed(2.0, "beta"), FusionRule::Max);
-        assert_eq!(f.name(), "alpha+beta(max)");
-        let tt = t();
-        assert_eq!(f.compare(&tt, &tt).value(), 2.0);
-    }
-
-    #[test]
-    fn min_rule_is_conservative_max_liberal() {
-        let tt = t();
-        let low_high = FusedMatcher::new(Fixed(1.0, "a"), Fixed(9.0, "b"), FusionRule::Min);
-        assert_eq!(low_high.compare(&tt, &tt).value(), 1.0);
-        let lib = FusedMatcher::new(Fixed(1.0, "a"), Fixed(9.0, "b"), FusionRule::Max);
-        assert_eq!(lib.compare(&tt, &tt).value(), 9.0);
     }
 }

@@ -62,25 +62,6 @@ impl NfiqLevel {
     pub fn value(&self) -> u8 {
         *self as u8
     }
-
-    /// Builds a level from the numeric NFIQ value.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for values outside `1..=5`.
-    pub fn from_value(v: u8) -> Result<NfiqLevel, fp_core::Error> {
-        match v {
-            1 => Ok(NfiqLevel::Excellent),
-            2 => Ok(NfiqLevel::VeryGood),
-            3 => Ok(NfiqLevel::Good),
-            4 => Ok(NfiqLevel::Fair),
-            5 => Ok(NfiqLevel::Poor),
-            _ => Err(fp_core::Error::invalid(
-                "nfiq",
-                format!("{v} is not an NFIQ level (1..=5)"),
-            )),
-        }
-    }
 }
 
 impl fmt::Display for NfiqLevel {
@@ -175,58 +156,6 @@ impl QualityAssessor {
     pub fn assess(&self, impression: &Impression) -> NfiqLevel {
         self.assess_features(&impression.features())
     }
-
-    /// Assesses a raster fingerprint image directly — the image-domain path
-    /// that mirrors what NIST's NFIQ does on real scans.
-    ///
-    /// Runs the `fp-image` analysis chain (orientation estimation,
-    /// segmentation, local quality, binarization, thinning, extraction) to
-    /// derive the same [`ImpressionFeatures`] the feature path uses, then
-    /// applies the identical classifier. `dpi` is the image resolution.
-    pub fn assess_image(&self, image: &fp_image::GrayImage, dpi: f64) -> NfiqLevel {
-        use fp_image::{binarize, extract, morphology, orientation, quality_map, segment, thin};
-
-        let block = 16;
-        let field = orientation::estimate_orientation(image, block);
-        let mask = segment::segment(image, block, 0.25);
-        let qmap = quality_map::LocalQualityMap::compute(image, &field, &mask);
-
-        // Physical extent of the image for pixel->mm mapping.
-        let pitch = 25.4 / dpi;
-        let width_mm = image.width() as f64 * pitch;
-        let height_mm = image.height() as f64 * pitch;
-        let window = fp_core::geometry::Rect::centred(
-            fp_core::geometry::Point::ORIGIN,
-            width_mm.max(0.1),
-            height_mm.max(0.1),
-        )
-        .expect("image extent is positive");
-
-        let binary = binarize::adaptive_binarize(image, &mask, 6);
-        let skeleton = morphology::clean_skeleton(&thin::zhang_suen(&binary), 5, 6);
-        let minutia_count = extract::extract_minutiae(
-            &skeleton,
-            &mask,
-            window,
-            &extract::ExtractConfig {
-                dpi,
-                ..extract::ExtractConfig::default()
-            },
-        )
-        .map(|t| t.len())
-        .unwrap_or(0);
-
-        let clarity = qmap.mean_foreground_quality();
-        let features = ImpressionFeatures {
-            minutia_count,
-            mean_reliability: clarity, // extraction confidence tracks clarity
-            captured_area_fraction: mask.foreground_fraction(),
-            clarity,
-            condition_extremity: (1.0 - clarity).clamp(0.0, 1.0),
-            quality_bias: 0.0,
-        };
-        self.assess_features(&features)
-    }
 }
 
 #[cfg(test)]
@@ -287,15 +216,6 @@ mod tests {
     }
 
     #[test]
-    fn from_value_roundtrips_and_validates() {
-        for level in NfiqLevel::ALL {
-            assert_eq!(NfiqLevel::from_value(level.value()).unwrap(), level);
-        }
-        assert!(NfiqLevel::from_value(0).is_err());
-        assert!(NfiqLevel::from_value(6).is_err());
-    }
-
-    #[test]
     fn levels_order_best_to_worst() {
         assert!(NfiqLevel::Excellent < NfiqLevel::Poor);
         assert_eq!(NfiqLevel::Excellent.value(), 1);
@@ -332,42 +252,6 @@ mod tests {
         let all: Vec<f64> = live.iter().chain(&ink).copied().collect();
         let distinct: std::collections::BTreeSet<u8> = all.iter().map(|&l| l as u8).collect();
         assert!(distinct.len() >= 3, "only levels {distinct:?} observed");
-    }
-
-    #[test]
-    fn image_path_rates_clean_renders_better_than_noisy_ones() {
-        use fp_core::geometry::{Point, Rect};
-        use fp_core::rng::SeedTree;
-        use fp_image::render::{render_master, RenderConfig};
-        use fp_synth::master::MasterPrint;
-        use rand::Rng;
-
-        let master = MasterPrint::generate(&SeedTree::new(77), fp_core::ids::Digit::Index, 1.0);
-        let window = Rect::centred(Point::ORIGIN, 14.0, 16.0).unwrap();
-        let clean = render_master(&master, window, &RenderConfig::default(), &SeedTree::new(1));
-
-        // Heavy speckle noise on top of the clean render.
-        let mut noisy = clean.clone();
-        let mut rng = SeedTree::new(2).rng();
-        for v in noisy.data_mut() {
-            *v = (*v + (rng.gen::<f32>() - 0.5) * 1.2).clamp(0.0, 1.0);
-        }
-
-        let assessor = QualityAssessor::default();
-        let q_clean = assessor.assess_image(&clean, 500.0);
-        let q_noisy = assessor.assess_image(&noisy, 500.0);
-        assert!(
-            q_clean <= q_noisy,
-            "clean {q_clean} rated worse than noisy {q_noisy}"
-        );
-        assert!(q_clean.value() <= 3, "clean render rated {q_clean}");
-    }
-
-    #[test]
-    fn image_path_rates_flat_images_poor() {
-        let flat = fp_image::GrayImage::filled(128, 128, 0.5).unwrap();
-        let assessor = QualityAssessor::default();
-        assert_eq!(assessor.assess_image(&flat, 500.0), NfiqLevel::Poor);
     }
 
     #[test]

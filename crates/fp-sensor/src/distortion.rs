@@ -76,34 +76,6 @@ impl DistortionSignature {
     pub fn apply(&self, q: Point) -> Point {
         q + self.displacement(q)
     }
-
-    /// Root-mean-square displacement *difference* between two signatures over
-    /// a centred disc of the given radius — the residual a rigid-alignment
-    /// matcher cannot remove (up to its own rigid re-fit). Useful for
-    /// reasoning about interoperability in tests and ablations.
-    pub fn rms_difference(&self, other: &DistortionSignature, radius: f64) -> f64 {
-        let mut sum = 0.0;
-        let mut count = 0usize;
-        let steps = 12;
-        for i in 0..steps {
-            for j in 0..steps {
-                let x = -radius + 2.0 * radius * (i as f64 + 0.5) / steps as f64;
-                let y = -radius + 2.0 * radius * (j as f64 + 0.5) / steps as f64;
-                if x * x + y * y > radius * radius {
-                    continue;
-                }
-                let q = Point::new(x, y);
-                let d = self.displacement(q) - other.displacement(q);
-                sum += d.x * d.x + d.y * d.y;
-                count += 1;
-            }
-        }
-        if count == 0 {
-            0.0
-        } else {
-            (sum / count as f64).sqrt()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -129,34 +101,6 @@ mod tests {
         let far = sig.displacement(Point::new(10.0, 0.0)).norm();
         assert!((far / near - 4.0).abs() < 1e-9, "ratio = {}", far / near);
         assert!((far - 0.3).abs() < 1e-9);
-    }
-
-    #[test]
-    fn rms_difference_is_zero_for_same_signature() {
-        let sig = DistortionSignature {
-            k_radial: 0.2,
-            shear_x: 0.01,
-            wave_amp: 0.1,
-            wave_freq: 0.5,
-            ..DistortionSignature::IDENTITY
-        };
-        assert_eq!(sig.rms_difference(&sig, 10.0), 0.0);
-    }
-
-    #[test]
-    fn rms_difference_is_symmetric_and_positive() {
-        let a = DistortionSignature {
-            k_radial: 0.25,
-            ..DistortionSignature::IDENTITY
-        };
-        let b = DistortionSignature {
-            k_radial: -0.25,
-            ..DistortionSignature::IDENTITY
-        };
-        let ab = a.rms_difference(&b, 10.0);
-        let ba = b.rms_difference(&a, 10.0);
-        assert!((ab - ba).abs() < 1e-12);
-        assert!(ab > 0.1, "rms = {ab}");
     }
 
     #[test]

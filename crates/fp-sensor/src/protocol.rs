@@ -14,7 +14,7 @@ use fp_synth::population::Subject;
 use fp_telemetry::Telemetry;
 
 use crate::acquisition::{Acquisition, Impression};
-use crate::device::{Device, DEVICES};
+use crate::device::Device;
 use crate::metrics::CaptureMetrics;
 
 /// Number of capture sessions per device per participant.
@@ -115,18 +115,6 @@ impl CaptureProtocol {
             .record_impression(device, impression.template().len());
         impression
     }
-
-    /// Captures the full protocol for one finger of one subject: both
-    /// sessions on every device, in protocol order.
-    pub fn capture_all(&self, subject: &Subject, finger: Finger) -> Vec<Impression> {
-        let mut out = Vec::with_capacity(DEVICES.len() * SESSIONS_PER_DEVICE as usize);
-        for device in Self::device_order() {
-            for session in 0..SESSIONS_PER_DEVICE {
-                out.push(self.capture(subject, finger, device, SessionId(session)));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -136,22 +124,6 @@ mod tests {
 
     fn subject() -> Subject {
         Population::generate(&PopulationConfig::new(123, 1)).subjects()[0].clone()
-    }
-
-    #[test]
-    fn protocol_produces_ten_impressions_per_finger() {
-        let s = subject();
-        let imps = CaptureProtocol::new().capture_all(&s, Finger::RIGHT_INDEX);
-        assert_eq!(imps.len(), 10);
-        for device in DeviceId::ALL {
-            for session in 0..SESSIONS_PER_DEVICE {
-                assert!(
-                    imps.iter()
-                        .any(|i| i.device() == device && i.session() == SessionId(session)),
-                    "missing {device} session {session}"
-                );
-            }
-        }
     }
 
     #[test]

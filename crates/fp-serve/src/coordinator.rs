@@ -35,7 +35,7 @@
 use std::cell::RefCell;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use fp_core::rng::splitmix64;
@@ -43,8 +43,8 @@ use fp_core::template::Template;
 use fp_index::shard::check_deal;
 use fp_index::{search_spine, IndexConfig, SearchResult, ShardBackend, ShardError, StageOneScores};
 use fp_telemetry::{
-    DetachedSpan, FingerprintChain, FingerprintSnapshot, HistogramSnapshot, RunFingerprint,
-    SpanRecord, Telemetry, TraceSnapshot,
+    Counter, DetachedSpan, FingerprintChain, FingerprintSnapshot, HistogramSnapshot,
+    RunFingerprint, SpanRecord, Telemetry, TraceSnapshot,
 };
 
 use crate::metrics::ServeMetrics;
@@ -638,6 +638,8 @@ pub struct Coordinator {
     /// waiting to be merged into an export by
     /// [`merged_trace`](Self::merged_trace).
     collected: Mutex<Vec<RemoteTrace>>,
+    /// `serve.search.failed`: searches that returned an error.
+    failed: Counter,
 }
 
 impl Coordinator {
@@ -671,6 +673,7 @@ impl Coordinator {
             searches: AtomicU64::new(0),
             slowlog: None,
             collected: Mutex::new(Vec::new()),
+            failed: Counter::default(),
         })
     }
 
@@ -686,6 +689,7 @@ impl Coordinator {
     pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
         self.telemetry = telemetry.clone();
         let metrics = ServeMetrics::new(telemetry);
+        self.failed = metrics.search_failed.clone();
         self.shards = self
             .shards
             .into_iter()
@@ -761,27 +765,19 @@ impl Coordinator {
         let config = &self.config;
         let ctx = self.telemetry.trace_ctx();
         let telemetry = &self.telemetry;
-        let results: Vec<Result<(), ShardError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .zip(&per_shard)
-                .map(|(shard, batch)| {
-                    let ctx = &ctx;
-                    scope.spawn(move || {
-                        let _adopt = telemetry.in_ctx(ctx);
-                        shard.enroll(config, batch)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("enroll worker panicked"))
-                .collect()
+        // Each worker fills its own slot; the scope joins them all (and
+        // re-raises a worker's panic) before the slots are read.
+        let mut results: Vec<Result<(), ShardError>> = per_shard.iter().map(|_| Ok(())).collect();
+        std::thread::scope(|scope| {
+            for ((shard, batch), slot) in self.shards.iter().zip(&per_shard).zip(&mut results) {
+                let ctx = &ctx;
+                scope.spawn(move || {
+                    let _adopt = telemetry.in_ctx(ctx);
+                    *slot = shard.enroll(config, batch);
+                });
+            }
         });
-        for result in results {
-            result?;
-        }
+        results.into_iter().collect::<Result<(), ShardError>>()?;
         // The enroll acks refreshed every shard's cached length.
         self.enrolled = dealt_len(&self.shards)?;
         Ok(())
@@ -862,7 +858,8 @@ impl Coordinator {
                     },
                 )
             },
-        )?;
+        )
+        .inspect_err(|_| self.failed.incr())?;
 
         let done = self.searches.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(slowlog) = &self.slowlog {
@@ -981,6 +978,14 @@ impl Coordinator {
         Ok(())
     }
 
+    /// The drained remote traces. Nothing panics while holding the lock: it
+    /// is held to push a drain or to read the list.
+    fn collected(&self) -> MutexGuard<'_, Vec<RemoteTrace>> {
+        self.collected
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Drains every shard's flight recorder over [`Frame::Trace`] and
     /// retains the spans for [`merged_trace`](Self::merged_trace).
     /// Incremental: each round only fetches spans newer than the shard's
@@ -991,10 +996,7 @@ impl Coordinator {
         for shard in &self.shards {
             let remote = shard.collect_trace(&self.telemetry)?;
             fetched += remote.spans.len();
-            self.collected
-                .lock()
-                .expect("collected traces poisoned")
-                .push(remote);
+            self.collected().push(remote);
         }
         Ok(fetched)
     }
@@ -1006,12 +1008,7 @@ impl Coordinator {
     /// estimate (see [`TraceSnapshot::merge_remote`]).
     pub fn merged_trace(&self) -> TraceSnapshot {
         let mut snapshot = self.telemetry.trace_snapshot();
-        for remote in self
-            .collected
-            .lock()
-            .expect("collected traces poisoned")
-            .iter()
-        {
+        for remote in self.collected().iter() {
             snapshot.merge_remote(
                 remote.shard,
                 remote.spans.clone(),

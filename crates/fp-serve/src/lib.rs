@@ -51,6 +51,8 @@
 //! [`fp_index::search_backends`] uses. Equality of results is therefore structural, not a numerical
 //! accident; `study gate ladder` audits it end-to-end anyway.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod coordinator;
 pub mod metrics;
 pub mod mux;

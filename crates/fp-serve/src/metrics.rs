@@ -14,6 +14,9 @@
 //! * `serve.drift` — fingerprint-chain mismatches between a shard's
 //!   scraped chain and the coordinator's mirror (each one also surfaced
 //!   as a typed `ShardError::FingerprintDrift`);
+//! * `serve.search.failed` — coordinator searches that returned an error
+//!   (an unreachable shard, or a typed error frame such as a rotten
+//!   table's);
 //! * `serve.rpc.<kind>` — one latency histogram per request frame type
 //!   (`enroll`, `stage1`, `rerank`, `health`, `shutdown`), timing the full
 //!   round trip including encode/decode.
@@ -34,6 +37,7 @@ pub struct ServeMetrics {
     pub(crate) timeouts: Counter,
     pub(crate) shed: Counter,
     pub(crate) drift: Counter,
+    pub(crate) search_failed: Counter,
 }
 
 impl ServeMetrics {
@@ -48,6 +52,7 @@ impl ServeMetrics {
             timeouts: telemetry.counter("serve.timeouts"),
             shed: telemetry.counter("serve.shed"),
             drift: telemetry.counter("serve.drift"),
+            search_failed: telemetry.counter("serve.search.failed"),
         }
     }
 

@@ -32,7 +32,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::wire::{read_frame_with, write_frame_with, Frame, WireError};
@@ -174,18 +174,18 @@ impl MuxConn {
     /// Reconnects if the connection is down or poisoned (failing any
     /// requests still in flight from the previous socket).
     pub fn begin(&self, frame: &Frame) -> Result<(Ticket, usize), MuxError> {
-        let mut inner = self.inner.lock().expect("mux lock poisoned");
-        if inner.writer.is_none() || inner.fault.is_some() {
-            self.reconnect(&mut inner)?;
-        }
+        let mut inner = self.lock();
+        let mut writer = match inner.writer.take() {
+            Some(writer) if inner.fault.is_none() => writer,
+            _ => self.reconnect(&mut inner)?,
+        };
         let mut id = self.next_id.fetch_add(1, Ordering::Relaxed);
         // Skip 0 (the un-multiplexed conventional id) and, after a u32
         // wrap, any id still in flight.
         while id == 0 || inner.expected.contains(&id) || inner.abandoned.contains(&id) {
             id = self.next_id.fetch_add(1, Ordering::Relaxed);
         }
-        let writer = inner.writer.as_mut().expect("connected above");
-        let tx = match write_frame_with(writer, id, frame) {
+        let tx = match write_frame_with(&mut writer, id, frame) {
             Ok(tx) => tx,
             Err(e) => {
                 let fault = Fault::Transport {
@@ -197,6 +197,7 @@ impl MuxConn {
                 return Err(err);
             }
         };
+        inner.writer = Some(writer);
         inner.expected.insert(id);
         let in_flight = inner.expected.len() + inner.mailbox.len();
         self.peak_in_flight.fetch_max(in_flight, Ordering::Relaxed);
@@ -214,7 +215,7 @@ impl MuxConn {
     /// the socket on behalf of every other waiter (see the module docs).
     pub fn finish(&self, ticket: Ticket) -> Result<(Frame, usize), MuxError> {
         let start = Instant::now();
-        let mut inner = self.inner.lock().expect("mux lock poisoned");
+        let mut inner = self.lock();
         loop {
             if let Some(delivered) = inner.mailbox.remove(&ticket.id) {
                 return Ok(delivered);
@@ -245,14 +246,14 @@ impl MuxConn {
                 // pick up their own deliveries meanwhile.
                 drop(inner);
                 let result = read_frame_with(&mut reader);
-                inner = self.inner.lock().expect("mux lock poisoned");
+                inner = self.lock();
                 self.deliver(&mut inner, reader, ticket.generation, result);
                 self.ready.notify_all();
             } else {
                 let (guard, _timeout) = self
                     .ready
                     .wait_timeout(inner, WAIT_SLICE)
-                    .expect("mux lock poisoned");
+                    .unwrap_or_else(PoisonError::into_inner);
                 inner = guard;
             }
         }
@@ -265,6 +266,14 @@ impl MuxConn {
         let (ticket, tx) = self.begin(frame)?;
         let (response, rx) = self.finish(ticket)?;
         Ok((response, tx, rx))
+    }
+
+    /// The connection state. It is held for bookkeeping and a frame write;
+    /// the one panic there (an oversized frame's encode) fires while
+    /// `begin` holds the writer outside the state, so the next `begin`
+    /// reconnects and nothing else is left half-done.
+    fn lock(&self) -> MutexGuard<'_, MuxInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Delivers the outcome of one socket read (performed with the mux
@@ -327,10 +336,10 @@ impl MuxConn {
         self.ready.notify_all();
     }
 
-    /// Opens a fresh socket under a bumped generation. In-flight requests
-    /// from the previous generation fail with a reset error when their
-    /// callers next look.
-    fn reconnect(&self, inner: &mut MuxInner) -> Result<(), MuxError> {
+    /// Opens a fresh socket under a bumped generation and hands back its
+    /// writing half. In-flight requests from the previous generation fail
+    /// with a reset error when their callers next look.
+    fn reconnect(&self, inner: &mut MuxInner) -> Result<TcpStream, MuxError> {
         let stream = TcpStream::connect_timeout(&self.addr, self.deadline)
             .and_then(|s| {
                 s.set_nodelay(true)?;
@@ -347,13 +356,12 @@ impl MuxConn {
             timeout: false,
         })?;
         inner.generation += 1;
-        inner.writer = Some(stream);
         inner.reader = Some(reader);
         inner.mailbox.clear();
         inner.expected.clear();
         inner.abandoned.clear();
         inner.fault = None;
         self.ready.notify_all();
-        Ok(())
+        Ok(stream)
     }
 }

@@ -78,39 +78,41 @@ pub fn spawn_shard(exe: &Path, args: &[&str]) -> std::io::Result<ShardChild> {
         .stderr(Stdio::inherit())
         .stdin(Stdio::null())
         .spawn()?;
-    let stdout = child.stdout.take().expect("stdout piped above");
+    match handshake(&mut child) {
+        Ok(addr) => Ok(ShardChild { child, addr }),
+        Err(e) => {
+            let _ = child.kill();
+            let _ = child.wait();
+            Err(e)
+        }
+    }
+}
+
+/// Reads `child`'s stdout until its `LISTENING <addr>` line.
+fn handshake(child: &mut Child) -> std::io::Result<SocketAddr> {
+    let stdout = child
+        .stdout
+        .take()
+        .ok_or_else(|| std::io::Error::other("shard child has no stdout pipe"))?;
     let mut reader = BufReader::new(stdout);
     let start = Instant::now();
     let mut line = String::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => {
-                let _ = child.kill();
-                let _ = child.wait();
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "shard child exited before printing its LISTENING line",
-                ));
-            }
-            Ok(_) => {
-                if let Some(rest) = line.trim().strip_prefix(LISTENING_PREFIX) {
-                    if let Ok(addr) = rest.trim().parse::<SocketAddr>() {
-                        return Ok(ShardChild { child, addr });
-                    }
-                }
-                // Tolerate stray lines (e.g. a wrapper script chattering)
-                // until the deadline.
-            }
-            Err(e) => {
-                let _ = child.kill();
-                let _ = child.wait();
-                return Err(e);
+        if reader.read_line(&mut line)? == 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "shard child exited before printing its LISTENING line",
+            ));
+        }
+        if let Some(rest) = line.trim().strip_prefix(LISTENING_PREFIX) {
+            if let Ok(addr) = rest.trim().parse::<SocketAddr>() {
+                return Ok(addr);
             }
         }
+        // Tolerate stray lines (e.g. a wrapper script chattering) until
+        // the deadline.
         if start.elapsed() > SPAWN_DEADLINE {
-            let _ = child.kill();
-            let _ = child.wait();
             return Err(std::io::Error::new(
                 std::io::ErrorKind::TimedOut,
                 "shard child never printed its LISTENING line",

@@ -48,7 +48,7 @@ use std::collections::HashSet;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::Duration;
 
 use fp_core::template::Template;
@@ -147,7 +147,12 @@ struct Job {
 /// via [`ShardServer::spawn`].
 pub struct ShardServer {
     listener: TcpListener,
-    state: Arc<State>,
+    index: CandidateIndex,
+    telemetry: Telemetry,
+    stop: Arc<AtomicBool>,
+    skew: Arc<AtomicU64>,
+    delay_ms: Arc<AtomicU64>,
+    connections: Arc<AtomicUsize>,
     workers: usize,
     queue: usize,
 }
@@ -180,15 +185,12 @@ impl ShardServer {
         let listener = TcpListener::bind(addr)?;
         Ok(ShardServer {
             listener,
-            state: Arc::new(State {
-                index: RwLock::new(CandidateIndex::new(matcher)),
-                stop: Arc::new(AtomicBool::new(false)),
-                telemetry: Telemetry::disabled(),
-                admission: Admission::new(&Telemetry::disabled()),
-                skew: Arc::new(AtomicU64::new(0)),
-                delay_ms: Arc::new(AtomicU64::new(0)),
-                connections: Arc::new(AtomicUsize::new(0)),
-            }),
+            index: CandidateIndex::new(matcher),
+            telemetry: Telemetry::disabled(),
+            stop: Arc::new(AtomicBool::new(false)),
+            skew: Arc::new(AtomicU64::new(0)),
+            delay_ms: Arc::new(AtomicU64::new(0)),
+            connections: Arc::new(AtomicUsize::new(0)),
             workers: DEFAULT_WORKERS,
             queue: DEFAULT_QUEUE,
         })
@@ -196,16 +198,11 @@ impl ShardServer {
 
     /// Attaches a telemetry handle: the index registers its `index.*`
     /// instruments on it, admission control its `serve.*` instruments, and
-    /// [`Frame::Stats`] answers with a snapshot of it. Must be called
-    /// before [`run`](Self::run)/[`spawn`](Self::spawn) (while the server
-    /// is still a builder).
+    /// [`Frame::Stats`] answers with a snapshot of it. Replaces the index
+    /// with an empty one.
     pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
-        let state =
-            Arc::get_mut(&mut self.state).expect("with_telemetry must be called before spawn/run");
-        state.telemetry = telemetry.clone();
-        state.admission = Admission::new(telemetry);
-        let index = state.index.get_mut().expect("index lock poisoned");
-        *index = CandidateIndex::new(index.matcher().clone()).with_telemetry(telemetry);
+        self.index = CandidateIndex::new(self.index.matcher().clone()).with_telemetry(telemetry);
+        self.telemetry = telemetry.clone();
         self
     }
 
@@ -214,13 +211,9 @@ impl ShardServer {
     /// gallery via `fp-store` and serves it without a single enroll
     /// round-trip. The index re-registers its instruments on the
     /// already-attached telemetry, so call this *after*
-    /// [`with_telemetry`](Self::with_telemetry) (and, like every builder
-    /// method, before [`run`](Self::run)/[`spawn`](Self::spawn)).
+    /// [`with_telemetry`](Self::with_telemetry).
     pub fn with_index(mut self, index: CandidateIndex) -> Self {
-        let state =
-            Arc::get_mut(&mut self.state).expect("with_index must be called before spawn/run");
-        *state.index.get_mut().expect("index lock poisoned") =
-            index.with_telemetry(&state.telemetry);
+        self.index = index.with_telemetry(&self.telemetry);
         self
     }
 
@@ -239,7 +232,7 @@ impl ShardServer {
     /// simulating a shard whose recorded chain disagrees with what it
     /// actually served (bit rot, version skew, a forged score).
     pub fn skew_fingerprint(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.state.skew)
+        Arc::clone(&self.skew)
     }
 
     /// Fault-injection handle for tests: any non-zero value stored here
@@ -248,13 +241,13 @@ impl ShardServer {
     /// shard, for proving multiplexed correctness under skewed completion
     /// order.
     pub fn delay_stage(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.state.delay_ms)
+        Arc::clone(&self.delay_ms)
     }
 
     /// Live connection-thread count, as seen by the accept loop's reaping
     /// pass. A churn of short-lived connections must return this to 0.
     pub fn tracked_connections(&self) -> Arc<AtomicUsize> {
-        Arc::clone(&self.state.connections)
+        Arc::clone(&self.connections)
     }
 
     /// The bound address (the port to advertise when bound to port 0).
@@ -266,7 +259,27 @@ impl ShardServer {
     /// flips the flag). Blocking; each connection gets a reader thread and
     /// all connections share the bounded worker pool.
     pub fn run(self) -> std::io::Result<()> {
-        self.listener.set_nonblocking(true)?;
+        let ShardServer {
+            listener,
+            index,
+            telemetry,
+            stop,
+            skew,
+            delay_ms,
+            connections,
+            workers,
+            queue,
+        } = self;
+        listener.set_nonblocking(true)?;
+        let state = Arc::new(State {
+            index: RwLock::new(index),
+            stop,
+            admission: Admission::new(&telemetry),
+            telemetry,
+            skew,
+            delay_ms,
+            connections,
+        });
 
         // The worker pool, shared by every connection. The channel itself
         // is unbounded; boundedness comes from the admission check in
@@ -274,19 +287,19 @@ impl ShardServer {
         // a full `sync_channel` could not).
         let (job_tx, job_rx) = std::sync::mpsc::channel::<Job>();
         let job_rx = Arc::new(Mutex::new(job_rx));
-        let workers: Vec<_> = (0..self.workers)
+        let workers: Vec<_> = (0..workers)
             .map(|_| {
                 let job_rx = Arc::clone(&job_rx);
                 std::thread::spawn(move || worker_loop(job_rx))
             })
             .collect();
 
-        let watermark = self.queue;
+        let watermark = queue;
         let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !self.state.stop.load(Ordering::Relaxed) {
-            match self.listener.accept() {
+        while !state.stop.load(Ordering::Relaxed) {
+            match listener.accept() {
                 Ok((stream, _peer)) => {
-                    let state = Arc::clone(&self.state);
+                    let state = Arc::clone(&state);
                     let job_tx = job_tx.clone();
                     conns.push(std::thread::spawn(move || {
                         serve_connection(stream, state, job_tx, watermark)
@@ -306,12 +319,12 @@ impl ShardServer {
                     i += 1;
                 }
             }
-            self.state.connections.store(conns.len(), Ordering::Relaxed);
+            state.connections.store(conns.len(), Ordering::Relaxed);
         }
         for conn in conns {
             let _ = conn.join();
         }
-        self.state.connections.store(0, Ordering::Relaxed);
+        state.connections.store(0, Ordering::Relaxed);
         // Readers are gone; dropping the last sender lets the workers
         // drain whatever was queued and exit.
         drop(job_tx);
@@ -325,12 +338,20 @@ impl ShardServer {
     /// handle. Used by in-process tests; the `serve-shard` binary calls
     /// [`run`](Self::run) directly.
     pub fn spawn(self) -> ServerHandle {
-        let stop = Arc::clone(&self.state.stop);
+        let stop = Arc::clone(&self.stop);
         let thread = std::thread::spawn(move || {
             let _ = self.run();
         });
         ServerHandle { stop, thread }
     }
+}
+
+/// Locks a mutex that guards no invariant a panic could break. The server
+/// has three: the job queue (held across `recv` alone), a connection's
+/// in-flight id set (`insert` / `remove` alone) and its writer (a frame is
+/// encoded whole before its first byte is written).
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Pops jobs until every sender is gone (server shutdown), executing each
@@ -339,7 +360,7 @@ impl ShardServer {
 /// `recv`, so idle workers queue on the mutex instead of the channel.
 fn worker_loop(job_rx: Arc<Mutex<Receiver<Job>>>) {
     loop {
-        let job = match job_rx.lock().expect("job queue lock poisoned").recv() {
+        let job = match lock(&job_rx).recv() {
             Ok(job) => job,
             Err(_) => return, // all senders dropped: server is done
         };
@@ -352,9 +373,8 @@ fn worker_loop(job_rx: Arc<Mutex<Receiver<Job>>>) {
         // issuing span id as `remote_parent`, which is what lets the merge
         // stitch the two process-local trees), plus a retroactive
         // `server.queue_wait` child covering admission→dispatch.
-        let sampled = telemetry.is_enabled() && job.trace.is_some_and(|t| t.sampled);
-        let span = sampled.then(|| {
-            let ctx = job.trace.expect("sampled implies a context");
+        let sampled = job.trace.filter(|t| t.sampled && telemetry.is_enabled());
+        let span = sampled.map(|ctx| {
             let mut span = telemetry.detached_span(
                 "server.request",
                 &[
@@ -379,7 +399,7 @@ fn worker_loop(job_rx: Arc<Mutex<Receiver<Job>>>) {
             .map(TraceCtx::adopted)
             .unwrap_or_default();
         let ctx_guard = telemetry.in_ctx(&adopted);
-        let response = handle_request(job.request, &job.state);
+        let response = handle_request(job.request, &job.state).unwrap_or_else(|error| error);
         drop(ctx_guard);
         let work_ns = telemetry.trace_now_ns().saturating_sub(dispatched_ns);
         if let Some(span) = span {
@@ -391,17 +411,18 @@ fn worker_loop(job_rx: Arc<Mutex<Receiver<Job>>>) {
             work_ns,
         });
         let response = match response {
-            Frame::StageOneOk { scores, .. } if sampled => Frame::StageOneOk { scores, timing },
-            Frame::RerankOk { candidates, .. } if sampled => Frame::RerankOk { candidates, timing },
+            Frame::StageOneOk { scores, .. } if sampled.is_some() => {
+                Frame::StageOneOk { scores, timing }
+            }
+            Frame::RerankOk { candidates, .. } if sampled.is_some() => {
+                Frame::RerankOk { candidates, timing }
+            }
             other => other,
         };
         // Release the id before the response can reach the client: once
         // the client sees the answer it may legally reuse the id.
-        job.in_flight
-            .lock()
-            .expect("in-flight set poisoned")
-            .remove(&job.request_id);
-        let mut writer = job.writer.lock().expect("connection writer poisoned");
+        lock(&job.in_flight).remove(&job.request_id);
+        let mut writer = lock(&job.writer);
         // A failed write means the client is gone; its reader thread notices.
         let _ = write_frame_with(&mut *writer, job.request_id, &response);
     }
@@ -421,8 +442,7 @@ fn serve_connection(stream: TcpStream, state: Arc<State>, job_tx: Sender<Job>, w
     let in_flight: Arc<Mutex<HashSet<u32>>> = Arc::new(Mutex::new(HashSet::new()));
     // Best effort: a peer that cannot be answered is about to be dropped.
     let answer = |id: u32, frame: &Frame| {
-        let mut w = writer.lock().expect("connection writer poisoned");
-        let _ = write_frame_with(&mut *w, id, frame);
+        let _ = write_frame_with(&mut *lock(&writer), id, frame);
     };
     let mut stream = stream;
     let mut peek = [0u8; 1];
@@ -472,11 +492,7 @@ fn serve_connection(stream: TcpStream, state: Arc<State>, job_tx: Sender<Job>, w
         // A request id already in flight on this connection cannot be
         // dispatched — its response would be indistinguishable from the
         // first one's. Typed error, connection stays up.
-        if !in_flight
-            .lock()
-            .expect("in-flight set poisoned")
-            .insert(request_id)
-        {
+        if !lock(&in_flight).insert(request_id) {
             answer(
                 request_id,
                 &Frame::Error {
@@ -495,10 +511,7 @@ fn serve_connection(stream: TcpStream, state: Arc<State>, job_tx: Sender<Job>, w
             // into the dark.
             state.admission.depth.fetch_sub(1, Ordering::Relaxed);
             state.admission.overloaded.incr();
-            in_flight
-                .lock()
-                .expect("in-flight set poisoned")
-                .remove(&request_id);
+            lock(&in_flight).remove(&request_id);
             answer(
                 request_id,
                 &Frame::Error {
@@ -528,7 +541,9 @@ fn serve_connection(stream: TcpStream, state: Arc<State>, job_tx: Sender<Job>, w
     }
 }
 
-fn handle_request(request: Frame, state: &State) -> Frame {
+/// Executes one request: `Ok` holds the response, `Err` the typed error
+/// frame that answers it instead.
+fn handle_request(request: Frame, state: &State) -> Result<Frame, Frame> {
     match request {
         Frame::EnrollBatch {
             config,
@@ -537,7 +552,7 @@ fn handle_request(request: Frame, state: &State) -> Frame {
         } => enroll(config, templates, state),
         Frame::StageOne { probe, trace: _ } => {
             stage_delay(state);
-            let index = state.index.read().expect("index lock poisoned");
+            let index = state.index.read().map_err(poisoned)?;
             stage_answer(index.stage_one(&probe), |scores| Frame::StageOneOk {
                 scores,
                 timing: None,
@@ -549,13 +564,13 @@ fn handle_request(request: Frame, state: &State) -> Frame {
             trace: _,
         } => {
             stage_delay(state);
-            let index = state.index.read().expect("index lock poisoned");
+            let index = state.index.read().map_err(poisoned)?;
             let len = index.len() as u32;
             if let Some(&bad) = selected.iter().find(|&&id| id >= len) {
-                return Frame::Error {
+                return Err(Frame::Error {
                     code: code::BAD_REQUEST,
                     detail: format!("re-rank id {bad} out of range (shard holds {len})"),
-                };
+                });
             }
             stage_answer(index.stage_two(&probe, &selected), |candidates| {
                 Frame::RerankOk {
@@ -564,27 +579,23 @@ fn handle_request(request: Frame, state: &State) -> Frame {
                 }
             })
         }
-        Frame::Health => Frame::HealthOk {
-            shard_len: state.index.read().expect("index lock poisoned").len() as u32,
-        },
+        Frame::Health => Ok(Frame::HealthOk {
+            shard_len: state.index.read().map_err(poisoned)?.len() as u32,
+        }),
         Frame::Fingerprint => {
-            let snapshot = state
-                .index
-                .read()
-                .expect("index lock poisoned")
-                .part_fingerprint();
-            Frame::FingerprintOk {
+            let snapshot = state.index.read().map_err(poisoned)?.part_fingerprint();
+            Ok(Frame::FingerprintOk {
                 value: snapshot.value ^ state.skew.load(Ordering::Relaxed),
                 searches: snapshot.searches,
-            }
+            })
         }
         Frame::Stats => {
             let snapshot = state.telemetry.snapshot();
-            Frame::StatsOk {
+            Ok(Frame::StatsOk {
                 counters: snapshot.counters.into_iter().collect(),
                 durations: snapshot.durations.into_iter().collect(),
                 values: snapshot.values.into_iter().collect(),
-            }
+            })
         }
         Frame::Trace { since_span_id } => {
             // Read the clock while building the response: the coordinator
@@ -597,30 +608,40 @@ fn handle_request(request: Frame, state: &State) -> Frame {
                 .into_iter()
                 .filter(|s| s.id >= since_span_id)
                 .collect();
-            Frame::TraceOk {
+            Ok(Frame::TraceOk {
                 now_ns,
                 dropped_spans: snapshot.dropped_spans,
                 spans,
-            }
+            })
         }
-        Frame::Shutdown => Frame::ShutdownOk,
+        Frame::Shutdown => Ok(Frame::ShutdownOk),
         // Response frames arriving as requests are a client bug.
-        other => Frame::Error {
+        other => Err(Frame::Error {
             code: code::BAD_REQUEST,
             detail: format!("frame '{}' is not a request", other.kind()),
-        },
+        }),
+    }
+}
+
+/// The answer to a request that finds the index lock poisoned (by a panic
+/// inside an earlier enrollment): a typed `INTERNAL` frame, not a second
+/// panic.
+fn poisoned<T>(_: PoisonError<T>) -> Frame {
+    Frame::Error {
+        code: code::INTERNAL,
+        detail: "shard index lock poisoned by an earlier panic".to_string(),
     }
 }
 
 /// A stage's response frame: `ok` of its result, or an `INTERNAL` error.
-fn stage_answer<T>(result: Result<T, ShardError>, ok: impl FnOnce(T) -> Frame) -> Frame {
-    result.map_or_else(
-        |e| Frame::Error {
-            code: code::INTERNAL,
-            detail: e.to_string(),
-        },
-        ok,
-    )
+fn stage_answer<T>(
+    result: Result<T, ShardError>,
+    ok: impl FnOnce(T) -> Frame,
+) -> Result<Frame, Frame> {
+    result.map(ok).map_err(|e| Frame::Error {
+        code: code::INTERNAL,
+        detail: e.to_string(),
+    })
 }
 
 /// The trace context a request frame carried, if any.
@@ -641,8 +662,8 @@ fn stage_delay(state: &State) {
     }
 }
 
-fn enroll(config: IndexConfig, templates: Vec<Template>, state: &State) -> Frame {
-    let mut index = state.index.write().expect("index lock poisoned");
+fn enroll(config: IndexConfig, templates: Vec<Template>, state: &State) -> Result<Frame, Frame> {
+    let mut index = state.index.write().map_err(poisoned)?;
     if index.is_empty() {
         if *index.config() != config {
             // Rebuilding on config adoption resets the part-fingerprint
@@ -654,27 +675,27 @@ fn enroll(config: IndexConfig, templates: Vec<Template>, state: &State) -> Frame
             let rebuilt = match CandidateIndex::try_with_config(index.matcher().clone(), config) {
                 Ok(rebuilt) => rebuilt,
                 Err(err) => {
-                    return Frame::Error {
+                    return Err(Frame::Error {
                         code: code::CONFIG_MISMATCH,
                         detail: format!("coordinator sent invalid config: {err}"),
-                    }
+                    })
                 }
             };
             *index = rebuilt.with_telemetry(&state.telemetry);
         }
     } else if *index.config() != config {
-        return Frame::Error {
+        return Err(Frame::Error {
             code: code::CONFIG_MISMATCH,
             detail: format!(
                 "shard enrolled under {:?}, coordinator sent {:?}",
                 index.config(),
                 config
             ),
-        };
+        });
     }
     index.enroll_all(&templates);
-    Frame::EnrollOk {
+    Ok(Frame::EnrollOk {
         enrolled: templates.len() as u32,
         shard_len: index.len() as u32,
-    }
+    })
 }

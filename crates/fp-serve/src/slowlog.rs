@@ -19,7 +19,7 @@
 //! once full, new exemplars are counted as dropped, never blocking.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use fp_telemetry::DurationHistogram;
 
@@ -175,7 +175,7 @@ impl SlowLog {
         if total_ns <= threshold_ns {
             return;
         }
-        let mut entries = self.entries.lock().expect("slow log poisoned");
+        let mut entries = self.retained();
         if entries.len() >= self.capacity {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return;
@@ -188,9 +188,15 @@ impl SlowLog {
         });
     }
 
+    /// The retained exemplars. Nothing panics while holding the lock: it
+    /// is held to push, clone or serialize the list.
+    fn retained(&self) -> MutexGuard<'_, Vec<SlowLogEntry>> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Exemplars retained so far, in observation order.
     pub fn entries(&self) -> Vec<SlowLogEntry> {
-        self.entries.lock().expect("slow log poisoned").clone()
+        self.retained().clone()
     }
 
     /// Exemplars that arrived after the log was full.
@@ -202,7 +208,7 @@ impl SlowLog {
     /// `--slowlog PATH`.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for entry in self.entries.lock().expect("slow log poisoned").iter() {
+        for entry in self.retained().iter() {
             out.push_str(&entry.to_json().to_string());
             out.push('\n');
         }

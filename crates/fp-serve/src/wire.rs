@@ -853,7 +853,7 @@ struct Header {
 /// version are checked before the length prefix is trusted, and the length
 /// is capped at [`MAX_PAYLOAD`] before anyone allocates for it.
 fn parse_header(dec: &mut Dec<'_>) -> Result<Header, WireError> {
-    let magic: [u8; 4] = dec.bytes(4)?.try_into().expect("4 bytes");
+    let magic = dec.u32()?.to_le_bytes();
     if magic != MAGIC {
         return Err(WireError::BadMagic(magic));
     }
@@ -878,8 +878,9 @@ fn parse_header(dec: &mut Dec<'_>) -> Result<Header, WireError> {
 /// Checks the CRC (which covers the request id) over `body` = payload +
 /// checksum, before decoding a single payload byte.
 fn decode_body(header: &Header, body: &[u8]) -> Result<Frame, WireError> {
-    let (payload, crc_bytes) = body.split_at(header.payload_len as usize);
-    let got = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
+    let mut dec = Dec::new(body, WHAT, "frame payload");
+    let payload = dec.bytes(header.payload_len as usize)?;
+    let got = dec.at("frame checksum").u32()?;
     let want = frame_crc(header.request_id, header.payload_len, payload);
     if got != want {
         return Err(WireError::BadCrc { got, want });

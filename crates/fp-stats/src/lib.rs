@@ -9,9 +9,7 @@
 //!   (the paper's Table 4 needs p ≈ 1e-242, far below what naive
 //!   `erfc` evaluation can produce),
 //! * [`special`] — erf/erfc including asymptotic log-tail evaluation,
-//! * [`bootstrap`] — percentile bootstrap confidence intervals,
-//! * [`mannwhitney`] — Mann–Whitney U test (used by the extension
-//!   analyses).
+//! * [`bootstrap`] — percentile bootstrap confidence intervals.
 //!
 //! ```
 //! use fp_stats::roc::ScoreSet;
@@ -25,7 +23,6 @@ pub mod bootstrap;
 pub mod cmc;
 pub mod histogram;
 pub mod kendall;
-pub mod mannwhitney;
 pub mod roc;
 pub mod special;
 pub mod summary;

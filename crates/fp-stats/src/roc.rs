@@ -132,34 +132,6 @@ impl ScoreSet {
         (best.1, best.2)
     }
 
-    /// Sampled DET curve: `(threshold, fmr, fnmr)` at `points` thresholds
-    /// spanning the observed score range.
-    pub fn det_curve(&self, points: usize) -> Vec<(f64, f64, f64)> {
-        if points == 0 {
-            return Vec::new();
-        }
-        let lo = self
-            .genuine
-            .first()
-            .copied()
-            .unwrap_or(0.0)
-            .min(self.impostor.first().copied().unwrap_or(0.0));
-        let hi = self
-            .genuine
-            .last()
-            .copied()
-            .unwrap_or(1.0)
-            .max(self.impostor.last().copied().unwrap_or(1.0));
-        (0..points)
-            .map(|i| {
-                let t = lo + (hi - lo) * i as f64 / (points.max(2) - 1) as f64;
-                (t, self.fmr_at(t), self.fnmr_at(t))
-            })
-            .collect()
-    }
-}
-
-impl ScoreSet {
     /// Area under the ROC curve: the probability that a random genuine
     /// score exceeds a random impostor score (ties count half). 1.0 means
     /// perfect separation, 0.5 chance level.
@@ -192,25 +164,6 @@ impl ScoreSet {
         }
         wins / (m as f64 * n as f64)
     }
-}
-
-/// Wilson score interval for a binomial proportion — the right interval for
-/// the tiny FNMR counts in the paper's Tables 5-6 (a normal interval around
-/// 2/494 would dip below zero).
-///
-/// Returns `(lower, upper)` for `successes` out of `trials` at the given
-/// z-value (1.96 for 95%). Returns `(0.0, 1.0)` for zero trials.
-pub fn wilson_interval(successes: u64, trials: u64, z: f64) -> (f64, f64) {
-    if trials == 0 {
-        return (0.0, 1.0);
-    }
-    let n = trials as f64;
-    let p = successes as f64 / n;
-    let z2 = z * z;
-    let denom = 1.0 + z2 / n;
-    let centre = (p + z2 / (2.0 * n)) / denom;
-    let half = z * ((p * (1.0 - p) + z2 / (4.0 * n)) / n).sqrt() / denom;
-    ((centre - half).max(0.0), (centre + half).min(1.0))
 }
 
 /// The next representable `f64` above `x` (total-order successor for finite
@@ -321,15 +274,6 @@ mod tests {
     }
 
     #[test]
-    fn det_curve_endpoints() {
-        let s = sample();
-        let det = s.det_curve(50);
-        assert_eq!(det.len(), 50);
-        assert!(det.first().unwrap().1 >= det.last().unwrap().1); // fmr decreasing
-        assert!(det.first().unwrap().2 <= det.last().unwrap().2); // fnmr increasing
-    }
-
-    #[test]
     fn empty_sets_are_safe() {
         let s = ScoreSet::new(vec![], vec![]);
         assert_eq!(s.fmr_at(1.0), 0.0);
@@ -358,18 +302,6 @@ mod tests {
     #[test]
     fn auc_of_empty_is_chance() {
         assert_eq!(ScoreSet::new(vec![], vec![1.0]).auc(), 0.5);
-    }
-
-    #[test]
-    fn wilson_interval_brackets_the_proportion() {
-        let (lo, hi) = wilson_interval(2, 494, 1.96);
-        let p = 2.0 / 494.0;
-        assert!(lo > 0.0 && lo < p && p < hi && hi < 0.03, "[{lo}, {hi}]");
-        assert_eq!(wilson_interval(0, 0, 1.96), (0.0, 1.0));
-        let (lo0, _) = wilson_interval(0, 100, 1.96);
-        assert_eq!(lo0, 0.0);
-        let (_, hi_all) = wilson_interval(100, 100, 1.96);
-        assert!(hi_all > 0.99);
     }
 
     #[test]

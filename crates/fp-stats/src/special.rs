@@ -58,11 +58,6 @@ pub fn ln_erfc(x: f64) -> f64 {
     -x * x - (x * PI.sqrt()).ln() + series.ln()
 }
 
-/// Standard normal cumulative distribution function.
-pub fn normal_cdf(z: f64) -> f64 {
-    0.5 * erfc(-z / std::f64::consts::SQRT_2)
-}
-
 /// Two-sided normal tail probability `P(|Z| ≥ |z|)` as a (possibly
 /// underflowing) `f64`.
 pub fn two_sided_p(z: f64) -> f64 {
@@ -148,13 +143,6 @@ mod tests {
             (-243.0..=-240.0).contains(&log10),
             "log10 p = {log10}, expected ≈ -242"
         );
-    }
-
-    #[test]
-    fn normal_cdf_reference_values() {
-        assert!((normal_cdf(0.0) - 0.5).abs() < 1e-6);
-        assert!((normal_cdf(1.959964) - 0.975).abs() < 1e-5);
-        assert!((normal_cdf(-1.959964) - 0.025).abs() < 1e-5);
     }
 
     #[test]

@@ -313,17 +313,6 @@ impl GalleryStore {
         })
     }
 
-    /// Opens the gallery at `dir`, creating an empty one if no manifest
-    /// exists yet.
-    pub fn open_or_create(dir: impl Into<PathBuf>) -> Result<GalleryStore, StoreError> {
-        let dir = dir.into();
-        if dir.join(MANIFEST_NAME).exists() {
-            GalleryStore::open(dir)
-        } else {
-            GalleryStore::create(dir)
-        }
-    }
-
     /// Registers the store's instruments (`store.*`) on `telemetry`.
     pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
         self.metrics = StoreMetrics::new(telemetry);

@@ -295,7 +295,6 @@ mod tests {
 
         // create() refuses to clobber an existing gallery.
         assert!(GalleryStore::create(&dir).is_err());
-        assert!(GalleryStore::open_or_create(&dir).is_ok());
 
         std::fs::remove_dir_all(&dir).unwrap();
     }

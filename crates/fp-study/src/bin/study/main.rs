@@ -104,12 +104,6 @@ const SUBCOMMANDS: &[Subcommand] = &[
         run: verify,
     },
     Subcommand {
-        name: "render",
-        operands: "",
-        flags: "--seed --out --json",
-        run: render,
-    },
-    Subcommand {
         name: "ext-scaling",
         operands: "",
         flags: LADDER_FLAGS,
@@ -779,88 +773,6 @@ fn serve_shard(args: &Args, _telemetry: &Telemetry) -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-/// `study render`: one synthetic fingerprint with its master minutiae
-/// marked, as a PGM.
-fn render(args: &Args, telemetry: &Telemetry) -> ExitCode {
-    let seed = args.seed.unwrap_or(7);
-    let path = args
-        .out
-        .clone()
-        .unwrap_or_else(|| "fingerprint.pgm".to_string());
-    let master = fp_synth::master::MasterPrint::generate(
-        &fp_core::rng::SeedTree::new(seed),
-        fp_core::ids::Digit::Index,
-        1.0,
-    );
-    let window = fp_core::geometry::Rect::centred(fp_core::geometry::Point::ORIGIN, 18.0, 22.0)
-        .expect("valid window");
-    let config = fp_image::render::RenderConfig::default();
-    telemetry.event_with(
-        Level::Info,
-        "rendering synthetic print at 500 dpi",
-        &[
-            ("class", master.class().to_string()),
-            ("seed", seed.to_string()),
-        ],
-    );
-    let mut image = fp_image::render::render_master(
-        &master,
-        window,
-        &config,
-        &fp_core::rng::SeedTree::new(seed ^ 0x9E37),
-    );
-    let template = fp_core::template::Template::builder(500.0)
-        .capture_window(window)
-        .extend(
-            master
-                .minutiae()
-                .iter()
-                .filter(|m| window.contains(&m.pos))
-                .copied(),
-        )
-        .build()
-        .expect("valid template");
-    fp_image::render::overlay_minutiae(&mut image, &template, window, 500.0);
-    let file = match std::fs::File::create(&path) {
-        Ok(f) => f,
-        Err(e) => {
-            telemetry.event_with(
-                Level::Error,
-                "cannot create render output",
-                &[("path", path.clone()), ("error", e.to_string())],
-            );
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = fp_image::pgm::write_pgm(&image, file) {
-        telemetry.event_with(
-            Level::Error,
-            "cannot write render output",
-            &[("path", path.clone()), ("error", e.to_string())],
-        );
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "wrote {path}: {}x{} px, {} master minutiae marked",
-        image.width(),
-        image.height(),
-        template.len()
-    );
-    if let Some(json_path) = &args.json {
-        let payload = serde_json::json!({
-            "seed": seed,
-            "path": path,
-            "width": image.width(),
-            "height": image.height(),
-            "minutiae": template.len(),
-        });
-        if let Err(code) = write_json(telemetry, json_path, &payload) {
-            return code;
-        }
-    }
-    ExitCode::SUCCESS
 }
 
 fn verify(args: &Args, telemetry: &Telemetry) -> ExitCode {

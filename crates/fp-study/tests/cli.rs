@@ -293,28 +293,3 @@ fn trace_flag_writes_chrome_trace_and_event_log() {
     assert!(messages.iter().any(|m| m == "score matrices ready"));
     std::fs::remove_dir_all(&dir).ok();
 }
-
-#[test]
-fn render_writes_pgm_to_out_path() {
-    let dir = std::env::temp_dir().join(format!("fp-study-render-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let pgm_path = dir.join("print.pgm");
-    let out = study()
-        .args([
-            "render",
-            "--seed",
-            "3",
-            "--out",
-            pgm_path.to_str().expect("utf-8 path"),
-        ])
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let bytes = std::fs::read(&pgm_path).expect("pgm written");
-    assert!(bytes.starts_with(b"P5"), "not a binary PGM");
-    std::fs::remove_dir_all(&dir).ok();
-}

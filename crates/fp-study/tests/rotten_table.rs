@@ -1,7 +1,8 @@
 //! A table record that rots after a store-backed shard opened its gallery:
 //! the shard answers the re-rank with a typed error frame, its coordinator
-//! reports the segment file and the entry, and the shard keeps serving —
-//! even with one worker, which a panicking re-rank would have killed.
+//! reports the segment file and the entry and counts the failed search, and
+//! the shard keeps serving — even with one worker, which a panicking
+//! re-rank would have killed.
 
 use std::time::Duration;
 
@@ -13,6 +14,7 @@ use fp_index::{CandidateIndex, IndexConfig};
 use fp_match::PairTableMatcher;
 use fp_serve::{Coordinator, RemoteShard, RetryPolicy, ShardServer};
 use fp_store::GalleryStore;
+use fp_telemetry::Telemetry;
 use rand::Rng;
 
 fn synthetic_template(seed: u64, n: usize) -> Template {
@@ -81,7 +83,10 @@ fn a_rotten_table_on_a_one_worker_shard_is_a_typed_error_and_the_shard_lives() {
         seed: 3,
     };
     let deadline = Duration::from_secs(2);
-    let remote = Coordinator::connect(&[addr], IndexConfig::default(), deadline, retry).unwrap();
+    let telemetry = Telemetry::enabled();
+    let remote = Coordinator::connect(&[addr], IndexConfig::default(), deadline, retry)
+        .unwrap()
+        .with_telemetry(&telemetry);
 
     // A full budget re-ranks every entry, entry 0 included.
     match remote.search_with_budget(&templates[3], templates.len()) {
@@ -94,6 +99,7 @@ fn a_rotten_table_on_a_one_worker_shard_is_a_typed_error_and_the_shard_lives() {
         }
         Ok(_) => panic!("a rotten table record must fail the search"),
     }
+    assert_eq!(telemetry.snapshot().counters["serve.search.failed"], 1);
     let shard = RemoteShard::new(addr, 0, deadline, retry);
     assert_eq!(shard.health().unwrap(), templates.len());
     handle.join();

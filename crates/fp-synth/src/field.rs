@@ -283,9 +283,13 @@ mod tests {
     use fp_core::rng::SeedTree;
 
     fn field(class: PatternClass, seed: u64) -> OrientationField {
-        let mut rng = SeedTree::new(seed)
-            .child(&[class.core_count() as u64])
-            .rng();
+        // The class's core count picks the seed path.
+        let cores = match class {
+            PatternClass::Arch => 0,
+            PatternClass::Whorl => 2,
+            _ => 1,
+        };
+        let mut rng = SeedTree::new(seed).child(&[cores]).rng();
         OrientationField::generate(class, &mut rng)
     }
 

@@ -43,11 +43,6 @@ impl RidgeFrequencyMap {
         }
     }
 
-    /// The finger's base ridge period in millimetres.
-    pub fn base_period_mm(&self) -> f64 {
-        self.base_period
-    }
-
     /// Local ridge period (mm) at a point.
     pub fn period_at(&self, p: Point) -> f64 {
         let d_core = p.distance(&self.core);
@@ -55,11 +50,6 @@ impl RidgeFrequencyMap {
         let d_centre = p.distance(&Point::ORIGIN);
         let coarsen = self.edge_coarsening * d_centre;
         self.base_period * (1.0 - tighten + coarsen)
-    }
-
-    /// Local ridge frequency (ridges per mm) at a point.
-    pub fn frequency_at(&self, p: Point) -> f64 {
-        1.0 / self.period_at(p)
     }
 }
 
@@ -96,14 +86,8 @@ mod tests {
     }
 
     #[test]
-    fn frequency_is_reciprocal_of_period() {
-        let m = map(3);
-        let p = Point::new(2.0, -4.0);
-        assert!((m.frequency_at(p) * m.period_at(p) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn subjects_differ_in_base_period() {
-        assert_ne!(map(1).base_period_mm(), map(2).base_period_mm());
+    fn subjects_differ_in_period() {
+        let p = Point::ORIGIN;
+        assert_ne!(map(1).period_at(p), map(2).period_at(p));
     }
 }

@@ -231,7 +231,8 @@ mod tests {
         let m = master(7);
         for minutia in m.minutiae() {
             let flow = m.field().orientation_at(minutia.pos);
-            let sep = minutia.direction.to_orientation().separation(flow);
+            let sep = fp_core::geometry::Orientation::from_radians(minutia.direction.radians())
+                .separation(flow);
             assert!(sep < 1e-9, "direction deviates from flow by {sep}");
         }
     }

@@ -42,26 +42,6 @@ impl PatternClass {
             .expect("FREQUENCIES is a fixed valid distribution");
         Self::ALL[idx]
     }
-
-    /// Number of core singular points for the class.
-    pub fn core_count(&self) -> usize {
-        match self {
-            PatternClass::Arch => 0,
-            PatternClass::TentedArch => 1,
-            PatternClass::LeftLoop | PatternClass::RightLoop => 1,
-            PatternClass::Whorl => 2,
-        }
-    }
-
-    /// Number of delta singular points for the class.
-    pub fn delta_count(&self) -> usize {
-        match self {
-            PatternClass::Arch => 0,
-            PatternClass::TentedArch => 1,
-            PatternClass::LeftLoop | PatternClass::RightLoop => 1,
-            PatternClass::Whorl => 2,
-        }
-    }
 }
 
 impl fmt::Display for PatternClass {
@@ -104,15 +84,5 @@ mod tests {
                 "{class}: observed {observed}, expected {expected}"
             );
         }
-    }
-
-    #[test]
-    fn singularity_counts_follow_topology() {
-        // Poincaré index: cores - deltas is 0 for every flat-capturable class.
-        for class in PatternClass::ALL {
-            assert_eq!(class.core_count(), class.delta_count(), "{class}");
-        }
-        assert_eq!(PatternClass::Whorl.core_count(), 2);
-        assert_eq!(PatternClass::Arch.core_count(), 0);
     }
 }

@@ -13,7 +13,6 @@
 //! | stage | crate |
 //! |-------|-------|
 //! | finger identities (synthetic master prints) | [`fp_synth`] |
-//! | raster rendering & minutiae re-extraction | [`fp_image`] |
 //! | capture devices D0–D4 and acquisition physics | [`fp_sensor`] |
 //! | NFIQ-like quality levels 1–5 | [`fp_quality`] |
 //! | minutiae matchers (pair-table + Hough baseline) | [`fp_match`] |
@@ -42,7 +41,6 @@
 //! ```
 
 pub use fp_core;
-pub use fp_image;
 pub use fp_index;
 pub use fp_match;
 pub use fp_quality;
