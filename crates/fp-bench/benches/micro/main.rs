@@ -10,8 +10,9 @@
 //!   search sends;
 //! * `trace` — `serve/trace_context trace/`: a trace context on the wire
 //!   and one shard's span drain;
-//! * `matchers` — `pair_table/ hough/ calibration/`: one comparison per
-//!   matcher, genuine and impostor, direct and prepared.
+//! * `matchers` — `pair_table/ hough/ mcc/ calibration/`: one comparison
+//!   per matcher, genuine and impostor, direct and prepared, and the
+//!   index's cylinder-code extraction on a live scan and an ink card.
 //!
 //! Anything a benchmark workload measures end to end (10k search, sharded
 //! search, the store, the client ladder) is measured there and only there.

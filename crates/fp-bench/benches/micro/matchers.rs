@@ -2,6 +2,9 @@
 //! prepared paths, pair-table vs Hough — one table per matcher, as
 //! Kayaoglu et al. (PAPERS.md) report them. The benchmark's `match.*`
 //! metrics time the pair-table matcher only, inside `study_matrix`.
+//! `mcc/extract_codes*` time the index's cylinder-code extraction, which
+//! every enrolled template and every searched probe goes through, on a
+//! live scan and on an ink card.
 
 use fp_bench::harness::Harness;
 use std::hint::black_box;
@@ -9,7 +12,8 @@ use std::hint::black_box;
 use fp_core::ids::{DeviceId, Finger, SessionId};
 use fp_core::template::Template;
 use fp_core::Matcher;
-use fp_match::{HoughMatcher, PairTableMatcher, PreparableMatcher, ScoreCalibration};
+use fp_index::{CylinderCodes, IndexConfig};
+use fp_match::{HoughMatcher, MccMatcher, PairTableMatcher, PreparableMatcher, ScoreCalibration};
 use fp_sensor::CaptureProtocol;
 use fp_synth::population::{Population, PopulationConfig};
 
@@ -75,6 +79,28 @@ pub fn benches(c: &mut Harness) {
     });
     group.bench_function("impostor", |b| {
         b.iter(|| black_box(hough.compare(black_box(&gallery), black_box(&impostor))))
+    });
+
+    let mut group = c.benchmark_group("mcc");
+    let mcc = MccMatcher::default();
+    let max_cylinders = IndexConfig::default().max_cylinders;
+    group.bench_function("extract_codes", |b| {
+        b.iter(|| {
+            black_box(CylinderCodes::extract(
+                &mcc,
+                black_box(&gallery),
+                max_cylinders,
+            ))
+        })
+    });
+    group.bench_function("extract_codes_d4", |b| {
+        b.iter(|| {
+            black_box(CylinderCodes::extract(
+                &mcc,
+                black_box(&ink_probe),
+                max_cylinders,
+            ))
+        })
     });
 
     let mut group = c.benchmark_group("calibration");

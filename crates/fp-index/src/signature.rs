@@ -14,9 +14,13 @@
 //! The cylinders live in each minutia's own rotated frame, so the codes
 //! inherit the MCC rotation/translation invariance; comparing a cylinder
 //! pair is a handful of XOR+popcount words.
+//!
+//! Extraction builds a cylinder only for the minutiae it keeps, in minutia
+//! order, through [`MccMatcher::cylinder_into`] into one reused cell
+//! buffer: no cylinder is built to be discarded and none allocates.
 
 use fp_core::template::Template;
-use fp_match::{MccMatcher, PreparableMatcher};
+use fp_match::MccMatcher;
 
 use crate::arena::ProbeGroup;
 
@@ -102,10 +106,12 @@ impl Stage1Scratch {
 impl CylinderCodes {
     /// Extracts codes for the `max_cylinders` most reliable minutiae of
     /// `template` (ties broken by minutia order) that produced a valid
-    /// cylinder. Every valid cylinder is binarized at its own mean cell
-    /// activation. Empty and very sparse templates yield no codes; their
-    /// [`reference_similarity`](Self::reference_similarity) against anything is zero, so the
-    /// shortlist falls back to the bucket-vote channel alone.
+    /// cylinder; the other minutiae get no cylinder at all. Every valid
+    /// cylinder is binarized at its own mean cell activation. Empty and
+    /// very sparse templates yield no codes; their
+    /// [`reference_similarity`](Self::reference_similarity) against
+    /// anything is zero, so the shortlist falls back to the bucket-vote
+    /// channel alone.
     pub fn extract(mcc: &MccMatcher, template: &Template, max_cylinders: usize) -> CylinderCodes {
         let minutiae = template.minutiae();
         let mut order: Vec<usize> = (0..minutiae.len()).collect();
@@ -122,12 +128,12 @@ impl CylinderCodes {
             keep[i] = true;
         }
 
-        let prepared = mcc.prepare(template);
+        let mut cells = vec![0.0f32; mcc.cell_count()];
         let mut words: Vec<u64> = Vec::new();
         let mut ones: Vec<u32> = Vec::new();
         let mut words_per = 0usize;
-        for (i, (cells, valid)) in prepared.cylinders().enumerate() {
-            if !valid || !keep.get(i).copied().unwrap_or(false) {
+        for centre in (0..minutiae.len()).filter(|&i| keep[i]) {
+            if !mcc.cylinder_into(template, centre, &mut cells).1 {
                 continue;
             }
             words_per = cells.len().div_ceil(64);
@@ -304,6 +310,7 @@ mod tests {
     use fp_core::minutia::{Minutia, MinutiaKind};
     use fp_core::rng::SeedTree;
     use fp_core::template::Template;
+    use proptest::prelude::*;
     use rand::Rng;
 
     fn template(seed: u64, n: usize) -> Template {
@@ -473,5 +480,202 @@ mod tests {
     #[should_panic(expected = "popcount")]
     fn from_raw_rejects_inconsistent_ones() {
         let _ = CylinderCodes::from_raw(vec![0b111], vec![2], 1);
+    }
+
+    /// The parent's extraction, kept as the oracle: the per-cell cylinder
+    /// loop (verbatim, as `fp-match`'s `build_cylinders_reference` keeps it;
+    /// a `#[cfg(test)]` item of another crate cannot be called) over
+    /// **every** minutia, then only the `max_cylinders` most reliable valid
+    /// ones binarized at their own mean.
+    fn extract_reference(
+        mcc: &MccMatcher,
+        template: &Template,
+        max_cylinders: usize,
+    ) -> CylinderCodes {
+        let cfg = mcc.config();
+        let ms = template.minutiae();
+        let n_cells = mcc.cell_count();
+        let cell_size = 2.0 * cfg.radius / cfg.spatial_cells as f64;
+        let ang_size = std::f64::consts::TAU / cfg.angular_cells as f64;
+        let cylinders: Vec<(Vec<f32>, bool)> = ms
+            .iter()
+            .map(|centre| {
+                let mut cells = vec![0.0f32; n_cells];
+                let mut neighbours = 0usize;
+                let frame = centre.direction;
+                let (fc, fs) = (frame.radians().cos(), frame.radians().sin());
+                for other in ms {
+                    if std::ptr::eq(centre, other) {
+                        continue;
+                    }
+                    let d = other.pos - centre.pos;
+                    if d.norm() > cfg.radius {
+                        continue;
+                    }
+                    neighbours += 1;
+                    let lx = d.x * fc + d.y * fs;
+                    let ly = -d.x * fs + d.y * fc;
+                    let rel_dir = other.direction.signed_delta(frame);
+                    let cx = ((lx + cfg.radius) / cell_size).floor() as isize;
+                    let cy = ((ly + cfg.radius) / cell_size).floor() as isize;
+                    let ca = ((rel_dir + std::f64::consts::PI) / ang_size).floor() as isize;
+                    for dz in -1..=1isize {
+                        for dy in -1..=1isize {
+                            for dx in -1..=1isize {
+                                let gx = cx + dx;
+                                let gy = cy + dy;
+                                let ga = (ca + dz).rem_euclid(cfg.angular_cells as isize);
+                                if gx < 0
+                                    || gy < 0
+                                    || gx >= cfg.spatial_cells as isize
+                                    || gy >= cfg.spatial_cells as isize
+                                {
+                                    continue;
+                                }
+                                let ccx = (gx as f64 + 0.5) * cell_size - cfg.radius;
+                                let ccy = (gy as f64 + 0.5) * cell_size - cfg.radius;
+                                let cca = (ga as f64 + 0.5) * ang_size - std::f64::consts::PI;
+                                let ds2 = (lx - ccx).powi(2) + (ly - ccy).powi(2);
+                                let mut da = (rel_dir - cca).rem_euclid(std::f64::consts::TAU);
+                                if da > std::f64::consts::PI {
+                                    da -= std::f64::consts::TAU;
+                                }
+                                let mass = (-ds2 / (2.0 * cfg.sigma_s * cfg.sigma_s)
+                                    - da * da / (2.0 * cfg.sigma_d * cfg.sigma_d))
+                                    .exp() as f32;
+                                let idx = (ga as usize * cfg.spatial_cells + gy as usize)
+                                    * cfg.spatial_cells
+                                    + gx as usize;
+                                cells[idx] += mass;
+                            }
+                        }
+                    }
+                }
+                for c in &mut cells {
+                    *c = c.min(1.0);
+                }
+                let norm = cells.iter().map(|c| c * c).sum::<f32>().sqrt();
+                (cells, neighbours >= cfg.min_neighbours && norm > 1e-6)
+            })
+            .collect();
+
+        let mut order: Vec<usize> = (0..ms.len()).collect();
+        order.sort_unstable_by(|&a, &b| {
+            ms[b]
+                .reliability
+                .total_cmp(&ms[a].reliability)
+                .then(a.cmp(&b))
+        });
+        let mut keep = vec![false; ms.len()];
+        for &i in order.iter().take(max_cylinders) {
+            keep[i] = true;
+        }
+        let mut words: Vec<u64> = Vec::new();
+        let mut ones: Vec<u32> = Vec::new();
+        let mut words_per = 0usize;
+        for (i, (cells, valid)) in cylinders.iter().enumerate() {
+            if !valid || !keep[i] {
+                continue;
+            }
+            words_per = cells.len().div_ceil(64);
+            let base = words.len();
+            words.resize(base + words_per, 0);
+            let mut set = 0u32;
+            let mean: f32 = cells.iter().sum::<f32>() / cells.len() as f32;
+            for (cell, &v) in cells.iter().enumerate() {
+                if v > mean {
+                    words[base + cell / 64] |= 1u64 << (cell % 64);
+                    set += 1;
+                }
+            }
+            ones.push(set);
+        }
+        CylinderCodes {
+            words: words.into_boxed_slice(),
+            ones: ones.into_boxed_slice(),
+            words_per,
+        }
+    }
+
+    /// A template from raw `(x, y, direction, reliability class)` draws,
+    /// spread by `spread` (large spreads leave minutiae with fewer than
+    /// `min_neighbours` neighbours). Class 0 is a NaN reliability, which
+    /// `Minutia::new` would clamp away; classes 1–3 share one value, so
+    /// ranks tie. The first `coincide` minutiae are repeated at the same
+    /// position with another direction.
+    fn drawn_template(draws: &[(f64, f64, f64, u8)], spread: f64, coincide: usize) -> Template {
+        let mut minutiae: Vec<Minutia> = draws
+            .iter()
+            .map(|&(x, y, dir, class)| {
+                let mut m = Minutia::new(
+                    Point::new(x * spread, y * spread),
+                    Direction::from_radians(dir),
+                    MinutiaKind::RidgeEnding,
+                    1.0,
+                );
+                m.reliability = match class {
+                    0 => f64::NAN,
+                    1..=3 => 0.75,
+                    c => c as f64 / 10.0,
+                };
+                m
+            })
+            .collect();
+        let twins: Vec<Minutia> = minutiae
+            .iter()
+            .take(coincide)
+            .map(|m| Minutia {
+                direction: m.direction.rotated(1.0),
+                ..*m
+            })
+            .collect();
+        minutiae.extend(twins);
+        Template::builder(500.0).extend(minutiae).build().unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// Cylinders for the kept minutiae only give the codes of oracle
+        /// cylinders for every minutia, filtered afterwards.
+        #[test]
+        fn kept_only_extraction_equals_the_every_minutia_oracle(
+            draws in prop::collection::vec(
+                (-8.0..8.0f64, -10.0..10.0f64, 0.0..std::f64::consts::TAU, 0u8..=9),
+                0..61,
+            ),
+            spread in 0.25..3.0f64,
+            coincide in 0usize..=4,
+            cap in 0usize..=40,
+        ) {
+            let t = drawn_template(&draws, spread, coincide);
+            let mcc = MccMatcher::default();
+            for max_cylinders in [cap, 24, usize::MAX] {
+                prop_assert_eq!(
+                    CylinderCodes::extract(&mcc, &t, max_cylinders),
+                    extract_reference(&mcc, &t, max_cylinders),
+                    "n={} max_cylinders={}",
+                    t.len(),
+                    max_cylinders
+                );
+            }
+        }
+    }
+
+    /// The cases the property must cover, fixed: more minutiae than the
+    /// cap, no valid cylinder (two minutiae, one neighbour each), and the
+    /// empty template.
+    #[test]
+    fn edge_cases_equal_the_oracle() {
+        let mcc = MccMatcher::default();
+        let lone = drawn_template(&[(0.0, 0.0, 0.0, 5), (1.0, 0.0, 1.0, 0)], 1.0, 0);
+        assert!(CylinderCodes::extract(&mcc, &lone, 24).is_empty());
+        let empty = Template::builder(500.0).build().unwrap();
+        for t in [template(20, 40), lone, empty] {
+            assert_eq!(
+                CylinderCodes::extract(&mcc, &t, 24),
+                extract_reference(&mcc, &t, 24)
+            );
+        }
     }
 }

@@ -5,7 +5,10 @@
 //! spatial grid (in the minutia's own rotated frame, so the descriptor is
 //! rotation/translation invariant by construction) crossed with a
 //! directional grid. Every neighbouring minutia contributes Gaussian mass
-//! to the cells near its relative position and relative direction.
+//! to the cells near its relative position and relative direction; it
+//! computes its angular and spatial terms once, then one `exp` per cell
+//! ([`MccMatcher::cylinder_into`], the one cylinder body, held bit-equal to
+//! the retained per-cell oracle `build_cylinders_reference`).
 //! Matching compares cylinders with a normalized Euclidean similarity,
 //! extracts the best one-to-one pairs (local-similarity-sort), and scores
 //! by their mean similarity weighted by the number of confident pairs.
@@ -84,14 +87,6 @@ impl PreparedCylinders {
     pub fn minutia_count(&self) -> usize {
         self.minutia_count
     }
-
-    /// Read access to the raw descriptors as `(cells, valid)` pairs, in
-    /// minutia order. `fp-index` pools and binarizes these into packed
-    /// bit-vector signatures for its Hamming prefilter; the cells of an
-    /// invalid cylinder carry no evidence and should be skipped.
-    pub fn cylinders(&self) -> impl Iterator<Item = (&[f32], bool)> {
-        self.cylinders.iter().map(|c| (c.cells.as_slice(), c.valid))
-    }
 }
 
 /// The MCC-style matcher. See the module docs.
@@ -122,90 +117,120 @@ impl MccMatcher {
         &self.config
     }
 
-    fn cell_count(&self) -> usize {
+    /// Cells in one cylinder: `spatial_cells² × angular_cells`, laid out
+    /// angular-major, then y, then x.
+    pub fn cell_count(&self) -> usize {
         self.config.spatial_cells * self.config.spatial_cells * self.config.angular_cells
     }
 
-    fn build_cylinders(&self, template: &Template) -> PreparedCylinders {
+    /// Builds the cylinder of minutia `centre` of `template` into `cells`
+    /// (`cell_count()` long, overwritten) and returns its norm and whether
+    /// it is *valid* (at least `min_neighbours` neighbours and a non-zero
+    /// norm; an invalid cylinder carries no evidence).
+    ///
+    /// This is the one cylinder body: [`PreparableMatcher::prepare`] maps it
+    /// over every minutia, and `fp-index` calls it for the minutiae it keeps
+    /// codes for, into one reused buffer. Each neighbour computes its three
+    /// angular terms and its three x and three y spatial squares once; each
+    /// of the (up to) 27 cells around it then costs one `exp`, added in
+    /// (angle, y, x) order, so every cell holds the same `f32` sum as a
+    /// loop that recomputes the terms per cell.
+    ///
+    /// Panics unless `centre < template.len()` and `cells.len() ==
+    /// cell_count()`.
+    pub fn cylinder_into(
+        &self,
+        template: &Template,
+        centre: usize,
+        cells: &mut [f32],
+    ) -> (f32, bool) {
+        use std::f64::consts::{PI, TAU};
+        assert_eq!(cells.len(), self.cell_count(), "one cylinder's cells");
         let cfg = &self.config;
         let ms = template.minutiae();
-        let n_cells = self.cell_count();
-        let cell_size = 2.0 * cfg.radius / cfg.spatial_cells as f64;
-        let ang_size = std::f64::consts::TAU / cfg.angular_cells as f64;
+        let side = cfg.spatial_cells;
+        let cell_size = 2.0 * cfg.radius / side as f64;
+        let ang_size = TAU / cfg.angular_cells as f64;
+        let spatial_scale = 2.0 * cfg.sigma_s * cfg.sigma_s;
+        let angular_scale = 2.0 * cfg.sigma_d * cfg.sigma_d;
+        // The in-grid cells of one axis around coordinate `v`: index and
+        // squared distance to the cell centre, in ascending index order.
+        let axis = |v: f64| {
+            let c = ((v + cfg.radius) / cell_size).floor() as isize;
+            let mut out = [(0usize, 0.0f64); 3];
+            let mut len = 0;
+            for g in c - 1..=c + 1 {
+                if g >= 0 && g < side as isize {
+                    let mid = (g as f64 + 0.5) * cell_size - cfg.radius;
+                    out[len] = (g as usize, (v - mid).powi(2));
+                    len += 1;
+                }
+            }
+            (out, len)
+        };
 
-        let cylinders = ms
-            .iter()
+        cells.fill(0.0);
+        let mut neighbours = 0usize;
+        let origin = &ms[centre];
+        let frame = origin.direction;
+        let (fc, fs) = (frame.radians().cos(), frame.radians().sin());
+        for (j, other) in ms.iter().enumerate() {
+            if j == centre {
+                continue;
+            }
+            let d = other.pos - origin.pos;
+            if d.norm() > cfg.radius {
+                continue;
+            }
+            neighbours += 1;
+            // Rotate into the centre minutia's frame.
+            let lx = d.x * fc + d.y * fs;
+            let ly = -d.x * fs + d.y * fc;
+            let rel_dir = other.direction.signed_delta(frame);
+            // Gaussian mass over the 3x3x3 cell neighbourhood of the
+            // contribution point: the terms of each axis first.
+            let ca = ((rel_dir + PI) / ang_size).floor() as isize;
+            let mut angular = [(0usize, 0.0f64); 3];
+            for (slot, dz) in angular.iter_mut().zip(-1..=1isize) {
+                let ga = (ca + dz).rem_euclid(cfg.angular_cells as isize);
+                let cca = (ga as f64 + 0.5) * ang_size - PI;
+                let mut da = (rel_dir - cca).rem_euclid(TAU);
+                if da > PI {
+                    da -= TAU;
+                }
+                *slot = (ga as usize, da * da / angular_scale);
+            }
+            let (xs, nx) = axis(lx);
+            let (ys, ny) = axis(ly);
+            for &(ga, ang) in &angular {
+                for &(gy, sy) in &ys[..ny] {
+                    let row = (ga * side + gy) * side;
+                    for &(gx, sx) in &xs[..nx] {
+                        let ds2 = sx + sy;
+                        cells[row + gx] += (-ds2 / spatial_scale - ang).exp() as f32;
+                    }
+                }
+            }
+        }
+        // Saturate cell mass (MCC uses a sigmoid; a clamp is enough).
+        for c in cells.iter_mut() {
+            *c = c.min(1.0);
+        }
+        let norm = cells.iter().map(|c| c * c).sum::<f32>().sqrt();
+        (norm, neighbours >= cfg.min_neighbours && norm > 1e-6)
+    }
+
+    fn build_cylinders(&self, template: &Template) -> PreparedCylinders {
+        let cylinders = (0..template.len())
             .map(|centre| {
-                let mut cells = vec![0.0f32; n_cells];
-                let mut neighbours = 0usize;
-                let frame = centre.direction;
-                let (fc, fs) = (frame.radians().cos(), frame.radians().sin());
-                for other in ms {
-                    if std::ptr::eq(centre, other) {
-                        continue;
-                    }
-                    let d = other.pos - centre.pos;
-                    if d.norm() > cfg.radius {
-                        continue;
-                    }
-                    neighbours += 1;
-                    // Rotate into the centre minutia's frame.
-                    let lx = d.x * fc + d.y * fs;
-                    let ly = -d.x * fs + d.y * fc;
-                    let rel_dir = other.direction.signed_delta(frame);
-                    // Gaussian mass over the 3x3x3 cell neighbourhood of the
-                    // contribution point.
-                    let cx = ((lx + cfg.radius) / cell_size).floor() as isize;
-                    let cy = ((ly + cfg.radius) / cell_size).floor() as isize;
-                    let ca = ((rel_dir + std::f64::consts::PI) / ang_size).floor() as isize;
-                    for dz in -1..=1isize {
-                        for dy in -1..=1isize {
-                            for dx in -1..=1isize {
-                                let gx = cx + dx;
-                                let gy = cy + dy;
-                                let ga = (ca + dz).rem_euclid(cfg.angular_cells as isize);
-                                if gx < 0
-                                    || gy < 0
-                                    || gx >= cfg.spatial_cells as isize
-                                    || gy >= cfg.spatial_cells as isize
-                                {
-                                    continue;
-                                }
-                                // Cell centre in local coordinates.
-                                let ccx = (gx as f64 + 0.5) * cell_size - cfg.radius;
-                                let ccy = (gy as f64 + 0.5) * cell_size - cfg.radius;
-                                let cca = (ga as f64 + 0.5) * ang_size - std::f64::consts::PI;
-                                let ds2 = (lx - ccx).powi(2) + (ly - ccy).powi(2);
-                                let mut da = (rel_dir - cca).rem_euclid(std::f64::consts::TAU);
-                                if da > std::f64::consts::PI {
-                                    da -= std::f64::consts::TAU;
-                                }
-                                let mass = (-ds2 / (2.0 * cfg.sigma_s * cfg.sigma_s)
-                                    - da * da / (2.0 * cfg.sigma_d * cfg.sigma_d))
-                                    .exp() as f32;
-                                let idx = (ga as usize * cfg.spatial_cells + gy as usize)
-                                    * cfg.spatial_cells
-                                    + gx as usize;
-                                cells[idx] += mass;
-                            }
-                        }
-                    }
-                }
-                // Saturate cell mass (MCC uses a sigmoid; a clamp is enough).
-                for c in &mut cells {
-                    *c = c.min(1.0);
-                }
-                let norm = cells.iter().map(|c| c * c).sum::<f32>().sqrt();
-                Cylinder {
-                    cells,
-                    norm,
-                    valid: neighbours >= cfg.min_neighbours && norm > 1e-6,
-                }
+                let mut cells = vec![0.0f32; self.cell_count()];
+                let (norm, valid) = self.cylinder_into(template, centre, &mut cells);
+                Cylinder { cells, norm, valid }
             })
             .collect();
         let prepared = PreparedCylinders {
             cylinders,
-            minutia_count: ms.len(),
+            minutia_count: template.len(),
         };
         self.metrics
             .valid_cylinders
@@ -311,6 +336,90 @@ impl PreparableMatcher for MccMatcher {
         probe: &PreparedCylinders,
     ) -> MatchScore {
         self.score_cylinders(gallery, probe)
+    }
+}
+
+#[cfg(test)]
+impl MccMatcher {
+    /// **The cylinder oracle**: the per-cell builder `cylinder_into`
+    /// replaced, kept verbatim. Every cell recomputes its neighbour's
+    /// angular and spatial terms.
+    fn build_cylinders_reference(&self, template: &Template) -> Vec<Cylinder> {
+        let cfg = &self.config;
+        let ms = template.minutiae();
+        let n_cells = self.cell_count();
+        let cell_size = 2.0 * cfg.radius / cfg.spatial_cells as f64;
+        let ang_size = std::f64::consts::TAU / cfg.angular_cells as f64;
+
+        ms.iter()
+            .map(|centre| {
+                let mut cells = vec![0.0f32; n_cells];
+                let mut neighbours = 0usize;
+                let frame = centre.direction;
+                let (fc, fs) = (frame.radians().cos(), frame.radians().sin());
+                for other in ms {
+                    if std::ptr::eq(centre, other) {
+                        continue;
+                    }
+                    let d = other.pos - centre.pos;
+                    if d.norm() > cfg.radius {
+                        continue;
+                    }
+                    neighbours += 1;
+                    // Rotate into the centre minutia's frame.
+                    let lx = d.x * fc + d.y * fs;
+                    let ly = -d.x * fs + d.y * fc;
+                    let rel_dir = other.direction.signed_delta(frame);
+                    // Gaussian mass over the 3x3x3 cell neighbourhood of the
+                    // contribution point.
+                    let cx = ((lx + cfg.radius) / cell_size).floor() as isize;
+                    let cy = ((ly + cfg.radius) / cell_size).floor() as isize;
+                    let ca = ((rel_dir + std::f64::consts::PI) / ang_size).floor() as isize;
+                    for dz in -1..=1isize {
+                        for dy in -1..=1isize {
+                            for dx in -1..=1isize {
+                                let gx = cx + dx;
+                                let gy = cy + dy;
+                                let ga = (ca + dz).rem_euclid(cfg.angular_cells as isize);
+                                if gx < 0
+                                    || gy < 0
+                                    || gx >= cfg.spatial_cells as isize
+                                    || gy >= cfg.spatial_cells as isize
+                                {
+                                    continue;
+                                }
+                                // Cell centre in local coordinates.
+                                let ccx = (gx as f64 + 0.5) * cell_size - cfg.radius;
+                                let ccy = (gy as f64 + 0.5) * cell_size - cfg.radius;
+                                let cca = (ga as f64 + 0.5) * ang_size - std::f64::consts::PI;
+                                let ds2 = (lx - ccx).powi(2) + (ly - ccy).powi(2);
+                                let mut da = (rel_dir - cca).rem_euclid(std::f64::consts::TAU);
+                                if da > std::f64::consts::PI {
+                                    da -= std::f64::consts::TAU;
+                                }
+                                let mass = (-ds2 / (2.0 * cfg.sigma_s * cfg.sigma_s)
+                                    - da * da / (2.0 * cfg.sigma_d * cfg.sigma_d))
+                                    .exp() as f32;
+                                let idx = (ga as usize * cfg.spatial_cells + gy as usize)
+                                    * cfg.spatial_cells
+                                    + gx as usize;
+                                cells[idx] += mass;
+                            }
+                        }
+                    }
+                }
+                // Saturate cell mass (MCC uses a sigmoid; a clamp is enough).
+                for c in &mut cells {
+                    *c = c.min(1.0);
+                }
+                let norm = cells.iter().map(|c| c * c).sum::<f32>().sqrt();
+                Cylinder {
+                    cells,
+                    norm,
+                    valid: neighbours >= cfg.min_neighbours && norm > 1e-6,
+                }
+            })
+            .collect()
     }
 }
 
@@ -446,5 +555,79 @@ mod tests {
         assert!(dense.valid_count() > dense.minutia_count() / 2);
         let sparse = m.prepare(&synthetic_template(11, 3));
         assert!(sparse.valid_count() <= sparse.minutia_count());
+    }
+
+    /// `prepare` against `build_cylinders_reference` on `t`: every cell's
+    /// bits, every norm's bits and every validity flag.
+    fn assert_prepare_equals_reference(m: &MccMatcher, t: &Template) {
+        let new = m.prepare(t).cylinders;
+        let old = m.build_cylinders_reference(t);
+        assert_eq!(new.len(), old.len());
+        let bits = |c: &[f32]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (i, (a, b)) in new.iter().zip(&old).enumerate() {
+            assert_eq!(bits(&a.cells), bits(&b.cells), "cells of cylinder {i}");
+            assert_eq!(a.norm.to_bits(), b.norm.to_bits(), "norm of cylinder {i}");
+            assert_eq!(a.valid, b.valid, "validity of cylinder {i}");
+        }
+    }
+
+    #[test]
+    fn prepare_equals_the_reference_bit_for_bit() {
+        use fp_core::ids::{DeviceId, Finger, SessionId};
+
+        // Real captures: six subjects on every device (D4 is the ink card,
+        // about twice the minutiae), both sessions.
+        let population = fp_synth::population::Population::generate(
+            &fp_synth::population::PopulationConfig::new(0xC71, 6),
+        );
+        let protocol = fp_sensor::CaptureProtocol::new();
+        let mut templates = Vec::new();
+        for subject in population.subjects() {
+            for device in DeviceId::ALL {
+                for session in [SessionId(0), SessionId(1)] {
+                    let capture = protocol.capture(subject, Finger::RIGHT_INDEX, device, session);
+                    templates.push(capture.template().clone());
+                }
+            }
+        }
+        // Synthetic ones from empty to 60 minutiae, and one whose minutiae
+        // all sit twice at the same place.
+        templates.extend((0..=60).map(|n| synthetic_template(900 + n, n as usize)));
+        let doubled = synthetic_template(990, 20).minutiae().repeat(2);
+        templates.push(
+            Template::builder(500.0)
+                .capture_window_mm(20.0, 24.0)
+                .extend(doubled)
+                .build()
+                .unwrap(),
+        );
+        // The default grid, and coarse ones where the three angular cells
+        // around a neighbour alias (two and one directional cells), most
+        // of the 3 x 3 spatial block falls off the grid, and the Gaussian
+        // denominators are not powers of two.
+        let configs = [
+            MccConfig::default(),
+            MccConfig {
+                spatial_cells: 3,
+                angular_cells: 2,
+                radius: 7.0,
+                sigma_s: 0.7,
+                sigma_d: 0.3,
+                ..MccConfig::default()
+            },
+            MccConfig {
+                spatial_cells: 1,
+                angular_cells: 1,
+                sigma_s: 0.7,
+                sigma_d: 0.3,
+                ..MccConfig::default()
+            },
+        ];
+        for config in configs {
+            let m = MccMatcher::new(config);
+            for t in &templates {
+                assert_prepare_equals_reference(&m, t);
+            }
+        }
     }
 }

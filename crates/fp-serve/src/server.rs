@@ -45,6 +45,7 @@
 //! byte-identical guarantee in the quietest possible way.
 
 use std::collections::HashSet;
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -198,10 +199,11 @@ impl ShardServer {
 
     /// Attaches a telemetry handle: the index registers its `index.*`
     /// instruments on it, admission control its `serve.*` instruments, and
-    /// [`Frame::Stats`] answers with a snapshot of it. Replaces the index
-    /// with an empty one.
+    /// [`Frame::Stats`] answers with a snapshot of it. The index keeps its
+    /// entries, so this and [`with_index`](Self::with_index) go in either
+    /// order.
     pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
-        self.index = CandidateIndex::new(self.index.matcher().clone()).with_telemetry(telemetry);
+        self.index = self.index.with_telemetry(telemetry);
         self.telemetry = telemetry.clone();
         self
     }
@@ -209,9 +211,8 @@ impl ShardServer {
     /// Installs a pre-built index in place of the empty one — the
     /// `--gallery-dir` path: `study serve-shard` opens a persisted
     /// gallery via `fp-store` and serves it without a single enroll
-    /// round-trip. The index re-registers its instruments on the
-    /// already-attached telemetry, so call this *after*
-    /// [`with_telemetry`](Self::with_telemetry).
+    /// round-trip. The index registers its instruments on the attached
+    /// telemetry.
     pub fn with_index(mut self, index: CandidateIndex) -> Self {
         self.index = index.with_telemetry(&self.telemetry);
         self
@@ -422,9 +423,23 @@ fn worker_loop(job_rx: Arc<Mutex<Receiver<Job>>>) {
         // Release the id before the response can reach the client: once
         // the client sees the answer it may legally reuse the id.
         lock(&job.in_flight).remove(&job.request_id);
-        let mut writer = lock(&job.writer);
-        // A failed write means the client is gone; its reader thread notices.
-        let _ = write_frame_with(&mut *writer, job.request_id, &response);
+        send_response(&mut *lock(&job.writer), job.request_id, &response);
+    }
+}
+
+/// Writes a worker's answer. A response too large for one frame is
+/// refused before a byte is written, and the client gets a typed
+/// `INTERNAL` error naming its size instead. Any other failed write means
+/// the client is gone; its reader thread notices.
+fn send_response(writer: &mut impl Write, request_id: u32, response: &Frame) {
+    if let Err(e) = write_frame_with(writer, request_id, response) {
+        if e.kind() == std::io::ErrorKind::InvalidInput {
+            let refusal = Frame::Error {
+                code: code::INTERNAL,
+                detail: e.to_string(),
+            };
+            let _ = write_frame_with(writer, request_id, &refusal);
+        }
     }
 }
 
@@ -698,4 +713,37 @@ fn enroll(config: IndexConfig, templates: Vec<Template>, state: &State) -> Resul
         enrolled: templates.len() as u32,
         shard_len: index.len() as u32,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::{decode_frame_with, MAX_PAYLOAD};
+
+    /// A response one byte past the payload cap (a shard's `StageOneOk`
+    /// over ~4 M entries is one) writes nothing and is answered with a
+    /// typed error naming its size; the worker does not panic.
+    #[test]
+    fn an_oversize_response_is_answered_with_an_error_frame() {
+        let response = Frame::Error {
+            code: code::BAD_REQUEST,
+            detail: "x".repeat(MAX_PAYLOAD as usize),
+        };
+        let mut wire = Vec::new();
+        let refused = write_frame_with(&mut wire, 9, &response).unwrap_err();
+        assert_eq!(refused.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(wire.is_empty(), "nothing of a refused frame is written");
+
+        send_response(&mut wire, 9, &response);
+        let (id, frame) = decode_frame_with(&wire).unwrap();
+        assert_eq!(id, 9);
+        match frame {
+            Frame::Error { code: c, detail } => {
+                assert_eq!(c, code::INTERNAL);
+                let size = (MAX_PAYLOAD as usize + 5).to_string();
+                assert!(detail.contains(&size), "detail names the size: {detail}");
+            }
+            other => panic!("expected an error frame, got {other:?}"),
+        }
+    }
 }

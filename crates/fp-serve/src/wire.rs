@@ -815,9 +815,9 @@ fn decode_payload(frame_type: u8, payload: &[u8]) -> Result<Frame, WireError> {
     Ok(frame)
 }
 
-/// Encodes `frame` under `request_id`. Panics (programmer error) when the
-/// payload exceeds [`MAX_PAYLOAD`] — chunk the request instead.
-pub fn encode_frame_with(request_id: u32, frame: &Frame) -> Vec<u8> {
+/// Encodes `frame` under `request_id`, or returns the payload length when
+/// it exceeds [`MAX_PAYLOAD`].
+fn encode_checked(request_id: u32, frame: &Frame) -> Result<Vec<u8>, usize> {
     let mut enc = Enc::new();
     enc.raw(&MAGIC);
     enc.u16(VERSION);
@@ -827,14 +827,26 @@ pub fn encode_frame_with(request_id: u32, frame: &Frame) -> Vec<u8> {
     encode_payload(&mut enc, frame);
     let mut buf = enc.into_bytes();
     let payload_len = buf.len() - HEADER_LEN;
-    assert!(
-        payload_len as u64 <= MAX_PAYLOAD as u64,
-        "frame payload exceeds MAX_PAYLOAD; chunk the request"
-    );
+    if payload_len as u64 > MAX_PAYLOAD as u64 {
+        return Err(payload_len);
+    }
     buf[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&(payload_len as u32).to_le_bytes());
     let crc = frame_crc(request_id, payload_len as u32, &buf[HEADER_LEN..]);
     buf.extend_from_slice(&crc.to_le_bytes());
-    buf
+    Ok(buf)
+}
+
+/// Encodes `frame` under `request_id`. Panics (programmer error) when the
+/// payload exceeds [`MAX_PAYLOAD`] — chunk the request instead;
+/// [`write_frame_with`] returns an error there.
+pub fn encode_frame_with(request_id: u32, frame: &Frame) -> Vec<u8> {
+    encode_checked(request_id, frame)
+        .unwrap_or_else(|len| panic!("{}; chunk the request", oversize(len)))
+}
+
+/// What an unsendable frame is: its payload length against the cap.
+fn oversize(payload_len: usize) -> String {
+    format!("frame payload of {payload_len} bytes exceeds the {MAX_PAYLOAD}-byte cap")
 }
 
 /// Encodes `frame` under request id 0 (un-multiplexed traffic).
@@ -909,13 +921,16 @@ pub fn decode_frame(buf: &[u8]) -> Result<Frame, WireError> {
 }
 
 /// Writes one frame under `request_id`, returning the number of bytes put
-/// on the wire.
+/// on the wire. A frame whose payload exceeds [`MAX_PAYLOAD`] is an
+/// [`std::io::ErrorKind::InvalidInput`] error naming its size, and nothing
+/// is written.
 pub fn write_frame_with(
     w: &mut impl Write,
     request_id: u32,
     frame: &Frame,
 ) -> std::io::Result<usize> {
-    let bytes = encode_frame_with(request_id, frame);
+    let bytes = encode_checked(request_id, frame)
+        .map_err(|len| std::io::Error::new(std::io::ErrorKind::InvalidInput, oversize(len)))?;
     w.write_all(&bytes)?;
     w.flush()?;
     Ok(bytes.len())

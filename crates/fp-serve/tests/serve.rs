@@ -291,8 +291,33 @@ fn hostile_enroll_config_is_a_typed_error_and_the_shard_survives() {
     }
 }
 
-/// A connection refused outright (no listener) exhausts the retry budget
-/// and reports Unavailable; the whole dance stays bounded in time.
+/// `with_telemetry` keeps an installed index, so the two builders go in
+/// either order and both serve the whole gallery.
+#[test]
+fn telemetry_and_index_builders_commute() {
+    let templates = gallery(37, 5);
+    for telemetry_first in [true, false] {
+        let mut index = CandidateIndex::new(PairTableMatcher::default());
+        index.enroll_all(&templates);
+        let telemetry = Telemetry::enabled();
+        let server = ShardServer::bind(PairTableMatcher::default(), "127.0.0.1:0").unwrap();
+        let server = if telemetry_first {
+            server.with_telemetry(&telemetry).with_index(index)
+        } else {
+            server.with_index(index).with_telemetry(&telemetry)
+        };
+        let addr = server.local_addr().unwrap();
+        let handle = server.spawn();
+        let shard = RemoteShard::new(addr, 0, Duration::from_secs(5), fast_retry());
+        assert_eq!(
+            shard.health().unwrap(),
+            5,
+            "telemetry first: {telemetry_first}"
+        );
+        handle.join();
+    }
+}
+
 /// Two shards whose galleries are not a round-robin deal of one gallery —
 /// two `serve-shard --gallery-dir` processes opened on unrelated stores,
 /// say — have no global id mapping to stitch by. The coordinator must say
@@ -340,6 +365,8 @@ fn mis_dealt_shards_are_a_typed_error() {
     }
 }
 
+/// A connection refused outright (no listener) exhausts the retry budget
+/// and reports Unavailable; the whole dance stays bounded in time.
 #[test]
 fn unreachable_shard_reports_unavailable() {
     // Bind-then-drop to get a port with no listener.
