@@ -413,17 +413,6 @@ impl Rect {
         p.x >= self.min.x && p.x <= self.max.x && p.y >= self.min.y && p.y <= self.max.y
     }
 
-    /// Intersection with another rectangle, if non-degenerate.
-    pub fn intersection(&self, other: &Rect) -> Option<Rect> {
-        let min = Point::new(self.min.x.max(other.min.x), self.min.y.max(other.min.y));
-        let max = Point::new(self.max.x.min(other.max.x), self.max.y.min(other.max.y));
-        if min.x < max.x && min.y < max.y {
-            Some(Rect { min, max })
-        } else {
-            None
-        }
-    }
-
     /// The smallest rectangle containing both operands.
     pub fn union(&self, other: &Rect) -> Rect {
         Rect {
@@ -467,11 +456,6 @@ impl RigidMotion {
     /// Pure translation.
     pub fn translation(translation: Vector) -> Self {
         RigidMotion::new(Direction::ZERO, translation)
-    }
-
-    /// The rotation component.
-    pub fn rotation_part(&self) -> Direction {
-        self.rotation
     }
 
     /// Applies the motion to a point.
@@ -552,15 +536,11 @@ mod tests {
     }
 
     #[test]
-    fn rect_intersection_and_union() {
+    fn rect_union() {
         let a = Rect::from_corners(Point::new(0.0, 0.0), Point::new(2.0, 2.0));
         let b = Rect::from_corners(Point::new(1.0, 1.0), Point::new(3.0, 3.0));
-        let i = a.intersection(&b).unwrap();
-        assert!((i.area() - 1.0).abs() < EPS);
         let u = a.union(&b);
         assert!((u.area() - 9.0).abs() < EPS);
-        let far = Rect::from_corners(Point::new(10.0, 10.0), Point::new(11.0, 11.0));
-        assert!(a.intersection(&far).is_none());
     }
 
     #[test]

@@ -101,11 +101,6 @@ impl Template {
         self.capture_window
     }
 
-    /// Capture area in square millimetres.
-    pub fn capture_area_mm2(&self) -> f64 {
-        self.capture_window.area()
-    }
-
     /// Mean extraction reliability over the template's minutiae, 0 for an
     /// empty template.
     pub fn mean_reliability(&self) -> f64 {
@@ -159,21 +154,6 @@ impl Template {
                 .collect(),
             resolution_dpi: self.resolution_dpi,
             capture_window: Rect::from_corners(Point::new(min_x, min_y), Point::new(max_x, max_y)),
-        }
-    }
-
-    /// A copy keeping only the minutiae inside `window`, with the window as
-    /// the new capture window. Models cropping to a smaller sensor.
-    pub fn cropped(&self, window: Rect) -> Template {
-        Template {
-            minutiae: self
-                .minutiae
-                .iter()
-                .filter(|m| window.contains(&m.pos))
-                .copied()
-                .collect(),
-            resolution_dpi: self.resolution_dpi,
-            capture_window: window,
         }
     }
 }
@@ -300,20 +280,6 @@ mod tests {
     }
 
     #[test]
-    fn cropping_drops_outside_minutiae() {
-        let t = Template::builder(500.0)
-            .capture_window_mm(20.0, 20.0)
-            .push(sample_minutia(0.0, 0.0))
-            .push(sample_minutia(8.0, 8.0))
-            .build()
-            .unwrap();
-        let small = Rect::centred(Point::ORIGIN, 4.0, 4.0).unwrap();
-        let cropped = t.cropped(small);
-        assert_eq!(cropped.len(), 1);
-        assert_eq!(cropped.capture_window(), small);
-    }
-
-    #[test]
     fn transform_preserves_cardinality_and_density_scale() {
         let t = Template::builder(500.0)
             .capture_window_mm(10.0, 10.0)
@@ -326,8 +292,9 @@ mod tests {
         ));
         assert_eq!(moved.len(), t.len());
         // area grows for a rotated bounding box but must stay within sqrt(2)^2
-        assert!(moved.capture_area_mm2() >= t.capture_area_mm2() - 1e-9);
-        assert!(moved.capture_area_mm2() <= t.capture_area_mm2() * 2.0 + 1e-9);
+        let (area, moved_area) = (t.capture_window().area(), moved.capture_window().area());
+        assert!(moved_area >= area - 1e-9);
+        assert!(moved_area <= area * 2.0 + 1e-9);
     }
 
     #[test]

@@ -106,28 +106,19 @@ proptest! {
     }
 
     #[test]
-    fn motion_rotates_directions_consistently(m in motion(), a in finite_angle()) {
+    fn motion_rotates_directions_consistently(
+        r in finite_angle(), x in -20.0..20.0f64, y in -20.0..20.0f64, a in finite_angle()
+    ) {
+        let rotation = Direction::from_radians(r);
+        let m = RigidMotion::new(rotation, Vector::new(x, y));
         let d = Direction::from_radians(a);
         let rotated = m.apply_direction(d);
         prop_assert!(
-            (rotated.signed_delta(d) - m.rotation_part().signed_delta(Direction::ZERO)).abs()
-                < 1e-9
+            (rotated.signed_delta(d) - rotation.signed_delta(Direction::ZERO)).abs() < 1e-9
         );
     }
 
     // ---- Rect ---------------------------------------------------------------
-
-    #[test]
-    fn rect_intersection_is_contained_in_both(p1 in point(), p2 in point(), p3 in point(), p4 in point()) {
-        let a = Rect::from_corners(p1, p2);
-        let b = Rect::from_corners(p3, p4);
-        if let Some(i) = a.intersection(&b) {
-            prop_assert!(i.area() <= a.area() + 1e-9);
-            prop_assert!(i.area() <= b.area() + 1e-9);
-            prop_assert!(a.contains(&i.centre()));
-            prop_assert!(b.contains(&i.centre()));
-        }
-    }
 
     #[test]
     fn rect_union_contains_both(p1 in point(), p2 in point(), p3 in point(), p4 in point()) {
@@ -157,28 +148,5 @@ proptest! {
         let moved = t.transformed(&m);
         prop_assert_eq!(moved.len(), t.len());
         prop_assert!((moved.mean_reliability() - t.mean_reliability()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn template_crop_never_grows(
-        points in prop::collection::vec(point(), 0..40),
-        w in 1.0..30.0f64,
-        h in 1.0..30.0f64,
-    ) {
-        let minutiae: Vec<Minutia> = points
-            .iter()
-            .map(|p| Minutia::new(*p, Direction::ZERO, MinutiaKind::Bifurcation, 1.0))
-            .collect();
-        let t = Template::builder(500.0)
-            .capture_window_mm(100.0, 100.0)
-            .extend(minutiae)
-            .build()
-            .unwrap();
-        let window = Rect::centred(Point::ORIGIN, w, h).unwrap();
-        let cropped = t.cropped(window);
-        prop_assert!(cropped.len() <= t.len());
-        for m in cropped.minutiae() {
-            prop_assert!(window.contains(&m.pos));
-        }
     }
 }

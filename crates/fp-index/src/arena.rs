@@ -134,9 +134,7 @@ impl LaneBody {
 
     /// The body [`CodeArena::score_into`] runs on this CPU.
     fn detect() -> LaneBody {
-        LaneBody::available()
-            .next()
-            .expect("the portable body runs everywhere")
+        LaneBody::available().next().unwrap_or(LaneBody::Portable)
     }
 
     fn name(self) -> &'static str {
@@ -664,16 +662,16 @@ fn best_rows_lanes_body(
     bests: &mut Vec<f64>,
     word_ops: &mut u64,
 ) {
-    for (pw, &po) in probe.words.chunks_exact(LANE_WORDS).zip(probe.ones) {
-        let pw: &[u64; LANE_WORDS] = pw.try_into().expect("probe chunk is LANE_WORDS words");
+    let (probe_words, _) = probe.words.as_chunks::<LANE_WORDS>();
+    let (entry_words, _) = entry.words.as_chunks::<LANE_WORDS>();
+    for (pw, &po) in probe_words.iter().zip(probe.ones) {
         let mut row = RowBest::new();
-        for (gw, &go) in entry.words.chunks_exact(LANE_WORDS).zip(entry.ones) {
+        for (gw, &go) in entry_words.iter().zip(entry.ones) {
             let mass = po + go;
             if mass == 0 {
                 continue;
             }
             *word_ops += LANE_WORDS as u64;
-            let gw: &[u64; LANE_WORDS] = gw.try_into().expect("entry chunk is LANE_WORDS words");
             let mut distance = 0u32;
             for k in 0..LANE_WORDS {
                 distance += (pw[k] ^ gw[k]).count_ones();

@@ -158,12 +158,6 @@ impl IndexConfig {
         }
     }
 
-    /// Overrides the shortlist budget.
-    pub fn with_shortlist(mut self, shortlist: usize) -> IndexConfig {
-        self.shortlist = shortlist;
-        self
-    }
-
     /// The base RUNFP chain every per-search fingerprint of a run starts
     /// from: `seed` plus this config, folded in declaration order. Two
     /// runs differing in any behavior-relevant parameter diverge before
@@ -202,11 +196,6 @@ mod tests {
         assert_eq!(IndexConfig::scaled(100).shortlist, 48);
         assert_eq!(IndexConfig::scaled(1_000).shortlist, 100);
         assert_eq!(IndexConfig::scaled(1_000_000).shortlist, 128);
-    }
-
-    #[test]
-    fn with_shortlist_overrides() {
-        assert_eq!(IndexConfig::default().with_shortlist(7).shortlist, 7);
     }
 
     #[test]

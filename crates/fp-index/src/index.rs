@@ -383,7 +383,11 @@ impl CandidateIndex {
         }
         // Only `from_store_parts` leaves slots empty, and it installs the
         // loader. Lanes racing on a slot load equal tables; one is kept.
-        let loader = self.loader.as_ref().expect("empty table slot has a loader");
+        let loader = self.loader.as_ref().ok_or_else(|| TableLoadError {
+            segment: "in-memory index".to_string(),
+            entry: id,
+            detail: "slot is empty and no loader is installed".to_string(),
+        })?;
         let table = (loader.0)(id)?;
         Ok(slot.get_or_init(|| table))
     }

@@ -120,6 +120,8 @@ pub(crate) fn share<J: Send, S: Send, T: Send>(
     for (at, result) in done.into_iter().flatten() {
         slots[at] = Some(result);
     }
+    // The queue hands out every job index once.
+    #[allow(clippy::expect_used)]
     slots
         .into_iter()
         .map(|slot| slot.expect("every job is taken once"))

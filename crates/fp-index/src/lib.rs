@@ -69,6 +69,7 @@
 //! ```
 
 #![deny(unsafe_op_in_unsafe_fn)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod arena;
 pub mod backend;

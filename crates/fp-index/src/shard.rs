@@ -178,7 +178,7 @@ pub fn merge_sorted_parts(parts: &[Vec<Candidate>]) -> Vec<Candidate> {
     let total: usize = parts.iter().map(|p| p.len()).sum();
     let mut candidates = Vec::with_capacity(total);
     let mut heads = vec![0usize; parts.len()];
-    for _ in 0..total {
+    loop {
         let mut best: Option<(usize, &Candidate)> = None;
         for (k, part) in parts.iter().enumerate() {
             if let Some(c) = part.get(heads[k]) {
@@ -193,9 +193,10 @@ pub fn merge_sorted_parts(parts: &[Vec<Candidate>]) -> Vec<Candidate> {
                 }
             }
         }
-        let (k, c) = best.expect("total counts every remaining candidate");
+        let Some((k, c)) = best else {
+            return candidates;
+        };
         candidates.push(*c);
         heads[k] += 1;
     }
-    candidates
 }

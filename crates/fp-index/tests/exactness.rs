@@ -102,7 +102,10 @@ proptest! {
         let matcher = PairTableMatcher::default();
         let mut index = CandidateIndex::with_config(
             PairTableMatcher::default(),
-            IndexConfig::default().with_shortlist(n),
+            IndexConfig {
+                shortlist: n,
+                ..IndexConfig::default()
+            },
         );
         index.enroll_all(&templates);
 

@@ -33,6 +33,7 @@
 //! ```
 
 #![deny(unsafe_op_in_unsafe_fn)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod calibrate;
 pub mod fusion;
@@ -43,7 +44,7 @@ pub mod pairtable;
 
 pub use calibrate::ScoreCalibration;
 pub use hough::{HoughConfig, HoughMatcher};
-pub use mcc::{MccConfig, MccMatcher, PreparedCylinders};
+pub use mcc::{MccConfig, MccConfigError, MccMatcher, PreparedCylinders};
 pub use pairtable::{
     scan_body_name, PairFeature, PairTableConfig, PairTableConfigError, PairTableMatcher,
     PreparedPairTable,

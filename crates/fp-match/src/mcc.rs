@@ -62,6 +62,40 @@ impl Default for MccConfig {
     }
 }
 
+/// An [`MccConfig`] the matcher cannot build cylinders with, rejected when
+/// the matcher is built ([`MccMatcher::new`]) instead of at the first
+/// cylinder.
+///
+/// The other fields cannot panic: a zero `sigma_s` or `sigma_d` divides
+/// into infinite or `NaN` cell mass, which the clamp to 1 saturates, and a
+/// non-positive `radius` leaves every neighbour out or at the centre cell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MccConfigError {
+    /// `angular_cells == 0`: a neighbour's directional cell is taken
+    /// modulo `angular_cells`, which panics at zero.
+    ZeroAngularCells,
+    /// `spatial_cells == 0`: a cylinder would have no cells, so every one
+    /// is invalid and every score `0`.
+    ZeroSpatialCells,
+}
+
+impl std::fmt::Display for MccConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            MccConfigError::ZeroAngularCells => write!(
+                f,
+                "angular_cells must be >= 1 (directional cells wrap modulo it)"
+            ),
+            MccConfigError::ZeroSpatialCells => write!(
+                f,
+                "spatial_cells must be >= 1 (a cylinder without cells is never valid)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for MccConfigError {}
+
 /// One minutia's cylinder descriptor.
 #[derive(Debug, Clone)]
 struct Cylinder {
@@ -97,12 +131,19 @@ pub struct MccMatcher {
 }
 
 impl MccMatcher {
-    /// Creates a matcher with explicit tuning parameters.
-    pub fn new(config: MccConfig) -> Self {
-        MccMatcher {
+    /// Creates a matcher with explicit tuning parameters, or says why it
+    /// cannot build cylinders with them.
+    pub fn new(config: MccConfig) -> Result<Self, MccConfigError> {
+        if config.angular_cells == 0 {
+            return Err(MccConfigError::ZeroAngularCells);
+        }
+        if config.spatial_cells == 0 {
+            return Err(MccConfigError::ZeroSpatialCells);
+        }
+        Ok(MccMatcher {
             config,
             metrics: Default::default(),
-        }
+        })
     }
 
     /// Registers this matcher's work counters (comparisons, valid
@@ -624,10 +665,32 @@ mod tests {
             },
         ];
         for config in configs {
-            let m = MccMatcher::new(config);
+            let m = MccMatcher::new(config).unwrap();
             for t in &templates {
                 assert_prepare_equals_reference(&m, t);
             }
         }
+    }
+
+    #[test]
+    fn zero_cell_counts_are_rejected_at_construction() {
+        let zero_angular = MccConfig {
+            angular_cells: 0,
+            ..MccConfig::default()
+        };
+        let err = MccMatcher::new(zero_angular).unwrap_err();
+        assert_eq!(err, MccConfigError::ZeroAngularCells);
+        assert!(err.to_string().contains("angular_cells"), "{err}");
+        let zero_spatial = MccConfig {
+            spatial_cells: 0,
+            ..MccConfig::default()
+        };
+        assert_eq!(
+            MccMatcher::new(zero_spatial).unwrap_err(),
+            MccConfigError::ZeroSpatialCells
+        );
+        let m = MccMatcher::new(MccConfig::default()).unwrap();
+        let t = synthetic_template(1, 30);
+        assert!(m.compare(&t, &t).value() > 0.0);
     }
 }

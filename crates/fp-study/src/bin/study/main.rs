@@ -6,7 +6,7 @@
 //! study table5 --subjects 494      # one experiment at paper scale
 //! study all --json results.json    # machine-readable output (incl. telemetry)
 //! study --all --trace trace.json   # flight-recorder timeline (chrome://tracing)
-//! study verify --subjects 150      # check the paper's findings hold
+//! study verify --subjects 120 --seed 2013  # check the paper's findings hold
 //! study gate                       # every smoke gate, artifacts in target/gates
 //! study gate kernel store          # just those rows
 //! ```
@@ -799,7 +799,8 @@ fn verify(args: &Args, telemetry: &Telemetry) -> ExitCode {
         println!("all findings hold");
         ExitCode::SUCCESS
     } else {
-        println!("SOME FINDINGS FAILED (small cohorts are noisy; try --subjects 150+)");
+        let failed: Vec<&str> = findings.iter().filter(|f| !f.holds).map(|f| f.id).collect();
+        println!("FINDINGS FAILED: {}", failed.join(", "));
         ExitCode::FAILURE
     }
 }

@@ -81,8 +81,9 @@ mod tests {
     #[test]
     fn ink_probe_is_not_the_best() {
         // At the tiny test-cohort size the full ranking is noisy; the
-        // large-scale ordering (ink at/near the bottom) is asserted by the
-        // `paper_findings` integration test. Here we only require that ink
+        // large-scale ordering (ink at/near the bottom) is the finding
+        // `ink-probes-score-lowest` of `findings::check_all`, asserted by
+        // the `paper_findings` integration test. Here we only require that ink
         // is never the *best* probe for a Seek II gallery.
         let r = run(testdata::small());
         let ranking = r.values["ranking"].as_array().unwrap();

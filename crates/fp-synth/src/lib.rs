@@ -13,8 +13,6 @@
 //! * a **ridge orientation field** built from the Sherlock–Monro zero-pole
 //!   model (loops/whorls/tented arches) or a smooth analytic arch model
 //!   ([`field::OrientationField`]),
-//! * a **ridge frequency map** with subject- and position-dependent ridge
-//!   period ([`frequency::RidgeFrequencyMap`]),
 //! * a **finger-pad region** (an ellipse with per-finger shape variation,
 //!   [`region::FingerRegion`]), and
 //! * a set of **master minutiae** sampled by Poisson-disc rejection inside
@@ -38,7 +36,6 @@
 //! ```
 
 pub mod field;
-pub mod frequency;
 pub mod master;
 pub mod metrics;
 pub mod pattern;

@@ -9,7 +9,6 @@ use fp_core::minutia::{Minutia, MinutiaKind};
 use fp_core::rng::SeedTree;
 
 use crate::field::OrientationField;
-use crate::frequency::RidgeFrequencyMap;
 use crate::pattern::PatternClass;
 use crate::region::FingerRegion;
 
@@ -30,7 +29,6 @@ pub const ENDING_FRACTION: f64 = 0.55;
 pub struct MasterPrint {
     class: PatternClass,
     field: OrientationField,
-    frequency: RidgeFrequencyMap,
     region: FingerRegion,
     minutiae: Vec<Minutia>,
 }
@@ -63,14 +61,8 @@ impl MasterPrint {
         let mut field_rng = seed.child(&[1]).rng();
         let field = OrientationField::generate(class, &mut field_rng);
 
-        let core = field
-            .cores()
-            .first()
-            .copied()
-            .unwrap_or(Point::new(0.0, 1.0));
-        let mut freq_rng = seed.child(&[2]).rng();
-        let frequency = RidgeFrequencyMap::generate(core, &mut freq_rng);
-
+        // Stream 2 is unused (it drew a ridge-frequency map): renumbering
+        // the streams below would move every region and minutia draw.
         let mut region_rng = seed.child(&[3]).rng();
         let region = FingerRegion::generate(digit, size_factor, &mut region_rng);
 
@@ -81,7 +73,6 @@ impl MasterPrint {
         MasterPrint {
             class,
             field,
-            frequency,
             region,
             minutiae,
         }
@@ -95,11 +86,6 @@ impl MasterPrint {
     /// The ridge orientation field.
     pub fn field(&self) -> &OrientationField {
         &self.field
-    }
-
-    /// The ridge frequency map.
-    pub fn frequency(&self) -> &RidgeFrequencyMap {
-        &self.frequency
     }
 
     /// The ridge-bearing pad region.

@@ -1,285 +1,80 @@
 //! The qualitative findings of Lugini et al. (DSN 2013), asserted end to end
-//! on a mid-sized study run. These are the claims EXPERIMENTS.md records;
-//! if a model change breaks one of them, the reproduction has regressed.
+//! on a mid-sized study run. The predicates are `fp_study::findings::check_all`,
+//! the same ones `study verify` prints; each test below asserts the findings
+//! it names, and together they name every finding `check_all` reports. If a
+//! model change breaks one of them, the reproduction has regressed.
 //!
 //! Run in release mode (`cargo test --release --test paper_findings`); the
 //! run computes ~40k comparisons.
 
 use std::sync::OnceLock;
 
-use fingerprint_interop::prelude::*;
 use fp_study::config::StudyConfig;
+use fp_study::findings::{check_all, render, Finding};
 use fp_study::scores::StudyData;
 
-const SUBJECTS: usize = 120;
-
-fn data() -> &'static StudyData {
-    static DATA: OnceLock<StudyData> = OnceLock::new();
-    DATA.get_or_init(|| {
-        StudyData::generate(&StudyConfig::builder().subjects(SUBJECTS).seed(2013).build())
+fn findings() -> &'static [Finding] {
+    static FINDINGS: OnceLock<Vec<Finding>> = OnceLock::new();
+    FINDINGS.get_or_init(|| {
+        check_all(&StudyData::generate(
+            &StudyConfig::builder().subjects(120).seed(2013).build(),
+        ))
     })
 }
 
-fn mean(xs: &[f64]) -> f64 {
-    xs.iter().sum::<f64>() / xs.len() as f64
+/// Fails listing every named finding that does not hold, with its evidence.
+/// (`every_finding_is_asserted` checks that the names exist.)
+fn assert_hold(ids: &[&str]) {
+    let failed: Vec<Finding> = findings()
+        .iter()
+        .filter(|f| ids.contains(&f.id) && !f.holds)
+        .cloned()
+        .collect();
+    assert!(failed.is_empty(), "\n{}", render(&failed).0);
 }
 
-/// Finding 1 (abstract): "genuine matching scores were generally higher when
-/// both images were captured using the same device".
-#[test]
-fn same_device_genuine_scores_are_higher() {
-    let d = data();
-    let dmg = mean(&d.scores.dmg());
-    let ddmg = mean(&d.scores.ddmg());
-    assert!(
-        dmg > ddmg + 1.0,
-        "DMG mean {dmg:.1} not clearly above DDMG mean {ddmg:.1}"
-    );
-}
+macro_rules! finding_tests {
+    ($($(#[$doc:meta])* $test:ident => [$($id:literal),+],)+) => {
+        $(
+            $(#[$doc])*
+            #[test]
+            fn $test() {
+                assert_hold(&[$($id),+]);
+            }
+        )+
 
-/// Finding 2 (abstract): "false-non-match-rates were affected by capture
-/// device diversity. Conversely the false-match-rates were not."
-#[test]
-fn fnmr_is_affected_by_diversity_fmr_is_not() {
-    let d = data();
-    // FNMR at a common threshold: cross-device must be clearly worse.
-    let same = fp_stats::roc::ScoreSet::new(d.scores.dmg(), d.scores.dmi());
-    let cross = fp_stats::roc::ScoreSet::new(d.scores.ddmg(), d.scores.ddmi());
-    let t = same.threshold_at_fmr(1e-3);
-    assert!(
-        cross.fnmr_at(t) > same.fnmr_at(t),
-        "cross FNMR {:.4} not above same-device FNMR {:.4}",
-        cross.fnmr_at(t),
-        same.fnmr_at(t)
-    );
-    // FMR at the same threshold: essentially unchanged by diversity.
-    let fmr_same = same.fmr_at(t);
-    let fmr_cross = cross.fmr_at(t);
-    assert!(
-        (fmr_cross - fmr_same).abs() < 5e-3,
-        "FMR moved under diversity: {fmr_same:.5} -> {fmr_cross:.5}"
-    );
-}
-
-/// Figure 2/3: impostor scores stay in a bounded low range in both
-/// scenarios, on the calibrated (paper) scale.
-#[test]
-fn impostor_scores_have_a_low_ceiling() {
-    let d = data();
-    let max_dmi = d.scores.dmi().into_iter().fold(0.0f64, f64::max);
-    let max_ddmi = d.scores.ddmi().into_iter().fold(0.0f64, f64::max);
-    // Paper: never above 7. Allow headroom for the sampled tail.
-    assert!(max_dmi < 10.0, "DMI max {max_dmi:.1}");
-    assert!(max_ddmi < 10.0, "DDMI max {max_ddmi:.1}");
-    // And the genuine medians sit far above that ceiling.
-    let mut dmg = d.scores.dmg();
-    dmg.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let median = dmg[dmg.len() / 2];
-    assert!(
-        median > max_dmi,
-        "genuine median {median:.1} under impostor ceiling"
-    );
-}
-
-/// Table 5 shape: the diagonal is the row minimum exactly for D0, D2, D4 —
-/// the paper's stated exceptions being {D1,D1} (noisy optics) and {D3,D3}
-/// (small capture window).
-#[test]
-fn fnmr_matrix_has_the_papers_anomaly_structure() {
-    let d = data();
-    let fnmr = |g: u8, p: u8| {
-        d.scores
-            .score_set(DeviceId(g), DeviceId(p))
-            .fnmr_at_fmr(1e-4)
+        /// The tests above name every finding, in `check_all`'s order.
+        #[test]
+        fn every_finding_is_asserted() {
+            let named = [$($($id),+),+];
+            let reported: Vec<&str> = findings().iter().map(|f| f.id).collect();
+            assert_eq!(reported, named);
+        }
     };
-    // D0 diagonal is its row minimum.
-    for p in 1..5 {
-        assert!(
-            fnmr(0, 0) <= fnmr(0, p) + 1e-9,
-            "D0 diagonal not minimal vs probe D{p}"
-        );
-    }
-    // D1 anomaly: a D0 probe beats the D1 diagonal.
-    assert!(
-        fnmr(1, 0) <= fnmr(1, 1),
-        "expected {{D1,D1}} >= {{D1,D0}}: {} vs {}",
-        fnmr(1, 1),
-        fnmr(1, 0)
-    );
-    // D3 anomaly: a D0 probe beats the D3 diagonal.
-    assert!(
-        fnmr(3, 0) <= fnmr(3, 3),
-        "expected {{D3,D3}} >= {{D3,D0}}: {} vs {}",
-        fnmr(3, 3),
-        fnmr(3, 0)
-    );
-    // D4 is the best diagonal (same-card rescans) ...
-    for g in 0..4 {
-        assert!(
-            fnmr(4, 4) <= fnmr(g, g) + 1e-9,
-            "D4 diagonal {} not best (D{g} diagonal {})",
-            fnmr(4, 4),
-            fnmr(g, g)
-        );
-    }
-    // ... and the worst off-diagonal row on average.
-    let row_mean = |g: u8| {
-        mean(
-            &(0..5)
-                .filter(|&p| p != g)
-                .map(|p| fnmr(g, p))
-                .collect::<Vec<_>>(),
-        )
-    };
-    for g in 0..4 {
-        assert!(
-            row_mean(4) >= row_mean(g),
-            "ink row mean {} not the worst (D{g}: {})",
-            row_mean(4),
-            row_mean(g)
-        );
-    }
 }
 
-/// Figure 4: for every gallery device, the ink ten-print probe is among the
-/// two lowest-scoring probe devices.
-#[test]
-fn ink_probes_score_lowest() {
-    let d = data();
-    for g in 0..4u8 {
-        let means: Vec<f64> = (0..5u8)
-            .map(|p| mean(&d.scores.genuine_values(DeviceId(g), DeviceId(p))))
-            .collect();
-        let ink = means[4];
-        let lower_than_ink = means[..4].iter().filter(|&&m| m < ink).count();
-        assert!(
-            lower_than_ink <= 1,
-            "gallery D{g}: ink probe mean {ink:.1} beaten by {lower_than_ink} devices ({means:?})"
-        );
-    }
-}
-
-/// Table 4: the Kendall matrix has the paper's structure — perfect
-/// correlation (extreme p) on the diagonal, weaker association off it, and
-/// measurable asymmetry.
-#[test]
-fn kendall_matrix_structure() {
-    let d = data();
-    let cell = |x: u8, y: u8| {
-        fp_stats::kendall::kendall_tau_b(
-            &d.scores.genuine_values(DeviceId(x), DeviceId(x)),
-            &d.scores.genuine_values(DeviceId(x), DeviceId(y)),
-        )
-        .expect("non-degenerate")
-    };
-    for x in 0..4u8 {
-        let diag = cell(x, x);
-        assert!((diag.tau - 1.0).abs() < 1e-9);
-        for y in 0..5u8 {
-            if y != x {
-                let off = cell(x, y);
-                assert!(off.tau < 1.0);
-                assert!(
-                    diag.log10_p < off.log10_p,
-                    "diagonal p not more extreme at ({x},{y})"
-                );
-            }
-        }
-    }
-    // Asymmetry: at least one pair (x, y) differs from (y, x) noticeably.
-    let mut max_gap = 0.0f64;
-    for x in 0..4u8 {
-        for y in 0..4u8 {
-            if x != y {
-                max_gap = max_gap.max((cell(x, y).tau - cell(y, x).tau).abs());
-            }
-        }
-    }
-    assert!(max_gap > 0.01, "Kendall matrix is suspiciously symmetric");
-}
-
-/// Figure 5: low genuine scores concentrate in poor-quality pairs, and the
-/// diverse-device scenario needs stricter quality to avoid them.
-#[test]
-fn quality_interacts_with_interoperability() {
-    let d = data();
-    let mut low_same = 0usize;
-    let mut low_same_goodq = 0usize;
-    let mut total_same = 0usize;
-    let mut low_cross = 0usize;
-    let mut low_cross_goodq = 0usize;
-    let mut total_cross = 0usize;
-    for g in 0..5u8 {
-        for p in 0..5u8 {
-            for s in d.scores.genuine_cell(DeviceId(g), DeviceId(p)) {
-                let low = s.score < 10.0;
-                let good = s.gallery_quality.value() <= 2 && s.probe_quality.value() <= 2;
-                if g == p {
-                    total_same += 1;
-                    low_same += low as usize;
-                    low_same_goodq += (low && good) as usize;
-                } else {
-                    total_cross += 1;
-                    low_cross += low as usize;
-                    low_cross_goodq += (low && good) as usize;
-                }
-            }
-        }
-    }
-    let rate_same = low_same as f64 / total_same as f64;
-    let rate_cross = low_cross as f64 / total_cross as f64;
-    assert!(
-        rate_cross > rate_same,
-        "low-score rate: cross {rate_cross:.3} not above same {rate_same:.3}"
-    );
-    // Good-quality pairs are protected in both scenarios.
-    assert!(low_same_goodq as f64 <= low_same as f64 * 0.5 + 1.0);
-    assert!(low_cross_goodq as f64 <= low_cross as f64 * 0.5 + 1.0);
-}
-
-/// Table 6: restricting to good-quality pairs improves (or preserves) the
-/// FNMR of every cell at the looser operating point.
-#[test]
-fn quality_gating_never_hurts_fnmr() {
-    let d = data();
-    for g in 0..5u8 {
-        for p in 0..5u8 {
-            let all: Vec<f64> = d.scores.genuine_values(DeviceId(g), DeviceId(p));
-            let good: Vec<f64> = d
-                .scores
-                .genuine_cell(DeviceId(g), DeviceId(p))
-                .iter()
-                .filter(|s| s.gallery_quality.value() < 3 && s.probe_quality.value() < 3)
-                .map(|s| s.score)
-                .collect();
-            if good.len() < 10 {
-                continue; // not enough gated data to compare rates
-            }
-            let impostor = d.scores.impostor_cell(DeviceId(g), DeviceId(p)).to_vec();
-            let t =
-                fp_stats::roc::ScoreSet::new(all.clone(), impostor.clone()).threshold_at_fmr(1e-3);
-            let fnmr_all = all.iter().filter(|&&s| s < t).count() as f64 / all.len() as f64;
-            let fnmr_good = good.iter().filter(|&&s| s < t).count() as f64 / good.len() as f64;
-            assert!(
-                fnmr_good <= fnmr_all + 0.02,
-                "cell ({g},{p}): gating worsened FNMR {fnmr_all:.3} -> {fnmr_good:.3}"
-            );
-        }
-    }
-}
-
-/// Table 3 counts scale exactly with the design at any cohort size.
-#[test]
-fn score_set_sizes_match_design() {
-    let d = data();
-    assert_eq!(d.scores.dmg().len(), SUBJECTS * 4);
-    assert_eq!(d.scores.ddmg().len(), SUBJECTS * 20);
-    assert_eq!(
-        d.scores.dmi().len(),
-        d.dataset.config().impostors_per_cell * 5
-    );
-    assert_eq!(
-        d.scores.ddmi().len(),
-        d.dataset.config().impostors_per_cell * 20
-    );
+finding_tests! {
+    /// Abstract: "genuine matching scores were generally higher when both
+    /// images were captured using the same device".
+    same_device_genuine_scores_are_higher => ["same-device-genuine-higher"],
+    /// Abstract: "false-non-match-rates were affected by capture device
+    /// diversity. Conversely the false-match-rates were not."
+    fnmr_is_affected_by_diversity_fmr_is_not => ["fnmr-affected-fmr-not"],
+    /// Figures 2/3: impostor scores stay low in both scenarios, far under
+    /// the genuine median.
+    impostor_scores_have_a_low_ceiling => ["impostor-ceiling"],
+    /// Table 5: the diagonal is the row minimum except {D1,D1} and {D3,D3};
+    /// {D4,D4} is the best diagonal and the ink row the worst on average.
+    fnmr_matrix_has_the_papers_anomaly_structure =>
+        ["fnmr-anomaly-structure", "ink-least-interoperable"],
+    /// Table 4: a perfectly correlated diagonal, weaker association off it,
+    /// and measurable asymmetry.
+    kendall_matrix_structure => ["kendall-structure"],
+    /// Figure 5: diversity adds low genuine scores, and good-quality pairs
+    /// are protected from them.
+    quality_interacts_with_interoperability => ["diversity-increases-low-scores"],
+    /// Figure 4: the ink probe is among the two lowest-scoring probes.
+    ink_probes_score_lowest => ["ink-probes-score-lowest"],
+    /// Table 6: gating on quality never raises a cell's FNMR.
+    quality_gating_never_hurts_fnmr => ["quality-gating-never-hurts-fnmr"],
 }
