@@ -5,10 +5,12 @@
 //! that slab is laid out or how it is scored:
 //!
 //! * `words`  — every entry's cylinder words, entry-major then
-//!   cylinder-major, one contiguous little-endian `u64` slab;
+//!   cylinder-major, one contiguous little-endian `u64` slab of exactly
+//!   [`LANE_WORDS`] words a cylinder;
 //! * `ones`   — the per-cylinder set-bit counts, in the same order;
-//! * `spans`  — per-entry `(word_off, ones_off, cylinders, words_per)`,
-//!   so entries extracted under different MCC widths coexist.
+//! * `spans`  — per-entry `(off, cylinders)`: the entry's first cylinder,
+//!   which is its index into `ones` and, times [`LANE_WORDS`], into
+//!   `words`.
 //!
 //! Entries go in through [`CodeArena::push`] / [`CodeArena::push_view`]
 //! or, from persisted bytes, through the validating
@@ -19,12 +21,10 @@
 //! [`CodeArena::score_into`] is one pass over the entries in order, cut
 //! into runs of 64 entries that one lane per core takes as it goes
 //! (`crate::lanes`; an entry's score depends on no other entry, so the cut
-//! changes no bit). Per entry it runs the **lane body** when probe and
-//! entry are both [`LANE_WORDS`] wide — the width of the default MCC grid
-//! (8 x 8 x 5 = 320 cells), so of every entry a shipping index holds (the
-//! `kernel` gate fails if one is not) — and the **general body** for any
-//! other pair of widths, through [`hamming`], whose excess-word tail is
-//! empty when the widths agree.
+//! changes no bit). Every non-empty entry runs the **lane body**: every
+//! code is [`LANE_WORDS`] wide by type (`CylinderCodes::extract` packs the
+//! default MCC grid, 8 x 8 x 5 = 320 cells, into exactly that), so there is
+//! no other width to score.
 //!
 //! The lane body exists in three compilations. `LaneBody::detect` picks
 //! the first the CPU can run, once per call, by `is_x86_feature_detected!`
@@ -75,17 +75,17 @@
 //!    identical prefix left to right.
 //!
 //! `tests/kernel.rs` pins this with a proptest equivalence suite over
-//! random code sets, widths and depths; `study check-kernel` re-proves it
+//! random code sets and depths; `study check-kernel` re-proves it
 //! on every CI run against the enrolled index, once per available body.
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 
 use crate::lanes;
 use crate::signature::{
-    hamming, reference_similarity, sort_bests_desc, CodeView, CylinderCodes, Stage1Scratch,
+    reference_similarity, sort_bests_desc, CodeView, CylinderCodes, Stage1Scratch,
 };
 
-/// Packed words per cylinder the lane body is compiled for: 320 cells
+/// Packed words per cylinder, the one code width: 320 cells
 /// (`MccMatcher::default()`'s 8 x 8 x 5 grid) in 64-bit words.
 pub const LANE_WORDS: usize = 5;
 
@@ -165,7 +165,7 @@ pub(crate) struct ProbeGroup {
     ones: [u64; GROUP],
 }
 
-/// Transposes a [`LANE_WORDS`]-wide probe into `groups`.
+/// Transposes a probe into `groups`.
 fn transpose_probe(probe: &CodeView<'_>, groups: &mut Vec<ProbeGroup>) {
     groups.clear();
     groups.resize(
@@ -175,12 +175,7 @@ fn transpose_probe(probe: &CodeView<'_>, groups: &mut Vec<ProbeGroup>) {
             ones: [0; GROUP],
         },
     );
-    for (c, (pw, &po)) in probe
-        .words
-        .chunks_exact(LANE_WORDS)
-        .zip(probe.ones)
-        .enumerate()
-    {
+    for (c, (pw, &po)) in probe.words.iter().zip(probe.ones).enumerate() {
         let group = &mut groups[c / GROUP];
         for (plane, &word) in group.planes.iter_mut().zip(pw) {
             plane[c % GROUP] = word;
@@ -233,13 +228,12 @@ impl RowBest {
     }
 }
 
-/// Where one entry's codes live inside the arena.
+/// Where one entry's codes live inside the arena: its first cylinder and
+/// how many it has.
 #[derive(Debug, Clone, Copy)]
 struct EntrySpan {
-    word_off: usize,
-    ones_off: usize,
+    off: usize,
     cylinders: usize,
-    words_per: usize,
 }
 
 /// One contiguous structure-of-arrays slab of every enrolled entry's
@@ -273,68 +267,57 @@ impl CodeArena {
     }
 
     /// Rebuilds an arena from persisted parts: the word slab, the
-    /// per-cylinder set-bit counts, and per-entry `(cylinders, words_per)`
-    /// in entry order. Offsets are not persisted — entries are packed
+    /// per-cylinder set-bit counts, and per-entry `(cylinders, width)` in
+    /// entry order. Offsets are not persisted — entries are packed
     /// back-to-back, so they are the running sums of the spans and a
     /// segment cannot claim overlapping or out-of-order ones. Validates the
     /// invariants both scoring kernels rely on before constructing
-    /// anything: the spans must tile `words` and `ones` exactly (no gap,
-    /// no overhang, no overflow), and every `ones` count must equal its
-    /// cylinder's actual popcount (the mass-zero skip rule reads it as
-    /// truth). Violations come back as a typed description, never a panic.
+    /// anything: a coded span is [`LANE_WORDS`] wide and an empty one 0
+    /// (what [`CodeArena::push`] records for them), the spans must tile
+    /// `words` and `ones` exactly (no gap, no overhang, no overflow), and
+    /// every `ones` count must equal its cylinder's actual popcount (the
+    /// mass-zero skip rule reads it as truth). Violations come back as a
+    /// typed description, never a panic.
     pub fn from_raw_parts(
         words: Vec<u64>,
         ones: Vec<u32>,
         spans: impl IntoIterator<Item = (u32, u32)>,
     ) -> Result<CodeArena, String> {
-        let mut word_off = 0usize;
-        let mut ones_off = 0usize;
+        let mut off = 0usize;
         let spans = spans.into_iter();
         let mut built = Vec::with_capacity(spans.size_hint().0);
-        for (at, (cylinders, words_per)) in spans.enumerate() {
-            let (cylinders, words_per) = (cylinders as usize, words_per as usize);
-            let entry_words = cylinders
-                .checked_mul(words_per)
-                .ok_or_else(|| format!("span {at} overflows the word count"))?;
-            built.push(EntrySpan {
-                word_off,
-                ones_off,
-                cylinders,
-                words_per,
-            });
-            word_off = word_off
-                .checked_add(entry_words)
-                .ok_or_else(|| format!("span {at} overflows the slab"))?;
-            ones_off = ones_off
+        for (at, (cylinders, width)) in spans.enumerate() {
+            let lane = if cylinders == 0 { 0 } else { LANE_WORDS as u32 };
+            if width != lane {
+                return Err(format!(
+                    "entry {at} of {cylinders} cylinders is {width} words wide, not {lane}"
+                ));
+            }
+            let cylinders = cylinders as usize;
+            built.push(EntrySpan { off, cylinders });
+            off = off
                 .checked_add(cylinders)
-                .ok_or_else(|| format!("span {at} overflows the ones array"))?;
+                .ok_or_else(|| format!("entry {at} overflows the slab"))?;
         }
-        if word_off != words.len() {
+        if off != ones.len() {
             return Err(format!(
-                "spans cover {word_off} words but the slab holds {}",
-                words.len()
-            ));
-        }
-        if ones_off != ones.len() {
-            return Err(format!(
-                "spans cover {ones_off} cylinders but ones holds {}",
+                "spans cover {off} cylinders but ones holds {}",
                 ones.len()
             ));
         }
-        for span in &built {
-            for c in 0..span.cylinders {
-                let base = span.word_off + c * span.words_per;
-                let actual: u32 = words[base..base + span.words_per]
-                    .iter()
-                    .map(|w| w.count_ones())
-                    .sum();
-                if ones[span.ones_off + c] != actual {
-                    return Err(format!(
-                        "ones[{}] is {} but its cylinder popcount is {actual}",
-                        span.ones_off + c,
-                        ones[span.ones_off + c]
-                    ));
-                }
+        let (cylinders, rest) = words.as_chunks::<LANE_WORDS>();
+        if cylinders.len() != off || !rest.is_empty() {
+            return Err(format!(
+                "spans cover {off} cylinders of {LANE_WORDS} words but the slab holds {} words",
+                words.len()
+            ));
+        }
+        for (c, (cylinder, &set)) in cylinders.iter().zip(&ones).enumerate() {
+            let actual: u32 = cylinder.iter().map(|w| w.count_ones()).sum();
+            if set != actual {
+                return Err(format!(
+                    "ones[{c}] is {set} but its cylinder popcount is {actual}"
+                ));
             }
         }
         Ok(CodeArena {
@@ -354,22 +337,20 @@ impl CodeArena {
     /// from one arena ([`entry`](Self::entry)) to another.
     pub fn push_view(&mut self, view: CodeView<'_>) {
         self.spans.push(EntrySpan {
-            word_off: self.words.len(),
-            ones_off: self.ones.len(),
+            off: self.ones.len(),
             cylinders: view.len(),
-            words_per: view.words_per(),
         });
-        self.words.extend_from_slice(view.words);
+        self.words.extend_from_slice(view.words());
         self.ones.extend_from_slice(view.ones);
     }
 
     /// A borrowed view of entry `i`'s codes.
     pub fn entry(&self, i: usize) -> CodeView<'_> {
-        let span = self.spans[i];
+        let EntrySpan { off, cylinders } = self.spans[i];
+        let (words, _) = self.words.as_chunks::<LANE_WORDS>();
         CodeView {
-            words: &self.words[span.word_off..span.word_off + span.cylinders * span.words_per],
-            ones: &self.ones[span.ones_off..span.ones_off + span.cylinders],
-            words_per: span.words_per,
+            words: &words[off..off + cylinders],
+            ones: &self.ones[off..off + cylinders],
         }
     }
 
@@ -381,8 +362,7 @@ impl CodeArena {
     /// scalar reference over every entry.
     ///
     /// One pass over the entries in order: per entry, the lane body this
-    /// CPU runs (see the module header) when both sides are [`LANE_WORDS`]
-    /// wide and the general body otherwise, then the depth clamp, sort and
+    /// CPU runs (see the module header), then the depth clamp, sort and
     /// prefix mean the oracle shares. The pass is cut into runs of
     /// `JOB_ENTRIES` entries, each scored into its own slice of `out` by
     /// whichever lane (one per core, `crate::lanes`) takes it; `scratch`
@@ -479,8 +459,7 @@ impl CodeArena {
         out: &mut [f64],
     ) -> u64 {
         let Stage1Scratch { bests, groups } = scratch;
-        let probe_lanes = probe.words_per == LANE_WORDS;
-        let vector = probe_lanes && body == LaneBody::Avx512Vpopcnt;
+        let vector = body == LaneBody::Avx512Vpopcnt;
         let mut probe_zeros = 0;
         if vector {
             transpose_probe(&probe, groups);
@@ -494,35 +473,31 @@ impl CodeArena {
                 continue;
             }
             bests.clear();
-            if probe_lanes && entry.words_per == LANE_WORDS {
-                match body {
-                    #[cfg(target_arch = "x86_64")]
-                    LaneBody::Avx512Vpopcnt => {
-                        // SAFETY: `runs_here` verified `avx512f` and
-                        // `avx512vpopcntdq` before `available` or `detect`
-                        // yielded this body.
-                        unsafe { best_rows_lanes_avx512(groups, probe.len(), &entry, bests) }
-                    }
-                    #[cfg(target_arch = "x86_64")]
-                    LaneBody::Popcnt => {
-                        // SAFETY: `runs_here` verified `popcnt` before
-                        // `available` or `detect` yielded this body.
-                        unsafe { best_rows_lanes_popcnt(&probe, &entry, bests, &mut word_ops) }
-                    }
-                    _ => best_rows_lanes_body(&probe, &entry, bests, &mut word_ops),
+            match body {
+                #[cfg(target_arch = "x86_64")]
+                LaneBody::Avx512Vpopcnt => {
+                    // SAFETY: `runs_here` verified `avx512f` and
+                    // `avx512vpopcntdq` before `available` or `detect`
+                    // yielded this body.
+                    unsafe { best_rows_lanes_avx512(groups, probe.len(), &entry, bests) }
                 }
-                if vector {
-                    // The vector body cannot count as it goes; the same
-                    // number, computed: every pair but the mass-zero ones
-                    // (both sides `ones == 0`).
-                    let mut pairs = probe.len() * entry.len();
-                    if probe_zeros > 0 {
-                        pairs -= probe_zeros * zero_cylinders(&entry);
-                    }
-                    word_ops += (LANE_WORDS * pairs) as u64;
+                #[cfg(target_arch = "x86_64")]
+                LaneBody::Popcnt => {
+                    // SAFETY: `runs_here` verified `popcnt` before
+                    // `available` or `detect` yielded this body.
+                    unsafe { best_rows_lanes_popcnt(&probe, &entry, bests, &mut word_ops) }
                 }
-            } else {
-                best_rows_general(&probe, &entry, bests, &mut word_ops);
+                _ => best_rows_lanes_body(&probe, &entry, bests, &mut word_ops),
+            }
+            if vector {
+                // The vector body cannot count as it goes; the same
+                // number, computed: every pair but the mass-zero ones
+                // (both sides `ones == 0`).
+                let mut pairs = probe.len() * entry.len();
+                if probe_zeros > 0 {
+                    pairs -= probe_zeros * zero_cylinders(&entry);
+                }
+                word_ops += (LANE_WORDS * pairs) as u64;
             }
             let depth = probe.len().min(entry.len()).min(lss_depth).max(1);
             sort_bests_desc(bests);
@@ -593,7 +568,7 @@ unsafe fn best_rows_lanes_avx512(
         let planes = group.planes.map(|plane| load_lanes(&plane));
         let ones = load_lanes(&group.ones);
         let mut best = _mm512_set1_epi64(1 << 32 | 1);
-        for (gw, &go) in entry.words.chunks_exact(LANE_WORDS).zip(entry.ones) {
+        for (gw, &go) in entry.words.iter().zip(entry.ones) {
             let mut distance = _mm512_setzero_si512();
             for (&plane, &word) in planes.iter().zip(gw) {
                 let differing = _mm512_xor_si512(plane, _mm512_set1_epi64(word as i64));
@@ -662,11 +637,9 @@ fn best_rows_lanes_body(
     bests: &mut Vec<f64>,
     word_ops: &mut u64,
 ) {
-    let (probe_words, _) = probe.words.as_chunks::<LANE_WORDS>();
-    let (entry_words, _) = entry.words.as_chunks::<LANE_WORDS>();
-    for (pw, &po) in probe_words.iter().zip(probe.ones) {
+    for (pw, &po) in probe.words.iter().zip(probe.ones) {
         let mut row = RowBest::new();
-        for (gw, &go) in entry_words.iter().zip(entry.ones) {
+        for (gw, &go) in entry.words.iter().zip(entry.ones) {
             let mass = po + go;
             if mass == 0 {
                 continue;
@@ -682,59 +655,34 @@ fn best_rows_lanes_body(
     }
 }
 
-/// The general body: any pair of widths. Per cylinder pair, the excess
-/// words of the wider side count every set bit ([`hamming`]'s tail rule,
-/// empty when the widths agree) and the op meter charges the wider width
-/// — exactly the scalar reference semantics.
-fn best_rows_general(
-    probe: &CodeView<'_>,
-    entry: &CodeView<'_>,
-    bests: &mut Vec<f64>,
-    word_ops: &mut u64,
-) {
-    let charged = probe.words_per.max(entry.words_per) as u64;
-    for i in 0..probe.len() {
-        let (pw, po) = probe.cylinder(i);
-        let mut row = RowBest::new();
-        for j in 0..entry.len() {
-            let (gw, go) = entry.cylinder(j);
-            let mass = po + go;
-            if mass == 0 {
-                continue;
-            }
-            *word_ops += charged;
-            row.offer(hamming(pw, gw), mass);
-        }
-        bests.push(row.best);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Codes with explicit raw words (ones derived), one cylinder per row.
-    fn raw_codes(rows: &[&[u64]], words_per: usize) -> CylinderCodes {
+    /// Codes with explicit raw words (ones derived), one cylinder per row,
+    /// each row zero-padded to `LANE_WORDS`.
+    fn raw_codes(rows: &[&[u64]]) -> CylinderCodes {
         let mut words = Vec::new();
         let mut ones = Vec::new();
         for row in rows {
-            assert_eq!(row.len(), words_per);
-            words.extend_from_slice(row);
+            let mut cylinder = [0u64; LANE_WORDS];
+            cylinder[..row.len()].copy_from_slice(row);
+            words.extend_from_slice(&cylinder);
             ones.push(row.iter().map(|w| w.count_ones()).sum());
         }
-        CylinderCodes::from_raw(words, ones, words_per)
+        CylinderCodes::from_raw(words, ones)
     }
 
     #[test]
     fn arena_scores_match_reference_on_handmade_codes() {
-        let a = raw_codes(&[&[0b1011, 0x55], &[0xFF00, 0x0F]], 2);
-        let b = raw_codes(&[&[0b1001, 0x54], &[0, 0]], 2);
-        let probe = raw_codes(&[&[0b1111, 0xAA], &[0, 0]], 2);
+        let a = raw_codes(&[&[0b1011, 0x55], &[0xFF00, 0x0F]]);
+        let b = raw_codes(&[&[0b1001, 0x54], &[0, 0]]);
+        let probe = raw_codes(&[&[0b1111, 0xAA], &[0, 0]]);
         let mut arena = CodeArena::new();
         arena.push(&a);
         arena.push(&b);
         assert_eq!(arena.len(), 2);
-        assert_eq!(arena.packed_bytes(), 2 * 2 * 2 * 8);
+        assert_eq!(arena.packed_bytes(), 2 * 2 * LANE_WORDS * 8);
 
         let mut scratch = Stage1Scratch::new();
         let mut scores = vec![0.0; 2];
@@ -745,14 +693,14 @@ mod tests {
         assert_eq!(ops_b, ops_r);
         // Entry b's second cylinder and the probe's second cylinder are
         // both all-zero: that one pair has mass 0 and must be skipped
-        // unpriced; every other pair (7 of 8) charges words_per = 2.
-        assert_eq!(ops_b, 7 * 2);
+        // unpriced; every other pair (7 of 8) charges LANE_WORDS.
+        assert_eq!(ops_b, 7 * LANE_WORDS as u64);
     }
 
     #[test]
     fn empty_probe_and_empty_entries_score_zero() {
-        let empty = CylinderCodes::from_raw(Vec::new(), Vec::new(), 0);
-        let some = raw_codes(&[&[1, 2, 3]], 3);
+        let empty = CylinderCodes::from_raw(Vec::new(), Vec::new());
+        let some = raw_codes(&[&[1, 2, 3]]);
         let mut arena = CodeArena::new();
         arena.push(&empty);
         arena.push(&some);
@@ -766,75 +714,67 @@ mod tests {
         let ops = arena.score_into(&some, 4, &mut scratch, &mut out);
         assert_eq!(out[0], 0.0, "empty entry scores zero");
         assert_eq!(out[1], 1.0, "self-similarity is one");
-        assert_eq!(ops, 3);
-    }
-
-    #[test]
-    fn mixed_width_entries_use_the_tail_rule() {
-        // Gallery packed at width 1, probe at width 2: the probe's excess
-        // word counts all its set bits against every gallery cylinder.
-        let gallery = raw_codes(&[&[0b1011]], 1);
-        let probe = raw_codes(&[&[0b1011, 0xF0]], 2);
-        let mut arena = CodeArena::new();
-        arena.push(&gallery);
-
-        let mut scratch = Stage1Scratch::new();
-        let mut out = vec![0.0; 1];
-        let ops = arena.score_into(&probe, 1, &mut scratch, &mut out);
-        assert_eq!(ops, 2, "mixed pairs charge the wider width");
-        let mass = 3.0 + 4.0 + 3.0; // probe ones + gallery ones
-        assert_eq!(out[0], 1.0 - 4.0 / mass);
-        let mut reference = vec![0.0; 1];
-        let ops_r = arena.score_into_reference(&probe, 1, &mut scratch, &mut reference);
-        assert_eq!(out, reference);
-        assert_eq!(ops, ops_r);
+        assert_eq!(ops, LANE_WORDS as u64);
     }
 
     #[test]
     fn raw_parts_round_trip_and_reject_hostile_shapes() {
-        let a = raw_codes(&[&[0b1011, 0x55], &[0xFF00, 0x0F]], 2);
-        let b = raw_codes(&[&[!0u64], &[0], &[0xF0F0]], 1);
+        let a = raw_codes(&[&[0b1011, 0x55], &[0xFF00, 0x0F]]);
+        let b = raw_codes(&[&[!0u64], &[0], &[0xF0F0]]);
         let mut arena = CodeArena::new();
         arena.push(&a);
+        arena.push(&CylinderCodes::from_raw(Vec::new(), Vec::new()));
         arena.push(&b);
 
         // The persisted parts are the slab, the popcounts and each entry's
         // shape; moving entries view by view rebuilds the same arena.
-        let spans = [(2, 2), (3, 1)];
+        let lane = LANE_WORDS as u32;
+        let spans = [(2, lane), (0, 0), (3, lane)];
         let rebuilt =
             CodeArena::from_raw_parts(arena.words.clone(), arena.ones.clone(), spans).unwrap();
         let mut moved = CodeArena::new();
         for i in 0..arena.len() {
             moved.push_view(arena.entry(i));
         }
-        let probe = raw_codes(&[&[0b1111, 0xAA]], 2);
+        let probe = raw_codes(&[&[0b1111, 0xAA]]);
         let mut scratch = Stage1Scratch::new();
-        let mut expected = vec![0.0; 2];
+        let mut expected = vec![0.0; 3];
         let ops = arena.score_into(&probe, 2, &mut scratch, &mut expected);
         for other in [&rebuilt, &moved] {
             assert_eq!(other.words, arena.words);
             assert_eq!(other.ones, arena.ones);
-            let mut out = vec![0.0; 2];
+            let mut out = vec![0.0; 3];
             assert_eq!(other.score_into(&probe, 2, &mut scratch, &mut out), ops);
             assert_eq!(out, expected);
         }
 
         // Hostile shapes: spans that under- or over-cover the slab, wrong
-        // popcounts, and multiplications that overflow all come back as
-        // errors, never panics.
+        // popcounts, and counts that overflow all come back as errors,
+        // never panics.
         let (words, ones) = (arena.words.clone(), arena.ones.clone());
-        assert!(CodeArena::from_raw_parts(words.clone(), ones.clone(), [(2, 2)]).is_err());
-        assert!(
-            CodeArena::from_raw_parts(words.clone(), ones.clone(), [(2, 2), (3, 1), (1, 1)])
-                .is_err()
-        );
+        let parts = |spans: &[(u32, u32)]| {
+            CodeArena::from_raw_parts(words.clone(), ones.clone(), spans.iter().copied())
+        };
+        assert!(parts(&[(2, lane)]).is_err());
+        assert!(parts(&[(2, lane), (0, 0), (3, lane), (1, lane)]).is_err());
+        assert!(parts(&[(u32::MAX, lane), (u32::MAX, lane)]).is_err());
         let mut bad_ones = ones.clone();
         bad_ones[0] ^= 1;
         assert!(CodeArena::from_raw_parts(words.clone(), bad_ones, spans).is_err());
-        assert!(
-            CodeArena::from_raw_parts(words, ones, [(u32::MAX, u32::MAX), (u32::MAX, 2)]).is_err()
-        );
         assert!(CodeArena::from_raw_parts(Vec::new(), Vec::new(), []).is_ok());
+
+        // A span of any other width is refused by entry and width: a coded
+        // entry not LANE_WORDS wide, an empty one not 0 wide.
+        let error = parts(&[(2, 3), (0, 0), (3, lane)]).unwrap_err();
+        assert!(
+            error.contains("entry 0 of 2 cylinders is 3 words wide"),
+            "{error}"
+        );
+        let error = parts(&[(2, lane), (0, 7), (3, lane)]).unwrap_err();
+        assert!(
+            error.contains("entry 1 of 0 cylinders is 7 words wide"),
+            "{error}"
+        );
     }
 
     /// Fowler–Noll–Vo 1a over a byte stream — a stable digest for the
@@ -903,8 +843,9 @@ mod tests {
         arena.push(&codes);
 
         let entry = arena.entry(0);
+        let width = entry.words().len() / entry.len();
         assert_eq!(
-            (entry.len() as u32, entry.words_per() as u32),
+            (entry.len() as u32, width as u32),
             (GOLDEN_CYLINDERS, GOLDEN_WORDS_PER)
         );
         assert_eq!(
@@ -931,7 +872,7 @@ mod tests {
         137_975_824_384,
     ];
 
-    /// Lane-width codes of `cylinders` cylinders from a fixed stream;
+    /// Codes of `cylinders` cylinders from a fixed stream;
     /// every `zero_every`-th cylinder is all-zero (`ones == 0`).
     fn lane_codes(seed: u64, cylinders: usize, zero_every: usize) -> CylinderCodes {
         let rows: Vec<Vec<u64>> = (0..cylinders as u64)
@@ -948,7 +889,7 @@ mod tests {
             })
             .collect();
         let refs: Vec<&[u64]> = rows.iter().map(|r| r.as_slice()).collect();
-        raw_codes(&refs, LANE_WORDS)
+        raw_codes(&refs)
     }
 
     /// Every lane body this CPU can run against the oracle, in one lane:
@@ -973,9 +914,8 @@ mod tests {
 
     #[test]
     fn large_arenas_score_like_the_reference() {
-        // 600 lane-width entries: the body every shipping index runs, on
-        // a slab long enough that a slip in the running offsets would
-        // land on another entry's words.
+        // 600 entries on a slab long enough that a slip in the running
+        // offsets would land on another entry's words.
         let mut arena = CodeArena::new();
         let entries: Vec<CylinderCodes> = (0..600).map(|e| lane_codes(e, 8, usize::MAX)).collect();
         for codes in &entries {

@@ -18,34 +18,37 @@
 //! Extraction builds a cylinder only for the minutiae it keeps, in minutia
 //! order, through [`MccMatcher::cylinder_into`] into one reused cell
 //! buffer: no cylinder is built to be discarded and none allocates.
+//!
+//! Every cylinder is packed into [`LANE_WORDS`] words, whatever the
+//! matcher's grid (cells past it read zero), so the width is a fact of the
+//! types: a cylinder is a `[u64; LANE_WORDS]`, in [`CylinderCodes`], in
+//! [`CodeView`] and so in every arena entry.
 
 use fp_core::template::Template;
 use fp_match::MccMatcher;
 
-use crate::arena::ProbeGroup;
+use crate::arena::{ProbeGroup, LANE_WORDS};
 
 /// The packed per-cylinder binary codes of one template.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CylinderCodes {
-    /// `len * words_per` packed words, cylinder-major.
-    words: Box<[u64]>,
+    /// One packed cylinder per coded minutia, in minutia order.
+    words: Box<[[u64; LANE_WORDS]]>,
     /// Set-bit count per cylinder.
     ones: Box<[u32]>,
-    words_per: usize,
 }
 
 /// A borrowed, layout-agnostic view of one template's packed cylinder
-/// codes: `len * words_per` little-endian `u64` words (cylinder-major)
-/// plus the per-cylinder set-bit counts. Both [`CylinderCodes`] and the
-/// structure-of-arrays [`crate::CodeArena`] expose their codes through
+/// codes: one [`LANE_WORDS`]-word cylinder each (little-endian `u64`
+/// words) plus the per-cylinder set-bit counts. Both [`CylinderCodes`] and
+/// the structure-of-arrays [`crate::CodeArena`] expose their codes through
 /// this view, so the scalar reference scorer and the arena kernel are
 /// provably reading the same bytes — and it is the unit `fp-store`
 /// persists and moves between arenas.
 #[derive(Debug, Clone, Copy)]
 pub struct CodeView<'a> {
-    pub(crate) words: &'a [u64],
+    pub(crate) words: &'a [[u64; LANE_WORDS]],
     pub(crate) ones: &'a [u32],
-    pub(crate) words_per: usize,
 }
 
 impl<'a> CodeView<'a> {
@@ -59,27 +62,15 @@ impl<'a> CodeView<'a> {
         self.ones.is_empty()
     }
 
-    /// Packed words per cylinder.
-    pub fn words_per(&self) -> usize {
-        self.words_per
-    }
-
-    /// Every cylinder's packed words, cylinder-major.
+    /// Every cylinder's packed words, cylinder-major: [`LANE_WORDS`] a
+    /// cylinder.
     pub fn words(&self) -> &'a [u64] {
-        self.words
+        self.words.as_flattened()
     }
 
     /// The per-cylinder set-bit counts.
     pub fn ones(&self) -> &'a [u32] {
         self.ones
-    }
-
-    /// The `i`-th cylinder's packed words and set-bit count.
-    pub fn cylinder(&self, i: usize) -> (&'a [u64], u32) {
-        (
-            &self.words[i * self.words_per..(i + 1) * self.words_per],
-            self.ones[i],
-        )
     }
 }
 
@@ -107,12 +98,23 @@ impl CylinderCodes {
     /// Extracts codes for the `max_cylinders` most reliable minutiae of
     /// `template` (ties broken by minutia order) that produced a valid
     /// cylinder; the other minutiae get no cylinder at all. Every valid
-    /// cylinder is binarized at its own mean cell activation. Empty and
-    /// very sparse templates yield no codes; their
-    /// [`reference_similarity`](Self::reference_similarity) against
-    /// anything is zero, so the shortlist falls back to the bucket-vote
-    /// channel alone.
+    /// cylinder is binarized at its own mean cell activation and packed
+    /// into [`LANE_WORDS`] words. Empty and very sparse templates yield no
+    /// codes; their [`reference_similarity`](Self::reference_similarity)
+    /// against anything is zero, so the shortlist falls back to the
+    /// bucket-vote channel alone.
+    ///
+    /// # Panics
+    ///
+    /// If `mcc`'s grid has more than `64 · LANE_WORDS` cells, which cannot
+    /// be packed. `MccMatcher::default()`'s 8 x 8 x 5 grid fills exactly
+    /// [`LANE_WORDS`] words, and it is the grid every index extracts with.
     pub fn extract(mcc: &MccMatcher, template: &Template, max_cylinders: usize) -> CylinderCodes {
+        assert!(
+            mcc.cell_count() <= 64 * LANE_WORDS,
+            "an MCC grid of {} cells does not pack into LANE_WORDS = {LANE_WORDS} words",
+            mcc.cell_count()
+        );
         let minutiae = template.minutiae();
         let mut order: Vec<usize> = (0..minutiae.len()).collect();
         // `total_cmp`: `reliability` is a `pub` field no constructor of
@@ -129,59 +131,52 @@ impl CylinderCodes {
         }
 
         let mut cells = vec![0.0f32; mcc.cell_count()];
-        let mut words: Vec<u64> = Vec::new();
+        let mut words: Vec<[u64; LANE_WORDS]> = Vec::new();
         let mut ones: Vec<u32> = Vec::new();
-        let mut words_per = 0usize;
         for centre in (0..minutiae.len()).filter(|&i| keep[i]) {
             if !mcc.cylinder_into(template, centre, &mut cells).1 {
                 continue;
             }
-            words_per = cells.len().div_ceil(64);
-            let base = words.len();
-            words.resize(base + words_per, 0);
+            let mut packed = [0u64; LANE_WORDS];
             let mut set = 0u32;
             let mean: f32 = cells.iter().sum::<f32>() / cells.len() as f32;
             for (cell, &v) in cells.iter().enumerate() {
                 if v > mean {
-                    words[base + cell / 64] |= 1u64 << (cell % 64);
+                    packed[cell / 64] |= 1u64 << (cell % 64);
                     set += 1;
                 }
             }
+            words.push(packed);
             ones.push(set);
         }
         CylinderCodes {
             words: words.into_boxed_slice(),
             ones: ones.into_boxed_slice(),
-            words_per,
         }
     }
 
     /// Reassembles codes from their raw packed parts: `ones.len()`
-    /// cylinders of `words_per` little-endian words each, cylinder-major.
-    /// Intended for tests, benches and (de)serialization —
+    /// cylinders of [`LANE_WORDS`] little-endian words each,
+    /// cylinder-major. Intended for tests, benches and (de)serialization —
     /// [`extract`](Self::extract) is the production constructor.
     ///
-    /// Panics unless `words.len() == ones.len() * words_per` and every
+    /// Panics unless `words.len() == ones.len() * LANE_WORDS` and every
     /// `ones[i]` equals the popcount of its cylinder's words — the
     /// invariant both scoring kernels rely on (a pair is skipped exactly
     /// when its combined set-bit mass is zero).
-    pub fn from_raw(words: Vec<u64>, ones: Vec<u32>, words_per: usize) -> CylinderCodes {
-        assert_eq!(
-            words.len(),
-            ones.len() * words_per,
-            "words must hold exactly words_per words per cylinder"
+    pub fn from_raw(words: Vec<u64>, ones: Vec<u32>) -> CylinderCodes {
+        let (cylinders, rest) = words.as_chunks::<LANE_WORDS>();
+        assert!(
+            rest.is_empty() && cylinders.len() == ones.len(),
+            "words must hold exactly LANE_WORDS words per cylinder"
         );
-        for (i, &set) in ones.iter().enumerate() {
-            let actual: u32 = words[i * words_per..(i + 1) * words_per]
-                .iter()
-                .map(|w| w.count_ones())
-                .sum();
+        for (i, (cylinder, &set)) in cylinders.iter().zip(&ones).enumerate() {
+            let actual: u32 = cylinder.iter().map(|w| w.count_ones()).sum();
             assert_eq!(set, actual, "ones[{i}] must equal its cylinder's popcount");
         }
         CylinderCodes {
-            words: words.into_boxed_slice(),
+            words: cylinders.into(),
             ones: ones.into_boxed_slice(),
-            words_per,
         }
     }
 
@@ -201,7 +196,6 @@ impl CylinderCodes {
         CodeView {
             words: &self.words,
             ones: &self.ones,
-            words_per: self.words_per,
         }
     }
 
@@ -215,9 +209,9 @@ impl CylinderCodes {
     /// ([`crate::IndexConfig`] rejects `lss_depth == 0` outright). The
     /// score is in `[0, 1]`; 0 when either side is empty.
     ///
-    /// The word count is `max(words_p, words_g)` per cylinder pair
-    /// actually XOR+popcounted (pairs whose combined set-bit mass is zero
-    /// are skipped before touching any word) — the true work measure the
+    /// The word count is [`LANE_WORDS`] per cylinder pair actually
+    /// XOR+popcounted (pairs whose combined set-bit mass is zero are
+    /// skipped before touching any word) — the true work measure the
     /// `index.search.hamming_ops` counter meters.
     ///
     /// The [`crate::CodeArena`] kernel is required (and property-
@@ -250,16 +244,14 @@ pub(crate) fn reference_similarity(
     let mut word_ops = 0u64;
     let bests = &mut scratch.bests;
     bests.clear();
-    for i in 0..probe.len() {
-        let (pw, po) = probe.cylinder(i);
+    for (pw, &po) in probe.words.iter().zip(probe.ones) {
         let mut best = 0.0f64;
-        for j in 0..gallery.len() {
-            let (gw, go) = gallery.cylinder(j);
+        for (gw, &go) in gallery.words.iter().zip(gallery.ones) {
             let mass = po + go;
             if mass == 0 {
                 continue;
             }
-            word_ops += pw.len().max(gw.len()) as u64;
+            word_ops += LANE_WORDS as u64;
             let sim = 1.0 - f64::from(hamming(pw, gw)) / f64::from(mass);
             if sim > best {
                 best = sim;
@@ -283,24 +275,9 @@ pub(crate) fn sort_bests_desc(bests: &mut [f64]) {
     bests.sort_unstable_by(|a, b| b.total_cmp(a));
 }
 
-/// Hamming distance between two packed codes. Codes of different widths
-/// (templates prepared under different MCC configs) count every bit of the
-/// excess words — an absent word on the narrower side reads as all-zero,
-/// so each excess set bit is one disagreement. Public so the kernel
-/// equivalence suite can pin the tail semantics directly.
-pub fn hamming(a: &[u64], b: &[u64]) -> u32 {
-    let common = a.len().min(b.len());
-    let mut distance = 0u32;
-    for i in 0..common {
-        distance += (a[i] ^ b[i]).count_ones();
-    }
-    for w in &a[common..] {
-        distance += w.count_ones();
-    }
-    for w in &b[common..] {
-        distance += w.count_ones();
-    }
-    distance
+/// Hamming distance between two packed cylinders.
+fn hamming(a: &[u64; LANE_WORDS], b: &[u64; LANE_WORDS]) -> u32 {
+    a.iter().zip(b).map(|(x, y)| (x ^ y).count_ones()).sum()
 }
 
 #[cfg(test)]
@@ -405,11 +382,11 @@ mod tests {
         let b = codes(3, 30, 24);
         let (_, ops) = similarity(&a, &b);
         // Every cylinder pair with nonzero combined mass compares
-        // `words_per` packed words (both sides share a width here).
+        // `LANE_WORDS` packed words.
         assert!(a.ones.iter().all(|&o| o > 0) && b.ones.iter().all(|&o| o > 0));
         assert_eq!(
             ops,
-            (a.len() * b.len() * a.words_per) as u64,
+            (a.len() * b.len() * LANE_WORDS) as u64,
             "word ops must count the full cylinder-pair fan-out"
         );
         // Empty sides never touch a word.
@@ -447,13 +424,6 @@ mod tests {
     }
 
     #[test]
-    fn hamming_handles_width_mismatch() {
-        assert_eq!(hamming(&[0b1011], &[]), 3);
-        assert_eq!(hamming(&[], &[0b1011]), 3);
-        assert_eq!(hamming(&[0b1011, u64::MAX], &[0b1001]), 65);
-    }
-
-    #[test]
     fn bests_sort_survives_nan_without_aborting() {
         // A defective kernel emitting NaN must never panic the sort (the
         // old partial_cmp comparator aborted the whole search). total_cmp
@@ -471,7 +441,7 @@ mod tests {
     #[test]
     fn from_raw_round_trips_extracted_codes() {
         let c = codes(11, 30, 24);
-        let rebuilt = CylinderCodes::from_raw(c.words.to_vec(), c.ones.to_vec(), c.words_per);
+        let rebuilt = CylinderCodes::from_raw(c.view().words().to_vec(), c.ones.to_vec());
         assert_eq!(rebuilt, c);
         assert_eq!(similarity(&rebuilt, &c).0, 1.0);
     }
@@ -479,7 +449,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "popcount")]
     fn from_raw_rejects_inconsistent_ones() {
-        let _ = CylinderCodes::from_raw(vec![0b111], vec![2], 1);
+        let _ = CylinderCodes::from_raw(vec![0b111, 0, 0, 0, 0], vec![2]);
+    }
+
+    /// A 16 x 16 x 6 grid is 1,536 cells, 24 words: no code of it fits
+    /// the lane, so extraction refuses before it builds a cylinder.
+    #[test]
+    #[should_panic(expected = "does not pack into LANE_WORDS")]
+    fn extract_refuses_a_grid_wider_than_the_lane() {
+        let mcc = MccMatcher::new(fp_match::MccConfig {
+            spatial_cells: 16,
+            angular_cells: 6,
+            ..fp_match::MccConfig::default()
+        })
+        .unwrap();
+        let _ = CylinderCodes::extract(&mcc, &template(1, 30), 24);
     }
 
     /// The parent's extraction, kept as the oracle: the per-cell cylinder
@@ -572,14 +556,12 @@ mod tests {
         }
         let mut words: Vec<u64> = Vec::new();
         let mut ones: Vec<u32> = Vec::new();
-        let mut words_per = 0usize;
         for (i, (cells, valid)) in cylinders.iter().enumerate() {
             if !valid || !keep[i] {
                 continue;
             }
-            words_per = cells.len().div_ceil(64);
             let base = words.len();
-            words.resize(base + words_per, 0);
+            words.resize(base + LANE_WORDS, 0);
             let mut set = 0u32;
             let mean: f32 = cells.iter().sum::<f32>() / cells.len() as f32;
             for (cell, &v) in cells.iter().enumerate() {
@@ -590,11 +572,7 @@ mod tests {
             }
             ones.push(set);
         }
-        CylinderCodes {
-            words: words.into_boxed_slice(),
-            ones: ones.into_boxed_slice(),
-            words_per,
-        }
+        CylinderCodes::from_raw(words, ones)
     }
 
     /// A template from raw `(x, y, direction, reliability class)` draws,

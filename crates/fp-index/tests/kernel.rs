@@ -2,12 +2,10 @@
 //! body the host runs, must be **byte-identical** to the scalar reference
 //! path, not merely close.
 //!
-//! * Over random packed code sets (random widths, cylinder counts,
-//!   sparsity, `lss_depth`), `CodeArena::score_into` must produce bitwise
-//!   the same per-entry scores and exactly the same `hamming_ops` count as
-//!   the entry-at-a-time scalar oracle (`reference_similarity`).
-//! * Mixed-width code sets (templates prepared under different MCC grids)
-//!   must follow `hamming`'s excess-word tail rule in both kernels.
+//! * Over random packed code sets (random cylinder counts, sparsity,
+//!   `lss_depth`), `CodeArena::score_into` must produce bitwise the same
+//!   per-entry scores and exactly the same `hamming_ops` count as the
+//!   entry-at-a-time scalar oracle (`reference_similarity`).
 //! * On real extracted templates, the enrolled index's kernel scores must
 //!   be bitwise reproducible from freshly extracted codes — pinning the
 //!   arena packing itself, not just the arithmetic.
@@ -56,21 +54,20 @@ fn synthetic_template(seed: u64, n: usize) -> Template {
         .unwrap()
 }
 
-/// Builds a code set of `cylinders` cylinders x `words_per` words, drawing
-/// words from `pool` (cycling); cylinders at `i % zero_every == 0` are
-/// forced all-zero so the mass-0 skip rule is exercised on every case.
+/// Builds a code set of `cylinders` cylinders, drawing words from `pool`
+/// (cycling); cylinders at `i % zero_every == 0` are forced all-zero so the
+/// mass-0 skip rule is exercised on every case.
 fn draw_codes(
     pool: &[u64],
     cursor: &mut usize,
     cylinders: usize,
-    words_per: usize,
     zero_every: usize,
 ) -> CylinderCodes {
-    let mut words = Vec::with_capacity(cylinders * words_per);
+    let mut words = Vec::with_capacity(cylinders * LANE_WORDS);
     let mut ones = Vec::with_capacity(cylinders);
     for i in 0..cylinders {
         let mut set = 0u32;
-        for _ in 0..words_per {
+        for _ in 0..LANE_WORDS {
             let word = if i % zero_every == 0 {
                 0
             } else {
@@ -83,7 +80,7 @@ fn draw_codes(
         }
         ones.push(set);
     }
-    CylinderCodes::from_raw(words, ones, words_per)
+    CylinderCodes::from_raw(words, ones)
 }
 
 /// Scores every arena entry twice — arena kernel and scalar reference —
@@ -115,16 +112,17 @@ fn assert_kernels_agree(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Scalar ≡ kernel over random code sets, widths 1..=9 (the general
-    /// body, and the lane body at width 5), random cylinder counts
-    /// (including empty entries and an empty probe), random sparsity, and
-    /// random `lss_depth`.
+    /// Scalar ≡ kernel over random code sets: 0..=40 cylinders per side
+    /// (empty entries and an empty probe included), so a probe fills up to
+    /// five groups of the vector body and ends before, on and after a
+    /// group edge, with zero cylinders on both sides at once; random
+    /// sparsity and random `lss_depth`. Each entry's score and the op
+    /// total must also equal the per-entry oracle's.
     #[test]
     fn arena_kernel_is_byte_identical_to_scalar(
-        words_per in 1usize..=9,
-        entry_cyls in prop::collection::vec(0usize..10, 1..7),
-        probe_cyls in 0usize..10,
-        lss_depth in 1usize..20,
+        entry_cyls in prop::collection::vec(0usize..=40, 1..7),
+        probe_cyls in 0usize..=40,
+        lss_depth in 1usize..48,
         pool in prop::collection::vec(0u64..u64::MAX, 64),
         zero_every in 2usize..5,
     ) {
@@ -132,11 +130,11 @@ proptest! {
         let mut arena = CodeArena::new();
         let mut entries = Vec::new();
         for &cyls in &entry_cyls {
-            let codes = draw_codes(&pool, &mut cursor, cyls, words_per, zero_every);
+            let codes = draw_codes(&pool, &mut cursor, cyls, zero_every);
             arena.push(&codes);
             entries.push(codes);
         }
-        let probe = draw_codes(&pool, &mut cursor, probe_cyls, words_per, zero_every);
+        let probe = draw_codes(&pool, &mut cursor, probe_cyls, zero_every);
 
         assert_kernels_agree(&arena, &probe, lss_depth)?;
 
@@ -151,72 +149,6 @@ proptest! {
             total_ops += entry_ops;
         }
         prop_assert_eq!(ops, total_ops, "hamming_ops metering must agree exactly");
-    }
-
-    /// The lane body at the shapes it ships on and past them: both sides
-    /// `LANE_WORDS` wide, 0..=40 cylinders per side, so a probe fills up
-    /// to five groups of the vector body and ends before, on and after a
-    /// group edge, with zero cylinders on both sides at once.
-    #[test]
-    fn lane_body_is_byte_identical_to_scalar(
-        entry_cyls in prop::collection::vec(0usize..=40, 1..7),
-        probe_cyls in 0usize..=40,
-        lss_depth in 1usize..48,
-        pool in prop::collection::vec(0u64..u64::MAX, 64),
-        zero_every in 2usize..5,
-    ) {
-        let mut cursor = 0usize;
-        let mut arena = CodeArena::new();
-        for &cyls in &entry_cyls {
-            arena.push(&draw_codes(&pool, &mut cursor, cyls, LANE_WORDS, zero_every));
-        }
-        let probe = draw_codes(&pool, &mut cursor, probe_cyls, LANE_WORDS, zero_every);
-        assert_kernels_agree(&arena, &probe, lss_depth)?;
-    }
-
-    /// Mixed widths: gallery packed under one MCC width, probe under
-    /// another. Both kernels must apply the excess-word tail rule and
-    /// charge `max(width_p, width_g)` ops per unskipped pair.
-    #[test]
-    fn mixed_width_codes_agree_between_kernels(
-        probe_width in 1usize..=6,
-        gallery_width in 1usize..=6,
-        entry_cyls in prop::collection::vec(1usize..8, 1..5),
-        probe_cyls in 1usize..8,
-        lss_depth in 1usize..16,
-        pool in prop::collection::vec(0u64..u64::MAX, 64),
-        zero_every in 2usize..5,
-    ) {
-        let mut cursor = 0usize;
-        let mut arena = CodeArena::new();
-        for &cyls in &entry_cyls {
-            arena.push(&draw_codes(&pool, &mut cursor, cyls, gallery_width, zero_every));
-        }
-        let probe = draw_codes(&pool, &mut cursor, probe_cyls, probe_width, zero_every);
-        assert_kernels_agree(&arena, &probe, lss_depth)?;
-    }
-
-    /// The `hamming` tail rule itself: excess words of the longer side
-    /// count every set bit (an absent word reads as all-zero), and the
-    /// distance is symmetric.
-    #[test]
-    fn hamming_tail_counts_excess_set_bits(
-        a in prop::collection::vec(0u64..u64::MAX, 0..7),
-        b in prop::collection::vec(0u64..u64::MAX, 0..7),
-    ) {
-        let common = a.len().min(b.len());
-        let expected: u32 = a
-            .iter()
-            .zip(&b)
-            .map(|(x, y)| (x ^ y).count_ones())
-            .sum::<u32>()
-            + a[common..].iter().map(|w| w.count_ones()).sum::<u32>()
-            + b[common..].iter().map(|w| w.count_ones()).sum::<u32>();
-        prop_assert_eq!(fp_index::signature::hamming(&a, &b), expected);
-        prop_assert_eq!(
-            fp_index::signature::hamming(&a, &b),
-            fp_index::signature::hamming(&b, &a)
-        );
     }
 
     /// Real extracted templates end to end: the enrolled index's kernel

@@ -29,7 +29,9 @@
 //! [`StoreError`], never a silently different gallery.
 //!
 //! Each SPANS record is 24 bytes per entry — `cylinders u32, words_per
-//! u32, table_bytes u64, table_crc u32, pair_count u32` — carrying
+//! u32, table_bytes u64, table_crc u32, pair_count u32` (`words_per` is
+//! `fp_index::LANE_WORDS` for a coded entry and 0 for an empty one, and
+//! `CodeArena::from_raw_parts` refuses any other) — carrying
 //! everything stage-1 and the arena need about an entry *plus* the length
 //! and CRC32 of that entry's variable-length TABLES record. That is how
 //! every reader works (`read_head`): having verified the tiny SPANS
@@ -46,7 +48,7 @@
 
 use fp_core::codec::{crc32, Dec, Enc};
 use fp_core::minutia::MinutiaKind;
-use fp_index::{CodeArena, CodeView, FlatBuckets, IndexConfig};
+use fp_index::{CodeArena, CodeView, FlatBuckets, IndexConfig, LANE_WORDS};
 use fp_match::{PairTableConfig, PreparedPairTable};
 use serde::Serialize;
 
@@ -200,7 +202,12 @@ pub(crate) fn encode_segment<'a>(
         let entry = entry?;
         entry_count += 1;
         spans.u32(entry.codes.len() as u32);
-        spans.u32(entry.codes.words_per() as u32);
+        let words_per = if entry.codes.is_empty() {
+            0
+        } else {
+            LANE_WORDS
+        };
+        spans.u32(words_per as u32);
         spans.u64(entry.record.len() as u64);
         spans.u32(crc32(&entry.record));
         spans.u32(entry.pair_count);

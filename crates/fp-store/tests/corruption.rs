@@ -271,7 +271,7 @@ fn crafted_hostile_section_tables_are_typed_errors() {
     // A pair count that disagrees with BUCKETS, SPANS and header CRCs
     // re-sealed: the vote score divides by it, so the shortlist would
     // reorder under a segment that opens cleanly.
-    match check_segment(&with_pair_count(segment, 0, 1)) {
+    match check_segment(&with_span_field(segment, 0, PAIR_COUNT, 1)) {
         Err(StoreError::Corrupt { detail, .. }) => {
             assert!(detail.contains("entry 0: buckets register"), "{detail}")
         }
@@ -471,16 +471,22 @@ fn a_failed_manifest_save_leaves_the_store_as_it_was() {
     assert_eq!(reopened.open_index().unwrap().len(), 10);
 }
 
-/// `segment` with entry `at`'s SPANS pair count set to `count`, the SPANS
-/// and header CRCs re-sealed. SPANS is section-table row 1 (at 16 + 24):
-/// id u32 | offset u64 | len u64 | crc u32; a SPANS record is 24 bytes,
-/// its pair count the last four.
-fn with_pair_count(segment: &[u8], at: usize, count: u32) -> Vec<u8> {
+/// Byte offsets of a SPANS record's `u32` fields: the record is
+/// `cylinders u32 | words_per u32 | table_bytes u64 | table_crc u32 |
+/// pair_count u32`, 24 bytes.
+const WORDS_PER: usize = 4;
+const PAIR_COUNT: usize = 20;
+
+/// `segment` with the `u32` at byte `field` of entry `at`'s SPANS record
+/// set to `value`, the SPANS and header CRCs re-sealed. SPANS is
+/// section-table row 1 (at 16 + 24): id u32 | offset u64 | len u64 | crc
+/// u32.
+fn with_span_field(segment: &[u8], at: usize, field: usize, value: u32) -> Vec<u8> {
     let u64_at = |at: usize| u64::from_le_bytes(segment[at..at + 8].try_into().unwrap()) as usize;
     let (spans_off, spans_len) = (u64_at(44), u64_at(52));
     let mut bad = segment.to_vec();
-    let field = spans_off + 24 * at + 20;
-    bad[field..field + 4].copy_from_slice(&count.to_le_bytes());
+    let field = spans_off + 24 * at + field;
+    bad[field..field + 4].copy_from_slice(&value.to_le_bytes());
     let crc = fp_store_crc32(&bad[spans_off..spans_off + spans_len]);
     bad[60..64].copy_from_slice(&crc.to_le_bytes());
     let crc = fp_store_crc32(&bad[..136]);
@@ -505,7 +511,7 @@ fn a_lazy_open_refuses_a_pair_count_its_buckets_contradict() {
         .unwrap();
     let path = dir.join(format!("seg-{seq:08}.fpseg"));
     let segment = std::fs::read(&path).unwrap();
-    std::fs::write(&path, with_pair_count(&segment, 3, 7)).unwrap();
+    std::fs::write(&path, with_span_field(&segment, 3, PAIR_COUNT, 7)).unwrap();
     let opened = GalleryStore::open(&dir).unwrap().open_index();
     std::fs::remove_dir_all(&dir).unwrap();
     match opened {
@@ -516,6 +522,41 @@ fn a_lazy_open_refuses_a_pair_count_its_buckets_contradict() {
             "lying pair count opened: {:?}",
             other.map(|index| index.len())
         ),
+    }
+}
+
+/// Every SPANS record says how many words a cylinder of its entry takes:
+/// `LANE_WORDS` for a coded entry, 0 for an empty one. An empty entry
+/// that claims 7, every CRC re-sealed, tiles the arena as well as 0 does;
+/// the check and the open both refuse it, naming the entry and its width.
+#[test]
+fn a_span_of_another_width_is_refused() {
+    let dir = Scratch::new("fp-store-width");
+    let seed = SeedTree::new(0x71_D7);
+    let mut index = CandidateIndex::new(PairTableMatcher::default());
+    index.enroll(&synthetic_template(&seed.child(&[0]), 20));
+    index.enroll(&Template::builder(500.0).build().unwrap());
+    index.enroll(&synthetic_template(&seed.child(&[2]), 20));
+    assert!(index.arena().entry(1).is_empty());
+    let seq = GalleryStore::create(&dir.0)
+        .unwrap()
+        .append_index(&index)
+        .unwrap();
+    let path = dir.0.join(format!("seg-{seq:08}.fpseg"));
+    let segment = std::fs::read(&path).unwrap();
+    assert_eq!(check_segment(&segment).unwrap(), 3);
+
+    let bad = with_span_field(&segment, 1, WORDS_PER, 7);
+    std::fs::write(&path, &bad).unwrap();
+    let opened = GalleryStore::open(&dir.0).unwrap().open_index();
+    for result in [check_segment(&bad).map(|_| ()), opened.map(|_| ())] {
+        match result {
+            Err(StoreError::Corrupt { detail, .. }) => assert!(
+                detail.contains("entry 1 of 0 cylinders is 7 words wide"),
+                "{detail}"
+            ),
+            other => panic!("an empty entry 7 words wide produced {other:?}"),
+        }
     }
 }
 

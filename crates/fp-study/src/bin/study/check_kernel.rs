@@ -1,30 +1,29 @@
 //! **Gate: stage-1 kernel parity** — `CodeArena::score_into` must be
 //! byte-identical to the scalar reference, end to end, on a real enrolled
-//! gallery, and must be running the body it was tuned on.
+//! gallery.
 //!
 //! The proptest suite (`fp-index/tests/kernel.rs`) proves kernel ≡ oracle
 //! over random packed codes; this gate re-proves it on every CI run at
-//! system scale, over the same synthetic cohort the scaling study uses:
+//! system scale, over the same synthetic cohort the scaling study uses.
+//! For every probe, the enrolled index's per-entry stage-1 scores must be
+//! *bitwise* equal to the scalar reference driver's, and the `hamming_ops`
+//! meters must agree exactly. The step is repeated for every lane body the
+//! CPU can run, and the report names the one searches run
+//! ([`fp_index::lane_body_name`]): a host that fell back to a slower body
+//! says so, and the bodies it does not pick stay proven on it. The report
+//! also names the compilation of the pair-table matcher's association scan
+//! that exact re-rank runs ([`fp_match::scan_body_name`]), so a committed
+//! record names both bodies its host ran; that one's parity is
+//! `fp-match`'s own test (every body against the retained scalar oracle).
 //!
-//! 1. **Width census** — every coded entry of the enrolled arena, and of
-//!    the same index saved to a store and opened again, must be
-//!    [`LANE_WORDS`] wide. The kernel's specialised lane body runs only on
-//!    that width; a change to `MccConfig`'s default grid would otherwise
-//!    drop every search onto the general body without a test noticing.
-//! 2. **Score parity** — for every probe, the enrolled index's per-entry
-//!    stage-1 scores must be *bitwise* equal to the scalar reference
-//!    driver's, and the `hamming_ops` meters must agree exactly. The step
-//!    is repeated for every lane body the CPU can run, and the report
-//!    names the one searches run ([`fp_index::lane_body_name`]): a host
-//!    that fell back to a slower body says so, and the bodies it does not
-//!    pick stay proven on it. The report also names the compilation of
-//!    the pair-table matcher's association scan that exact re-rank runs
-//!    ([`fp_match::scan_body_name`]), so a committed record names both
-//!    bodies its host ran; that one's parity is `fp-match`'s own test
-//!    (every body against the retained scalar oracle).
-//!
-//! RUNFP equality across transports is the `ladder` gate's (and
-//! `fp-serve`'s `run_fingerprints_agree_across_transports`).
+//! Every code is `LANE_WORDS` wide by type, so no entry can miss the lane
+//! body. A default MCC grid too large to pack makes `CylinderCodes::extract`
+//! panic, and one smaller than the lane changes the packed bytes that
+//! `fp-index`'s `packed_layout_is_pinned_for_persistence` pins
+//! (`GOLDEN_WORDS_PER = 5` beside the words' digest). Store-opened
+//! equivalence is the `store` gate's; RUNFP equality across transports is
+//! the `ladder` gate's (and `fp-serve`'s
+//! `run_fingerprints_agree_across_transports`).
 //!
 //! Any divergence fails the gate loudly with the first offending probe and
 //! entry.
@@ -32,9 +31,8 @@
 use std::collections::BTreeMap;
 
 use fp_core::rng::SeedTree;
-use fp_index::{CandidateIndex, CodeArena, CylinderCodes, IndexConfig, LANE_WORDS};
+use fp_index::{CandidateIndex, CylinderCodes, IndexConfig};
 use fp_match::{MccMatcher, PairTableMatcher};
-use fp_store::GalleryStore;
 use serde_json::json;
 
 use fp_study::config::StudyConfig;
@@ -48,49 +46,12 @@ const MAX_PROBES: usize = 32;
 /// What the parity pass measured.
 struct KernelStats {
     gallery: usize,
-    /// Coded entries per packed width (words per cylinder).
-    widths: BTreeMap<usize, u64>,
     probes: usize,
     entries_checked: u64,
     hamming_ops: u64,
     /// Entries proven against the reference per lane body the CPU runs.
     body_parity: BTreeMap<String, u64>,
     arena_kib: usize,
-}
-
-/// Counts `arena`'s coded entries by packed width and refuses any width
-/// but [`LANE_WORDS`] (an entry without cylinders has no width).
-fn width_census(what: &str, arena: &CodeArena) -> Result<BTreeMap<usize, u64>, String> {
-    let mut widths = BTreeMap::new();
-    for entry in (0..arena.len()).map(|i| arena.entry(i)) {
-        if !entry.is_empty() {
-            *widths.entry(entry.words_per()).or_insert(0u64) += 1;
-        }
-    }
-    match widths.iter().find(|(&width, _)| width != LANE_WORDS) {
-        Some((width, n)) => Err(format!(
-            "{what}: {n} coded entries are {width} words wide, not LANE_WORDS = {LANE_WORDS} \
-             — the kernel's lane body no longer runs on them"
-        )),
-        None => Ok(widths),
-    }
-}
-
-/// `index` saved to a scratch gallery and opened again: the arena a
-/// store-backed shard hands the kernel.
-fn reopened(
-    index: &CandidateIndex<PairTableMatcher>,
-) -> Result<CandidateIndex<PairTableMatcher>, String> {
-    let dir = std::env::temp_dir().join(format!("fp-check-kernel-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let opened = GalleryStore::create(&dir)
-        .and_then(|mut store| {
-            store.append_index(index)?;
-            store.open_index()
-        })
-        .map_err(|e| format!("store round trip in {}: {e}", dir.display()));
-    let _ = std::fs::remove_dir_all(&dir);
-    opened
 }
 
 /// Runs the gate: `Ok` with the stats, or the first divergence found.
@@ -110,13 +71,7 @@ fn check(config: &StudyConfig) -> Result<KernelStats, String> {
     let probes = cohort.probes();
     let probe_of = |p: usize| cohort.probe(p).1;
 
-    // 1. Width census, on the arena as enrolled and as a store reopens it.
-    let widths = width_census("enrolled arena", index.arena())?;
-    if width_census("store-opened arena", reopened(&index)?.arena())? != widths {
-        return Err("store-opened arena's width census differs from the enrolled one".to_string());
-    }
-
-    // 2. Score parity: kernel vs scalar reference, bitwise, plus exact
+    // Score parity: kernel vs scalar reference, bitwise, plus exact
     // hamming_ops agreement, for every probe over the whole gallery —
     // through the search path's entry, then through each lane body.
     let mut entries_checked = 0u64;
@@ -161,7 +116,6 @@ fn check(config: &StudyConfig) -> Result<KernelStats, String> {
 
     Ok(KernelStats {
         gallery,
-        widths,
         probes,
         entries_checked,
         hamming_ops,
@@ -178,14 +132,12 @@ pub fn run_check(config: &StudyConfig) -> Report {
             let body = format!(
                 "stage-1 kernel parity over a {}-entry gallery ({} KiB packed arena):\n\
                  \n\
-                 coded entries by words per cylinder, enrolled and store-opened: {:?}\n\
                  searches run lane body {}; same parity per body this CPU runs: {:?}\n\
                  re-rank runs scan body {} (proven against its oracle in fp-match's tests)\n\
                  kernel ≡ scalar: {} per-entry scores bitwise equal over {} probes\n\
                  hamming_ops meters agree exactly: {} word ops\n",
                 stats.gallery,
                 stats.arena_kib,
-                stats.widths,
                 fp_index::lane_body_name(),
                 stats.body_parity,
                 fp_match::scan_body_name(),
@@ -193,11 +145,6 @@ pub fn run_check(config: &StudyConfig) -> Report {
                 stats.probes,
                 stats.hamming_ops,
             );
-            let widths: BTreeMap<String, u64> = stats
-                .widths
-                .iter()
-                .map(|(width, n)| (width.to_string(), *n))
-                .collect();
             Report::new(
                 "check-kernel",
                 "stage-1 arena kernel ≡ scalar reference (bitwise)",
@@ -205,7 +152,6 @@ pub fn run_check(config: &StudyConfig) -> Report {
                 json!({
                     "error": null,
                     "gallery": stats.gallery,
-                    "widths": widths,
                     "lane_body": fp_index::lane_body_name(),
                     "scan_body": fp_match::scan_body_name(),
                     "body_parity": stats.body_parity,
@@ -238,8 +184,26 @@ mod tests {
             "kernel parity gate failed: {}",
             report.body
         );
-        // 6 subjects x 10 entries, every one coded and lane-wide.
-        assert_eq!(report.values["widths"], json!({ "5": 60 }));
+        // The report's shape: the bodies run and proven, and the counts.
+        let serde_json::Value::Object(fields) = &report.values else {
+            panic!("report values are not an object: {:?}", report.values);
+        };
+        assert_eq!(
+            fields.keys().map(String::as_str).collect::<Vec<_>>(),
+            [
+                "error",
+                "gallery",
+                "lane_body",
+                "scan_body",
+                "body_parity",
+                "probes",
+                "entries_checked",
+                "hamming_ops",
+                "arena_kib"
+            ]
+        );
+        // 6 subjects x 10 entries.
+        assert_eq!(report.values["entries_checked"], json!(60 * MAX_PROBES));
         // The body searches run is named and is among the proven ones,
         // each over as many entries as the search path's own pass.
         let body = report.values["lane_body"].as_str().unwrap();
@@ -254,24 +218,5 @@ mod tests {
         assert_eq!(report.values["scan_body"], fp_match::scan_body_name());
         assert!(report.values["entries_checked"].as_u64().unwrap() > 0);
         assert!(report.values["hamming_ops"].as_u64().unwrap() > 0);
-    }
-
-    #[test]
-    fn census_refuses_an_entry_the_lane_body_would_not_run() {
-        use fp_index::CylinderCodes;
-        let lane =
-            CylinderCodes::from_raw(vec![1; LANE_WORDS], vec![LANE_WORDS as u32], LANE_WORDS);
-        let narrow = CylinderCodes::from_raw(vec![1; 3], vec![3], 3);
-        let empty = CylinderCodes::from_raw(Vec::new(), Vec::new(), 0);
-        let mut arena = CodeArena::new();
-        arena.push(&lane);
-        arena.push(&empty);
-        assert_eq!(
-            width_census("test", &arena),
-            Ok(BTreeMap::from([(LANE_WORDS, 1)]))
-        );
-        arena.push(&narrow);
-        let error = width_census("test", &arena).unwrap_err();
-        assert!(error.contains("3 words wide"), "{error}");
     }
 }

@@ -80,8 +80,8 @@ pub static GATES: &[Gate] = &[
     },
     Gate {
         name: "kernel",
-        proves: "every coded entry LANE_WORDS wide, enrolled and store-opened; stage-1 arena \
-                 kernel bitwise equal to the scalar reference",
+        proves: "stage-1 arena kernel bitwise equal to the scalar reference, once per lane \
+                 body the CPU can run",
         steps: &["check-kernel --subjects 20 --json {out}/kernel.json"],
         artifacts: &["kernel.json"],
     },

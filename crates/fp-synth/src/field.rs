@@ -158,22 +158,6 @@ impl OrientationField {
         Orientation::from_radians(base + ripple)
     }
 
-    /// The positions of core singular points (empty for plain arches).
-    pub fn cores(&self) -> &[Point] {
-        match &self.model {
-            FieldModel::Arch { .. } => &[],
-            FieldModel::ZeroPole { cores, .. } => cores,
-        }
-    }
-
-    /// The positions of delta singular points (empty for plain arches).
-    pub fn deltas(&self) -> &[Point] {
-        match &self.model {
-            FieldModel::Arch { .. } => &[],
-            FieldModel::ZeroPole { deltas, .. } => deltas,
-        }
-    }
-
     /// Poincaré index of the field around a closed circular path, in
     /// half-turns. A core contributes +1/2, a delta −1/2; this is the
     /// standard singularity detector used to validate the field.
@@ -293,11 +277,19 @@ mod tests {
         OrientationField::generate(class, &mut rng)
     }
 
+    /// The field's core and delta singular points (none for plain arches).
+    fn singular_points(f: &OrientationField) -> (&[Point], &[Point]) {
+        match &f.model {
+            FieldModel::Arch { .. } => (&[], &[]),
+            FieldModel::ZeroPole { cores, deltas, .. } => (cores, deltas),
+        }
+    }
+
     #[test]
     fn loop_core_has_positive_half_index() {
         for seed in 0..5 {
             let f = field(PatternClass::LeftLoop, seed);
-            let core = f.cores()[0];
+            let core = singular_points(&f).0[0];
             let idx = f.poincare_index(core, 1.0, 720);
             assert!((idx - 1.0).abs() < 0.15, "seed {seed}: index {idx}");
         }
@@ -307,7 +299,7 @@ mod tests {
     fn loop_delta_has_negative_half_index() {
         for seed in 0..5 {
             let f = field(PatternClass::RightLoop, seed);
-            let delta = f.deltas()[0];
+            let delta = singular_points(&f).1[0];
             let idx = f.poincare_index(delta, 1.0, 720);
             assert!((idx + 1.0).abs() < 0.15, "seed {seed}: index {idx}");
         }
@@ -316,15 +308,15 @@ mod tests {
     #[test]
     fn whorl_has_two_cores_two_deltas() {
         let f = field(PatternClass::Whorl, 3);
-        assert_eq!(f.cores().len(), 2);
-        assert_eq!(f.deltas().len(), 2);
+        assert_eq!(singular_points(&f).0.len(), 2);
+        assert_eq!(singular_points(&f).1.len(), 2);
     }
 
     #[test]
     fn arch_field_is_singularity_free() {
         let f = field(PatternClass::Arch, 4);
-        assert!(f.cores().is_empty());
-        assert!(f.deltas().is_empty());
+        assert!(singular_points(&f).0.is_empty());
+        assert!(singular_points(&f).1.is_empty());
         // Poincaré index around any point should be ~0.
         for (x, y) in [(0.0, 0.0), (2.0, 3.0), (-3.0, -2.0)] {
             let idx = f.poincare_index(Point::new(x, y), 1.5, 720);
@@ -367,7 +359,7 @@ mod tests {
                 .collect();
             assert!(!cores.is_empty(), "seed {seed}: no core found");
             assert!(!deltas.is_empty(), "seed {seed}: no delta found");
-            let truth_core = f.cores()[0];
+            let truth_core = singular_points(&f).0[0];
             assert!(
                 cores.iter().any(|c| c.position.distance(&truth_core) < 2.5),
                 "seed {seed}: detected cores {cores:?} far from truth {truth_core:?}"
