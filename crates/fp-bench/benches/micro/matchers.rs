@@ -21,8 +21,9 @@ use fp_synth::population::{Population, PopulationConfig};
 /// genuine pair), another subject's D0 session-1 impression (the impostor),
 /// and the first subject's session-1 ink card (D4: about twice the
 /// minutiae, four times the pair table — the cell the cohort's tail is
-/// made of).
-fn matcher_fixtures() -> (Template, Template, Template, Template) {
+/// made of) and session-0 ink card (with the session-1 card, the score
+/// matrix's heaviest cell, ink against ink).
+fn matcher_fixtures() -> (Template, Template, Template, Template, Template) {
     let population = Population::generate(&PopulationConfig::new(0xBE7C, 2));
     let protocol = CaptureProtocol::new();
     let capture = |subject: usize, device: u8, session: u8| {
@@ -41,11 +42,12 @@ fn matcher_fixtures() -> (Template, Template, Template, Template) {
         capture(0, 0, 1),
         capture(1, 0, 1),
         capture(0, 4, 1),
+        capture(0, 4, 0),
     )
 }
 
 pub fn benches(c: &mut Harness) {
-    let (gallery, probe, impostor, ink_probe) = matcher_fixtures();
+    let (gallery, probe, impostor, ink_probe, ink_gallery) = matcher_fixtures();
 
     let mut group = c.benchmark_group("pair_table");
     let matcher = PairTableMatcher::default();
@@ -70,6 +72,10 @@ pub fn benches(c: &mut Harness) {
     let pd4 = matcher.prepare(&ink_probe);
     group.bench_function("genuine_prepared_d4", |b| {
         b.iter(|| black_box(matcher.compare_prepared(black_box(&pg), black_box(&pd4))))
+    });
+    let pgd4 = matcher.prepare(&ink_gallery);
+    group.bench_function("genuine_prepared_d4d4", |b| {
+        b.iter(|| black_box(matcher.compare_prepared(black_box(&pgd4), black_box(&pd4))))
     });
 
     let mut group = c.benchmark_group("hough");

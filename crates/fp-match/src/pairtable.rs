@@ -27,22 +27,29 @@
 //!
 //! ## Where a comparison's time goes
 //!
-//! Over the study's 494-subject matrix on a 2-core 2.1 GHz Xeon, a call
-//! spends about 40 µs in step 2's scan (pass 1a, below), 12 µs in its
-//! scalar tail (pass 1b: kinds test, implied rotation, vote) and 5 µs in
-//! steps 3–4 (pass 2). Pass 2 counts the rotation cluster's correspondence
-//! keys `(g << 16) | p` in an open-addressing table (`Support`) sized from
-//! the cluster, never from the templates' minutia counts, and ranks the
-//! keys with at least `min_support` votes as packed `u64`s,
+//! Over the study's 494-subject matrix (seed 2013) on a 2-core 2.1 GHz
+//! Xeon, one thread, `avx512bw` body, a genuine call takes about 33 µs:
+//! 4 µs laying out the probe's columns, 21 µs in step 2's scan (pass 1a,
+//! below: ~229 chunk tests), 3 µs in its scalar tail (pass 1b: implied
+//! rotation and vote for the ~175 orientations that reach it, each one an
+//! association) and 5 µs in steps 3–4 (pass 2). An impostor call takes
+//! about 21 µs: 4, 15 (~77 chunk tests), 1 (~49 orientations) and 1.
+//! Pass 2 counts the rotation cluster's correspondence keys
+//! `(g << 16) | p` in an open-addressing table (`Support`) sized from the
+//! cluster, never from the templates' minutia counts, and ranks the keys
+//! with at least `min_support` votes as packed `u64`s,
 //! `(u32::MAX - count) << 32 | key`, by one unstable sort: count
 //! descending, then `(g, p)` ascending, the order the oracle's `HashMap`
 //! and sort give.
 //!
-//! Step 1 (`prepare`, about 55-90 µs a template on the same host, mostly
-//! `hypot` and `atan2`) builds its entries in the thread's `Scratch` and
-//! returns an exact-capacity copy. A squared-distance band, widened by
-//! `2^-30` relative, skips `hypot` for pairs that cannot pass the distance
-//! bounds; angles wrap without `fmod` where that is bit-equal to
+//! Step 1 (`prepare`, about 65-75 µs a template on the same host: ~35 µs
+//! in the pair loop, `atan2` ~15 of them, and ~28 µs in the sort) builds
+//! its entries in the thread's `Scratch` and returns an exact-capacity
+//! copy. Each entry carries its minutiae's kinds as a kind-pair code,
+//! `kind(i) | kind(j) << 1`, in bytes the entry's layout pads anyway. A
+//! squared-distance band, widened by `2^-30` relative, skips `hypot` for
+//! pairs that cannot pass the distance bounds; angles wrap without `fmod`
+//! where that is bit-equal to
 //! [`Direction::signed_delta`]; the sort is unstable on (total-order `d`,
 //! `i`, `j`), which is the stable distance sort's order. Every stored bit
 //! equals the retained `build_table_reference`'s.
@@ -51,24 +58,31 @@
 //!
 //! Step 2 is the largest part: two ~520-entry tables offer
 //! ~22,000 entry pairs within distance tolerance, each tested in both
-//! orientations; ~310 of them agree in both angles, one way round or
-//! both. It runs as a scan:
+//! orientations. In the study's genuine calls ~375 orientations agree in
+//! both angles, and ~175 of those in both minutiae's kinds as well. It
+//! runs as a scan:
 //!
 //! * the probe's angles are laid out once per call as columns of
 //!   `LANES` = 8 entries (`ProbeChunk`): `beta1`, `beta2` and the two
 //!   swapped angles `wrap(beta2 + pi)`, `wrap(beta1 + pi)`, `NaN`-padded;
+//!   its kind-pair codes go into a byte column beside them;
 //! * both tables are sorted by distance, so the probe entries within
 //!   tolerance of a gallery entry are a window whose two ends only move
 //!   forward;
-//! * a chunk goes through one branch-free predicate
-//!   (`ProbeChunk::close_to`) that answers for eight probe entries at
-//!   once, direct and swapped. For angles in `(-pi, pi]` a difference lies
-//!   in `[-2pi, 2pi]`, where `x % TAU` is `x`, so `wrap` is a conditional
-//!   add and a conditional subtract with the roundings of the `rem_euclid`
-//!   form it replaces — the same accept/reject decision on every pair;
-//! * only chunks with a passing lane reach the scalar tail (kinds test,
-//!   implied rotation, vote), in the order a pair-at-a-time loop visits
-//!   them.
+//! * a chunk goes through one branch-free predicate (`Scan::test_chunk`)
+//!   that answers for eight probe entries at once, direct and swapped. For
+//!   the angles, `ProbeChunk::close_to`: for angles in `(-pi, pi]` a
+//!   difference lies in `[-2pi, 2pi]`, where `x % TAU` is `x`, so `wrap` is
+//!   a conditional add and a conditional subtract with the roundings of
+//!   the `rem_euclid` form it replaces — the same accept/reject decision
+//!   on every pair. For the kinds, `KindKey::lanes`: the chunk's eight
+//!   codes, read as one `u64`, against the gallery's code (direct) and its
+//!   bit-swapped code (swapped), byte by byte, under a mask that is `0`
+//!   when `require_kind_match` is off. A lane's orientation passes when
+//!   both tests pass it;
+//! * only chunks with a passing lane reach the scalar tail (implied
+//!   rotation, vote), in the order a pair-at-a-time loop visits them, and
+//!   every orientation that reaches the tail associates.
 //!
 //! ### Bodies
 //!
@@ -85,21 +99,23 @@
 //!   `min(a - b, b - a)` (`_mm512_sub_epi8`, `_mm512_min_epu8`) against `T`
 //!   (`_mm512_cmple_epu8_mask`) — `q(beta1)` against the gallery's, and
 //!   `q(beta2)`; `q(beta2)` against the gallery's `q(beta1) ^ 0x80`, and
-//!   `q(beta1)` against `q(beta2) ^ 0x80` — give one `u64` of survivors.
-//!   Only the chunks holding a survivor go through `close_to`. About 2 % of
-//!   window lanes survive, so a comparison tests about a seventh of the
-//!   chunks the other bodies test. The mask intrinsic is the point: the
-//!   same test as a plain-Rust 64-lane byte loop, storing a flag per lane
-//!   and reading the flags back as words, runs no faster than the `f64`
-//!   predicate on every chunk.
+//!   `q(beta1)` against `q(beta2) ^ 0x80` — each orientation ANDed with an
+//!   exact `_mm512_cmpeq_epi8_mask` of the probe's masked kind-pair codes
+//!   against the gallery's code, or its swapped code, give one `u64` of
+//!   survivors. Only the chunks holding a survivor go through the chunk
+//!   predicate: a study genuine call tests ~229 chunks (impostor ~77)
+//!   where the other bodies test ~3,270 (~3,040). The mask intrinsic is
+//!   the point: the same test as a plain-Rust 64-lane byte loop, storing a
+//!   flag per lane and reading the flags back as words, runs no faster
+//!   than the `f64` predicate on every chunk.
 //! * `avx2` and `baseline` run the predicate on every chunk of the window:
 //!   plain Rust compiled under `avx2` and at the build's baseline.
 //!
 //! `f64` arithmetic is the same at every width and the prefilter rejects
-//! only pairs `close_to` rejects, so every body produces the same hits; the
-//! tests hold every body the host can run bit-equal — scores, association
-//! and cluster counts — to `score_tables_reference`, the pair-at-a-time
-//! scoring function kept verbatim as the oracle.
+//! only orientations the chunk predicate rejects, so every body produces
+//! the same hits; the tests hold every body the host can run bit-equal —
+//! scores, association and cluster counts — to `score_tables_reference`,
+//! the pair-at-a-time scoring function kept verbatim as the oracle.
 //!
 //! ### Why the prefilter loses no pair
 //!
@@ -126,6 +142,23 @@
 //! `byte_prefilter_passes_every_pair_close_to_passes` sweeps every byte
 //! step's boundary, probes at `±tol` a few ulps either side, edge
 //! tolerances and jittered tables.
+//!
+//! The kinds test needs no margin: it is an exact equality of small
+//! integers, made per orientation, the same in the prefilter and in the
+//! chunk predicate. A probe pair `(k, l)` agrees with a gallery pair
+//! `(i, j)` directly when `kind(i) = kind(k)` and `kind(j) = kind(l)`,
+//! which is `code(k, l) = code(i, j)`; swapped when `kind(i) = kind(l)`
+//! and `kind(j) = kind(k)`, which is `code(k, l) = code(j, i)`, the
+//! gallery's code with its two bits swapped. That is the oracle's kinds
+//! test, so the scan drops exactly the orientations the oracle drops: the
+//! hits keep the oracle's order, and the association list is the
+//! oracle's, element for element. With `require_kind_match` off both
+//! sides are masked to `0`, which is equal everywhere. The test
+//! `kinds_are_tested_per_orientation_on_every_body` holds every body to
+//! the oracle on pairs where only the direct orientation agrees in kinds,
+//! only the swapped one, lanes of one chunk differ, or no kinds agree; a
+//! mask per lane (kinds agree one way round or the other) or an unswapped
+//! code fails it.
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 
@@ -253,6 +286,34 @@ struct PairEntry {
     beta2: f64,
     i: u16,
     j: u16,
+    /// The kinds of minutiae `i` and `j` as one code ([`kind_code`]). It
+    /// lives in the entry's padding: an entry is 32 bytes with or without
+    /// it.
+    kinds: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<PairEntry>() == 32);
+
+/// A minutia kind as a bit: `0` for a ridge ending, `1` for a bifurcation.
+fn kind_bit(kind: MinutiaKind) -> u8 {
+    match kind {
+        MinutiaKind::RidgeEnding => 0,
+        MinutiaKind::Bifurcation => 1,
+    }
+}
+
+/// The kind-pair code of a pair whose first minutia has kind `first` and
+/// second `second`: `kind(first) | kind(second) << 1`. Two pairs agree in
+/// kinds, end for end, exactly when their codes are equal.
+fn kind_code(first: MinutiaKind, second: MinutiaKind) -> u8 {
+    kind_bit(first) | kind_bit(second) << 1
+}
+
+/// The code of the same pair traversed the other way: its two bits
+/// swapped. A probe pair agrees with a gallery pair in the swapped
+/// orientation exactly when its code equals the gallery's, swapped.
+fn swapped_code(code: u8) -> u8 {
+    (code >> 1 & 1) | (code & 1) << 1
 }
 
 /// A template pre-processed into its sorted pair table.
@@ -394,6 +455,7 @@ impl PreparedPairTable {
                     beta2,
                     i,
                     j,
+                    kinds: kind_code(kinds[usize::from(i)], kinds[usize::from(j)]),
                 })
             })
             .collect::<Result<Vec<_>, _>>()?;
@@ -472,6 +534,7 @@ impl PairTableMatcher {
                         beta2: wrap_stored(b.direction.radians() - line),
                         i: i as u16,
                         j: j as u16,
+                        kinds: kind_code(a.kind, b.kind),
                     });
                 }
             }
@@ -524,12 +587,13 @@ impl PairTableMatcher {
         } = scratch;
 
         // Pass 1a, the scan: which (gallery entry, probe entry) pairs agree
-        // in distance and in both relative angles, either way round.
+        // in distance, in both relative angles and (under
+        // `require_kind_match`) in both minutiae's kinds, either way round.
         scan.load_probe(&probe.entries);
         body.run(cfg, &gallery.entries, &probe.entries, scan);
 
-        // Pass 1b, the tail: the hits' kinds test, implied rotation and
-        // vote, in gallery-then-probe order, direct before swapped.
+        // Pass 1b, the tail: the hits' implied rotation and vote, in
+        // gallery-then-probe order, direct before swapped.
         //
         // An association is (gallery entry, probe entry, orientation flag):
         // direct maps (i->k, j->l), swapped maps (i->l, j->k) — the probe
@@ -543,12 +607,6 @@ impl PairTableMatcher {
             ((frac * cfg.rotation_bins as f64) as usize).min(cfg.rotation_bins - 1)
         };
         let mut associate = |g: &PairEntry, p_i: u16, p_j: u16| {
-            let kinds_agree = !cfg.require_kind_match
-                || (gallery.kinds[g.i as usize] == probe.kinds[p_i as usize]
-                    && gallery.kinds[g.j as usize] == probe.kinds[p_j as usize]);
-            if !kinds_agree {
-                return;
-            }
             let rotation = wrap(
                 probe.directions[p_i as usize].radians()
                     - gallery.directions[g.i as usize].radians(),
@@ -843,6 +901,48 @@ impl ByteKey {
     }
 }
 
+/// A gallery entry's kind-pair code as the chunk predicate tests it: a
+/// probe lane agrees in the direct orientation when its code equals
+/// `direct`, in the swapped one when it equals `swapped` (the gallery's code
+/// with its bits swapped), both under `mask`. The mask is `0b11` when the
+/// configuration requires kinds to match and `0` (every lane agrees) when
+/// it does not. Each field holds its byte once per lane of a [`LANES`]
+/// chunk, so it also broadcasts to the 64 lanes of a prefilter step.
+#[derive(Debug, Clone, Copy)]
+struct KindKey {
+    mask: u64,
+    direct: u64,
+    swapped: u64,
+}
+
+/// A `u64` with each byte `1`.
+const BYTE_ONES: u64 = 0x0101_0101_0101_0101;
+
+impl KindKey {
+    #[inline(always)]
+    fn of(cfg: &PairTableConfig, code: u8) -> KindKey {
+        let mask = if cfg.require_kind_match { 0b11 } else { 0 };
+        KindKey {
+            mask: BYTE_ONES * u64::from(mask),
+            direct: BYTE_ONES * u64::from(code & mask),
+            swapped: BYTE_ONES * u64::from(swapped_code(code) & mask),
+        }
+    }
+
+    /// Which lanes of a chunk agree in kinds, as a flag word: byte `lane`
+    /// of `codes` is probe entry `lane`'s code, and byte `lane` of the
+    /// result holds [`DIRECT`] and/or [`SWAPPED`] for the orientations it
+    /// agrees in. A masked byte differs from the key's by at most `3`, so
+    /// adding `0x7F` sets the byte's top bit exactly when they differ, and
+    /// no carry leaves the byte.
+    #[inline(always)]
+    fn lanes(self, codes: u64) -> u64 {
+        let codes = codes & self.mask;
+        let agree = |key: u64| !((codes ^ key) + BYTE_ONES * 0x7F) & (BYTE_ONES * 0x80);
+        (agree(self.direct) >> 7) | (agree(self.swapped) >> 6)
+    }
+}
+
 /// The association scan's working set.
 #[derive(Default)]
 struct Scan {
@@ -855,6 +955,11 @@ struct Scan {
     /// The probe's `q(beta1)` and `q(beta2)` ([`byte_angle`]), one byte per
     /// entry and [`BYTE_LANES`] bytes of padding, rebuilt with `distances`.
     bytes: [Vec<u8>; 2],
+    /// The probe's kind-pair codes, one byte per entry and [`BYTE_LANES`]
+    /// zero bytes of padding, rebuilt per call with `chunks`:
+    /// [`test_chunk`](Self::test_chunk) reads a chunk's as one word, the
+    /// `avx512bw` body 64 at a time.
+    kinds: Vec<u8>,
     /// Where [`ProbeChunk::close_to`] leaves one step's flags.
     flags: [u8; LANES],
     /// The steps in which some lane passed, in scan order.
@@ -863,9 +968,13 @@ struct Scan {
 
 impl Scan {
     /// Sets `chunks` to the probe table's angle columns, `NaN`-padding
-    /// the last chunk, and empties `hits`.
+    /// the last chunk, and `kinds` to its kind-pair codes, and empties
+    /// `hits`.
     fn load_probe(&mut self, probe: &[PairEntry]) {
         self.hits.clear();
+        self.kinds.clear();
+        self.kinds.extend(probe.iter().map(|p| p.kinds));
+        self.kinds.extend([0; BYTE_LANES]);
         self.chunks.clear();
         self.chunks.extend(probe.chunks(LANES).map(|entries| {
             let (mut beta1, mut beta2) = ([f64::NAN; LANES], [f64::NAN; LANES]);
@@ -882,26 +991,30 @@ impl Scan {
         }));
     }
 
-    /// Tests gallery entry `g` (number `at_gallery`) against chunk `chunk`
-    /// of the probe with [`ProbeChunk::close_to`], and records a hit if a
-    /// lane inside the distance window `[lo, hi)` passes.
+    /// The chunk predicate: tests gallery entry `g` (number `at_gallery`,
+    /// kinds `kinds`) against chunk `chunk` of the probe, in angles with
+    /// [`ProbeChunk::close_to`] and in kinds with [`KindKey::lanes`],
+    /// orientation by orientation, and records a hit if a lane inside the
+    /// distance window `[lo, hi)` passes.
     #[inline(always)]
     fn test_chunk(
         &mut self,
         tol: f64,
         at_gallery: usize,
-        g: &PairEntry,
+        (g, kinds): (&PairEntry, KindKey),
         chunk: usize,
         (lo, hi): (usize, usize),
     ) {
         self.chunks[chunk].close_to(g.beta1, g.beta2, tol, &mut self.flags);
-        let lanes = u64::from_le_bytes(self.flags);
+        let at = chunk * LANES;
+        let mut codes = [0; LANES];
+        codes.copy_from_slice(&self.kinds[at..at + LANES]);
+        let lanes = u64::from_le_bytes(self.flags) & kinds.lanes(u64::from_le_bytes(codes));
         if lanes == 0 {
             return;
         }
         // Lanes of this chunk outside `[lo, hi)` are out of distance
-        // tolerance, whatever their angles say.
-        let at = chunk * LANES;
+        // tolerance, whatever their angles and kinds say.
         let lanes = lanes & lane_bytes(lo.saturating_sub(at), hi - at);
         if lanes != 0 {
             self.hits.push(ChunkHit {
@@ -1079,11 +1192,11 @@ pub fn scan_body_name() -> &'static str {
 /// The byte-prefiltered scan. Per gallery entry, the distance window's
 /// ends advance as in [`for_each_window`], eight distances a compare
 /// ([`skip_while`]); the window goes through [`ByteKey`]'s four circular
-/// byte distances, 64 probe entries a step starting at a chunk boundary,
-/// into one `u64` of survivors; only
+/// byte distances and [`KindKey`]'s two code compares, 64 probe entries a
+/// step starting at a chunk boundary, into one `u64` of survivors; only
 /// the chunks holding a survivor go through [`Scan::test_chunk`], in
-/// order. The prefilter passes every lane `close_to` passes (module docs),
-/// so the hits are [`scan_body`]'s.
+/// order. The prefilter passes every orientation the chunk predicate
+/// passes (module docs), so the hits are [`scan_body`]'s.
 ///
 /// # Safety
 ///
@@ -1121,17 +1234,22 @@ unsafe fn scan_avx512bw(
         let key = ByteKey::of(g.beta1, g.beta2);
         let [g1, g2] = key.direct.map(|q| _mm512_set1_epi8(q as i8));
         let [s1, s2] = key.swapped.map(|q| _mm512_set1_epi8(q as i8));
+        let kinds = KindKey::of(cfg, g.kinds);
+        let [mask, direct, swapped] =
+            [kinds.mask, kinds.direct, kinds.swapped].map(|word| _mm512_set1_epi64(word as i64));
         let mut at = lo / LANES * LANES;
         while at < hi {
             let (q1, q2) = (
                 load_bytes(&scan.bytes[0], at),
                 load_bytes(&scan.bytes[1], at),
             );
-            let pass = (near(q1, g1) & near(q2, g2)) | (near(q2, s1) & near(q1, s2));
+            let codes = _mm512_and_si512(load_bytes(&scan.kinds, at), mask);
+            let pass = (near(q1, g1) & near(q2, g2) & _mm512_cmpeq_epi8_mask(codes, direct))
+                | (near(q2, s1) & near(q1, s2) & _mm512_cmpeq_epi8_mask(codes, swapped));
             let mut survivors = pass & lane_bits(lo.saturating_sub(at), hi - at);
             while survivors != 0 {
                 let chunk = (at + survivors.trailing_zeros() as usize) / LANES;
-                scan.test_chunk(cfg.angle_tolerance, at_gallery, g, chunk, (lo, hi));
+                scan.test_chunk(cfg.angle_tolerance, at_gallery, (g, kinds), chunk, (lo, hi));
                 survivors &= !(0xFF << (chunk * LANES - at));
             }
             at += BYTE_LANES;
@@ -1246,8 +1364,9 @@ unsafe fn scan_avx2(
 #[inline(always)]
 fn scan_body(cfg: &PairTableConfig, gallery: &[PairEntry], probe: &[PairEntry], scan: &mut Scan) {
     for_each_window(cfg, gallery, probe, |at_gallery, g, (lo, hi)| {
+        let kinds = KindKey::of(cfg, g.kinds);
         for chunk in lo / LANES..=(hi - 1) / LANES {
-            scan.test_chunk(cfg.angle_tolerance, at_gallery, g, chunk, (lo, hi));
+            scan.test_chunk(cfg.angle_tolerance, at_gallery, (g, kinds), chunk, (lo, hi));
         }
     });
 }
@@ -1343,6 +1462,7 @@ impl PairTableMatcher {
                     beta2,
                     i: i as u16,
                     j: j as u16,
+                    kinds: kind_code(ms[i].kind, ms[j].kind),
                 });
             }
         }
@@ -1718,13 +1838,162 @@ mod tests {
         for (a, b) in table.raw_directions().zip(rebuilt.raw_directions()) {
             assert_eq!(a.to_bits(), b.to_bits(), "directions must survive bitwise");
         }
-        // Same bytes in, same score bits out — the property fp-store's
-        // parity gate rests on.
+        // The kind-pair codes are not stored: the rebuilt table derives
+        // them from the kinds, and they must be the ones `prepare` made.
+        let codes = |t: &PreparedPairTable| t.entries.iter().map(|e| e.kinds).collect::<Vec<_>>();
+        assert_eq!(codes(&rebuilt), codes(&table));
+        assert!(codes(&table).iter().any(|&c| c != codes(&table)[0]));
+        // Same bytes in, same score bits out on every body, either side —
+        // the property fp-store's parity gate rests on.
         let probe = m.prepare(&synthetic_template(13, 30));
-        assert_eq!(
-            m.compare_prepared(&table, &probe),
-            m.compare_prepared(&rebuilt, &probe)
-        );
+        for body in ScanBody::available() {
+            for (new, old) in [
+                (
+                    m.score_with(body, &rebuilt, &probe),
+                    m.score_with(body, &table, &probe),
+                ),
+                (
+                    m.score_with(body, &probe, &rebuilt),
+                    m.score_with(body, &probe, &table),
+                ),
+            ] {
+                assert_eq!(
+                    new.value().to_bits(),
+                    old.value().to_bits(),
+                    "{}",
+                    body.name()
+                );
+            }
+        }
+    }
+
+    /// A star loaded through `from_raw_parts`: minutia 0 (kind `hub`,
+    /// direction 0) paired with each of `spokes` (minutiae `1..`, direction
+    /// 0), every pair 5 mm long with angles `(0.3, wrap(0.3 + pi))`. Two
+    /// such entries agree in angles both ways round, so which orientations
+    /// associate is up to the kinds alone.
+    fn star(hub: MinutiaKind, spokes: &[MinutiaKind]) -> PreparedPairTable {
+        let entries = (1..=spokes.len())
+            .map(|spoke| (5.0, 0.3, wrap(0.3 + PI), 0, spoke as u16))
+            .collect();
+        let kinds: Vec<_> = std::iter::once(hub).chain(spokes.iter().copied()).collect();
+        let n = kinds.len();
+        PreparedPairTable::from_raw_parts(entries, vec![0.0; n], kinds, n).unwrap()
+    }
+
+    #[test]
+    fn kinds_are_tested_per_orientation_on_every_body() {
+        use MinutiaKind::{Bifurcation as B, RidgeEnding as E};
+        // (case, gallery, probe, the oracle's associations with and
+        // without `require_kind_match`). The swapped orientation maps the
+        // gallery's hub onto a probe spoke and a spoke onto the hub.
+        let cases = [
+            (
+                "only direct agrees",
+                star(E, &[B; 5]),
+                star(E, &[B; 5]),
+                25,
+                50,
+            ),
+            (
+                "only swapped agrees",
+                star(E, &[B; 5]),
+                star(B, &[E; 5]),
+                25,
+                50,
+            ),
+            (
+                "lanes of one chunk differ",
+                star(E, &[B; 5]),
+                star(E, &[B, E, B, E, B, E, B, E, B]),
+                25,
+                90,
+            ),
+            (
+                "endings against bifurcations",
+                star(E, &[E; 5]),
+                star(B, &[B; 5]),
+                0,
+                50,
+            ),
+        ];
+        let configs = [
+            PairTableConfig::default(),
+            PairTableConfig {
+                require_kind_match: false,
+                ..PairTableConfig::default()
+            },
+        ];
+        for (case, gallery, probe, with_kinds, without_kinds) in &cases {
+            for (config, expected) in configs.iter().zip([with_kinds, without_kinds]) {
+                let matcher = || {
+                    PairTableMatcher::new(*config)
+                        .unwrap()
+                        .with_telemetry(&Telemetry::enabled())
+                };
+                let oracle = matcher();
+                let score = oracle.score_tables_reference(gallery, probe);
+                let what = format!("{case}, require_kind_match {}", config.require_kind_match);
+                assert_eq!(
+                    oracle.metrics.associations.snapshot().sum,
+                    *expected,
+                    "{what}: the oracle"
+                );
+                for body in ScanBody::available() {
+                    let m = matcher();
+                    assert_eq!(
+                        m.score_with(body, gallery, probe).value().to_bits(),
+                        score.value().to_bits(),
+                        "{what}, {} body",
+                        body.name()
+                    );
+                    for (new, old) in [
+                        (&m.metrics.associations, &oracle.metrics.associations),
+                        (&m.metrics.cluster_size, &oracle.metrics.cluster_size),
+                    ] {
+                        assert_eq!(
+                            new.snapshot(),
+                            old.snapshot(),
+                            "{what}, {} body",
+                            body.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kind_codes_swap_end_for_end() {
+        use MinutiaKind::{Bifurcation as B, RidgeEnding as E};
+        for (first, second) in [(E, E), (E, B), (B, E), (B, B)] {
+            assert_eq!(
+                swapped_code(kind_code(first, second)),
+                kind_code(second, first)
+            );
+        }
+        assert_eq!([kind_code(E, B), kind_code(B, E)], [2, 1]);
+        // Every lane of a chunk against every code, both orientations.
+        for require_kind_match in [true, false] {
+            let cfg = PairTableConfig {
+                require_kind_match,
+                ..PairTableConfig::default()
+            };
+            for gallery in 0..4u8 {
+                let key = KindKey::of(&cfg, gallery);
+                let codes: [u8; LANES] = std::array::from_fn(|lane| (lane % 4) as u8);
+                let flags = key.lanes(u64::from_le_bytes(codes)).to_le_bytes();
+                for (lane, &probe) in codes.iter().enumerate() {
+                    let direct = !require_kind_match || probe == gallery;
+                    let swapped = !require_kind_match || probe == swapped_code(gallery);
+                    assert_eq!(
+                        flags[lane],
+                        (u8::from(direct) * DIRECT) | (u8::from(swapped) * SWAPPED),
+                        "gallery {gallery}, probe {probe}, {cfg:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -2090,6 +2359,7 @@ mod tests {
             beta2,
             i: 0,
             j: 1,
+            kinds: 0,
         }
     }
 

@@ -7,7 +7,7 @@ use fp_core::rng::SeedTree;
 use fp_match::{PairTableMatcher, PreparableMatcher};
 use fp_quality::NfiqLevel;
 use fp_stats::roc::ScoreSet;
-use fp_telemetry::Telemetry;
+use fp_telemetry::{Span, Telemetry};
 use rand::Rng;
 
 use crate::config::{StudyConfig, DEVICE_COUNT};
@@ -57,6 +57,29 @@ where
         cells[cell].extend(scores);
     }
     cells
+}
+
+/// The `scores.cell.g<g>p<p>` span of one run of cell `(g, p)`'s `pass`,
+/// with the pass's size as the attribute `size.0` — or no span at all with
+/// telemetry off, where its name and attribute strings would be built for
+/// nothing.
+fn run_span(
+    telemetry: &Telemetry,
+    (g, p): (usize, usize),
+    pass: &str,
+    size: (&str, usize),
+) -> Option<Span> {
+    telemetry.is_enabled().then(|| {
+        telemetry.span_with(
+            &format!("scores.cell.g{g}p{p}"),
+            &[
+                ("gallery", g.to_string()),
+                ("probe", p.to_string()),
+                ("pass", pass.to_string()),
+                (size.0, size.1.to_string()),
+            ],
+        )
+    })
 }
 
 /// One genuine comparison outcome, annotated for the quality analyses
@@ -129,15 +152,7 @@ impl ScoreMatrix {
         // Genuine: 25 cells x n subjects, in runs of `RUN` subjects.
         let genuine = score_in_runs(telemetry, "scores.genuine", &[n; CELLS], |cell, run| {
             let (g, p) = (cell / DEVICE_COUNT, cell % DEVICE_COUNT);
-            let _run = telemetry.span_with(
-                &format!("scores.cell.g{g}p{p}"),
-                &[
-                    ("gallery", g.to_string()),
-                    ("probe", p.to_string()),
-                    ("pass", "genuine".to_string()),
-                    ("subjects", n.to_string()),
-                ],
-            );
+            let _run = run_span(telemetry, (g, p), "genuine", ("subjects", n));
             let scores = run
                 .map(|s| {
                     let score = config
@@ -181,15 +196,7 @@ impl ScoreMatrix {
         let lens: [usize; CELLS] = std::array::from_fn(|cell| pairs[cell].len());
         let impostor = score_in_runs(telemetry, "scores.impostor", &lens, |cell, run| {
             let (g, p) = (cell / DEVICE_COUNT, cell % DEVICE_COUNT);
-            let _run = telemetry.span_with(
-                &format!("scores.cell.g{g}p{p}"),
-                &[
-                    ("gallery", g.to_string()),
-                    ("probe", p.to_string()),
-                    ("pass", "impostor".to_string()),
-                    ("pairs", impostors_per_cell.to_string()),
-                ],
-            );
+            let _run = run_span(telemetry, (g, p), "impostor", ("pairs", impostors_per_cell));
             let scores = pairs[cell][run]
                 .iter()
                 .map(|&(a, b)| {
